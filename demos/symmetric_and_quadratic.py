@@ -3,11 +3,13 @@
 
 sigma(k) is fully symmetric, so its transfer states are indexed by the
 lower symmetric decorations rather than boundary windows.  For k = 2 over
-a prime field the matrix takes the closed form zeta^(j(k-j)); it is a
-complex Hadamard matrix (up to scale) whose spectrum is a Gauss sum times
-roots of unity, and its integer annihilator divides X^(2p) -+ p^p.
+a prime field the symmetric system is the quadratic matrix, with closed
+form zeta^(j(k-j)); it is a complex Hadamard matrix (up to scale) whose
+spectrum is a Gauss sum times roots of unity, and its integer annihilator
+divides X^(2p) -+ p^p.
 """
 
+from gfrec.cyclotomic import root_power
 from gfrec.funcalg import Sigma
 from gfrec.galois import make_field
 from gfrec.numtheory import (
@@ -19,12 +21,7 @@ from gfrec.numtheory import (
 )
 from gfrec.oracle import sum_sequence
 from gfrec.recurrence import divides, family_poly, satisfies
-from gfrec.transfer import (
-    build_quadratic_matrix,
-    build_symmetric_system,
-    integer_annihilator,
-    run,
-)
+from gfrec.transfer import build_symmetric_system, integer_annihilator, run
 
 
 def main():
@@ -32,7 +29,11 @@ def main():
     f = make_field(p)
 
     print("== quadratic symmetric sums over F_%d ==" % p)
-    sys = build_quadratic_matrix(p)
+    # the quadratic matrix is the sigma(2) system
+    sys = build_symmetric_system(2, f)
+    assert all(sys.matrix[j][k] == root_power(p, j * (k - j))
+               for j in range(p) for k in range(p))
+    print("  sigma(2) system: %d states, (j, k) entry zeta^(j(k-j))" % sys.dim)
     seq = run(sys, 10)
     brute = sum_sequence(Sigma(2), f, range(2, 9))
     assert seq.values[: len(brute)] == brute.values

@@ -18,7 +18,7 @@ import time
 
 from .cyclotomic import CycInt
 from .funcalg import ExprSyntaxError, parse, unparse
-from .galois import make_field
+from .galois import make_field, prime_power
 from .harness import (
     acceptance_run,
     compare,
@@ -60,16 +60,7 @@ def _parse_field(text, modulus_text=None):
             p_s, r_s = text.split("^", 1)
             p, r = int(p_s), int(r_s)
         else:
-            q = int(text)
-            if q < 2:
-                raise ValueError
-            p = next(d for d in range(2, q + 1) if q % d == 0)
-            r = 0
-            while q > 1:
-                if q % p:
-                    raise ValueError
-                q //= p
-                r += 1
+            p, r = prime_power(int(text))
     except ValueError:
         raise UsageError("field must be a prime power, like 9 or 3^2") from None
     modulus = None

@@ -207,16 +207,6 @@ def shift(monomial, k, n):
     return frozenset(out)
 
 
-def orbit(monomial, n):
-    """All cyclic shifts of a monomial, with the lexicographically first
-    member (on sorted index tuples) designated as representative."""
-    seen = set()
-    for k in range(1, n + 1):
-        seen.add(shift(monomial, k, n))
-    members = sorted(seen, key=lambda m: tuple(sorted(m)))
-    return members[0], members
-
-
 class InstantiatedFunction:
     """A concrete polynomial function on F_q^n, stored as monomial terms.
 
@@ -308,40 +298,3 @@ def evaluate(g, point):
             val = val * point[i - 1]
         total = total + val
     return total
-
-
-def occurrence_profile(e, n):
-    """For each variable, the number of distinct monomial index sets of the
-    expanded expression that contain it (structural, field independent)."""
-    sets = set()
-
-    def walk(node):
-        if isinstance(node, ScalarMul):
-            walk(node.expr)
-            return
-        if isinstance(node, Sum):
-            for part in node.parts:
-                walk(part)
-            return
-        if n < node.min_n():
-            raise ValueError("n=%d below the family minimum %d" % (n, node.min_n()))
-        if isinstance(node, Rotation):
-            base = frozenset(node.pattern.offsets)
-            for k in range(n):
-                sets.add(shift(base, k, n))
-        elif isinstance(node, Trapezoid):
-            offs = node.pattern.offsets
-            for t in range(n - node.pattern.width + 1):
-                sets.add(frozenset(o + t for o in offs))
-        elif isinstance(node, Sigma):
-            for combo in combinations(range(1, n + 1), node.k):
-                sets.add(frozenset(combo))
-        else:
-            raise TypeError("not an expression: %r" % (node,))
-
-    walk(e)
-    profile = [0] * n
-    for mono in sets:
-        for i in mono:
-            profile[i - 1] += 1
-    return profile

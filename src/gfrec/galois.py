@@ -246,6 +246,21 @@ class FieldElement:
         return "FieldElement(%s, %s)" % (self.field.describe(), list(self.coeffs))
 
 
+def prime_power(q):
+    """(p, r) with q = p^r and p prime; ValueError when q is not a prime power."""
+    if q < 2:
+        raise ValueError("%d is not a prime power" % q)
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    r = 0
+    m = q
+    while m > 1:
+        if m % p:
+            raise ValueError("%d is not a prime power" % q)
+        m //= p
+        r += 1
+    return p, r
+
+
 def make_field(p, r=1, modulus=None):
     """Build F_{p^r}.
 

@@ -20,9 +20,9 @@ import numpy as np
 
 from .cyclotomic import CycInt, root_power
 from .funcalg import InstantiatedFunction, consecutive_rotation, instantiate, parse, tau
-from .galois import make_field
+from .galois import make_field, prime_power
 from .numtheory import eigen_check, eisenstein_dumas, gauss_sum, hadamard_check, legendre
-from .oracle import _field_tables, exp_sum, joint_counts, sum_sequence
+from .oracle import exp_sum, field_tables, joint_counts, sum_sequence
 from .recurrence import IntPolynomial, Sequence, discover, divides, family_poly, satisfies
 from . import transfer
 
@@ -143,15 +143,7 @@ class _Ctx:
 
     def field(self, q):
         if q not in self._fields:
-            p = next(d for d in range(2, q + 1) if q % d == 0)
-            r = 0
-            m = q
-            while m > 1:
-                if m % p:
-                    raise ValueError("%d is not a prime power" % q)
-                m //= p
-                r += 1
-            self._fields[q] = make_field(p, r)
+            self._fields[q] = make_field(*prime_power(q))
         return self._fields[q]
 
     def clamp(self, q, n):
@@ -174,7 +166,7 @@ class _Ctx:
                     continue
                 funcs = [instantiate(tau(kk), n, f) for kk in active]
                 counts = joint_counts(funcs, workers=self.workers)
-                _add, _mul, trace = _field_tables(f)
+                _add, _mul, trace = field_tables(f)
                 for axis, kk in enumerate(active):
                     other = tuple(a for a in range(len(active)) if a != axis)
                     marg = counts.sum(axis=other) if other else counts
@@ -279,7 +271,7 @@ def _decoration_products(f, n, k):
 def _check_c5(ctx):
     for q in (3, 4, 5, 9):
         f = ctx.field(q)
-        add, mul, trace = _field_tables(f)
+        add, mul, trace = field_tables(f)
         for k in (3, 4):
             for n in range(k, min(k + 3, _max_n(q, ctx.cap)) + 1):
                 funcs = [instantiate(tau(k), n, f)] + _decoration_products(f, n, k)

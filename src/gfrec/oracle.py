@@ -24,7 +24,8 @@ _table_cache = {}
 _digit_cache = {}
 
 
-def _field_tables(field):
+def field_tables(field):
+    """Cached (add, mul, trace) index tables of a field as int64 arrays."""
     tables = _table_cache.get(field)
     if tables is None:
         q = field.q
@@ -163,7 +164,7 @@ def _trace_counts_generic(g, workers):
     field = g.field
     n = g.n
     p = field.p
-    add, mul, trace = _field_tables(field)
+    add, mul, trace = field_tables(field)
     terms = _terms_as_indices(g)
     m, nblocks = _enumerate_blocks(field, n)
 
@@ -227,7 +228,7 @@ def joint_counts(funcs, budget=DEFAULT_POINT_BUDGET, workers=1):
             raise ValueError("functions must share a field and variable count")
     _check_budget(field, n, budget)
     q = field.q
-    add, mul, _trace = _field_tables(field)
+    add, mul, _trace = field_tables(field)
     term_lists = [_terms_as_indices(g) for g in funcs]
     m, nblocks = _enumerate_blocks(field, n)
     bins = q ** len(funcs)
@@ -287,6 +288,8 @@ def sum_sequence(
             raise ValueError(
                 "transfer system for this family starts at n=%d" % sys.n_min
             )
+        if start < e.min_n():
+            raise ValueError("n=%d below the family minimum %d" % (start, e.min_n()))
         full = transfer.run(sys, n_range.stop - 1)
         lo = start - full.n_min
         return Sequence(start, full.values[lo : lo + len(n_range)], "transfer")

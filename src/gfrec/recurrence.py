@@ -133,11 +133,6 @@ MIX3 = "MIX3"
 FAMILIES = (P_K, Q_TRAP, Q_K, ROT2, QUADSYM, MIX1, MIX2, MIX3)
 
 
-def _legendre_symbol(a, p):
-    t = pow(a % p, (p - 1) // 2, p)
-    return -1 if t == p - 1 else t
-
-
 def family_poly(family, k=None, field=None):
     """The characteristic polynomial of a named family.
 
@@ -172,8 +167,10 @@ def family_poly(family, k=None, field=None):
     if family == QUADSYM:
         if field is None or field.r != 1 or field.p == 2:
             raise ValueError("QUADSYM needs an odd prime field")
+        from .numtheory import legendre  # numtheory imports this module
+
         p = field.p
-        sign = _legendre_symbol(-1, p)
+        sign = legendre(-1, p)
         coeffs = [0] * (2 * p + 1)
         coeffs[0] = -sign * p**p
         coeffs[2 * p] = 1

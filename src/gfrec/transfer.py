@@ -5,19 +5,23 @@ sums a_i(n) that is closed under instantiating the newest variable, so that
 the vector of states satisfies v(n) = M v(n-1) with entries in Z[zeta_p],
 and the target sum is a fixed linear combination of states (possibly at a
 shifted index).  Constructed systems are checked against the enumeration
-oracle at the smallest index they cover before being returned.
+oracle, on the instantiated target expression, at the smallest index that
+both the system and the expression cover before being returned.
 
 Chain systems decorate a non-wrapping translate sum with monomials pinned
 to its trailing window; closing a rotation additionally pins monomials to
 the leading window, and the wrap-around translates turn into the projection
 coefficients.  Symmetric systems decorate the top elementary symmetric
-polynomial with the lower ones.
+polynomial with the lower ones; for sigma(2) over a prime field this is the
+quadratic matrix with (j, k) entry zeta^(j(k-j)).  Initial states are sums of
+instantiated expressions, plus decoration monomials where no family
+expression describes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 from .cyclotomic import CycInt, regular_matrix, root_power
 from .funcalg import (
@@ -28,9 +32,11 @@ from .funcalg import (
     Sigma,
     Sum,
     Trapezoid,
+    _accumulate,
     instantiate,
     tau,
 )
+from .galois import is_prime, make_field
 from .limits import (
     DEFAULT_BLOWUP_LIMIT,
     DEFAULT_DEGREE_CAP,
@@ -38,7 +44,7 @@ from .limits import (
     DEFAULT_STATE_LIMIT,
     ResourceLimitExceeded,
 )
-from .oracle import exp_sum
+from .oracle import exp_sum, field_tables
 from .recurrence import IntPolynomial, Sequence
 
 
@@ -102,27 +108,22 @@ def run(sys, n_target):
 # ---------------------------------------------------------------------------
 # small helpers shared by the builders
 
-def _index_tables(field):
-    elems = field.elements()
-    q = field.q
-    add = [[(a + b).index for b in elems] for a in elems]
-    mul = [[(a * b).index for b in elems] for a in elems]
-    trace = [a.trace() for a in elems]
-    return elems, add, mul, trace
+def _decorated(g, decorations):
+    """g plus the (monomial, coefficient) decoration terms."""
+    acc = dict(g.terms)
+    for mono, coeff in decorations:
+        _accumulate(acc, mono, coeff)
+    return InstantiatedFunction(g.field, g.n, acc)
 
 
-def _accumulate(acc, mono, coeff):
-    cur = acc.get(mono)
-    acc[mono] = coeff if cur is None else cur + coeff
-
-
-def _oracle_gate(sys, target_function, budget):
-    got = run(sys, sys.n_min).values[-1]
-    want = exp_sum(target_function, budget=budget)
+def _oracle_gate(sys, e, budget):
+    n = max(sys.n_min, e.min_n())
+    got = run(sys, n).values[-1]
+    want = exp_sum(instantiate(e, n, sys.field), budget=budget)
     if got != want:
         raise AssertionError(
             "transfer system %r disagrees with the oracle at n=%d: %r vs %r"
-            % (sys.label, sys.n_min, got, want)
+            % (sys.label, n, got, want)
         )
 
 
@@ -152,14 +153,11 @@ def build_trapezoid_system(k, f, budget=DEFAULT_POINT_BUDGET):
         else:
             row[k - 1] = row[k - 1] + CycInt.from_int(p, -1)
         rows.append(tuple(row))
+    base = instantiate(tau(k), k, f)
     init = []
     for j in range(k):
-        acc = {}
-        _accumulate(acc, frozenset(range(1, k + 1)), f.one())
-        for s in range(1, j + 1):
-            _accumulate(acc, frozenset(range(s + 1, k + 1)), f.one())
-        g = InstantiatedFunction(f, k, acc)
-        init.append(exp_sum(g, budget=budget))
+        products = [(frozenset(range(s + 1, k + 1)), f.one()) for s in range(1, j + 1)]
+        init.append(exp_sum(_decorated(base, products), budget=budget))
     projection = [one] + [CycInt.zero(p)] * (k - 1)
     states = tuple("b%d" % j for j in range(k))
     sys = TransferSystem(
@@ -172,7 +170,7 @@ def build_trapezoid_system(k, f, budget=DEFAULT_POINT_BUDGET):
         n0=k,
         shift=0,
     )
-    _oracle_gate(sys, instantiate(tau(k), k, f), budget)
+    _oracle_gate(sys, tau(k), budget)
     return sys
 
 
@@ -231,28 +229,24 @@ def _normalize_patterns(terms, f):
     return out
 
 
-def _chain_function(f, n, patterns, tail_shapes, head_shapes, alpha, beta, elems):
-    acc = {}
-    for c, offsets in patterns:
-        wi = max(offsets)
-        for t in range(n - wi + 1):
-            _accumulate(acc, frozenset(o + t for o in offsets), c)
-    for j, shape in enumerate(tail_shapes):
-        a = elems[alpha[j]]
-        if not a.is_zero():
-            _accumulate(acc, frozenset(n - d for d in shape), a)
-    for j, shape in enumerate(head_shapes):
-        b = elems[beta[j]]
-        if not b.is_zero():
-            _accumulate(acc, frozenset(shape), b)
-    return InstantiatedFunction(f, n, acc)
+def _chain_function(chain, tail_shapes, head_shapes, alpha, beta, elems):
+    """The instantiated chain plus the tail and head decorations of a state."""
+    n = chain.n
+    tail = [
+        (frozenset(n - d for d in shape), elems[a])
+        for shape, a in zip(tail_shapes, alpha)
+        if a
+    ]
+    head = [(frozenset(shape), elems[b]) for shape, b in zip(head_shapes, beta) if b]
+    return _decorated(chain, tail + head)
 
 
 def _build_window_system(
-    terms, f, wrap, label, state_limit=DEFAULT_STATE_LIMIT, budget=DEFAULT_POINT_BUDGET
+    e, terms, f, wrap, label, state_limit=DEFAULT_STATE_LIMIT, budget=DEFAULT_POINT_BUDGET
 ):
     """Shared engine: decorated chain states, optionally closed into a
-    rotation by head decorations plus wrap-around projection."""
+    rotation by head decorations plus wrap-around projection.  terms are the
+    (coefficient, offsets) translates of e, which gates the result."""
     p = f.p
     q = f.q
     patterns = _normalize_patterns(terms, f)
@@ -269,7 +263,7 @@ def _build_window_system(
         raise ResourceLimitExceeded(
             "%d states exceed the limit of %d" % (dim, state_limit)
         )
-    elems, add, mul, trace = _index_tables(f)
+    add, mul, trace = (t.tolist() for t in field_tables(f))
 
     states = list(product(range(q), repeat=nt + nh))
     state_index = {s: i for i, s in enumerate(states)}
@@ -301,11 +295,15 @@ def _build_window_system(
     n0 = 2 * (w - 1) if wrap else w
     shift = (w - 1) if wrap else 0
 
+    elems = f.elements()
+    chain = instantiate(
+        Sum(tuple(ScalarMul(c.index, Trapezoid(MonomialPattern(o))) for c, o in patterns)),
+        n0,
+        f,
+    )
     init = [
         exp_sum(
-            _chain_function(
-                f, n0, patterns, tail_shapes, head_shapes, s[:nt], s[nt:], elems
-            ),
+            _chain_function(chain, tail_shapes, head_shapes, s[:nt], s[nt:], elems),
             budget=budget,
         )
         for s in states
@@ -321,7 +319,6 @@ def _build_window_system(
             alpha = [0] * nt
             beta = [0] * nh
             const = 0
-            skip = False
             for c, offsets in patterns:
                 wi = max(offsets)
                 for i in range(n_ref - w - wi + 3, n_ref + 1):
@@ -367,123 +364,21 @@ def _build_window_system(
         shift=shift,
     )
 
-    target_fn = _target_function(f, sys.n_min, patterns, wrap)
-    _oracle_gate(sys, target_fn, budget)
-    return sys, states, patterns, tail_shapes
-
-
-def _target_function(f, n, patterns, wrap):
-    acc = {}
-    for c, offsets in patterns:
-        if wrap:
-            for i in range(n):
-                _accumulate(
-                    acc, frozenset((i + o - 1) % n + 1 for o in offsets), c
-                )
-        else:
-            wi = max(offsets)
-            for t in range(n - wi + 1):
-                _accumulate(acc, frozenset(o + t for o in offsets), c)
-    return InstantiatedFunction(f, n, acc)
-
-
-def build_rotation_system(
-    pattern,
-    f,
-    collapse=False,
-    state_limit=DEFAULT_STATE_LIMIT,
-    budget=DEFAULT_POINT_BUDGET,
-):
-    """Transfer system for the cyclic translate sum of a monomial pattern.
-
-    With collapse=True, consecutive patterns get their unit-scaled boundary
-    states folded together (verified against the uncollapsed system before
-    the smaller one is returned).
-    """
-    if isinstance(pattern, MonomialPattern):
-        offsets = pattern.offsets
-    else:
-        offsets = MonomialPattern(tuple(pattern)).offsets
-    label = "rotation(%s)/F_%s" % (",".join(map(str, offsets[1:])), f.describe())
-    sys, states, patterns, tail_shapes = _build_window_system(
-        [(f.one(), offsets)], f, True, label, state_limit, budget
-    )
-    if collapse:
-        sys = _collapse_unit_boundary(sys, states, patterns, tail_shapes, f)
+    _oracle_gate(sys, e, budget)
     return sys
 
 
-def _collapse_unit_boundary(sys, states, patterns, tail_shapes, f):
-    """Fold states that scaling invariance proves equal.
-
-    Applies to a single consecutive pattern with coefficient one: states
-    whose head decorations vanish and whose tail coefficients are units on
-    the first j shapes (zero beyond) coincide for every unit choice.  The
-    folded system is replayed against the original over a verification
-    window before being accepted.
-    """
-    if len(patterns) != 1:
-        return sys
-    coeff, offsets = patterns[0]
-    k = len(offsets)
-    if offsets != tuple(range(1, k + 1)) or coeff != f.one():
-        return sys
-    q = f.q
-    nt = len(tail_shapes)
-    units = [e.index for e in f.units()]
-    one = f.one().index
-
-    class_of = {}
-    for j in range(1, nt + 1):
-        rep = tuple([one] * j + [0] * (nt - j)) + (0,) * (len(states[0]) - nt)
-        members = [
-            tuple(list(us) + [0] * (nt - j)) + (0,) * (len(states[0]) - nt)
-            for us in product(units, repeat=j)
-        ]
-        for m in members:
-            class_of[m] = rep
-    reps = []
-    for s in states:
-        rep = class_of.get(s, s)
-        if rep not in reps:
-            reps.append(rep)
-    rep_index = {s: i for i, s in enumerate(reps)}
-    old_index = {s: i for i, s in enumerate(states)}
-
-    p = f.p
-    zero = CycInt.zero(p)
-    new_rows = []
-    for rep in reps:
-        old_row = sys.matrix[old_index[rep]]
-        row = [zero] * len(reps)
-        for s in states:
-            entry = old_row[old_index[s]]
-            if not entry.is_zero():
-                tgt = rep_index[class_of.get(s, s)]
-                row[tgt] = row[tgt] + entry
-        new_rows.append(tuple(row))
-    new_init = tuple(sys.init[old_index[rep]] for rep in reps)
-    new_proj = [zero] * len(reps)
-    for s in states:
-        c = sys.projection[old_index[s]]
-        if not c.is_zero():
-            tgt = rep_index[class_of.get(s, s)]
-            new_proj[tgt] = new_proj[tgt] + c
-
-    folded = TransferSystem(
-        label=sys.label + "/folded",
-        field=f,
-        states=tuple(sys.states[old_index[rep]] for rep in reps),
-        matrix=tuple(new_rows),
-        init=new_init,
-        projection=tuple(new_proj),
-        n0=sys.n0,
-        shift=sys.shift,
+def build_rotation_system(
+    pattern, f, state_limit=DEFAULT_STATE_LIMIT, budget=DEFAULT_POINT_BUDGET
+):
+    """Transfer system for the cyclic translate sum of a monomial pattern."""
+    if not isinstance(pattern, MonomialPattern):
+        pattern = MonomialPattern(tuple(pattern))
+    offsets = pattern.offsets
+    label = "rotation(%s)/F_%s" % (",".join(map(str, offsets[1:])), f.describe())
+    return _build_window_system(
+        Rotation(pattern), [(f.one(), offsets)], f, True, label, state_limit, budget
     )
-    horizon = sys.n_min + sys.dim + 4
-    if run(folded, horizon).values != run(sys, horizon).values:
-        raise AssertionError("folded system diverged from the original")
-    return folded
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +403,7 @@ def build_symmetric_system(
         raise ResourceLimitExceeded(
             "%d states exceed the limit of %d" % (dim, state_limit)
         )
-    elems, add, mul, trace = _index_tables(f)
+    add, mul, trace = (t.tolist() for t in field_tables(f))
     states = list(product(range(q), repeat=k - 1))
     state_index = {s: i for i, s in enumerate(states)}
     zero = CycInt.zero(p)
@@ -525,15 +420,8 @@ def build_symmetric_system(
             rows[row_i][col] = rows[row_i][col] + root_power(p, trace[const])
     init = []
     for beta in states:
-        acc = {}
-        _accumulate(acc, frozenset(range(1, k + 1)), f.one())
-        for j in range(1, k):
-            b = elems[beta[j - 1]]
-            if b.is_zero():
-                continue
-            for combo in combinations(range(1, k + 1), k - j):
-                _accumulate(acc, frozenset(combo), b)
-        init.append(exp_sum(InstantiatedFunction(f, k, acc), budget=budget))
+        lower = tuple(ScalarMul(b, Sigma(k - j)) for j, b in enumerate(beta, 1) if b)
+        init.append(exp_sum(instantiate(Sum((Sigma(k),) + lower), k, f), budget=budget))
     projection = [zero] * dim
     projection[state_index[(0,) * (k - 1)]] = CycInt.one(p)
     sys = TransferSystem(
@@ -546,48 +434,16 @@ def build_symmetric_system(
         n0=k,
         shift=0,
     )
-    _oracle_gate(sys, instantiate(Sigma(k), k, f), budget)
+    _oracle_gate(sys, Sigma(k), budget)
     return sys
 
 
 def build_quadratic_matrix(p, budget=DEFAULT_POINT_BUDGET):
-    """The p-state system for S(sigma_2 + s sigma_1) over a prime field,
-    whose matrix has (j, k) entry zeta^(j(k-j))."""
-    from .galois import is_prime, make_field
-
+    """The p-state system of sigma(2) over the prime field F_p (p odd): the
+    symmetric system, whose matrix has (j, k) entry zeta^(j(k-j))."""
     if not is_prime(p) or p == 2:
         raise ValueError("need an odd prime, got %r" % (p,))
-    f = make_field(p)
-    zero = CycInt.zero(p)
-    rows = []
-    for j in range(p):
-        row = [zero] * p
-        for k_col in range(p):
-            row[k_col] = root_power(p, j * (k_col - j))
-        rows.append(tuple(row))
-    init = []
-    for s in range(p):
-        acc = {}
-        _accumulate(acc, frozenset({1, 2}), f.one())
-        if s:
-            se = f.from_index(s)
-            _accumulate(acc, frozenset({1}), se)
-            _accumulate(acc, frozenset({2}), se)
-        init.append(exp_sum(InstantiatedFunction(f, 2, acc), budget=budget))
-    projection = [zero] * p
-    projection[0] = CycInt.one(p)
-    sys = TransferSystem(
-        label="quadratic/F_%d" % p,
-        field=f,
-        states=tuple("a[s=%d]" % s for s in range(p)),
-        matrix=tuple(rows),
-        init=tuple(init),
-        projection=tuple(projection),
-        n0=2,
-        shift=0,
-    )
-    _oracle_gate(sys, instantiate(Sigma(2), 2, f), budget)
-    return sys
+    return build_symmetric_system(2, make_field(p), budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -661,27 +517,22 @@ def system_for(e, f, state_limit=DEFAULT_STATE_LIMIT, budget=DEFAULT_POINT_BUDGE
             raise ValueError("transfer needs sigma(k) with k >= 2")
         return build_symmetric_system(node.k, f, state_limit, budget)
     kinds = {type(node) for _c, node in parts}
-    if kinds == {Trapezoid}:
+    if kinds in ({Trapezoid}, {Rotation}):
+        wrap = kinds == {Rotation}
         terms = [(c, node.pattern.offsets) for c, node in parts]
-        if len(terms) == 1 and terms[0][0] == f.one():
+        if not wrap and len(terms) == 1 and terms[0][0] == f.one():
             offsets = terms[0][1]
             k = len(offsets)
             if offsets == tuple(range(1, k + 1)):
                 return build_trapezoid_system(k, f, budget)
-        label = "chain[%s]/F_%s" % (
-            " + ".join("T(%s)" % ",".join(map(str, o[1:])) for _c, o in terms),
+        label = "%s[%s]/F_%s" % (
+            "rotation" if wrap else "chain",
+            " + ".join(
+                "%s(%s)" % ("R" if wrap else "T", ",".join(map(str, o[1:]))) for _c, o in terms
+            ),
             f.describe(),
         )
-        sys, _, _, _ = _build_window_system(terms, f, False, label, state_limit, budget)
-        return sys
-    if kinds == {Rotation}:
-        terms = [(c, node.pattern.offsets) for c, node in parts]
-        label = "rotation[%s]/F_%s" % (
-            " + ".join("R(%s)" % ",".join(map(str, o[1:])) for _c, o in terms),
-            f.describe(),
-        )
-        sys, _, _, _ = _build_window_system(terms, f, True, label, state_limit, budget)
-        return sys
+        return _build_window_system(e, terms, f, wrap, label, state_limit, budget)
     raise ValueError(
         "transfer supports sigma(k), trapezoid combinations or rotation "
         "combinations, not %r" % (sorted(t.__name__ for t in kinds),)

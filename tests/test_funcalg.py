@@ -13,8 +13,6 @@ from gfrec.funcalg import (
     consecutive_rotation,
     evaluate,
     instantiate,
-    occurrence_profile,
-    orbit,
     parse,
     shift,
     tau,
@@ -105,15 +103,6 @@ def test_shift():
         shift(frozenset({5}), 1, 4)
 
 
-def test_orbit():
-    rep, members = orbit(frozenset({1, 2}), 4)
-    assert rep == frozenset({1, 2})
-    assert len(members) == 4
-    # fully symmetric monomial has a one-element orbit
-    rep, members = orbit(frozenset({1, 2, 3}), 3)
-    assert members == [frozenset({1, 2, 3})]
-
-
 def test_instantiate_trapezoid():
     f3 = make_field(3)
     g = instantiate(tau(3), 5, f3)
@@ -190,15 +179,6 @@ def test_evaluate_collapsed():
     one, zero = f2.one(), f2.zero()
     assert evaluate(g, [one, one, one]) == one
     assert evaluate(g, [one, one, zero]) == zero
-
-
-def test_occurrence_profile():
-    assert occurrence_profile(tau(3), 5) == [1, 2, 3, 2, 1]
-    assert occurrence_profile(consecutive_rotation(2), 4) == [2, 2, 2, 2]
-    # distinct index sets only: the collapsed rotation counts once per set
-    assert occurrence_profile(consecutive_rotation(3), 3) == [1, 1, 1]
-    with pytest.raises(ValueError):
-        occurrence_profile(tau(3), 2)
 
 
 def test_instantiated_equality():

@@ -1,6 +1,6 @@
 import pytest
 
-from gfrec.galois import FieldSpec, is_prime, make_field, trace
+from gfrec.galois import FieldSpec, is_prime, make_field, prime_power, trace
 
 
 def test_is_prime_small():
@@ -17,6 +17,16 @@ def test_make_field_rejects_bad_parameters():
         make_field(4)
     with pytest.raises(ValueError):
         make_field(3, 0)
+
+
+def test_prime_power():
+    assert prime_power(2) == (2, 1)
+    assert prime_power(9) == (3, 2)
+    assert prime_power(8) == (2, 3)
+    assert prime_power(13) == (13, 1)
+    for q in (-4, 0, 1, 6, 12, 100):
+        with pytest.raises(ValueError):
+            prime_power(q)
 
 
 def test_prime_field_arithmetic():

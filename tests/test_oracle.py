@@ -155,6 +155,19 @@ def test_sum_sequence_methods_agree():
     assert by_transfer.provenance == "transfer"
 
 
+def test_transfer_and_brute_share_the_domain():
+    # the T(2,4) terms cancel over F_2, which leaves a system starting at n=3
+    f2 = make_field(2)
+    e = parse("T(3) + T(2,4) + T(2,4)")
+    for method in ("brute", "transfer"):
+        with pytest.raises(ValueError, match="^n=3 below the family minimum 4$"):
+            sum_sequence(e, f2, range(3, 11), method=method)
+    brute = sum_sequence(e, f2, range(4, 11))
+    by_transfer = sum_sequence(e, f2, range(4, 11), method="transfer")
+    assert by_transfer.values == brute.values
+    assert by_transfer.n_min == brute.n_min == 4
+
+
 def test_sum_sequence_recurrence_method():
     f2 = make_field(2)
     init = sum_sequence(tau(3), f2, range(3, 6))

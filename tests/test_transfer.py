@@ -91,15 +91,6 @@ def test_rotation_system_quadratic_pattern():
     _assert_matches_brute(sys, parse("R(2)"), F3, 8)
 
 
-def test_rotation_system_collapse():
-    full = build_rotation_system((1, 2), F3)
-    folded = build_rotation_system((1, 2), F3, collapse=True)
-    assert folded.label.endswith("/folded")
-    assert folded.dim == full.dim - 1
-    horizon = 14
-    assert run(folded, horizon).values == run(full, horizon).values
-
-
 def test_rotation_system_cubic_pattern():
     sys = build_rotation_system((1, 2, 3), F2)
     assert sys.n_min == 6
@@ -119,7 +110,7 @@ def test_rotation_state_limit():
 
 
 def test_rotation_annihilator():
-    sys = build_rotation_system((1, 2), F3, collapse=True)
+    sys = build_rotation_system((1, 2), F3)
     ann = integer_annihilator(sys)
     fam = family_poly("ROT2", field=F3)  # X^4 - 9
     assert satisfies(run(sys, 14), fam)
