@@ -264,7 +264,7 @@ def _cmd_annihilator(args):
     f = _parse_field(args.field, args.modulus)
     e = _parse_expr(args.expr)
     try:
-        sys_ = transfer.system_for(e, f)
+        sys_ = transfer.system_for(e, f, budget=args.budget)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     poly = transfer.integer_annihilator(sys_, degree_cap=args.degree_cap)

@@ -12,6 +12,8 @@ import cmath
 
 from .galois import is_prime
 
+_PRIME_ORDERS = set()  # root orders already validated by is_prime
+
 
 class CycInt:
     """An element of Z[zeta_p] with exact integer coordinates."""
@@ -19,8 +21,10 @@ class CycInt:
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p, coeffs):
-        if not is_prime(p):
-            raise ValueError("root order must be prime, got %r" % (p,))
+        if p not in _PRIME_ORDERS:
+            if not is_prime(p):
+                raise ValueError("root order must be prime, got %r" % (p,))
+            _PRIME_ORDERS.add(p)
         coeffs = tuple(int(c) for c in coeffs)
         if len(coeffs) != p - 1:
             raise ValueError("expected %d coordinates, got %d" % (p - 1, len(coeffs)))
@@ -73,14 +77,7 @@ class CycInt:
         if isinstance(other, int):
             return CycInt(self.p, tuple(a * other for a in self.coeffs))
         self._check(other)
-        p = self.p
-        counts = [0] * p
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        counts[(i + j) % p] += a * b
-        return CycInt.from_root_counts(p, counts)
+        return combination(self.p, ((self, other),))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -89,10 +86,7 @@ class CycInt:
 
     def conjugate(self):
         """Complex conjugate, i.e. the automorphism zeta -> zeta^(-1)."""
-        counts = [0] * self.p
-        for i, a in enumerate(self.coeffs):
-            counts[(-i) % self.p] += a
-        return CycInt.from_root_counts(self.p, counts)
+        return self.galois_map(-1)
 
     def galois_map(self, s):
         """The automorphism zeta -> zeta^s for s not divisible by p."""
@@ -156,6 +150,31 @@ class CycInt:
     @classmethod
     def from_record(cls, rec):
         return cls(int(rec["p"]), tuple(int(c) for c in rec["coeffs"]))
+
+
+def combination(p, pairs):
+    """sum of a * b over the (a, b) pairs, exactly: a is an int or a CycInt,
+    b a CycInt, all of root order p.
+
+    Products land in one list of root-exponent counts, which is folded mod p
+    and canonicalized once, so no intermediate sums are built.
+    """
+    counts = [0] * (2 * p)
+    for a, b in pairs:
+        if b.p != p:
+            raise ValueError("mixed root orders %d and %d" % (p, b.p))
+        if isinstance(a, int):
+            if a:
+                for j, y in enumerate(b.coeffs):
+                    counts[j] += a * y
+            continue
+        if a.p != p:
+            raise ValueError("mixed root orders %d and %d" % (p, a.p))
+        for i, x in enumerate(a.coeffs):
+            if x:
+                for j, y in enumerate(b.coeffs, i):
+                    counts[j] += x * y
+    return CycInt.from_root_counts(p, [counts[t] + counts[t + p] for t in range(p)])
 
 
 def root_power(p, e):

@@ -18,7 +18,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .cyclotomic import CycInt, root_power
+from .cyclotomic import CycInt, combination, root_power
 from .funcalg import InstantiatedFunction, consecutive_rotation, instantiate, parse, tau
 from .galois import make_field, prime_power
 from .numtheory import eigen_check, eisenstein_dumas, gauss_sum, hadamard_check, legendre
@@ -321,7 +321,8 @@ def _check_c6(ctx):
         got.append("p=%d n<=%d(+30)" % (p, hi))
     for p in (3, 5, 7):
         block = [[root_power(p, b * g) for g in range(p)] for b in range(p)]
-        power = _mat_power(block, 4, p)
+        square = _mat_mul(block, block, p)
+        power = _mat_mul(square, square, p)
         target = CycInt.from_int(p, p * p)
         zero = CycInt.zero(p)
         for i in range(p):
@@ -337,34 +338,8 @@ def _check_c6(ctx):
     return True, "rotation degree-2 recurrence and block identities exact", "; ".join(got)
 
 
-def _mat_mul(a, b, zero):
-    dim = len(a)
-    out = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            acc = zero
-            for t in range(dim):
-                if not a[i][t].is_zero() and not b[t][j].is_zero():
-                    acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _mat_power(m, e, p):
-    zero = CycInt.zero(p)
-    one = CycInt.one(p)
-    dim = len(m)
-    out = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
-    base = m
-    while e:
-        if e & 1:
-            out = _mat_mul(out, base, zero)
-        e >>= 1
-        if e:
-            base = _mat_mul(base, base, zero)
-    return out
+def _mat_mul(a, b, p):
+    return [[combination(p, zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def _check_c7(ctx):

@@ -1,6 +1,7 @@
 """Number-theoretic support: quadratic characters, p-adic valuations,
-quadratic Gauss sums, a Newton-polygon irreducibility test, and exact or
-floating checks on the quadratic transfer matrix."""
+quadratic Gauss sums, a Newton-polygon irreducibility test, an exact
+Hadamard check on the quadratic matrix as the transfer module builds it
+(the sigma(2) system over F_p), and a floating-point spectrum check."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .cyclotomic import CycInt, root_power
+from .cyclotomic import CycInt, combination, root_power
 from .galois import is_prime
 from .recurrence import IntPolynomial
 
@@ -75,31 +76,20 @@ def eisenstein_dumas(poly, p):
     return "irreducible"
 
 
-def quadratic_matrix_entries(p):
-    """Exact entries zeta^(j(k-j)) of the p-state quadratic transfer matrix."""
-    if not is_prime(p) or p == 2:
-        raise ValueError("need an odd prime, got %r" % (p,))
-    return [[root_power(p, j * (k - j)) for k in range(p)] for j in range(p)]
-
-
 def hadamard_check(p):
-    """True when the quadratic matrix has unimodular root entries and
-    satisfies M conj(M)^T = p I, both verified exactly."""
-    m = quadratic_matrix_entries(p)
+    """True when the sigma(2) system over F_p, the quadratic matrix, has
+    unimodular root entries and satisfies M conj(M)^T = p I, both verified
+    exactly."""
+    from .transfer import build_quadratic_matrix
+
+    m = build_quadratic_matrix(p).matrix
     roots = {root_power(p, e) for e in range(p)}
-    for row in m:
-        for entry in row:
-            if entry not in roots:
-                return False
+    if any(entry not in roots for row in m for entry in row):
+        return False
     conj = [[entry.conjugate() for entry in row] for row in m]
-    zero = CycInt.zero(p)
-    target_diag = CycInt.from_int(p, p)
     for i in range(p):
         for j in range(p):
-            acc = zero
-            for k in range(p):
-                acc = acc + m[i][k] * conj[j][k]
-            if acc != (target_diag if i == j else zero):
+            if combination(p, zip(m[i], conj[j])) != CycInt.from_int(p, p if i == j else 0):
                 return False
     return True
 

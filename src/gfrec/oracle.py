@@ -281,7 +281,7 @@ def sum_sequence(
     if method == "transfer":
         from . import transfer
 
-        sys = transfer.system_for(e, field)
+        sys = transfer.system_for(e, field, budget=budget)
         if len(n_range) == 0:
             return Sequence(start, (), "transfer")
         if start < sys.n_min:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .cyclotomic import CycInt
+from .cyclotomic import combination
 
 
 class InsufficientDataError(ValueError):
@@ -217,11 +217,7 @@ def satisfies(seq, poly):
         )
     p = seq.values[0].p
     for start in range(len(seq) - d):
-        acc = CycInt.zero(p)
-        for j, c in enumerate(poly.coeffs):
-            if c:
-                acc = acc + c * seq.values[start + j]
-        if not acc.is_zero():
+        if not combination(p, zip(poly.coeffs, seq.values[start : start + d + 1])).is_zero():
             return False
     return True
 
@@ -243,22 +239,12 @@ def extend(init, poly, n_target):
     n_min = init.n_min
     p = init.values[0].p
     while n_min + len(values) - 1 < n_target:
-        acc = CycInt.zero(p)
-        for j in range(d):
-            c = poly.coeffs[j]
-            if c:
-                acc = acc + c * values[len(values) - d + j]
-        values.append(-acc)
+        values.append(-combination(p, zip(poly.coeffs[:d], values[-d:])))
     while n_min > n_target:
         c0 = poly.coeffs[0]
         if c0 == 0:
             raise ValueError("constant term zero, cannot step backward")
-        acc = CycInt.zero(p)
-        for j in range(1, d + 1):
-            c = poly.coeffs[j]
-            if c:
-                acc = acc + c * values[j - 1]
-        values.insert(0, (-acc).divide_exact(c0))
+        values.insert(0, (-combination(p, zip(poly.coeffs[1:], values))).divide_exact(c0))
         n_min -= 1
     return Sequence(n_min, tuple(values), "recurrence")
 

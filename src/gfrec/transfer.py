@@ -21,9 +21,10 @@ expression describes them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
-from .cyclotomic import CycInt, regular_matrix, root_power
+from .cyclotomic import CycInt, combination, regular_matrix, root_power
 from .funcalg import (
     InstantiatedFunction,
     MonomialPattern,
@@ -67,6 +68,14 @@ class TransferSystem:
     def n_min(self):
         return self.n0 + self.shift
 
+    @cached_property
+    def rows(self):
+        """(column, entry) pairs of the nonzero entries of each matrix row."""
+        return tuple(
+            tuple((j, entry) for j, entry in enumerate(row) if not entry.is_zero())
+            for row in self.matrix
+        )
+
     def __repr__(self):
         return "TransferSystem(%s, dim=%d, n_min=%d)" % (self.label, self.dim, self.n_min)
 
@@ -75,22 +84,12 @@ def step(sys, v):
     """Apply the one-variable update to a state vector."""
     if len(v) != sys.dim:
         raise ValueError("state vector has length %d, expected %d" % (len(v), sys.dim))
-    out = []
-    for row in sys.matrix:
-        acc = CycInt.zero(sys.field.p)
-        for entry, value in zip(row, v):
-            if not entry.is_zero():
-                acc = acc + entry * value
-        out.append(acc)
-    return out
+    p = sys.field.p
+    return [combination(p, ((entry, v[j]) for j, entry in row)) for row in sys.rows]
 
 
 def _project(sys, v):
-    acc = CycInt.zero(sys.field.p)
-    for c, value in zip(sys.projection, v):
-        if not c.is_zero():
-            acc = acc + c * value
-    return acc
+    return combination(sys.field.p, zip(sys.projection, v))
 
 
 def run(sys, n_target):
@@ -466,10 +465,8 @@ def integer_annihilator(
             "inflated dimension %d exceeds the limit of %d" % (dim, blowup_limit)
         )
     big = [[0] * dim for _ in range(dim)]
-    for i, row in enumerate(sys.matrix):
-        for j, entry in enumerate(row):
-            if entry.is_zero():
-                continue
+    for i, row in enumerate(sys.rows):
+        for j, entry in row:
             block = regular_matrix(entry)
             for a in range(e):
                 for b in range(e):

@@ -101,6 +101,21 @@ def test_expsum_budget_exhausted(capsys):
     assert "resource limit" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["annihilator", "--expr", "tau(3)", "--field", "2"],
+        ["expsum", "--expr", "tau(3)", "--field", "2", "--n", "3..6", "--method", "transfer"],
+    ],
+)
+def test_transfer_path_honours_budget(capsys, argv):
+    # the system's initial states are enumerated sums, so the budget covers them
+    code, out, err = run_cli(capsys, *argv, "--budget", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit: ")
+
+
 def test_expsum_csv(capsys):
     code, out, err = run_cli(
         capsys, "expsum", "--expr", "tau(3)", "--field", "2", "--n", "3..6",

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfrec.cyclotomic import CycInt, regular_matrix, root_power
+from gfrec.cyclotomic import CycInt, combination, regular_matrix, root_power
 
 
 def test_constructor_validation():
@@ -14,6 +14,12 @@ def test_constructor_validation():
         CycInt(5, (1, 2, 3))
     with pytest.raises(ValueError):
         CycInt(2, ())
+
+
+def test_composite_order_rejected_every_time():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="root order must be prime"):
+            CycInt(9, (0,) * 8)
 
 
 def test_from_int_and_as_integer():
@@ -127,6 +133,44 @@ def test_mixed_orders_rejected():
         a + b
     with pytest.raises(TypeError):
         a + 1
+
+
+def _schoolbook(p, pairs):
+    """sum of a * b by coordinate convolution, then zeta^(p-1) rewritten."""
+    counts = [0] * p
+    for a, b in pairs:
+        a_coeffs = (a,) + (0,) * (p - 2) if isinstance(a, int) else a.coeffs
+        for i, x in enumerate(a_coeffs):
+            for j, y in enumerate(b.coeffs):
+                counts[(i + j) % p] += x * y
+    return CycInt(p, [counts[t] - counts[p - 1] for t in range(p - 1)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
+def test_combination_matches_schoolbook(p, data):
+    coords = st.integers(min_value=-(10**30), max_value=10**30) | small_ints | st.just(0)
+    cyc = st.builds(lambda c: CycInt(p, c), st.tuples(*([coords] * (p - 1))))
+    zero = st.just(CycInt.zero(p))
+    left = st.one_of(coords, cyc, zero)
+    pairs = data.draw(st.lists(st.tuples(left, cyc | zero), max_size=6))
+    assert combination(p, pairs) == _schoolbook(p, pairs)
+    assert combination(p, iter(pairs)) == _schoolbook(p, pairs)
+
+
+def test_combination_edge_cases():
+    for p in (2, 3, 5, 7):
+        assert combination(p, []) == CycInt.zero(p)
+        zeros = [(0, CycInt.zero(p)), (CycInt.zero(p), root_power(p, 1)), (3, CycInt.zero(p))]
+        assert combination(p, zeros) == CycInt.zero(p)
+        z = root_power(p, p - 1)
+        assert combination(p, [(z, root_power(p, 1))]) == CycInt.one(p)
+    with pytest.raises(ValueError, match="mixed root orders"):
+        combination(3, [(1, CycInt.one(5))])
+    with pytest.raises(ValueError, match="mixed root orders"):
+        combination(3, [(CycInt.one(5), CycInt.one(3))])
+    with pytest.raises(ValueError, match="mixed root orders"):
+        combination(5, [(CycInt.one(5), CycInt.one(5)), (2, CycInt.one(3))])
 
 
 def _mat_mul(x, y):

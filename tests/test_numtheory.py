@@ -12,7 +12,6 @@ from gfrec.numtheory import (
     hadamard_check,
     legendre,
     predicted_spectrum,
-    quadratic_matrix_entries,
     valuation,
 )
 from gfrec.recurrence import IntPolynomial
@@ -97,14 +96,6 @@ def test_criterion_not_applicable():
     assert eisenstein_dumas(IntPolynomial([2, 1, 1]), 2) == "criterion-not-applicable"
     with pytest.raises(ValueError):
         eisenstein_dumas(IntPolynomial([5]), 3)
-
-
-def test_quadratic_matrix_entries():
-    m = quadratic_matrix_entries(3)
-    assert len(m) == 3 and all(len(row) == 3 for row in m)
-    assert m[0] == [CycInt.one(3)] * 3
-    with pytest.raises(ValueError):
-        quadratic_matrix_entries(4)
 
 
 def test_hadamard_check():

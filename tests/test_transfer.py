@@ -2,7 +2,7 @@
 
 import pytest
 
-from gfrec.cyclotomic import root_power
+from gfrec.cyclotomic import CycInt, root_power
 from gfrec.funcalg import Sigma, parse, tau
 from gfrec.galois import make_field
 from gfrec.limits import ResourceLimitExceeded
@@ -201,6 +201,36 @@ def test_run_replays_step():
         (c * x for c, x in zip(sys.projection, v)),
         start=root_power(3, 0) - root_power(3, 0),
     )
+
+
+def _dense_step(sys, v):
+    """M v over every entry of the dense matrix, by coordinate convolution."""
+    p = sys.field.p
+    out = []
+    for row in sys.matrix:
+        counts = [0] * p
+        for entry, value in zip(row, v):
+            for i, a in enumerate(entry.coeffs):
+                if a:
+                    for j, b in enumerate(value.coeffs):
+                        counts[(i + j) % p] += a * b
+        out.append(CycInt(p, [counts[t] - counts[p - 1] for t in range(p - 1)]))
+    return out
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: build_rotation_system((1, 2, 3), F5), lambda: build_symmetric_system(3, F3)],
+    ids=["R(2,3)-F5", "sigma(3)-F3"],
+)
+def test_step_equals_dense_product(make):
+    sys = make()
+    assert sum(len(row) for row in sys.rows) < sys.dim**2
+    v = list(sys.init)
+    for _ in range(2):
+        want = _dense_step(sys, v)
+        v = step(sys, v)
+        assert v == want
 
 
 # ---------------------------------------------------------------------------
