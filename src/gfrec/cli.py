@@ -107,6 +107,18 @@ def _parse_expr(text):
         raise UsageError(str(exc)) from None
 
 
+def _default_n_min(e, f, args):
+    """First n without --n-min: the family minimum, or the transfer
+    system's first index when that is later (rotations start later)."""
+    if args.method != "transfer":
+        return e.min_n()
+    try:
+        sys_ = transfer.system_for(e, f, budget=args.budget)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return max(e.min_n(), sys_.n_min)
+
+
 def _sequence_payload(seq, f, expr_text, method):
     return {
         "expr": expr_text,
@@ -199,7 +211,7 @@ def _cmd_verify(args):
     f = _parse_field(args.field, args.modulus)
     e = _parse_expr(args.expr)
     poly = _parse_poly(args.poly)
-    lo = args.n_min if args.n_min is not None else e.min_n()
+    lo = args.n_min if args.n_min is not None else _default_n_min(e, f, args)
     if lo < e.min_n():
         raise UsageError("family needs n >= %d" % e.min_n())
     if args.n_max < lo:
@@ -232,7 +244,7 @@ def _cmd_verify(args):
 def _cmd_discover(args):
     f = _parse_field(args.field, args.modulus)
     e = _parse_expr(args.expr)
-    lo = args.n_min if args.n_min is not None else e.min_n()
+    lo = args.n_min if args.n_min is not None else _default_n_min(e, f, args)
     if args.n_max < lo:
         raise UsageError("empty range %d..%d" % (lo, args.n_max))
     try:

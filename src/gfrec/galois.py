@@ -147,9 +147,6 @@ class FieldSpec:
     def elements(self):
         return [self.from_index(i) for i in range(self.q)]
 
-    def units(self):
-        return [x for x in self.elements() if not x.is_zero()]
-
 
 class FieldElement:
     __slots__ = ("field", "coeffs")

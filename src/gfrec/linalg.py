@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals (internal helpers).
 
-Everything here works on plain Python lists of fractions.Fraction, which is
-plenty for the matrix sizes this package needs (a few hundred rows at most)
-and keeps all results exact.
+Gauss elimination, polynomial helpers on ascending coefficient lists, and
+the minimal polynomial of a linear map.  The map is given as a function on
+plain lists, so a caller can apply a sparse or structured matrix without
+ever writing it out.  Everything stays exact: integers where the inputs are
+integers, fractions.Fraction where elimination divides.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def poly_trim(cs):
 def poly_mul(a, b):
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -88,86 +90,21 @@ def poly_divmod(a, b):
     return poly_trim(quot), a
 
 
-def poly_monic(a):
-    a = poly_trim(a)
-    if not a:
-        return a
-    lead = a[-1]
-    return [x / lead for x in a]
-
-
-def poly_gcd(a, b):
-    a = poly_trim([Fraction(x) for x in a])
-    b = poly_trim([Fraction(x) for x in b])
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    return poly_monic(a)
-
-
-def poly_lcm(a, b):
-    a = poly_trim([Fraction(x) for x in a])
-    b = poly_trim([Fraction(x) for x in b])
-    if not a or not b:
-        return []
-    g = poly_gcd(a, b)
-    q, r = poly_divmod(poly_mul(a, b), g)
-    assert not r
-    return poly_monic(q)
-
-
 # ---------------------------------------------------------------------------
-# minimal polynomial of an integer matrix
+# minimal polynomial of a linear map
 
-def _mat_vec(matrix, vec):
-    dim = len(vec)
-    return [
-        sum(row[j] * vec[j] for j in range(dim) if vec[j]) for row in matrix
-    ]
-
-
-class _Echelon:
-    """Incrementally built reduced row space."""
-
-    def __init__(self, dim):
-        self.dim = dim
-        self.rows = []
-        self.pivots = []
-
-    def insert(self, vec):
-        """Reduce and insert; returns False when vec was already in the span."""
-        vec = [Fraction(x) for x in vec]
-        for row, piv in zip(self.rows, self.pivots):
-            c = vec[piv]
-            if c != 0:
-                vec = [a - c * b for a, b in zip(vec, row)]
-        for col in range(self.dim):
-            if vec[col] != 0:
-                lead = vec[col]
-                self.rows.append([x / lead for x in vec])
-                self.pivots.append(col)
-                return True
-        return False
-
-    def full(self):
-        return len(self.rows) == self.dim
-
-
-def _local_minimal_poly(matrix, start):
-    """Minimal polynomial of matrix relative to a standard basis vector.
+def _local_minimal_poly(apply, start):
+    """Minimal polynomial of the map relative to the vector start.
 
     Builds the Krylov chain v, Mv, M^2 v, ... and stops at the first linear
-    dependence; the dependence coefficients are the (monic) polynomial.
-    Returns (ascending coefficients, chain vectors before the dependence).
+    dependence; the dependence coefficients are the (monic) polynomial, in
+    ascending order.
     """
-    dim = len(matrix)
-    raw = [Fraction(0)] * dim
-    raw[start] = Fraction(1)
-    chain = []
+    raw = start
     stored = []  # (reduced vector, combination over chain, pivot)
     d = 0
     while True:
-        w = list(raw)
+        w = [Fraction(x) for x in raw]
         combo = [Fraction(0)] * d + [Fraction(1)]
         for svec, scombo, spiv in stored:
             c = w[spiv]
@@ -177,39 +114,41 @@ def _local_minimal_poly(matrix, start):
                     combo[i] -= c * sc
         piv = next((i for i, x in enumerate(w) if x != 0), None)
         if piv is None:
-            return combo, chain
+            return combo
         lead = w[piv]
         stored.append(
             ([x / lead for x in w], [x / lead for x in combo], piv)
         )
-        chain.append(raw)
-        raw = _mat_vec(matrix, raw)
+        raw = apply(raw)
         d += 1
 
 
-def minimal_polynomial(matrix, degree_cap):
-    """Monic minimal polynomial of a square rational matrix, ascending
-    coefficients, as the lcm of local minimal polynomials over standard
-    basis probes (processed in order, stopping once their Krylov chains
-    span the whole space)."""
-    dim = len(matrix)
-    result = [Fraction(1)]
-    span = _Echelon(dim)
-    probe = [Fraction(0)] * dim
+def minimal_polynomial(apply, dim, degree_cap):
+    """Monic minimal polynomial of a linear map M, ascending coefficients.
+
+    apply(v) returns M v as a new list, for lists v of length dim.  P starts
+    at 1 and walks the standard basis vectors e in order: w = P(M) e comes
+    from Horner's rule, and when w is nonzero P is multiplied by the local
+    minimal polynomial of w.  That product is lcm(P, mu_e), so P ends as the
+    minimal polynomial of M; the walk stops early once deg P reaches dim.
+    For an integer map every factor is integral (Gauss's lemma: it is a
+    monic factor of the integer characteristic polynomial).
+    """
+    result = [1]
     for start in range(dim):
-        probe[start] = Fraction(1)
-        fresh = span.insert(probe)
-        probe[start] = Fraction(0)
-        if not fresh:
+        w = [0] * dim
+        w[start] = 1  # P is monic
+        for c in reversed(result[:-1]):
+            w = apply(w)
+            w[start] += c
+        if not any(w):
             continue
-        local, chain = _local_minimal_poly(matrix, start)
-        result = poly_lcm(result, local)
+        result = poly_mul(result, _local_minimal_poly(apply, w))
         if len(result) - 1 > degree_cap:
             raise ResourceLimitExceeded(
                 "minimal polynomial degree exceeds the cap of %d" % degree_cap
             )
-        for vec in chain:
-            span.insert(vec)
-        if span.full():
+        if len(result) - 1 == dim:
             break
     return result
+

@@ -217,7 +217,8 @@ def joint_counts(funcs, budget=DEFAULT_POINT_BUDGET, workers=1):
     """Joint histogram of the field values of several functions on F_q^n.
 
     Returns an integer array of shape (q, ..., q), one axis per function in
-    order.  All functions must share a field and variable count.
+    order.  All functions must share a field and variable count, and the
+    q^len(funcs) bins count against the point budget like the points do.
     """
     if not funcs:
         raise ValueError("need at least one function")
@@ -228,10 +229,14 @@ def joint_counts(funcs, budget=DEFAULT_POINT_BUDGET, workers=1):
             raise ValueError("functions must share a field and variable count")
     _check_budget(field, n, budget)
     q = field.q
+    bins = q ** len(funcs)
+    if bins > budget:
+        raise ResourceLimitExceeded(
+            "%d^%d joint bins exceed the budget of %d" % (q, len(funcs), budget)
+        )
     add, mul, _trace = field_tables(field)
     term_lists = [_terms_as_indices(g) for g in funcs]
     m, nblocks = _enumerate_blocks(field, n)
-    bins = q ** len(funcs)
 
     def one_block(b):
         cols, size = _block_columns(field, n, m, b)

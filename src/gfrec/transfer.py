@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .cyclotomic import CycInt, combination, regular_matrix, root_power
+from .cyclotomic import CycInt, combination, root_power
 from .funcalg import (
     InstantiatedFunction,
     MonomialPattern,
@@ -45,6 +45,7 @@ from .limits import (
     DEFAULT_STATE_LIMIT,
     ResourceLimitExceeded,
 )
+from .linalg import minimal_polynomial
 from .oracle import exp_sum, field_tables
 from .recurrence import IntPolynomial, Sequence
 
@@ -453,27 +454,29 @@ def integer_annihilator(
 ):
     """Monic integer polynomial annihilating the transfer matrix.
 
-    Each cyclotomic entry is replaced by its integer multiplication matrix
-    on the power basis, and the minimal polynomial of the inflated matrix
-    is computed exactly.  Because inflation is a ring homomorphism, the
-    result annihilates the original matrix and every projected sequence.
+    Replacing each entry by its integer multiplication matrix on the power
+    basis inflates M to an integer matrix on the dim * (p-1) coordinates of
+    a state vector.  Row i of step is the sum over j of M_ij v_j, linear in
+    the coordinates of each v_j, so stepping the states a flat coordinate
+    vector spells out, then flattening, is that inflated map; its exact
+    minimal polynomial is the result.  Inflation is a ring homomorphism, so
+    the result annihilates M and every projected sequence.
     """
-    e = sys.field.p - 1
+    p = sys.field.p
+    e = p - 1
     dim = sys.dim * e
     if dim > blowup_limit:
         raise ResourceLimitExceeded(
             "inflated dimension %d exceeds the limit of %d" % (dim, blowup_limit)
         )
-    big = [[0] * dim for _ in range(dim)]
-    for i, row in enumerate(sys.rows):
-        for j, entry in row:
-            block = regular_matrix(entry)
-            for a in range(e):
-                for b in range(e):
-                    big[i * e + a][j * e + b] = block[a][b]
-    from .linalg import minimal_polynomial
 
-    coeffs = minimal_polynomial(big, degree_cap)
+    def apply(flat):
+        # CycInt truncates a fractional coordinate; P(M)e stays integral because
+        # every factor of P is (Gauss's lemma), and the check below enforces it
+        v = [CycInt(p, flat[i : i + e]) for i in range(0, dim, e)]
+        return [c for x in step(sys, v) for c in x.coeffs]
+
+    coeffs = minimal_polynomial(apply, dim, degree_cap)
     ints = []
     for c in coeffs:
         if c.denominator != 1:

@@ -224,6 +224,24 @@ def test_discover_no_recurrence_at_order(capsys):
     assert "check failed" in err
 
 
+def test_transfer_range_defaults_to_the_system_start(capsys):
+    # the R(2) system starts at n=3, one above the family minimum
+    code, rec = run_json(
+        capsys, "discover", "--expr", "R(2)", "--field", "3", "--n-max", "14",
+        "--max-order", "4", "--method", "transfer",
+    )
+    assert code == 0
+    assert rec["payload"]["n_range"] == [3, 14]
+    assert rec["payload"]["poly"] == ["-9", "0", "0", "0", "1"]
+    code, rec = run_json(
+        capsys, "verify", "--expr", "R(2)", "--field", "3", "--poly=-9,0,0,0,1",
+        "--n-max", "9", "--method", "transfer",
+    )
+    assert code == 0
+    assert rec["payload"]["n_range"] == [3, 9]
+    assert rec["payload"]["holds"]
+
+
 def test_annihilator_trapezoid(capsys):
     code, rec = run_json(
         capsys, "annihilator", "--expr", "tau(3)", "--field", "2"

@@ -145,6 +145,14 @@ def test_joint_counts_validation():
         joint_counts([a, b])
 
 
+def test_joint_counts_bins_count_against_the_budget():
+    f3 = make_field(3)
+    g = instantiate(tau(2), 4, f3)
+    with pytest.raises(ResourceLimitExceeded, match="3\\^12 joint bins"):
+        joint_counts([g] * 12, budget=10**4)
+    assert joint_counts([g] * 4, budget=81).sum() == 81
+
+
 def test_sum_sequence_methods_agree():
     f2 = make_field(2)
     brute = sum_sequence(tau(3), f2, range(3, 10))
