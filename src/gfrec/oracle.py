@@ -18,70 +18,68 @@ from .cyclotomic import CycInt
 from .limits import DEFAULT_POINT_BUDGET, ResourceLimitExceeded
 from .recurrence import Sequence
 
-_BLOCK_POINTS = 1 << 18
+_BLOCK_POINTS = 1 << 15  # points per block of the generic kernel; its buffers stay in cache
+_CHUNK_BITS = 22  # log2 of the points in one chunk of the F_2 kernel; at least 6
 
 _table_cache = {}
 _digit_cache = {}
 
 
+def _primitive_powers(field):
+    """Indices of g^0, ..., g^(q-2) for the first element g of order q - 1."""
+    one = field.one()
+    for i in range(1, field.q):
+        g = field.from_index(i)
+        powers, x = [one.index], g
+        while x != one:
+            powers.append(x.index)
+            x = x * g
+        if len(powers) == field.q - 1:
+            return powers
+    raise AssertionError("no primitive element found")  # unreachable
+
+
 def field_tables(field):
-    """Cached (add, mul, trace) index tables of a field as int64 arrays."""
+    """Cached (add, mul, trace) index tables of a field, in the narrowest unsigned dtype.
+
+    They take O(q) field operations: addition is digit by digit mod p,
+    multiplication goes through the logarithm of a primitive element, and the
+    trace is linear in the digits.
+    """
     tables = _table_cache.get(field)
     if tables is None:
-        q = field.q
-        elems = field.elements()
-        add = np.zeros((q, q), dtype=np.int64)
-        mul = np.zeros((q, q), dtype=np.int64)
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                add[i, j] = (a + b).index
-                mul[i, j] = (a * b).index
-        trace = np.array([a.trace() for a in elems], dtype=np.int64)
+        p, r, q = field.p, field.r, field.q
+        dtype = np.min_scalar_type(q - 1)
+        digits = [np.arange(q) // p**i % p for i in range(r)]
+        antilog = np.array(_primitive_powers(field), dtype=dtype)
+        log = np.zeros(q, dtype=np.int64)
+        log[antilog] = np.arange(q - 1)
+        add = np.empty((q, q), dtype=dtype)
+        mul = np.zeros((q, q), dtype=dtype)
+        for a in range(q):  # row by row, so the build needs no q x q temporaries
+            add[a] = sum((d[a] + d) % p * p**i for i, d in enumerate(digits))
+            if a:
+                mul[a, 1:] = antilog[(log[a] + log[1:]) % (q - 1)]
+        basis = [field.from_index(p**i).trace() for i in range(r)]
+        trace = (sum(d * t for d, t in zip(digits, basis)) % p).astype(dtype)
         tables = (add, mul, trace)
         _table_cache[field] = tables
     return tables
 
 
 def _digit_block(q, m):
-    """Digit rows for the first q^m point indices: shape (m, q^m), uint8."""
+    """Digit rows for the first q^m point indices: shape (m, q^m), narrowest unsigned dtype."""
     key = (q, m)
     block = _digit_cache.get(key)
     if block is None:
         size = q**m
-        block = np.empty((m, size), dtype=np.uint8)
+        dtype = np.min_scalar_type(q - 1)
+        block = np.empty((m, size), dtype=dtype)
         for j in range(m):
-            pattern = np.repeat(np.arange(q, dtype=np.uint8), q**j)
+            pattern = np.repeat(np.arange(q, dtype=dtype), q**j)
             block[j] = np.tile(pattern, size // (q ** (j + 1)))
         _digit_cache[key] = block
     return block
-
-
-def _terms_as_indices(g):
-    return [(coeff.index, tuple(i - 1 for i in sorted(mono))) for mono, coeff in g.sorted_terms()]
-
-
-def _value_block(terms, cols, mul, add, size):
-    """Function value indices over a block of points."""
-    val = np.zeros(size, dtype=np.int64)
-    for c_idx, variables in terms:
-        acc = cols[variables[0]].astype(np.int64)
-        for v in variables[1:]:
-            acc = mul[acc, cols[v]]
-        if c_idx != 1:
-            acc = mul[c_idx][acc]
-        val = add[val, acc]
-    return val
-
-
-def _block_columns(field, n, m, block_index):
-    lower = _digit_block(field.q, m)
-    size = field.q**m
-    cols = [lower[j] for j in range(m)]
-    rest = block_index
-    for _ in range(n - m):
-        cols.append(np.full(size, rest % field.q, dtype=np.uint8))
-        rest //= field.q
-    return cols, size
 
 
 def _enumerate_blocks(field, n):
@@ -100,97 +98,211 @@ def _check_budget(field, n, budget):
         )
 
 
+def _sum_over(fn, count, workers):
+    """The sum of fn(i) over range(count), on a thread pool when workers > 1."""
+    if workers <= 1 or count == 1:
+        return sum(fn(i) for i in range(count))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(fn, range(count)))
+
+
 # ---------------------------------------------------------------------------
 # packed-bit kernel for F_2
+#
+# A chunk holds 2^c points, c = min(n, _CHUNK_BITS), as 2^(c-6) 64-bit words.
+# Bit v of the point index is bit v of the word for v < 6, bit v - 6 of the
+# word index for 6 <= v < c, and constant over the chunk for v >= c.  Viewed
+# as a (2, ..., 2) array of words, the points where the variables 6..c-1 of
+# a monomial are all 1 form a sub-array, so a term is one in-place XOR of its
+# word mask into that view.
 
 _WORD_PATTERNS = [
     sum(1 << i for i in range(64) if (i >> j) & 1) for j in range(6)
 ]
 
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+_bitwise_count = getattr(np, "bitwise_count", None)  # numpy >= 2.0
 
 
 def _popcount(words):
-    if hasattr(np, "bitwise_count"):
-        return int(np.bitwise_count(words).sum())
+    if _bitwise_count is not None:
+        return int(_bitwise_count(words).sum())
     return int(_POPCOUNT8[words.view(np.uint8)].sum())
 
 
-def _f2_counts_chunk(terms, n, chunk_exp, chunk_index):
-    points = 1 << chunk_exp
-    if chunk_exp < 6:
-        nwords = 1
-    else:
-        nwords = points >> 6
-    base_word = chunk_index * nwords
+class _F2Chunks:
+    """Number of points where g = 1, chunk by chunk."""
 
-    def plane(j):
-        if j < 6:
-            return np.full(nwords, _WORD_PATTERNS[j], dtype=np.uint64)
-        bit = ((np.arange(nwords, dtype=np.uint64) + base_word) >> np.uint64(j - 6)) & np.uint64(1)
-        return np.where(bit == 1, np.uint64(0xFFFFFFFFFFFFFFFF), np.uint64(0))
+    def __init__(self, g):
+        self.bits = min(g.n, _CHUNK_BITS)
+        self.count = 1 << (g.n - self.bits)
+        axes = max(self.bits - 6, 0)
+        groups = {}
+        for mono in g.terms:
+            word, inside, fixed = (1 << 64) - 1, [], 0
+            for v in sorted(mono):
+                v -= 1
+                if v < 6:
+                    word &= _WORD_PATTERNS[v]
+                elif v < self.bits:
+                    inside.append(axes - 1 - (v - 6))
+                else:
+                    fixed |= 1 << (v - self.bits)
+            groups.setdefault(tuple(inside), []).append((word, fixed))
+        self.shape = (2,) * axes
+        self.groups = [
+            (tuple(1 if a in inside else slice(None) for a in range(axes)) + (...,), members)
+            for inside, members in sorted(groups.items())
+        ]
 
-    val = np.zeros(nwords, dtype=np.uint64)
-    for _c, variables in terms:
-        acc = plane(variables[0]).copy()
-        for v in variables[1:]:
-            acc &= plane(v)
-        val ^= acc
-    if chunk_exp < 6:
-        val &= np.uint64((1 << points) - 1)
-    ones = _popcount(val)
-    return np.array([points - ones, ones], dtype=np.int64)
+    def ones(self, chunk):
+        cube = np.zeros(self.shape, dtype=np.uint64)
+        for index, members in self.groups:
+            word = 0
+            for mask, fixed in members:
+                if chunk & fixed == fixed:
+                    word ^= mask
+            if word:
+                view = cube[index]  # cube[index] ^= word would also copy the view back
+                view ^= np.uint64(word)
+        if self.bits < 6:
+            cube &= np.uint64((1 << (1 << self.bits)) - 1)
+        return _popcount(cube.reshape(-1))
 
 
 def _trace_counts_f2(g, workers):
-    n = g.n
-    terms = _terms_as_indices(g)
-    chunk_exp = min(n, 22)
-    nchunks = 1 << (n - chunk_exp)
-    if workers <= 1 or nchunks == 1:
-        total = np.zeros(2, dtype=np.int64)
-        for b in range(nchunks):
-            total += _f2_counts_chunk(terms, n, chunk_exp, b)
-        return total
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda b: _f2_counts_chunk(terms, n, chunk_exp, b), range(nchunks)))
-    return np.sum(parts, axis=0)
+    chunks = _F2Chunks(g)
+    ones = _sum_over(chunks.ones, chunks.count, workers)
+    return [(1 << g.n) - ones, ones]
 
 
 # ---------------------------------------------------------------------------
 # generic kernel
 
-def _trace_counts_generic(g, workers):
-    field = g.field
-    n = g.n
-    p = field.p
-    add, mul, trace = field_tables(field)
-    terms = _terms_as_indices(g)
-    m, nblocks = _enumerate_blocks(field, n)
 
-    def one_block(b):
-        cols, size = _block_columns(field, n, m, b)
-        val = _value_block(terms, cols, mul, add, size)
-        return np.bincount(trace[val], minlength=p)
+class _BlockValues:
+    """Values of one or more functions over the blocks of F_q^n.
 
-    if workers <= 1 or nblocks == 1:
-        total = np.zeros(p, dtype=np.int64)
-        for b in range(nblocks):
-            total += one_block(b)
-        return total
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(one_block, range(nblocks)))
-    return np.sum(parts, axis=0)
+    A block fixes the top n - m digits of the point index and runs over the
+    q^m settings of the low digits.  Terms without a high variable do not
+    depend on the block: they are folded once into a base array per function.
+    The others are grouped by their low monomial, and on each block a group
+    has one coefficient, computed in Python from the fixed high digits.
+    """
+
+    def __init__(self, funcs):
+        field = funcs[0].field
+        self.q = q = field.q
+        self.add, self.mul, _trace = field_tables(field)
+        m, self.count = _enumerate_blocks(field, funcs[0].n)
+        self.high = funcs[0].n - m
+        self.cols = _digit_block(q, m)
+        self.funcs = []
+        for g in funcs:
+            base, groups = [], {}
+            for mono, coeff in g.sorted_terms():
+                variables = sorted(v - 1 for v in mono)
+                low = tuple(v for v in variables if v < m)
+                high = tuple(v - m for v in variables if v >= m)
+                if high:
+                    groups.setdefault(low, []).append((coeff.index, high))
+                else:
+                    base.append((low, coeff.index))
+            zero = np.zeros(q**m, dtype=self.add.dtype)
+            self.funcs.append((self._fold(zero, base), sorted(groups.items())))
+
+    def _fold(self, val, terms):
+        """val plus c * prod(cols[v] for v in mono) for each (mono, c) in terms.
+
+        terms are sorted by mono, so neighbours share prefixes.  Level j of the
+        stack holds q times the product of the first j + 1 variables of the
+        current monomial, so the next factor s * x is one gather from the flat
+        mul table at q * s + x, and the term is added by one gather from the
+        flat table add[mul[c]], whose entry q * s + v is v + c s.  A constant
+        term (the empty monomial, sorted first) is folded into the table of
+        the next term.  The indices are always in range; mode="clip" lets take
+        write into out directly.
+        """
+        q, cols, add, mul = self.q, self.cols, self.add, self.mul
+        flat_mul = mul.ravel()
+        degree = max((len(mono) for mono, _c in terms), default=0)
+        levels = [np.empty(val.size, dtype=np.intp) for _ in range(degree)]
+        index = np.empty(val.size, dtype=np.intp)
+        product = np.empty(val.size, dtype=mul.dtype)
+        stack = []
+        constant = 0
+        for mono, c in terms:
+            if not mono:
+                constant = c
+                continue
+            keep = 0
+            while keep < min(len(stack), len(mono)) and stack[keep] == mono[keep]:
+                keep += 1
+            del stack[keep:]
+            for j in range(keep, len(mono)):
+                if j == 0:
+                    np.multiply(cols[mono[0]], q, out=levels[0], dtype=np.intp)
+                else:
+                    np.add(levels[j - 1], cols[mono[j]], out=index)
+                    flat_mul.take(index, out=product, mode="clip")
+                    np.multiply(product, q, out=levels[j], dtype=np.intp)
+                stack.append(mono[j])
+            table = add[mul[c]]
+            if constant:
+                table, constant = add[table, constant], 0
+            np.add(levels[len(mono) - 1], val, out=index)
+            table.ravel().take(index, out=val, mode="clip")
+        if constant:
+            val = add[constant][val]
+        return val
+
+    def values(self, block):
+        """The value index arrays of every function on one block."""
+        q, add, mul = self.q, self.add, self.mul
+        digits = [block // q**t % q for t in range(self.high)]
+        out = []
+        for base, groups in self.funcs:
+            terms = []
+            for low, members in groups:
+                c = 0
+                for coeff, high in members:
+                    for h in high:
+                        coeff = mul.item(coeff, digits[h])
+                    c = add.item(c, coeff)
+                if c:
+                    terms.append((low, c))
+            out.append(self._fold(base.copy(), terms))
+        return out
+
+    def counts(self, block):
+        """Histogram of the combined value index sum v_i q^(k-1-i) on one block."""
+        vals = self.values(block)
+        combined = vals[0]
+        if len(vals) > 1:
+            combined = combined.astype(np.intp)
+            for val in vals[1:]:
+                combined *= self.q
+                combined += val
+        return np.bincount(combined, minlength=self.q ** len(vals))
+
+
+def _value_counts(funcs, workers):
+    """The flat joint histogram of the value indices of funcs."""
+    blocks = _BlockValues(funcs)
+    return _sum_over(blocks.counts, blocks.count, workers)
 
 
 def trace_counts(g, budget=DEFAULT_POINT_BUDGET, workers=1):
     """Histogram of Tr(g(x)) residues over all points of F_q^n."""
     _check_budget(g.field, g.n, budget)
     if g.field.q == 2:
-        counts = _trace_counts_f2(g, workers)
-    else:
-        counts = _trace_counts_generic(g, workers)
-    return [int(c) for c in counts]
+        return _trace_counts_f2(g, workers)
+    _add, _mul, trace = field_tables(g.field)
+    counts = _value_counts([g], workers)
+    residues = [0] * g.field.p
+    for t, c in zip(trace.tolist(), counts.tolist()):
+        residues[t] += c
+    return residues
 
 
 def exp_sum(g, f=None, budget=DEFAULT_POINT_BUDGET, workers=1):
@@ -234,26 +346,7 @@ def joint_counts(funcs, budget=DEFAULT_POINT_BUDGET, workers=1):
         raise ResourceLimitExceeded(
             "%d^%d joint bins exceed the budget of %d" % (q, len(funcs), budget)
         )
-    add, mul, _trace = field_tables(field)
-    term_lists = [_terms_as_indices(g) for g in funcs]
-    m, nblocks = _enumerate_blocks(field, n)
-
-    def one_block(b):
-        cols, size = _block_columns(field, n, m, b)
-        combined = None
-        for terms in term_lists:
-            val = _value_block(terms, cols, mul, add, size)
-            combined = val if combined is None else combined * q + val
-        return np.bincount(combined, minlength=bins)
-
-    if workers <= 1 or nblocks == 1:
-        total = np.zeros(bins, dtype=np.int64)
-        for b in range(nblocks):
-            total += one_block(b)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            total = np.sum(list(pool.map(one_block, range(nblocks))), axis=0)
-    return total.reshape((q,) * len(funcs))
+    return _value_counts(funcs, workers).reshape((q,) * len(funcs))
 
 
 def sum_sequence(

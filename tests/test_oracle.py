@@ -7,14 +7,27 @@ bit for bit on every small case.
 
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gfrec import oracle
 from gfrec.cyclotomic import CycInt
-from gfrec.funcalg import Sigma, consecutive_rotation, evaluate, instantiate, parse, tau
-from gfrec.galois import make_field
+from gfrec.funcalg import (
+    InstantiatedFunction,
+    Sigma,
+    consecutive_rotation,
+    evaluate,
+    instantiate,
+    parse,
+    tau,
+)
+from gfrec.galois import is_prime, make_field
 from gfrec.limits import ResourceLimitExceeded
 from gfrec.oracle import (
     exp_sum,
+    field_tables,
     is_balanced,
     joint_counts,
     sum_sequence,
@@ -24,16 +37,24 @@ from gfrec.oracle import (
 from gfrec.recurrence import IntPolynomial
 
 
-def _slow_counts(e, n, field):
-    g = instantiate(e, n, field)
+def _slow_counts(g):
+    field = g.field
     counts = [0] * field.p
-    for pt in product(field.elements(), repeat=n):
+    for pt in product(field.elements(), repeat=g.n):
         counts[evaluate(g, list(pt)).trace()] += 1
     return counts
 
 
+def _slow_joint(funcs):
+    field = funcs[0].field
+    counts = np.zeros((field.q,) * len(funcs), dtype=np.int64)
+    for pt in product(field.elements(), repeat=funcs[0].n):
+        counts[tuple(evaluate(g, list(pt)).index for g in funcs)] += 1
+    return counts
+
+
 def _slow_sum(e, n, field):
-    return CycInt.from_root_counts(field.p, _slow_counts(e, n, field))
+    return CycInt.from_root_counts(field.p, _slow_counts(instantiate(e, n, field)))
 
 
 SMALL_CASES = [
@@ -60,7 +81,93 @@ def test_trace_counts_partition_the_space():
     assert len(counts) == 2
     assert sum(counts) == 4 ** 4
     assert all(c >= 0 for c in counts)
-    assert counts == _slow_counts(Sigma(2), 4, f4)
+    assert counts == _slow_counts(g)
+
+
+FIELDS = [make_field(p, r) for p, r in ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2))]
+
+
+@st.composite
+def _functions(draw, count):
+    """count random functions on one F_q^n: degree 0-4 terms, any coefficients."""
+    field = draw(st.sampled_from(FIELDS))
+    top = {2: 10, 3: 5, 4: 4, 5: 3, 8: 3, 9: 2}[field.q]
+    n = draw(st.integers(0, top) | st.just(top))  # the largest n has the most blocks
+    monomials = st.frozensets(st.integers(1, n), max_size=min(n, 4)) if n else st.just(frozenset())
+    coefficients = st.integers(0, field.q - 1).map(field.from_index)
+    return [
+        InstantiatedFunction(field, n, draw(st.dictionaries(monomials, coefficients, max_size=6)))
+        for _ in range(count)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    funcs=st.integers(1, 3).flatmap(_functions),
+    block_points=st.sampled_from([1, 2, 5, 30, 1 << 18]),
+    chunk_bits=st.sampled_from([6, 7, 8, 22]),
+    workers=st.sampled_from([1, 2]),
+)
+def test_kernels_match_the_naive_loop(funcs, block_points, chunk_bits, workers):
+    # small blocks and chunks force many of them, and all variables high
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_BLOCK_POINTS", block_points)
+        mp.setattr(oracle, "_CHUNK_BITS", chunk_bits)
+        assert trace_counts(funcs[0], workers=workers) == _slow_counts(funcs[0])
+        joint = joint_counts(funcs, workers=workers)
+    assert joint.tolist() == _slow_joint(funcs).tolist()
+
+
+def test_popcount_fallback_for_numpy_before_2(monkeypatch):
+    f2 = make_field(2)
+    cases = [
+        instantiate(parse(text), n, f2)
+        for text, n in (("R(2,3)", 10), ("tau(5)", 24), ("e1*T(2) + sigma(1)", 3))
+    ]
+    fast = [trace_counts(g) for g in cases]
+    monkeypatch.setattr(oracle, "_bitwise_count", None)
+    assert [trace_counts(g) for g in cases] == fast
+    assert fast[0] == _slow_counts(cases[0])
+    assert fast[2] == _slow_counts(cases[2])
+
+
+def _reference_tables(field):
+    elems = field.elements()
+    add = [[(a + b).index for b in elems] for a in elems]
+    mul = [[(a * b).index for b in elems] for a in elems]
+    return add, mul, [a.trace() for a in elems]
+
+
+TABLE_FIELDS = [
+    make_field(p, r) for p in range(2, 33) if is_prime(p) for r in range(1, 6) if p**r <= 32
+] + [make_field(101), make_field(3, 2, modulus=(2, 2, 1))]
+
+
+@pytest.mark.parametrize(
+    "field", TABLE_FIELDS, ids=lambda f: "F%s-mod%s" % (f.describe(), "".join(map(str, f.modulus)))
+)
+def test_field_tables_match_field_arithmetic(field):
+    add, mul, trace = field_tables(field)
+    assert add.dtype == mul.dtype == trace.dtype == np.uint8
+    assert (add.tolist(), mul.tolist(), trace.tolist()) == _reference_tables(field)
+
+
+@pytest.mark.parametrize("q", [257, 499])
+def test_sums_over_fields_beyond_256_elements(q):
+    # X1*X2 takes the value 0 on 2q - 1 points and every other value q - 1 times
+    f = make_field(q)
+    g = instantiate(tau(2), 2, f)
+    assert trace_counts(g) == [2 * q - 1] + [q - 1] * (q - 1)
+    assert exp_sum(g).as_integer() == q
+    assert joint_counts([instantiate(Sigma(1), 2, f)]).tolist() == [q] * q
+
+
+def test_field_tables_widen_past_256_elements():
+    f = make_field(257)
+    add, mul, trace = field_tables(f)
+    assert add.dtype == mul.dtype == trace.dtype == np.uint16
+    a, b = f.from_index(200), f.from_index(100)
+    assert add[200, 100] == (a + b).index and mul[200, 100] == (a * b).index
 
 
 def test_known_consecutive_trapezoid_values():
