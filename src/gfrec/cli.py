@@ -29,7 +29,6 @@ from .limits import DEFAULT_DEGREE_CAP, DEFAULT_POINT_BUDGET, ResourceLimitExcee
 from .numtheory import eigen_check, eisenstein_dumas, gauss_sum
 from .oracle import sum_sequence
 from .recurrence import (
-    InsufficientDataError,
     IntPolynomial,
     NoRecurrenceError,
     discover,
@@ -107,16 +106,33 @@ def _parse_expr(text):
         raise UsageError(str(exc)) from None
 
 
-def _default_n_min(e, f, args):
-    """First n without --n-min: the family minimum, or the transfer
-    system's first index when that is later (rotations start later)."""
-    if args.method != "transfer":
-        return e.min_n()
+def _start(e, f, args):
+    """The first n, and the transfer system if that took building.
+
+    The first n is --n-min when given.  Otherwise it is the family minimum,
+    or the transfer system's first index when that is later (rotations start
+    later).  The system goes on to _sums, so a request builds it once.
+    """
+    n_min = getattr(args, "n_min", None)  # conjecture has no --n-min
+    if n_min is not None or args.method != "transfer":
+        return (e.min_n() if n_min is None else n_min), None
     try:
         sys_ = transfer.system_for(e, f, budget=args.budget)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return max(e.min_n(), sys_.n_min)
+    return max(e.min_n(), sys_.n_min), sys_
+
+
+def _sums(e, f, lo, hi, args, sys_=None):
+    """The sums of e for n = lo..hi by --method, from sys_ when it is built."""
+    try:
+        if args.method != "transfer":
+            return sum_sequence(e, f, range(lo, hi + 1), budget=args.budget)
+        if sys_ is None:
+            sys_ = transfer.system_for(e, f, budget=args.budget)
+        return transfer.run_range(sys_, e, range(lo, hi + 1))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _sequence_payload(seq, f, expr_text, method):
@@ -195,13 +211,7 @@ def _cmd_expsum(args):
     lo, hi = _parse_range(args.n)
     if lo < e.min_n():
         raise UsageError("family needs n >= %d" % e.min_n())
-    try:
-        seq = sum_sequence(
-            e, f, range(lo, hi + 1), method=args.method,
-            budget=args.budget, workers=args.workers,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    seq = _sums(e, f, lo, hi, args)
     payload = _sequence_payload(seq, f, unparse(e), args.method)
     echo = {"expr": args.expr, "field": f.describe(), "n": "%d..%d" % (lo, hi), "method": args.method}
     return _record("expsum", echo, payload), EXIT_OK
@@ -211,7 +221,7 @@ def _cmd_verify(args):
     f = _parse_field(args.field, args.modulus)
     e = _parse_expr(args.expr)
     poly = _parse_poly(args.poly)
-    lo = args.n_min if args.n_min is not None else _default_n_min(e, f, args)
+    lo, sys_ = _start(e, f, args)
     if lo < e.min_n():
         raise UsageError("family needs n >= %d" % e.min_n())
     if args.n_max < lo:
@@ -221,13 +231,7 @@ def _cmd_verify(args):
             "need at least %d terms to check a degree-%d recurrence"
             % (poly.degree + 1, poly.degree)
         )
-    try:
-        seq = sum_sequence(
-            e, f, range(lo, args.n_max + 1), method=args.method,
-            budget=args.budget, workers=args.workers,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    seq = _sums(e, f, lo, args.n_max, args, sys_)
     holds = satisfies(seq, poly)
     payload = {
         "expr": unparse(e),
@@ -244,22 +248,16 @@ def _cmd_verify(args):
 def _cmd_discover(args):
     f = _parse_field(args.field, args.modulus)
     e = _parse_expr(args.expr)
-    lo = args.n_min if args.n_min is not None else _default_n_min(e, f, args)
+    lo, sys_ = _start(e, f, args)
     if args.n_max < lo:
         raise UsageError("empty range %d..%d" % (lo, args.n_max))
-    try:
-        seq = sum_sequence(
-            e, f, range(lo, args.n_max + 1), method=args.method,
-            budget=args.budget, workers=args.workers,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    seq = _sums(e, f, lo, args.n_max, args, sys_)
     try:
         poly = discover(seq, max_order=args.max_order)
-    except InsufficientDataError as exc:
-        raise UsageError(str(exc)) from None
     except NoRecurrenceError as exc:
         raise CheckFailure(str(exc)) from None
+    except ValueError as exc:  # too few terms, or max_order < 1
+        raise UsageError(str(exc)) from None
     payload = {
         "expr": unparse(e),
         "field": f.describe(),
@@ -307,13 +305,10 @@ def _cmd_conjecture(args):
             raise UsageError("the rotation conjecture is stated over field 2")
         conjectured = rot_conjecture_seq(args.k, args.n_max)
         expr = parse("R(%s)" % ",".join(str(j) for j in range(2, args.k + 1)))
-    try:
-        measured = sum_sequence(
-            expr, f, range(args.k, args.n_max + 1), method=args.method,
-            budget=args.budget, workers=args.workers,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    lo, sys_ = _start(expr, f, args)
+    if args.n_max < lo:
+        raise UsageError("empty range %d..%d" % (lo, args.n_max))
+    measured = _sums(expr, f, lo, args.n_max, args, sys_)
     report = compare(conjectured, measured, which=args.which, k=args.k, field=f.describe())
     first = report.first_disagreement
     payload = {
@@ -392,7 +387,7 @@ def _cmd_numtheory(args):
 
 
 def _cmd_accept(args):
-    report = acceptance_run(profile=args.profile, workers=args.workers)
+    report = acceptance_run(profile=args.profile)
     record = _record("accept", {"profile": args.profile}, report["items"])
     if args.out:
         with open(args.out, "w") as fh:
@@ -409,8 +404,7 @@ def _cmd_bench(args):
     if lo < e.min_n():
         raise UsageError("family needs n >= %d" % e.min_n())
     t0 = time.monotonic()
-    brute = sum_sequence(e, f, range(lo, hi + 1), method="brute",
-                         budget=args.budget, workers=args.workers)
+    brute = sum_sequence(e, f, range(lo, hi + 1), budget=args.budget)
     t1 = time.monotonic()
     try:
         fast = sum_sequence(e, f, range(lo, hi + 1), method="transfer", budget=args.budget)
@@ -444,7 +438,6 @@ def _add_common(sp, field=True, budget=True):
     if budget:
         sp.add_argument("--budget", type=int, default=DEFAULT_POINT_BUDGET,
                         help="enumeration point budget")
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--pretty", action="store_true", help="human-readable table")
 
@@ -509,7 +502,6 @@ def build_parser():
     sp = sub.add_parser("accept", help="run the acceptance battery")
     sp.add_argument("--profile", choices=("quick", "full"), default="quick")
     sp.add_argument("--out", help="also write the report to this file")
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--pretty", action="store_true")
     sp.set_defaults(func=_cmd_accept)

@@ -131,13 +131,12 @@ class _Ctx:
         9: (2, 3, 4),
     }
 
-    def __init__(self, profile, workers=1):
+    def __init__(self, profile):
         if profile not in ("quick", "full"):
             raise ValueError("profile must be quick or full")
         self.profile = profile
         self.cap = QUICK_CAP if profile == "quick" else FULL_CAP
         self.conj_cap = min(self.cap, CONJECTURE_CAP)
-        self.workers = workers
         self._fields = {}
         self._trap = {}
 
@@ -161,11 +160,11 @@ class _Ctx:
                 if q == 2:
                     for kk in active:
                         table[kk].append(
-                            exp_sum(instantiate(tau(kk), n, f), workers=self.workers)
+                            exp_sum(instantiate(tau(kk), n, f))
                         )
                     continue
                 funcs = [instantiate(tau(kk), n, f) for kk in active]
-                counts = joint_counts(funcs, workers=self.workers)
+                counts = joint_counts(funcs)
                 _add, _mul, trace = field_tables(f)
                 for axis, kk in enumerate(active):
                     other = tuple(a for a in range(len(active)) if a != axis)
@@ -212,9 +211,7 @@ def _check_c2(ctx):
     got = []
     for k in (3, 4):
         hi = ctx.clamp(2, 20)
-        seq = sum_sequence(
-            consecutive_rotation(k), f2, range(k, hi + 1), workers=ctx.workers
-        )
+        seq = sum_sequence(consecutive_rotation(k), f2, range(k, hi + 1))
         if not satisfies(seq, family_poly("P_K", k)):
             return False, "p_k annihilates rotation sums", "k=%d fails" % k
         got.append("k=%d n<=%d ok" % (k, hi))
@@ -235,7 +232,7 @@ def _check_c3(ctx):
     got = []
     for text, poly in jobs:
         e = parse(text)
-        seq = sum_sequence(e, f2, range(e.min_n(), hi + 1), workers=ctx.workers)
+        seq = sum_sequence(e, f2, range(e.min_n(), hi + 1))
         if not satisfies(seq, poly):
             return False, "stated mixed combinations annihilated", "%s fails" % text
         got.append("%s ok" % text)
@@ -275,7 +272,7 @@ def _check_c5(ctx):
         for k in (3, 4):
             for n in range(k, min(k + 3, _max_n(q, ctx.cap)) + 1):
                 funcs = [instantiate(tau(k), n, f)] + _decoration_products(f, n, k)
-                counts = joint_counts(funcs, workers=ctx.workers)
+                counts = joint_counts(funcs)
                 flat = counts.reshape(-1)
                 cells = np.array(list(np.ndindex(counts.shape)), dtype=np.int64)
                 reference = {}
@@ -307,9 +304,7 @@ def _check_c6(ctx):
         f = ctx.field(p)
         hi = ctx.clamp(p, hi)
         poly = family_poly("ROT2", field=f)
-        seq = sum_sequence(
-            consecutive_rotation(2), f, range(3, hi + 1), workers=ctx.workers
-        )
+        seq = sum_sequence(consecutive_rotation(2), f, range(3, hi + 1))
         if not satisfies(seq, poly):
             return False, "X^4 - p^2 annihilates brute R(2) sums", "p=%d fails" % p
         sys = transfer.build_rotation_system((1, 2), f)
@@ -345,9 +340,7 @@ def _mat_mul(a, b, p):
 def _check_c7(ctx):
     f3 = ctx.field(3)
     hi = ctx.clamp(3, 13)
-    seq = sum_sequence(
-        consecutive_rotation(3), f3, range(3, hi + 1), workers=ctx.workers
-    )
+    seq = sum_sequence(consecutive_rotation(3), f3, range(3, hi + 1))
     poly6 = IntPolynomial([18, 9, 0, -9, -3, 0, 1])
     if not satisfies(seq, poly6):
         return False, "degree-6 polynomial annihilates R(2,3) over F_3", "fails"
@@ -390,7 +383,7 @@ def _check_c8(ctx):
                 return False, "matrix equals the 9x9 reference", "entry (%d,%d)" % (i, j)
     mu = IntPolynomial([27, -81, 81, 0, -81, 108, -81, 36, -9, 1])
     hi = ctx.clamp(3, 13)
-    seq = sum_sequence(parse("sigma(3)"), f3, range(3, hi + 1), workers=ctx.workers)
+    seq = sum_sequence(parse("sigma(3)"), f3, range(3, hi + 1))
     if not satisfies(seq, mu):
         return False, "degree-9 minimal polynomial annihilates brute sums", "fails"
     ann = transfer.integer_annihilator(sys)
@@ -411,7 +404,7 @@ def _check_c9(ctx):
     for p, hi in ((3, 10), (5, 9)):
         f = ctx.field(p)
         hi = ctx.clamp(p, hi)
-        brute = sum_sequence(parse("sigma(2)"), f, range(2, hi + 1), workers=ctx.workers)
+        brute = sum_sequence(parse("sigma(2)"), f, range(2, hi + 1))
         sys = transfer.build_quadratic_matrix(p)
         long_run = transfer.run(sys, 41)
         if long_run.values[: len(brute.values)] != brute.values:
@@ -512,9 +505,7 @@ def _check_c13(ctx):
     for k in (3, 4, 5):
         hi = ctx.clamp(2, 20)
         conj = rot_conjecture_seq(k, hi)
-        brute = sum_sequence(
-            consecutive_rotation(k), f2, range(k, hi + 1), workers=ctx.workers
-        )
+        brute = sum_sequence(consecutive_rotation(k), f2, range(k, hi + 1))
         rep = compare(conj, brute, which="rotation", k=k, field="2")
         if rep.status == "refuted":
             n, want, got = rep.first_disagreement
@@ -553,15 +544,15 @@ def _check_c14(ctx):
 def _check_c15(ctx):
     f3 = ctx.field(3)
     payloads = []
-    for workers in (1, 4, 1, 4):
-        seq = sum_sequence(tau(3), f3, range(3, 11), workers=workers)
+    for _ in range(4):
+        seq = sum_sequence(tau(3), f3, range(3, 11))
         payload = {
             "n_min": seq.n_min,
             "values": [v.to_record() for v in seq.values],
         }
         payloads.append(json.dumps(payload, sort_keys=True))
     if len(set(payloads)) != 1:
-        return False, "byte-identical payloads across runs and workers", "diverged"
+        return False, "byte-identical payloads across repeats", "diverged"
     return True, "payloads byte-identical across repeats and worker counts", "4 runs compared"
 
 
@@ -606,19 +597,19 @@ def _entry(cid, fn, ctx):
     }
 
 
-def run_criterion(cid, profile="full", workers=1, ctx=None):
+def run_criterion(cid, profile="full", ctx=None):
     """Run one battery item and return its report entry."""
     table = dict(_CRITERIA)
     if cid not in table:
         raise ValueError("unknown criterion %r" % cid)
     if ctx is None:
-        ctx = _Ctx(profile, workers)
+        ctx = _Ctx(profile)
     return _entry(cid, table[cid], ctx)
 
 
-def acceptance_run(profile="quick", workers=1):
+def acceptance_run(profile="quick"):
     """Execute the whole battery; failures become entries, never exceptions."""
-    ctx = _Ctx(profile, workers)
+    ctx = _Ctx(profile)
     items = [_entry(cid, fn, ctx) for cid, fn in _CRITERIA]
     return {
         "profile": profile,

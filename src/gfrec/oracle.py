@@ -4,13 +4,11 @@ The sum S(g) = sum over all x in F_q^n of zeta_p^(Tr(g(x))) is computed
 exactly: points are enumerated in fixed-size blocks, function values are
 reduced to trace residues through integer lookup tables, and the residue
 histogram is converted to a cyclotomic integer at the end.  Everything is
-integer arithmetic, so block partitioning and worker counts cannot change
-the result.  Fields with q = 2 take a packed-bit fast path.
+integer arithmetic, so block partitioning cannot change the result.  Fields
+with q = 2 take a packed-bit fast path.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -98,14 +96,6 @@ def _check_budget(field, n, budget):
         )
 
 
-def _sum_over(fn, count, workers):
-    """The sum of fn(i) over range(count), on a thread pool when workers > 1."""
-    if workers <= 1 or count == 1:
-        return sum(fn(i) for i in range(count))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(fn, range(count)))
-
-
 # ---------------------------------------------------------------------------
 # packed-bit kernel for F_2
 #
@@ -170,9 +160,9 @@ class _F2Chunks:
         return _popcount(cube.reshape(-1))
 
 
-def _trace_counts_f2(g, workers):
+def _trace_counts_f2(g):
     chunks = _F2Chunks(g)
-    ones = _sum_over(chunks.ones, chunks.count, workers)
+    ones = sum(chunks.ones(i) for i in range(chunks.count))
     return [(1 << g.n) - ones, ones]
 
 
@@ -286,46 +276,46 @@ class _BlockValues:
         return np.bincount(combined, minlength=self.q ** len(vals))
 
 
-def _value_counts(funcs, workers):
+def _value_counts(funcs):
     """The flat joint histogram of the value indices of funcs."""
     blocks = _BlockValues(funcs)
-    return _sum_over(blocks.counts, blocks.count, workers)
+    return sum(blocks.counts(i) for i in range(blocks.count))
 
 
-def trace_counts(g, budget=DEFAULT_POINT_BUDGET, workers=1):
+def trace_counts(g, budget=DEFAULT_POINT_BUDGET):
     """Histogram of Tr(g(x)) residues over all points of F_q^n."""
     _check_budget(g.field, g.n, budget)
     if g.field.q == 2:
-        return _trace_counts_f2(g, workers)
+        return _trace_counts_f2(g)
     _add, _mul, trace = field_tables(g.field)
-    counts = _value_counts([g], workers)
+    counts = _value_counts([g])
     residues = [0] * g.field.p
     for t, c in zip(trace.tolist(), counts.tolist()):
         residues[t] += c
     return residues
 
 
-def exp_sum(g, f=None, budget=DEFAULT_POINT_BUDGET, workers=1):
+def exp_sum(g, f=None, budget=DEFAULT_POINT_BUDGET):
     """The exact character sum of g over its field, as a cyclotomic integer."""
     if f is not None and f != g.field:
         raise ValueError("function was instantiated over a different field")
-    counts = trace_counts(g, budget=budget, workers=workers)
+    counts = trace_counts(g, budget=budget)
     return CycInt.from_root_counts(g.field.p, counts)
 
 
-def weight(g, budget=DEFAULT_POINT_BUDGET, workers=1):
+def weight(g, budget=DEFAULT_POINT_BUDGET):
     """Hamming weight of a Boolean function: (2^n - S(g)) / 2."""
     if g.field.q != 2:
         raise ValueError("weight is defined over F_2 only")
-    s = exp_sum(g, budget=budget, workers=workers).as_integer()
+    s = exp_sum(g, budget=budget).as_integer()
     return ((1 << g.n) - s) // 2
 
 
-def is_balanced(g, budget=DEFAULT_POINT_BUDGET, workers=1):
-    return exp_sum(g, budget=budget, workers=workers).is_zero()
+def is_balanced(g, budget=DEFAULT_POINT_BUDGET):
+    return exp_sum(g, budget=budget).is_zero()
 
 
-def joint_counts(funcs, budget=DEFAULT_POINT_BUDGET, workers=1):
+def joint_counts(funcs, budget=DEFAULT_POINT_BUDGET):
     """Joint histogram of the field values of several functions on F_q^n.
 
     Returns an integer array of shape (q, ..., q), one axis per function in
@@ -346,7 +336,7 @@ def joint_counts(funcs, budget=DEFAULT_POINT_BUDGET, workers=1):
         raise ResourceLimitExceeded(
             "%d^%d joint bins exceed the budget of %d" % (q, len(funcs), budget)
         )
-    return _value_counts(funcs, workers).reshape((q,) * len(funcs))
+    return _value_counts(funcs).reshape((q,) * len(funcs))
 
 
 def sum_sequence(
@@ -355,7 +345,6 @@ def sum_sequence(
     n_range,
     method="brute",
     budget=DEFAULT_POINT_BUDGET,
-    workers=1,
     poly=None,
     init=None,
 ):
@@ -374,23 +363,12 @@ def sum_sequence(
         values = []
         for n in n_range:
             g = instantiate(e, n, field)
-            values.append(exp_sum(g, budget=budget, workers=workers))
+            values.append(exp_sum(g, budget=budget))
         return Sequence(start, tuple(values), "brute")
     if method == "transfer":
         from . import transfer
 
-        sys = transfer.system_for(e, field, budget=budget)
-        if len(n_range) == 0:
-            return Sequence(start, (), "transfer")
-        if start < sys.n_min:
-            raise ValueError(
-                "transfer system for this family starts at n=%d" % sys.n_min
-            )
-        if start < e.min_n():
-            raise ValueError("n=%d below the family minimum %d" % (start, e.min_n()))
-        full = transfer.run(sys, n_range.stop - 1)
-        lo = start - full.n_min
-        return Sequence(start, full.values[lo : lo + len(n_range)], "transfer")
+        return transfer.run_range(transfer.system_for(e, field, budget=budget), e, n_range)
     if method == "recurrence":
         from .recurrence import extend
 

@@ -105,6 +105,20 @@ def run(sys, n_target):
     return Sequence(sys.n_min, tuple(out), "transfer")
 
 
+def run_range(sys, e, n_range):
+    """The sums of family e over n_range (step 1), from e's built system sys."""
+    start = n_range.start
+    if len(n_range) == 0:
+        return Sequence(start, (), "transfer")
+    if start < sys.n_min:
+        raise ValueError("transfer system for this family starts at n=%d" % sys.n_min)
+    if start < e.min_n():
+        raise ValueError("n=%d below the family minimum %d" % (start, e.min_n()))
+    full = run(sys, n_range.stop - 1)
+    lo = start - full.n_min
+    return Sequence(start, full.values[lo : lo + len(n_range)], "transfer")
+
+
 # ---------------------------------------------------------------------------
 # small helpers shared by the builders
 

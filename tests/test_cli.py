@@ -1,9 +1,14 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from gfrec import transfer
 from gfrec.cli import main
 
 
@@ -224,6 +229,16 @@ def test_discover_no_recurrence_at_order(capsys):
     assert "check failed" in err
 
 
+def test_discover_max_order_below_one_is_usage_error(capsys):
+    for order in ("0", "-2"):
+        code, _out, err = run_cli(
+            capsys, "discover", "--expr", "tau(3)", "--field", "2",
+            "--n-max", "14", "--max-order", order,
+        )
+        assert code == 2
+        assert err == "usage error: max_order must be >= 1\n"
+
+
 def test_transfer_range_defaults_to_the_system_start(capsys):
     # the R(2) system starts at n=3, one above the family minimum
     code, rec = run_json(
@@ -288,6 +303,25 @@ def test_conjecture_rotation(capsys):
     )
     assert code == 0
     assert rec["payload"]["status"] == "verified-on-range"
+
+
+def test_conjecture_rotation_by_transfer_starts_at_the_system_start(capsys):
+    # the R(2..k) system starts at n = 3(k - 1), later than k from k = 3 on
+    for k, n_max in ((2, 14), (3, 14), (4, 14), (5, 16)):
+        code, rec = run_json(
+            capsys, "conjecture", "--which", "rotation", "--k", str(k),
+            "--field", "2", "--n-max", str(n_max), "--method", "transfer",
+        )
+        assert code == 0
+        payload = rec["payload"]
+        assert payload["status"] == "verified-on-range"
+        assert payload["checked_range"] == [max(k, 3 * (k - 1)), n_max]
+    code, _out, err = run_cli(
+        capsys, "conjecture", "--which", "rotation", "--k", "3",
+        "--field", "2", "--n-max", "5", "--method", "transfer",
+    )
+    assert code == 2
+    assert err == "usage error: empty range 6..5\n"
 
 
 def test_conjecture_rotation_needs_field_two(capsys):
@@ -392,3 +426,52 @@ def test_no_subcommand_is_usage_error(capsys):
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["expsum", "--nope"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["expsum", "--expr", "tau(3)", "--field", "2", "--n", "3..5", "--workers", "2"],
+    ["accept", "--workers", "2"],
+])
+def test_workers_option_is_gone(capsys, argv):
+    code, _out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "unrecognized arguments: --workers 2" in err
+
+
+def test_transfer_system_is_built_once_per_request(capsys, monkeypatch):
+    calls = []
+    build = transfer.system_for
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(transfer, "system_for", counted)
+    for argv in (
+        ["expsum", "--expr", "R(2)", "--field", "3", "--n", "3..9"],
+        ["verify", "--expr", "R(2)", "--field", "3", "--poly=-9,0,0,0,1", "--n-max", "9"],
+        ["verify", "--expr", "R(2)", "--field", "3", "--poly=-9,0,0,0,1",
+         "--n-min", "4", "--n-max", "9"],
+        ["discover", "--expr", "R(2)", "--field", "3", "--n-max", "14", "--max-order", "4"],
+        ["conjecture", "--which", "rotation", "--k", "3", "--field", "2", "--n-max", "12"],
+        ["conjecture", "--which", "trapezoid", "--k", "3", "--field", "3", "--n-max", "9"],
+    ):
+        calls.clear()
+        code, _rec = run_json(capsys, *argv, "--method", "transfer")
+        assert code == 0, argv
+        assert len(calls) == 1, argv
+
+
+def test_cli_import_leaves_out_the_thread_pool_modules():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gfrec.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

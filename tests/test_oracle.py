@@ -106,15 +106,14 @@ def _functions(draw, count):
     funcs=st.integers(1, 3).flatmap(_functions),
     block_points=st.sampled_from([1, 2, 5, 30, 1 << 18]),
     chunk_bits=st.sampled_from([6, 7, 8, 22]),
-    workers=st.sampled_from([1, 2]),
 )
-def test_kernels_match_the_naive_loop(funcs, block_points, chunk_bits, workers):
+def test_kernels_match_the_naive_loop(funcs, block_points, chunk_bits):
     # small blocks and chunks force many of them, and all variables high
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_BLOCK_POINTS", block_points)
         mp.setattr(oracle, "_CHUNK_BITS", chunk_bits)
-        assert trace_counts(funcs[0], workers=workers) == _slow_counts(funcs[0])
-        joint = joint_counts(funcs, workers=workers)
+        assert trace_counts(funcs[0]) == _slow_counts(funcs[0])
+        joint = joint_counts(funcs)
     assert joint.tolist() == _slow_joint(funcs).tolist()
 
 
@@ -183,17 +182,6 @@ def test_budget_enforced():
         exp_sum(g, budget=3 ** 8 - 1)
     # a budget of exactly q^n is allowed
     assert exp_sum(g, budget=3 ** 8) == _slow_sum(tau(2), 8, f3)
-
-
-def test_workers_do_not_change_results():
-    # generic kernel: multiple enumeration blocks at 3^12 points
-    f3 = make_field(3)
-    g = instantiate(tau(2), 12, f3)
-    assert exp_sum(g, workers=1) == exp_sum(g, workers=3)
-    # packed-bit kernel: multiple chunks at 2^23 points
-    f2 = make_field(2)
-    g2 = instantiate(tau(3), 23, f2)
-    assert exp_sum(g2, workers=1) == exp_sum(g2, workers=4)
 
 
 def test_field_mismatch_rejected():
