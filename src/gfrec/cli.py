@@ -277,7 +277,10 @@ def _cmd_annihilator(args):
         sys_ = transfer.system_for(e, f, budget=args.budget)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    poly = transfer.integer_annihilator(sys_, degree_cap=args.degree_cap)
+    try:
+        poly = transfer.integer_annihilator(sys_, degree_cap=args.degree_cap)
+    except ValueError as exc:  # degree_cap < 1
+        raise UsageError(str(exc)) from None
     payload = {
         "expr": unparse(e),
         "field": f.describe(),

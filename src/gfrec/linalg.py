@@ -1,16 +1,21 @@
-"""Exact linear algebra over the rationals (internal helpers).
+"""Exact linear algebra (internal helpers).
 
-Gauss elimination, polynomial helpers on ascending coefficient lists, and
-the minimal polynomial of a linear map.  The map is given as a function on
-plain lists, so a caller can apply a sparse or structured matrix without
-ever writing it out.  Everything stays exact: integers where the inputs are
-integers, fractions.Fraction where elimination divides.
+Gauss elimination over the rationals, polynomial helpers on ascending
+coefficient lists, the sparse matrix type over Z[zeta_p], and the certified
+minimal polynomial of such a matrix.  Every result is exact: elimination
+works in fractions.Fraction, and the minimal polynomial is computed modulo
+word-sized primes and then proved over Z[zeta_p].
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import count
 
+import numpy as np
+
+from .galois import is_prime
 from .limits import ResourceLimitExceeded
 
 
@@ -63,17 +68,6 @@ def poly_trim(cs):
     return cs
 
 
-def poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return poly_trim(out)
-
-
 def poly_divmod(a, b):
     a = poly_trim([Fraction(x) for x in a])
     b = poly_trim([Fraction(x) for x in b])
@@ -91,64 +85,261 @@ def poly_divmod(a, b):
 
 
 # ---------------------------------------------------------------------------
-# minimal polynomial of a linear map
+# sparse matrices over Z[zeta_p]
 
-def _local_minimal_poly(apply, start):
-    """Minimal polynomial of the map relative to the vector start.
+class SparseMatrix:
+    """A square matrix over Z[zeta_p] given by its nonzero entries, row by row.
 
-    Builds the Krylov chain v, Mv, M^2 v, ... and stops at the first linear
-    dependence; the dependence coefficients are the (monic) polynomial, in
-    ascending order.
+    Row i holds the entries k = starts[i] .. starts[i+1]-1, in column cols[k],
+    with power-basis coordinates coeffs[k] (an nnz x (p-1) int64 array).  For
+    p = 2 the ring is Z and each entry has a single coordinate.  Products
+    run on a padded layout: every row gets the width of the longest row, and
+    a padding slot reads column 0 with the value 0.
     """
-    raw = start
-    stored = []  # (reduced vector, combination over chain, pivot)
-    d = 0
+
+    __slots__ = ("p", "starts", "cols", "coeffs", "_width", "_slots", "_gather")
+
+    def __init__(self, p, starts, cols, coeffs):
+        self.p = p
+        self.starts = np.asarray(starts, dtype=np.int64)
+        self.cols = np.asarray(cols, dtype=np.int64)
+        self.coeffs = np.asarray(coeffs, dtype=np.int64).reshape(len(self.cols), p - 1)
+        lengths = np.diff(self.starts)
+        self._width = int(lengths.max()) if len(lengths) else 0
+        row = np.repeat(np.arange(len(lengths)), lengths)
+        self._slots = row * self._width + np.arange(len(self.cols)) - self.starts[row]
+        self._gather = self._padded(self.cols)
+
+    @classmethod
+    def from_rows(cls, p, rows):
+        """rows[i] lists the (column, coordinates) pairs of row i's nonzeros."""
+        starts = [0]
+        cols = []
+        coeffs = []
+        for row in rows:
+            for j, coords in row:
+                cols.append(j)
+                coeffs.append(coords)
+            starts.append(len(cols))
+        return cls(p, starts, cols, coeffs)
+
+    @property
+    def dim(self):
+        return len(self.starts) - 1
+
+    @property
+    def nnz(self):
+        return len(self.cols)
+
+    def _padded(self, a):
+        """Per-entry values a (first axis nnz) spread over the padded slots."""
+        out = np.zeros((self.dim * self._width,) + a.shape[1:], dtype=np.int64)
+        out[self._slots] = a
+        return out
+
+    def _row_sums(self, slots):
+        return slots.reshape((self.dim, self._width) + slots.shape[1:]).sum(axis=1)
+
+    def inflated_norm(self):
+        """Largest row sum of absolute values of the integer matrix that
+        replaces each entry by its multiplication matrix on the power basis."""
+        p = self.p
+        counts = np.zeros((self.nnz, p), dtype=np.int64)
+        counts[:, : p - 1] = self.coeffs
+        # column j of the block of entry a holds the coordinates of a*zeta^j:
+        # its root counts rolled by j, less the count that lands on zeta^(p-1)
+        rows = np.zeros((self.nnz, p - 1), dtype=np.int64)
+        for j in range(p - 1):
+            rolled = np.roll(counts, j, axis=1)
+            rows += np.abs(rolled[:, : p - 1] - rolled[:, p - 1 :])
+        return int(self._row_sums(self._padded(rows)).max(initial=0))
+
+    def embedded(self, ell):
+        """The entries under the p-1 embeddings zeta -> w^j (j = 1 .. p-1) into
+        F_ell, for ell = 1 (mod p) and w of order p: one row of p-1 residues
+        per padded slot, the input apply expects."""
+        p = self.p
+        w = next(r for r in (pow(g, (ell - 1) // p, ell) for g in count(2)) if r != 1)
+        wpow = np.array([pow(w, t, ell) for t in range(p)], dtype=np.int64)
+        i = np.arange(p - 1)
+        powers = wpow[np.outer(i, i + 1) % p]  # powers[i, j-1] = w^(i*j)
+        coords = self.coeffs % ell
+        out = np.zeros((self.nnz, p - 1), dtype=np.int64)
+        for i in range(p - 1):
+            out += coords[:, i : i + 1] * powers[i]
+            out %= ell
+        return self._padded(out)
+
+    def apply(self, vals, x, ell):
+        """M x mod ell on every embedding at once: vals is embedded(ell), x has
+        shape (dim, p-1) or (dim, p-1, columns) with entries in [0, ell)."""
+        prod = x[self._gather]
+        prod *= vals.reshape(vals.shape + (1,) * (x.ndim - 2))
+        if self._width >= 1 << 13:  # row sums of products below 2^50 fit int64
+            prod %= ell
+        out = self._row_sums(prod)
+        out %= ell
+        return out
+
+
+# ---------------------------------------------------------------------------
+# minimal polynomial: modular candidate plus exact certificate
+
+_PRIME_BOUND = 1 << 25  # products of residues stay below 2^50
+_SEED = 2017  # probes come from one fixed-seed generator per call (numpy.random
+# is left out: importing it costs about 6 MB)
+_QUIET_TERMS = 16  # Berlekamp-Massey stops after this many terms without change
+_BLOCK_COLUMNS = 256  # identity columns per certificate block
+_BLOCK_ELEMENTS = 1 << 21  # and at most this many gathered products per block
+_ATTEMPTS = 8
+_PRIMES = {}  # p -> primes found so far, largest first
+
+
+def _primes(p):
+    """The primes ell = 1 (mod p) below 2^25, largest first."""
+    found = _PRIMES.setdefault(p, [])
+    for i in count():
+        if i == len(found):
+            ell = found[-1] - p if found else (_PRIME_BOUND - 2) // p * p + 1
+            while not is_prime(ell):
+                ell -= p
+            found.append(ell)
+        yield found[i]
+
+
+def _sequence_polynomial(m, ell, rng, degree_cap):
+    """Berlekamp-Massey on a_k = sum_j u_j . sigma_j(M)^k v_j mod ell, with
+    random probes u, v: the monic minimal polynomial of that sequence,
+    ascending residues.  Its degree, the linear complexity, is at most the
+    degree of the minimal polynomial of M."""
+    vals = m.embedded(ell)
+    size = m.dim * (m.p - 1)
+    u, x = (
+        np.array([rng.randrange(ell) for _ in range(size)], dtype=np.int64).reshape(m.dim, -1)
+        for _ in range(2)
+    )
+    seq = []
+    conn, prev = [1], [1]  # connection polynomials, constant term first
+    length, gap, last = 0, 1, 1
+    quiet = 0
     while True:
-        w = [Fraction(x) for x in raw]
-        combo = [Fraction(0)] * d + [Fraction(1)]
-        for svec, scombo, spiv in stored:
-            c = w[spiv]
-            if c != 0:
-                w = [a - c * b for a, b in zip(w, svec)]
-                for i, sc in enumerate(scombo):
-                    combo[i] -= c * sc
-        piv = next((i for i, x in enumerate(w) if x != 0), None)
-        if piv is None:
-            return combo
-        lead = w[piv]
-        stored.append(
-            ([x / lead for x in w], [x / lead for x in combo], piv)
-        )
-        raw = apply(raw)
-        d += 1
-
-
-def minimal_polynomial(apply, dim, degree_cap):
-    """Monic minimal polynomial of a linear map M, ascending coefficients.
-
-    apply(v) returns M v as a new list, for lists v of length dim.  P starts
-    at 1 and walks the standard basis vectors e in order: w = P(M) e comes
-    from Horner's rule, and when w is nonzero P is multiplied by the local
-    minimal polynomial of w.  That product is lcm(P, mu_e), so P ends as the
-    minimal polynomial of M; the walk stops early once deg P reaches dim.
-    For an integer map every factor is integral (Gauss's lemma: it is a
-    monic factor of the integer characteristic polynomial).
-    """
-    result = [1]
-    for start in range(dim):
-        w = [0] * dim
-        w[start] = 1  # P is monic
-        for c in reversed(result[:-1]):
-            w = apply(w)
-            w[start] += c
-        if not any(w):
-            continue
-        result = poly_mul(result, _local_minimal_poly(apply, w))
-        if len(result) - 1 > degree_cap:
-            raise ResourceLimitExceeded(
-                "minimal polynomial degree exceeds the cap of %d" % degree_cap
-            )
-        if len(result) - 1 == dim:
+        a = int((u * x % ell).sum()) % ell
+        seq.append(a)
+        n = len(seq) - 1
+        d = (a + sum(c * seq[n - i] for i, c in enumerate(conn[1:], 1))) % ell
+        if d == 0:
+            gap += 1
+            quiet += 1
+        else:
+            scale = d * pow(last, -1, ell) % ell
+            old = conn
+            conn = conn + [0] * max(0, len(prev) + gap - len(conn))
+            for i, c in enumerate(prev, gap):
+                conn[i] = (conn[i] - scale * c) % ell
+            if 2 * length <= n:
+                length, prev, last, gap = n + 1 - length, old, d, 1
+                if length > degree_cap:
+                    raise ResourceLimitExceeded(
+                        "minimal polynomial degree exceeds the cap of %d" % degree_cap
+                    )
+            else:
+                gap += 1
+            quiet = 0
+        terms = len(seq)
+        if terms >= 2 * length and (quiet >= _QUIET_TERMS or terms >= 2 * m.dim * (m.p - 1)):
             break
-    return result
+        x = m.apply(vals, x, ell)
+    conn = conn + [0] * (length + 1 - len(conn))
+    return conn[length::-1]
 
+
+def _candidate(m, degree_cap, primes, rng):
+    """Monic integer polynomial lifted by CRT from sequence polynomials mod
+    successive primes, once another prime leaves the symmetric lift unchanged.
+    A lower degree than the best seen so far marks an unlucky prime or probe
+    and is skipped; a higher one starts the lift again."""
+    lift = residues = None
+    modulus = 1
+    for ell in primes:
+        got = _sequence_polynomial(m, ell, rng, degree_cap)
+        if residues is None or len(got) > len(residues):
+            lift, residues, modulus = None, got, ell
+            continue
+        if len(got) < len(residues):
+            continue
+        inv = pow(modulus, -1, ell)
+        residues = [r + modulus * ((g - r) * inv % ell) for r, g in zip(residues, got)]
+        modulus *= ell
+        new = [r - modulus if 2 * r > modulus else r for r in residues]
+        if new == lift:
+            return new
+        lift = new
+
+
+def _vanishes_mod(m, poly, ell):
+    """Whether P(sigma_j(M)) = 0 mod ell for every embedding j, applying P by
+    Horner's rule to blocks of identity columns."""
+    vals = m.embedded(ell)
+    dim, e = m.dim, m.p - 1
+    slots = m.dim * m._width * e
+    width = max(1, min(_BLOCK_COLUMNS, _BLOCK_ELEMENTS // max(1, slots)))
+    top, rest = poly[-1] % ell, [c % ell for c in reversed(poly[:-1])]
+    for first in range(0, dim, width):
+        idx = np.arange(min(width, dim - first))
+        diag = (first + idx, slice(None), idx)
+        y = np.zeros((dim, e, len(idx)), dtype=np.int64)
+        y[diag] = top
+        for c in rest:
+            y = m.apply(vals, y, ell)
+            y[diag] = (y[diag] + c) % ell
+        if y.any():
+            return False
+    return True
+
+
+def certify(m, poly):
+    """Whether the integer polynomial poly (ascending) annihilates m exactly.
+
+    Let M' be m inflated to an integer matrix, each entry replaced by its
+    multiplication matrix on the power basis, and N its largest absolute row
+    sum.  Every entry of P(M') is at most S = sum |c_k| N^k in absolute value.
+    For a prime ell = 1 (mod p), zeta -> (w^j)_j maps Z[zeta_p]/ell onto
+    F_ell^(p-1), so P(M') = 0 mod ell exactly when P(sigma_j(M)) = 0 mod ell
+    for every embedding j.  Checking that for primes whose product exceeds
+    2S proves P(M') = 0, hence P(M) = 0.
+    """
+    poly = poly_trim(poly)
+    if not poly:
+        return True
+    norm = m.inflated_norm()
+    bound = 2 * sum(abs(c) * norm**k for k, c in enumerate(poly))
+    modulus = 1
+    for ell in _primes(m.p):
+        if modulus > bound:
+            return True
+        if not _vanishes_mod(m, poly, ell):
+            return False
+        modulus *= ell
+
+
+def minimal_polynomial(m, degree_cap):
+    """Monic minimal polynomial of the SparseMatrix m, ascending integers.
+
+    This is the minimal polynomial mu of the inflated integer matrix, that
+    is, the least monic rational polynomial with P(M) = 0; it is integral
+    by Gauss's lemma.  A candidate P comes from
+    Berlekamp-Massey mod primes and CRT (_candidate), and certify proves
+    P(M) = 0, so mu divides P.  P's degree is a linear complexity mod a
+    prime, which is at most deg mu, so P = mu.  A linear complexity above
+    degree_cap raises ResourceLimitExceeded: deg mu is larger still.  A
+    candidate that fails the certificate (unlucky probes or primes) is
+    replaced by one from fresh primes and probes; both come from fixed
+    sequences, so the work done is reproducible.
+    """
+    primes = _primes(m.p)
+    rng = random.Random(_SEED)
+    for _ in range(_ATTEMPTS):
+        poly = _candidate(m, degree_cap, primes, rng)
+        if certify(m, poly):
+            return poly
+    raise AssertionError("no certified minimal polynomial in %d attempts" % _ATTEMPTS)

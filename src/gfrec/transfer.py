@@ -45,7 +45,7 @@ from .limits import (
     DEFAULT_STATE_LIMIT,
     ResourceLimitExceeded,
 )
-from .linalg import minimal_polynomial
+from .linalg import SparseMatrix, minimal_polynomial
 from .oracle import exp_sum, field_tables
 from .recurrence import IntPolynomial, Sequence
 
@@ -70,11 +70,26 @@ class TransferSystem:
         return self.n0 + self.shift
 
     @cached_property
+    def sparse(self):
+        """The nonzero entries of the matrix as a linalg.SparseMatrix."""
+        return SparseMatrix.from_rows(
+            self.field.p,
+            (
+                [(j, entry.coeffs) for j, entry in enumerate(row) if any(entry.coeffs)]
+                for row in self.matrix
+            ),
+        )
+
+    @cached_property
     def rows(self):
-        """(column, entry) pairs of the nonzero entries of each matrix row."""
+        """(column, entry) pairs of each row's nonzeros, read off the sparse view."""
+        sp = self.sparse
+        p = self.field.p
+        cols = sp.cols.tolist()
+        entries = [CycInt(p, c) for c in sp.coeffs.tolist()]
+        bounds = sp.starts.tolist()
         return tuple(
-            tuple((j, entry) for j, entry in enumerate(row) if not entry.is_zero())
-            for row in self.matrix
+            tuple(zip(cols[a:b], entries[a:b])) for a, b in zip(bounds, bounds[1:])
         )
 
     def __repr__(self):
@@ -466,37 +481,33 @@ def build_quadratic_matrix(p, budget=DEFAULT_POINT_BUDGET):
 def integer_annihilator(
     sys, degree_cap=DEFAULT_DEGREE_CAP, blowup_limit=DEFAULT_BLOWUP_LIMIT
 ):
-    """Monic integer polynomial annihilating the transfer matrix.
+    """Monic integer polynomial annihilating the transfer matrix M: the
+    minimal polynomial mu of M inflated to an integer matrix M' on the
+    dim * (p-1) power-basis coordinates of a state vector.  Inflation is a
+    ring homomorphism, so mu annihilates M and every projected sequence.
 
-    Replacing each entry by its integer multiplication matrix on the power
-    basis inflates M to an integer matrix on the dim * (p-1) coordinates of
-    a state vector.  Row i of step is the sum over j of M_ij v_j, linear in
-    the coordinates of each v_j, so stepping the states a flat coordinate
-    vector spells out, then flattening, is that inflated map; its exact
-    minimal polynomial is the result.  Inflation is a ring homomorphism, so
-    the result annihilates M and every projected sequence.
+    linalg.minimal_polynomial works on sys.sparse and never forms M'.  Its
+    candidate P comes from Berlekamp-Massey on projected Krylov sequences
+    mod primes ell = 1 (mod p) below 2^25, one per embedding zeta -> w^j,
+    lifted by CRT.  The certificate checks P(sigma_j(M)) = 0 mod ell for every
+    embedding, for primes whose product exceeds 2 sum_k |c_k| N^k, where N is
+    the largest absolute row sum of M'; every entry of P(M') is smaller than
+    half that product, so P(M') = 0 exactly.  Then mu divides P, and deg P
+    is a linear complexity mod ell, at most deg mu, so P = mu.
+
+    Raises ValueError for degree_cap < 1, and ResourceLimitExceeded when
+    dim * (p-1) exceeds blowup_limit or deg mu exceeds degree_cap.  The work
+    is at most about (2 degree_cap + 17) nnz (p-1) per candidate prime plus
+    deg nnz dim (p-1) per certificate prime.
     """
-    p = sys.field.p
-    e = p - 1
-    dim = sys.dim * e
+    if degree_cap < 1:
+        raise ValueError("degree_cap must be >= 1")
+    dim = sys.dim * (sys.field.p - 1)
     if dim > blowup_limit:
         raise ResourceLimitExceeded(
             "inflated dimension %d exceeds the limit of %d" % (dim, blowup_limit)
         )
-
-    def apply(flat):
-        # CycInt truncates a fractional coordinate; P(M)e stays integral because
-        # every factor of P is (Gauss's lemma), and the check below enforces it
-        v = [CycInt(p, flat[i : i + e]) for i in range(0, dim, e)]
-        return [c for x in step(sys, v) for c in x.coeffs]
-
-    coeffs = minimal_polynomial(apply, dim, degree_cap)
-    ints = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise AssertionError("minimal polynomial of an integer matrix not integral")
-        ints.append(int(c))
-    return IntPolynomial(ints)
+    return IntPolynomial(minimal_polynomial(sys.sparse, degree_cap))
 
 
 # ---------------------------------------------------------------------------

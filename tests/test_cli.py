@@ -275,6 +275,15 @@ def test_annihilator_quadratic_symmetric(capsys):
     assert rec["payload"]["poly"] == ["9", "-9", "6", "-3", "1"]
 
 
+def test_annihilator_degree_cap_below_one_is_usage_error(capsys):
+    for cap in ("0", "-3"):
+        code, _out, err = run_cli(
+            capsys, "annihilator", "--expr", "tau(3)", "--field", "2", "--degree-cap", cap
+        )
+        assert code == 2
+        assert err == "usage error: degree_cap must be >= 1\n"
+
+
 def test_annihilator_unsupported_expression(capsys):
     code, _out, _err = run_cli(
         capsys, "annihilator", "--expr", "R(2)+T(2)", "--field", "2"

@@ -1,20 +1,24 @@
-"""Tests for the exact rational linear algebra helpers, and for the integer
-annihilator against the minimal polynomial of its written-out matrix."""
+"""Tests for the exact rational linear algebra helpers, for the certified
+minimal polynomial, and for the integer annihilator against the minimal
+polynomial of its written-out matrix."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfrec import linalg
 from gfrec.cyclotomic import regular_matrix
 from gfrec.funcalg import parse
 from gfrec.galois import make_field, prime_power
 from gfrec.limits import ResourceLimitExceeded
 from gfrec.linalg import (
+    SparseMatrix,
+    certify,
     minimal_polynomial,
     poly_divmod,
-    poly_mul,
     poly_trim,
     solve_with_free_zero,
 )
@@ -48,7 +52,6 @@ def test_solve_is_exact():
 def test_poly_helpers():
     assert poly_trim([1, 2, 0, 0]) == [1, 2]
     assert poly_trim([0]) == []
-    assert poly_mul([1, 1], [-1, 1]) == [-1, 0, 1]
     quot, rem = poly_divmod([1, 0, 0, 1], [1, 1])  # X^3+1 over X+1
     assert quot == [1, -1, 1]
     assert rem == []
@@ -58,12 +61,13 @@ def test_poly_helpers():
         poly_divmod([1, 1], [])
 
 
-def _apply(matrix):
-    return lambda v: [sum(a * x for a, x in zip(row, v)) for row in matrix]
+def _sparse(matrix):
+    """An integer matrix as a SparseMatrix over Z = Z[zeta_2]."""
+    return SparseMatrix.from_rows(2, [[(j, (a,)) for j, a in enumerate(row) if a] for row in matrix])
 
 
 def _minpoly(matrix, cap=8):
-    return minimal_polynomial(_apply(matrix), len(matrix), cap)
+    return minimal_polynomial(_sparse(matrix), cap)
 
 
 def _mat_mul(x, y):
@@ -127,9 +131,15 @@ def test_minimal_polynomial_degree_cap():
         _minpoly(m, cap=2)
 
 
-def test_minimal_polynomial_rational_entries():
-    m = [[Fraction(1, 2)]]
-    assert _minpoly(m, cap=4) == [Fraction(-1, 2), 1]
+def test_minimal_polynomial_cyclotomic_entries():
+    # multiplication by zeta_3 on Z[zeta_3] has minimal polynomial X^2 + X + 1
+    assert minimal_polynomial(SparseMatrix.from_rows(3, [[(0, (0, 1))]]), 4) == [1, 1, 1]
+    # zeta_5 + zeta_5^4 = (sqrt(5) - 1) / 2 is a root of X^2 + X - 1
+    m = SparseMatrix.from_rows(5, [[(0, (-1, 0, -1, -1))]])
+    assert minimal_polynomial(m, 4) == [-1, 1, 1]
+    # diag(zeta_3, 1) with an off-diagonal 2: lcm(X^2 + X + 1, X - 1) = X^3 - 1
+    m = SparseMatrix.from_rows(3, [[(0, (0, 1)), (1, (2, 0))], [(1, (1, 0))]])
+    assert minimal_polynomial(m, 4) == [-1, 0, 0, 1]
 
 
 @settings(max_examples=80, deadline=None)
@@ -160,3 +170,77 @@ def test_integer_annihilator_is_the_inflated_minimal_polynomial(text, q):
             for a, block_row in enumerate(regular_matrix(entry)):
                 inflated[i * e + a][j * e : (j + 1) * e] = block_row
     assert list(integer_annihilator(sys).coeffs) == _reference_minimal_polynomial(inflated)
+
+
+# ---------------------------------------------------------------------------
+# the certificate
+
+# the width-3 families over F_5 (inflated dims 500 to 2500) are left out:
+# they would take most of the test's time
+SMALL_SYSTEMS = [
+    (text, q)
+    for q in (2, 3, 4, 5)
+    for text in ("tau(3)", "R(2)", "R(3)", "R(2,3)", "T(2,4)", "sigma(2)", "sigma(3)", "R(2)+R(3)")
+    if q < 5 or text in ("tau(3)", "R(2)", "sigma(2)", "sigma(3)")
+]
+
+
+@lru_cache(maxsize=None)
+def _system(text, q):
+    return system_for(parse(text), make_field(*prime_power(q)))
+
+
+@lru_cache(maxsize=None)
+def _annihilator(text, q):
+    return list(integer_annihilator(_system(text, q)).coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_SYSTEMS), st.data())
+def test_certificate_rejects_a_perturbed_coefficient(case, data):
+    m = _system(*case).sparse
+    poly = _annihilator(*case)
+    assert certify(m, poly)
+    k = data.draw(st.integers(0, len(poly) - 1), label="coefficient")
+    delta = data.draw(st.sampled_from((-1, 1)), label="delta")
+    bad = list(poly)
+    bad[k] += delta
+    assert not certify(m, bad)
+
+
+def test_wrong_candidate_is_retried(monkeypatch):
+    real = linalg._candidate
+    calls = []
+
+    def wrong_once(*args):
+        poly = real(*args)
+        calls.append(list(poly))
+        if len(calls) == 1:
+            poly = [poly[0] + 1] + poly[1:]
+        return poly
+
+    monkeypatch.setattr(linalg, "_candidate", wrong_once)
+    sys = _system("T(2,4)", 3)
+    got = integer_annihilator(sys)
+    assert len(calls) == 2
+    monkeypatch.setattr(linalg, "_candidate", real)
+    assert got == integer_annihilator(sys)
+    assert list(got.coeffs) == calls[1]
+
+
+def test_certificate_alone_cannot_accept_a_proper_divisor():
+    # R(2,3)/F_3's annihilator has the factor X^2; dropping one X leaves a
+    # polynomial of smaller degree that must fail, as an unlucky candidate would
+    poly = _annihilator("R(2,3)", 3)
+    assert poly[:2] == [0, 0]
+    assert certify(_system("R(2,3)", 3).sparse, poly)
+    assert not certify(_system("R(2,3)", 3).sparse, poly[1:])
+
+
+@pytest.mark.parametrize("case", [("T(2,4)", 3), ("sigma(3)", 3), ("R(2,4)", 2), ("sigma(2)", 5)])
+def test_degree_cap_refuses_exactly_above_the_degree(case):
+    sys = _system(*case)
+    degree = len(_annihilator(*case)) - 1
+    assert integer_annihilator(sys, degree_cap=degree).degree == degree
+    with pytest.raises(ResourceLimitExceeded):
+        integer_annihilator(sys, degree_cap=degree - 1)

@@ -1,10 +1,14 @@
 """Tests for transfer state systems and their integer annihilators."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from gfrec.cyclotomic import CycInt, root_power
 from gfrec.funcalg import Sigma, parse, tau
-from gfrec.galois import make_field
+from gfrec.galois import make_field, prime_power
+from gfrec.linalg import certify
 from gfrec.limits import ResourceLimitExceeded
 from gfrec.oracle import sum_sequence
 from gfrec.recurrence import IntPolynomial, divides, family_poly, satisfies
@@ -174,6 +178,29 @@ def test_annihilator_blowup_limit():
     sys = build_symmetric_system(3, F3)
     with pytest.raises(ResourceLimitExceeded):
         integer_annihilator(sys, blowup_limit=4)
+
+
+RECORDED = json.loads((Path(__file__).parent / "annihilators.json").read_text())["annihilators"]
+
+
+@pytest.mark.parametrize(
+    "case", RECORDED, ids=["%s-F%d" % (r["expr"], r["field"]) for r in RECORDED]
+)
+def test_annihilator_matches_the_recorded_exact_one(case):
+    field = make_field(*prime_power(case["field"]))
+    sys = system_for(parse(case["expr"]), field)
+    assert [str(c) for c in integer_annihilator(sys).coeffs] == case["coeffs"]
+
+
+def test_large_rotation_annihilator_is_certified():
+    # inflated dim 1458; the exact rational method took minutes here
+    sys = system_for(parse("R(2,4)"), F3)
+    ann = integer_annihilator(sys)
+    assert list(ann.coeffs) == [0, 0, 0, 0, 0, 0, 486, 0, 0, 81, 0, -27, 0, -18, 0, 0, -3, 0, 1]
+    assert certify(sys.sparse, ann.coeffs)
+    seq = run(sys, sys.n_min + 39)
+    assert len(seq) == 40
+    assert satisfies(seq, ann)
 
 
 # ---------------------------------------------------------------------------
