@@ -87,17 +87,31 @@ def poly_divmod(a, b):
 # ---------------------------------------------------------------------------
 # sparse matrices over Z[zeta_p]
 
+def group(keys):
+    """(distinct, inverse) for an int64 array: the distinct keys ascending,
+    and for every key the position of its value among them.  One stable
+    argsort; np.unique does the same but pages in more of numpy."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
 class SparseMatrix:
-    """A square matrix over Z[zeta_p] given by its nonzero entries, row by row.
+    """A matrix over Z[zeta_p] given by its nonzero entries, row by row.
 
     Row i holds the entries k = starts[i] .. starts[i+1]-1, in column cols[k],
     with power-basis coordinates coeffs[k] (an nnz x (p-1) int64 array).  For
-    p = 2 the ring is Z and each entry has a single coordinate.  Products
-    run on a padded layout: every row gets the width of the longest row, and
-    a padding slot reads column 0 with the value 0.
+    p = 2 the ring is Z and each entry has a single coordinate.  Transfer
+    matrices are square; a projection is a single row.  Products run on a
+    padded layout: every row gets the width of the longest row, and a padding
+    slot reads column 0 with the value 0.
     """
 
-    __slots__ = ("p", "starts", "cols", "coeffs", "_width", "_slots", "_gather")
+    __slots__ = ("p", "starts", "cols", "coeffs", "_width", "_slots", "_gather", "_values")
 
     def __init__(self, p, starts, cols, coeffs):
         self.p = p
@@ -109,6 +123,20 @@ class SparseMatrix:
         row = np.repeat(np.arange(len(lengths)), lengths)
         self._slots = row * self._width + np.arange(len(self.cols)) - self.starts[row]
         self._gather = self._padded(self.cols)
+        self._values = {}  # dtype -> (coeffs on the padded layout, products to coordinates)
+
+    @classmethod
+    def from_root_counts(cls, p, dim, rows, cols, exponents):
+        """The dim x dim matrix whose entry (i, j) sums zeta^t over the triples
+        (i, j, t) read off the three equal-length integer arrays.  Entries that
+        sum to zero are dropped; columns ascend within each row."""
+        key, inverse = group(np.asarray(rows, dtype=np.int64) * dim + cols)
+        counts = np.bincount(inverse * p + exponents, minlength=len(key) * p).reshape(-1, p)
+        coeffs = counts[:, : p - 1] - counts[:, p - 1 :]
+        keep = coeffs.any(axis=1)
+        key = key[keep]
+        starts = np.searchsorted(key, np.arange(dim + 1) * dim)
+        return cls(p, starts, key % dim, coeffs[keep])
 
     @classmethod
     def from_rows(cls, p, rows):
@@ -139,6 +167,36 @@ class SparseMatrix:
 
     def _row_sums(self, slots):
         return slots.reshape((self.dim, self._width) + slots.shape[1:]).sum(axis=1)
+
+    def row_norm(self):
+        """Largest row sum of the absolute values of the coordinates."""
+        return int(self._row_sums(self._padded(np.abs(self.coeffs).sum(axis=1))).max(initial=0))
+
+    def times(self, v):
+        """M v exactly.  v holds the power-basis coordinates of a vector, one
+        row per column of M, as an int64 or a dtype=object (Python int) array;
+        the result has M's rows and v's dtype.
+
+        The products of each entry's coordinates with those of the gathered
+        value are summed over the padded row, then mapped to coordinates:
+        a_i b_j lands on zeta^(i+j), and zeta^(p-1) = -(1 + ... + zeta^(p-2)).
+        Every row sum, and every partial sum of a result coordinate, is at
+        most 2 row_norm() max|v| in absolute value, so int64 is exact while
+        that stays below 2^63.
+        """
+        e = self.p - 1
+        cached = self._values.get(v.dtype)
+        if cached is None:
+            exponent = np.add.outer(np.arange(e), np.arange(e)).ravel() % self.p
+            to_coords = (exponent[:, None] == np.arange(e)).astype(np.int64)
+            to_coords[exponent == e] = -1
+            cached = self._values[v.dtype] = (
+                self._padded(self.coeffs).astype(v.dtype)[:, :, None],
+                to_coords.astype(v.dtype),
+            )
+        vals, to_coords = cached
+        products = vals * v[self._gather][:, None, :]
+        return self._row_sums(products.reshape(len(products), e * e)) @ to_coords
 
     def inflated_norm(self):
         """Largest row sum of absolute values of the integer matrix that

@@ -13,9 +13,13 @@ to its trailing window; closing a rotation additionally pins monomials to
 the leading window, and the wrap-around translates turn into the projection
 coefficients.  Symmetric systems decorate the top elementary symmetric
 polynomial with the lower ones; for sigma(2) over a prime field this is the
-quadratic matrix with (j, k) entry zeta^(j(k-j)).  Initial states are sums of
-instantiated expressions, plus decoration monomials where no family
-expression describes them.
+quadratic matrix with (j, k) entry zeta^(j(k-j)).  Initial states are the
+character sums of a base function plus each state's decorations, all folded
+from one enumeration (oracle.decorated_sums).
+
+Builders emit the matrix's nonzeros as a linalg.SparseMatrix, and run steps
+it exactly in numpy on a dim x (p-1) array of power-basis coordinates: in
+int64 while that is provably exact, on Python ints after.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .cyclotomic import CycInt, combination, root_power
+import numpy as np
+
+from .cyclotomic import CycInt, root_power
 from .funcalg import (
     InstantiatedFunction,
     MonomialPattern,
@@ -33,7 +39,6 @@ from .funcalg import (
     Sigma,
     Sum,
     Trapezoid,
-    _accumulate,
     instantiate,
     tau,
 )
@@ -46,7 +51,7 @@ from .limits import (
     ResourceLimitExceeded,
 )
 from .linalg import SparseMatrix, minimal_polynomial
-from .oracle import exp_sum, field_tables
+from .oracle import decorated_sums, exp_sum, field_tables
 from .recurrence import IntPolynomial, Sequence
 
 
@@ -55,7 +60,7 @@ class TransferSystem:
     label: str
     field: object
     states: tuple
-    matrix: tuple  # rows of CycInt entries
+    sparse: SparseMatrix  # the nonzero entries of the matrix
     init: tuple  # state vector at index n0
     projection: tuple
     n0: int
@@ -70,54 +75,72 @@ class TransferSystem:
         return self.n0 + self.shift
 
     @cached_property
-    def sparse(self):
-        """The nonzero entries of the matrix as a linalg.SparseMatrix."""
-        return SparseMatrix.from_rows(
-            self.field.p,
-            (
-                [(j, entry.coeffs) for j, entry in enumerate(row) if any(entry.coeffs)]
-                for row in self.matrix
-            ),
-        )
-
-    @cached_property
-    def rows(self):
-        """(column, entry) pairs of each row's nonzeros, read off the sparse view."""
+    def matrix(self):
+        """The dense matrix, rows of CycInt entries, read off the sparse view."""
         sp = self.sparse
         p = self.field.p
-        cols = sp.cols.tolist()
-        entries = [CycInt(p, c) for c in sp.coeffs.tolist()]
+        zero = CycInt.zero(p)
+        rows = [[zero] * self.dim for _ in range(self.dim)]
         bounds = sp.starts.tolist()
-        return tuple(
-            tuple(zip(cols[a:b], entries[a:b])) for a, b in zip(bounds, bounds[1:])
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            for j, coords in zip(sp.cols[a:b].tolist(), sp.coeffs[a:b].tolist()):
+                rows[i][j] = CycInt(p, coords)
+        return tuple(tuple(row) for row in rows)
+
+    @cached_property
+    def projector(self):
+        """The projection as a one-row SparseMatrix."""
+        return SparseMatrix.from_rows(
+            self.field.p, [[(j, c.coeffs) for j, c in enumerate(self.projection) if not c.is_zero()]]
         )
 
     def __repr__(self):
         return "TransferSystem(%s, dim=%d, n_min=%d)" % (self.label, self.dim, self.n_min)
 
 
+def _coords(values):
+    """The power-basis coordinates of CycInt values, one row each: int64 when
+    every coordinate fits, else Python ints (dtype=object)."""
+    rows = [c.coeffs for c in values]
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
+def _exact(v, norm):
+    """v, moved to Python ints unless every product with a matrix of row norm
+    norm stays exact in int64 (SparseMatrix.times: 2 norm max|v| < 2^63)."""
+    if v.dtype == object:
+        return v
+    big = max(int(v.max(initial=0)), -int(v.min(initial=0)))
+    return v.astype(object) if 2 * norm * big >= 1 << 63 else v
+
+
 def step(sys, v):
-    """Apply the one-variable update to a state vector."""
+    """Apply the one-variable update to a state vector of CycInt."""
     if len(v) != sys.dim:
         raise ValueError("state vector has length %d, expected %d" % (len(v), sys.dim))
+    m = sys.sparse
     p = sys.field.p
-    return [combination(p, ((entry, v[j]) for j, entry in row)) for row in sys.rows]
-
-
-def _project(sys, v):
-    return combination(sys.field.p, zip(sys.projection, v))
+    return [CycInt(p, row) for row in m.times(_exact(_coords(v), m.row_norm())).tolist()]
 
 
 def run(sys, n_target):
     """Projected target values for n = n_min .. n_target, exactly."""
     if n_target < sys.n_min:
         raise ValueError("n_target below the system's first index %d" % sys.n_min)
-    v = list(sys.init)
-    out = [_project(sys, v)]
-    for _ in range(sys.n_min + 1, n_target + 1):
-        v = step(sys, v)
-        out.append(_project(sys, v))
-    return Sequence(sys.n_min, tuple(out), "transfer")
+    m, proj = sys.sparse, sys.projector
+    norm = max(m.row_norm(), proj.row_norm())
+    p = sys.field.p
+    v = _coords(sys.init)
+    out = []
+    while True:
+        v = _exact(v, norm)
+        out.append(CycInt(p, proj.times(v)[0].tolist()))
+        if len(out) > n_target - sys.n_min:
+            return Sequence(sys.n_min, tuple(out), "transfer")
+        v = m.times(v)
 
 
 def run_range(sys, e, n_range):
@@ -137,12 +160,21 @@ def run_range(sys, e, n_range):
 # ---------------------------------------------------------------------------
 # small helpers shared by the builders
 
-def _decorated(g, decorations):
-    """g plus the (monomial, coefficient) decoration terms."""
-    acc = dict(g.terms)
-    for mono, coeff in decorations:
-        _accumulate(acc, mono, coeff)
-    return InstantiatedFunction(g.field, g.n, acc)
+def _monomial(f, n, variables):
+    return InstantiatedFunction(f, n, {frozenset(variables): f.one()})
+
+
+def _grid(q, m):
+    """The q^m coefficient vectors in product(range(q), repeat=m) order, as rows."""
+    return np.indices((q,) * m).reshape(m, -1).T
+
+
+def _index(digits, q):
+    """Row indices in _grid order of the digit arrays (most significant first)."""
+    out = 0
+    for d in digits:
+        out = out * q + d
+    return out
 
 
 def _oracle_gate(sys, e, budget):
@@ -172,28 +204,23 @@ def build_trapezoid_system(k, f, budget=DEFAULT_POINT_BUDGET):
         raise ValueError("need k >= 2")
     p = f.p
     q = f.q
-    one = CycInt.one(p)
-    rows = []
-    for j in range(k):
-        row = [CycInt.zero(p)] * k
-        row[0] = one
-        if j < k - 1:
-            row[j + 1] = CycInt.from_int(p, q - 1)
-        else:
-            row[k - 1] = row[k - 1] + CycInt.from_int(p, -1)
-        rows.append(tuple(row))
-    base = instantiate(tau(k), k, f)
-    init = []
-    for j in range(k):
-        products = [(frozenset(range(s + 1, k + 1)), f.one()) for s in range(1, j + 1)]
-        init.append(exp_sum(_decorated(base, products), budget=budget))
-    projection = [one] + [CycInt.zero(p)] * (k - 1)
+
+    def entry(n):
+        return (n,) + (0,) * (p - 2)
+
+    rows = [[(0, entry(1)), (j + 1, entry(q - 1))] for j in range(k - 1)]
+    rows.append([(0, entry(1)), (k - 1, entry(-1))])
+    # state j carries the products X_(s+1) ... X_k for s = 1 .. j
+    products = [_monomial(f, k, range(s + 1, k + 1)) for s in range(1, k)]
+    upto = np.arange(k)[:, None] >= np.arange(1, k)
+    init = decorated_sums(instantiate(tau(k), k, f), products, upto, budget)
+    projection = [CycInt.one(p)] + [CycInt.zero(p)] * (k - 1)
     states = tuple("b%d" % j for j in range(k))
     sys = TransferSystem(
         label="trapezoid(2..%d)/F_%s" % (k, f.describe()),
         field=f,
         states=states,
-        matrix=tuple(rows),
+        sparse=SparseMatrix.from_rows(p, rows),
         init=tuple(init),
         projection=tuple(projection),
         n0=k,
@@ -258,18 +285,6 @@ def _normalize_patterns(terms, f):
     return out
 
 
-def _chain_function(chain, tail_shapes, head_shapes, alpha, beta, elems):
-    """The instantiated chain plus the tail and head decorations of a state."""
-    n = chain.n
-    tail = [
-        (frozenset(n - d for d in shape), elems[a])
-        for shape, a in zip(tail_shapes, alpha)
-        if a
-    ]
-    head = [(frozenset(shape), elems[b]) for shape, b in zip(head_shapes, beta) if b]
-    return _decorated(chain, tail + head)
-
-
 def _build_window_system(
     e, terms, f, wrap, label, state_limit=DEFAULT_STATE_LIMIT, budget=DEFAULT_POINT_BUDGET
 ):
@@ -292,57 +307,48 @@ def _build_window_system(
         raise ResourceLimitExceeded(
             "%d states exceed the limit of %d" % (dim, state_limit)
         )
-    add, mul, trace = (t.tolist() for t in field_tables(f))
+    add, mul, trace = (t.astype(np.intp) for t in field_tables(f))
 
-    states = list(product(range(q), repeat=nt + nh))
-    state_index = {s: i for i, s in enumerate(states)}
-
-    zero = CycInt.zero(p)
-    rows = [[zero] * dim for _ in range(dim)]
-    for row_i, state in enumerate(states):
-        alpha, beta = state[:nt], state[nt:]
-        for x in range(q):
-            new_alpha = [0] * nt
-            const = 0
-            for j, shape in enumerate(tail_shapes):
-                a = alpha[j]
-                if a == 0:
-                    continue
-                factor = mul[a][x] if 0 in shape else a
-                aged = _age(shape)
-                if aged:
-                    slot = tail_index[aged]
-                    new_alpha[slot] = add[new_alpha[slot]][factor]
-                else:
-                    const = add[const][factor]
-            for c, offsets in patterns:
-                slot = tail_index[_sh1(offsets)]
-                new_alpha[slot] = add[new_alpha[slot]][mul[c.index][x]]
-            col = state_index[tuple(new_alpha) + beta]
-            rows[row_i][col] = rows[row_i][col] + root_power(p, trace[const])
+    # every state (alpha, beta) scatters to q states, one per value x of the
+    # newest variable: arrays below are dim x q
+    grid = _grid(q, nt + nh)
+    x = np.arange(q)
+    new_alpha = [np.zeros((dim, q), dtype=np.intp) for _ in range(nt)]
+    const = np.zeros((dim, q), dtype=np.intp)
+    for j, shape in enumerate(tail_shapes):
+        a = grid[:, j, None]
+        factor = mul[a, x] if 0 in shape else a
+        aged = _age(shape)
+        if aged:
+            slot = tail_index[aged]
+            new_alpha[slot] = add[new_alpha[slot], factor]
+        else:
+            const = add[const, factor]
+    for c, offsets in patterns:
+        slot = tail_index[_sh1(offsets)]
+        new_alpha[slot] = add[new_alpha[slot], mul[c.index, x]]
+    cols = _index(new_alpha + [grid[:, nt + j, None] for j in range(nh)], q)
+    rows = np.repeat(np.arange(dim), q)
+    matrix = SparseMatrix.from_root_counts(p, dim, rows, cols.ravel(), trace[const].ravel())
 
     n0 = 2 * (w - 1) if wrap else w
     shift = (w - 1) if wrap else 0
 
-    elems = f.elements()
     chain = instantiate(
         Sum(tuple(ScalarMul(c.index, Trapezoid(MonomialPattern(o))) for c, o in patterns)),
         n0,
         f,
     )
-    init = [
-        exp_sum(
-            _chain_function(chain, tail_shapes, head_shapes, s[:nt], s[nt:], elems),
-            budget=budget,
-        )
-        for s in states
-    ]
+    decorations = [_monomial(f, n0, (n0 - d for d in shape)) for shape in tail_shapes]
+    decorations += [_monomial(f, n0, shape) for shape in head_shapes]
+    init = decorated_sums(chain, decorations, grid, budget)
 
-    projection = [zero] * dim
+    projection = [CycInt.zero(p)] * dim
     if not wrap:
-        projection[state_index[(0,) * (nt + nh)]] = CycInt.one(p)
+        projection[0] = CycInt.one(p)  # alpha = 0
     else:
         n_ref = n0 + shift
+        add, mul, trace = add.tolist(), mul.tolist(), trace.tolist()
         for y in product(range(q), repeat=w - 1):
             # y[d] is the value index of the variable at position n_ref - d
             alpha = [0] * nt
@@ -372,7 +378,7 @@ def _build_window_system(
                         beta[slot] = add[beta[slot]][coeff]
                     else:
                         const = add[const][coeff]
-            target = state_index[tuple(alpha) + tuple(beta)]
+            target = _index(alpha + beta, q)
             projection[target] = projection[target] + root_power(p, trace[const])
 
     def describe(state):
@@ -385,8 +391,8 @@ def _build_window_system(
     sys = TransferSystem(
         label=label,
         field=f,
-        states=tuple(describe(s) for s in states),
-        matrix=tuple(tuple(r) for r in rows),
+        states=tuple(describe(s) for s in product(range(q), repeat=nt + nh)),
+        sparse=matrix,
         init=tuple(init),
         projection=tuple(projection),
         n0=n0,
@@ -432,32 +438,27 @@ def build_symmetric_system(
         raise ResourceLimitExceeded(
             "%d states exceed the limit of %d" % (dim, state_limit)
         )
-    add, mul, trace = (t.tolist() for t in field_tables(f))
-    states = list(product(range(q), repeat=k - 1))
-    state_index = {s: i for i, s in enumerate(states)}
-    zero = CycInt.zero(p)
-    rows = [[zero] * dim for _ in range(dim)]
-    for row_i, beta in enumerate(states):
-        for x in range(q):
-            # the new top decoration is x + beta_1, and each beta_j shifts
-            # down to beta_j * x + beta_(j+1)
-            image = [add[x][beta[0]]]
-            for j in range(1, k - 1):
-                image.append(add[mul[beta[j - 1]][x]][beta[j]])
-            const = mul[beta[k - 2]][x]
-            col = state_index[tuple(image)]
-            rows[row_i][col] = rows[row_i][col] + root_power(p, trace[const])
-    init = []
-    for beta in states:
-        lower = tuple(ScalarMul(b, Sigma(k - j)) for j, b in enumerate(beta, 1) if b)
-        init.append(exp_sum(instantiate(Sum((Sigma(k),) + lower), k, f), budget=budget))
-    projection = [zero] * dim
-    projection[state_index[(0,) * (k - 1)]] = CycInt.one(p)
+    add, mul, trace = (t.astype(np.intp) for t in field_tables(f))
+    beta = _grid(q, k - 1)
+    x = np.arange(q)
+    # on the value x of the newest variable (arrays are dim x q), the new top
+    # decoration is x + beta_1, and each beta_j shifts down to
+    # beta_j * x + beta_(j+1)
+    image = [add[x, beta[:, 0, None]]]
+    for j in range(1, k - 1):
+        image.append(add[mul[beta[:, j - 1, None], x], beta[:, j, None]])
+    const = mul[beta[:, k - 2, None], x]
+    rows = np.repeat(np.arange(dim), q)
+    matrix = SparseMatrix.from_root_counts(p, dim, rows, _index(image, q).ravel(), trace[const].ravel())
+    lower = [instantiate(Sigma(k - j), k, f) for j in range(1, k)]
+    init = decorated_sums(instantiate(Sigma(k), k, f), lower, beta, budget)
+    projection = [CycInt.zero(p)] * dim
+    projection[0] = CycInt.one(p)  # beta = 0
     sys = TransferSystem(
         label="symmetric(%d)/F_%s" % (k, f.describe()),
         field=f,
-        states=tuple("a%s" % (list(s),) for s in states),
-        matrix=tuple(tuple(r) for r in rows),
+        states=tuple("a%s" % (list(s),) for s in product(range(q), repeat=k - 1)),
+        sparse=matrix,
         init=tuple(init),
         projection=tuple(projection),
         n0=k,

@@ -1,18 +1,35 @@
 """Tests for transfer state systems and their integer annihilators."""
 
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from gfrec.cyclotomic import CycInt, root_power
-from gfrec.funcalg import Sigma, parse, tau
+from gfrec.cyclotomic import CycInt, combination, root_power
+from gfrec.funcalg import (
+    InstantiatedFunction,
+    MonomialPattern,
+    Rotation,
+    ScalarMul,
+    Sigma,
+    Sum,
+    Trapezoid,
+    instantiate,
+    parse,
+    tau,
+)
 from gfrec.galois import make_field, prime_power
 from gfrec.linalg import certify
 from gfrec.limits import ResourceLimitExceeded
-from gfrec.oracle import sum_sequence
-from gfrec.recurrence import IntPolynomial, divides, family_poly, satisfies
+from gfrec.oracle import exp_sum, sum_sequence
+from gfrec.recurrence import IntPolynomial, Sequence, divides, extend, family_poly, satisfies
 from gfrec.transfer import (
+    _head_shapes,
+    _normalize_patterns,
+    _tail_shapes,
     build_quadratic_matrix,
     build_rotation_system,
     build_symmetric_system,
@@ -252,12 +269,156 @@ def _dense_step(sys, v):
 )
 def test_step_equals_dense_product(make):
     sys = make()
-    assert sum(len(row) for row in sys.rows) < sys.dim**2
+    assert sys.sparse.nnz < sys.dim**2
     v = list(sys.init)
     for _ in range(2):
         want = _dense_step(sys, v)
         v = step(sys, v)
         assert v == want
+
+
+FIELDS = {q: make_field(*prime_power(q)) for q in (2, 3, 4, 5, 8, 9)}
+INT64_EXACT = 1 << 63  # run steps in int64 while 2 * row_norm * max|v| stays below this
+
+
+def _past_int64(sys, v):
+    return 2 * sys.sparse.row_norm() * max(abs(c) for x in v for c in x.coeffs) >= INT64_EXACT
+
+
+@st.composite
+def small_systems(draw):
+    """Systems of at most 27 states from every builder, over F_2 .. F_9."""
+    q = draw(st.sampled_from(sorted(FIELDS)))
+    f = FIELDS[q]
+    kind = draw(st.sampled_from(["trapezoid", "symmetric", "T", "R"]))
+    if kind == "trapezoid":
+        return build_trapezoid_system(draw(st.integers(2, 4)), f)
+    if kind == "symmetric":
+        return build_symmetric_system(draw(st.integers(2, 3 if q <= 5 else 2)), f)
+    offsets = st.sampled_from([(2,), (3,), (2, 3), (2, 4), (3, 4)])
+    terms = draw(st.lists(st.tuples(st.integers(1, q - 1), offsets), min_size=1, max_size=2))
+    text = " + ".join("e%d*%s(%s)" % (c, kind, ",".join(map(str, o))) for c, o in terms)
+    try:
+        return system_for(parse(text), f, state_limit=27)
+    except (ResourceLimitExceeded, ValueError):  # too many states, or the terms cancel
+        reject()
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_systems())
+def test_run_equals_the_dense_product_across_the_int64_bound(sys):
+    p = sys.field.p
+    v = list(sys.init)
+    want = [combination(p, zip(sys.projection, v))]
+    crossed = None
+    while crossed is None or len(want) < crossed + 3:
+        v = _dense_step(sys, v)
+        want.append(combination(p, zip(sys.projection, v)))
+        if crossed is None and _past_int64(sys, v):
+            crossed = len(want)
+        assert len(want) < 400, "states never left the int64 range"
+    got = run(sys, sys.n_min + len(want) - 1)
+    assert got.values == tuple(want)
+    assert step(sys, v) == _dense_step(sys, v)
+
+
+def test_quadratic_run_on_both_sides_of_the_int64_bound():
+    # sigma(2) over F_5 satisfies X^10 - 5^5, so extend reproduces the run
+    # from its first ten terms, which are also checked against brute
+    sys = build_symmetric_system(2, F5)
+    seq = run(sys, 60)
+    assert seq.values[:7] == sum_sequence(Sigma(2), F5, range(2, 9)).values
+    poly = family_poly("QUADSYM", field=F5)
+    assert poly.degree == 10
+    assert extend(Sequence(2, seq.values[:10], "transfer"), poly, 60).values == seq.values
+    v = list(sys.init)
+    states = [v]
+    for _ in range(58):
+        v = step(sys, v)
+        states.append(v)
+    assert not _past_int64(sys, states[0])
+    assert _past_int64(sys, states[-1])
+
+
+# ---------------------------------------------------------------------------
+# batched initial states against one character sum per state
+
+def _decorated(g, decorations):
+    terms = dict(g.terms)
+    for mono, coeff in decorations:
+        terms[mono] = terms[mono] + coeff if mono in terms else coeff
+    return InstantiatedFunction(g.field, g.n, terms)
+
+
+def _window_init(e_terms, f, wrap):
+    patterns = _normalize_patterns(e_terms, f)
+    w = max(max(o) for _c, o in patterns)
+    tails = _tail_shapes(patterns)
+    heads = _head_shapes(patterns) if wrap else []
+    n0 = 2 * (w - 1) if wrap else w
+    chain = instantiate(
+        Sum(tuple(ScalarMul(c.index, Trapezoid(MonomialPattern(o))) for c, o in patterns)), n0, f
+    )
+    elems = f.elements()
+    out = []
+    for state in product(range(f.q), repeat=len(tails) + len(heads)):
+        alpha, beta = state[: len(tails)], state[len(tails) :]
+        tail = [(frozenset(n0 - d for d in s), elems[a]) for s, a in zip(tails, alpha) if a]
+        head = [(frozenset(s), elems[b]) for s, b in zip(heads, beta) if b]
+        out.append(exp_sum(_decorated(chain, tail + head)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "text,q", [("T(2,4) + e2*T(3)", 3), ("e2*T(2,3)", 4), ("R(2,3) + R(2)", 2), ("R(2)", 5),
+               ("e3*R(2) + R(3)", 4), ("R(2)", 9)],
+)
+def test_window_initial_states_are_the_per_state_sums(text, q):
+    f = FIELDS[q]
+    e = parse(text)
+    terms = []
+    for part in e.parts if isinstance(e, Sum) else (e,):
+        scaled = isinstance(part, ScalarMul)
+        node = part.expr if scaled else part
+        terms.append((f.from_index(part.scalar_index) if scaled else f.one(), node.pattern.offsets))
+    wrap = isinstance(node, Rotation)
+    assert system_for(e, f).init == _window_init(terms, f, wrap)
+
+
+@pytest.mark.parametrize("k,q", [(2, 2), (3, 3), (2, 8), (3, 4), (4, 2)])
+def test_symmetric_initial_states_are_the_per_state_sums(k, q):
+    f = FIELDS[q]
+    want = []
+    for beta in product(range(q), repeat=k - 1):
+        lower = tuple(ScalarMul(b, Sigma(k - j)) for j, b in enumerate(beta, 1) if b)
+        want.append(exp_sum(instantiate(Sum((Sigma(k),) + lower), k, f)))
+    assert build_symmetric_system(k, f).init == tuple(want)
+
+
+@pytest.mark.parametrize("k,q", [(2, 3), (3, 4), (4, 5), (5, 2), (3, 9)])
+def test_trapezoid_initial_states_are_the_per_state_sums(k, q):
+    f = FIELDS[q]
+    base = instantiate(tau(k), k, f)
+    want = tuple(
+        exp_sum(_decorated(base, [(frozenset(range(s + 1, k + 1)), f.one()) for s in range(1, j + 1)]))
+        for j in range(k)
+    )
+    assert build_trapezoid_system(k, f).init == want
+
+
+def test_initial_states_take_the_point_budget_once():
+    # 2^4 points at n0 = 4 against 2^4 states: the 2^5 bins of a joint
+    # histogram over all decorations are never counted against the budget
+    e = parse("T(2,4) + T(3)")
+    sys = system_for(e, F2, budget=16)
+    assert (sys.dim, sys.n0) == (16, 4)
+    _assert_matches_brute(sys, e, F2, 10)
+    with pytest.raises(ResourceLimitExceeded) as info:
+        system_for(e, F2, budget=15)
+    assert str(info.value) == (
+        "enumeration of 2^4 points exceeds the budget of 15; "
+        "consider the transfer or recurrence methods"
+    )
 
 
 # ---------------------------------------------------------------------------
