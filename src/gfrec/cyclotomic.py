@@ -25,7 +25,7 @@ class CycInt:
             if not is_prime(p):
                 raise ValueError("root order must be prime, got %r" % (p,))
             _PRIME_ORDERS.add(p)
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(int, coeffs))
         if len(coeffs) != p - 1:
             raise ValueError("expected %d coordinates, got %d" % (p - 1, len(coeffs)))
         self.p = p

@@ -1,10 +1,10 @@
 """Exact linear algebra (internal helpers).
 
-Gauss elimination over the rationals, polynomial helpers on ascending
+Linear solving over the rationals, polynomial helpers on ascending
 coefficient lists, the sparse matrix type over Z[zeta_p], and the certified
-minimal polynomial of such a matrix.  Every result is exact: elimination
-works in fractions.Fraction, and the minimal polynomial is computed modulo
-word-sized primes and then proved over Z[zeta_p].
+minimal polynomial of such a matrix.  Every result is exact: elimination is
+fraction-free on Python ints (Bareiss), and the minimal polynomial is
+computed modulo word-sized primes and then proved over Z[zeta_p].
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import count
+from math import lcm
 
 import numpy as np
 
@@ -19,42 +20,49 @@ from .galois import is_prime
 from .limits import ResourceLimitExceeded
 
 
+def _integer_row(entries):
+    """A rational row scaled by the lcm of its denominators."""
+    if all(isinstance(x, int) for x in entries):
+        return entries
+    entries = [Fraction(x) for x in entries]
+    den = lcm(*(x.denominator for x in entries))
+    return [x.numerator * (den // x.denominator) for x in entries]
+
+
 def solve_with_free_zero(rows, rhs):
-    """Solve A c = b exactly by Gauss elimination.
+    """Solve A c = b exactly by fraction-free (Bareiss) Gauss-Jordan elimination.
 
     Returns (solution, True) with free variables set to zero, or
-    (None, False) when the system is inconsistent.
+    (None, False) when the system is inconsistent.  Rows are scaled to
+    integers first; every later entry is a minor, so each division by the
+    previous pivot is exact and all pivots end equal to the last, D.  The
+    solution is the reduced row echelon one, rhs / D on the pivot rows.
     """
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    aug = [[Fraction(x) for x in rows[i]] + [Fraction(rhs[i])] for i in range(m)]
+    ncols = len(rows[0]) if len(rows) else 0
+    aug = [r for r in (_integer_row(list(a) + [b]) for a, b in zip(rows, rhs)) if any(r)]
     pivots = []
+    prev = 1
     row = 0
     for col in range(ncols):
-        pivot = None
-        for i in range(row, m):
-            if aug[i][col] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(row, len(aug)) if aug[i][col]), None)
         if pivot is None:
             continue
         aug[row], aug[pivot] = aug[pivot], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[row])]
+        top = aug[row]
+        pv = top[col]
+        for i, r in enumerate(aug):
+            f = r[col]
+            if i == row or (not f and pv == prev):
+                continue
+            aug[i] = [(pv * a - f * b) // prev for a, b in zip(r, top)]
+        prev = pv
         pivots.append(col)
         row += 1
-        if row == m:
-            break
-    for i in range(row, m):
-        if aug[i][ncols] != 0:
-            return None, False
+    if any(r[ncols] for r in aug[row:]):
+        return None, False
     solution = [Fraction(0)] * ncols
     for i, col in enumerate(pivots):
-        solution[col] = aug[i][ncols]
+        solution[col] = Fraction(aug[i][ncols], prev)
     return solution, True
 
 

@@ -433,9 +433,7 @@ def sum_sequence(
             raise ValueError("recurrence method needs poly= and init=")
         if len(n_range) == 0:
             return Sequence(start, (), "recurrence")
-        full = extend(init, poly, n_range.stop - 1)
-        if start < full.n_min:
-            raise ValueError("initial data starts at n=%d" % full.n_min)
+        full = extend(extend(init, poly, start), poly, n_range.stop - 1)
         lo = start - full.n_min
         return Sequence(start, full.values[lo : lo + len(n_range)], "recurrence")
     raise ValueError("unknown method %r" % (method,))

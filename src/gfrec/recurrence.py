@@ -3,16 +3,19 @@
 A polynomial c_0 + c_1 X + ... + c_d X^d annihilates a sequence s when
 sum_j c_j s(n + j) = 0 for every window start n.  Sequences carry their
 cyclotomic integer values together with the first index they cover.
+Checking, extension and discovery work on their power-basis coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
+from operator import add, itemgetter, mul
 
 from . import linalg
-from .cyclotomic import combination
+from .cyclotomic import CycInt
 
 
 class InsufficientDataError(ValueError):
@@ -206,6 +209,43 @@ def family_poly(family, k=None, field=None):
 
 # ---------------------------------------------------------------------------
 # checking, extending, discovering
+#
+# Integer coefficients act on Z[zeta_p] coordinate by coordinate, so an
+# integer recurrence over Z[zeta_p] is p - 1 independent integer ones: the
+# kernels below run on the power-basis coordinate columns, lists of ints.
+
+def _columns(values):
+    """The power-basis coordinates of the values, one list per coordinate."""
+    return [list(col) for col in zip(*(v.coeffs for v in values))]
+
+
+def _holds(cols, coeffs):
+    """Whether sum_j coeffs[j] * col[n + j] = 0 on every full window of every column."""
+    count = len(cols[0]) - len(coeffs) + 1
+    for col in cols:
+        acc = [0] * count
+        for j, c in enumerate(coeffs):
+            if c:
+                acc = list(map(add, acc, [c * x for x in col[j : j + count]]))
+        if any(acc):
+            return False
+    return True
+
+
+def _forward(col, coeffs, count):
+    """Append count terms to col by the monic recurrence, on its nonzero taps."""
+    d = len(coeffs) - 1
+    taps = [(j - d, -c) for j, c in enumerate(coeffs[:d]) if c] or [(-1, 0)]  # X^d: all zero
+    if len(taps) == 1:
+        ((off, c),) = taps
+        for _ in range(count):
+            col.append(c * col[off])
+        return
+    window = itemgetter(*(off for off, _ in taps))
+    cs = [c for _, c in taps]
+    for _ in range(count):
+        col.append(sum(map(mul, cs, window(col))))
+
 
 def satisfies(seq, poly):
     """Exact check of the recurrence on every full window of the sequence."""
@@ -215,11 +255,7 @@ def satisfies(seq, poly):
             "need at least %d terms to test a degree-%d recurrence, have %d"
             % (d + 1, d, len(seq))
         )
-    p = seq.values[0].p
-    for start in range(len(seq) - d):
-        if not combination(p, zip(poly.coeffs, seq.values[start : start + d + 1])).is_zero():
-            return False
-    return True
+    return _holds(_columns(seq.values), poly.coeffs)
 
 
 def extend(init, poly, n_target):
@@ -231,40 +267,39 @@ def extend(init, poly, n_target):
     if not poly.monic:
         raise ValueError("extension needs a monic polynomial")
     d = poly.degree
-    if len(init) < d:
+    if len(init) < max(d, 1):
         raise InsufficientDataError(
-            "need at least %d initial terms, have %d" % (d, len(init))
+            "need at least %d initial terms, have %d" % (max(d, 1), len(init))
         )
-    values = list(init.values)
-    n_min = init.n_min
     p = init.values[0].p
-    while n_min + len(values) - 1 < n_target:
-        values.append(-combination(p, zip(poly.coeffs[:d], values[-d:])))
-    while n_min > n_target:
-        c0 = poly.coeffs[0]
-        if c0 == 0:
-            raise ValueError("constant term zero, cannot step backward")
-        values.insert(0, (-combination(p, zip(poly.coeffs[1:], values))).divide_exact(c0))
-        n_min -= 1
-    return Sequence(n_min, tuple(values), "recurrence")
-
-
-def _component_rows(values, start, count):
-    """Stack cyclotomic coordinates of a value window into integer rows."""
-    ncomp = len(values[0].coeffs)
-    rows = []
-    for comp in range(ncomp):
-        rows.append([values[start + i].coeffs[comp] for i in range(count)])
-    return rows
+    cols = _columns(init.values)
+    if n_target >= init.n_end:
+        for col in cols:
+            _forward(col, poly.coeffs, n_target - init.n_end + 1)
+        fresh = tuple(CycInt(p, coords) for coords in islice(zip(*cols), len(init), None))
+        return Sequence(init.n_min, init.values + fresh, "recurrence")
+    c0 = poly.coeffs[0]
+    if n_target < init.n_min and c0 == 0:
+        raise ValueError("constant term zero, cannot step backward")
+    # the columns reversed, so stepping back appends: c_0 s(m) = -sum_{j>0} c_j r[-j]
+    rev = [col[:d][::-1] for col in cols]
+    fresh = []
+    for _ in range(init.n_min - n_target):
+        num = [-sum(c * r[-j] for j, c in enumerate(poly.coeffs) if j and c) for r in rev]
+        fresh.append(CycInt(p, num).divide_exact(c0))
+        for r, x in zip(rev, fresh[-1].coeffs):
+            r.append(x)
+    return Sequence(min(init.n_min, n_target), tuple(reversed(fresh)) + init.values, "recurrence")
 
 
 def discover(seq, max_order, holdout=None):
     """Find the least-order monic recurrence fitted on a prefix and validated
     exactly on held-out terms.
 
-    The fit solves for rational coefficients on all prefix windows; the
-    result is cleared to integer coefficients (scaling by the common
-    denominator when the monic fit is not integral).
+    Every order's fit is one integer system: each coordinate column gives
+    one row per prefix window.  Its rational solution is cleared to integer
+    coefficients (scaling by the common denominator when the monic fit is
+    not integral).
     """
     if holdout is None:
         holdout = max_order
@@ -277,26 +312,17 @@ def discover(seq, max_order, holdout=None):
             % (needed, len(seq))
         )
     fit_len = len(seq) - holdout
-    values = seq.values
-    ncomp = len(values[0].coeffs)
+    cols = _columns(seq.values)
     for order in range(1, max_order + 1):
-        rows = []
-        rhs = []
-        for start in range(fit_len - order):
-            window = _component_rows(values, start, order + 1)
-            for comp in range(ncomp):
-                rows.append(window[comp][:order])
-                rhs.append(-window[comp][order])
+        starts = range(fit_len - order)
+        rows = [col[s : s + order] for col in cols for s in starts]
+        rhs = [-col[s + order] for col in cols for s in starts]
         solution, ok = linalg.solve_with_free_zero(rows, rhs)
         if not ok:
             continue
-        denom = 1
-        for c in solution:
-            denom = lcm(denom, c.denominator)
-        ints = [int(c * denom) for c in solution] + [denom]
-        candidate = IntPolynomial(ints)
-        full = Sequence(seq.n_min, values, seq.provenance)
-        if satisfies(full, candidate):
+        denom = lcm(*(c.denominator for c in solution))
+        candidate = IntPolynomial([c.numerator * (denom // c.denominator) for c in solution] + [denom])
+        if _holds(cols, candidate.coeffs):
             return candidate
     raise NoRecurrenceError(
         "no recurrence of order <= %d validates on the held-out terms" % max_order

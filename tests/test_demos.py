@@ -1,8 +1,7 @@
 """The walk-through scripts under demos/ run to completion.
 
 Each demo asserts its own agreements (transfer against enumeration, stated
-polynomials against the sums), so a clean exit is the check.  The slower
-discovering_recurrences demo is left out.
+polynomials against the sums), so a clean exit is the check.
 """
 
 import os
@@ -16,7 +15,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "name", ["rotation_blocks", "symmetric_and_quadratic", "trapezoid_recurrences"]
+    "name",
+    ["discovering_recurrences", "rotation_blocks", "symmetric_and_quadratic", "trapezoid_recurrences"],
 )
 def test_demo_runs(name):
     env = dict(os.environ)

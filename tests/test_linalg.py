@@ -49,6 +49,84 @@ def test_solve_is_exact():
     assert sol == [Fraction(1, 2)]
 
 
+def _reference_solve(rows, rhs):
+    """Gauss-Jordan on fractions.Fraction, free variables zero: the reference."""
+    m = len(rows)
+    ncols = len(rows[0]) if m else 0
+    aug = [[Fraction(x) for x in rows[i]] + [Fraction(rhs[i])] for i in range(m)]
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(row, m) if aug[i][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        pv = aug[row][col]
+        aug[row] = [x / pv for x in aug[row]]
+        for i in range(m):
+            if i != row and aug[i][col] != 0:
+                factor = aug[i][col]
+                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[row])]
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    if any(aug[i][ncols] != 0 for i in range(row, m)):
+        return None, False
+    solution = [Fraction(0)] * ncols
+    for i, col in enumerate(pivots):
+        solution[col] = aug[i][ncols]
+    return solution, True
+
+
+@st.composite
+def linear_systems(draw):
+    """Small integer or rational systems: some rank-deficient, with zero
+    columns, single rows or no columns; right sides consistent or not."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        entry = st.integers(-5, 5)
+    else:
+        entry = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    for col in draw(st.sets(st.integers(0, n - 1), max_size=2)) if n else ():
+        for r in rows:
+            r[col] = 0
+    if m > 2 and draw(st.booleans()):  # a dependent row
+        a, b = draw(entry), draw(entry)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    if draw(st.booleans()):  # consistent: b = A x
+        x = [draw(entry) for _ in range(n)]
+        rhs = [sum((a * c for a, c in zip(r, x)), Fraction(0)) for r in rows]
+    else:
+        rhs = [draw(entry) for _ in range(m)]
+    return rows, rhs
+
+
+@settings(max_examples=100, deadline=None)
+@given(linear_systems())
+def test_solve_matches_fraction_gauss_jordan(system):
+    rows, rhs = system
+    got = solve_with_free_zero(rows, rhs)
+    assert got == _reference_solve(rows, rhs)
+    sol, ok = got
+    if ok:
+        assert all(isinstance(c, Fraction) for c in sol)
+        assert all(sum(a * c for a, c in zip(r, sol)) == b for r, b in zip(rows, rhs))
+
+
+def test_solve_edge_cases():
+    assert solve_with_free_zero([], []) == ([], True)
+    assert solve_with_free_zero([[], []], [0, 0]) == ([], True)
+    assert solve_with_free_zero([[], []], [0, 1]) == (None, False)
+    assert solve_with_free_zero([[0, 0]], [0]) == ([0, 0], True)
+    # rational rows are scaled, not truncated: x/2 + y/3 = 1/6 and x = 1
+    third = Fraction(1, 3)
+    sol, ok = solve_with_free_zero([[Fraction(1, 2), third], [1, 0]], [Fraction(1, 6), 1])
+    assert ok and sol == [1, -1]
+
+
 def test_poly_helpers():
     assert poly_trim([1, 2, 0, 0]) == [1, 2]
     assert poly_trim([0]) == []

@@ -34,7 +34,7 @@ from gfrec.oracle import (
     trace_counts,
     weight,
 )
-from gfrec.recurrence import IntPolynomial
+from gfrec.recurrence import IntPolynomial, Sequence
 
 
 def _slow_counts(g):
@@ -282,6 +282,24 @@ def test_sum_sequence_recurrence_method():
     assert seq.values == brute.values
     with pytest.raises(ValueError):
         sum_sequence(tau(3), f2, range(6, 12), method="recurrence")
+
+
+def test_sum_sequence_recurrence_method_extends_backward():
+    # the range may start before the initial data when stepping back is integral
+    f2 = make_field(2)
+    fib = Sequence(5, tuple(CycInt.from_int(2, v) for v in (1, 1, 2, 3, 5, 8, 13)), "test")
+    poly = IntPolynomial([-1, -1, 1])
+    before = sum_sequence(tau(3), f2, range(3, 5), method="recurrence", poly=poly, init=fib)
+    assert (before.n_min, before.as_integers()) == (3, [1, 0])
+    across = sum_sequence(tau(3), f2, range(3, 8), method="recurrence", poly=poly, init=fib)
+    assert (across.n_min, across.as_integers()) == (3, [1, 0, 1, 1, 2])
+    around = sum_sequence(tau(3), f2, range(1, 14), method="recurrence", poly=poly, init=fib)
+    assert around.as_integers() == [2, -1, 1, 0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
+    with pytest.raises(ValueError, match="^non-integral division"):
+        sum_sequence(
+            tau(3), f2, range(0, 3), method="recurrence",
+            poly=IntPolynomial([-2, 1]), init=Sequence(1, (CycInt.from_int(2, 3),), "test"),
+        )
 
 
 def test_sum_sequence_validation():

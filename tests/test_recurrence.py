@@ -1,8 +1,10 @@
 """Tests for recurrence checking, extension, discovery and named families."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gfrec.cyclotomic import CycInt, root_power
+from gfrec.cyclotomic import CycInt, combination, root_power
 from gfrec.galois import make_field
 from gfrec.recurrence import (
     FAMILIES,
@@ -223,3 +225,108 @@ def test_discover_needs_enough_terms():
     assert discover(iseq([1, 1, 2, 3, 5]), 2, holdout=1) == IntPolynomial([-1, -1, 1])
     with pytest.raises(ValueError):
         discover(iseq([1, 2, 3]), 0)
+
+
+def test_extend_needs_an_initial_term():
+    empty = Sequence(0, (), "test")
+    with pytest.raises(InsufficientDataError):
+        extend(empty, IntPolynomial([1]), 3)
+    with pytest.raises(InsufficientDataError):
+        extend(empty, IntPolynomial([-1, -1, 1]), 3)
+
+
+# ---------------------------------------------------------------------------
+# the coordinate-column kernels against one combination per term
+
+def _reference_extend(init, poly, n_target):
+    """Term-by-term extension on CycInt values, one combination per term."""
+    d = poly.degree
+    values = list(init.values)
+    n_min = init.n_min
+    p = values[0].p
+    while n_min + len(values) - 1 < n_target:
+        values.append(-combination(p, zip(poly.coeffs[:d], values[-d:] if d else [])))
+    while n_min > n_target:
+        c0 = poly.coeffs[0]
+        if c0 == 0:
+            raise ValueError("constant term zero, cannot step backward")
+        values.insert(0, (-combination(p, zip(poly.coeffs[1:], values))).divide_exact(c0))
+        n_min -= 1
+    return Sequence(n_min, tuple(values), "recurrence")
+
+
+def _reference_satisfies(seq, poly):
+    d = poly.degree
+    p = seq.values[0].p
+    return all(
+        combination(p, zip(poly.coeffs, seq.values[s : s + d + 1])).is_zero()
+        for s in range(len(seq) - d)
+    )
+
+
+@st.composite
+def monic_recurrences(draw):
+    """(p, monic polynomial, initial sequence): sparse or dense taps, p in 2, 3, 5, 7."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    d = draw(st.integers(0, 6))
+    if draw(st.booleans()):  # dense: every lower coefficient nonzero
+        lower = draw(st.lists(st.integers(-4, 4).filter(bool), min_size=d, max_size=d))
+    else:  # sparse: one or two taps
+        lower = [0] * d
+        for j in draw(st.lists(st.integers(0, max(d - 1, 0)), max_size=2)) if d else []:
+            lower[j] = draw(st.integers(-4, 4))
+    if d and draw(st.booleans()):  # a unit constant term steps back integrally
+        lower[0] = draw(st.sampled_from([1, -1]))
+    coord = st.integers(-50, 50)
+    count = draw(st.integers(max(d, 1), d + 3))
+    values = [CycInt(p, draw(st.lists(coord, min_size=p - 1, max_size=p - 1))) for _ in range(count)]
+    return IntPolynomial(lower + [1]), Sequence(draw(st.integers(-3, 3)), tuple(values), "test")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(monic_recurrences(), st.integers(-8, 40))
+def test_extend_matches_the_term_by_term_loop(case, offset):
+    poly, init = case
+    n_target = init.n_min + offset
+    got = _outcome(extend, init, poly, n_target)
+    assert got == _outcome(_reference_extend, init, poly, n_target)
+    if isinstance(got, Sequence):
+        assert got.n_min == min(init.n_min, n_target)
+
+
+@settings(max_examples=100, deadline=None)
+@given(monic_recurrences(), st.integers(0, 12), st.data())
+def test_satisfies_matches_the_term_by_term_loop(case, more, data):
+    poly, init = case
+    seq = extend(init, poly, init.n_end - 1 + more)
+    if len(seq) > poly.degree and data.draw(st.booleans()):  # perturb one coordinate
+        values = list(seq.values)
+        i = data.draw(st.integers(0, len(values) - 1))
+        coords = list(values[i].coeffs)
+        coords[data.draw(st.integers(0, len(coords) - 1))] += data.draw(st.integers(1, 3))
+        values[i] = CycInt(values[i].p, coords)
+        seq = Sequence(seq.n_min, tuple(values), "test")
+    if len(seq) <= poly.degree:
+        with pytest.raises(InsufficientDataError):
+            satisfies(seq, poly)
+        return
+    assert satisfies(seq, poly) == _reference_satisfies(seq, poly)
+
+
+def test_extend_backward_non_integral_message():
+    # 2 s(n) = s(n + 1) - s(n + 2): s(1) = (-1, -2), then 2 s(0) = (-2, -3)
+    poly = IntPolynomial([2, -1, 1])
+    init = Sequence(2, (CycInt(3, (1, 1)), CycInt(3, (3, 5))), "test")
+    assert extend(init, poly, 1).values[0] == CycInt(3, (-1, -2))
+    message = "non-integral division of CycInt(p=3, [-2, -3]) by 2"
+    for fn in (extend, _reference_extend):
+        with pytest.raises(ValueError) as info:
+            fn(init, poly, 0)
+        assert str(info.value) == message

@@ -1,0 +1,69 @@
+"""Brute enumeration, transfer stepping and recurrence extension agree.
+
+One hypothesis property over random trapezoid and rotation combinations
+(patterns of width at most 4, unit scalars) and sigma(k), over F_2, F_3,
+F_4, F_5, F_8 and F_9.  For every drawn family the transfer run equals
+brute force wherever enumeration is cheap, the integer annihilator (whose
+certificate runs on every drawn system) annihilates the run, extending its
+first terms by the annihilator reproduces the run, and `discover` finds a
+divisor of the annihilator.
+"""
+
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+from gfrec.funcalg import parse
+from gfrec.galois import make_field, prime_power
+from gfrec.limits import ResourceLimitExceeded
+from gfrec.oracle import sum_sequence
+from gfrec.recurrence import Sequence, discover, divides, extend, satisfies
+from gfrec.transfer import integer_annihilator, run, system_for
+
+FIELDS = {q: make_field(*prime_power(q)) for q in (2, 3, 4, 5, 8, 9)}
+PATTERNS = [(2,), (3,), (4,), (2, 3), (2, 4), (3, 4), (2, 3, 4)]
+BRUTE_POINTS = 5000  # enumerate n while q^n stays within this
+STATE_LIMIT = 81
+DEGREE_CAP = 24  # discover's cost grows about with the cube of the order
+
+
+@st.composite
+def families(draw):
+    """A family and a field whose system has at most about STATE_LIMIT states:
+    q^(k-1) for sigma(k), q^(w-1) for trapezoids and q^(2(w-1)) for rotations
+    of width w."""
+    q = draw(st.sampled_from(sorted(FIELDS)))
+    kind = draw(st.sampled_from(["T", "R", "sigma"]))
+    if kind == "sigma":
+        text = "sigma(%d)" % draw(st.sampled_from([k for k in (2, 3, 4) if q ** (k - 1) <= STATE_LIMIT]))
+    else:
+        span = 1 if kind == "T" else 2
+        fits = [o for o in PATTERNS if q ** (span * (max(o) - 1)) <= STATE_LIMIT]
+        terms = draw(st.lists(st.tuples(st.integers(1, q - 1), st.sampled_from(fits)), min_size=1, max_size=2))
+        text = " + ".join("e%d*%s(%s)" % (c, kind, ",".join(map(str, o))) for c, o in terms)
+    return text, FIELDS[q]
+
+
+@settings(max_examples=100, deadline=None)
+@given(families())
+def test_brute_transfer_and_recurrence_agree(family):
+    text, f = family
+    e = parse(text)
+    try:
+        sys = system_for(e, f, state_limit=STATE_LIMIT)
+        ann = integer_annihilator(sys, degree_cap=DEGREE_CAP)
+    except (ResourceLimitExceeded, ValueError):  # too many states or too high a degree, or the terms cancel
+        reject()
+    d = ann.degree
+    hi = max(sys.n_min, e.min_n())
+    while f.q ** (hi + 1) <= BRUTE_POINTS:
+        hi += 1
+    brute = sum_sequence(e, f, range(sys.n_min, hi + 1))
+    seq = run(sys, max(hi, sys.n_min + 3 * d + 2))
+    assert seq.values[: len(brute)] == brute.values
+    if len(brute) > d:
+        assert satisfies(brute, ann)
+
+    assert satisfies(seq, ann)
+    prefix = Sequence(seq.n_min, seq.values[:d], "transfer")
+    assert extend(prefix, ann, seq.n_end - 1).values == seq.values
+    assert divides(discover(seq, max_order=d), ann)
