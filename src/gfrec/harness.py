@@ -16,13 +16,11 @@ import time
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-import numpy as np
-
 from .cyclotomic import CycInt, combination, root_power
 from .funcalg import InstantiatedFunction, consecutive_rotation, instantiate, parse, tau
 from .galois import make_field, prime_power
 from .numtheory import eigen_check, eisenstein_dumas, gauss_sum, hadamard_check, legendre
-from .oracle import exp_sum, field_tables, joint_counts, sum_sequence
+from .oracle import decorated_sums, sum_sequence
 from .recurrence import IntPolynomial, Sequence, discover, divides, family_poly, satisfies
 from . import transfer
 
@@ -118,18 +116,7 @@ def _max_n(q, cap):
 
 
 class _Ctx:
-    """Per-run scratch: profile caps, field cache, shared brute tables."""
-
-    # trapezoid degrees wanted per field size, so a single enumeration per
-    # n can serve every criterion that needs these sums
-    TRAP_KS = {
-        2: (2, 3, 4, 5),
-        3: (2, 3, 4),
-        4: (2, 3, 4),
-        5: (2, 3, 4, 5),
-        8: (2, 3, 4),
-        9: (2, 3, 4),
-    }
+    """Per-run scratch: profile caps, field cache, shared brute sequences."""
 
     def __init__(self, profile):
         if profile not in ("quick", "full"):
@@ -149,34 +136,11 @@ class _Ctx:
         return min(n, _max_n(q, self.cap))
 
     def trap_sums(self, f, k, n_hi):
-        """Brute S(T(2..kk)(n)) sequences, one shared enumeration per n."""
-        q = f.q
-        ks = [kk for kk in sorted(set(self.TRAP_KS.get(q, ())) | {k}) if kk <= n_hi]
-        key = (f.describe(), n_hi)
-        if key not in self._trap or k not in self._trap[key]:
-            table = {kk: [] for kk in ks}
-            for n in range(min(ks), n_hi + 1):
-                active = [kk for kk in ks if kk <= n]
-                if q == 2:
-                    for kk in active:
-                        table[kk].append(
-                            exp_sum(instantiate(tau(kk), n, f))
-                        )
-                    continue
-                funcs = [instantiate(tau(kk), n, f) for kk in active]
-                counts = joint_counts(funcs)
-                _add, _mul, trace = field_tables(f)
-                for axis, kk in enumerate(active):
-                    other = tuple(a for a in range(len(active)) if a != axis)
-                    marg = counts.sum(axis=other) if other else counts
-                    root_counts = [0] * f.p
-                    for e in range(q):
-                        root_counts[int(trace[e])] += int(marg[e])
-                    table[kk].append(CycInt.from_root_counts(f.p, root_counts))
-            self._trap[key] = {
-                kk: Sequence(kk, tuple(vals), "brute") for kk, vals in table.items()
-            }
-        return self._trap[key][k]
+        """Brute S(T(2..k)(n)) for n = k..n_hi, computed once per run."""
+        key = (f.describe(), k, n_hi)
+        if key not in self._trap:
+            self._trap[key] = sum_sequence(tau(k), f, range(k, n_hi + 1))
+        return self._trap[key]
 
 
 def _fmt_poly(poly):
@@ -268,21 +232,15 @@ def _decoration_products(f, n, k):
 def _check_c5(ctx):
     for q in (3, 4, 5, 9):
         f = ctx.field(q)
-        add, mul, trace = field_tables(f)
         for k in (3, 4):
             for n in range(k, min(k + 3, _max_n(q, ctx.cap)) + 1):
-                funcs = [instantiate(tau(k), n, f)] + _decoration_products(f, n, k)
-                counts = joint_counts(funcs)
-                flat = counts.reshape(-1)
-                cells = np.array(list(np.ndindex(counts.shape)), dtype=np.int64)
+                # every coefficient vector of the k-1 products, in product order
+                sums = decorated_sums(instantiate(tau(k), n, f), _decoration_products(f, n, k))
                 reference = {}
                 for j in range(1, k):
                     for beta in iproduct(range(1, q), repeat=j):
-                        val = cells[:, 0]
-                        for s, b in enumerate(beta):
-                            val = add[val, mul[b, cells[:, s + 1]]]
-                        root_counts = np.bincount(trace[val], weights=flat, minlength=f.p)
-                        s_val = CycInt.from_root_counts(f.p, [int(c) for c in root_counts])
+                        # j unit coefficients followed by k-1-j zeros
+                        s_val = sums[sum(b * q ** (k - 2 - s) for s, b in enumerate(beta))]
                         if j not in reference:
                             reference[j] = s_val
                         elif s_val != reference[j]:

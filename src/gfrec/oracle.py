@@ -14,7 +14,6 @@ import numpy as np
 
 from .cyclotomic import CycInt
 from .limits import DEFAULT_POINT_BUDGET, ResourceLimitExceeded
-from .linalg import group
 from .recurrence import Sequence
 
 _BLOCK_POINTS = 1 << 15  # points per block of the generic kernel; its buffers stay in cache
@@ -304,60 +303,40 @@ def exp_sum(g, f=None, budget=DEFAULT_POINT_BUDGET):
     return CycInt.from_root_counts(g.field.p, counts)
 
 
-_FOLD_ELEMENTS = 1 << 20  # (row, bin) exponents folded at once by decorated_sums
+def decorated_sums(base, decorations, budget=DEFAULT_POINT_BUDGET):
+    """The character sums S(base + sum_j c_j decorations[j]) for every c in
+    F_q^m, in product(range(q), repeat=m) order, as cyclotomic integers.
 
-
-def decorated_sums(base, decorations, coeffs, budget=DEFAULT_POINT_BUDGET):
-    """The character sums S(base + sum_j c_j decorations[j]) for every row c of
-    coeffs, as a list of cyclotomic integers.
-
-    coeffs is a 2-d integer array of field element indices with one column per
-    decoration; all functions share base's field and variable count n, and
-    the q^n points count against the budget once.  They are enumerated once,
-    into the joint histogram of Tr(base) and the decoration values v (its
-    nonzero bins only, merged block by block).  Tr is additive, so on a bin
-    a row's exponent is Tr(base) + sum_j Tr(c_j v_j), read from the field
-    tables; rows are folded in chunks of at most _FOLD_ELEMENTS (row, bin)
-    pairs.
+    All functions share base's field and variable count n, and the q^n
+    points count against the budget once.  They are enumerated once, into
+    the dense joint histogram h[t, v] of t = Tr(base) and the decoration
+    values v.  Tr is additive, so the sums are the additive-character
+    transform of h, taken one decoration axis at a time:
+    out[t, c] = sum_v h[(t - Tr(c v)) mod p, v], one gather through the
+    Tr(c v) table and one sum.  Every column of the result sums to
+    q^n <= budget, so int64 stays exact; callers bound q^m by their state
+    limit, and the table holds p q^m bins.
     """
-    field, n, m = base.field, base.n, len(decorations)
-    _check_budget(field, n, budget)
+    field, m = base.field, len(decorations)
+    _check_budget(field, base.n, budget)
     p, q = field.p, field.q
-    if p * q**m >= 1 << 63:
-        raise ValueError("%d decorations over F_%d overflow the bin keys" % (m, q))
     _add, mul, trace = field_tables(field)
     blocks = _BlockValues([base] + list(decorations))
-    key = size = np.zeros(0, dtype=np.int64)
+    hist = np.zeros(p * q**m, dtype=np.int64)
     for block in range(blocks.count):
         vals = blocks.values(block)
-        # a bin is Tr(base) q^m + sum_j v_j q^(m-1-j)
-        points = trace[vals[0]].astype(np.int64)
+        key = trace[vals[0]].astype(np.intp)  # Tr(base) q^m + sum_j v_j q^(m-1-j)
         for val in vals[1:]:
-            points *= q
-            points += val
-        bins, inverse = group(points)
-        counts = np.bincount(inverse)
-        merged, inverse = group(np.concatenate((key, bins)))
-        total = np.zeros(len(merged), dtype=np.int64)
-        total[inverse[: len(key)]] = size  # key and bins each hold distinct values
-        total[inverse[len(key) :]] += counts
-        key, size = merged, total
-
-    values = key // q ** np.arange(m - 1, -1, -1)[:, None] % q
-    tr_mul = trace.astype(np.intp)[mul].ravel()  # tr_mul[c q + v] = Tr(c v)
-    rows = np.asarray(coeffs, dtype=np.intp) * q
-    counts = np.zeros((len(rows), p), dtype=np.int64)
-    chunk = max(1, _FOLD_ELEMENTS // len(key))
-    for lo in range(0, len(rows), chunk):
-        part = rows[lo : lo + chunk]
-        exponent = np.repeat((key // q**m)[None], len(part), axis=0)
-        for j in range(m):
-            exponent += tr_mul[part[:, j, None] + values[j]]
-        exponent %= p
-        for t in range(p - 1):
-            counts[lo : lo + chunk, t] = ((exponent == t) * size).sum(axis=1)
-    counts[:, p - 1] = q**n - counts[:, : p - 1].sum(axis=1)
-    return [CycInt(p, row) for row in (counts[:, : p - 1] - counts[:, p - 1 :]).tolist()]
+            key *= q
+            key += val
+        hist += np.bincount(key, minlength=hist.size)
+    shifted = (np.arange(p)[:, None, None] - trace[mul].astype(np.intp)) % p  # [t, c, v]
+    h = hist.reshape(p, -1)
+    for _ in range(m):
+        # the leading value axis becomes a coefficient axis, moved to the back
+        h = h.reshape(p, q, -1)[shifted, np.arange(q)].sum(axis=2)
+        h = h.transpose(0, 2, 1).reshape(p, -1)
+    return [CycInt(p, row) for row in (h[: p - 1] - h[p - 1]).T.tolist()]
 
 
 def weight(g, budget=DEFAULT_POINT_BUDGET):

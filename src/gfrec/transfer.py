@@ -14,8 +14,10 @@ the leading window, and the wrap-around translates turn into the projection
 coefficients.  Symmetric systems decorate the top elementary symmetric
 polynomial with the lower ones; for sigma(2) over a prime field this is the
 quadratic matrix with (j, k) entry zeta^(j(k-j)).  Initial states are the
-character sums of a base function plus each state's decorations, all folded
-from one enumeration (oracle.decorated_sums).
+character sums of a base function plus each state's decorations: for the
+window and symmetric systems, whose states run over every decoration
+coefficient, one enumeration transformed by oracle.decorated_sums; for the
+k-state trapezoid, one sum per state.
 
 Builders emit the matrix's nonzeros as a linalg.SparseMatrix, and run steps
 it exactly in numpy on a dim x (p-1) array of power-basis coordinates: in
@@ -59,7 +61,6 @@ from .recurrence import IntPolynomial, Sequence
 class TransferSystem:
     label: str
     field: object
-    states: tuple
     sparse: SparseMatrix  # the nonzero entries of the matrix
     init: tuple  # state vector at index n0
     projection: tuple
@@ -68,7 +69,7 @@ class TransferSystem:
 
     @property
     def dim(self):
-        return len(self.states)
+        return self.sparse.dim
 
     @property
     def n_min(self):
@@ -115,15 +116,6 @@ def _exact(v, norm):
         return v
     big = max(int(v.max(initial=0)), -int(v.min(initial=0)))
     return v.astype(object) if 2 * norm * big >= 1 << 63 else v
-
-
-def step(sys, v):
-    """Apply the one-variable update to a state vector of CycInt."""
-    if len(v) != sys.dim:
-        raise ValueError("state vector has length %d, expected %d" % (len(v), sys.dim))
-    m = sys.sparse
-    p = sys.field.p
-    return [CycInt(p, row) for row in m.times(_exact(_coords(v), m.row_norm())).tolist()]
 
 
 def run(sys, n_target):
@@ -210,16 +202,18 @@ def build_trapezoid_system(k, f, budget=DEFAULT_POINT_BUDGET):
 
     rows = [[(0, entry(1)), (j + 1, entry(q - 1))] for j in range(k - 1)]
     rows.append([(0, entry(1)), (k - 1, entry(-1))])
-    # state j carries the products X_(s+1) ... X_k for s = 1 .. j
-    products = [_monomial(f, k, range(s + 1, k + 1)) for s in range(1, k)]
-    upto = np.arange(k)[:, None] >= np.arange(1, k)
-    init = decorated_sums(instantiate(tau(k), k, f), products, upto, budget)
+    # state j carries the products X_(s+1) ... X_k for s = 1 .. j; each is
+    # one sum, so F_2 takes the packed kernel
+    terms = dict(instantiate(tau(k), k, f).terms)
+    init = []
+    for j in range(k):
+        if j:
+            terms[frozenset(range(j + 1, k + 1))] = f.one()
+        init.append(exp_sum(InstantiatedFunction(f, k, terms), budget=budget))
     projection = [CycInt.one(p)] + [CycInt.zero(p)] * (k - 1)
-    states = tuple("b%d" % j for j in range(k))
     sys = TransferSystem(
         label="trapezoid(2..%d)/F_%s" % (k, f.describe()),
         field=f,
-        states=states,
         sparse=SparseMatrix.from_rows(p, rows),
         init=tuple(init),
         projection=tuple(projection),
@@ -341,7 +335,7 @@ def _build_window_system(
     )
     decorations = [_monomial(f, n0, (n0 - d for d in shape)) for shape in tail_shapes]
     decorations += [_monomial(f, n0, shape) for shape in head_shapes]
-    init = decorated_sums(chain, decorations, grid, budget)
+    init = decorated_sums(chain, decorations, budget)
 
     projection = [CycInt.zero(p)] * dim
     if not wrap:
@@ -381,17 +375,9 @@ def _build_window_system(
             target = _index(alpha + beta, q)
             projection[target] = projection[target] + root_power(p, trace[const])
 
-    def describe(state):
-        alpha, beta = state[:nt], state[nt:]
-        text = "alpha=%s" % (list(alpha),)
-        if nh:
-            text += ";beta=%s" % (list(beta),)
-        return "a[%s]" % text
-
     sys = TransferSystem(
         label=label,
         field=f,
-        states=tuple(describe(s) for s in product(range(q), repeat=nt + nh)),
         sparse=matrix,
         init=tuple(init),
         projection=tuple(projection),
@@ -451,13 +437,12 @@ def build_symmetric_system(
     rows = np.repeat(np.arange(dim), q)
     matrix = SparseMatrix.from_root_counts(p, dim, rows, _index(image, q).ravel(), trace[const].ravel())
     lower = [instantiate(Sigma(k - j), k, f) for j in range(1, k)]
-    init = decorated_sums(instantiate(Sigma(k), k, f), lower, beta, budget)
+    init = decorated_sums(instantiate(Sigma(k), k, f), lower, budget)
     projection = [CycInt.zero(p)] * dim
     projection[0] = CycInt.one(p)  # beta = 0
     sys = TransferSystem(
         label="symmetric(%d)/F_%s" % (k, f.describe()),
         field=f,
-        states=tuple("a%s" % (list(s),) for s in product(range(q), repeat=k - 1)),
         sparse=matrix,
         init=tuple(init),
         projection=tuple(projection),

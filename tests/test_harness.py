@@ -175,12 +175,12 @@ def test_ctx_trap_sums_match_plain_brute():
     got = ctx.trap_sums(f2, 3, 9)
     want = sum_sequence(tau(3), f2, range(3, 10))
     assert got.values == want.values
-    # joint-histogram path
+    # generic block kernel
     f3 = ctx.field(3)
     got3 = ctx.trap_sums(f3, 2, 7)
     want3 = sum_sequence(tau(2), f3, range(2, 8))
     assert got3.values == want3.values
-    # the shared enumeration is cached
+    # the sequence is computed once per run
     assert ctx.trap_sums(f3, 2, 7) is got3
 
 

@@ -26,6 +26,7 @@ from gfrec.funcalg import (
 from gfrec.galois import is_prime, make_field
 from gfrec.limits import ResourceLimitExceeded
 from gfrec.oracle import (
+    decorated_sums,
     exp_sum,
     field_tables,
     is_balanced,
@@ -87,18 +88,21 @@ def test_trace_counts_partition_the_space():
 FIELDS = [make_field(p, r) for p, r in ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2))]
 
 
+def _function(field, n):
+    """Random functions on F_q^n: up to six terms of degree 0-4, any coefficients."""
+    monomials = st.frozensets(st.integers(1, n), max_size=min(n, 4)) if n else st.just(frozenset())
+    coefficients = st.integers(0, field.q - 1).map(field.from_index)
+    terms = st.dictionaries(monomials, coefficients, max_size=6)
+    return terms.map(lambda t: InstantiatedFunction(field, n, t))
+
+
 @st.composite
 def _functions(draw, count):
-    """count random functions on one F_q^n: degree 0-4 terms, any coefficients."""
+    """count random functions on one F_q^n."""
     field = draw(st.sampled_from(FIELDS))
     top = {2: 10, 3: 5, 4: 4, 5: 3, 8: 3, 9: 2}[field.q]
     n = draw(st.integers(0, top) | st.just(top))  # the largest n has the most blocks
-    monomials = st.frozensets(st.integers(1, n), max_size=min(n, 4)) if n else st.just(frozenset())
-    coefficients = st.integers(0, field.q - 1).map(field.from_index)
-    return [
-        InstantiatedFunction(field, n, draw(st.dictionaries(monomials, coefficients, max_size=6)))
-        for _ in range(count)
-    ]
+    return [draw(_function(field, n)) for _ in range(count)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -128,6 +132,43 @@ def test_popcount_fallback_for_numpy_before_2(monkeypatch):
     assert [trace_counts(g) for g in cases] == fast
     assert fast[0] == _slow_counts(cases[0])
     assert fast[2] == _slow_counts(cases[2])
+
+
+def _plus(g, decorations, c):
+    """g + sum_j c_j decorations[j], for field element indices c."""
+    terms = dict(g.terms)
+    for d, index in zip(decorations, c):
+        for mono, coeff in d.terms.items():
+            terms[mono] = terms.get(mono, g.field.zero()) + coeff * g.field.from_index(index)
+    return InstantiatedFunction(g.field, g.n, terms)
+
+
+@st.composite
+def _decorated(draw):
+    """A random base on F_q^n and m = 0..3 random decoration monomials."""
+    field = draw(st.sampled_from(FIELDS))
+    top = {2: 12, 3: 7, 4: 5, 5: 4, 8: 4, 9: 3}[field.q]
+    n = draw(st.integers(1, top) | st.just(top))
+    base = draw(_function(field, n))
+    monomials = st.frozensets(st.integers(1, n), max_size=min(n, 3))
+    decorations = [
+        InstantiatedFunction(field, n, {mono: field.one()})
+        for mono in draw(st.lists(monomials, max_size=3))
+    ]
+    return base, decorations
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_decorated(), block_points=st.sampled_from([1, 5, 30]))
+def test_decorated_sums_are_the_per_coefficient_sums(case, block_points):
+    # small blocks make every q^n span several of them
+    base, decorations = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_BLOCK_POINTS", block_points)
+        got = decorated_sums(base, decorations)
+    q = base.field.q
+    want = [exp_sum(_plus(base, decorations, c)) for c in product(range(q), repeat=len(decorations))]
+    assert got == want
 
 
 def _reference_tables(field):

@@ -1,6 +1,7 @@
 """Tests for transfer state systems and their integer annihilators."""
 
 import json
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from gfrec.galois import make_field, prime_power
 from gfrec.linalg import certify
 from gfrec.limits import ResourceLimitExceeded
 from gfrec.oracle import exp_sum, sum_sequence
-from gfrec.recurrence import IntPolynomial, Sequence, divides, extend, family_poly, satisfies
+from gfrec.recurrence import Sequence, divides, extend, family_poly, satisfies
 from gfrec.transfer import (
     _head_shapes,
     _normalize_patterns,
@@ -36,7 +37,6 @@ from gfrec.transfer import (
     build_trapezoid_system,
     integer_annihilator,
     run,
-    step,
     system_for,
 )
 
@@ -229,24 +229,6 @@ def test_run_below_n_min():
         run(sys, 2)
 
 
-def test_step_checks_vector_length():
-    sys = build_trapezoid_system(3, F2)
-    with pytest.raises(ValueError):
-        step(sys, list(sys.init)[:-1])
-
-
-def test_run_replays_step():
-    sys = build_trapezoid_system(3, F3)
-    v = list(sys.init)
-    seq = run(sys, 7)
-    for i in range(4):
-        v = step(sys, v)
-    assert seq.values[-1] == sum(
-        (c * x for c, x in zip(sys.projection, v)),
-        start=root_power(3, 0) - root_power(3, 0),
-    )
-
-
 def _dense_step(sys, v):
     """M v over every entry of the dense matrix, by coordinate convolution."""
     p = sys.field.p
@@ -262,19 +244,35 @@ def _dense_step(sys, v):
     return out
 
 
+def test_run_replays_step():
+    sys = build_trapezoid_system(3, F3)
+    v = list(sys.init)
+    seq = run(sys, 7)
+    for i in range(4):
+        v = _dense_step(sys, v)
+    assert seq.values[-1] == sum(
+        (c * x for c, x in zip(sys.projection, v)),
+        start=root_power(3, 0) - root_power(3, 0),
+    )
+
+
 @pytest.mark.parametrize(
     "make",
     [lambda: build_rotation_system((1, 2, 3), F5), lambda: build_symmetric_system(3, F3)],
     ids=["R(2,3)-F5", "sigma(3)-F3"],
 )
-def test_step_equals_dense_product(make):
+def test_run_equals_dense_product(make):
     sys = make()
     assert sys.sparse.nnz < sys.dim**2
+    p = sys.field.p
+    # a projection that weighs every state, so each one is compared
+    sys = replace(sys, projection=tuple(root_power(p, i) for i in range(sys.dim)))
     v = list(sys.init)
+    want = [combination(p, zip(sys.projection, v))]
     for _ in range(2):
-        want = _dense_step(sys, v)
-        v = step(sys, v)
-        assert v == want
+        v = _dense_step(sys, v)
+        want.append(combination(p, zip(sys.projection, v)))
+    assert run(sys, sys.n_min + 2).values == tuple(want)
 
 
 FIELDS = {q: make_field(*prime_power(q)) for q in (2, 3, 4, 5, 8, 9)}
@@ -319,7 +317,6 @@ def test_run_equals_the_dense_product_across_the_int64_bound(sys):
         assert len(want) < 400, "states never left the int64 range"
     got = run(sys, sys.n_min + len(want) - 1)
     assert got.values == tuple(want)
-    assert step(sys, v) == _dense_step(sys, v)
 
 
 def test_quadratic_run_on_both_sides_of_the_int64_bound():
@@ -334,7 +331,7 @@ def test_quadratic_run_on_both_sides_of_the_int64_bound():
     v = list(sys.init)
     states = [v]
     for _ in range(58):
-        v = step(sys, v)
+        v = _dense_step(sys, v)
         states.append(v)
     assert not _past_int64(sys, states[0])
     assert _past_int64(sys, states[-1])
