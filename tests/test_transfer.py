@@ -1,5 +1,6 @@
 """Tests for transfer state systems and their integer annihilators."""
 
+import hashlib
 import json
 from dataclasses import replace
 from itertools import product
@@ -218,6 +219,40 @@ def test_large_rotation_annihilator_is_certified():
     seq = run(sys, sys.n_min + 39)
     assert len(seq) == 40
     assert satisfies(seq, ann)
+
+
+# ---------------------------------------------------------------------------
+# pinned systems: a digest of everything system_for returns, per case
+
+DIGEST_EXPRS = (
+    "tau(2)", "tau(3)", "tau(4)", "tau(5)", "sigma(2)", "sigma(3)", "R(2)", "R(2,3)", "R(2,4)",
+    "T(2,4)", "R(2,3)+R(2)", "T(2,4)+e2*T(3)", "e2*T(2,3)", "R(2,3,4)", "e3*R(2)+R(3)",
+)
+DIGEST_FIELDS = (2, 3, 4, 5, 7, 8, 9)
+
+
+def _system_digest(sys):
+    sp = sys.sparse
+    parts = (
+        sys.label, sys.dim, sys.n0, sys.shift,
+        [c.coeffs for c in sys.init], [c.coeffs for c in sys.projection],
+        sp.starts.tolist(), sp.cols.tolist(), sp.coeffs.tolist(),
+    )
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def _case_digest(text, q):
+    """The system's digest, or the refusal's type and message."""
+    try:
+        return _system_digest(system_for(parse(text), make_field(*prime_power(q))))
+    except (ValueError, ResourceLimitExceeded) as err:
+        return "%s: %s" % (type(err).__name__, err)
+
+
+def test_systems_match_their_pinned_digests():
+    pinned = json.loads((Path(__file__).parent / "system_digests.json").read_text())["digests"]
+    got = {"%s/F_%d" % (t, q): _case_digest(t, q) for t in DIGEST_EXPRS for q in DIGEST_FIELDS}
+    assert got == pinned
 
 
 # ---------------------------------------------------------------------------
