@@ -78,6 +78,14 @@ class ScalarMul:
     def min_n(self):
         return self.expr.min_n()
 
+    def scalar(self, field):
+        """The element of field that scalar_index names."""
+        if not 0 <= self.scalar_index < field.q:
+            raise ValueError(
+                "scalar index %d out of range for F_%s" % (self.scalar_index, field.describe())
+            )
+        return field.from_index(self.scalar_index)
+
 
 @dataclass(frozen=True)
 class Sum:
@@ -251,11 +259,7 @@ def _accumulate(acc, mono, coeff):
 
 def _expand(e, n, field, coeff, acc):
     if isinstance(e, ScalarMul):
-        if not 0 <= e.scalar_index < field.q:
-            raise ValueError(
-                "scalar index %d out of range for F_%s" % (e.scalar_index, field.describe())
-            )
-        _expand(e.expr, n, field, coeff * field.from_index(e.scalar_index), acc)
+        _expand(e.expr, n, field, coeff * e.scalar(field), acc)
         return
     if isinstance(e, Sum):
         for part in e.parts:

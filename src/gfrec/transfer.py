@@ -504,7 +504,7 @@ def _flatten(e, f, coeff, out):
         for part in e.parts:
             _flatten(part, f, coeff, out)
     elif isinstance(e, ScalarMul):
-        _flatten(e.expr, f, coeff * f.from_index(e.scalar_index), out)
+        _flatten(e.expr, f, coeff * e.scalar(f), out)
     else:
         out.append((coeff, e))
 

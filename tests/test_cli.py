@@ -97,6 +97,15 @@ def test_expsum_usage_errors(capsys):
     assert code == 2
 
 
+def test_expsum_scalar_out_of_range_is_the_same_usage_error_for_every_method(capsys):
+    for method in ("brute", "transfer"):
+        code, out, err = run_cli(
+            capsys, "expsum", "--expr", "e2*T(2,3)", "--field", "2", "--n", "3..5",
+            "--method", method,
+        )
+        assert (code, out, err) == (2, "", "usage error: scalar index 2 out of range for F_2\n")
+
+
 def test_expsum_budget_exhausted(capsys):
     code, _out, err = run_cli(
         capsys, "expsum", "--expr", "tau(2)", "--field", "3", "--n", "2..12",
