@@ -24,9 +24,9 @@ from gfrec.funcalg import (
     tau,
 )
 from gfrec.galois import make_field, prime_power
-from gfrec.linalg import certify
+from gfrec.linalg import SparseMatrix, certify
 from gfrec.limits import ResourceLimitExceeded
-from gfrec.oracle import exp_sum, sum_sequence
+from gfrec.oracle import exp_sum, field_tables, sum_sequence
 from gfrec.recurrence import Sequence, divides, extend, family_poly, satisfies
 from gfrec.transfer import (
     _head_shapes,
@@ -76,6 +76,24 @@ def test_trapezoid_system_matrix_shape():
     )
     assert sys.projection == (one, z)
     _assert_matches_brute(sys, tau(2), F3, 8)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_trapezoid_matrix_is_the_paper_update(q):
+    # b_j(n) = b_0(n-1) + (q-1) b_(j+1)(n-1), and b_(k-1)(n) = b_0(n-1) - b_(k-1)(n-1)
+    f = make_field(*prime_power(q))
+    p = f.p
+
+    def entry(n):
+        return (n,) + (0,) * (p - 2)
+
+    for k in range(2, 8):
+        rows = [[(0, entry(1)), (j + 1, entry(q - 1))] for j in range(k - 1)]
+        rows.append([(0, entry(1)), (k - 1, entry(-1))])
+        want = SparseMatrix.from_rows(p, rows)
+        got = build_trapezoid_system(k, f).sparse
+        for name in ("starts", "cols", "coeffs"):
+            assert getattr(got, name).tolist() == getattr(want, name).tolist(), (k, name)
 
 
 def test_trapezoid_system_extension_field():
@@ -451,6 +469,84 @@ def test_initial_states_take_the_point_budget_once():
         "enumeration of 2^4 points exceeds the budget of 15; "
         "consider the transfer or recurrence methods"
     )
+
+
+# ---------------------------------------------------------------------------
+# rotation projection against one loop over the closing values
+
+def _rotation_projection(terms, f):
+    """The wrap-around projection of a rotation combination, one y at a time.
+
+    y runs over the values of the last w-1 variables; every translate that
+    touches them is instantiated and lands in a tail decoration, a head
+    decoration or the constant, and the state reached gains zeta^Tr(const).
+    """
+    patterns = _normalize_patterns(terms, f)
+    w = max(max(o) for _c, o in patterns)
+    tail_index = {s: i for i, s in enumerate(_tail_shapes(patterns))}
+    head_index = {s: i for i, s in enumerate(_head_shapes(patterns))}
+    q, p = f.q, f.p
+    add, mul, trace = (t.tolist() for t in field_tables(f))
+    n_ref = 3 * (w - 1)
+    projection = [CycInt.zero(p)] * q ** (len(tail_index) + len(head_index))
+    for y in product(range(q), repeat=w - 1):
+        # y[d] is the value index of the variable at position n_ref - d
+        alpha = [0] * len(tail_index)
+        beta = [0] * len(head_index)
+        const = 0
+        for c, offsets in patterns:
+            wi = max(offsets)
+            for i in range(n_ref - w - wi + 3, n_ref + 1):
+                coeff = c.index
+                chain_depths = []
+                head_positions = []
+                for o in offsets:
+                    pos = i + o - 1
+                    if pos > n_ref:
+                        head_positions.append(pos - n_ref)
+                    elif pos >= n_ref - w + 2:
+                        coeff = mul[coeff][y[n_ref - pos]]
+                    else:
+                        chain_depths.append((n_ref - w + 1) - pos)
+                if coeff == 0:
+                    continue
+                if chain_depths:
+                    slot = tail_index[frozenset(chain_depths)]
+                    alpha[slot] = add[alpha[slot]][coeff]
+                elif head_positions:
+                    slot = head_index[frozenset(head_positions)]
+                    beta[slot] = add[beta[slot]][coeff]
+                else:
+                    const = add[const][coeff]
+        target = 0
+        for digit in alpha + beta:
+            target = target * q + digit
+        projection[target] = projection[target] + root_power(p, trace[const])
+    return tuple(projection)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 3, 4, 5, 7, 8, 9]),
+    st.lists(
+        st.tuples(st.integers(1, 8), st.sampled_from([(2,), (3,), (2, 3), (2, 4), (3, 4)])),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_rotation_projection_matches_the_closing_loop(q, draws):
+    f = make_field(*prime_power(q))
+    terms = [(1 + c % (q - 1), (1,) + o) for c, o in draws]
+    text = " + ".join("e%d*R(%s)" % (c, ",".join(map(str, o[1:]))) for c, o in terms)
+    try:
+        sys = system_for(parse(text), f)
+    except ResourceLimitExceeded:
+        reject()
+    except ValueError as err:
+        if str(err) != "all pattern terms cancelled":
+            raise
+        reject()
+    assert sys.projection == _rotation_projection([(f.from_index(c), o) for c, o in terms], f)
 
 
 # ---------------------------------------------------------------------------
