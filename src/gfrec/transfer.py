@@ -4,35 +4,37 @@ Every builder here produces a TransferSystem: a finite family of decorated
 sums a_i(n) that is closed under instantiating the newest variable, so that
 the vector of states satisfies v(n) = M v(n-1) with entries in Z[zeta_p],
 and the target sum is a fixed linear combination of states (possibly at a
-shifted index).  Constructed systems are checked against the enumeration
-oracle, on the instantiated target expression, at the smallest index that
-both the system and the expression cover before being returned.
+shifted index).  All builders share one scatter recipe (_scatter_system):
+on each value x of the newest variable, state i becomes state image[i, x]
+and leaves the constant const[i, x], so M[i, j] sums zeta^Tr(const) over
+the x with image j; the projection sums the same factors over the values
+of the closing variables.  Every system is checked against the enumeration
+oracle at the smallest index that it and the target expression cover.
 
-Chain systems decorate a non-wrapping translate sum with monomials pinned
-to its trailing window; closing a rotation additionally pins monomials to
-the leading window, and the wrap-around translates turn into the projection
-coefficients.  Symmetric systems decorate the top elementary symmetric
+The k-state trapezoid sends a zero newest variable to b_0 and a nonzero one
+a level deeper.  Chain systems decorate a non-wrapping translate sum with
+monomials pinned to its trailing window; closing a rotation also pins
+monomials to the leading window, and the wrap-around translates give the
+projection.  Symmetric systems decorate the top elementary symmetric
 polynomial with the lower ones; for sigma(2) over a prime field this is the
 quadratic matrix with (j, k) entry zeta^(j(k-j)).  Initial states are the
 character sums of a base function plus each state's decorations: for the
-window and symmetric systems, whose states run over every decoration
-coefficient, one enumeration transformed by oracle.decorated_sums; for the
-k-state trapezoid, one sum per state.
+window and symmetric systems, one enumeration transformed by
+oracle.decorated_sums; for the k-state trapezoid, one sum per state.
 
-Builders emit the matrix's nonzeros as a linalg.SparseMatrix, and run steps
-it exactly in numpy on a dim x (p-1) array of power-basis coordinates: in
-int64 while that is provably exact, on Python ints after.
+The matrix is a linalg.SparseMatrix, and run steps it exactly in numpy on a
+dim x (p-1) array of power-basis coordinates: in int64 while that is
+provably exact, on Python ints after.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
-from .cyclotomic import CycInt, root_power
+from .cyclotomic import CycInt
 from .funcalg import (
     InstantiatedFunction,
     MonomialPattern,
@@ -52,7 +54,7 @@ from .limits import (
     DEFAULT_STATE_LIMIT,
     ResourceLimitExceeded,
 )
-from .linalg import SparseMatrix, minimal_polynomial
+from .linalg import SparseMatrix, group, minimal_polynomial
 from .oracle import decorated_sums, exp_sum, field_tables
 from .recurrence import IntPolynomial, Sequence
 
@@ -169,15 +171,45 @@ def _index(digits, q):
     return out
 
 
-def _oracle_gate(sys, e, budget):
+def _states(q, m, state_limit):
+    """The q^m decoration coefficient vectors (_grid), refused above state_limit."""
+    if q**m > state_limit:
+        raise ResourceLimitExceeded("%d states exceed the limit of %d" % (q**m, state_limit))
+    return _grid(q, m)
+
+
+def _scatter_system(label, f, e, step, init, n0, shift, budget, closing=None):
+    """The system in which, on each value x of the newest variable, state i
+    goes to state image[i, x] with the factor zeta^Tr(const[i, x]), for
+    step = (image, const), dim x q arrays of state and field indices.
+
+    The target is state 0, or for closing = (target, const), arrays over the
+    values y of the closing variables, the sum over y of
+    zeta^Tr(const[y]) v_target[y].  The system is checked against the
+    enumeration oracle on e at the smallest index that both cover.
+    """
+    p = f.p
+    trace = field_tables(f)[2].astype(np.intp)
+    image, const = step
+    dim, q = image.shape
+    rows = np.repeat(np.arange(dim), q)
+    sparse = SparseMatrix.from_root_counts(p, dim, rows, image.ravel(), trace[const].ravel())
+    target, weight = closing or (np.zeros(1, dtype=np.intp), 0)
+    key, inverse = group(target)
+    counts = np.bincount(inverse * p + trace[weight], minlength=len(key) * p).reshape(-1, p)
+    projection = [CycInt.zero(p)] * dim
+    for j, root_counts in zip(key.tolist(), counts.tolist()):
+        projection[j] = CycInt.from_root_counts(p, root_counts)
+    sys = TransferSystem(label, f, sparse, tuple(init), tuple(projection), n0, shift)
     n = max(sys.n_min, e.min_n())
     got = run(sys, n).values[-1]
-    want = exp_sum(instantiate(e, n, sys.field), budget=budget)
+    want = exp_sum(instantiate(e, n, f), budget=budget)
     if got != want:
         raise AssertionError(
             "transfer system %r disagrees with the oracle at n=%d: %r vs %r"
-            % (sys.label, n, got, want)
+            % (label, n, got, want)
         )
+    return sys
 
 
 # ---------------------------------------------------------------------------
@@ -188,20 +220,19 @@ def build_trapezoid_system(k, f, budget=DEFAULT_POINT_BUDGET):
 
     All boundary products carry coefficient one; scaling invariance of the
     decorated sums folds the unit choices together, which is what makes a
-    single state per decoration depth enough.  The update is integral:
+    single state per decoration depth enough.  A zero newest variable sends
+    every state to b_0 and a nonzero one a level deeper; at the deepest
+    level it joins the constant, whose characters sum to -1 over x != 0:
         b_j(n) = b_0(n-1) + (q-1) b_{j+1}(n-1)   for j < k-1,
         b_{k-1}(n) = b_0(n-1) - b_{k-1}(n-1).
     """
     if k < 2:
         raise ValueError("need k >= 2")
-    p = f.p
     q = f.q
-
-    def entry(n):
-        return (n,) + (0,) * (p - 2)
-
-    rows = [[(0, entry(1)), (j + 1, entry(q - 1))] for j in range(k - 1)]
-    rows.append([(0, entry(1)), (k - 1, entry(-1))])
+    image = np.zeros((k, q), dtype=np.intp)
+    image[:, 1:] = np.minimum(np.arange(1, k + 1), k - 1)[:, None]
+    const = np.zeros((k, q), dtype=np.intp)
+    const[k - 1] = np.arange(q)
     # state j carries the products X_(s+1) ... X_k for s = 1 .. j; each is
     # one sum, so F_2 takes the packed kernel
     terms = dict(instantiate(tau(k), k, f).terms)
@@ -210,18 +241,8 @@ def build_trapezoid_system(k, f, budget=DEFAULT_POINT_BUDGET):
         if j:
             terms[frozenset(range(j + 1, k + 1))] = f.one()
         init.append(exp_sum(InstantiatedFunction(f, k, terms), budget=budget))
-    projection = [CycInt.one(p)] + [CycInt.zero(p)] * (k - 1)
-    sys = TransferSystem(
-        label="trapezoid(2..%d)/F_%s" % (k, f.describe()),
-        field=f,
-        sparse=SparseMatrix.from_rows(p, rows),
-        init=tuple(init),
-        projection=tuple(projection),
-        n0=k,
-        shift=0,
-    )
-    _oracle_gate(sys, tau(k), budget)
-    return sys
+    label = "trapezoid(2..%d)/F_%s" % (k, f.describe())
+    return _scatter_system(label, f, tau(k), (image, const), init, k, 0, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +306,6 @@ def _build_window_system(
     """Shared engine: decorated chain states, optionally closed into a
     rotation by head decorations plus wrap-around projection.  terms are the
     (coefficient, offsets) translates of e, which gates the result."""
-    p = f.p
     q = f.q
     patterns = _normalize_patterns(terms, f)
     w = max(max(offsets) for _c, offsets in patterns)
@@ -296,34 +316,22 @@ def _build_window_system(
     tail_index = {shape: i for i, shape in enumerate(tail_shapes)}
     head_index = {shape: i for i, shape in enumerate(head_shapes)}
     nt, nh = len(tail_shapes), len(head_shapes)
-    dim = q ** (nt + nh)
-    if dim > state_limit:
-        raise ResourceLimitExceeded(
-            "%d states exceed the limit of %d" % (dim, state_limit)
-        )
-    add, mul, trace = (t.astype(np.intp) for t in field_tables(f))
+    grid = _states(q, nt + nh, state_limit)
+    dim = len(grid)
+    add, mul = (t.astype(np.intp) for t in field_tables(f)[:2])
 
     # every state (alpha, beta) scatters to q states, one per value x of the
-    # newest variable: arrays below are dim x q
-    grid = _grid(q, nt + nh)
+    # newest variable: arrays below are dim x q, the new alpha then the constant
     x = np.arange(q)
-    new_alpha = [np.zeros((dim, q), dtype=np.intp) for _ in range(nt)]
-    const = np.zeros((dim, q), dtype=np.intp)
+    new = [np.zeros((dim, q), dtype=np.intp) for _ in range(nt + 1)]
     for j, shape in enumerate(tail_shapes):
         a = grid[:, j, None]
-        factor = mul[a, x] if 0 in shape else a
-        aged = _age(shape)
-        if aged:
-            slot = tail_index[aged]
-            new_alpha[slot] = add[new_alpha[slot], factor]
-        else:
-            const = add[const, factor]
+        slot = tail_index.get(_age(shape), nt)  # an aged-out decoration is constant
+        new[slot] = add[new[slot], mul[a, x] if 0 in shape else a]
     for c, offsets in patterns:
         slot = tail_index[_sh1(offsets)]
-        new_alpha[slot] = add[new_alpha[slot], mul[c.index, x]]
-    cols = _index(new_alpha + [grid[:, nt + j, None] for j in range(nh)], q)
-    rows = np.repeat(np.arange(dim), q)
-    matrix = SparseMatrix.from_root_counts(p, dim, rows, cols.ravel(), trace[const].ravel())
+        new[slot] = add[new[slot], mul[c.index, x]]
+    image = _index(new[:nt] + [grid[:, nt + j, None] for j in range(nh)], q)
 
     n0 = 2 * (w - 1) if wrap else w
     shift = (w - 1) if wrap else 0
@@ -337,56 +345,34 @@ def _build_window_system(
     decorations += [_monomial(f, n0, shape) for shape in head_shapes]
     init = decorated_sums(chain, decorations, budget)
 
-    projection = [CycInt.zero(p)] * dim
-    if not wrap:
-        projection[0] = CycInt.one(p)  # alpha = 0
-    else:
-        n_ref = n0 + shift
-        add, mul, trace = add.tolist(), mul.tolist(), trace.tolist()
-        for y in product(range(q), repeat=w - 1):
-            # y[d] is the value index of the variable at position n_ref - d
-            alpha = [0] * nt
-            beta = [0] * nh
-            const = 0
-            for c, offsets in patterns:
-                wi = max(offsets)
-                for i in range(n_ref - w - wi + 3, n_ref + 1):
-                    coeff = c.index
-                    chain_depths = []
-                    head_positions = []
-                    for o in offsets:
-                        pos = i + o - 1
-                        if pos > n_ref:
-                            head_positions.append(pos - n_ref)
-                        elif pos >= n_ref - w + 2:
-                            coeff = mul[coeff][y[n_ref - pos]]
-                        else:
-                            chain_depths.append((n_ref - w + 1) - pos)
-                    if coeff == 0:
-                        continue
-                    if chain_depths:
-                        slot = tail_index[frozenset(chain_depths)]
-                        alpha[slot] = add[alpha[slot]][coeff]
-                    elif head_positions:
-                        slot = head_index[frozenset(head_positions)]
-                        beta[slot] = add[beta[slot]][coeff]
-                    else:
-                        const = add[const][coeff]
-            target = _index(alpha + beta, q)
-            projection[target] = projection[target] + root_power(p, trace[const])
+    closing = None
+    if wrap:
+        # target(n) reads v(n - w + 1) and the values y of the last w - 1
+        # variables (y[:, d] at d places before the last).  A translate with
+        # a variable before them lands in a tail decoration, else one that
+        # wraps lands in a head decoration, else the constant; which one
+        # does not depend on y, only its coefficient does.
+        y = _grid(q, w - 1)
+        slots = [np.zeros(len(y), dtype=np.intp) for _ in range(nt + nh + 1)]
+        for c, offsets in patterns:
+            for start in range(3 - w - max(offsets), 1):
+                r = [start + o - 1 for o in offsets]  # positions relative to the last variable
+                coeff = c.index
+                for d in r:
+                    if 1 - w < d <= 0:
+                        coeff = mul[coeff, y[:, -d]]
+                chain_depths = frozenset(1 - w - d for d in r if d <= 1 - w)
+                head_positions = frozenset(d for d in r if d > 0)
+                if chain_depths:
+                    slot = tail_index[chain_depths]
+                elif head_positions:
+                    slot = nt + head_index[head_positions]
+                else:
+                    slot = nt + nh  # the constant
+                slots[slot] = add[slots[slot], coeff]
+        closing = (_index(slots[:-1], q), slots[-1])
 
-    sys = TransferSystem(
-        label=label,
-        field=f,
-        sparse=matrix,
-        init=tuple(init),
-        projection=tuple(projection),
-        n0=n0,
-        shift=shift,
-    )
-
-    _oracle_gate(sys, e, budget)
-    return sys
+    return _scatter_system(label, f, e, (image, new[nt]), init, n0, shift, budget, closing)
 
 
 def build_rotation_system(
@@ -417,15 +403,9 @@ def build_symmetric_system(
     """
     if k < 2:
         raise ValueError("need k >= 2")
-    p = f.p
     q = f.q
-    dim = q ** (k - 1)
-    if dim > state_limit:
-        raise ResourceLimitExceeded(
-            "%d states exceed the limit of %d" % (dim, state_limit)
-        )
-    add, mul, trace = (t.astype(np.intp) for t in field_tables(f))
-    beta = _grid(q, k - 1)
+    beta = _states(q, k - 1, state_limit)
+    add, mul = (t.astype(np.intp) for t in field_tables(f)[:2])
     x = np.arange(q)
     # on the value x of the newest variable (arrays are dim x q), the new top
     # decoration is x + beta_1, and each beta_j shifts down to
@@ -434,23 +414,10 @@ def build_symmetric_system(
     for j in range(1, k - 1):
         image.append(add[mul[beta[:, j - 1, None], x], beta[:, j, None]])
     const = mul[beta[:, k - 2, None], x]
-    rows = np.repeat(np.arange(dim), q)
-    matrix = SparseMatrix.from_root_counts(p, dim, rows, _index(image, q).ravel(), trace[const].ravel())
     lower = [instantiate(Sigma(k - j), k, f) for j in range(1, k)]
     init = decorated_sums(instantiate(Sigma(k), k, f), lower, budget)
-    projection = [CycInt.zero(p)] * dim
-    projection[0] = CycInt.one(p)  # beta = 0
-    sys = TransferSystem(
-        label="symmetric(%d)/F_%s" % (k, f.describe()),
-        field=f,
-        sparse=matrix,
-        init=tuple(init),
-        projection=tuple(projection),
-        n0=k,
-        shift=0,
-    )
-    _oracle_gate(sys, Sigma(k), budget)
-    return sys
+    label = "symmetric(%d)/F_%s" % (k, f.describe())
+    return _scatter_system(label, f, Sigma(k), (_index(image, q), const), init, k, 0, budget)
 
 
 def build_quadratic_matrix(p, budget=DEFAULT_POINT_BUDGET):
