@@ -13,6 +13,7 @@ from gfrec.galois import make_field
 from gfrec.numtheory import eisenstein_dumas
 from gfrec.oracle import sum_sequence
 from gfrec.recurrence import discover, extend, family_poly
+from gfrec.transfer import run_range, system_for
 
 
 CASES = [
@@ -41,7 +42,7 @@ def main():
         want = family_poly(family, k=k, field=f)
         order = want.degree
         n_hi = n_lo + 3 * order + 2
-        seq = sum_sequence(e, f, range(n_lo, n_hi + 1), method="transfer")
+        seq = run_range(system_for(e, f), e, range(n_lo, n_hi + 1))
         found = discover(seq, max_order=order)
         verdict = "matches" if found == want else "DIFFERS from"
         print("  %-26s F_%-3s -> %-28s (%s prediction)"

@@ -70,6 +70,7 @@ from .transfer import (
     build_trapezoid_system,
     integer_annihilator,
     run,
+    run_range,
     system_for,
 )
 
@@ -137,6 +138,7 @@ __all__ = [
     "build_trapezoid_system",
     "integer_annihilator",
     "run",
+    "run_range",
     "system_for",
     "__version__",
 ]

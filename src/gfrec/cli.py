@@ -5,8 +5,15 @@ the resolved command, and a payload whose numbers are exact decimal
 strings.  Timings never live inside payloads, so byte-identical inputs
 give byte-identical payloads.
 
+Every subcommand takes --format json (the default) or pretty, a
+human-readable table; expsum, the one subcommand with a sequence payload,
+also takes csv.
+
 Exit codes: 0 success, 1 a check that ran and failed, 2 usage error,
-3 resource limit.
+3 resource limit.  main is the one place that maps exceptions to them:
+NoRecurrenceError from discover is a failed check, any other ValueError
+(a bad argument, an expression that does not parse, a range the library
+refuses) is a usage error, and ResourceLimitExceeded is a resource limit.
 """
 
 from __future__ import annotations
@@ -16,8 +23,7 @@ import json
 import sys
 import time
 
-from .cyclotomic import CycInt
-from .funcalg import ExprSyntaxError, parse, unparse
+from .funcalg import parse, unparse
 from .galois import make_field, prime_power
 from .harness import (
     acceptance_run,
@@ -48,10 +54,6 @@ class UsageError(ValueError):
     pass
 
 
-class CheckFailure(RuntimeError):
-    pass
-
-
 def _parse_field(text, modulus_text=None):
     text = text.strip()
     try:
@@ -68,10 +70,7 @@ def _parse_field(text, modulus_text=None):
             modulus = [int(c) for c in modulus_text.split(",")]
         except ValueError:
             raise UsageError("modulus must be comma-separated integers") from None
-    try:
-        return make_field(p, r, modulus)
-    except (ValueError, ArithmeticError) as exc:
-        raise UsageError(str(exc)) from None
+    return make_field(p, r, modulus)
 
 
 def _parse_range(text):
@@ -99,13 +98,6 @@ def _parse_poly(text):
     return IntPolynomial(coeffs)
 
 
-def _parse_expr(text):
-    try:
-        return parse(text)
-    except ExprSyntaxError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _start(e, f, args):
     """The first n, and the transfer system if that took building.
 
@@ -116,23 +108,17 @@ def _start(e, f, args):
     n_min = getattr(args, "n_min", None)  # conjecture has no --n-min
     if n_min is not None or args.method != "transfer":
         return (e.min_n() if n_min is None else n_min), None
-    try:
-        sys_ = transfer.system_for(e, f, budget=args.budget)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    sys_ = transfer.system_for(e, f, budget=args.budget)
     return max(e.min_n(), sys_.n_min), sys_
 
 
 def _sums(e, f, lo, hi, args, sys_=None):
     """The sums of e for n = lo..hi by --method, from sys_ when it is built."""
-    try:
-        if args.method != "transfer":
-            return sum_sequence(e, f, range(lo, hi + 1), budget=args.budget)
-        if sys_ is None:
-            sys_ = transfer.system_for(e, f, budget=args.budget)
-        return transfer.run_range(sys_, e, range(lo, hi + 1))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if args.method != "transfer":
+        return sum_sequence(e, f, range(lo, hi + 1), budget=args.budget)
+    if sys_ is None:
+        sys_ = transfer.system_for(e, f, budget=args.budget)
+    return transfer.run_range(sys_, e, range(lo, hi + 1))
 
 
 def _sequence_payload(seq, f, expr_text, method):
@@ -155,15 +141,11 @@ def _sequence_payload(seq, f, expr_text, method):
 def _emit(record, args, stream=None):
     if stream is None:
         stream = sys.stdout
-    mode = "pretty" if getattr(args, "pretty", False) else getattr(args, "format", "json")
-    if mode == "json":
+    if args.format == "json":
         stream.write(json.dumps(record, sort_keys=True) + "\n")
         return
-    if mode == "csv":
-        payload = record["payload"]
-        values = payload.get("values") if isinstance(payload, dict) else None
-        if values is None:
-            raise UsageError("csv output is defined for sequence payloads only")
+    if args.format == "csv":  # expsum only: the one sequence payload
+        values = record["payload"]["values"]
         width = max(len(v["coeffs"]) for v in values)
         stream.write("n," + ",".join("c%d" % i for i in range(width)) + "\n")
         for v in values:
@@ -207,7 +189,7 @@ def _record(name, args_dict, payload):
 
 def _cmd_expsum(args):
     f = _parse_field(args.field, args.modulus)
-    e = _parse_expr(args.expr)
+    e = parse(args.expr)
     lo, hi = _parse_range(args.n)
     if lo < e.min_n():
         raise UsageError("family needs n >= %d" % e.min_n())
@@ -219,7 +201,7 @@ def _cmd_expsum(args):
 
 def _cmd_verify(args):
     f = _parse_field(args.field, args.modulus)
-    e = _parse_expr(args.expr)
+    e = parse(args.expr)
     poly = _parse_poly(args.poly)
     lo, sys_ = _start(e, f, args)
     if lo < e.min_n():
@@ -247,17 +229,12 @@ def _cmd_verify(args):
 
 def _cmd_discover(args):
     f = _parse_field(args.field, args.modulus)
-    e = _parse_expr(args.expr)
+    e = parse(args.expr)
     lo, sys_ = _start(e, f, args)
     if args.n_max < lo:
         raise UsageError("empty range %d..%d" % (lo, args.n_max))
     seq = _sums(e, f, lo, args.n_max, args, sys_)
-    try:
-        poly = discover(seq, max_order=args.max_order)
-    except NoRecurrenceError as exc:
-        raise CheckFailure(str(exc)) from None
-    except ValueError as exc:  # too few terms, or max_order < 1
-        raise UsageError(str(exc)) from None
+    poly = discover(seq, max_order=args.max_order)
     payload = {
         "expr": unparse(e),
         "field": f.describe(),
@@ -272,15 +249,9 @@ def _cmd_discover(args):
 
 def _cmd_annihilator(args):
     f = _parse_field(args.field, args.modulus)
-    e = _parse_expr(args.expr)
-    try:
-        sys_ = transfer.system_for(e, f, budget=args.budget)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    try:
-        poly = transfer.integer_annihilator(sys_, degree_cap=args.degree_cap)
-    except ValueError as exc:  # degree_cap < 1
-        raise UsageError(str(exc)) from None
+    e = parse(args.expr)
+    sys_ = transfer.system_for(e, f, budget=args.budget)
+    poly = transfer.integer_annihilator(sys_, degree_cap=args.degree_cap)
     payload = {
         "expr": unparse(e),
         "field": f.describe(),
@@ -338,10 +309,7 @@ def _cmd_numtheory(args):
     if args.op == "gauss-sum":
         if args.p is None:
             raise UsageError("gauss-sum needs --p")
-        try:
-            g = gauss_sum(args.a, args.p)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        g = gauss_sum(args.a, args.p)
         payload = {
             "op": "gauss-sum",
             "p": args.p,
@@ -353,10 +321,7 @@ def _cmd_numtheory(args):
     if args.op == "eigen-check":
         if args.p is None:
             raise UsageError("eigen-check needs --p")
-        try:
-            rep = eigen_check(args.p, tol=args.tol)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        rep = eigen_check(args.p, tol=args.tol)
         payload = {
             "op": "eigen-check",
             "p": rep.p,
@@ -375,10 +340,7 @@ def _cmd_numtheory(args):
     if args.poly is None or args.p is None:
         raise UsageError("eisenstein needs --poly and --p")
     poly = _parse_poly(args.poly)
-    try:
-        verdict = eisenstein_dumas(poly, args.p)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    verdict = eisenstein_dumas(poly, args.p)
     payload = {
         "op": "eisenstein",
         "p": args.p,
@@ -402,17 +364,14 @@ def _cmd_accept(args):
 
 def _cmd_bench(args):
     f = _parse_field(args.field, args.modulus)
-    e = _parse_expr(args.expr)
+    e = parse(args.expr)
     lo, hi = _parse_range(args.n)
     if lo < e.min_n():
         raise UsageError("family needs n >= %d" % e.min_n())
     t0 = time.monotonic()
     brute = sum_sequence(e, f, range(lo, hi + 1), budget=args.budget)
     t1 = time.monotonic()
-    try:
-        fast = sum_sequence(e, f, range(lo, hi + 1), method="transfer", budget=args.budget)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    fast = transfer.run_range(transfer.system_for(e, f, budget=args.budget), e, range(lo, hi + 1))
     t2 = time.monotonic()
     agree = brute.values == fast.values
     payload = {
@@ -434,15 +393,15 @@ def _cmd_bench(args):
 # parser assembly
 
 
-def _add_common(sp, field=True, budget=True):
+def _add_common(sp, field=True, budget=True, formats=("json", "pretty")):
     if field:
         sp.add_argument("--field", required=True, help="prime power, like 9 or 3^2")
         sp.add_argument("--modulus", help="ascending modulus coefficients for extensions")
     if budget:
         sp.add_argument("--budget", type=int, default=DEFAULT_POINT_BUDGET,
                         help="enumeration point budget")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--pretty", action="store_true", help="human-readable table")
+    sp.add_argument("--format", choices=formats, default="json",
+                    help="pretty is a human-readable table")
 
 
 def build_parser():
@@ -457,7 +416,7 @@ def build_parser():
     sp.add_argument("--expr", required=True)
     sp.add_argument("--n", required=True, help="range like 3..6")
     sp.add_argument("--method", choices=("brute", "transfer"), default="brute")
-    _add_common(sp)
+    _add_common(sp, formats=("json", "pretty", "csv"))
     sp.set_defaults(func=_cmd_expsum)
 
     sp = sub.add_parser("verify", help="check a recurrence against computed sums")
@@ -498,15 +457,13 @@ def build_parser():
     sp.add_argument("--a", type=int, default=1)
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--poly")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--pretty", action="store_true")
+    _add_common(sp, field=False, budget=False)
     sp.set_defaults(func=_cmd_numtheory)
 
     sp = sub.add_parser("accept", help="run the acceptance battery")
     sp.add_argument("--profile", choices=("quick", "full"), default="quick")
     sp.add_argument("--out", help="also write the report to this file")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--pretty", action="store_true")
+    _add_common(sp, field=False, budget=False)
     sp.set_defaults(func=_cmd_accept)
 
     sp = sub.add_parser("bench", help="time brute versus transfer, equality first")
@@ -528,12 +485,12 @@ def main(argv=None):
         record, code = args.func(args)
         _emit(record, args)
         return code
-    except UsageError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except CheckFailure as exc:
+    except NoRecurrenceError as exc:  # a ValueError, so it is caught first
         print("check failed: %s" % exc, file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except ValueError as exc:  # UsageError and the library's own refusals
+        print("usage error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
     except ResourceLimitExceeded as exc:
         print("resource limit: %s" % exc, file=sys.stderr)
         return EXIT_RESOURCE

@@ -9,9 +9,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cyclotomic import CycInt, combination, root_power
 from .galois import is_prime
 from .recurrence import IntPolynomial
+from .transfer import build_quadratic_matrix
 
 
 def legendre(a, p):
@@ -80,8 +83,6 @@ def hadamard_check(p):
     """True when the sigma(2) system over F_p, the quadratic matrix, has
     unimodular root entries and satisfies M conj(M)^T = p I, both verified
     exactly."""
-    from .transfer import build_quadratic_matrix
-
     m = build_quadratic_matrix(p).matrix
     roots = {root_power(p, e) for e in range(p)}
     if any(entry not in roots for row in m for entry in row):
@@ -125,8 +126,6 @@ def eigen_check(p, tol=1e-9):
     """Compare the numerical spectrum of the quadratic matrix with the
     predicted one, matching each predicted value to its nearest unclaimed
     eigenvalues."""
-    import numpy as np
-
     predicted = predicted_spectrum(p)
     j = np.arange(p)
     m = np.exp(2j * np.pi * ((j[:, None] * (j[None, :] - j[:, None])) % p) / p)

@@ -6,6 +6,11 @@ reduced to trace residues through integer lookup tables, and the residue
 histogram is converted to a cyclotomic integer at the end.  Everything is
 integer arithmetic, so block partitioning cannot change the result.  Fields
 with q = 2 take a packed-bit fast path.
+
+This module is the enumeration path only: `sum_sequence` enumerates every
+n of a range.  The other two paths, `transfer.run_range` on a built system
+and `recurrence.extend` of initial terms, live in their own modules, and
+callers such as the command line pick one themselves.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cyclotomic import CycInt
+from .funcalg import instantiate
 from .limits import DEFAULT_POINT_BUDGET, ResourceLimitExceeded
 from .recurrence import Sequence
 
@@ -295,10 +301,8 @@ def trace_counts(g, budget=DEFAULT_POINT_BUDGET):
     return residues
 
 
-def exp_sum(g, f=None, budget=DEFAULT_POINT_BUDGET):
+def exp_sum(g, budget=DEFAULT_POINT_BUDGET):
     """The exact character sum of g over its field, as a cyclotomic integer."""
-    if f is not None and f != g.field:
-        raise ValueError("function was instantiated over a different field")
     counts = trace_counts(g, budget=budget)
     return CycInt.from_root_counts(g.field.p, counts)
 
@@ -375,44 +379,9 @@ def joint_counts(funcs, budget=DEFAULT_POINT_BUDGET):
     return _value_counts(funcs).reshape((q,) * len(funcs))
 
 
-def sum_sequence(
-    e,
-    field,
-    n_range,
-    method="brute",
-    budget=DEFAULT_POINT_BUDGET,
-    poly=None,
-    init=None,
-):
-    """Character sums of a family over a range of variable counts.
-
-    method is one of "brute" (exhaustive enumeration), "transfer" (state
-    system stepping) or "recurrence" (extension of supplied initial data by
-    a supplied polynomial).
-    """
-    from .funcalg import instantiate
-
+def sum_sequence(e, field, n_range, budget=DEFAULT_POINT_BUDGET):
+    """Character sums of family e for every n in n_range (step 1), by enumeration."""
     if n_range.step != 1:
         raise ValueError("n_range must have step 1")
-    start = n_range.start
-    if method == "brute":
-        values = []
-        for n in n_range:
-            g = instantiate(e, n, field)
-            values.append(exp_sum(g, budget=budget))
-        return Sequence(start, tuple(values), "brute")
-    if method == "transfer":
-        from . import transfer
-
-        return transfer.run_range(transfer.system_for(e, field, budget=budget), e, n_range)
-    if method == "recurrence":
-        from .recurrence import extend
-
-        if poly is None or init is None:
-            raise ValueError("recurrence method needs poly= and init=")
-        if len(n_range) == 0:
-            return Sequence(start, (), "recurrence")
-        full = extend(extend(init, poly, start), poly, n_range.stop - 1)
-        lo = start - full.n_min
-        return Sequence(start, full.values[lo : lo + len(n_range)], "recurrence")
-    raise ValueError("unknown method %r" % (method,))
+    values = tuple(exp_sum(instantiate(e, n, field), budget=budget) for n in n_range)
+    return Sequence(n_range.start, values, "brute")

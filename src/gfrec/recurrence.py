@@ -170,10 +170,8 @@ def family_poly(family, k=None, field=None):
     if family == QUADSYM:
         if field is None or field.r != 1 or field.p == 2:
             raise ValueError("QUADSYM needs an odd prime field")
-        from .numtheory import legendre  # numtheory imports this module
-
         p = field.p
-        sign = legendre(-1, p)
+        sign = 1 if p % 4 == 1 else -1  # (-1|p), by the first supplement law
         coeffs = [0] * (2 * p + 1)
         coeffs[0] = -sign * p**p
         coeffs[2 * p] = 1

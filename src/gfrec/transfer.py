@@ -139,6 +139,8 @@ def run(sys, n_target):
 
 def run_range(sys, e, n_range):
     """The sums of family e over n_range (step 1), from e's built system sys."""
+    if n_range.step != 1:
+        raise ValueError("n_range must have step 1")
     start = n_range.start
     if len(n_range) == 0:
         return Sequence(start, (), "transfer")

@@ -152,7 +152,7 @@ def test_expsum_csv_cyclotomic_width(capsys):
 def test_expsum_pretty(capsys):
     code, out, _err = run_cli(
         capsys, "expsum", "--expr", "tau(3)", "--field", "2", "--n", "3..4",
-        "--pretty",
+        "--format", "pretty",
     )
     assert code == 0
     assert "expsum" in out
@@ -207,7 +207,23 @@ def test_verify_csv_rejected(capsys):
         "--poly=-2,-2,0,1", "--n-max", "10", "--format", "csv",
     )
     assert code == 2
-    assert "sequence payloads" in err
+    assert "--format: invalid choice: 'csv'" in err
+
+
+def test_accept_csv_is_refused_before_the_battery_runs(capsys, tmp_path):
+    out_file = tmp_path / "report.csv"
+    code, out, err = run_cli(capsys, "accept", "--format", "csv", "--out", str(out_file))
+    assert code == 2
+    assert out == ""
+    assert "--format: invalid choice: 'csv'" in err
+    assert not out_file.exists()
+
+
+def test_numtheory_pretty(capsys):
+    code, out, err = run_cli(capsys, "numtheory", "gauss-sum", "--p", "5", "--format", "pretty")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "numtheory"
+    assert "  op: gauss-sum" in out.splitlines()
 
 
 def test_discover(capsys):
@@ -454,6 +470,16 @@ def test_workers_option_is_gone(capsys, argv):
     code, _out, err = run_cli(capsys, *argv)
     assert code == 2
     assert "unrecognized arguments: --workers 2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["expsum", "--expr", "tau(3)", "--field", "2", "--n", "3..5", "--pretty"],
+    ["numtheory", "gauss-sum", "--p", "5", "--pretty"],
+])
+def test_pretty_option_is_gone(capsys, argv):
+    code, _out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "unrecognized arguments: --pretty" in err
 
 
 def test_transfer_system_is_built_once_per_request(capsys, monkeypatch):

@@ -35,7 +35,7 @@ from gfrec.oracle import (
     trace_counts,
     weight,
 )
-from gfrec.recurrence import IntPolynomial, Sequence
+from gfrec.transfer import run_range, system_for
 
 
 def _slow_counts(g):
@@ -225,15 +225,6 @@ def test_budget_enforced():
     assert exp_sum(g, budget=3 ** 8) == _slow_sum(tau(2), 8, f3)
 
 
-def test_field_mismatch_rejected():
-    f2 = make_field(2)
-    f3 = make_field(3)
-    g = instantiate(tau(2), 3, f2)
-    with pytest.raises(ValueError):
-        exp_sum(g, f=f3)
-    assert exp_sum(g, f=f2) == _slow_sum(tau(2), 3, f2)
-
-
 def test_weight_and_balance():
     f2 = make_field(2)
     g = instantiate(tau(2), 3, f2)  # X1X2 + X2X3
@@ -292,7 +283,7 @@ def test_joint_counts_bins_count_against_the_budget():
 def test_sum_sequence_methods_agree():
     f2 = make_field(2)
     brute = sum_sequence(tau(3), f2, range(3, 10))
-    by_transfer = sum_sequence(tau(3), f2, range(3, 10), method="transfer")
+    by_transfer = run_range(system_for(tau(3), f2), tau(3), range(3, 10))
     assert brute.values == by_transfer.values
     assert brute.n_min == by_transfer.n_min == 3
     assert brute.provenance == "brute"
@@ -303,57 +294,30 @@ def test_transfer_and_brute_share_the_domain():
     # the T(2,4) terms cancel over F_2, which leaves a system starting at n=3
     f2 = make_field(2)
     e = parse("T(3) + T(2,4) + T(2,4)")
-    for method in ("brute", "transfer"):
+    sys_ = system_for(e, f2)
+    for sums in (lambda r: sum_sequence(e, f2, r), lambda r: run_range(sys_, e, r)):
         with pytest.raises(ValueError, match="^n=3 below the family minimum 4$"):
-            sum_sequence(e, f2, range(3, 11), method=method)
+            sums(range(3, 11))
     brute = sum_sequence(e, f2, range(4, 11))
-    by_transfer = sum_sequence(e, f2, range(4, 11), method="transfer")
+    by_transfer = run_range(sys_, e, range(4, 11))
     assert by_transfer.values == brute.values
     assert by_transfer.n_min == brute.n_min == 4
 
 
-def test_sum_sequence_recurrence_method():
-    f2 = make_field(2)
-    init = sum_sequence(tau(3), f2, range(3, 6))
-    poly = IntPolynomial([-2, -2, 0, 1])
-    seq = sum_sequence(
-        tau(3), f2, range(6, 12), method="recurrence", poly=poly, init=init
-    )
-    brute = sum_sequence(tau(3), f2, range(6, 12))
-    assert seq.values == brute.values
-    with pytest.raises(ValueError):
-        sum_sequence(tau(3), f2, range(6, 12), method="recurrence")
-
-
-def test_sum_sequence_recurrence_method_extends_backward():
-    # the range may start before the initial data when stepping back is integral
-    f2 = make_field(2)
-    fib = Sequence(5, tuple(CycInt.from_int(2, v) for v in (1, 1, 2, 3, 5, 8, 13)), "test")
-    poly = IntPolynomial([-1, -1, 1])
-    before = sum_sequence(tau(3), f2, range(3, 5), method="recurrence", poly=poly, init=fib)
-    assert (before.n_min, before.as_integers()) == (3, [1, 0])
-    across = sum_sequence(tau(3), f2, range(3, 8), method="recurrence", poly=poly, init=fib)
-    assert (across.n_min, across.as_integers()) == (3, [1, 0, 1, 1, 2])
-    around = sum_sequence(tau(3), f2, range(1, 14), method="recurrence", poly=poly, init=fib)
-    assert around.as_integers() == [2, -1, 1, 0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
-    with pytest.raises(ValueError, match="^non-integral division"):
-        sum_sequence(
-            tau(3), f2, range(0, 3), method="recurrence",
-            poly=IntPolynomial([-2, 1]), init=Sequence(1, (CycInt.from_int(2, 3),), "test"),
-        )
-
-
 def test_sum_sequence_validation():
     f2 = make_field(2)
-    with pytest.raises(ValueError):
-        sum_sequence(tau(3), f2, range(3, 9, 2))
-    with pytest.raises(ValueError):
-        sum_sequence(tau(3), f2, range(2, 6), method="transfer")
-    with pytest.raises(ValueError):
-        sum_sequence(tau(3), f2, range(3, 6), method="magic")
+    sys_ = system_for(tau(3), f2)
+    for sums in (lambda r: sum_sequence(tau(3), f2, r), lambda r: run_range(sys_, tau(3), r)):
+        with pytest.raises(ValueError, match="^n_range must have step 1$"):
+            sums(range(3, 9, 2))
+    with pytest.raises(ValueError, match="^transfer system for this family starts at n=3$"):
+        run_range(sys_, tau(3), range(2, 6))
 
 
 def test_sum_sequence_empty_range():
     f2 = make_field(2)
-    seq = sum_sequence(tau(3), f2, range(5, 5), method="transfer")
-    assert seq.values == ()
+    for seq in (
+        sum_sequence(tau(3), f2, range(5, 5)),
+        run_range(system_for(tau(3), f2), tau(3), range(5, 5)),
+    ):
+        assert (seq.n_min, seq.values) == (5, ())

@@ -5,7 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfrec.cyclotomic import CycInt, combination, root_power
-from gfrec.galois import make_field
+from gfrec.funcalg import tau
+from gfrec.galois import is_prime, make_field
+from gfrec.numtheory import legendre
+from gfrec.oracle import sum_sequence
 from gfrec.recurrence import (
     FAMILIES,
     InsufficientDataError,
@@ -136,6 +139,13 @@ def test_family_quadsym():
     assert f5.coeffs[0] == -3125
 
 
+def test_family_quadsym_constant_term_follows_the_quadratic_character_of_minus_one():
+    for p in range(3, 60):
+        if is_prime(p):
+            poly = family_poly("QUADSYM", field=make_field(p))
+            assert poly.coeffs[0] == -legendre(-1, p) * p**p
+
+
 def test_family_mix():
     assert family_poly("MIX1", k=2).coeffs == (2, -2, 1)
     assert family_poly("MIX1", k=4).coeffs == (2, 0, 0, -2, 1)
@@ -175,6 +185,23 @@ def test_extend_backward():
     fib = extend(iseq([1, 1], n_min=1), IntPolynomial([-1, -1, 1]), -2)
     assert fib.n_min == -2
     assert fib.as_integers() == [-1, 1, 0, 1, 1]
+
+
+def test_extend_forward_matches_brute_sums():
+    # three enumerated terms of tau(3) over F_2 and X^3 - 2X - 2 give the rest
+    f2 = make_field(2)
+    init = sum_sequence(tau(3), f2, range(3, 6))
+    seq = extend(init, family_poly("P_K", k=3), 11)
+    assert seq.values == sum_sequence(tau(3), f2, range(3, 12)).values
+
+
+def test_extend_backward_then_forward_across_the_start():
+    fib = iseq([1, 1, 2, 3, 5, 8, 13], n_min=5)
+    poly = IntPolynomial([-1, -1, 1])
+    before = extend(fib, poly, 3)
+    assert (before.n_min, before.as_integers()[:5]) == (3, [1, 0, 1, 1, 2])
+    around = extend(extend(fib, poly, 1), poly, 13)
+    assert (around.n_min, around.as_integers()) == (1, [2, -1, 1, 0, 1, 1, 2, 3, 5, 8, 13, 21, 34])
 
 
 def test_extend_backward_failures():
