@@ -19,6 +19,7 @@ refuses) is a usage error, and ResourceLimitExceeded is a resource limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -475,10 +476,15 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """build_parser's parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -5,7 +5,10 @@ exactly: points are enumerated in fixed-size blocks, function values are
 reduced to trace residues through integer lookup tables, and the residue
 histogram is converted to a cyclotomic integer at the end.  Everything is
 integer arithmetic, so block partitioning cannot change the result.  Fields
-with q = 2 take a packed-bit fast path.
+with q = 2 take a packed-bit fast path.  The generic kernel splits each
+function into cofactors of the low (in-block) and high (block-index) digits,
+so that what the blocks share is evaluated once; every point's value is
+still computed and counted.
 
 This module is the enumeration path only: `sum_sequence` enumerates every
 n of a range.  The other two paths, `transfer.run_range` on a built system
@@ -15,6 +18,8 @@ callers such as the command line pick one themselves.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from .cyclotomic import CycInt
@@ -23,6 +28,7 @@ from .limits import DEFAULT_POINT_BUDGET, ResourceLimitExceeded
 from .recurrence import Sequence
 
 _BLOCK_POINTS = 1 << 15  # points per block of the generic kernel; its buffers stay in cache
+_LEAF_POINTS = 1 << 10  # the generic kernel folds grids of up to this many points term by term
 _CHUNK_BITS = 22  # log2 of the points in one chunk of the F_2 kernel; at least 6
 
 _table_cache = {}
@@ -97,8 +103,7 @@ def _enumerate_blocks(field, n):
 def _check_budget(field, n, budget):
     if field.q**n > budget:
         raise ResourceLimitExceeded(
-            "enumeration of %d^%d points exceeds the budget of %d; "
-            "consider the transfer or recurrence methods" % (field.q, n, budget)
+            "enumeration of %d^%d points exceeds the budget of %d" % (field.q, n, budget)
         )
 
 
@@ -176,38 +181,93 @@ def _trace_counts_f2(g):
 # generic kernel
 
 
+def _split(terms, m):
+    """(base, groups) with sum c x^mono = base + sum of high * low over groups.
+
+    terms are sorted (mono, c): mono a sorted tuple of variables, c a field
+    element index.  Variables below m are low; the others are high,
+    renumbered from 0.  base holds the terms without a high variable.  The
+    high monomials H of the others are grouped by their low cofactor, the
+    sum of c x^L over the terms c x^L x^H; a group is (that cofactor, the
+    sum of x^H over the group, one being index 1).  All lists are sorted.
+    """
+    base, cofactors = [], {}
+    for mono, c in terms:
+        cut = bisect_left(mono, m)
+        if cut < len(mono):
+            high = tuple(v - m for v in mono[cut:])
+            cofactors.setdefault(high, []).append((mono[:cut], c))
+        else:
+            base.append((mono, c))
+    groups = {}
+    for high, low in cofactors.items():
+        groups.setdefault(tuple(sorted(low)), []).append((high, 1))
+    return base, [(low, sorted(highs)) for low, highs in groups.items()]
+
+
 class _BlockValues:
     """Values of one or more functions over the blocks of F_q^n.
 
     A block fixes the top n - m digits of the point index and runs over the
-    q^m settings of the low digits.  Terms without a high variable do not
-    depend on the block: they are folded once into a base array per function.
-    The others are grouped by their low monomial, and on each block a group
-    has one coefficient, computed in Python from the fixed high digits.
+    q^m settings of the low digits.  `_split` writes each function as
+    g = base(low) + sum over groups of C(high) L(low); base, each distinct L
+    and each C over all blocks are evaluated once, by `_grid`.  L is kept as
+    q L, an index into the flat table add[mul[c]], whose entry q s + v is
+    v + c s, so a block's values are base plus one gather for each group
+    whose C is some c != 0 on it.  Only tables of occurring c are built.
     """
 
     def __init__(self, funcs):
         field = funcs[0].field
         self.q = q = field.q
         self.add, self.mul, _trace = field_tables(field)
-        m, self.count = _enumerate_blocks(field, funcs[0].n)
-        self.high = funcs[0].n - m
-        self.cols = _digit_block(q, m)
+        n = funcs[0].n
+        m, self.count = _enumerate_blocks(field, n)
+        self.index = np.empty(q**m, dtype=np.intp)
+        self.tables = {} if m >= 3 else None  # then all q - 1 tables fit in one block
+        grids, scaled = {}, {}
         self.funcs = []
         for g in funcs:
-            base, groups = [], {}
-            for mono, coeff in g.sorted_terms():
-                variables = sorted(v - 1 for v in mono)
-                low = tuple(v for v in variables if v < m)
-                high = tuple(v - m for v in variables if v >= m)
-                if high:
-                    groups.setdefault(low, []).append((coeff.index, high))
-                else:
-                    base.append((low, coeff.index))
-            zero = np.zeros(q**m, dtype=self.add.dtype)
-            self.funcs.append((self._fold(zero, base), sorted(groups.items())))
+            terms = sorted((tuple(sorted(v - 1 for v in mono)), c.index) for mono, c in g.terms.items())
+            base, groups = _split(terms, m)
+            for low, _high in groups:
+                if low not in scaled:
+                    scaled[low] = np.multiply(self._grid(low, m, grids), q, dtype=np.intp)
+            coeffs = [self._grid(high, n - m, grids) for _low, high in groups]
+            self.funcs.append((
+                self._grid(base, m, grids),
+                [scaled[low] for low, _high in groups],
+                np.reshape(coeffs, (len(groups), self.count)).T.tolist(),
+                np.empty(q**m, dtype=np.intp),
+            ))
 
-    def _fold(self, val, terms):
+    def _grid(self, terms, k, grids):
+        """The values of sorted terms in the variables 0..k-1 at the q^k points.
+
+        Above _LEAF_POINTS points, if `_split` at k // 2 gives parts with fewer
+        terms in all, each part is evaluated on its half grid and they are
+        combined; otherwise the terms are folded.  grids memoizes by
+        (terms, k), so a part that functions or groups share is built once.
+        """
+        key = (tuple(terms), k)
+        val = grids.get(key)
+        if val is not None:
+            return val
+        q, add, mul = self.q, self.add, self.mul
+        h = k // 2
+        base, groups = _split(terms, h) if q**k > _LEAF_POINTS else (terms, ())
+        if len(base) + sum(len(low) + len(high) for low, high in groups) < len(terms):
+            val = self._grid(base, h, grids)
+            for low, high in groups:
+                product = mul[self._grid(high, k - h, grids)[:, None], self._grid(low, h, grids)]
+                val = add[product, val]
+            val = val.ravel()
+        else:
+            val = self._fold(np.zeros(q**k, dtype=add.dtype), terms, _digit_block(q, k))
+        grids[key] = val
+        return val
+
+    def _fold(self, val, terms, cols):
         """val plus c * prod(cols[v] for v in mono) for each (mono, c) in terms.
 
         terms are sorted by mono, so neighbours share prefixes.  Level j of the
@@ -219,7 +279,7 @@ class _BlockValues:
         the next term.  The indices are always in range; mode="clip" lets take
         write into out directly.
         """
-        q, cols, add, mul = self.q, self.cols, self.add, self.mul
+        q, add, mul = self.q, self.add, self.mul
         flat_mul = mul.ravel()
         degree = max((len(mono) for mono, _c in terms), default=0)
         levels = [np.empty(val.size, dtype=np.intp) for _ in range(degree)]
@@ -253,32 +313,32 @@ class _BlockValues:
         return val
 
     def values(self, block):
-        """The value index arrays of every function on one block."""
-        q, add, mul = self.q, self.add, self.mul
-        digits = [block // q**t % q for t in range(self.high)]
-        out = []
-        for base, groups in self.funcs:
-            terms = []
-            for low, members in groups:
-                c = 0
-                for coeff, high in members:
-                    for h in high:
-                        coeff = mul.item(coeff, digits[h])
-                    c = add.item(c, coeff)
-                if c:
-                    terms.append((low, c))
-            out.append(self._fold(base.copy(), terms))
+        """The value index arrays of every function on one block, as intp.
+
+        They are buffers of this object, overwritten by the next call.
+        """
+        add, mul, index, tables, out = self.add, self.mul, self.index, self.tables, []
+        for base, scaled, coeffs, val in self.funcs:
+            np.copyto(val, base)
+            for q_low, c in zip(scaled, coeffs[block]):
+                if c and tables is None:  # mul[L, c] = c L
+                    val[...] = add[mul.ravel()[q_low + c], val]
+                elif c:
+                    table = tables.get(c)
+                    if table is None:
+                        table = tables[c] = add[mul[c]].astype(np.intp).ravel()
+                    np.add(q_low, val, out=index)
+                    table.take(index, out=val, mode="clip")
+            out.append(val)
         return out
 
     def counts(self, block):
         """Histogram of the combined value index sum v_i q^(k-1-i) on one block."""
         vals = self.values(block)
         combined = vals[0]
-        if len(vals) > 1:
-            combined = combined.astype(np.intp)
-            for val in vals[1:]:
-                combined *= self.q
-                combined += val
+        for val in vals[1:]:
+            combined *= self.q
+            combined += val
         return np.bincount(combined, minlength=self.q ** len(vals))
 
 

@@ -1,14 +1,16 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from gfrec import transfer
+from gfrec import cli, transfer
 from gfrec.cli import main
 
 
@@ -480,6 +482,49 @@ def test_pretty_option_is_gone(capsys, argv):
     code, _out, err = run_cli(capsys, *argv)
     assert code == 2
     assert "unrecognized arguments: --pretty" in err
+
+
+PARSE_CASES = [
+    [],
+    ["expsum", "--nope"],
+    ["expsum", "--expr", "tau(3)", "--field", "2", "--n", "3..5", "--format", "xml"],
+    ["verify", "--expr", "tau(3)", "--field", "2"],
+    ["numtheory", "gauss-sum", "--p", "5", "--pretty"],
+    ["expsum", "--expr", "tau(3)", "--field", "2", "--n", "3..5"],
+    ["numtheory", "gauss-sum", "--p", "5", "--format", "pretty"],
+    ["expsum", "--help"],
+]
+
+
+def _outcomes(argvs):
+    outcomes = []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+        outcomes.append((code, out.getvalue(), err.getvalue()))
+    return outcomes
+
+
+def test_parser_is_built_once_and_parses_like_a_fresh_one(monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "_parser", cli.build_parser)  # a new parser per request
+        fresh = _outcomes(PARSE_CASES)
+    calls = []
+    build = cli.build_parser
+
+    def counted():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        assert _outcomes(PARSE_CASES + PARSE_CASES) == fresh + fresh
+    finally:
+        cli._parser.cache_clear()
+    assert len(calls) == 1
+    assert [code for code, _out, _err in fresh] == [2, 2, 2, 2, 2, 0, 0, 0]
 
 
 def test_transfer_system_is_built_once_per_request(capsys, monkeypatch):

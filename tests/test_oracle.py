@@ -171,6 +171,115 @@ def test_decorated_sums_are_the_per_coefficient_sums(case, block_points):
     assert got == want
 
 
+def _slow_decorated(field, joint):
+    """S(g_0 + sum_j c_j g_j) for every c, from the joint histogram of the g_j."""
+    add, mul, trace = _reference_tables(field)
+    cells = [(cell, int(joint[cell])) for cell in zip(*np.nonzero(joint))]
+    sums = []
+    for c in product(range(field.q), repeat=joint.ndim - 1):
+        counts = [0] * field.p
+        for cell, count in cells:
+            value = cell[0]
+            for cj, v in zip(c, cell[1:]):
+                value = add[value][mul[cj][v]]
+            counts[trace[value]] += count
+        sums.append(CycInt.from_root_counts(field.p, counts))
+    return sums
+
+
+@st.composite
+def _structured(draw, field, n):
+    """Sums of nonzero multiples of sigma(k), tau(k), consecutive rotations and
+    single monomials (some only in the top variables), plus maybe a constant."""
+    terms = {}
+    scalars = st.integers(1, field.q - 1).map(field.from_index)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("sigma", "tau", "rotation", "monomial", "top")))
+        if kind in ("monomial", "top") or n < 2:
+            low = 1 if kind == "monomial" else (n + 1) // 2
+            part = {draw(st.frozensets(st.integers(low, n), min_size=1, max_size=4)): field.one()}
+        else:
+            k = draw(st.integers(1 if kind == "sigma" else 2, min(n, 4)))
+            family = {"sigma": Sigma, "tau": tau, "rotation": consecutive_rotation}[kind]
+            part = instantiate(family(k), n, field).terms
+        c = draw(scalars)
+        for mono, coeff in part.items():
+            terms[mono] = terms.get(mono, field.zero()) + c * coeff
+    if draw(st.booleans()):
+        terms[frozenset()] = draw(scalars)
+    return InstantiatedFunction(field, n, terms)
+
+
+@st.composite
+def _split_cases(draw):
+    """1..3 structured functions on one F_q^n."""
+    field = draw(st.sampled_from(FIELDS))
+    top = {2: 8, 3: 5, 4: 4, 5: 3, 8: 2, 9: 2}[field.q]
+    n = draw(st.integers(1, top) | st.just(top))
+    return [draw(_structured(field, n)) for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    funcs=_split_cases(),
+    block_points=st.sampled_from([1, 5, 30, 200]),
+    leaf_points=st.sampled_from([1, 4, 30]),
+)
+def test_cofactor_split_matches_the_naive_loop(funcs, block_points, leaf_points):
+    # small blocks put most variables in the high digits, and a small leaf
+    # splits every grid whose parts have fewer terms in all
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_BLOCK_POINTS", block_points)
+        mp.setattr(oracle, "_LEAF_POINTS", leaf_points)
+        counts = trace_counts(funcs[0])
+        joint = joint_counts(funcs)
+        sums = decorated_sums(funcs[0], funcs[1:])
+    field = funcs[0].field
+    want = _slow_joint(funcs)
+    assert joint.tolist() == want.tolist()
+    residues = [0] * field.p
+    for t, h in zip(_reference_tables(field)[2], want.reshape(field.q, -1).sum(axis=1)):
+        residues[t] += int(h)
+    assert counts == residues
+    assert sums == _slow_decorated(field, want)
+
+
+def _prime_values(g):
+    """g at every point of F_p^n, p prime, by integer arithmetic mod p."""
+    p = g.field.p
+    digits = np.indices((p,) * g.n).reshape(g.n, -1)[::-1]  # digit i is variable i + 1
+    val = np.zeros(p**g.n, dtype=np.int64)
+    for mono, coeff in g.terms.items():
+        term = np.full(p**g.n, coeff.index, dtype=np.int64)
+        for v in mono:
+            term = term * digits[v - 1] % p
+        val = (val + term) % p
+    return val
+
+
+@pytest.mark.parametrize("block_points,leaf_points", [(1 << 15, 1 << 10), (1 << 17, 1)])
+def test_cofactor_split_over_a_field_beyond_256_elements(block_points, leaf_points):
+    # over F_257 a q x q table per coefficient outweighs a block of q points;
+    # the second case is one block
+    f = make_field(257)
+    funcs = [instantiate(parse(text), 2, f) for text in ("sigma(2) + e3*sigma(1)", "tau(2) + e5*T(2)")]
+    funcs[0].terms[frozenset()] = f.from_index(200)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_BLOCK_POINTS", block_points)
+        mp.setattr(oracle, "_LEAF_POINTS", leaf_points)
+        counts = trace_counts(funcs[0])
+        joint = joint_counts(funcs)
+        sums = decorated_sums(funcs[0], funcs[1:])
+    values = [_prime_values(g) for g in funcs]
+    assert counts == np.bincount(values[0], minlength=257).tolist()
+    assert joint.ravel().tolist() == np.bincount(values[0] * 257 + values[1], minlength=257**2).tolist()
+    want = [
+        CycInt.from_root_counts(257, np.bincount((values[0] + c * values[1]) % 257, minlength=257).tolist())
+        for c in range(257)
+    ]
+    assert sums == want
+
+
 def _reference_tables(field):
     elems = field.elements()
     add = [[(a + b).index for b in elems] for a in elems]
