@@ -1,18 +1,15 @@
 """Exact linear algebra (internal helpers).
 
-Linear solving over the rationals, polynomial helpers on ascending
-coefficient lists, the sparse matrix type over Z[zeta_p], and the certified
-minimal polynomial of such a matrix.  Every result is exact: elimination is
-fraction-free on Python ints (Bareiss), and the minimal polynomial is
+Integer linear solving, the sparse matrix type over Z[zeta_p], and the
+certified minimal polynomial of such a matrix.  Every result is exact:
+elimination runs on Python ints (Bareiss), and the minimal polynomial is
 computed modulo word-sized primes and then proved over Z[zeta_p].
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import count
-from math import lcm
 
 import numpy as np
 
@@ -20,26 +17,18 @@ from .galois import is_prime
 from .limits import ResourceLimitExceeded
 
 
-def _integer_row(entries):
-    """A rational row scaled by the lcm of its denominators."""
-    if all(isinstance(x, int) for x in entries):
-        return entries
-    entries = [Fraction(x) for x in entries]
-    den = lcm(*(x.denominator for x in entries))
-    return [x.numerator * (den // x.denominator) for x in entries]
-
-
 def solve_with_free_zero(rows, rhs):
-    """Solve A c = b exactly by fraction-free (Bareiss) Gauss-Jordan elimination.
+    """Solve A x = b over the rationals for integer A and b by fraction-free
+    (Bareiss) Gauss-Jordan elimination.
 
-    Returns (solution, True) with free variables set to zero, or
-    (None, False) when the system is inconsistent.  Rows are scaled to
-    integers first; every later entry is a minor, so each division by the
-    previous pivot is exact and all pivots end equal to the last, D.  The
-    solution is the reduced row echelon one, rhs / D on the pivot rows.
+    Returns (x, d) with integers x, d > 0 and A x = d b, free variables
+    zero, or None when the system is inconsistent.  Every entry after a step
+    is a minor, so each division by the previous pivot is exact and all
+    pivots end equal to the last, D; d is |D|, and x / d is the reduced row
+    echelon solution.
     """
     ncols = len(rows[0]) if len(rows) else 0
-    aug = [r for r in (_integer_row(list(a) + [b]) for a, b in zip(rows, rhs)) if any(r)]
+    aug = [r for r in (list(a) + [b] for a, b in zip(rows, rhs)) if any(r)]
     pivots = []
     prev = 1
     row = 0
@@ -59,37 +48,12 @@ def solve_with_free_zero(rows, rhs):
         pivots.append(col)
         row += 1
     if any(r[ncols] for r in aug[row:]):
-        return None, False
-    solution = [Fraction(0)] * ncols
+        return None
+    sign = 1 if prev > 0 else -1
+    x = [0] * ncols
     for i, col in enumerate(pivots):
-        solution[col] = Fraction(aug[i][ncols], prev)
-    return solution, True
-
-
-# ---------------------------------------------------------------------------
-# polynomials over Q, ascending coefficient lists
-
-def poly_trim(cs):
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def poly_divmod(a, b):
-    a = poly_trim([Fraction(x) for x in a])
-    b = poly_trim([Fraction(x) for x in b])
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        quot[shift] = factor
-        for i, bi in enumerate(b):
-            a[shift + i] -= factor * bi
-        a = poly_trim(a)
-    return poly_trim(quot), a
+        x[col] = sign * aug[i][ncols]
+    return x, sign * prev
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +338,7 @@ def certify(m, poly):
     for every embedding j.  Checking that for primes whose product exceeds
     2S proves P(M') = 0, hence P(M) = 0.
     """
-    poly = poly_trim(poly)
-    if not poly:
+    if not any(poly):
         return True
     norm = m.inflated_norm()
     bound = 2 * sum(abs(c) * norm**k for k, c in enumerate(poly))

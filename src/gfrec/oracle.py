@@ -52,7 +52,7 @@ def _primitive_powers(field):
 def field_tables(field):
     """Cached (add, mul, trace) index tables of a field, in the narrowest unsigned dtype.
 
-    They take O(q) field operations: addition is digit by digit mod p,
+    They take O(q) field operations: addition is built up one digit at a time,
     multiplication goes through the logarithm of a primitive element, and the
     trace is linear in the digits.
     """
@@ -64,12 +64,13 @@ def field_tables(field):
         antilog = np.array(_primitive_powers(field), dtype=dtype)
         log = np.zeros(q, dtype=np.int64)
         log[antilog] = np.arange(q - 1)
-        add = np.empty((q, q), dtype=dtype)
+        add = np.zeros((1, 1), dtype=dtype)
+        for i in range(r):  # extend to digits 0..i: new top digits add mod p, lower ones by add
+            top = ((np.arange(p)[:, None] + np.arange(p)) % p * p**i).astype(dtype)
+            add = (top[:, None, :, None] + add[None, :, None, :]).reshape(p ** (i + 1), -1)
         mul = np.zeros((q, q), dtype=dtype)
-        for a in range(q):  # row by row, so the build needs no q x q temporaries
-            add[a] = sum((d[a] + d) % p * p**i for i, d in enumerate(digits))
-            if a:
-                mul[a, 1:] = antilog[(log[a] + log[1:]) % (q - 1)]
+        for a in range(1, q):  # row by row, so the build needs no q x q temporaries
+            mul[a, 1:] = antilog[(log[a] + log[1:]) % (q - 1)]
         basis = [field.from_index(p**i).trace() for i in range(r)]
         trace = (sum(d * t for d, t in zip(digits, basis)) % p).astype(dtype)
         tables = (add, mul, trace)

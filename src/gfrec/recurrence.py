@@ -9,9 +9,8 @@ Checking, extension and discovery work on their power-basis coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
-from math import lcm
+from math import gcd
 from operator import add, itemgetter, mul
 
 from . import linalg
@@ -82,11 +81,15 @@ class IntPolynomial:
 
 
 def divides(a, b):
-    """Exact divisibility of integer polynomials over the rationals."""
-    _, rem = linalg.poly_divmod(
-        [Fraction(c) for c in b.coeffs], [Fraction(c) for c in a.coeffs]
-    )
-    return not rem
+    """Whether a divides b over the rationals: the pseudo-remainder of b by a,
+    lc(a)^k b reduced by integer multiples of shifts of a, is zero."""
+    lead, rem = a.coeffs[-1], list(b.coeffs)
+    while len(rem) >= len(a.coeffs):
+        top = rem.pop()  # lead * rem - top * X^shift * a cancels it
+        shift = len(rem) - len(a.coeffs) + 1
+        low = [lead * r for r in rem[:shift]]
+        rem = low + [lead * r - top * c for r, c in zip(rem[shift:], a.coeffs)]
+    return not any(rem)
 
 
 @dataclass(frozen=True)
@@ -295,9 +298,9 @@ def discover(seq, max_order, holdout=None):
     exactly on held-out terms.
 
     Every order's fit is one integer system: each coordinate column gives
-    one row per prefix window.  Its rational solution is cleared to integer
-    coefficients (scaling by the common denominator when the monic fit is
-    not integral).
+    one row per prefix window.  Its solution x / d is cleared to integer
+    coefficients by g = gcd(d, x_1, ..., x_k): the candidate is x / g with
+    leading coefficient d / g, monic exactly when the fit is integral.
     """
     if holdout is None:
         holdout = max_order
@@ -315,11 +318,12 @@ def discover(seq, max_order, holdout=None):
         starts = range(fit_len - order)
         rows = [col[s : s + order] for col in cols for s in starts]
         rhs = [-col[s + order] for col in cols for s in starts]
-        solution, ok = linalg.solve_with_free_zero(rows, rhs)
-        if not ok:
+        solved = linalg.solve_with_free_zero(rows, rhs)
+        if solved is None:
             continue
-        denom = lcm(*(c.denominator for c in solution))
-        candidate = IntPolynomial([c.numerator * (denom // c.denominator) for c in solution] + [denom])
+        x, d = solved
+        g = gcd(d, *x)
+        candidate = IntPolynomial([c // g for c in x] + [d // g])
         if _holds(cols, candidate.coeffs):
             return candidate
     raise NoRecurrenceError(

@@ -9,7 +9,8 @@ on each value x of the newest variable, state i becomes state image[i, x]
 and leaves the constant const[i, x], so M[i, j] sums zeta^Tr(const) over
 the x with image j; the projection sums the same factors over the values
 of the closing variables.  Every system is checked against the enumeration
-oracle at the smallest index that it and the target expression cover.
+oracle one step past the smallest index that it and the target expression
+cover, so the check steps the matrix.
 
 The k-state trapezoid sends a zero newest variable to b_0 and a nonzero one
 a level deeper.  Chain systems decorate a non-wrapping translate sum with
@@ -188,7 +189,8 @@ def _scatter_system(label, f, e, step, init, n0, shift, budget, closing=None):
     The target is state 0, or for closing = (target, const), arrays over the
     values y of the closing variables, the sum over y of
     zeta^Tr(const[y]) v_target[y].  The system is checked against the
-    enumeration oracle on e at the smallest index that both cover.
+    enumeration oracle on e one index past the smallest that both cover, or
+    at that smallest index when the next has over min(budget, 2^20) points.
     """
     p = f.p
     trace = field_tables(f)[2].astype(np.intp)
@@ -204,6 +206,8 @@ def _scatter_system(label, f, e, step, init, n0, shift, budget, closing=None):
         projection[j] = CycInt.from_root_counts(p, root_counts)
     sys = TransferSystem(label, f, sparse, tuple(init), tuple(projection), n0, shift)
     n = max(sys.n_min, e.min_n())
+    if f.q ** (n + 1) <= min(budget, 1 << 20):  # take a step, so M is checked too
+        n += 1
     got = run(sys, n).values[-1]
     want = exp_sum(instantiate(e, n, f), budget=budget)
     if got != want:

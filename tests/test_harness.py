@@ -6,6 +6,7 @@ this file covers the pieces they are made of.
 
 import pytest
 
+from gfrec import harness
 from gfrec.cyclotomic import CycInt
 from gfrec.funcalg import parse, tau
 from gfrec.galois import make_field
@@ -191,3 +192,16 @@ def test_acceptance_run_shape_smoke():
     assert set(entry) == {"id", "status", "expected", "got", "millis"}
     assert entry["id"] == "C11"
     assert entry["status"] in ("pass", "fail")
+
+
+def test_a_crashing_criterion_is_a_failing_entry(monkeypatch):
+    def crash(ctx):
+        raise ZeroDivisionError("no field of order 6")
+
+    monkeypatch.setattr(harness, "_CRITERIA", [("C1", crash)])
+    report = harness.acceptance_run("quick")
+    assert report["all_pass"] is False
+    (entry,) = report["items"]
+    assert entry["id"] == "C1" and entry["status"] == "fail"
+    assert entry["expected"] == "criterion executes"
+    assert entry["got"] == "ZeroDivisionError: no field of order 6"

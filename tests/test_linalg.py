@@ -1,10 +1,11 @@
-"""Tests for the exact rational linear algebra helpers, for the certified
-minimal polynomial, and for the integer annihilator against the minimal
-polynomial of its written-out matrix."""
+"""Tests for the fraction-free integer solve, for the certified minimal
+polynomial, and for the integer annihilator against the minimal polynomial
+of its written-out matrix."""
 
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,39 +15,26 @@ from gfrec.cyclotomic import regular_matrix
 from gfrec.funcalg import parse
 from gfrec.galois import make_field, prime_power
 from gfrec.limits import ResourceLimitExceeded
-from gfrec.linalg import (
-    SparseMatrix,
-    certify,
-    minimal_polynomial,
-    poly_divmod,
-    poly_trim,
-    solve_with_free_zero,
-)
+from gfrec.linalg import SparseMatrix, certify, minimal_polynomial, solve_with_free_zero
 from gfrec.transfer import integer_annihilator, system_for
 
 
 def test_solve_square_system():
-    sol, ok = solve_with_free_zero([[1, 2], [3, 4]], [5, 11])
-    assert ok
-    assert sol == [1, 2]
+    assert solve_with_free_zero([[1, 2], [3, 4]], [5, 11]) == ([2, 4], 2)
 
 
 def test_solve_underdetermined_sets_free_to_zero():
-    sol, ok = solve_with_free_zero([[1, 1, 0]], [3])
-    assert ok
-    assert sol == [3, 0, 0]
+    assert solve_with_free_zero([[1, 1, 0]], [3]) == ([3, 0, 0], 1)
 
 
 def test_solve_inconsistent():
-    sol, ok = solve_with_free_zero([[1, 1], [1, 1]], [0, 1])
-    assert not ok
-    assert sol is None
+    assert solve_with_free_zero([[1, 1], [1, 1]], [0, 1]) is None
 
 
 def test_solve_is_exact():
-    sol, ok = solve_with_free_zero([[2]], [1])
-    assert ok
-    assert sol == [Fraction(1, 2)]
+    assert solve_with_free_zero([[2]], [1]) == ([1], 2)
+    # a negative last pivot is normalised: -3 x = 1 gives x = -1/3
+    assert solve_with_free_zero([[-3]], [1]) == ([-1], 3)
 
 
 def _reference_solve(rows, rhs):
@@ -72,23 +60,20 @@ def _reference_solve(rows, rhs):
         if row == m:
             break
     if any(aug[i][ncols] != 0 for i in range(row, m)):
-        return None, False
+        return None
     solution = [Fraction(0)] * ncols
     for i, col in enumerate(pivots):
         solution[col] = aug[i][ncols]
-    return solution, True
+    return solution
 
 
 @st.composite
 def linear_systems(draw):
-    """Small integer or rational systems: some rank-deficient, with zero
-    columns, single rows or no columns; right sides consistent or not."""
+    """Small integer systems: some rank-deficient, with zero columns, single
+    rows or no columns; right sides consistent or not."""
     m = draw(st.integers(1, 6))
     n = draw(st.integers(0, 5))
-    if draw(st.booleans()):
-        entry = st.integers(-5, 5)
-    else:
-        entry = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    entry = st.integers(-5, 5)
     rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
     for col in draw(st.sets(st.integers(0, n - 1), max_size=2)) if n else ():
         for r in rows:
@@ -98,7 +83,7 @@ def linear_systems(draw):
         rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
     if draw(st.booleans()):  # consistent: b = A x
         x = [draw(entry) for _ in range(n)]
-        rhs = [sum((a * c for a, c in zip(r, x)), Fraction(0)) for r in rows]
+        rhs = [sum(a * c for a, c in zip(r, x)) for r in rows]
     else:
         rhs = [draw(entry) for _ in range(m)]
     return rows, rhs
@@ -109,34 +94,21 @@ def linear_systems(draw):
 def test_solve_matches_fraction_gauss_jordan(system):
     rows, rhs = system
     got = solve_with_free_zero(rows, rhs)
-    assert got == _reference_solve(rows, rhs)
-    sol, ok = got
-    if ok:
-        assert all(isinstance(c, Fraction) for c in sol)
-        assert all(sum(a * c for a, c in zip(r, sol)) == b for r, b in zip(rows, rhs))
+    want = _reference_solve(rows, rhs)
+    if want is None:
+        assert got is None
+        return
+    x, d = got
+    assert d > 0 and all(isinstance(c, int) for c in x + [d])
+    assert [Fraction(c, d) for c in x] == want
+    assert all(sum(a * c for a, c in zip(r, x)) == d * b for r, b in zip(rows, rhs))
 
 
 def test_solve_edge_cases():
-    assert solve_with_free_zero([], []) == ([], True)
-    assert solve_with_free_zero([[], []], [0, 0]) == ([], True)
-    assert solve_with_free_zero([[], []], [0, 1]) == (None, False)
-    assert solve_with_free_zero([[0, 0]], [0]) == ([0, 0], True)
-    # rational rows are scaled, not truncated: x/2 + y/3 = 1/6 and x = 1
-    third = Fraction(1, 3)
-    sol, ok = solve_with_free_zero([[Fraction(1, 2), third], [1, 0]], [Fraction(1, 6), 1])
-    assert ok and sol == [1, -1]
-
-
-def test_poly_helpers():
-    assert poly_trim([1, 2, 0, 0]) == [1, 2]
-    assert poly_trim([0]) == []
-    quot, rem = poly_divmod([1, 0, 0, 1], [1, 1])  # X^3+1 over X+1
-    assert quot == [1, -1, 1]
-    assert rem == []
-    quot, rem = poly_divmod([1, 0, 1], [1, 1])
-    assert rem == [2]
-    with pytest.raises(ZeroDivisionError):
-        poly_divmod([1, 1], [])
+    assert solve_with_free_zero([], []) == ([], 1)
+    assert solve_with_free_zero([[], []], [0, 0]) == ([], 1)
+    assert solve_with_free_zero([[], []], [0, 1]) is None
+    assert solve_with_free_zero([[0, 0]], [0]) == ([0, 0], 1)
 
 
 def _sparse(matrix):
@@ -161,9 +133,10 @@ def _reference_minimal_polynomial(matrix):
         top = _mat_mul(powers[-1], matrix)
         cols = [[x for row in pw for x in row] for pw in powers]
         rows = [list(r) for r in zip(*cols)]
-        sol, ok = solve_with_free_zero(rows, [x for row in top for x in row])
-        if ok:
-            return [-c for c in sol] + [1]
+        solved = solve_with_free_zero(rows, [x for row in top for x in row])
+        if solved is not None:
+            x, d = solved
+            return [Fraction(-c, d) for c in x] + [1]
         powers.append(top)
 
 
@@ -248,6 +221,16 @@ def test_integer_annihilator_is_the_inflated_minimal_polynomial(text, q):
             for a, block_row in enumerate(regular_matrix(entry)):
                 inflated[i * e + a][j * e : (j + 1) * e] = block_row
     assert list(integer_annihilator(sys).coeffs) == _reference_minimal_polynomial(inflated)
+
+
+def test_apply_reduces_wide_rows_before_summing():
+    # 2^14 products of (ell - 1)^2 ~ 2^50 would wrap int64 if summed unreduced
+    ell = next(linalg._primes(2))
+    width = 1 << 14
+    m = SparseMatrix.from_rows(2, [[(j, (-1,)) for j in range(width)]])
+    x = np.full((width, 1), ell - 1, dtype=np.int64)
+    got = m.apply(m.embedded(ell), x, ell)
+    assert got.tolist() == [[sum((ell - 1) * (ell - 1) for _ in range(width)) % ell]]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for recurrence checking, extension, discovery and named families."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +65,33 @@ def test_divides():
     assert divides(IntPolynomial([-1, 1]), x2m1)
     assert divides(IntPolynomial([-2, 2]), x2m1)  # rational divisibility
     assert not divides(IntPolynomial([2, 1]), IntPolynomial([1, 0, 1]))
+
+
+def _rational_remainder(b, a):
+    """b mod a by long division over Q, on ascending coefficient lists."""
+    rem = [Fraction(c) for c in b]
+    while len(rem) >= len(a):
+        factor = rem[-1] / a[-1]
+        shift = len(rem) - len(a)
+        for i, c in enumerate(a):
+            rem[shift + i] -= factor * c
+        rem.pop()
+    return rem
+
+
+def _polynomials(terms, bound):
+    """Integer polynomials with up to terms + 1 coefficients, often non-monic;
+    no lower terms gives a constant."""
+    lower = st.lists(st.integers(-bound, bound), max_size=terms)
+    lead = st.integers(-bound, bound).filter(bool)
+    return st.builds(lambda cs, c: IntPolynomial(cs + [c]), lower, lead)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polynomials(4, 4), _polynomials(5, 6), _polynomials(8, 9))
+def test_divides_is_rational_divisibility(a, c, b):
+    assert divides(a, a * c)
+    assert divides(a, b) == (not any(_rational_remainder(b.coeffs, a.coeffs)))
 
 
 # ---------------------------------------------------------------------------

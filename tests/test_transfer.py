@@ -273,6 +273,23 @@ def test_systems_match_their_pinned_digests():
     assert got == pinned
 
 
+@pytest.mark.parametrize(
+    "text, q", [("tau(3)", 2), ("sigma(3)", 3), ("R(2,3)", 3), ("T(2,4)", 3), ("tau(4)", 3)]
+)
+def test_oracle_gate_checks_the_matrix(monkeypatch, text, q):
+    # a matrix with every coefficient zeroed keeps the initial states and the
+    # projection right, so only a gate that takes a step can see it
+    real = SparseMatrix.from_root_counts
+
+    def zeroed(cls, *args):
+        m = real(*args)
+        return cls(m.p, m.starts, m.cols, m.coeffs * 0)
+
+    monkeypatch.setattr(SparseMatrix, "from_root_counts", classmethod(zeroed))
+    with pytest.raises(AssertionError, match="disagrees with the oracle"):
+        system_for(parse(text), make_field(*prime_power(q)))
+
+
 # ---------------------------------------------------------------------------
 # stepping and running
 
