@@ -4,6 +4,15 @@ Values are stored on the power basis 1, zeta, ..., zeta^(p-2) with integer
 coordinates; zeta^(p-1) is rewritten as -(1 + zeta + ... + zeta^(p-2)).
 For p = 2 the basis is just {1} and the ring degenerates to the ordinary
 integers, which keeps character sums over F_2 on the same code path.
+
+`CycInt(p, coeffs)` checks that p is prime, converts every coordinate with
+int() and checks that there are p - 1 of them.  The private constructor
+`CycInt._of(p, coords)` skips all three: it is for values the package has
+just computed from validated ones, and its caller guarantees that p is a
+prime already seen and that coords is a tuple of exactly p - 1 Python ints.
+A list would make the value unhashable and unequal to the same value built
+by CycInt(); a numpy integer would wrap on overflow in later arithmetic.
+Callers therefore convert numpy rows with tuple(row.tolist()).
 """
 
 from __future__ import annotations
@@ -32,6 +41,15 @@ class CycInt:
         self.coeffs = coeffs
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _of(cls, p, coords):
+        """The value with these coordinates, unchecked: coords is a tuple of
+        p - 1 Python ints computed from validated values of root order p."""
+        self = object.__new__(cls)
+        self.p = p
+        self.coeffs = coords
+        return self
 
     @classmethod
     def from_int(cls, p, n):

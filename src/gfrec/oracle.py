@@ -401,7 +401,7 @@ def decorated_sums(base, decorations, budget=DEFAULT_POINT_BUDGET):
         # the leading value axis becomes a coefficient axis, moved to the back
         h = h.reshape(p, q, -1)[shifted, np.arange(q)].sum(axis=2)
         h = h.transpose(0, 2, 1).reshape(p, -1)
-    return [CycInt(p, row) for row in (h[: p - 1] - h[p - 1]).T.tolist()]
+    return [CycInt._of(p, tuple(row)) for row in (h[: p - 1] - h[p - 1]).T.tolist()]
 
 
 def weight(g, budget=DEFAULT_POINT_BUDGET):

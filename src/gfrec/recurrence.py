@@ -9,7 +9,7 @@ Checking, extension and discovery work on their power-basis coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from math import gcd
 from operator import add, itemgetter, mul
 
@@ -234,18 +234,26 @@ def _holds(cols, coeffs):
 
 
 def _forward(col, coeffs, count):
-    """Append count terms to col by the monic recurrence, on its nonzero taps."""
+    """Append count terms to col by the monic recurrence, on its nonzero taps.
+
+    The sum of products starts from the first product rather than from 0:
+    0 + x copies a big integer at about the cost of a full addition.
+    """
     d = len(coeffs) - 1
     taps = [(j - d, -c) for j, c in enumerate(coeffs[:d]) if c] or [(-1, 0)]  # X^d: all zero
-    if len(taps) == 1:
-        ((off, c),) = taps
+    (o1, c1), rest = taps[0], taps[1:]
+    if not rest:
         for _ in range(count):
-            col.append(c * col[off])
-        return
-    window = itemgetter(*(off for off, _ in taps))
-    cs = [c for _, c in taps]
-    for _ in range(count):
-        col.append(sum(map(mul, cs, window(col))))
+            col.append(c1 * col[o1])
+    elif len(rest) == 1:
+        ((o2, c2),) = rest
+        for _ in range(count):
+            col.append(c1 * col[o1] + c2 * col[o2])
+    else:
+        window = itemgetter(*(off for off, _ in rest))
+        cs = [c for _, c in rest]
+        for _ in range(count):
+            col.append(sum(map(mul, cs, window(col)), c1 * col[o1]))
 
 
 def satisfies(seq, poly):
@@ -277,17 +285,18 @@ def extend(init, poly, n_target):
     if n_target >= init.n_end:
         for col in cols:
             _forward(col, poly.coeffs, n_target - init.n_end + 1)
-        fresh = tuple(CycInt(p, coords) for coords in islice(zip(*cols), len(init), None))
+        fresh = tuple(map(CycInt._of, repeat(p), islice(zip(*cols), len(init), None)))
         return Sequence(init.n_min, init.values + fresh, "recurrence")
     c0 = poly.coeffs[0]
     if n_target < init.n_min and c0 == 0:
         raise ValueError("constant term zero, cannot step backward")
     # the columns reversed, so stepping back appends: c_0 s(m) = -sum_{j>0} c_j r[-j]
     rev = [col[:d][::-1] for col in cols]
+    taps = [(-j, c) for j, c in enumerate(poly.coeffs) if j and c]
     fresh = []
     for _ in range(init.n_min - n_target):
-        num = [-sum(c * r[-j] for j, c in enumerate(poly.coeffs) if j and c) for r in rev]
-        fresh.append(CycInt(p, num).divide_exact(c0))
+        num = tuple(-sum(c * r[off] for off, c in taps) for r in rev)
+        fresh.append(CycInt._of(p, num).divide_exact(c0))
         for r, x in zip(rev, fresh[-1].coeffs):
             r.append(x)
     return Sequence(min(init.n_min, n_target), tuple(reversed(fresh)) + init.values, "recurrence")

@@ -132,7 +132,7 @@ def run(sys, n_target):
     out = []
     while True:
         v = _exact(v, norm)
-        out.append(CycInt(p, proj.times(v)[0].tolist()))
+        out.append(CycInt._of(p, tuple(proj.times(v)[0].tolist())))
         if len(out) > n_target - sys.n_min:
             return Sequence(sys.n_min, tuple(out), "transfer")
         v = m.times(v)

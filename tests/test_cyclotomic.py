@@ -5,15 +5,73 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfrec.cyclotomic import CycInt, combination, regular_matrix, root_power
+from gfrec.funcalg import instantiate, parse, tau
+from gfrec.galois import make_field, prime_power
+from gfrec.oracle import decorated_sums, sum_sequence
+from gfrec.recurrence import IntPolynomial, Sequence, extend, family_poly
+from gfrec.transfer import run, system_for
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^root order must be prime, got 4$"):
         CycInt(4, (0, 0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^expected 4 coordinates, got 3$"):
         CycInt(5, (1, 2, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^expected 1 coordinates, got 0$"):
         CycInt(2, ())
+
+
+def _forward_values():
+    # tau(3) over F_5 by X^3 - 5X - 20 from three enumerated terms
+    f5 = make_field(5)
+    init = sum_sequence(tau(3), f5, range(3, 6))
+    values = extend(init, family_poly("Q_TRAP", k=3, field=f5), 2000).values
+    assert max(c.bit_length() for c in values[-1].coeffs) > 3000
+    return values[len(init):]
+
+
+def _backward_values():
+    # c_0 = -1, so every backward step divides exactly
+    init = Sequence(0, tuple(CycInt(5, (i, -2 * i, 3, 2**80 + i)) for i in range(4)), "test")
+    return extend(init, IntPolynomial([-1, 2, 0, 3, 1]), -60).values[:60]
+
+
+def _run_values():
+    # past n = 35 the coordinates leave int64 and the run steps Python ints
+    values = []
+    for text, q, steps in (("tau(3)", 5, 60), ("R(2,3)", 2, 40), ("sigma(2)", 4, 20)):
+        sys_ = system_for(parse(text), make_field(*prime_power(q)))
+        values += run(sys_, sys_.n_min + steps).values
+    assert max(c.bit_length() for v in values for c in v.coeffs) > 63
+    return values
+
+
+def _decorated_values():
+    values = []
+    for q, n in ((5, 4), (2, 6), (9, 3)):
+        f = make_field(*prime_power(q))
+        decorations = [instantiate(parse(text), n, f) for text in ("sigma(1)", "sigma(2)")]
+        values += decorated_sums(instantiate(tau(3), n, f), decorations)
+    return values
+
+
+@pytest.mark.parametrize(
+    "make", [_forward_values, _backward_values, _run_values, _decorated_values],
+    ids=["extend-forward", "extend-backward", "run", "decorated_sums"],
+)
+def test_package_built_values_are_what_the_constructor_builds(make):
+    # values the package builds unchecked must equal, and hash as, the
+    # validated values: a tuple of exactly p - 1 Python ints
+    values = make()
+    assert values
+    for v in values:
+        assert type(v.coeffs) is tuple
+        assert all(type(c) is int for c in v.coeffs)
+        assert len(v.coeffs) == v.p - 1
+        checked = CycInt(v.p, v.coeffs)
+        assert v == checked and hash(v) == hash(checked)
+    last = values[-1]
+    assert CycInt.from_record(last.to_record()) == last
 
 
 def test_composite_order_rejected_every_time():

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gfrec.cyclotomic import CycInt, combination, root_power
@@ -322,21 +322,37 @@ def _reference_satisfies(seq, poly):
 
 @st.composite
 def monic_recurrences(draw):
-    """(p, monic polynomial, initial sequence): sparse or dense taps, p in 2, 3, 5, 7."""
+    """(monic polynomial, initial sequence): p in 2, 3, 5, 7, any number of
+    nonzero lower coefficients (taps), coordinates small or up to 2^200."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     d = draw(st.integers(0, 6))
-    if draw(st.booleans()):  # dense: every lower coefficient nonzero
-        lower = draw(st.lists(st.integers(-4, 4).filter(bool), min_size=d, max_size=d))
-    else:  # sparse: one or two taps
-        lower = [0] * d
-        for j in draw(st.lists(st.integers(0, max(d - 1, 0)), max_size=2)) if d else []:
-            lower[j] = draw(st.integers(-4, 4))
+    lower = [0] * d
+    for j in draw(st.permutations(range(d)))[: draw(st.integers(0, d))]:
+        lower[j] = draw(st.integers(-4, 4).filter(bool))
     if d and draw(st.booleans()):  # a unit constant term steps back integrally
         lower[0] = draw(st.sampled_from([1, -1]))
-    coord = st.integers(-50, 50)
+    coord = st.integers(-50, 50) | st.integers(-(2**200), 2**200)
     count = draw(st.integers(max(d, 1), d + 3))
     values = [CycInt(p, draw(st.lists(coord, min_size=p - 1, max_size=p - 1))) for _ in range(count)]
     return IntPolynomial(lower + [1]), Sequence(draw(st.integers(-3, 3)), tuple(values), "test")
+
+
+def _tap_examples(test):
+    """Each tap loop of extend (0, 1, 2 and 4 taps), forward and backward, on
+    coordinates past 2^200."""
+    polys = [
+        IntPolynomial([1]),
+        IntPolynomial([0, 0, 1]),
+        IntPolynomial([-1, 0, 0, 1]),
+        IntPolynomial([1, 0, -3, 1]),
+        IntPolynomial([-1, 2, 0, -4, 3, 1]),
+    ]
+    big = 2**200
+    init = Sequence(2, tuple(CycInt(5, (big + i, -big, i, 7 - big * i)) for i in range(6)), "test")
+    for poly in polys:
+        for offset in (-8, 40):
+            test = example((poly, init), offset)(test)
+    return test
 
 
 def _outcome(fn, *args):
@@ -348,6 +364,7 @@ def _outcome(fn, *args):
 
 @settings(max_examples=100, deadline=None)
 @given(monic_recurrences(), st.integers(-8, 40))
+@_tap_examples
 def test_extend_matches_the_term_by_term_loop(case, offset):
     poly, init = case
     n_target = init.n_min + offset

@@ -5,13 +5,13 @@
 
 DIR receives two fresh copies: `parent` (`git archive REV`) and `change`
 (the tracked and untracked, not ignored, files of the working tree).  For
-each workload W and seed S = 1 .. N it runs
-`python3 perfbench/run.py --workload W --seed S` once in each copy, one
-after the other; odd seeds run the parent first and even seeds the change
-first, so drift on a shared machine falls on both sides alike.  Every run's
-provenance and result lines go into the output, with the median and
-quartiles of each end-to-end metric per side and, for the claimed workload,
-the number of pairs in which the change's `wall_cal_s` is lower.
+each workload W and seed S = F .. F + N - 1 (F is `--first-seed`, default 1)
+it runs `python3 perfbench/run.py --workload W --seed S` once in each copy,
+one after the other; odd seeds run the parent first and even seeds the
+change first, so drift on a shared machine falls on both sides alike.
+Every run's provenance and result lines go into the output, with the median
+and quartiles of each end-to-end metric per side and, for the claimed
+workload, the number of pairs in which the change's `wall_cal_s` is lower.
 """
 
 from __future__ import annotations
@@ -97,7 +97,8 @@ def main(argv=None):
     ap.add_argument("--workdir", required=True, help="empty or new directory for the two copies")
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--claim", required=True, help="workload whose wall_cal_s is claimed")
-    ap.add_argument("--pairs", required=True, help="W=N,... pairs per workload, seeds 1..N")
+    ap.add_argument("--pairs", required=True, help="W=N,... pairs per workload, seeds F..F+N-1")
+    ap.add_argument("--first-seed", type=int, default=1, help="F, the first seed of every workload")
     ap.add_argument("--seconds", type=float, default=None, help="passed on to run.py")
     args = ap.parse_args(argv)
 
@@ -115,7 +116,7 @@ def main(argv=None):
 
     runs = []
     for workload, count in plan:
-        for seed in range(1, count + 1):
+        for seed in range(args.first_seed, args.first_seed + count):
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for side in order:
                 rec = _run(sides[side], workload, seed, args.seconds)
@@ -161,12 +162,13 @@ def main(argv=None):
             "better": "lower",
             "change_wins_pairs": "%d of %d" % (won[args.claim], counts[args.claim]),
         },
-        "command": "python3 tools/bench_pairs.py --parent %s --workdir DIR --out %s --claim %s --pairs %s%s"
+        "command": "python3 tools/bench_pairs.py --parent %s --workdir DIR --out %s --claim %s --pairs %s%s%s"
         % (
             args.parent,
             Path(args.out).name,
             args.claim,
             args.pairs,
+            "" if args.first_seed == 1 else " --first-seed %d" % args.first_seed,
             "" if args.seconds is None else " --seconds %g" % args.seconds,
         ),
         "parent": parent,
