@@ -24,6 +24,7 @@ import json
 import sys
 import time
 
+from .cyclotomic import to_decimal
 from .funcalg import parse, unparse
 from .galois import make_field, prime_power
 from .harness import (
@@ -131,8 +132,8 @@ def _sequence_payload(seq, f, expr_text, method):
         "values": [
             {
                 "n": seq.n_min + i,
-                "coeffs": [str(c) for c in v.coeffs],
-                "integer": None if v.as_integer() is None else str(v.as_integer()),
+                "coeffs": [to_decimal(c) for c in v.coeffs],
+                "integer": None if v.as_integer() is None else to_decimal(v.as_integer()),
             }
             for i, v in enumerate(seq.values)
         ],
@@ -219,7 +220,7 @@ def _cmd_verify(args):
     payload = {
         "expr": unparse(e),
         "field": f.describe(),
-        "poly": [str(c) for c in poly.coeffs],
+        "poly": [to_decimal(c) for c in poly.coeffs],
         "n_range": [lo, args.n_max],
         "windows": len(seq) - poly.degree,
         "holds": holds,
@@ -240,7 +241,7 @@ def _cmd_discover(args):
         "expr": unparse(e),
         "field": f.describe(),
         "n_range": [lo, args.n_max],
-        "poly": [str(c) for c in poly.coeffs],
+        "poly": [to_decimal(c) for c in poly.coeffs],
         "degree": poly.degree,
         "pretty": poly.pretty(),
     }
@@ -258,7 +259,7 @@ def _cmd_annihilator(args):
         "field": f.describe(),
         "system": sys_.label,
         "dim": sys_.dim,
-        "poly": [str(c) for c in poly.coeffs],
+        "poly": [to_decimal(c) for c in poly.coeffs],
         "degree": poly.degree,
         "pretty": poly.pretty(),
     }
@@ -296,8 +297,8 @@ def _cmd_conjecture(args):
         if first is None
         else {
             "n": first[0],
-            "expected": [str(c) for c in first[1].coeffs],
-            "got": [str(c) for c in first[2].coeffs],
+            "expected": [to_decimal(c) for c in first[1].coeffs],
+            "got": [to_decimal(c) for c in first[2].coeffs],
         },
         "status": report.status,
     }
@@ -315,7 +316,7 @@ def _cmd_numtheory(args):
             "op": "gauss-sum",
             "p": args.p,
             "a": args.a,
-            "coeffs": [str(c) for c in g.coeffs],
+            "coeffs": [to_decimal(c) for c in g.coeffs],
         }
         echo = {"op": args.op, "p": args.p, "a": args.a}
         return _record("numtheory", echo, payload), EXIT_OK
@@ -345,7 +346,7 @@ def _cmd_numtheory(args):
     payload = {
         "op": "eisenstein",
         "p": args.p,
-        "poly": [str(c) for c in poly.coeffs],
+        "poly": [to_decimal(c) for c in poly.coeffs],
         "verdict": verdict,
     }
     echo = {"op": args.op, "p": args.p, "poly": args.poly}

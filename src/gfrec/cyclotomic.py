@@ -22,6 +22,23 @@ import cmath
 from .galois import is_prime
 
 _PRIME_ORDERS = set()  # root orders already validated by is_prime
+_STR_BITS = 2000  # str() takes ints of up to 602 digits under any digit limit Python allows
+
+
+def to_decimal(n):
+    """The decimal string of an int n of any size, the same as str(n).
+
+    Python 3.11 (and 3.10.7 on) refuses str() of an int past a digit limit,
+    4300 by default.  A larger n is split by a power of ten near half its
+    digits, and the halves are written in turn.
+    """
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + to_decimal(-n)
+    k = n.bit_length() * 3 // 20  # under half the digits, so high >= 1
+    high, low = divmod(n, 10**k)
+    return to_decimal(high) + to_decimal(low).zfill(k)
 
 
 class CycInt:
@@ -158,12 +175,12 @@ class CycInt:
         return hash((self.p, self.coeffs))
 
     def __repr__(self):
-        return "CycInt(p=%d, %s)" % (self.p, list(self.coeffs))
+        return "CycInt(p=%d, [%s])" % (self.p, ", ".join(map(to_decimal, self.coeffs)))
 
     # -- serialization ------------------------------------------------------
 
     def to_record(self):
-        return {"p": self.p, "coeffs": [str(c) for c in self.coeffs]}
+        return {"p": self.p, "coeffs": [to_decimal(c) for c in self.coeffs]}
 
     @classmethod
     def from_record(cls, rec):

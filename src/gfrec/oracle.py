@@ -7,8 +7,10 @@ histogram is converted to a cyclotomic integer at the end.  Everything is
 integer arithmetic, so block partitioning cannot change the result.  Fields
 with q = 2 take a packed-bit fast path.  The generic kernel splits each
 function into cofactors of the low (in-block) and high (block-index) digits,
-so that what the blocks share is evaluated once; every point's value is
-still computed and counted.
+so that what the blocks share is evaluated once.  A block's histogram then
+depends only on its high-digit coefficients, up to a constant shift that
+permutes its bins, so blocks with equal coefficients are counted once and
+weighted by their number; every point is still counted exactly once.
 
 This module is the enumeration path only: `sum_sequence` enumerates every
 n of a range.  The other two paths, `transfer.run_range` on a built system
@@ -18,6 +20,7 @@ callers such as the command line pick one themselves.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 
 import numpy as np
@@ -207,40 +210,67 @@ def _split(terms, m):
 
 
 class _BlockValues:
-    """Values of one or more functions over the blocks of F_q^n.
+    """The joint histogram of the values of one or more functions over F_q^n,
+    or with traced, of the trace of the first one and the values of the others.
 
     A block fixes the top n - m digits of the point index and runs over the
     q^m settings of the low digits.  `_split` writes each function as
-    g = base(low) + sum over groups of C(high) L(low); base, each distinct L
-    and each C over all blocks are evaluated once, by `_grid`.  L is kept as
-    q L, an index into the flat table add[mul[c]], whose entry q s + v is
-    v + c s, so a block's values are base plus one gather for each group
-    whose C is some c != 0 on it.  Only tables of occurring c are built.
+    g = base(low) + shift(high) + sum over groups of C(high) L(low), where
+    shift is the sum of the groups whose cofactor L is a constant.  base,
+    each distinct L, each C and each shift over all blocks are evaluated
+    once, by `_grid`.  So a block's values depend only on its row of C
+    values, and its shift adds one element to all of them, which moves the
+    bins by a permutation of the add table (a roll by Tr(shift) on a trace
+    axis, as Tr is additive).  The blocks are grouped by
+    their rows of C and shift values; the histogram of each distinct C row
+    is built once and added under each of its shifts, times the number of
+    blocks with that row.  L is kept as q L, an index into the flat table
+    add[mul[c]], whose entry q s + v is v + c s, so the values for a C row
+    are base plus one gather for each group whose c is not 0.  Only tables
+    of occurring c are built.
     """
 
-    def __init__(self, funcs):
+    def __init__(self, funcs, grids, traced):
         field = funcs[0].field
         self.q = q = field.q
-        self.add, self.mul, _trace = field_tables(field)
+        self.add, self.mul, trace = field_tables(field)
+        # each axis: its bins, and the bin [b, s] that a shift by s moves bin b to
+        self.axes = [(q, self.add)] * len(funcs)
+        self.trace = None
+        if traced and field.r > 1:  # on a prime field Tr is the identity
+            self.trace = trace.astype(np.intp)
+            self.axes[0] = (field.p, (np.arange(field.p)[:, None] + trace) % field.p)
+        self.bins = math.prod(size for size, _table in self.axes)
         n = funcs[0].n
-        m, self.count = _enumerate_blocks(field, n)
+        m, count = _enumerate_blocks(field, n)
         self.index = np.empty(q**m, dtype=np.intp)
         self.tables = {} if m >= 3 else None  # then all q - 1 tables fit in one block
-        grids, scaled = {}, {}
-        self.funcs = []
+        scaled = {}
+        self.funcs, coeffs, shifts = [], [], []
         for g in funcs:
             terms = sorted((tuple(sorted(v - 1 for v in mono)), c.index) for mono, c in g.terms.items())
             base, groups = _split(terms, m)
+            # a constant L is one term (the empty monomial, c); its group joins shift
+            shift = sorted((high, low[0][1]) for low, highs in groups if not low[-1][0] for high, _one in highs)
+            groups = [(low, highs) for low, highs in groups if low[-1][0]]
             for low, _high in groups:
                 if low not in scaled:
                     scaled[low] = np.multiply(self._grid(low, m, grids), q, dtype=np.intp)
-            coeffs = [self._grid(high, n - m, grids) for _low, high in groups]
+            coeffs += [self._grid(high, n - m, grids) for _low, high in groups]
+            shifts.append(self._grid(shift, n - m, grids))
             self.funcs.append((
                 self._grid(base, m, grids),
                 [scaled[low] for low, _high in groups],
-                np.reshape(coeffs, (len(groups), self.count)).T.tolist(),
                 np.empty(q**m, dtype=np.intp),
             ))
+        rows = np.array(coeffs + shifts).T  # one row per block
+        self.weights = np.ones(1, dtype=np.intp)
+        if count > 1:  # the distinct rows, sorted, and how many blocks have each
+            rows = rows[np.lexsort(rows.T[::-1])]
+            starts = np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1)) + 1
+            self.weights = np.diff(starts, prepend=0, append=count)
+            rows = rows[np.concatenate(([0], starts))]
+        self.rows = rows
 
     def _grid(self, terms, k, grids):
         """The values of sorted terms in the variables 0..k-1 at the q^k points.
@@ -248,8 +278,11 @@ class _BlockValues:
         Above _LEAF_POINTS points, if `_split` at k // 2 gives parts with fewer
         terms in all, each part is evaluated on its half grid and they are
         combined; otherwise the terms are folded.  grids memoizes by
-        (terms, k), so a part that functions or groups share is built once.
+        (terms, k), so a part that functions, groups or calls share is built
+        once.
         """
+        if not terms:
+            return np.zeros(self.q**k, dtype=self.add.dtype)
         key = (tuple(terms), k)
         val = grids.get(key)
         if val is not None:
@@ -313,15 +346,13 @@ class _BlockValues:
             val = add[constant][val]
         return val
 
-    def values(self, block):
-        """The value index arrays of every function on one block, as intp.
-
-        They are buffers of this object, overwritten by the next call.
-        """
-        add, mul, index, tables, out = self.add, self.mul, self.index, self.tables, []
-        for base, scaled, coeffs, val in self.funcs:
+    def _histogram(self, coeffs):
+        """The flat joint histogram of one block of the given row of C values, unshifted."""
+        q, add, mul, index, tables = self.q, self.add, self.mul, self.index, self.tables
+        combined = None
+        for base, scaled, val in self.funcs:
             np.copyto(val, base)
-            for q_low, c in zip(scaled, coeffs[block]):
+            for q_low, c in zip(scaled, coeffs):
                 if c and tables is None:  # mul[L, c] = c L
                     val[...] = add[mul.ravel()[q_low + c], val]
                 elif c:
@@ -330,41 +361,65 @@ class _BlockValues:
                         table = tables[c] = add[mul[c]].astype(np.intp).ravel()
                     np.add(q_low, val, out=index)
                     table.take(index, out=val, mode="clip")
-            out.append(val)
-        return out
+            coeffs = coeffs[len(scaled):]
+            if combined is None:
+                combined = val if self.trace is None else self.trace[val]
+            else:
+                combined *= q
+                combined += val
+        return np.bincount(combined, minlength=self.bins)
 
-    def counts(self, block):
-        """Histogram of the combined value index sum v_i q^(k-1-i) on one block."""
-        vals = self.values(block)
-        combined = vals[0]
-        for val in vals[1:]:
-            combined *= self.q
-            combined += val
-        return np.bincount(combined, minlength=self.q ** len(vals))
+    def counts(self):
+        """The flat joint histogram, the bin of the first axis most significant."""
+        k, rows, weights = len(self.funcs), self.rows, self.weights
+        width = rows.shape[1] - k
+        total = np.zeros(self.bins, dtype=np.int64)
+        starts = [0]  # of the runs of rows with equal C values
+        if len(rows) > 1:
+            starts += (np.flatnonzero((rows[1:, :width] != rows[:-1, :width]).any(axis=1)) + 1).tolist()
+        listed = rows.tolist()
+        for a, b in zip(starts, starts[1:] + [len(rows)]):
+            hist = self._histogram(listed[a][:width])
+            if b - a == 1 and not any(listed[a][width:]):
+                total += weights[a] * hist
+                continue
+            step = max(1, _BLOCK_POINTS // hist.size)  # rows of shifted histograms at a time
+            for lo in range(a, b, step):
+                shift = rows[lo : min(lo + step, b), width:]
+                moved = np.zeros((1, 1), dtype=np.intp)  # where each bin moves, one row per shift
+                for s, (size, table) in zip(shift.T, self.axes):
+                    moved = (moved[:, :, None] * size + table.T[s][:, None, :]).reshape(len(shift), -1)
+                shifted = np.empty(moved.shape, dtype=np.int64)
+                shifted[np.arange(len(shift))[:, None], moved] = hist
+                total += weights[lo : lo + len(shift)] @ shifted
+        return total
 
 
-def _value_counts(funcs):
-    """The flat joint histogram of the value indices of funcs."""
-    blocks = _BlockValues(funcs)
-    return sum(blocks.counts(i) for i in range(blocks.count))
+def _value_counts(funcs, grids=None, traced=False):
+    """The flat joint histogram of the value indices of funcs, or with
+    traced, of Tr(funcs[0]) and the values of the others.
+
+    grids memoizes `_grid` for calls over one field; by default, one call.
+    """
+    return _BlockValues(funcs, {} if grids is None else grids, traced).counts()
 
 
-def trace_counts(g, budget=DEFAULT_POINT_BUDGET):
+def trace_counts(g, budget=DEFAULT_POINT_BUDGET, *, _grids=None):
     """Histogram of Tr(g(x)) residues over all points of F_q^n."""
     _check_budget(g.field, g.n, budget)
     if g.field.q == 2:
         return _trace_counts_f2(g)
     _add, _mul, trace = field_tables(g.field)
-    counts = _value_counts([g])
+    counts = _value_counts([g], _grids)
     residues = [0] * g.field.p
     for t, c in zip(trace.tolist(), counts.tolist()):
         residues[t] += c
     return residues
 
 
-def exp_sum(g, budget=DEFAULT_POINT_BUDGET):
+def exp_sum(g, budget=DEFAULT_POINT_BUDGET, *, _grids=None):
     """The exact character sum of g over its field, as a cyclotomic integer."""
-    counts = trace_counts(g, budget=budget)
+    counts = trace_counts(g, budget=budget, _grids=_grids)
     return CycInt.from_root_counts(g.field.p, counts)
 
 
@@ -386,17 +441,8 @@ def decorated_sums(base, decorations, budget=DEFAULT_POINT_BUDGET):
     _check_budget(field, base.n, budget)
     p, q = field.p, field.q
     _add, mul, trace = field_tables(field)
-    blocks = _BlockValues([base] + list(decorations))
-    hist = np.zeros(p * q**m, dtype=np.int64)
-    for block in range(blocks.count):
-        vals = blocks.values(block)
-        key = trace[vals[0]].astype(np.intp)  # Tr(base) q^m + sum_j v_j q^(m-1-j)
-        for val in vals[1:]:
-            key *= q
-            key += val
-        hist += np.bincount(key, minlength=hist.size)
+    h = _value_counts([base] + list(decorations), traced=True).reshape(p, -1)
     shifted = (np.arange(p)[:, None, None] - trace[mul].astype(np.intp)) % p  # [t, c, v]
-    h = hist.reshape(p, -1)
     for _ in range(m):
         # the leading value axis becomes a coefficient axis, moved to the back
         h = h.reshape(p, q, -1)[shifted, np.arange(q)].sum(axis=2)
@@ -444,5 +490,6 @@ def sum_sequence(e, field, n_range, budget=DEFAULT_POINT_BUDGET):
     """Character sums of family e for every n in n_range (step 1), by enumeration."""
     if n_range.step != 1:
         raise ValueError("n_range must have step 1")
-    values = tuple(exp_sum(instantiate(e, n, field), budget=budget) for n in n_range)
+    grids = {}  # `_grid` memo of this call, whose functions share one field
+    values = tuple(exp_sum(instantiate(e, n, field), budget=budget, _grids=grids) for n in n_range)
     return Sequence(n_range.start, values, "brute")

@@ -12,6 +12,11 @@ import pytest
 
 from gfrec import cli, transfer
 from gfrec.cli import main
+from gfrec.cyclotomic import to_decimal
+from gfrec.funcalg import tau
+from gfrec.galois import make_field
+from gfrec.oracle import sum_sequence
+from gfrec.recurrence import Sequence, extend, family_poly
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +164,27 @@ def test_expsum_pretty(capsys):
     assert code == 0
     assert "expsum" in out
     assert "n=3" in out and "6" in out
+
+
+def test_expsum_writes_values_past_the_int_digit_limit(capsys, monkeypatch):
+    # tau(3) over F_5 at n = 8500 has a coordinate of 4431 digits, past the
+    # 4300 that str() takes on Python 3.11.  extend gives the value that the
+    # transfer run computes in about a second
+    f5 = make_field(5)
+    seq = extend(sum_sequence(tau(3), f5, range(3, 6)), family_poly("Q_TRAP", k=3, field=f5), 8500)
+    value = seq.values[-1]
+    monkeypatch.setattr(cli, "_sums", lambda e, f, lo, hi, args, sys_=None: Sequence(lo, (value,), "transfer"))
+    argv = ["expsum", "--expr", "tau(3)", "--field", "5", "--n", "8500..8500", "--method", "transfer"]
+    code, rec = run_json(capsys, *argv)
+    assert code == 0
+    (v,) = rec["payload"]["values"]
+    assert v["n"] == 8500 and len(v["coeffs"][0]) > 4300
+    assert v["coeffs"] == [to_decimal(c) for c in value.coeffs]
+    assert v["integer"] == to_decimal(value.as_integer())
+    for fmt in ("csv", "pretty"):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert v["integer"] in out
 
 
 def test_expsum_explicit_modulus(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfrec.cyclotomic import CycInt, combination, regular_matrix, root_power
+from gfrec.cyclotomic import CycInt, combination, regular_matrix, root_power, to_decimal
 from gfrec.funcalg import instantiate, parse, tau
 from gfrec.galois import make_field, prime_power
 from gfrec.oracle import decorated_sums, sum_sequence
@@ -255,6 +255,40 @@ def test_record_round_trip():
     assert rec["p"] == 7
     assert all(isinstance(c, str) for c in rec["coeffs"])
     assert CycInt.from_record(rec) == a
+
+
+def _read_decimal(s):
+    """The int of a decimal string of any length, read in chunks that int() takes."""
+    digits = s.lstrip("-")
+    n = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i : i + 1000]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return -n if s.startswith("-") else n
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    digits=st.text("0123456789", min_size=1, max_size=12000).filter(lambda s: s == "0" or s[0] != "0"),
+    negative=st.booleans(),
+)
+def test_to_decimal_is_str_at_any_length(digits, negative):
+    # past 4300 digits str() refuses on Python 3.11; below, the bytes are str()'s
+    n = _read_decimal(digits)
+    want = "-" + digits if negative and n else digits
+    n = -n if negative else n
+    assert to_decimal(n) == want
+    if len(digits) < 600:
+        assert to_decimal(n) == str(n)
+
+
+def test_records_and_reprs_past_the_int_digit_limit():
+    big = 10**5000 + 123456789
+    a = CycInt(3, (big, -7))
+    digits = "1" + "0" * 4991 + "123456789"
+    assert a.to_record() == {"p": 3, "coeffs": [digits, "-7"]}
+    assert repr(a) == "CycInt(p=3, [%s, -7])" % digits
+    assert repr(CycInt(5, (1, -2, 0, 3))) == "CycInt(p=5, [1, -2, 0, 3])"
 
 
 def test_to_complex():

@@ -280,6 +280,105 @@ def test_cofactor_split_over_a_field_beyond_256_elements(block_points, leaf_poin
     assert sums == want
 
 
+@st.composite
+def _shared_block_cases(draw):
+    """1..3 functions on one F_q^n, and the block size q^(n - h) that makes the
+    top h variables high.  Each adds to random terms some pure-high terms,
+    which shift a block's values, and some products of a low and a high
+    monomial, so that many blocks share their coefficients."""
+    field = draw(st.sampled_from(FIELDS))
+    top = {2: 8, 3: 5, 4: 4, 5: 3, 8: 3, 9: 3}[field.q]
+    n = draw(st.integers(2, top))
+    h = draw(st.integers(1, n - 1))
+    low, high = st.integers(1, n - h), st.integers(n - h + 1, n)
+    scalars = st.integers(1, field.q - 1).map(field.from_index)
+    funcs = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = dict(draw(_function(field, n)).terms)
+        for _ in range(draw(st.integers(1, 3))):
+            terms[draw(st.frozensets(high, min_size=1, max_size=3))] = draw(scalars)
+        for _ in range(draw(st.integers(0, 3))):
+            mono = draw(st.frozensets(low, min_size=1, max_size=2)) | draw(st.frozensets(high, min_size=1, max_size=2))
+            terms[mono] = draw(scalars)
+        funcs.append(InstantiatedFunction(field, n, terms))
+    return funcs, field.q ** (n - h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_shared_block_cases(), leaf_points=st.sampled_from([1, 30, 1 << 10]))
+def test_blocks_that_share_coefficients_match_the_naive_loop(case, leaf_points):
+    funcs, block_points = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_BLOCK_POINTS", block_points)
+        mp.setattr(oracle, "_LEAF_POINTS", leaf_points)
+        counts = trace_counts(funcs[0])
+        joint = joint_counts(funcs)
+        sums = decorated_sums(funcs[0], funcs[1:])
+    field = funcs[0].field
+    want = _slow_joint(funcs)
+    assert joint.tolist() == want.tolist()
+    assert counts == _slow_counts(funcs[0])
+    assert sums == _slow_decorated(field, want)
+
+
+def _record_histograms(monkeypatch):
+    """The list to which every histogram `_BlockValues` builds adds (C row, bins)."""
+    built = []
+    histogram = oracle._BlockValues._histogram
+
+    def spy(self, coeffs):
+        counts = histogram(self, coeffs)
+        built.append((tuple(coeffs), counts.size))
+        return counts
+
+    monkeypatch.setattr(oracle._BlockValues, "_histogram", spy)
+    return built
+
+
+def test_each_distinct_coefficient_row_is_counted_once(monkeypatch):
+    # tau(3) over F_9 at n = 7 has 729 blocks of 9^4 points, on which the
+    # coefficients (x5, x5 x6) take 73 distinct values; x5 x6 x7 shifts them
+    f9 = make_field(3, 2)
+    g = instantiate(tau(3), 7, f9)
+    built = _record_histograms(monkeypatch)
+    got = exp_sum(g)
+    assert len(built) == len(set(built)) == 73
+    assert got == run_range(system_for(tau(3), f9), tau(3), range(7, 8)).values[0]
+
+
+def test_decorated_sums_count_the_trace_of_the_base(monkeypatch):
+    # over F_64 a block's histogram holds Tr(base), 2 bins, times the 64
+    # decoration values; the 64 values of base would make it q / p = 32
+    # times larger, and its cost grows with its size on every distinct block
+    f = make_field(2, 6)
+    base, decorations = instantiate(Sigma(2), 2, f), [instantiate(Sigma(1), 2, f)]
+    built = _record_histograms(monkeypatch)
+    got = decorated_sums(base, decorations)
+    assert {bins for _row, bins in built} == {2 * 64}
+    assert got == [exp_sum(_plus(base, decorations, (c,))) for c in range(64)]
+
+
+SEQUENCE_EXPRS = ["tau(3)", "R(2,3)", "sigma(2)", "e1*T(2) + sigma(1)", "R(2,3) + R(2)"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    cases=st.lists(st.tuples(st.sampled_from(SEQUENCE_EXPRS), st.sampled_from(FIELDS)), min_size=2, max_size=4),
+    block_points=st.sampled_from([1, 9, 30, 1 << 15]),
+)
+def test_sum_sequence_is_exp_sum_at_every_n(cases, block_points):
+    # the grids one call shares across its n must not reach another n, nor
+    # a later call over another field with the same terms
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_BLOCK_POINTS", block_points)
+        for text, field in cases:
+            e = parse(text)
+            ns = range(e.min_n(), {2: 10, 3: 6, 4: 5, 5: 4, 8: 3, 9: 3}[field.q] + 1)
+            seq = sum_sequence(e, field, ns)
+            assert seq.values == tuple(exp_sum(instantiate(e, n, field)) for n in ns)
+            assert seq.values[0] == _slow_sum(e, ns[0], field)
+
+
 def _reference_tables(field):
     elems = field.elements()
     add = [[(a + b).index for b in elems] for a in elems]
