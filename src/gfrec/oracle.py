@@ -1,7 +1,7 @@
 """Ground-truth character sums by exhaustive enumeration.
 
 The sum S(g) = sum over all x in F_q^n of zeta_p^(Tr(g(x))) is computed
-exactly: points are enumerated in fixed-size blocks, function values are
+exactly: points are enumerated in blocks, function values are
 reduced to trace residues through integer lookup tables, and the residue
 histogram is converted to a cyclotomic integer at the end.  Everything is
 integer arithmetic, so block partitioning cannot change the result.  Fields
@@ -10,7 +10,11 @@ function into cofactors of the low (in-block) and high (block-index) digits,
 so that what the blocks share is evaluated once.  A block's histogram then
 depends only on its high-digit coefficients, up to a constant shift that
 permutes its bins, so blocks with equal coefficients are counted once and
-weighted by their number; every point is still counted exactly once.
+weighted by their number; every point is still counted exactly once.  The
+block size is chosen per call, as a meet in the middle: smaller blocks make
+each distinct coefficient row's histogram cheaper, and make more rows to
+evaluate and sort.  A work model, fitted to timed calls, predicts both from
+the coefficient rows at each candidate size.
 
 This module is the enumeration path only: `sum_sequence` enumerates every
 n of a range.  The other two paths, `transfer.run_range` on a built system
@@ -27,53 +31,73 @@ import numpy as np
 
 from .cyclotomic import CycInt
 from .funcalg import instantiate
+from .galois import is_prime
 from .limits import DEFAULT_POINT_BUDGET, ResourceLimitExceeded
 from .recurrence import Sequence
 
-_BLOCK_POINTS = 1 << 15  # points per block of the generic kernel; its buffers stay in cache
+_BLOCK_POINTS = 1 << 15  # most points per block of the generic kernel; its buffers stay in cache
 _LEAF_POINTS = 1 << 10  # the generic kernel folds grids of up to this many points term by term
 _CHUNK_BITS = 22  # log2 of the points in one chunk of the F_2 kernel; at least 6
+# The generic kernel's work model, in nanoseconds, fitted to calls timed on a
+# 2-core x86-64 host; only their ratios matter.  See `_BlockValues._choose`.
+_GATHER_NS = 2  # one point of one gather into a block's histogram
+_FOLD_NS = 4  # one point of one term of a low-digit grid, counting at most _FOLD_TERMS a grid
+_FOLD_TERMS = 8  # `_grid` splits a grid of more terms into parts that have fewer
+_ROW_NS = 10_000  # one distinct C row's histogram, beyond its points
+_BIN_NS = 100  # one bin of one shifted row
+_HIGH_NS = 60  # one block's entry in the C and shift rows, evaluated and sorted
+_GRID_NS = 160_000  # one C or shift grid at one more m, with a margin for the model's error
+_TERM_NS = 3_000  # splitting one term at one more m
 
 _table_cache = {}
 _digit_cache = {}
 
 
 def _primitive_powers(field):
-    """Indices of g^0, ..., g^(q-2) for the first element g of order q - 1."""
+    """Indices of g^0, ..., g^(q-2) for the first element g of order q - 1.
+
+    g has order q - 1 when g^((q-1)/l) != 1 for every prime l dividing
+    q - 1.  Multiplication by g is F_p-linear on the digits of an index, so
+    its r x r matrix steps the powers, doubling the number known each pass.
+    """
+    p, r, q = field.p, field.r, field.q
+    primes = [ell for ell in range(2, q) if (q - 1) % ell == 0 and is_prime(ell)]
     one = field.one()
-    for i in range(1, field.q):
+    for i in range(1, q):
         g = field.from_index(i)
-        powers, x = [one.index], g
-        while x != one:
-            powers.append(x.index)
-            x = x * g
-        if len(powers) == field.q - 1:
-            return powers
-    raise AssertionError("no primitive element found")  # unreachable
+        if all(g ** ((q - 1) // ell) != one for ell in primes):
+            break
+    jump = np.array([(g * field.from_index(p**j)).coeffs for j in range(r)], dtype=np.int64).T  # column j: g X^j
+    powers = np.eye(r, 1, dtype=np.int64)  # column k: the digits of g^k
+    while powers.shape[1] < q - 1:
+        powers = np.hstack((powers, jump @ powers % p))
+        jump = jump @ jump % p
+    return p ** np.arange(r) @ powers[:, : q - 1]
 
 
 def field_tables(field):
     """Cached (add, mul, trace) index tables of a field, in the narrowest unsigned dtype.
 
-    They take O(q) field operations: addition is built up one digit at a time,
-    multiplication goes through the logarithm of a primitive element, and the
-    trace is linear in the digits.
+    Addition is built up one digit at a time, multiplication goes through
+    the logarithm of a primitive element, and the trace is linear in the
+    digits.
     """
     tables = _table_cache.get(field)
     if tables is None:
         p, r, q = field.p, field.r, field.q
         dtype = np.min_scalar_type(q - 1)
         digits = [np.arange(q) // p**i % p for i in range(r)]
-        antilog = np.array(_primitive_powers(field), dtype=dtype)
-        log = np.zeros(q, dtype=np.int64)
+        antilog = _primitive_powers(field).astype(dtype)
+        log = np.zeros(q, dtype=np.intp)
         log[antilog] = np.arange(q - 1)
         add = np.zeros((1, 1), dtype=dtype)
         for i in range(r):  # extend to digits 0..i: new top digits add mod p, lower ones by add
             top = ((np.arange(p)[:, None] + np.arange(p)) % p * p**i).astype(dtype)
             add = (top[:, None, :, None] + add[None, :, None, :]).reshape(p ** (i + 1), -1)
+        wrapped = np.concatenate((antilog, antilog))  # the antilog of every sum of two logs
         mul = np.zeros((q, q), dtype=dtype)
         for a in range(1, q):  # row by row, so the build needs no q x q temporaries
-            mul[a, 1:] = antilog[(log[a] + log[1:]) % (q - 1)]
+            np.take(wrapped[log[a] :], log[1:], out=mul[a, 1:], mode="clip")
         basis = [field.from_index(p**i).trace() for i in range(r)]
         trace = (sum(d * t for d, t in zip(digits, basis)) % p).astype(dtype)
         tables = (add, mul, trace)
@@ -94,14 +118,6 @@ def _digit_block(q, m):
             block[j] = np.tile(pattern, size // (q ** (j + 1)))
         _digit_cache[key] = block
     return block
-
-
-def _enumerate_blocks(field, n):
-    q = field.q
-    m = n
-    while q**m > _BLOCK_POINTS:
-        m -= 1
-    return m, q ** (n - m)
 
 
 def _check_budget(field, n, budget):
@@ -214,17 +230,18 @@ class _BlockValues:
     or with traced, of the trace of the first one and the values of the others.
 
     A block fixes the top n - m digits of the point index and runs over the
-    q^m settings of the low digits.  `_split` writes each function as
-    g = base(low) + shift(high) + sum over groups of C(high) L(low), where
-    shift is the sum of the groups whose cofactor L is a constant.  base,
-    each distinct L, each C and each shift over all blocks are evaluated
-    once, by `_grid`.  So a block's values depend only on its row of C
-    values, and its shift adds one element to all of them, which moves the
-    bins by a permutation of the add table (a roll by Tr(shift) on a trace
-    axis, as Tr is additive).  The blocks are grouped by
-    their rows of C and shift values; the histogram of each distinct C row
-    is built once and added under each of its shifts, times the number of
-    blocks with that row.  L is kept as q L, an index into the flat table
+    q^m settings of the low digits; `_choose` picks m for each call, with
+    q^m <= _BLOCK_POINTS and, where that allows, m >= n // 2.  `_split` writes
+    each function as g = base(low) + shift(high) + sum over groups of
+    C(high) L(low), where shift is the sum of the groups whose cofactor L is
+    a constant.  base, each distinct L, each C and each shift over all
+    blocks are evaluated once, by `_grid`.  So a block's values depend only
+    on its row of C values, and its shift adds one element to all of them,
+    which moves the bins by a permutation of the add table (a roll by
+    Tr(shift) on a trace axis, as Tr is additive).  The blocks are grouped
+    by their rows of C and shift values; the histogram of each distinct C
+    row is built once and added under each of its shifts, times the number
+    of blocks with that row.  L is kept as q L, an index into the flat table
     add[mul[c]], whose entry q s + v is v + c s, so the values for a C row
     are base plus one gather for each group whose c is not 0.  Only tables
     of occurring c are built.
@@ -242,35 +259,101 @@ class _BlockValues:
             self.axes[0] = (field.p, (np.arange(field.p)[:, None] + trace) % field.p)
         self.bins = math.prod(size for size, _table in self.axes)
         n = funcs[0].n
-        m, count = _enumerate_blocks(field, n)
+        terms = [sorted((tuple(sorted(v - 1 for v in mono)), c.index) for mono, c in g.terms.items()) for g in funcs]
+        m, splits, self.rows, self.weights, self.starts = self._choose(terms, n, grids)
         self.index = np.empty(q**m, dtype=np.intp)
         self.tables = {} if m >= 3 else None  # then all q - 1 tables fit in one block
         scaled = {}
-        self.funcs, coeffs, shifts = [], [], []
-        for g in funcs:
-            terms = sorted((tuple(sorted(v - 1 for v in mono)), c.index) for mono, c in g.terms.items())
-            base, groups = _split(terms, m)
-            # a constant L is one term (the empty monomial, c); its group joins shift
-            shift = sorted((high, low[0][1]) for low, highs in groups if not low[-1][0] for high, _one in highs)
-            groups = [(low, highs) for low, highs in groups if low[-1][0]]
+        self.funcs = []
+        for base, groups in splits:
             for low, _high in groups:
                 if low not in scaled:
                     scaled[low] = np.multiply(self._grid(low, m, grids), q, dtype=np.intp)
-            coeffs += [self._grid(high, n - m, grids) for _low, high in groups]
-            shifts.append(self._grid(shift, n - m, grids))
             self.funcs.append((
                 self._grid(base, m, grids),
                 [scaled[low] for low, _high in groups],
                 np.empty(q**m, dtype=np.intp),
             ))
+
+    def _choose(self, terms, n, grids):
+        """(m, splits, rows, weights, starts) at the m of least predicted work.
+
+        m runs down from the largest with q^m <= _BLOCK_POINTS, which bounds
+        the buffers, to n // 2 (only that m, if it is smaller).  At each m
+        only the high-digit side, the C and shift rows of `_layout`, is
+        built; from its counts `_work` predicts the rest.  A smaller m makes
+        the low-digit side cheaper and the high-digit side dearer: building
+        and sorting the rows costs about q^(n - m) times their width, plus a
+        fixed cost per grid and term, and is paid at every m tried.  So the
+        search stops when the predicted work rises, or when trying the next
+        m would cost more than it could save; it would still cost at least
+        a histogram of q^m points for each distinct C row, assuming that
+        rows do not merge as m falls.  Below n // 2 there would be more
+        blocks than points in a block, so the rows alone would outweigh a
+        histogram of each.
+        """
+        q, k = self.q, len(terms)
+        term_count = sum(map(len, terms))
+        top = n
+        while q**top > _BLOCK_POINTS:
+            top -= 1
+        best = None
+        for m in range(top, min(top, n // 2) - 1, -1):
+            if best is not None:
+                work, _m, _splits, rows, _weights, starts = best
+                width = rows.shape[1]
+                floor = (_GATHER_NS * k * q**m + _ROW_NS) * len(starts)
+                if work - floor <= (_HIGH_NS * q ** (n - m) + _GRID_NS) * width + _TERM_NS * term_count:
+                    break
+            layout = self._layout(terms, n, m, grids)
+            work = self._work(m, *layout)
+            if best is not None and work >= best[0]:
+                break
+            best = (work, m) + layout
+        return best[1:]
+
+    def _work(self, m, splits, rows, _weights, starts):
+        """The predicted nanoseconds to build the low-digit grids and count the blocks."""
+        gathers = folds = 0
+        for base, groups in splits:
+            gathers += 1 + len(groups)
+            folds += sum(min(len(part), _FOLD_TERMS) for part in [base] + [low for low, _high in groups])
+        shifted = len(rows) if rows[:, -len(splits):].any() else 0
+        return (
+            self.q**m * (_GATHER_NS * gathers * len(starts) + _FOLD_NS * folds)
+            + _ROW_NS * len(starts)
+            + _BIN_NS * shifted * self.bins
+        )
+
+    def _layout(self, terms, n, m, grids):
+        """(splits, rows, weights, starts) of the functions' terms at m low digits.
+
+        splits holds each function's (base, groups) from `_split`, without the
+        groups whose cofactor is a constant: they make up its shift.  rows
+        are the distinct rows of C and shift values over the blocks, sorted,
+        weights the number of blocks with each, and starts the first row of
+        each run of rows with equal C values.
+        """
+        splits, coeffs, shifts = [], [], []
+        for t in terms:
+            base, groups = _split(t, m)
+            # a constant L is one term (the empty monomial, c); its group joins shift
+            shift = sorted((high, low[0][1]) for low, highs in groups if not low[-1][0] for high, _one in highs)
+            groups = [(low, highs) for low, highs in groups if low[-1][0]]
+            coeffs += [self._grid(high, n - m, grids) for _low, high in groups]
+            shifts.append(self._grid(shift, n - m, grids))
+            splits.append((base, groups))
         rows = np.array(coeffs + shifts).T  # one row per block
-        self.weights = np.ones(1, dtype=np.intp)
-        if count > 1:  # the distinct rows, sorted, and how many blocks have each
+        weights = np.ones(1, dtype=np.intp)
+        starts = [0]
+        if len(rows) > 1:  # the distinct rows, sorted, and how many blocks have each
             rows = rows[np.lexsort(rows.T[::-1])]
-            starts = np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1)) + 1
-            self.weights = np.diff(starts, prepend=0, append=count)
-            rows = rows[np.concatenate(([0], starts))]
-        self.rows = rows
+            cuts = np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1)) + 1
+            weights = np.diff(cuts, prepend=0, append=len(rows))
+            rows = rows[np.concatenate(([0], cuts))]
+            width = len(coeffs)
+            starts += (np.flatnonzero((rows[1:, :width] != rows[:-1, :width]).any(axis=1)) + 1).tolist()
+        return splits, rows, weights, starts
 
     def _grid(self, terms, k, grids):
         """The values of sorted terms in the variables 0..k-1 at the q^k points.
@@ -371,12 +454,9 @@ class _BlockValues:
 
     def counts(self):
         """The flat joint histogram, the bin of the first axis most significant."""
-        k, rows, weights = len(self.funcs), self.rows, self.weights
+        k, rows, weights, starts = len(self.funcs), self.rows, self.weights, self.starts
         width = rows.shape[1] - k
         total = np.zeros(self.bins, dtype=np.int64)
-        starts = [0]  # of the runs of rows with equal C values
-        if len(rows) > 1:
-            starts += (np.flatnonzero((rows[1:, :width] != rows[:-1, :width]).any(axis=1)) + 1).tolist()
         listed = rows.tolist()
         for a, b in zip(starts, starts[1:] + [len(rows)]):
             hist = self._histogram(listed[a][:width])

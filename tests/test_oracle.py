@@ -23,7 +23,7 @@ from gfrec.funcalg import (
     parse,
     tau,
 )
-from gfrec.galois import is_prime, make_field
+from gfrec.galois import is_prime, make_field, prime_power
 from gfrec.limits import ResourceLimitExceeded
 from gfrec.oracle import (
     decorated_sums,
@@ -322,13 +322,13 @@ def test_blocks_that_share_coefficients_match_the_naive_loop(case, leaf_points):
 
 
 def _record_histograms(monkeypatch):
-    """The list to which every histogram `_BlockValues` builds adds (C row, bins)."""
+    """The list to which every histogram `_BlockValues` builds adds (C row, bins, points)."""
     built = []
     histogram = oracle._BlockValues._histogram
 
     def spy(self, coeffs):
         counts = histogram(self, coeffs)
-        built.append((tuple(coeffs), counts.size))
+        built.append((tuple(coeffs), counts.size, self.index.size))
         return counts
 
     monkeypatch.setattr(oracle._BlockValues, "_histogram", spy)
@@ -336,14 +336,92 @@ def _record_histograms(monkeypatch):
 
 
 def test_each_distinct_coefficient_row_is_counted_once(monkeypatch):
-    # tau(3) over F_9 at n = 7 has 729 blocks of 9^4 points, on which the
-    # coefficients (x5, x5 x6) take 73 distinct values; x5 x6 x7 shifts them
+    # tau(3) over F_9 at n = 7 has 6561 blocks of 9^3 points, on which the
+    # coefficients (x4, x4 x5) take 73 distinct values; x4 x5 x6 + x5 x6 x7
+    # shifts them
     f9 = make_field(3, 2)
     g = instantiate(tau(3), 7, f9)
     built = _record_histograms(monkeypatch)
     got = exp_sum(g)
     assert len(built) == len(set(built)) == 73
     assert got == run_range(system_for(tau(3), f9), tau(3), range(7, 8)).values[0]
+
+
+@st.composite
+def _forced_splits(draw):
+    """Functions from `_shared_block_cases` or `_functions`, and a split m in 0..n."""
+    funcs = draw(_shared_block_cases().map(lambda case: case[0]) | st.integers(1, 3).flatmap(_functions))
+    return funcs, draw(st.integers(0, funcs[0].n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_forced_splits(), leaf_points=st.sampled_from([1, 30, 1 << 10]))
+def test_every_split_matches_the_naive_loop(case, leaf_points):
+    # whatever m the chooser could pick, the counts are the same
+    funcs, m = case
+
+    def forced(self, terms, n, grids):
+        return (m,) + self._layout(terms, n, m, grids)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle._BlockValues, "_choose", forced)
+        mp.setattr(oracle, "_LEAF_POINTS", leaf_points)
+        counts = trace_counts(funcs[0])
+        joint = joint_counts(funcs)
+        sums = decorated_sums(funcs[0], funcs[1:])
+    field = funcs[0].field
+    want = _slow_joint(funcs)
+    assert joint.tolist() == want.tolist()
+    assert counts == _slow_counts(funcs[0])
+    assert sums == _slow_decorated(field, want)
+
+
+def _record_splits(monkeypatch):
+    """The list to which `_BlockValues` adds (q, n, m) for every split it tries."""
+    tried = []
+    layout = oracle._BlockValues._layout
+
+    def spy(self, terms, n, m, grids):
+        tried.append((self.q, n, m))
+        return layout(self, terms, n, m, grids)
+
+    monkeypatch.setattr(oracle._BlockValues, "_layout", spy)
+    return tried
+
+
+@pytest.mark.parametrize("block_points", [30, 1 << 15])
+@pytest.mark.parametrize("greedy", [False, True])
+def test_the_chooser_keeps_blocks_under_the_cap(monkeypatch, block_points, greedy):
+    # greedy: a model in which only the low-digit grids cost anything, so
+    # every smaller m looks cheaper and the search runs to its floor
+    monkeypatch.setattr(oracle, "_BLOCK_POINTS", block_points)
+    if greedy:
+        for name in ("_GATHER_NS", "_ROW_NS", "_BIN_NS", "_HIGH_NS", "_GRID_NS", "_TERM_NS"):
+            monkeypatch.setattr(oracle, name, 0)
+    tried = _record_splits(monkeypatch)
+    cases = [("tau(4)", 3, 13), ("sigma(3)", 3, 11), ("tau(3)", 8, 7), ("R(2,3) + R(2)", 5, 7), ("tau(3)", 9, 3), ("sigma(2)", 257, 2)]
+    for text, q, n in cases:
+        field = make_field(*prime_power(q))
+        g = instantiate(parse(text), n, field)
+        assert joint_counts([g]).sum() == q**n
+    for _text, q, n in cases:
+        top = max(k for k in range(n + 1) if q**k <= block_points or k == 0)
+        ms = [m for q_, n_, m in tried if (q_, n_) == (q, n)]
+        assert ms and min(top, n // 2) <= min(ms) and max(ms) == top
+        if greedy:
+            assert min(ms) == min(top, n // 2)
+
+
+def test_the_chooser_balances_tau4_over_f3(monkeypatch):
+    # at the cap, 3^4 blocks of 3^9 points; the coefficient rows take 15
+    # distinct values at every split down to n // 2, so smaller blocks cost less
+    f3 = make_field(3)
+    want = run_range(system_for(tau(4), f3), tau(4), range(13, 14)).values[0]
+    built = _record_histograms(monkeypatch)
+    got = exp_sum(instantiate(tau(4), 13, f3))
+    assert 0 < len(built) <= 15
+    assert max(points for _row, _bins, points in built) <= 3**7
+    assert got == want
 
 
 def test_decorated_sums_count_the_trace_of_the_base(monkeypatch):
@@ -354,7 +432,7 @@ def test_decorated_sums_count_the_trace_of_the_base(monkeypatch):
     base, decorations = instantiate(Sigma(2), 2, f), [instantiate(Sigma(1), 2, f)]
     built = _record_histograms(monkeypatch)
     got = decorated_sums(base, decorations)
-    assert {bins for _row, bins in built} == {2 * 64}
+    assert {bins for _row, bins, _points in built} == {2 * 64}
     assert got == [exp_sum(_plus(base, decorations, (c,))) for c in range(64)]
 
 
@@ -416,6 +494,21 @@ def test_field_tables_widen_past_256_elements():
     assert add.dtype == mul.dtype == trace.dtype == np.uint16
     a, b = f.from_index(200), f.from_index(100)
     assert add[200, 100] == (a + b).index and mul[200, 100] == (a * b).index
+
+
+@pytest.mark.parametrize("p,r", [(2, 12), (3, 7), (1021, 1)])
+def test_large_field_tables_match_field_arithmetic(monkeypatch, p, r):
+    # the powers of the primitive element are stepped by its matrix on the
+    # digits; a cache of this test's own keeps its 2 x 33 MB out of the session
+    monkeypatch.setattr(oracle, "_table_cache", {})
+    f = make_field(p, r)
+    add, mul, trace = field_tables(f)
+    assert sorted(oracle._primitive_powers(f).tolist()) == list(range(1, f.q))
+    rng = np.random.default_rng(p * r)
+    for a, b in rng.integers(0, f.q, size=(300, 2)).tolist():
+        x, y = f.from_index(a), f.from_index(b)
+        assert (add[a, b], mul[a, b]) == ((x + y).index, (x * y).index)
+    assert [trace[a] for a in range(0, f.q, 97)] == [f.from_index(a).trace() for a in range(0, f.q, 97)]
 
 
 def test_known_consecutive_trapezoid_values():

@@ -1,0 +1,123 @@
+"""A differential hash of the enumeration oracle: `trace_counts`,
+`joint_counts`, `decorated_sums` and `sum_sequence`.
+
+    PYTHONPATH=<checkout>/src python3 tools/oracle_hash.py
+
+Runs a fixed, seeded set of calls and prints the number of records and the
+SHA-256 of their JSON.  Each record is a call's result (residue counts, a
+flattened joint histogram, or the coordinates of cyclotomic sums) or the
+type and text of the exception it raised.  Two checkouts that print the same
+line give the same results on every call.  The fields are F_2, F_3, F_4,
+F_5, F_8, F_9, F_25 and F_257, and every field gets:
+- `sum_sequence` of tau, sigma, R and T families, and of sums of them with
+  scalar multiples, from the family minimum up to about 10^6 points;
+- `trace_counts` of random functions: random terms of degree 0-4, plus
+  terms in the top variables only and products of a low and a top monomial,
+  which make blocks share their coefficients, at sizes up to 10^6 points;
+- `joint_counts` of two or three such functions, and `decorated_sums` of
+  one with up to two decoration monomials;
+- refusals: points or joint bins past the budget.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+
+from gfrec.funcalg import InstantiatedFunction, instantiate, parse
+from gfrec.galois import make_field, prime_power
+from gfrec.oracle import decorated_sums, joint_counts, sum_sequence, trace_counts
+
+FIELDS = (2, 3, 4, 5, 8, 9, 25, 257)
+FAMILIES = (
+    "tau(2)", "tau(3)", "tau(4)", "sigma(1)", "sigma(2)", "sigma(3)", "R(2)", "R(2,3)", "T(2,4)",
+    "R(2,3) + R(2)", "tau(3) + sigma(2)", "e{a}*T(2) + sigma(1)", "R(2,3) + e{a}*tau(2) + sigma(1)",
+    "e{a}*sigma(3) + e{b}*tau(4)",
+)
+POINTS = 10**6  # the largest q^n of any call
+RANDOM_FUNCTIONS = 12  # per field, for each of trace_counts, joint_counts and decorated_sums
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        got = fn(*args, **kwargs)
+    except Exception as exc:  # refusals are part of the behaviour
+        return ["raise", type(exc).__name__, str(exc)]
+    if hasattr(got, "values"):  # a Sequence
+        return [got.n_min, [list(v.coeffs) for v in got.values]]
+    if hasattr(got, "tolist"):  # a joint histogram
+        return [list(got.shape), got.ravel().tolist()]
+    if got and hasattr(got[0], "coeffs"):  # decorated sums
+        return [list(v.coeffs) for v in got]
+    return got
+
+
+def _top_n(q, points=POINTS):
+    n = 1
+    while q ** (n + 1) <= points:
+        n += 1
+    return n
+
+
+def _random_function(rng, field, n):
+    """Random terms of degree 0-4, and terms that shift or scale the top variables' blocks."""
+    q = field.q
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        mono = frozenset(rng.sample(range(1, n + 1), rng.randint(0, min(n, 4))))
+        terms[mono] = field.from_index(rng.randrange(q))
+    top = max(1, n - rng.randint(1, max(1, n // 2)))  # variables top..n are the high ones
+    for _ in range(rng.randint(0, 3)):
+        terms[frozenset(rng.sample(range(top, n + 1), rng.randint(1, min(3, n - top + 1))))] = field.from_index(rng.randrange(1, q))
+    for _ in range(rng.randint(0, 3)):
+        if top > 1:
+            low = rng.sample(range(1, top), rng.randint(1, min(2, top - 1)))
+            high = rng.sample(range(top, n + 1), rng.randint(1, min(2, n - top + 1)))
+            terms[frozenset(low + high)] = field.from_index(rng.randrange(1, q))
+    return InstantiatedFunction(field, n, terms)
+
+
+def _describe(g):
+    return sorted([sorted(mono), c.index] for mono, c in g.terms.items())
+
+
+def _records():
+    rng = random.Random(2017)
+    out = []
+    for q in FIELDS:
+        field = make_field(*prime_power(q))
+        top = _top_n(q)
+        for text in FAMILIES:
+            text = text.format(a=rng.randrange(1, q), b=rng.randrange(1, q))
+            e = parse(text)
+            lo = e.min_n()
+            if lo <= top:
+                out.append(["sum_sequence", q, text, lo, top, _outcome(sum_sequence, e, field, range(lo, top + 1))])
+        for i in range(RANDOM_FUNCTIONS):
+            n = rng.randint(max(1, top - 3), top) if i % 2 else rng.randint(1, top)
+            g = _random_function(rng, field, n)
+            out.append(["trace_counts", q, n, _describe(g), _outcome(trace_counts, g)])
+            n = rng.randint(1, _top_n(q, POINTS // 10))
+            funcs = [_random_function(rng, field, n) for _ in range(2 if q > 25 else rng.randint(2, 3))]
+            out.append(["joint_counts", q, n, [_describe(g) for g in funcs], _outcome(joint_counts, funcs)])
+            decorations = [
+                InstantiatedFunction(field, n, {frozenset(rng.sample(range(1, n + 1), rng.randint(1, min(n, 3)))): field.one()})
+                for _ in range(rng.randint(0, 1 if q > 25 else 2))
+            ]
+            out.append(["decorated_sums", q, n, _describe(funcs[0]), [_describe(d) for d in decorations],
+                        _outcome(decorated_sums, funcs[0], decorations)])
+        g = instantiate(parse("tau(2)"), top, field)
+        out.append(["refusal", q, top, _outcome(trace_counts, g, budget=q**top - 1)])
+        out.append(["refusal", q, top, _outcome(joint_counts, [g] * 4, budget=q**3)])
+    return out
+
+
+def main():
+    records = _records()
+    blob = json.dumps(records, sort_keys=True).encode()
+    print("%d records sha256 %s" % (len(records), hashlib.sha256(blob).hexdigest()))
+
+
+if __name__ == "__main__":
+    main()
