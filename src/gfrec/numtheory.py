@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import CycInt, combination, root_power
+from .cyclotomic import CycInt
 from .galois import is_prime
 from .recurrence import IntPolynomial
 from .transfer import build_quadratic_matrix
@@ -80,19 +80,31 @@ def eisenstein_dumas(poly, p):
 
 
 def hadamard_check(p):
-    """True when the sigma(2) system over F_p, the quadratic matrix, has
-    unimodular root entries and satisfies M conj(M)^T = p I, both verified
-    exactly."""
-    m = build_quadratic_matrix(p).matrix
-    roots = {root_power(p, e) for e in range(p)}
-    if any(entry not in roots for row in m for entry in row):
+    """True when the sigma(2) system over F_p, the quadratic matrix M, has
+    root-of-unity entries and satisfies M conj(M)^T = p I, both verified
+    exactly on the exponents of its sparse entries.
+
+    An entry zeta^e has the power-basis coordinates of the unit vector e
+    for e < p - 1, and all -1 for e = p - 1; any other entry, a zero one
+    included, is not a root.  With every entry a root, each diagonal entry
+    of M conj(M)^T is p, and entry (i, j) is the sum over k of
+    zeta^(e_ik - e_jk).  The only relation among the powers of zeta is
+    that all p of them sum to 0, so p of them sum to 0 exactly when each
+    power occurs once: the differences e_ik - e_jk cover every residue
+    mod p once.
+    """
+    m = build_quadratic_matrix(p).sparse
+    if not (np.diff(m.starts) == p).all():  # a zero entry; columns ascend within each row
         return False
-    conj = [[entry.conjugate() for entry in row] for row in m]
-    for i in range(p):
-        for j in range(p):
-            if combination(p, zip(m[i], conj[j])) != CycInt.from_int(p, p if i == j else 0):
-                return False
-    return True
+    coeffs = m.coeffs
+    unit = (np.abs(coeffs).sum(axis=1) == 1) & (coeffs.max(axis=1) == 1)
+    last = (coeffs == -1).all(axis=1)
+    if not (unit | last).all():
+        return False
+    e = np.where(last, p - 1, coeffs.argmax(axis=1)).reshape(p, p)
+    differences = np.sort((e[:, None, :] - e[None, :, :]) % p, axis=2)
+    covered = (differences == np.arange(p)).all(axis=2)
+    return bool((covered | np.eye(p, dtype=bool)).all())
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,19 @@ each distinct coefficient row's histogram cheaper, and make more rows to
 evaluate and sort.  A work model, fitted to timed calls, predicts both from
 the coefficient rows at each candidate size.
 
+Most calls are small: checks and short ranges enumerate a few hundred to a
+few thousand points, where each numpy call costs about a microsecond
+whatever its size, so a call costs its count of numpy calls more than its
+points.  The kernel keeps that count and the work around it low.  The
+field-table cache holds intp tables beside the narrow ones (see
+`_FieldTables`), and the digit rows of small grids are intp (see
+`_digit_rows`), so each factor of a term is one add and one gather on a
+single dtype; a call that fits in one block builds no coefficient or shift
+rows.  tau(3) over F_3 at n = 6 (729 points) takes about 60-75 us in
+process on a 2-core x86-64 host.  Over fields with q^2 > _TABLE_ENTRIES no
+q^2 table is built for a call, so a small grid over F_2^12 costs its
+points, not 16.7 M table entries.
+
 This module is the enumeration path only: `sum_sequence` enumerates every
 n of a range.  The other two paths, `transfer.run_range` on a built system
 and `recurrence.extend` of initial terms, live in their own modules, and
@@ -24,7 +37,6 @@ callers such as the command line pick one themselves.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 
 import numpy as np
@@ -36,13 +48,14 @@ from .limits import DEFAULT_POINT_BUDGET, ResourceLimitExceeded
 from .recurrence import Sequence
 
 _BLOCK_POINTS = 1 << 15  # most points per block of the generic kernel; its buffers stay in cache
-_LEAF_POINTS = 1 << 10  # the generic kernel folds grids of up to this many points term by term
+_LEAF_POINTS = 1 << 10  # the generic kernel folds grids of up to this many points term by term; a numpy call costs about this many points
+_TABLE_ENTRIES = 1 << 12  # the field-table cache keeps intp q x q tables while q^2 is at most this
 _CHUNK_BITS = 22  # log2 of the points in one chunk of the F_2 kernel; at least 6
 # The generic kernel's work model, in nanoseconds, fitted to calls timed on a
 # 2-core x86-64 host; only their ratios matter.  See `_BlockValues._choose`.
 _GATHER_NS = 2  # one point of one gather into a block's histogram
 _FOLD_NS = 4  # one point of one term of a low-digit grid, counting at most _FOLD_TERMS a grid
-_FOLD_TERMS = 8  # `_grid` splits a grid of more terms into parts that have fewer
+_FOLD_TERMS = 8  # `_grid` splits large grids of many terms, so a grid's fold counts at most this many
 _ROW_NS = 10_000  # one distinct C row's histogram, beyond its points
 _BIN_NS = 100  # one bin of one shifted row
 _HIGH_NS = 60  # one block's entry in the C and shift rows, evaluated and sorted
@@ -75,16 +88,26 @@ def _primitive_powers(field):
     return p ** np.arange(r) @ powers[:, : q - 1]
 
 
-def field_tables(field):
-    """Cached (add, mul, trace) index tables of a field, in the narrowest unsigned dtype.
+class _FieldTables:
+    """A field's lookup tables, built once and kept in `_table_cache`.
 
-    Addition is built up one digit at a time, multiplication goes through
-    the logarithm of a primitive element, and the trace is linear in the
-    digits.
+    add, mul and trace are the index tables of `field_tables`, in the
+    narrowest unsigned dtype.  Addition is built up one digit at a time,
+    multiplication goes through the logarithm of a primitive element, and
+    the trace is linear in the digits.  The generic kernel and the transfer
+    builders compute indices in intp, and a numpy call on mixed dtypes
+    costs up to twice one on a single dtype, so intp tables are kept too:
+    trace; add and mul; qmul, flat, whose entry q s + x is q (s x); and,
+    built when c first occurs, add o mul[c], flat, whose entry q s + v is
+    v + c s.  All but trace have q^2 entries, so they exist only while
+    q^2 <= _TABLE_ENTRIES.  Over a larger field the kernel gathers from the
+    narrow tables with 2-d indices, which builds no q^2 table, and
+    `integer` converts add and mul on each call.  Every table is read-only.
     """
-    tables = _table_cache.get(field)
-    if tables is None:
+
+    def __init__(self, field):
         p, r, q = field.p, field.r, field.q
+        self.q = q
         dtype = np.min_scalar_type(q - 1)
         digits = [np.arange(q) // p**i % p for i in range(r)]
         antilog = _primitive_powers(field).astype(dtype)
@@ -100,24 +123,84 @@ def field_tables(field):
             np.take(wrapped[log[a] :], log[1:], out=mul[a, 1:], mode="clip")
         basis = [field.from_index(p**i).trace() for i in range(r)]
         trace = (sum(d * t for d, t in zip(digits, basis)) % p).astype(dtype)
-        tables = (add, mul, trace)
-        _table_cache[field] = tables
+        self.add, self.mul, self.trace = _frozen(add), _frozen(mul), _frozen(trace)
+        self.trace_index = _frozen(trace.astype(np.intp))
+        self._integer = self._qmul = None
+        if q * q <= _TABLE_ENTRIES:
+            self._integer = (_frozen(add.astype(np.intp)), _frozen(mul.astype(np.intp)))
+            self._qmul = _frozen(self._integer[1].ravel() * q)
+        self._scaled = {}  # c -> add o mul[c], flat
+
+    def integer(self):
+        """(add, mul, trace) as intp arrays."""
+        return (self._integer or (self.add.astype(np.intp), self.mul.astype(np.intp))) + (self.trace_index,)
+
+    def times(self, index, out):
+        """out = q (s x) at index = q s + x."""
+        if self._qmul is None:
+            np.multiply(self.mul.ravel()[index], self.q, out=out, dtype=np.intp)
+        else:
+            self._qmul.take(index, out=out, mode="clip")  # in range; "clip" lets take write into out
+
+    def plus_times(self, c, q_s, val, index):
+        """val = val + c s, in place, for q_s = q s; index is scratch of val's size."""
+        table = self._scaled.get(c)
+        if table is None:
+            if self._integer is None:
+                val[...] = self.add[self.mul.ravel()[q_s + c], val]  # mul is symmetric
+                return
+            add, mul = self._integer
+            table = self._scaled[c] = _frozen(add[mul[c]].ravel())
+        np.add(q_s, val, out=index)
+        table.take(index, out=val, mode="clip")
+
+
+def _frozen(table):
+    table.flags.writeable = False
+    return table
+
+
+def _tables(field):
+    tables = _table_cache.get(field)
+    if tables is None:
+        tables = _table_cache[field] = _FieldTables(field)
     return tables
 
 
-def _digit_block(q, m):
-    """Digit rows for the first q^m point indices: shape (m, q^m), narrowest unsigned dtype."""
-    key = (q, m)
-    block = _digit_cache.get(key)
-    if block is None:
-        size = q**m
-        dtype = np.min_scalar_type(q - 1)
-        block = np.empty((m, size), dtype=dtype)
-        for j in range(m):
-            pattern = np.repeat(np.arange(q, dtype=dtype), q**j)
-            block[j] = np.tile(pattern, size // (q ** (j + 1)))
-        _digit_cache[key] = block
-    return block
+def field_tables(field):
+    """Cached (add, mul, trace) index tables of a field, in the narrowest unsigned dtype."""
+    tables = _tables(field)
+    return tables.add, tables.mul, tables.trace
+
+
+def integer_tables(field):
+    """The (add, mul, trace) tables of `field_tables` as intp arrays.
+
+    They come from the same cache; add and mul are kept there only while
+    q^2 <= _TABLE_ENTRIES, and over a larger field are converted per call.
+    """
+    return _tables(field).integer()
+
+
+def _digit_rows(q, k):
+    """Digit rows of the first q^k point indices: row j holds digit j.
+
+    Rows of grids of up to _LEAF_POINTS points, which most calls fold, are
+    intp, so that the fold's adds see one dtype.  Rows of larger grids are
+    in the narrowest unsigned dtype, a byte an entry where intp takes eight,
+    so the cache stays small.  One read-only array per q and dtype holds
+    the rows of the largest k asked for so far; the rows for a smaller k
+    are the leading part of its first k rows.
+    """
+    dtype = np.intp if q**k <= _LEAF_POINTS else np.min_scalar_type(q - 1)
+    rows = _digit_cache.get((q, dtype))
+    if rows is None or len(rows) < k:
+        size = q**k
+        rows = np.empty((k, size), dtype=dtype)
+        for j in range(k):
+            rows[j] = np.tile(np.repeat(np.arange(q), q**j), size // q ** (j + 1))
+        rows = _digit_cache[q, dtype] = _frozen(rows)
+    return rows[:k, : q**k]
 
 
 def _check_budget(field, n, budget):
@@ -171,10 +254,12 @@ class _F2Chunks:
                     fixed |= 1 << (v - self.bits)
             groups.setdefault(tuple(inside), []).append((word, fixed))
         self.shape = (2,) * axes
-        self.groups = [
-            (tuple(1 if a in inside else slice(None) for a in range(axes)) + (...,), members)
-            for inside, members in sorted(groups.items())
-        ]
+        self.groups = []
+        for inside, members in sorted(groups.items()):
+            index = [slice(None)] * axes + [...]
+            for a in inside:
+                index[a] = 1
+            self.groups.append((tuple(index), members))
 
     def ones(self, chunk):
         cube = np.zeros(self.shape, dtype=np.uint64)
@@ -241,28 +326,23 @@ class _BlockValues:
     Tr(shift) on a trace axis, as Tr is additive).  The blocks are grouped
     by their rows of C and shift values; the histogram of each distinct C
     row is built once and added under each of its shifts, times the number
-    of blocks with that row.  L is kept as q L, an index into the flat table
-    add[mul[c]], whose entry q s + v is v + c s, so the values for a C row
-    are base plus one gather for each group whose c is not 0.  Only tables
-    of occurring c are built.
+    of blocks with that row.  L is kept as q L, so the values for a C row
+    are base plus, for each group whose c is not 0, one add and one gather
+    from the field's flat table add o mul[c] (`_FieldTables.plus_times`).
+    A call that fits in one block (m = n) has no high digits, and skips
+    building and sorting the rows.
     """
 
     def __init__(self, funcs, grids, traced):
-        field = funcs[0].field
+        self.field = field = funcs[0].field
         self.q = q = field.q
-        self.add, self.mul, trace = field_tables(field)
-        # each axis: its bins, and the bin [b, s] that a shift by s moves bin b to
-        self.axes = [(q, self.add)] * len(funcs)
-        self.trace = None
-        if traced and field.r > 1:  # on a prime field Tr is the identity
-            self.trace = trace.astype(np.intp)
-            self.axes[0] = (field.p, (np.arange(field.p)[:, None] + trace) % field.p)
-        self.bins = math.prod(size for size, _table in self.axes)
+        self.tables = _tables(field)
+        self.traced = traced and field.r > 1  # on a prime field Tr is the identity
+        self.bins = q ** (len(funcs) - 1) * (field.p if self.traced else q)
         n = funcs[0].n
-        terms = [sorted((tuple(sorted(v - 1 for v in mono)), c.index) for mono, c in g.terms.items()) for g in funcs]
+        terms = [sorted([(tuple(sorted([v - 1 for v in mono])), c.index) for mono, c in g.terms.items()]) for g in funcs]
         m, splits, self.rows, self.weights, self.starts = self._choose(terms, n, grids)
         self.index = np.empty(q**m, dtype=np.intp)
-        self.tables = {} if m >= 3 else None  # then all q - 1 tables fit in one block
         scaled = {}
         self.funcs = []
         for base, groups in splits:
@@ -317,8 +397,10 @@ class _BlockValues:
         gathers = folds = 0
         for base, groups in splits:
             gathers += 1 + len(groups)
-            folds += sum(min(len(part), _FOLD_TERMS) for part in [base] + [low for low, _high in groups])
-        shifted = len(rows) if rows[:, -len(splits):].any() else 0
+            folds += min(len(base), _FOLD_TERMS)
+            for low, _high in groups:
+                folds += min(len(low), _FOLD_TERMS)
+        shifted = len(rows) if len(rows) > 1 and rows[:, -len(splits):].any() else 0  # see `counts`
         return (
             self.q**m * (_GATHER_NS * gathers * len(starts) + _FOLD_NS * folds)
             + _ROW_NS * len(starts)
@@ -334,6 +416,8 @@ class _BlockValues:
         weights the number of blocks with each, and starts the first row of
         each run of rows with equal C values.
         """
+        if m == n:  # one block: no high digits, so no C or shift rows to build or sort
+            return [(t, []) for t in terms], np.zeros((1, len(terms)), dtype=np.intp), np.ones(1, dtype=np.intp), [0]
         splits, coeffs, shifts = [], [], []
         for t in terms:
             base, groups = _split(t, m)
@@ -343,7 +427,7 @@ class _BlockValues:
             coeffs += [self._grid(high, n - m, grids) for _low, high in groups]
             shifts.append(self._grid(shift, n - m, grids))
             splits.append((base, groups))
-        rows = np.array(coeffs + shifts).T  # one row per block
+        rows = np.array(coeffs + shifts, dtype=self.tables.add.dtype).T  # one row per block; narrow, so it sorts by radix
         weights = np.ones(1, dtype=np.intp)
         starts = [0]
         if len(rows) > 1:  # the distinct rows, sorted, and how many blocks have each
@@ -358,95 +442,86 @@ class _BlockValues:
     def _grid(self, terms, k, grids):
         """The values of sorted terms in the variables 0..k-1 at the q^k points.
 
-        Above _LEAF_POINTS points, if `_split` at k // 2 gives parts with fewer
-        terms in all, each part is evaluated on its half grid and they are
-        combined; otherwise the terms are folded.  grids memoizes by
-        (terms, k), so a part that functions, groups or calls share is built
-        once.
+        Above _LEAF_POINTS points the terms may be split at k // 2 (`_split`):
+        base and each group's parts are evaluated on their half grids and
+        combined.  That is done when it is predicted cheaper than the fold.
+        Counted in numpy operations on the q^k points, the fold takes
+        2 d + 1 for each term of degree d, the combination 1 plus 4 for each
+        group.  Each operation costs about _LEAF_POINTS + q^k points, and
+        the half grids cost about the fold's operations plus 5 for each part
+        they have, at about _LEAF_POINTS points each, since they are small.
+        grids memoizes by (terms, k), so a part that functions, groups or
+        calls share is built once.  The values are computed in intp and
+        kept in the field's narrow dtype, an eighth of the memory.
         """
         if not terms:
-            return np.zeros(self.q**k, dtype=self.add.dtype)
+            return np.zeros(self.q**k, dtype=self.tables.add.dtype)
         key = (tuple(terms), k)
         val = grids.get(key)
         if val is not None:
             return val
-        q, add, mul = self.q, self.add, self.mul
+        q, tables = self.q, self.tables
         h = k // 2
-        base, groups = _split(terms, h) if q**k > _LEAF_POINTS else (terms, ())
-        if len(base) + sum(len(low) + len(high) for low, high in groups) < len(terms):
-            val = self._grid(base, h, grids)
+        base, groups = _split(terms, h) if q**k > _LEAF_POINTS and h else (None, ())
+        ops = sum(2 * len(mono) + 1 for mono, _c in terms if mono)
+        if base is not None and (ops - 1 - 4 * len(groups)) * (_LEAF_POINTS + q**k) > (ops + 5 + 10 * len(groups)) * _LEAF_POINTS:
+            val, index, product = np.empty((3, q**k), dtype=np.intp)
+            val.reshape(-1, q**h)[...] = self._grid(base, h, grids)  # the point q^h i + j has its high digits in i
             for low, high in groups:
-                product = mul[self._grid(high, k - h, grids)[:, None], self._grid(low, h, grids)]
-                val = add[product, val]
-            val = val.ravel()
+                q_high = np.multiply(self._grid(high, k - h, grids), q, dtype=np.intp)
+                np.add(q_high[:, None], self._grid(low, h, grids), out=index.reshape(-1, q**h))
+                tables.times(index, product)
+                tables.plus_times(1, product, val, index)
         else:
-            val = self._fold(np.zeros(q**k, dtype=add.dtype), terms, _digit_block(q, k))
-        grids[key] = val
+            val = np.empty(q**k, dtype=np.intp)
+            val.fill(0 if terms[0][0] else terms[0][1])
+            self._fold(val, terms, _digit_rows(q, k))
+        val = grids[key] = val.astype(self.tables.add.dtype)
         return val
 
     def _fold(self, val, terms, cols):
-        """val plus c * prod(cols[v] for v in mono) for each (mono, c) in terms.
+        """Add c * prod(cols[v] for v in mono) to val in place for each (mono, c)
+        in terms but the constant one (the empty monomial), which val holds.
 
         terms are sorted by mono, so neighbours share prefixes.  Level j of the
         stack holds q times the product of the first j + 1 variables of the
-        current monomial, so the next factor s * x is one gather from the flat
-        mul table at q * s + x, and the term is added by one gather from the
-        flat table add[mul[c]], whose entry q * s + v is v + c s.  A constant
-        term (the empty monomial, sorted first) is folded into the table of
-        the next term.  The indices are always in range; mode="clip" lets take
-        write into out directly.
+        current monomial, so the next factor is one add and one gather
+        (`_FieldTables.times`), and so is adding the term
+        (`_FieldTables.plus_times`).
         """
-        q, add, mul = self.q, self.add, self.mul
-        flat_mul = mul.ravel()
-        degree = max((len(mono) for mono, _c in terms), default=0)
-        levels = [np.empty(val.size, dtype=np.intp) for _ in range(degree)]
+        q, times, plus_times = self.q, self.tables.times, self.tables.plus_times
+        levels = []
         index = np.empty(val.size, dtype=np.intp)
-        product = np.empty(val.size, dtype=mul.dtype)
-        stack = []
-        constant = 0
+        prev = ()
         for mono, c in terms:
             if not mono:
-                constant = c
                 continue
             keep = 0
-            while keep < min(len(stack), len(mono)) and stack[keep] == mono[keep]:
+            while keep < len(prev) and prev[keep] == mono[keep]:  # mono is never a prefix of prev
                 keep += 1
-            del stack[keep:]
             for j in range(keep, len(mono)):
-                if j == 0:
-                    np.multiply(cols[mono[0]], q, out=levels[0], dtype=np.intp)
-                else:
+                if j == len(levels):
+                    levels.append(np.empty(val.size, dtype=np.intp))
+                if j:
                     np.add(levels[j - 1], cols[mono[j]], out=index)
-                    flat_mul.take(index, out=product, mode="clip")
-                    np.multiply(product, q, out=levels[j], dtype=np.intp)
-                stack.append(mono[j])
-            table = add[mul[c]]
-            if constant:
-                table, constant = add[table, constant], 0
-            np.add(levels[len(mono) - 1], val, out=index)
-            table.ravel().take(index, out=val, mode="clip")
-        if constant:
-            val = add[constant][val]
-        return val
+                    times(index, levels[j])
+                else:
+                    np.multiply(cols[mono[0]], q, out=levels[0], dtype=np.intp)
+            plus_times(c, levels[len(mono) - 1], val, index)
+            prev = mono
 
     def _histogram(self, coeffs):
         """The flat joint histogram of one block of the given row of C values, unshifted."""
-        q, add, mul, index, tables = self.q, self.add, self.mul, self.index, self.tables
+        q, tables, index = self.q, self.tables, self.index
         combined = None
         for base, scaled, val in self.funcs:
             np.copyto(val, base)
             for q_low, c in zip(scaled, coeffs):
-                if c and tables is None:  # mul[L, c] = c L
-                    val[...] = add[mul.ravel()[q_low + c], val]
-                elif c:
-                    table = tables.get(c)
-                    if table is None:
-                        table = tables[c] = add[mul[c]].astype(np.intp).ravel()
-                    np.add(q_low, val, out=index)
-                    table.take(index, out=val, mode="clip")
+                if c:
+                    tables.plus_times(c, q_low, val, index)
             coeffs = coeffs[len(scaled):]
             if combined is None:
-                combined = val if self.trace is None else self.trace[val]
+                combined = tables.trace_index[val] if self.traced else val
             else:
                 combined *= q
                 combined += val
@@ -456,8 +531,18 @@ class _BlockValues:
         """The flat joint histogram, the bin of the first axis most significant."""
         k, rows, weights, starts = len(self.funcs), self.rows, self.weights, self.starts
         width = rows.shape[1] - k
+        if len(rows) == 1:
+            # all blocks share one shift, and a shift is a sum of high
+            # monomials, so it takes more than one value unless it is 0
+            hist = self._histogram(rows[0, :width].tolist())
+            return hist if weights[0] == 1 else weights[0] * hist
         total = np.zeros(self.bins, dtype=np.int64)
         listed = rows.tolist()
+        # each axis: its bins, and the bin [b, s] that a shift by s moves bin b to
+        axes = [(self.q, self.tables.add)] * k
+        if self.traced:  # a roll by Tr(s)
+            p = self.field.p
+            axes[0] = (p, (np.arange(p)[:, None] + self.tables.trace) % p)
         for a, b in zip(starts, starts[1:] + [len(rows)]):
             hist = self._histogram(listed[a][:width])
             if b - a == 1 and not any(listed[a][width:]):
@@ -467,7 +552,7 @@ class _BlockValues:
             for lo in range(a, b, step):
                 shift = rows[lo : min(lo + step, b), width:]
                 moved = np.zeros((1, 1), dtype=np.intp)  # where each bin moves, one row per shift
-                for s, (size, table) in zip(shift.T, self.axes):
+                for s, (size, table) in zip(shift.T, axes):
                     moved = (moved[:, :, None] * size + table.T[s][:, None, :]).reshape(len(shift), -1)
                 shifted = np.empty(moved.shape, dtype=np.int64)
                 shifted[np.arange(len(shift))[:, None], moved] = hist
@@ -489,12 +574,12 @@ def trace_counts(g, budget=DEFAULT_POINT_BUDGET, *, _grids=None):
     _check_budget(g.field, g.n, budget)
     if g.field.q == 2:
         return _trace_counts_f2(g)
-    _add, _mul, trace = field_tables(g.field)
     counts = _value_counts([g], _grids)
-    residues = [0] * g.field.p
-    for t, c in zip(trace.tolist(), counts.tolist()):
-        residues[t] += c
-    return residues
+    if g.field.r > 1:  # on a prime field Tr is the identity
+        residues = np.zeros(g.field.p, dtype=np.int64)
+        np.add.at(residues, _tables(g.field).trace_index, counts)
+        counts = residues
+    return counts.tolist()
 
 
 def exp_sum(g, budget=DEFAULT_POINT_BUDGET, *, _grids=None):
@@ -520,9 +605,9 @@ def decorated_sums(base, decorations, budget=DEFAULT_POINT_BUDGET):
     field, m = base.field, len(decorations)
     _check_budget(field, base.n, budget)
     p, q = field.p, field.q
-    _add, mul, trace = field_tables(field)
+    tables = _tables(field)
     h = _value_counts([base] + list(decorations), traced=True).reshape(p, -1)
-    shifted = (np.arange(p)[:, None, None] - trace[mul].astype(np.intp)) % p  # [t, c, v]
+    shifted = (np.arange(p)[:, None, None] - tables.trace_index[tables.mul]) % p  # [t, c, v]
     for _ in range(m):
         # the leading value axis becomes a coefficient axis, moved to the back
         h = h.reshape(p, q, -1)[shifted, np.arange(q)].sum(axis=2)

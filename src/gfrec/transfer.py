@@ -56,7 +56,7 @@ from .limits import (
     ResourceLimitExceeded,
 )
 from .linalg import SparseMatrix, group, minimal_polynomial
-from .oracle import decorated_sums, exp_sum, field_tables
+from .oracle import decorated_sums, exp_sum, integer_tables
 from .recurrence import IntPolynomial, Sequence
 
 
@@ -193,7 +193,7 @@ def _scatter_system(label, f, e, step, init, n0, shift, budget, closing=None):
     at that smallest index when the next has over min(budget, 2^20) points.
     """
     p = f.p
-    trace = field_tables(f)[2].astype(np.intp)
+    trace = integer_tables(f)[2]
     image, const = step
     dim, q = image.shape
     rows = np.repeat(np.arange(dim), q)
@@ -324,7 +324,7 @@ def _build_window_system(
     nt, nh = len(tail_shapes), len(head_shapes)
     grid = _states(q, nt + nh, state_limit)
     dim = len(grid)
-    add, mul = (t.astype(np.intp) for t in field_tables(f)[:2])
+    add, mul, _trace = integer_tables(f)
 
     # every state (alpha, beta) scatters to q states, one per value x of the
     # newest variable: arrays below are dim x q, the new alpha then the constant
@@ -411,7 +411,7 @@ def build_symmetric_system(
         raise ValueError("need k >= 2")
     q = f.q
     beta = _states(q, k - 1, state_limit)
-    add, mul = (t.astype(np.intp) for t in field_tables(f)[:2])
+    add, mul, _trace = integer_tables(f)
     x = np.arange(q)
     # on the value x of the newest variable (arrays are dim x q), the new top
     # decoration is x + beta_1, and each beta_j shifts down to

@@ -1,10 +1,13 @@
 """Tests for characters, Gauss sums, valuations and spectral checks."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from gfrec.cyclotomic import CycInt
+from gfrec import numtheory
+from gfrec.cyclotomic import CycInt, root_power
+from gfrec.linalg import SparseMatrix
 from gfrec.numtheory import (
     eigen_check,
     eisenstein_dumas,
@@ -15,6 +18,7 @@ from gfrec.numtheory import (
     valuation,
 )
 from gfrec.recurrence import IntPolynomial
+from gfrec.transfer import build_quadratic_matrix
 
 
 def test_legendre_values():
@@ -99,8 +103,35 @@ def test_criterion_not_applicable():
 
 
 def test_hadamard_check():
-    for p in (3, 5, 7):
+    for p in (3, 5, 7, 11, 13):
         assert hadamard_check(p)
+
+
+def _check_edited(monkeypatch, p, k, coords):
+    """hadamard_check(p) on the quadratic matrix with its k-th sparse entry set to coords."""
+    m = build_quadratic_matrix(p).sparse
+    coeffs = m.coeffs.copy()
+    coeffs[k] = coords
+    edited = SimpleNamespace(sparse=SparseMatrix(p, m.starts, m.cols, coeffs))
+    monkeypatch.setattr(numtheory, "build_quadratic_matrix", lambda _p: edited)
+    return hadamard_check(p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_hadamard_check_refuses_a_changed_exponent(monkeypatch, p):
+    # the entries are zeta^(j (k - j)); one other power breaks the orthogonality
+    # of its row with every other row
+    for k in range(p * p):
+        j, col = divmod(k, p)
+        for delta in range(1, p):
+            coords = root_power(p, j * (col - j) + delta).coeffs
+            assert not _check_edited(monkeypatch, p, k, coords)
+
+
+@pytest.mark.parametrize("coords", [(1, 1, 0, 0), (2, 0, 0, 0), (0, 0, 0, 0), (-1, -1, -1, 0), (0, -1, 0, 0)])
+def test_hadamard_check_refuses_a_non_root_entry(monkeypatch, coords):
+    for k in (0, 7, 24):
+        assert not _check_edited(monkeypatch, 5, k, coords)
 
 
 def test_predicted_spectrum():

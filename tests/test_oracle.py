@@ -5,6 +5,7 @@ over the instantiated function; the production kernels must agree with it
 bit for bit on every small case.
 """
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -227,7 +228,7 @@ def _split_cases(draw):
 )
 def test_cofactor_split_matches_the_naive_loop(funcs, block_points, leaf_points):
     # small blocks put most variables in the high digits, and a small leaf
-    # splits every grid whose parts have fewer terms in all
+    # makes `_grid` split most grids into parts
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_BLOCK_POINTS", block_points)
         mp.setattr(oracle, "_LEAF_POINTS", leaf_points)
@@ -509,6 +510,87 @@ def test_large_field_tables_match_field_arithmetic(monkeypatch, p, r):
         x, y = f.from_index(a), f.from_index(b)
         assert (add[a, b], mul[a, b]) == ((x + y).index, (x * y).index)
     assert [trace[a] for a in range(0, f.q, 97)] == [f.from_index(a).trace() for a in range(0, f.q, 97)]
+
+
+def test_small_grids_over_large_fields_build_no_square_table(monkeypatch):
+    # sigma(1) over F_4096 at n = 1 has 4096 points, and a q x q table 16.7 M
+    # entries; the peak of all allocations during the calls stays below one
+    # byte per entry of such a table, and the cache keeps no intp q x q table
+    monkeypatch.setattr(oracle, "_table_cache", {})
+    f = make_field(2, 12)
+    g = InstantiatedFunction(f, 1, {frozenset({1}): f.from_index(1234), frozenset(): f.from_index(7)})
+    field_tables(f)  # the narrow tables, built once per field
+    tracemalloc.start()
+    try:
+        counts = trace_counts(g)
+        joint = joint_counts([g])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < f.q**2
+    assert counts == [2048, 2048]
+    assert joint.tolist() == [1] * f.q
+    tables = oracle._tables(f)
+    assert tables._integer is None and tables._qmul is None and not tables._scaled
+
+
+BOUNDARY_FIELDS = [make_field(*prime_power(q)) for q in (2, 3, 4, 5, 8, 9, 25, 257)]
+BOUNDARY_TOP = {2: 10, 3: 6, 4: 5, 5: 4, 8: 3, 9: 3, 25: 2, 257: 1}  # the largest n the naive loop runs
+
+
+@st.composite
+def _boundary_cases(draw):
+    """1..3 functions on F_q^n, each random, constant-only or zero, and a
+    size q^b with n = b - 1, b or b + 1."""
+    field = draw(st.sampled_from(BOUNDARY_FIELDS))
+    top = BOUNDARY_TOP[field.q]
+    b = draw(st.integers(1, top))
+    n = draw(st.sampled_from([x for x in (b - 1, b, b + 1) if 1 <= x <= top]))
+    constants = st.integers(0, field.q - 1).map(lambda c: {frozenset(): field.from_index(c)})
+    kinds = _function(field, n).map(lambda g: g.terms) | st.just({}) | constants
+    funcs = [InstantiatedFunction(field, n, draw(kinds)) for _ in range(draw(st.integers(1, 2 if field.q > 25 else 3)))]
+    return funcs, field.q**b
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_boundary_cases(), at=st.sampled_from(["block", "leaf", "both"]), tables=st.booleans())
+def test_one_block_leaf_and_table_boundaries_match_the_naive_loop(case, at, tables):
+    # the size q^b is the block cap, the leaf size or both, so that q^n is
+    # one point count below, at or above it; without tables, the kernel
+    # takes the path of fields whose q x q tables are not kept
+    funcs, size = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_table_cache", {})
+        if at != "leaf":
+            mp.setattr(oracle, "_BLOCK_POINTS", size)
+        if at != "block":
+            mp.setattr(oracle, "_LEAF_POINTS", size)
+        if not tables:
+            mp.setattr(oracle, "_TABLE_ENTRIES", 0)
+        counts = trace_counts(funcs[0])
+        joint = joint_counts(funcs)
+        sums = decorated_sums(funcs[0], funcs[1:]) if funcs[0].field.q <= 25 else None
+    field = funcs[0].field
+    want = _slow_joint(funcs)
+    assert joint.tolist() == want.tolist()
+    assert counts == _slow_counts(funcs[0])
+    assert sums is None or sums == _slow_decorated(field, want)
+
+
+@pytest.mark.parametrize("p,n", [(2, 9), (2, 10), (2, 11), (2, 14), (2, 15), (2, 16), (3, 6), (3, 7), (3, 9), (3, 10), (5, 4), (5, 5), (5, 6), (5, 7)])
+def test_default_leaf_and_block_boundaries_match_integer_arithmetic(p, n):
+    # q^n just below, at or above 2^10 points (a leaf grid) and 2^15 (one block)
+    f = make_field(p)
+    funcs = [
+        instantiate(parse("tau(3) + e%d*sigma(2) + R(2)" % (p - 1)), n, f),
+        InstantiatedFunction(f, n, {frozenset(): f.from_index(p - 1)}),
+        InstantiatedFunction(f, n, {}),
+    ]
+    funcs[0].terms[frozenset()] = f.from_index(1)
+    values = [_prime_values(g) for g in funcs]
+    assert trace_counts(funcs[0]) == np.bincount(values[0], minlength=p).tolist()
+    joint = joint_counts(funcs).ravel().tolist()
+    assert joint == np.bincount((values[0] * p + values[1]) * p + values[2], minlength=p**3).tolist()
 
 
 def test_known_consecutive_trapezoid_values():

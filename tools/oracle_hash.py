@@ -17,6 +17,13 @@ F_5, F_8, F_9, F_25 and F_257, and every field gets:
 - `joint_counts` of two or three such functions, and `decorated_sums` of
   one with up to two decoration monomials;
 - refusals: points or joint bins past the budget.
+
+The fields F_2^10, F_2^12 and F_257 have q^2 past the integer tables that
+the field-table cache keeps, so the generic kernel gathers from the narrow
+tables there.  They also get, at n = 1..2, `sum_sequence` of a few families
+and `trace_counts` of random functions, and at n = 1 `joint_counts` of one
+function, or two over F_2^10 and F_257.  `decorated_sums` is left out over
+them: its transform table has p q^2 entries.
 """
 
 from __future__ import annotations
@@ -35,6 +42,8 @@ FAMILIES = (
     "R(2,3) + R(2)", "tau(3) + sigma(2)", "e{a}*T(2) + sigma(1)", "R(2,3) + e{a}*tau(2) + sigma(1)",
     "e{a}*sigma(3) + e{b}*tau(4)",
 )
+LARGE_FIELDS = (1024, 4096, 257)
+LARGE_FAMILIES = ("sigma(1)", "sigma(2)", "tau(2)", "e{a}*sigma(1) + R(2)")
 POINTS = 10**6  # the largest q^n of any call
 RANDOM_FUNCTIONS = 12  # per field, for each of trace_counts, joint_counts and decorated_sums
 
@@ -110,6 +119,18 @@ def _records():
         g = instantiate(parse("tau(2)"), top, field)
         out.append(["refusal", q, top, _outcome(trace_counts, g, budget=q**top - 1)])
         out.append(["refusal", q, top, _outcome(joint_counts, [g] * 4, budget=q**3)])
+    for q in LARGE_FIELDS:
+        field = make_field(*prime_power(q))
+        for text in LARGE_FAMILIES:
+            text = text.format(a=rng.randrange(1, q))
+            e = parse(text)
+            lo = e.min_n()
+            out.append(["sum_sequence", q, text, lo, 2, _outcome(sum_sequence, e, field, range(lo, 3))])
+        for n in (1, 2):
+            g = _random_function(rng, field, n)
+            out.append(["trace_counts", q, n, _describe(g), _outcome(trace_counts, g)])
+        funcs = [_random_function(rng, field, 1) for _ in range(1 if q == 4096 else 2)]
+        out.append(["joint_counts", q, 1, [_describe(g) for g in funcs], _outcome(joint_counts, funcs)])
     return out
 
 
