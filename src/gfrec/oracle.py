@@ -24,7 +24,7 @@ field-table cache holds intp tables beside the narrow ones (see
 `_FieldTables`), and the digit rows of small grids are intp (see
 `_digit_rows`), so each factor of a term is one add and one gather on a
 single dtype; a call that fits in one block builds no coefficient or shift
-rows.  tau(3) over F_3 at n = 6 (729 points) takes about 60-75 us in
+rows.  tau(3) over F_3 at n = 6 (729 points) takes about 55-75 us in
 process on a 2-core x86-64 host.  Over fields with q^2 > _TABLE_ENTRIES no
 q^2 table is built for a call, so a small grid over F_2^12 costs its
 points, not 16.7 M table entries.
@@ -462,9 +462,12 @@ class _BlockValues:
             return val
         q, tables = self.q, self.tables
         h = k // 2
-        base, groups = _split(terms, h) if q**k > _LEAF_POINTS and h else (None, ())
-        ops = sum(2 * len(mono) + 1 for mono, _c in terms if mono)
-        if base is not None and (ops - 1 - 4 * len(groups)) * (_LEAF_POINTS + q**k) > (ops + 5 + 10 * len(groups)) * _LEAF_POINTS:
+        split = q**k > _LEAF_POINTS and h
+        if split:
+            base, groups = _split(terms, h)
+            ops = sum(2 * len(mono) + 1 for mono, _c in terms if mono)
+            split = (ops - 1 - 4 * len(groups)) * (_LEAF_POINTS + q**k) > (ops + 5 + 10 * len(groups)) * _LEAF_POINTS
+        if split:
             val, index, product = np.empty((3, q**k), dtype=np.intp)
             val.reshape(-1, q**h)[...] = self._grid(base, h, grids)  # the point q^h i + j has its high digits in i
             for low, high in groups:
