@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Walk-through: cyclic translate sums and their transfer systems.
 
-Rotation families wrap around the index circle, so their transfer systems
-decorate both ends of a chain: tail decorations carry the chain forward,
-head decorations close the wrap, and the wrap-around translates become the
-projection.  The point to see concretely is that this closure is exact:
-the system matches enumeration from its first index on, and its long runs
+Rotation families wrap around the index circle.  Their transfer systems
+come from the de Bruijn matrix T of the window polynomial g, whose entry
+from (a_1..a_(w-1)) to (a_2..a_w) is zeta^Tr(g(a_1..a_w)): a cyclic word of
+length n is a closed walk of n steps, so the cyclic sum is Tr(T^n).  The
+system steps the columns of T^n side by side (T (x) I) and projects on the
+diagonal.  The point to see concretely is that this trace is exact: the
+system matches enumeration from its first index on, and its long runs
 satisfy the family's stated recurrence.
 """
 
@@ -25,8 +27,8 @@ def quadratic_rotation():
     f = make_field(3)
     print("== R(2) over F_3 ==")
     sys = build_rotation_system((1, 2), f)
-    print("  system: dim %d (tail and head decorations), first index n=%d"
-          % (sys.dim, sys.n_min))
+    print("  system: dim %d (the columns of the %d-state de Bruijn matrix), first index n=%d"
+          % (sys.dim, sys.kernel.dim, sys.n_min))
 
     horizon = 12
     a = run(sys, horizon)
@@ -45,7 +47,7 @@ def mixed_rotation():
     f2 = make_field(2)
     print()
     print("== R(2,3) + R(2) over F_2 ==")
-    # combinations of rotation patterns share one window system
+    # combinations of rotation patterns share one de Bruijn matrix
     e = parse("R(2,3) + R(2)")
     sys = system_for(e, f2)
     print("  %r" % sys)

@@ -2,11 +2,13 @@
 
 DEFAULT_POINT_BUDGET = 10**8
 DEFAULT_STATE_LIMIT = 4096
-# inflated dimension dim * (p-1) of an integer annihilator, whose
-# certificate costs about deg * nnz * dim * (p-1) multiply-adds per prime.
-# 2500 admits R(2,3) over F_5.  On a 2-core x86 host the slowest measured
-# call below it took 23 s (sigma(4) over F_9, degree 62), while at 4096
-# sigma(7) over F_4 took 64 s
+# inflated dimension dim * (p-1) of the kernel that an integer annihilator
+# runs on (the transfer matrix, or a rotation's q^(w-1)-state de Bruijn
+# matrix), whose certificate costs about deg * nnz * dim * (p-1)
+# multiply-adds per prime.  A rotation within the state limit has a kernel
+# of at most 64 states, 294 inflated (R(2,3) over F_7).  On a 2-core x86
+# host the slowest measured call below 2500 took 23 s (sigma(4) over F_9,
+# degree 62), while at 4096 sigma(7) over F_4 took 64 s
 DEFAULT_BLOWUP_LIMIT = 2500
 DEFAULT_DEGREE_CAP = 64
 

@@ -3,25 +3,26 @@
 Every builder here produces a TransferSystem: a finite family of decorated
 sums a_i(n) that is closed under instantiating the newest variable, so that
 the vector of states satisfies v(n) = M v(n-1) with entries in Z[zeta_p],
-and the target sum is a fixed linear combination of states (possibly at a
-shifted index).  All builders share one scatter recipe (_scatter_system):
-on each value x of the newest variable, state i becomes state image[i, x]
-and leaves the constant const[i, x], so M[i, j] sums zeta^Tr(const) over
-the x with image j; the projection sums the same factors over the values
-of the closing variables.  Every system is checked against the enumeration
-oracle one step past the smallest index that it and the target expression
-cover, so the check steps the matrix.
+and the target sum is the sum of some of the states.  All builders share
+one scatter recipe (_scatter_system): on each value x of the newest
+variable, state i becomes state image[i, x] and leaves the constant
+const[i, x], so M[i, j] sums zeta^Tr(const) over the x with image j.  Every
+system is checked against the enumeration oracle one step past the
+smallest index that it and the target expression cover, so the check steps
+the matrix.
 
 The k-state trapezoid sends a zero newest variable to b_0 and a nonzero one
 a level deeper.  Chain systems decorate a non-wrapping translate sum with
-monomials pinned to its trailing window; closing a rotation also pins
-monomials to the leading window, and the wrap-around translates give the
-projection.  Symmetric systems decorate the top elementary symmetric
-polynomial with the lower ones; for sigma(2) over a prime field this is the
-quadratic matrix with (j, k) entry zeta^(j(k-j)).  Initial states are the
-character sums of a base function plus each state's decorations: for the
-window and symmetric systems, one enumeration transformed by
-oracle.decorated_sums; for the k-state trapezoid, one sum per state.
+monomials pinned to its trailing window.  Symmetric systems decorate the
+top elementary symmetric polynomial with the lower ones; for sigma(2) over
+a prime field this is the quadratic matrix with (j, k) entry zeta^(j(k-j)).
+Their initial states are the character sums of a base function plus each
+state's decorations: one enumeration transformed by oracle.decorated_sums,
+or for the k-state trapezoid one sum per state.  A rotation combination's
+cyclic sum is Tr(T^n) for the de Bruijn matrix T[(a_1..a_(w-1)),
+(a_2..a_w)] = zeta^Tr(g(a_1..a_w)) of its window polynomial g, since the
+closed walks of length n are the cyclic words.  Its system is T (x) I from
+vec(T^n0) onto vec(I), and its kernel T gives the annihilator.
 
 The matrix is a linalg.SparseMatrix, and run steps it exactly in numpy on a
 dim x (p-1) array of power-basis coordinates: in int64 while that is
@@ -55,7 +56,7 @@ from .limits import (
     DEFAULT_STATE_LIMIT,
     ResourceLimitExceeded,
 )
-from .linalg import SparseMatrix, group, minimal_polynomial
+from .linalg import SparseMatrix, minimal_polynomial
 from .oracle import decorated_sums, exp_sum, integer_tables
 from .recurrence import IntPolynomial, Sequence
 
@@ -66,9 +67,9 @@ class TransferSystem:
     field: object
     sparse: SparseMatrix  # the nonzero entries of the matrix
     init: tuple  # state vector at index n0
-    projection: tuple
+    projection: tuple  # target(n) = projection . v(n)
     n0: int
-    shift: int  # target(n) = projection . v(n - shift)
+    kernel: SparseMatrix  # a matrix with sparse's minimal polynomial: T for T (x) I, else sparse
 
     @property
     def dim(self):
@@ -76,7 +77,7 @@ class TransferSystem:
 
     @property
     def n_min(self):
-        return self.n0 + self.shift
+        return self.n0
 
     @cached_property
     def matrix(self):
@@ -181,30 +182,30 @@ def _states(q, m, state_limit):
     return _grid(q, m)
 
 
-def _scatter_system(label, f, e, step, init, n0, shift, budget, closing=None):
-    """The system in which, on each value x of the newest variable, state i
+def _scatter(f, step):
+    """The matrix in which, on each value x of the newest variable, state i
     goes to state image[i, x] with the factor zeta^Tr(const[i, x]), for
-    step = (image, const), dim x q arrays of state and field indices.
-
-    The target is state 0, or for closing = (target, const), arrays over the
-    values y of the closing variables, the sum over y of
-    zeta^Tr(const[y]) v_target[y].  The system is checked against the
-    enumeration oracle on e one index past the smallest that both cover, or
-    at that smallest index when the next has over min(budget, 2^20) points.
-    """
-    p = f.p
-    trace = integer_tables(f)[2]
+    step = (image, const), dim x q arrays of state and field indices."""
     image, const = step
     dim, q = image.shape
+    trace = integer_tables(f)[2]
     rows = np.repeat(np.arange(dim), q)
-    sparse = SparseMatrix.from_root_counts(p, dim, rows, image.ravel(), trace[const].ravel())
-    target, weight = closing or (np.zeros(1, dtype=np.intp), 0)
-    key, inverse = group(target)
-    counts = np.bincount(inverse * p + trace[weight], minlength=len(key) * p).reshape(-1, p)
-    projection = [CycInt.zero(p)] * dim
-    for j, root_counts in zip(key.tolist(), counts.tolist()):
-        projection[j] = CycInt.from_root_counts(p, root_counts)
-    sys = TransferSystem(label, f, sparse, tuple(init), tuple(projection), n0, shift)
+    return SparseMatrix.from_root_counts(f.p, dim, rows, image.ravel(), trace[const].ravel())
+
+
+def _scatter_system(label, f, e, step, init, n0, budget, projection=(0,), kernel=None):
+    """The system of _scatter(f, step) with the state vector init at n0,
+    whose target is the sum of the states in projection.  The system is
+    checked against the enumeration oracle on e one index past the smallest
+    that both cover, or at that smallest index when the next has over
+    min(budget, 2^20) points.
+    """
+    p = f.p
+    sparse = _scatter(f, step)
+    target = [CycInt.zero(p)] * sparse.dim
+    for j in projection:
+        target[j] = CycInt.one(p)
+    sys = TransferSystem(label, f, sparse, tuple(init), tuple(target), n0, kernel or sparse)
     n = max(sys.n_min, e.min_n())
     if f.q ** (n + 1) <= min(budget, 1 << 20):  # take a step, so M is checked too
         n += 1
@@ -248,11 +249,11 @@ def build_trapezoid_system(k, f, budget=DEFAULT_POINT_BUDGET):
             terms[frozenset(range(j + 1, k + 1))] = f.one()
         init.append(exp_sum(InstantiatedFunction(f, k, terms), budget=budget))
     label = "trapezoid(2..%d)/F_%s" % (k, f.describe())
-    return _scatter_system(label, f, tau(k), (image, const), init, k, 0, budget)
+    return _scatter_system(label, f, tau(k), (image, const), init, k, budget)
 
 
 # ---------------------------------------------------------------------------
-# window-decorated chain engine (general trapezoids, rotations, mixtures)
+# window families: decorated chains, and rotations by the de Bruijn matrix
 
 def _sh1(offsets):
     w = max(offsets)
@@ -276,19 +277,6 @@ def _tail_shapes(patterns):
     return shapes
 
 
-def _head_shapes(patterns):
-    shapes = []
-    seen = set()
-    for _c, offsets in patterns:
-        wi = max(offsets)
-        for m in range(1, wi):
-            shape = frozenset(m + o - wi for o in offsets if o > wi - m)
-            if shape and shape not in seen:
-                seen.add(shape)
-                shapes.append(shape)
-    return shapes
-
-
 def _normalize_patterns(terms, f):
     """Merge (coefficient, offsets) terms, dropping cancelled patterns."""
     merged = {}
@@ -306,28 +294,23 @@ def _normalize_patterns(terms, f):
     return out
 
 
-def _build_window_system(
-    e, terms, f, wrap, label, state_limit=DEFAULT_STATE_LIMIT, budget=DEFAULT_POINT_BUDGET
+def _chain_system(
+    e, terms, f, label, state_limit=DEFAULT_STATE_LIMIT, budget=DEFAULT_POINT_BUDGET
 ):
-    """Shared engine: decorated chain states, optionally closed into a
-    rotation by head decorations plus wrap-around projection.  terms are the
-    (coefficient, offsets) translates of e, which gates the result."""
+    """Decorated chain states for the non-wrapping sum of the
+    (coefficient, offsets) translates terms of e, which gates the result."""
     q = f.q
     patterns = _normalize_patterns(terms, f)
     w = max(max(offsets) for _c, offsets in patterns)
-    if w < 2:
-        raise ValueError("window width below 2")
     tail_shapes = _tail_shapes(patterns)
-    head_shapes = _head_shapes(patterns) if wrap else []
     tail_index = {shape: i for i, shape in enumerate(tail_shapes)}
-    head_index = {shape: i for i, shape in enumerate(head_shapes)}
-    nt, nh = len(tail_shapes), len(head_shapes)
-    grid = _states(q, nt + nh, state_limit)
+    nt = len(tail_shapes)
+    grid = _states(q, nt, state_limit)
     dim = len(grid)
     add, mul, _trace = integer_tables(f)
 
-    # every state (alpha, beta) scatters to q states, one per value x of the
-    # newest variable: arrays below are dim x q, the new alpha then the constant
+    # every state alpha scatters to q states, one per value x of the newest
+    # variable: arrays below are dim x q, the new alpha then the constant
     x = np.arange(q)
     new = [np.zeros((dim, q), dtype=np.intp) for _ in range(nt + 1)]
     for j, shape in enumerate(tail_shapes):
@@ -337,48 +320,54 @@ def _build_window_system(
     for c, offsets in patterns:
         slot = tail_index[_sh1(offsets)]
         new[slot] = add[new[slot], mul[c.index, x]]
-    image = _index(new[:nt] + [grid[:, nt + j, None] for j in range(nh)], q)
 
-    n0 = 2 * (w - 1) if wrap else w
-    shift = (w - 1) if wrap else 0
+    chain = Sum(tuple(ScalarMul(c.index, Trapezoid(MonomialPattern(o))) for c, o in patterns))
+    decorations = [_monomial(f, w, (w - d for d in shape)) for shape in tail_shapes]
+    init = decorated_sums(instantiate(chain, w, f), decorations, budget)
+    return _scatter_system(label, f, e, (_index(new[:nt], q), new[nt]), init, w, budget)
 
-    chain = instantiate(
-        Sum(tuple(ScalarMul(c.index, Trapezoid(MonomialPattern(o))) for c, o in patterns)),
-        n0,
-        f,
-    )
-    decorations = [_monomial(f, n0, (n0 - d for d in shape)) for shape in tail_shapes]
-    decorations += [_monomial(f, n0, shape) for shape in head_shapes]
-    init = decorated_sums(chain, decorations, budget)
 
-    closing = None
-    if wrap:
-        # target(n) reads v(n - w + 1) and the values y of the last w - 1
-        # variables (y[:, d] at d places before the last).  A translate with
-        # a variable before them lands in a tail decoration, else one that
-        # wraps lands in a head decoration, else the constant; which one
-        # does not depend on y, only its coefficient does.
-        y = _grid(q, w - 1)
-        slots = [np.zeros(len(y), dtype=np.intp) for _ in range(nt + nh + 1)]
-        for c, offsets in patterns:
-            for start in range(3 - w - max(offsets), 1):
-                r = [start + o - 1 for o in offsets]  # positions relative to the last variable
-                coeff = c.index
-                for d in r:
-                    if 1 - w < d <= 0:
-                        coeff = mul[coeff, y[:, -d]]
-                chain_depths = frozenset(1 - w - d for d in r if d <= 1 - w)
-                head_positions = frozenset(d for d in r if d > 0)
-                if chain_depths:
-                    slot = tail_index[chain_depths]
-                elif head_positions:
-                    slot = nt + head_index[head_positions]
-                else:
-                    slot = nt + nh  # the constant
-                slots[slot] = add[slots[slot], coeff]
-        closing = (_index(slots[:-1], q), slots[-1])
+def _rotation_system(
+    e, terms, f, label, state_limit=DEFAULT_STATE_LIMIT, budget=DEFAULT_POINT_BUDGET
+):
+    """T (x) I for the de Bruijn matrix T (the kernel) of the cyclic sum of
+    the (coefficient, offsets) translates terms of e, which gates the result.
 
-    return _scatter_system(label, f, e, (image, new[nt]), init, n0, shift, budget, closing)
+    The window a_1..a_w has index a q + x for the index a of (a_1..a_(w-1))
+    and x = a_w, and T steps a to (a_2..a_w), index (a q + x) mod Q for
+    Q = q^(w-1).  The state a Q + i of T (x) I steps like a and keeps i, so
+    the states hold the columns of T^n: from vec(T^n0) at n0 = 3(w-1), the
+    target Tr(T^n) sums the diagonal states a Q + a.
+    """
+    q, p = f.q, f.p
+    patterns = _normalize_patterns(terms, f)
+    w = max(max(offsets) for _c, offsets in patterns)
+    Q = q ** (w - 1)
+    a, i = _states(Q, 2, state_limit).T  # the state a Q + i
+    add, mul, trace = integer_tables(f)
+    windows = _grid(q, w)
+    g = np.zeros(len(windows), dtype=np.intp)
+    for c, offsets in patterns:
+        term = c.index
+        for o in offsets:
+            term = mul[term, windows[:, o - 1]]
+        g = add[g, term]
+    image = np.arange(Q * q).reshape(Q, q) % Q
+    const = g.reshape(Q, q)
+    n0, r = 3 * (w - 1), np.arange(Q)
+    # vec(T^n0) from vec(I), as counts of the p roots of unity: the entry
+    # zeta^t of the step (a, x) rolls the counts of row image[a, x] by t,
+    # about p times less work than a product in coordinates.  A count is a
+    # number of walks, at most q^n0 = Q^3
+    roll = (np.arange(p) - trace[const][:, :, None, None]) % p
+    counts = np.zeros((Q, Q, p), dtype=np.int64)
+    counts[r, r, 0] = 1
+    for _ in range(n0):
+        counts = sum(counts[image[:, x, None, None], r[:, None], roll[:, x]] for x in range(q))
+    coords = (counts[..., :-1] - counts[..., -1:]).reshape(Q * Q, p - 1)
+    init = [CycInt._of(p, tuple(row)) for row in coords.tolist()]
+    step, kernel = (image[a] * Q + i[:, None], const[a]), _scatter(f, (image, const))
+    return _scatter_system(label, f, e, step, init, n0, budget, r * (Q + 1), kernel)
 
 
 def build_rotation_system(
@@ -389,9 +378,7 @@ def build_rotation_system(
         pattern = MonomialPattern(tuple(pattern))
     offsets = pattern.offsets
     label = "rotation(%s)/F_%s" % (",".join(map(str, offsets[1:])), f.describe())
-    return _build_window_system(
-        Rotation(pattern), [(f.one(), offsets)], f, True, label, state_limit, budget
-    )
+    return _rotation_system(Rotation(pattern), [(f.one(), offsets)], f, label, state_limit, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +401,7 @@ def build_symmetric_system(
     add, mul, _trace = integer_tables(f)
     x = np.arange(q)
     # on the value x of the newest variable (arrays are dim x q), the new top
-    # decoration is x + beta_1, and each beta_j shifts down to
+    # decoration is x + beta_1, and each beta_j moves down to
     # beta_j * x + beta_(j+1)
     image = [add[x, beta[:, 0, None]]]
     for j in range(1, k - 1):
@@ -423,7 +410,7 @@ def build_symmetric_system(
     lower = [instantiate(Sigma(k - j), k, f) for j in range(1, k)]
     init = decorated_sums(instantiate(Sigma(k), k, f), lower, budget)
     label = "symmetric(%d)/F_%s" % (k, f.describe())
-    return _scatter_system(label, f, Sigma(k), (_index(image, q), const), init, k, 0, budget)
+    return _scatter_system(label, f, Sigma(k), (_index(image, q), const), init, k, budget)
 
 
 def build_quadratic_matrix(p, budget=DEFAULT_POINT_BUDGET):
@@ -440,12 +427,14 @@ def build_quadratic_matrix(p, budget=DEFAULT_POINT_BUDGET):
 def integer_annihilator(
     sys, degree_cap=DEFAULT_DEGREE_CAP, blowup_limit=DEFAULT_BLOWUP_LIMIT
 ):
-    """Monic integer polynomial annihilating the transfer matrix M: the
-    minimal polynomial mu of M inflated to an integer matrix M' on the
-    dim * (p-1) power-basis coordinates of a state vector.  Inflation is a
-    ring homomorphism, so mu annihilates M and every projected sequence.
+    """Monic integer polynomial annihilating the transfer matrix: the
+    minimal polynomial mu of M = sys.kernel inflated to an integer matrix M'
+    on the dim * (p-1) power-basis coordinates of a vector.  The kernel is
+    the transfer matrix itself, or T for a rotation's T (x) I, which has the
+    same minimal polynomial.  Inflation is a ring homomorphism, so mu
+    annihilates the transfer matrix and every projected sequence.
 
-    linalg.minimal_polynomial works on sys.sparse and never forms M'.  Its
+    linalg.minimal_polynomial works on the kernel and never forms M'.  Its
     candidate P comes from Berlekamp-Massey on projected Krylov sequences
     mod primes ell = 1 (mod p) below 2^25, one per embedding zeta -> w^j,
     lifted by CRT.  The certificate checks P(sigma_j(M)) = 0 mod ell for every
@@ -455,18 +444,18 @@ def integer_annihilator(
     is a linear complexity mod ell, at most deg mu, so P = mu.
 
     Raises ValueError for degree_cap < 1, and ResourceLimitExceeded when
-    dim * (p-1) exceeds blowup_limit or deg mu exceeds degree_cap.  The work
-    is at most about (2 degree_cap + 17) nnz (p-1) per candidate prime plus
-    deg nnz dim (p-1) per certificate prime.
+    the kernel's dim * (p-1) exceeds blowup_limit or deg mu exceeds
+    degree_cap.  The work is at most about (2 degree_cap + 17) nnz (p-1) per
+    candidate prime plus deg nnz dim (p-1) per certificate prime.
     """
     if degree_cap < 1:
         raise ValueError("degree_cap must be >= 1")
-    dim = sys.dim * (sys.field.p - 1)
+    dim = sys.kernel.dim * (sys.field.p - 1)
     if dim > blowup_limit:
         raise ResourceLimitExceeded(
             "inflated dimension %d exceeds the limit of %d" % (dim, blowup_limit)
         )
-    return IntPolynomial(minimal_polynomial(sys.sparse, degree_cap))
+    return IntPolynomial(minimal_polynomial(sys.kernel, degree_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -502,21 +491,22 @@ def system_for(e, f, state_limit=DEFAULT_STATE_LIMIT, budget=DEFAULT_POINT_BUDGE
         return build_symmetric_system(node.k, f, state_limit, budget)
     kinds = {type(node) for _c, node in parts}
     if kinds in ({Trapezoid}, {Rotation}):
-        wrap = kinds == {Rotation}
+        rotation = kinds == {Rotation}
         terms = [(c, node.pattern.offsets) for c, node in parts]
-        if not wrap and len(terms) == 1 and terms[0][0] == f.one():
+        if not rotation and len(terms) == 1 and terms[0][0] == f.one():
             offsets = terms[0][1]
             k = len(offsets)
             if offsets == tuple(range(1, k + 1)):
                 return build_trapezoid_system(k, f, budget)
         label = "%s[%s]/F_%s" % (
-            "rotation" if wrap else "chain",
+            "rotation" if rotation else "chain",
             " + ".join(
-                "%s(%s)" % ("R" if wrap else "T", ",".join(map(str, o[1:]))) for _c, o in terms
+                "%s(%s)" % ("R" if rotation else "T", ",".join(map(str, o[1:]))) for _c, o in terms
             ),
             f.describe(),
         )
-        return _build_window_system(e, terms, f, wrap, label, state_limit, budget)
+        build = _rotation_system if rotation else _chain_system
+        return build(e, terms, f, label, state_limit, budget)
     raise ValueError(
         "transfer supports sigma(k), trapezoid combinations or rotation "
         "combinations, not %r" % (sorted(t.__name__ for t in kinds),)

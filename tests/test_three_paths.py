@@ -2,7 +2,9 @@
 
 One hypothesis property over random trapezoid and rotation combinations
 (patterns of width at most 4, unit scalars) and sigma(k), over F_2, F_3,
-F_4, F_5, F_8 and F_9.  For every drawn family the transfer run equals
+F_4, F_5, F_8 and F_9.  Rotations draw systems of up to 729 states, since
+their annihilator runs on the q^(w-1)-state de Bruijn matrix; chains and
+sigma(k) stay at 81.  For every drawn family the transfer run equals
 brute force wherever enumeration is cheap, the integer annihilator (whose
 certificate runs on every drawn system) annihilates the run, extending its
 first terms by the annihilator reproduces the run, and `discover` finds a
@@ -22,34 +24,35 @@ from gfrec.transfer import integer_annihilator, run, system_for
 FIELDS = {q: make_field(*prime_power(q)) for q in (2, 3, 4, 5, 8, 9)}
 PATTERNS = [(2,), (3,), (4,), (2, 3), (2, 4), (3, 4), (2, 3, 4)]
 BRUTE_POINTS = 5000  # enumerate n while q^n stays within this
-STATE_LIMIT = 81
+STATE_LIMITS = {"T": 81, "sigma": 81, "R": 729}
 DEGREE_CAP = 24  # discover's cost grows about with the cube of the order
 
 
 @st.composite
 def families(draw):
-    """A family and a field whose system has at most about STATE_LIMIT states:
-    q^(k-1) for sigma(k), q^(w-1) for trapezoids and q^(2(w-1)) for rotations
-    of width w."""
+    """A kind, a family of that kind and a field whose system has at most
+    about STATE_LIMITS[kind] states: q^(k-1) for sigma(k), q^(w-1) for
+    trapezoids and q^(2(w-1)) for rotations of width w."""
     q = draw(st.sampled_from(sorted(FIELDS)))
     kind = draw(st.sampled_from(["T", "R", "sigma"]))
+    limit = STATE_LIMITS[kind]
     if kind == "sigma":
-        text = "sigma(%d)" % draw(st.sampled_from([k for k in (2, 3, 4) if q ** (k - 1) <= STATE_LIMIT]))
+        text = "sigma(%d)" % draw(st.sampled_from([k for k in (2, 3, 4) if q ** (k - 1) <= limit]))
     else:
         span = 1 if kind == "T" else 2
-        fits = [o for o in PATTERNS if q ** (span * (max(o) - 1)) <= STATE_LIMIT]
+        fits = [o for o in PATTERNS if q ** (span * (max(o) - 1)) <= limit]
         terms = draw(st.lists(st.tuples(st.integers(1, q - 1), st.sampled_from(fits)), min_size=1, max_size=2))
         text = " + ".join("e%d*%s(%s)" % (c, kind, ",".join(map(str, o))) for c, o in terms)
-    return text, FIELDS[q]
+    return kind, text, FIELDS[q]
 
 
 @settings(max_examples=100, deadline=None)
 @given(families())
 def test_brute_transfer_and_recurrence_agree(family):
-    text, f = family
+    kind, text, f = family
     e = parse(text)
     try:
-        sys = system_for(e, f, state_limit=STATE_LIMIT)
+        sys = system_for(e, f, state_limit=STATE_LIMITS[kind])
         ann = integer_annihilator(sys, degree_cap=DEGREE_CAP)
     except (ResourceLimitExceeded, ValueError):  # too many states or too high a degree, or the terms cancel
         reject()

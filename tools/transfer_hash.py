@@ -1,0 +1,74 @@
+"""A differential hash of `transfer.system_for`, `run` and
+`integer_annihilator`.
+
+    PYTHONPATH=<checkout>/src python3 tools/transfer_hash.py
+
+Builds the system of every digest case of tests/test_transfer.py (its
+DIGEST_EXPRS over its DIGEST_FIELDS, copied below) and prints two lines,
+each the number of records and the SHA-256 of their JSON:
+- runs: per case the label, dim, n_min and the coordinates of `run` up to
+  n_min + 12, or the type and text of the exception that refused the system;
+- annihilators: per case the coefficients of `integer_annihilator` at its
+  default limits, or the type and text of the refusal.
+
+The runs line pins every sum that a system gives, whatever the matrix and
+states that give it; the annihilators line pins the recurrences.  Two
+checkouts that print the same runs line build systems with the same labels,
+dims and first indices, giving the same sums.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+from gfrec.funcalg import parse
+from gfrec.galois import make_field, prime_power
+from gfrec.limits import ResourceLimitExceeded
+from gfrec.transfer import integer_annihilator, run, system_for
+
+DIGEST_EXPRS = (
+    "tau(2)", "tau(3)", "tau(4)", "tau(5)", "sigma(2)", "sigma(3)", "R(2)", "R(2,3)", "R(2,4)",
+    "T(2,4)", "R(2,3)+R(2)", "T(2,4)+e2*T(3)", "e2*T(2,3)", "R(2,3,4)", "e3*R(2)+R(3)",
+)
+DIGEST_FIELDS = (2, 3, 4, 5, 7, 8, 9)
+STEPS = 12  # run each system from n_min to n_min + STEPS
+
+
+def _refusal(err):
+    return ["raise", type(err).__name__, str(err)]
+
+
+def _records():
+    runs, annihilators = [], []
+    for text in DIGEST_EXPRS:
+        for q in DIGEST_FIELDS:
+            case = "%s/F_%d" % (text, q)
+            try:
+                sys = system_for(parse(text), make_field(*prime_power(q)))
+            except (ValueError, ResourceLimitExceeded) as err:
+                runs.append([case, _refusal(err)])
+                annihilators.append([case, _refusal(err)])
+                continue
+            seq = run(sys, sys.n_min + STEPS)
+            runs.append([case, sys.label, sys.dim, sys.n_min, [list(v.coeffs) for v in seq.values]])
+            try:
+                annihilators.append([case, list(integer_annihilator(sys).coeffs)])
+            except (ValueError, ResourceLimitExceeded) as err:
+                annihilators.append([case, _refusal(err)])
+    return runs, annihilators
+
+
+def _line(name, records):
+    blob = json.dumps(records, sort_keys=True).encode()
+    return "%s: %d records sha256 %s" % (name, len(records), hashlib.sha256(blob).hexdigest())
+
+
+def main():
+    runs, annihilators = _records()
+    print(_line("runs", runs))
+    print(_line("annihilators", annihilators))
+
+
+if __name__ == "__main__":
+    main()
