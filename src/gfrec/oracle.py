@@ -50,6 +50,7 @@ from .recurrence import Sequence
 _BLOCK_POINTS = 1 << 15  # most points per block of the generic kernel; its buffers stay in cache
 _LEAF_POINTS = 1 << 10  # the generic kernel folds grids of up to this many points term by term; a numpy call costs about this many points
 _TABLE_ENTRIES = 1 << 12  # the field-table cache keeps intp q x q tables while q^2 is at most this
+_TRANSFORM_ENTRIES = 1 << 20  # most entries of one gather of `decorated_sums`' transform (8 MB of int64)
 _CHUNK_BITS = 22  # log2 of the points in one chunk of the F_2 kernel; at least 6
 # The generic kernel's work model, in nanoseconds, fitted to calls timed on a
 # 2-core x86-64 host; only their ratios matter.  See `_BlockValues._choose`.
@@ -603,18 +604,27 @@ def decorated_sums(base, decorations, budget=DEFAULT_POINT_BUDGET):
     out[t, c] = sum_v h[(t - Tr(c v)) mod p, v], one gather through the
     Tr(c v) table and one sum.  Every column of the result sums to
     q^n <= budget, so int64 stays exact; callers bound q^m by their state
-    limit, and the table holds p q^m bins.
+    limit, and the table holds p q^m bins.  The gather takes the
+    coefficients c in chunks of at most _TRANSFORM_ENTRIES entries; with
+    one chunk, its shifted table is built once for every axis.
     """
     field, m = base.field, len(decorations)
     _check_budget(field, base.n, budget)
     p, q = field.p, field.q
-    tables = _tables(field)
     h = _value_counts([base] + list(decorations), traced=True).reshape(p, -1)
-    shifted = (np.arange(p)[:, None, None] - tables.trace_index[tables.mul]) % p  # [t, c, v]
-    for _ in range(m):
-        # the leading value axis becomes a coefficient axis, moved to the back
-        h = h.reshape(p, q, -1)[shifted, np.arange(q)].sum(axis=2)
-        h = h.transpose(0, 2, 1).reshape(p, -1)
+    if m:
+        tables = _tables(field)
+        trace, t = tables.trace_index[tables.mul], np.arange(p)[:, None, None]  # Tr(c v) at [c, v]
+        per = max(1, _TRANSFORM_ENTRIES // (p * h.shape[1]))  # coefficients in a chunk of p * per * q^m
+        starts = range(0, q, per)
+        shifted = [(t - trace) % p] if len(starts) == 1 else None  # [t, c, v]
+        for _ in range(m):
+            # the leading value axis becomes a coefficient axis, moved to the back
+            h = h.reshape(p, q, -1)
+            chunks = shifted or ((t - trace[c : c + per]) % p for c in starts)
+            parts = [h[chunk, np.arange(q)].sum(axis=2) for chunk in chunks]
+            h = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+            h = h.transpose(0, 2, 1).reshape(p, -1)
     return [CycInt._of(p, tuple(row)) for row in (h[: p - 1] - h[p - 1]).T.tolist()]
 
 

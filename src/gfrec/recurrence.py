@@ -4,12 +4,22 @@ A polynomial c_0 + c_1 X + ... + c_d X^d annihilates a sequence s when
 sum_j c_j s(n + j) = 0 for every window start n.  Sequences carry their
 cyclotomic integer values together with the first index they cover.
 Checking, extension and discovery work on their power-basis coordinates.
+An integer recurrence acts on each coordinate column separately, so zero
+and repeated columns are checked and fitted once, and extension computes
+each distinct column once and shares it among its copies.
+
+`discover` fits orders upwards from an exact lower bound: the linear
+complexity L over Q of one integer combination of the columns on the fit
+prefix, by fraction-free Berlekamp-Massey (Massey, IEEE Trans. IT 1969).
+A rational recurrence of order d that fits every column on the prefix
+fits every rational combination of them there too, so L <= d, and every
+order below L would have failed its solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 from math import gcd
 from operator import add, itemgetter, mul
 
@@ -220,10 +230,70 @@ def _columns(values):
     return [list(col) for col in zip(*(v.coeffs for v in values))]
 
 
+def _distinct(cols):
+    """(kept, where): the columns that are not all zero, each value once, in
+    first order, and for each column the position of its value in kept, or
+    None for a zero column.
+
+    A recurrence holds on a zero column, and on a repeated column as soon as
+    on its first copy, so kept is all a check or a fit needs: dropping the
+    others drops only zero and repeated rows of a fit.  Columns are compared
+    as lists, which stops at the first difference; hashing them would read
+    every digit of every value.
+    """
+    kept, where = [], []
+    for col in cols:
+        i = None
+        if any(col):
+            i = next((j for j, k in enumerate(kept) if k == col), len(kept))
+            if i == len(kept):
+                kept.append(col)
+        where.append(i)
+    return kept, where
+
+
+# discover bounds its order by the linear complexity of sum_k _WEIGHT^k col_k.
+# Any weights give a valid bound, and a bound below the columns' joint order
+# only costs solves that fail.  Powers of one large prime keep a simple
+# relation between the columns, such as one the negative of another, from
+# cancelling in the combination.
+_WEIGHT = 65537
+
+
+def _linear_complexity(s):
+    """The linear complexity of the integer sequence s over Q: the least L
+    such that some c_1, ..., c_L in Q give s(n) + sum_i c_i s(n - i) = 0
+    for L <= n < len(s).  0 for an empty or all-zero s.
+
+    Berlekamp-Massey, fraction-free: the connection polynomials c and b are
+    kept as integer multiples, with bd the discrepancy b had when it was
+    set aside.  bd c - d x^gap b cancels the discrepancy d at n; the
+    result's content is divided out, so its coefficients stay small.
+    """
+    c, b, bd = [1], [1], 1
+    length, gap = 0, 1
+    for n in range(len(s)):
+        d = sum(map(mul, c, s[n::-1]))  # deg c <= length <= n
+        if not d:
+            gap += 1
+            continue
+        new = [bd * x for x in c] + [0] * max(0, gap + len(b) - len(c))
+        for i, x in enumerate(b, gap):
+            new[i] -= d * x
+        g = gcd(*new)
+        new = [x // g for x in new]
+        if 2 * length <= n:
+            b, bd, length, gap = c, d, n + 1 - length, 1
+        else:
+            gap += 1
+        c = new
+    return length
+
+
 def _holds(cols, coeffs):
     """Whether sum_j coeffs[j] * col[n + j] = 0 on every full window of every column."""
-    count = len(cols[0]) - len(coeffs) + 1
     for col in cols:
+        count = len(col) - len(coeffs) + 1
         acc = [0] * count
         for j, c in enumerate(coeffs):
             if c:
@@ -234,7 +304,8 @@ def _holds(cols, coeffs):
 
 
 def _forward(col, coeffs, count):
-    """Append count terms to col by the monic recurrence, on its nonzero taps.
+    """Append count terms to col by the monic recurrence, on its nonzero taps,
+    and return them.
 
     The sum of products starts from the first product rather than from 0:
     0 + x copies a big integer at about the cost of a full addition.
@@ -254,6 +325,7 @@ def _forward(col, coeffs, count):
         cs = [c for _, c in rest]
         for _ in range(count):
             col.append(sum(map(mul, cs, window(col)), c1 * col[o1]))
+    return col[len(col) - count :]
 
 
 def satisfies(seq, poly):
@@ -264,7 +336,7 @@ def satisfies(seq, poly):
             "need at least %d terms to test a degree-%d recurrence, have %d"
             % (d + 1, d, len(seq))
         )
-    return _holds(_columns(seq.values), poly.coeffs)
+    return _holds(_distinct(_columns(seq.values))[0], poly.coeffs)
 
 
 def extend(init, poly, n_target):
@@ -281,12 +353,13 @@ def extend(init, poly, n_target):
             "need at least %d initial terms, have %d" % (max(d, 1), len(init))
         )
     p = init.values[0].p
-    cols = _columns(init.values)
     if n_target >= init.n_end:
-        for col in cols:
-            _forward(col, poly.coeffs, n_target - init.n_end + 1)
-        fresh = tuple(map(CycInt._of, repeat(p), islice(zip(*cols), len(init), None)))
+        count = n_target - init.n_end + 1
+        kept, where = _distinct(_columns(init.values))
+        tails = [_forward(col, poly.coeffs, count) for col in kept] + [[0] * count]  # zeros stay zero
+        fresh = tuple(map(CycInt._of, repeat(p), zip(*(tails[-1 if i is None else i] for i in where))))
         return Sequence(init.n_min, init.values + fresh, "recurrence")
+    cols = _columns(init.values)
     c0 = poly.coeffs[0]
     if n_target < init.n_min and c0 == 0:
         raise ValueError("constant term zero, cannot step backward")
@@ -306,10 +379,17 @@ def discover(seq, max_order, holdout=None):
     """Find the least-order monic recurrence fitted on a prefix and validated
     exactly on held-out terms.
 
-    Every order's fit is one integer system: each coordinate column gives
-    one row per prefix window.  Its solution x / d is cleared to integer
-    coefficients by g = gcd(d, x_1, ..., x_k): the candidate is x / g with
-    leading coefficient d / g, monic exactly when the fit is integral.
+    Every order's fit is one integer system: each distinct nonzero
+    coordinate column gives one row per prefix window.  Its solution x / d
+    is cleared to integer coefficients by g = gcd(d, x_1, ..., x_k): the
+    candidate is x / g with leading coefficient d / g, monic exactly when
+    the fit is integral.
+
+    Orders start at the linear complexity L of one integer combination of
+    the columns on the prefix (Berlekamp-Massey over Q).  A consistent fit
+    of order d is a length-d shift register for every column on the prefix,
+    so for every rational combination of them, and L <= d: no order below L
+    can fit, and starting at L skips only solves that would fail.
     """
     if holdout is None:
         holdout = max_order
@@ -322,8 +402,12 @@ def discover(seq, max_order, holdout=None):
             % (needed, len(seq))
         )
     fit_len = len(seq) - holdout
-    cols = _columns(seq.values)
-    for order in range(1, max_order + 1):
+    cols, _ = _distinct(_columns(seq.values))
+    if not cols:
+        return IntPolynomial([0, 1])  # the order-1 fit of an all-zero sequence
+    weights = [_WEIGHT**k for k in range(len(cols))]
+    low = _linear_complexity([sum(map(mul, weights, terms)) for terms in zip(*(col[:fit_len] for col in cols))])
+    for order in range(max(1, low), max_order + 1):
         starts = range(fit_len - order)
         rows = [col[s : s + order] for col in cols for s in starts]
         rhs = [-col[s + order] for col in cols for s in starts]

@@ -534,6 +534,25 @@ def test_small_grids_over_large_fields_build_no_square_table(monkeypatch):
     assert tables._integer is None and tables._qmul is None and not tables._scaled
 
 
+@pytest.mark.parametrize("m", [0, 1])
+def test_decorated_sums_bound_their_transform_over_a_large_field(m):
+    # the transform gathers p x q x q^m entries in all; it takes the
+    # coefficients in chunks of _TRANSFORM_ENTRIES entries (8 MB of int64),
+    # and with no decoration there is nothing to transform
+    f = make_field(257, 1)
+    base = InstantiatedFunction(f, 1, {frozenset({1}): f.from_index(5), frozenset(): f.from_index(2)})
+    decorations = [InstantiatedFunction(f, 1, {frozenset({1}): f.one(), frozenset(): f.from_index(3)})] * m
+    field_tables(f)
+    tracemalloc.start()
+    try:
+        got = decorated_sums(base, decorations)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (4 * 8 * oracle._TRANSFORM_ENTRIES if m else 2**20)
+    assert got == [exp_sum(_plus(base, decorations, (c,) * m)) for c in range(f.q if m else 1)]
+
+
 BOUNDARY_FIELDS = [make_field(*prime_power(q)) for q in (2, 3, 4, 5, 8, 9, 25, 257)]
 BOUNDARY_TOP = {2: 10, 3: 6, 4: 5, 5: 4, 8: 3, 9: 3, 25: 2, 257: 1}  # the largest n the naive loop runs
 

@@ -1,14 +1,16 @@
 """Tests for recurrence checking, extension, discovery and named families."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gfrec import linalg
 from gfrec.cyclotomic import CycInt, combination, root_power
-from gfrec.funcalg import tau
-from gfrec.galois import is_prime, make_field
+from gfrec.funcalg import parse, tau
+from gfrec.galois import is_prime, make_field, prime_power
 from gfrec.numtheory import legendre
 from gfrec.oracle import sum_sequence
 from gfrec.recurrence import (
@@ -17,12 +19,14 @@ from gfrec.recurrence import (
     IntPolynomial,
     NoRecurrenceError,
     Sequence,
+    _linear_complexity,
     discover,
     divides,
     extend,
     family_poly,
     satisfies,
 )
+from gfrec.transfer import integer_annihilator, run, system_for
 
 
 def iseq(vals, n_min=0, p=2):
@@ -403,3 +407,159 @@ def test_extend_backward_non_integral_message():
         with pytest.raises(ValueError) as info:
             fn(init, poly, 0)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        [[0, 0, 0, 0]],  # every column zero
+        [[1, 0, 1, 0], [2, 0, 2, 0]],  # two zero columns, two equal ones
+        [[3, 3, 3, 3], [-1, -1, -1, -1]],  # every column equal
+        [[2**200, 0, 1, 2**200], [5, 0, -7, 5], [0, 0, 2, 0]],
+        [[1, 2, 3, 4], [-4, 3, 0, 1], [9, 9, -2, 0]],  # all distinct
+    ],
+    ids=["all-zero", "zero-and-equal", "all-equal", "big-zero-and-equal", "distinct"],
+)
+@pytest.mark.parametrize("poly", [IntPolynomial([1]), IntPolynomial([-1, 0, 2, 1]), IntPolynomial([1, -3, 0, 1])])
+@pytest.mark.parametrize("offset", [-4, 0, 3, 30])
+def test_extend_and_satisfies_share_zero_and_equal_columns(coords, poly, offset):
+    # coords lists terms over Z[zeta_5], repeated to four terms: a column
+    # is zero or equal to another when it is so in every listed term
+    init = Sequence(4, tuple(CycInt(5, coords[i % len(coords)]) for i in range(4)), "test")
+    n_target = init.n_end - 1 + offset
+    got = _outcome(extend, init, poly, n_target)
+    assert got == _outcome(_reference_extend, init, poly, n_target)
+    if isinstance(got, Sequence):
+        last = got.values[-1].coeffs  # one copy of a zero or repeated column changed
+        broken = Sequence(got.n_min, got.values[:-1] + (CycInt(5, last[:3] + (last[3] + 1,)),), "test")
+        for seq in (got, broken):
+            assert satisfies(seq, poly) == _reference_satisfies(seq, poly)
+        assert not satisfies(broken, poly) or offset <= 0
+
+
+# ---------------------------------------------------------------------------
+# discover from the Berlekamp-Massey bound against the order-by-order loop
+
+def _reference_discover(seq, max_order, holdout=None):
+    """discover solving every order from 1 on every coordinate column."""
+    if holdout is None:
+        holdout = max_order
+    if max_order < 1:
+        raise ValueError("max_order must be >= 1")
+    needed = 2 * max_order + holdout
+    if len(seq) < needed:
+        raise InsufficientDataError(
+            "need at least %d terms (2*max_order + holdout), have %d" % (needed, len(seq))
+        )
+    fit_len = len(seq) - holdout
+    cols = [list(col) for col in zip(*(v.coeffs for v in seq.values))]
+    for order in range(1, max_order + 1):
+        starts = range(fit_len - order)
+        rows = [col[s : s + order] for col in cols for s in starts]
+        rhs = [-col[s + order] for col in cols for s in starts]
+        solved = linalg.solve_with_free_zero(rows, rhs)
+        if solved is None:
+            continue
+        x, d = solved
+        g = gcd(d, *x)
+        candidate = IntPolynomial([c // g for c in x] + [d // g])
+        if all(
+            sum(c * col[s + j] for j, c in enumerate(candidate.coeffs)) == 0
+            for col in cols
+            for s in range(len(col) - candidate.degree)
+        ):
+            return candidate
+    raise NoRecurrenceError("no recurrence of order <= %d validates on the held-out terms" % max_order)
+
+
+@st.composite
+def _fit_cases(draw):
+    """(sequence, max_order, holdout) over Z, Z[zeta_3] or Z[zeta_5]: random,
+    all-zero, constant, periodic, monic-recurrent and rational (non-monic)
+    sequences, with some columns zeroed or copied from another."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    length = draw(st.integers(3, 24))
+    small = st.integers(-9, 9)
+    kind = draw(st.sampled_from(["random", "zero", "constant", "periodic", "monic", "rational"]))
+    if kind == "random":
+        cols = [draw(st.lists(small, min_size=length, max_size=length)) for _ in range(p - 1)]
+    elif kind == "zero":
+        cols = [[0] * length for _ in range(p - 1)]
+    elif kind in ("constant", "periodic"):
+        period = 1 if kind == "constant" else draw(st.integers(2, 5))
+        cols = [[c[i % period] for i in range(length)]
+                for c in (draw(st.lists(small, min_size=period, max_size=period)) for _ in range(p - 1))]
+    else:
+        d = draw(st.integers(1, 4))
+        lead = 1 if kind == "monic" else draw(st.sampled_from([2, 3, -2]))
+        cs = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+        cols = []
+        for _ in range(p - 1):
+            col = [x * lead**length for x in draw(st.lists(small, min_size=d, max_size=d))]
+            while len(col) < length:  # lead * s(n + d) = -sum_j cs[j] s(n + j), exactly
+                col.append(-sum(c * x for c, x in zip(cs, col[-d:])) // lead)
+            cols.append(col)
+    for k in range(p - 1):
+        how = draw(st.sampled_from(["keep", "keep", "zero", "copy"]))
+        if how == "zero":
+            cols[k] = [0] * length
+        elif how == "copy":
+            cols[k] = list(cols[draw(st.integers(0, p - 2))])
+    seq = Sequence(draw(st.integers(0, 3)), tuple(CycInt(p, t) for t in zip(*cols)), "test")
+    holdout = draw(st.sampled_from([None, 1, 2]))
+    top = length // 3 if holdout is None else (length - holdout) // 2
+    max_order = draw(st.integers(1, max(1, top + 1)))  # one past top: too few terms
+    return seq, max_order, holdout
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fit_cases())
+def test_discover_matches_the_order_by_order_loop(case):
+    seq, max_order, holdout = case
+    got = _outcome(discover, seq, max_order, holdout)
+    assert got == _outcome(_reference_discover, seq, max_order, holdout)
+
+
+def test_discover_solves_once_on_sigma3_over_f9(monkeypatch):
+    # degree 36: the loop from order 1 solves 36 systems, 35 of them inconsistent
+    f = make_field(*prime_power(9))
+    sys = system_for(parse("sigma(3)"), f)
+    ann = integer_annihilator(sys)
+    seq = run(sys, sys.n_min + 3 * ann.degree + 2)
+    calls = []
+    solve = linalg.solve_with_free_zero
+    monkeypatch.setattr(linalg, "solve_with_free_zero", lambda *args: calls.append(1) or solve(*args))
+    found = discover(seq, ann.degree)
+    assert (ann.degree, len(seq), len(calls)) == (36, 111, 1)
+    assert found.degree == 36 and divides(found, ann)
+
+
+def _least_register(s):
+    """The least L for which s(n) = sum_i c_i s(n - i), 1 <= i <= L, holds on
+    L <= n < len(s) for some rational c: the first consistent window system."""
+    for length in range(len(s) + 1):
+        starts = range(len(s) - length)
+        if linalg.solve_with_free_zero([s[n : n + length] for n in starts], [s[n + length] for n in starts]):
+            return length
+
+
+def test_linear_complexity_cases():
+    fib = [1, 1]
+    while len(fib) < 12:
+        fib.append(fib[-1] + fib[-2])
+    assert _linear_complexity([]) == 0
+    assert _linear_complexity([0] * 7) == 0
+    assert _linear_complexity([3 * 2**n for n in range(10)]) == 1
+    assert _linear_complexity(fib) == 2
+    assert _linear_complexity([2**300 * x for x in fib]) == 2
+    for n in range(1, 9):
+        assert _linear_complexity([0] * (n - 1) + [1]) == n
+    assert _linear_complexity([16, 24, 36, 54, 81]) == 1  # s(n+1) = (3/2) s(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 3), max_size=14), st.integers(0, 4))
+def test_linear_complexity_is_the_least_register(s, period):
+    if period:  # repeat the first terms, so the least register is short
+        s = [s[i % period] for i in range(len(s))]
+    assert _linear_complexity(s) == _least_register(s)

@@ -25,7 +25,7 @@ FIELDS = {q: make_field(*prime_power(q)) for q in (2, 3, 4, 5, 8, 9)}
 PATTERNS = [(2,), (3,), (4,), (2, 3), (2, 4), (3, 4), (2, 3, 4)]
 BRUTE_POINTS = 5000  # enumerate n while q^n stays within this
 STATE_LIMITS = {"T": 81, "sigma": 81, "R": 729}
-DEGREE_CAP = 24  # discover's cost grows about with the cube of the order
+DEGREE_CAP = 40  # annihilators up to this degree; discover starts at its Berlekamp-Massey bound
 
 
 @st.composite

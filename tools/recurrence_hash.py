@@ -13,6 +13,11 @@ checkouts that print the same line give the same results on every call:
 - random, zero, periodic and recurrence-generated integer sequences, some of
   them with non-monic (rational) fits, with holdout None, 1 or 2;
 - Z[zeta_3] and Z[zeta_5] sequences, random and recurrence-generated;
+- Z[zeta_5] and Z[zeta_7] sequences generated by a recurrence of order d,
+  with one column zeroed and one copied from another (and maybe more of
+  either), and `discover` at max_order d - 1, d and d + 1: d is the
+  sequence's linear complexity unless its initial terms are degenerate, so
+  the calls fall below, at and above the order `discover` starts from;
 - `divides` on random pairs, with non-monic and constant divisors and with
   b a multiple of a in half of them;
 - `extend` forward to n = 2000 on the ten transfer runs by their
@@ -88,10 +93,11 @@ def _monic(rng, top):
     return IntPolynomial(lower + [1])
 
 
-def _recurrent(rng, length, coords, lead):
+def _recurrent(rng, length, coords, lead, d=None):
     """length terms of lead * s(n + d) = -sum_j c_j s(n + j), scaled so every
-    division is exact, as lists of coordinates."""
-    d = rng.randint(1, 4)
+    division is exact, as lists of coordinates; d is drawn from 1..4 unless
+    given."""
+    d = d or rng.randint(1, 4)
     cs = [rng.randint(-3, 3) for _ in range(d)]
     terms = [[rng.randint(-5, 5) for _ in range(coords)] for _ in range(d)]
     scale = lead ** length
@@ -118,6 +124,25 @@ def _sequence(rng, p):
         lead = 1 if kind == "recurrent" else rng.choice((2, 3, -2))
         terms = _recurrent(rng, length, coords, lead)
     return Sequence(rng.randint(0, 5), tuple(CycInt(p, t) for t in terms), "hash")
+
+
+def _shaped(rng, p):
+    """(sequence, d): a Z[zeta_p] sequence of a recurrence of order d, one
+    column set to zero and one to a copy of another, then each column
+    zeroed or copied again with probability 1/6."""
+    d = rng.randint(1, 5)
+    lead = rng.choice((1, 1, 2, -3))
+    cols = [list(c) for c in zip(*_recurrent(rng, rng.randint(3 * d + 3, 3 * d + 10), p - 1, lead, d))]
+    zero, copy, source = rng.sample(range(p - 1), 3)
+    cols[zero] = [0] * len(cols[zero])
+    cols[copy] = list(cols[source])
+    for k in range(p - 1):
+        how = rng.randint(0, 5)
+        if how == 0:
+            cols[k] = [0] * len(cols[k])
+        elif how == 1:
+            cols[k] = list(cols[rng.randrange(p - 1)])
+    return Sequence(rng.randint(0, 5), tuple(CycInt(p, t) for t in zip(*cols)), "hash"), d
 
 
 def _records():
@@ -149,6 +174,15 @@ def _records():
         else:
             b = IntPolynomial([rng.randint(-6, 6) for _ in range(rng.randint(0, 8))] + [1])
         out.append([a, list(b.coeffs), _outcome(divides, IntPolynomial(a), b)])
+    shapes, shape_taps = random.Random(2019), random.Random(2020)  # the records above stay as they were
+    for p in (5, 7):
+        for i in range(60):
+            seq, d = _shaped(shapes, p)
+            holdout = shapes.choice((None, 1, 2))
+            for max_order in range(max(1, d - 1), d + 2):
+                out.append(["shaped", p, len(seq), holdout, max_order,
+                            _outcome(discover, seq, max_order, holdout=holdout)])
+            out.extend(_extensions(["shaped", p, i], seq, _monic(shape_taps, min(4, len(seq)))))
     return out
 
 
