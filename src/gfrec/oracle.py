@@ -605,26 +605,21 @@ def decorated_sums(base, decorations, budget=DEFAULT_POINT_BUDGET):
     Tr(c v) table and one sum.  Every column of the result sums to
     q^n <= budget, so int64 stays exact; callers bound q^m by their state
     limit, and the table holds p q^m bins.  The gather takes the
-    coefficients c in chunks of at most _TRANSFORM_ENTRIES entries; with
-    one chunk, its shifted table is built once for every axis.
+    coefficients c in chunks of at most _TRANSFORM_ENTRIES entries.
     """
     field, m = base.field, len(decorations)
     _check_budget(field, base.n, budget)
     p, q = field.p, field.q
     h = _value_counts([base] + list(decorations), traced=True).reshape(p, -1)
-    if m:
-        tables = _tables(field)
-        trace, t = tables.trace_index[tables.mul], np.arange(p)[:, None, None]  # Tr(c v) at [c, v]
-        per = max(1, _TRANSFORM_ENTRIES // (p * h.shape[1]))  # coefficients in a chunk of p * per * q^m
-        starts = range(0, q, per)
-        shifted = [(t - trace) % p] if len(starts) == 1 else None  # [t, c, v]
-        for _ in range(m):
-            # the leading value axis becomes a coefficient axis, moved to the back
-            h = h.reshape(p, q, -1)
-            chunks = shifted or ((t - trace[c : c + per]) % p for c in starts)
-            parts = [h[chunk, np.arange(q)].sum(axis=2) for chunk in chunks]
-            h = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-            h = h.transpose(0, 2, 1).reshape(p, -1)
+    tables, t = _tables(field), np.arange(p)[:, None, None]
+    per = max(1, _TRANSFORM_ENTRIES // (p * h.shape[1]))  # coefficients in a chunk of p * per * q^m
+    for _ in range(m):
+        # the leading value axis becomes a coefficient axis, moved to the back
+        h = h.reshape(p, q, -1)
+        # t - Tr(c v) at [t, c, v], for the coefficients c of one chunk
+        chunks = ((t - tables.trace_index[tables.mul[c : c + per]]) % p for c in range(0, q, per))
+        h = np.concatenate([h[chunk, np.arange(q)].sum(axis=2) for chunk in chunks], axis=1)
+        h = h.transpose(0, 2, 1).reshape(p, -1)
     return [CycInt._of(p, tuple(row)) for row in (h[: p - 1] - h[p - 1]).T.tolist()]
 
 

@@ -260,10 +260,14 @@ def _distinct(cols):
 _WEIGHT = 65537
 
 
-def _linear_complexity(s):
+def _linear_complexity(s, cap=None):
     """The linear complexity of the integer sequence s over Q: the least L
     such that some c_1, ..., c_L in Q give s(n) + sum_i c_i s(n - i) = 0
     for L <= n < len(s).  0 for an empty or all-zero s.
+
+    With cap, it returns as soon as the complexity of a prefix exceeds cap,
+    with that complexity: it never falls as terms are added, so L > cap
+    too, and the work stays about len(s) * cap operations.
 
     Berlekamp-Massey, fraction-free: the connection polynomials c and b are
     kept as integer multiples, with bd the discrepancy b had when it was
@@ -284,6 +288,8 @@ def _linear_complexity(s):
         new = [x // g for x in new]
         if 2 * length <= n:
             b, bd, length, gap = c, d, n + 1 - length, 1
+            if cap is not None and length > cap:
+                return length
         else:
             gap += 1
         c = new
@@ -389,7 +395,8 @@ def discover(seq, max_order, holdout=None):
     the columns on the prefix (Berlekamp-Massey over Q).  A consistent fit
     of order d is a length-d shift register for every column on the prefix,
     so for every rational combination of them, and L <= d: no order below L
-    can fit, and starting at L skips only solves that would fail.
+    can fit, and starting at L skips only solves that would fail.  The
+    bound stops as soon as it exceeds max_order, which no order can fit.
     """
     if holdout is None:
         holdout = max_order
@@ -406,7 +413,8 @@ def discover(seq, max_order, holdout=None):
     if not cols:
         return IntPolynomial([0, 1])  # the order-1 fit of an all-zero sequence
     weights = [_WEIGHT**k for k in range(len(cols))]
-    low = _linear_complexity([sum(map(mul, weights, terms)) for terms in zip(*(col[:fit_len] for col in cols))])
+    combined = [sum(map(mul, weights, terms)) for terms in zip(*(col[:fit_len] for col in cols))]
+    low = _linear_complexity(combined, max_order)
     for order in range(max(1, low), max_order + 1):
         starts = range(fit_len - order)
         rows = [col[s : s + order] for col in cols for s in starts]

@@ -476,11 +476,12 @@ def _reference_discover(seq, max_order, holdout=None):
 def _fit_cases(draw):
     """(sequence, max_order, holdout) over Z, Z[zeta_3] or Z[zeta_5]: random,
     all-zero, constant, periodic, monic-recurrent and rational (non-monic)
-    sequences, with some columns zeroed or copied from another."""
+    sequences, with some columns zeroed or copied from another.  A long
+    sequence has a recurrence of high order and a max_order far below it."""
     p = draw(st.sampled_from([2, 3, 5]))
-    length = draw(st.integers(3, 24))
+    kind = draw(st.sampled_from(["random", "zero", "constant", "periodic", "monic", "rational", "long"]))
+    length = draw(st.integers(40, 80) if kind == "long" else st.integers(3, 24))
     small = st.integers(-9, 9)
-    kind = draw(st.sampled_from(["random", "zero", "constant", "periodic", "monic", "rational"]))
     if kind == "random":
         cols = [draw(st.lists(small, min_size=length, max_size=length)) for _ in range(p - 1)]
     elif kind == "zero":
@@ -490,8 +491,8 @@ def _fit_cases(draw):
         cols = [[c[i % period] for i in range(length)]
                 for c in (draw(st.lists(small, min_size=period, max_size=period)) for _ in range(p - 1))]
     else:
-        d = draw(st.integers(1, 4))
-        lead = 1 if kind == "monic" else draw(st.sampled_from([2, 3, -2]))
+        d = draw(st.integers(8, 12) if kind == "long" else st.integers(1, 4))
+        lead = draw(st.sampled_from([2, 3, -2])) if kind == "rational" else 1
         cs = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
         cols = []
         for _ in range(p - 1):
@@ -508,7 +509,7 @@ def _fit_cases(draw):
     seq = Sequence(draw(st.integers(0, 3)), tuple(CycInt(p, t) for t in zip(*cols)), "test")
     holdout = draw(st.sampled_from([None, 1, 2]))
     top = length // 3 if holdout is None else (length - holdout) // 2
-    max_order = draw(st.integers(1, max(1, top + 1)))  # one past top: too few terms
+    max_order = draw(st.integers(1, 3 if kind == "long" else max(1, top + 1)))  # one past top: too few terms
     return seq, max_order, holdout
 
 
@@ -558,8 +559,12 @@ def test_linear_complexity_cases():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(-3, 3), max_size=14), st.integers(0, 4))
-def test_linear_complexity_is_the_least_register(s, period):
+@given(st.lists(st.integers(-3, 3), max_size=14), st.integers(0, 4), st.integers(0, 6))
+def test_linear_complexity_is_the_least_register(s, period, cap):
     if period:  # repeat the first terms, so the least register is short
         s = [s[i % period] for i in range(len(s))]
-    assert _linear_complexity(s) == _least_register(s)
+    least = _least_register(s)
+    assert _linear_complexity(s) == least
+    # with a cap it may stop early, at a complexity above the cap
+    capped = _linear_complexity(s, cap)
+    assert capped == least if least <= cap else cap < capped <= least
