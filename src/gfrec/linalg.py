@@ -1,6 +1,7 @@
 """Exact linear algebra (internal helpers).
 
-Integer linear solving, the sparse matrix type over Z[zeta_p], and the
+Integer linear solving, the sparse matrix type over Z[zeta_p] (each entry
+stored as triples a zeta^t, so a product rolls root counts), and the
 certified minimal polynomial of such a matrix.  Every result is exact:
 elimination runs on Python ints (Bareiss), and the minimal polynomial is
 computed modulo word-sized primes and then proved over Z[zeta_p].
@@ -73,55 +74,58 @@ def group(keys):
 
 
 class SparseMatrix:
-    """A matrix over Z[zeta_p] given by its nonzero entries, row by row.
+    """A matrix over Z[zeta_p] as triples a zeta^t, row by row.
 
-    Row i holds the entries k = starts[i] .. starts[i+1]-1, in column cols[k],
-    with power-basis coordinates coeffs[k] (an nnz x (p-1) int64 array).  For
-    p = 2 the ring is Z and each entry has a single coordinate.  Transfer
-    matrices are square; a projection is a single row.  Products run on a
-    padded layout: every row gets the width of the longest row, and a padding
-    slot reads column 0 with the value 0.
+    Row i holds the triples k = starts[i] .. starts[i+1]-1: column cols[k],
+    exponent exps[k] in 0 .. p-1 and integer amplitude amps[k].  An entry is
+    the sum of its column's triples, which are adjacent; columns ascend within
+    a row.  Z[zeta_p] is Z[C_p] modulo the sum of the p roots (Washington,
+    Introduction to Cyclotomic Fields, ch. 1), so a zeta^t acts on a value's
+    root counts as a roll by t and a scale by a.  Transfer matrices are
+    square; a projection is a single row.  Products run on a padded layout:
+    slot w * dim + i holds row i's w-th triple, or padding of amplitude 0.
     """
 
-    __slots__ = ("p", "starts", "cols", "coeffs", "_width", "_slots", "_gather", "_values")
+    __slots__ = ("p", "starts", "cols", "exps", "amps", "_width", "_slots", "_gather", "_amps", "_roll")
 
-    def __init__(self, p, starts, cols, coeffs):
+    def __init__(self, p, starts, cols, exps, amps):
         self.p = p
         self.starts = np.asarray(starts, dtype=np.int64)
         self.cols = np.asarray(cols, dtype=np.int64)
-        self.coeffs = np.asarray(coeffs, dtype=np.int64).reshape(len(self.cols), p - 1)
+        self.exps = np.asarray(exps, dtype=np.int64)
+        self.amps = np.asarray(amps, dtype=np.int64)
         lengths = np.diff(self.starts)
         self._width = int(lengths.max()) if len(lengths) else 0
         row = np.repeat(np.arange(len(lengths)), lengths)
-        self._slots = row * self._width + np.arange(len(self.cols)) - self.starts[row]
+        self._slots = (np.arange(len(self.cols)) - self.starts[row]) * len(lengths) + row
         self._gather = self._padded(self.cols)
-        self._values = {}  # dtype -> (coeffs on the padded layout, products to coordinates)
+        self._amps = self._padded(self.amps)[:, None]
+        # root r of a slot reads root (r - t) mod p of its column's root counts
+        shift = (np.arange(p) - np.arange(p)[:, None]) % p
+        self._roll = shift.take(self._padded(self.exps), axis=0)
+        self._roll += self._gather[:, None] * p
 
     @classmethod
     def from_root_counts(cls, p, dim, rows, cols, exponents):
         """The dim x dim matrix whose entry (i, j) sums zeta^t over the triples
-        (i, j, t) read off the three equal-length integer arrays.  Entries that
-        sum to zero are dropped; columns ascend within each row."""
+        (i, j, t) read off the three equal-length integer arrays.  The p roots
+        sum to 0, so an entry keeps its value when its root counts all drop by
+        the most frequent one (among equals, that of zeta^(p-1)).  That leaves
+        the entry in its fewest triples: one for a zeta^t, none for 0, and
+        exponent 0 over p = 2."""
         key, inverse = group(np.asarray(rows, dtype=np.int64) * dim + cols)
-        counts = np.bincount(inverse * p + exponents, minlength=len(key) * p).reshape(-1, p)
-        coeffs = counts[:, : p - 1] - counts[:, p - 1 :]
-        keep = coeffs.any(axis=1)
-        key = key[keep]
+        n = len(key)
+        counts = np.bincount(inverse * p + exponents, minlength=n * p).reshape(n, p)
+        entry, size = np.arange(n), counts.max(initial=0) + 1
+        freq = counts * n
+        freq += entry[:, None]  # then freq[c, k] counts the roots that entry k counts c times
+        freq = np.bincount(freq.ravel(), minlength=size * n).reshape(size, n)
+        last = counts[:, -1]
+        counts -= np.where(freq[last, entry] == freq.max(axis=0), last, freq.argmax(axis=0))[:, None]
+        entry, exps = np.nonzero(counts)
+        key = key[entry]
         starts = np.searchsorted(key, np.arange(dim + 1) * dim)
-        return cls(p, starts, key % dim, coeffs[keep])
-
-    @classmethod
-    def from_rows(cls, p, rows):
-        """rows[i] lists the (column, coordinates) pairs of row i's nonzeros."""
-        starts = [0]
-        cols = []
-        coeffs = []
-        for row in rows:
-            for j, coords in row:
-                cols.append(j)
-                coeffs.append(coords)
-            starts.append(len(cols))
-        return cls(p, starts, cols, coeffs)
+        return cls(p, starts, key % dim, exps, counts[entry, exps])
 
     @property
     def dim(self):
@@ -129,75 +133,62 @@ class SparseMatrix:
 
     @property
     def nnz(self):
+        """The number of stored triples."""
         return len(self.cols)
 
     def _padded(self, a):
-        """Per-entry values a (first axis nnz) spread over the padded slots."""
+        """Per-triple values a (first axis nnz) spread over the padded slots."""
         out = np.zeros((self.dim * self._width,) + a.shape[1:], dtype=np.int64)
         out[self._slots] = a
         return out
 
     def _row_sums(self, slots):
-        return slots.reshape((self.dim, self._width) + slots.shape[1:]).sum(axis=1)
+        return np.add.reduce(slots.reshape((self._width, self.dim) + slots.shape[1:]), axis=0)
 
     def row_norm(self):
-        """Largest row sum of the absolute values of the coordinates."""
-        return int(self._row_sums(self._padded(np.abs(self.coeffs).sum(axis=1))).max(initial=0))
+        """Largest row sum of the absolute amplitudes."""
+        return int(self._row_sums(np.abs(self._amps)).max(initial=0))
 
     def times(self, v):
         """M v exactly.  v holds the power-basis coordinates of a vector, one
         row per column of M, as an int64 or a dtype=object (Python int) array;
         the result has M's rows and v's dtype.
 
-        The products of each entry's coordinates with those of the gathered
-        value are summed over the padded row, then mapped to coordinates:
-        a_i b_j lands on zeta^(i+j), and zeta^(p-1) = -(1 + ... + zeta^(p-2)).
-        Every row sum, and every partial sum of a result coordinate, is at
-        most 2 row_norm() max|v| in absolute value, so int64 is exact while
-        that stays below 2^63.
+        v's rows, with a 0 appended for zeta^(p-1), are root counts.  One
+        gather rolls them by each slot's exponent; they are scaled by its
+        amplitude, summed over the padded row, and mapped back to coordinates
+        by zeta^(p-1) = -(1 + ... + zeta^(p-2)).  Row sums are at most
+        row_norm() max|v| in absolute value and coordinates twice that, so
+        int64 is exact while 2 row_norm() max|v| < 2^63.
         """
-        e = self.p - 1
-        cached = self._values.get(v.dtype)
-        if cached is None:
-            exponent = np.add.outer(np.arange(e), np.arange(e)).ravel() % self.p
-            to_coords = (exponent[:, None] == np.arange(e)).astype(np.int64)
-            to_coords[exponent == e] = -1
-            cached = self._values[v.dtype] = (
-                self._padded(self.coeffs).astype(v.dtype)[:, :, None],
-                to_coords.astype(v.dtype),
-            )
-        vals, to_coords = cached
-        products = vals * v[self._gather][:, None, :]
-        return self._row_sums(products.reshape(len(products), e * e)) @ to_coords
+        counts = np.zeros((len(v), self.p), dtype=v.dtype)
+        counts[:, :-1] = v
+        rolled = counts.take(self._roll)
+        rolled *= self._amps
+        sums = self._row_sums(rolled)
+        return sums[:, :-1] - sums[:, -1:]
 
     def inflated_norm(self):
         """Largest row sum of absolute values of the integer matrix that
-        replaces each entry by its multiplication matrix on the power basis."""
-        p = self.p
-        counts = np.zeros((self.nnz, p), dtype=np.int64)
-        counts[:, : p - 1] = self.coeffs
-        # column j of the block of entry a holds the coordinates of a*zeta^j:
-        # its root counts rolled by j, less the count that lands on zeta^(p-1)
-        rows = np.zeros((self.nnz, p - 1), dtype=np.int64)
-        for j in range(p - 1):
-            rolled = np.roll(counts, j, axis=1)
-            rows += np.abs(rolled[:, : p - 1] - rolled[:, p - 1 :])
-        return int(self._row_sums(self._padded(rows)).max(initial=0))
+        replaces each entry by its multiplication matrix on the power basis,
+        or an upper bound of it where an entry has several triples.  The block
+        of a zeta^t has the columns a zeta^(t+j): a unit vector times a, or
+        all -a at t + j = p - 1.  So its row r sums to |a| (1 + [t != 0]),
+        less |a| at r = t - 1."""
+        mag = np.abs(self.amps)
+        total = self._row_sums(self._padded(mag * (1 + (self.exps != 0))))
+        missing = np.zeros((self.dim, self.p), dtype=np.int64)
+        np.add.at(missing, (np.repeat(np.arange(self.dim), np.diff(self.starts)), self.exps), mag)
+        return int((total - missing[:, 1:].min(axis=1)).max(initial=0))
 
     def embedded(self, ell):
         """The entries under the p-1 embeddings zeta -> w^j (j = 1 .. p-1) into
         F_ell, for ell = 1 (mod p) and w of order p: one row of p-1 residues
-        per padded slot, the input apply expects."""
+        a w^(t j) per padded slot, the input apply expects."""
         p = self.p
         w = next(r for r in (pow(g, (ell - 1) // p, ell) for g in count(2)) if r != 1)
         wpow = np.array([pow(w, t, ell) for t in range(p)], dtype=np.int64)
-        i = np.arange(p - 1)
-        powers = wpow[np.outer(i, i + 1) % p]  # powers[i, j-1] = w^(i*j)
-        coords = self.coeffs % ell
-        out = np.zeros((self.nnz, p - 1), dtype=np.int64)
-        for i in range(p - 1):
-            out += coords[:, i : i + 1] * powers[i]
-            out %= ell
+        out = (self.amps % ell)[:, None] * wpow[np.outer(self.exps, np.arange(1, p)) % p] % ell
         return self._padded(out)
 
     def apply(self, vals, x, ell):
@@ -331,8 +322,9 @@ def certify(m, poly):
     """Whether the integer polynomial poly (ascending) annihilates m exactly.
 
     Let M' be m inflated to an integer matrix, each entry replaced by its
-    multiplication matrix on the power basis, and N its largest absolute row
-    sum.  Every entry of P(M') is at most S = sum |c_k| N^k in absolute value.
+    multiplication matrix on the power basis, and N inflated_norm(), its
+    largest absolute row sum or a bound on it.  Every entry of P(M') is at
+    most S = sum |c_k| N^k in absolute value.
     For a prime ell = 1 (mod p), zeta -> (w^j)_j maps Z[zeta_p]/ell onto
     F_ell^(p-1), so P(M') = 0 mod ell exactly when P(sigma_j(M)) = 0 mod ell
     for every embedding j.  Checking that for primes whose product exceeds

@@ -84,24 +84,21 @@ def hadamard_check(p):
     root-of-unity entries and satisfies M conj(M)^T = p I, both verified
     exactly on the exponents of its sparse entries.
 
-    An entry zeta^e has the power-basis coordinates of the unit vector e
-    for e < p - 1, and all -1 for e = p - 1; any other entry, a zero one
-    included, is not a root.  With every entry a root, each diagonal entry
-    of M conj(M)^T is p, and entry (i, j) is the sum over k of
-    zeta^(e_ik - e_jk).  The only relation among the powers of zeta is
-    that all p of them sum to 0, so p of them sum to 0 exactly when each
-    power occurs once: the differences e_ik - e_jk cover every residue
-    mod p once.
+    SparseMatrix.from_root_counts stores each entry in its fewest triples
+    a zeta^t, so an entry is a root exactly when it is one triple of
+    amplitude 1: each row then has p triples, in the columns 0 .. p-1.  Any
+    other entry, a zero one included, is not a root.  With every entry a
+    root zeta^e, each diagonal entry of M conj(M)^T is p, and entry (i, j)
+    is the sum over k of zeta^(e_ik - e_jk).  The only relation among the
+    powers of zeta is that all p of them sum to 0, so p of them sum to 0
+    exactly when each power occurs once: the differences e_ik - e_jk cover
+    every residue mod p once.
     """
     m = build_quadratic_matrix(p).sparse
-    if not (np.diff(m.starts) == p).all():  # a zero entry; columns ascend within each row
+    roots = (np.diff(m.starts) == p).all() and (m.amps == 1).all()
+    if not (roots and (m.cols.reshape(p, p) == np.arange(p)).all()):
         return False
-    coeffs = m.coeffs
-    unit = (np.abs(coeffs).sum(axis=1) == 1) & (coeffs.max(axis=1) == 1)
-    last = (coeffs == -1).all(axis=1)
-    if not (unit | last).all():
-        return False
-    e = np.where(last, p - 1, coeffs.argmax(axis=1)).reshape(p, p)
+    e = m.exps.reshape(p, p)
     differences = np.sort((e[:, None, :] - e[None, :, :]) % p, axis=2)
     covered = (differences == np.arange(p)).all(axis=2)
     return bool((covered | np.eye(p, dtype=bool)).all())

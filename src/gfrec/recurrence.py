@@ -19,9 +19,10 @@ order below L would have failed its solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
 from itertools import repeat
 from math import gcd
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mul, ne
 
 from . import linalg
 from .cyclotomic import CycInt
@@ -297,14 +298,16 @@ def _linear_complexity(s, cap=None):
 
 
 def _holds(cols, coeffs):
-    """Whether sum_j coeffs[j] * col[n + j] = 0 on every full window of every column."""
+    """Whether sum_j coeffs[j] * col[n + j] = 0 on every full window of every
+    column.  One lazy pass per column compares the leading term with minus
+    the sum of the other nonzero taps, up to the first window that differs."""
+    taps = [(j, c) for j, c in enumerate(coeffs) if c]
+    (top, lead), rest = taps[-1], taps[:-1]
     for col in cols:
         count = len(col) - len(coeffs) + 1
-        acc = [0] * count
-        for j, c in enumerate(coeffs):
-            if c:
-                acc = list(map(add, acc, [c * x for x in col[j : j + count]]))
-        if any(acc):
+        terms = [map(mul, repeat(-c, count), col[j : j + count]) for j, c in rest]
+        others = reduce(partial(map, add), terms) if terms else repeat(0, count)
+        if any(map(ne, map(mul, repeat(lead, count), col[top : top + count]), others)):
             return False
     return True
 

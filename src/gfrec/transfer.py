@@ -4,12 +4,12 @@ Every builder here produces a TransferSystem: a finite family of decorated
 sums a_i(n) that is closed under instantiating the newest variable, so that
 the vector of states satisfies v(n) = M v(n-1) with entries in Z[zeta_p],
 and the target sum is the sum of some of the states.  All builders share
-one scatter recipe (_scatter_system): on each value x of the newest
-variable, state i becomes state image[i, x] and leaves the constant
-const[i, x], so M[i, j] sums zeta^Tr(const) over the x with image j.  Every
-system is checked against the enumeration oracle one step past the
-smallest index that it and the target expression cover, so the check steps
-the matrix.
+one scatter recipe (_scatter, then _scatter_system): on each value x of
+the newest variable, state i becomes state image[i, x] and leaves the
+constant const[i, x], so M[i, j] sums zeta^Tr(const) over the x with
+image j.  Every system is checked against the enumeration oracle one step
+past the smallest index that it and the target expression cover, so the
+check steps the matrix.
 
 The k-state trapezoid sends a zero newest variable to b_0 and a nonzero one
 a level deeper.  Chain systems decorate a non-wrapping translate sum with
@@ -22,11 +22,13 @@ or for the k-state trapezoid one sum per state.  A rotation combination's
 cyclic sum is Tr(T^n) for the de Bruijn matrix T[(a_1..a_(w-1)),
 (a_2..a_w)] = zeta^Tr(g(a_1..a_w)) of its window polynomial g, since the
 closed walks of length n are the cyclic words.  Its system is T (x) I from
-vec(T^n0) onto vec(I), and its kernel T gives the annihilator.
+vec(T^n0), which vec(I) reaches in n0 steps of that same matrix, onto
+vec(I), and its kernel T gives the annihilator.
 
-The matrix is a linalg.SparseMatrix, and run steps it exactly in numpy on a
-dim x (p-1) array of power-basis coordinates: in int64 while that is
-provably exact, on Python ints after.
+The matrix is a linalg.SparseMatrix, whose entries a zeta^t are triples
+(column, t, a).  run steps it exactly in numpy on a dim x (p-1) array of
+power-basis coordinates, by a roll of root counts and a scale per triple:
+in int64 while that is provably exact, on Python ints after.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cyclotomic import CycInt
+from .cyclotomic import CycInt, root_power
 from .funcalg import (
     InstantiatedFunction,
     MonomialPattern,
@@ -81,23 +83,23 @@ class TransferSystem:
 
     @cached_property
     def matrix(self):
-        """The dense matrix, rows of CycInt entries, read off the sparse view."""
+        """The dense matrix, rows of CycInt entries, summed from the sparse triples."""
         sp = self.sparse
         p = self.field.p
-        zero = CycInt.zero(p)
-        rows = [[zero] * self.dim for _ in range(self.dim)]
+        roots = [root_power(p, t) for t in range(p)]
+        rows = [[CycInt.zero(p)] * self.dim for _ in range(self.dim)]
         bounds = sp.starts.tolist()
-        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            for j, coords in zip(sp.cols[a:b].tolist(), sp.coeffs[a:b].tolist()):
-                rows[i][j] = CycInt(p, coords)
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            for j, t, a in zip(sp.cols[lo:hi].tolist(), sp.exps[lo:hi].tolist(), sp.amps[lo:hi].tolist()):
+                rows[i][j] = rows[i][j] + a * roots[t]
         return tuple(tuple(row) for row in rows)
 
     @cached_property
     def projector(self):
         """The projection as a one-row SparseMatrix."""
-        return SparseMatrix.from_rows(
-            self.field.p, [[(j, c.coeffs) for j, c in enumerate(self.projection) if not c.is_zero()]]
-        )
+        coords = _coords(self.projection)
+        j, t = np.nonzero(coords)
+        return SparseMatrix(self.field.p, [0, len(j)], j, t, coords[j, t])
 
     def __repr__(self):
         return "TransferSystem(%s, dim=%d, n_min=%d)" % (self.label, self.dim, self.n_min)
@@ -182,26 +184,24 @@ def _states(q, m, state_limit):
     return _grid(q, m)
 
 
-def _scatter(f, step):
+def _scatter(f, image, const):
     """The matrix in which, on each value x of the newest variable, state i
     goes to state image[i, x] with the factor zeta^Tr(const[i, x]), for
-    step = (image, const), dim x q arrays of state and field indices."""
-    image, const = step
+    dim x q arrays image and const of state and field indices."""
     dim, q = image.shape
     trace = integer_tables(f)[2]
     rows = np.repeat(np.arange(dim), q)
     return SparseMatrix.from_root_counts(f.p, dim, rows, image.ravel(), trace[const].ravel())
 
 
-def _scatter_system(label, f, e, step, init, n0, budget, projection=(0,), kernel=None):
-    """The system of _scatter(f, step) with the state vector init at n0,
+def _scatter_system(label, f, e, sparse, init, n0, budget, projection=(0,), kernel=None):
+    """The system of the matrix sparse with the state vector init at n0,
     whose target is the sum of the states in projection.  The system is
     checked against the enumeration oracle on e one index past the smallest
     that both cover, or at that smallest index when the next has over
     min(budget, 2^20) points.
     """
     p = f.p
-    sparse = _scatter(f, step)
     target = [CycInt.zero(p)] * sparse.dim
     for j in projection:
         target[j] = CycInt.one(p)
@@ -249,7 +249,7 @@ def build_trapezoid_system(k, f, budget=DEFAULT_POINT_BUDGET):
             terms[frozenset(range(j + 1, k + 1))] = f.one()
         init.append(exp_sum(InstantiatedFunction(f, k, terms), budget=budget))
     label = "trapezoid(2..%d)/F_%s" % (k, f.describe())
-    return _scatter_system(label, f, tau(k), (image, const), init, k, budget)
+    return _scatter_system(label, f, tau(k), _scatter(f, image, const), init, k, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +324,7 @@ def _chain_system(
     chain = Sum(tuple(ScalarMul(c.index, Trapezoid(MonomialPattern(o))) for c, o in patterns))
     decorations = [_monomial(f, w, (w - d for d in shape)) for shape in tail_shapes]
     init = decorated_sums(instantiate(chain, w, f), decorations, budget)
-    return _scatter_system(label, f, e, (_index(new[:nt], q), new[nt]), init, w, budget)
+    return _scatter_system(label, f, e, _scatter(f, _index(new[:nt], q), new[nt]), init, w, budget)
 
 
 def _rotation_system(
@@ -336,15 +336,15 @@ def _rotation_system(
     The window a_1..a_w has index a q + x for the index a of (a_1..a_(w-1))
     and x = a_w, and T steps a to (a_2..a_w), index (a q + x) mod Q for
     Q = q^(w-1).  The state a Q + i of T (x) I steps like a and keeps i, so
-    the states hold the columns of T^n: from vec(T^n0) at n0 = 3(w-1), the
-    target Tr(T^n) sums the diagonal states a Q + a.
+    the states hold the columns of T^n: vec(I) stepped n0 = 3(w-1) times is
+    vec(T^n0), and the target Tr(T^n) sums the diagonal states a Q + a.
     """
     q, p = f.q, f.p
     patterns = _normalize_patterns(terms, f)
     w = max(max(offsets) for _c, offsets in patterns)
     Q = q ** (w - 1)
     a, i = _states(Q, 2, state_limit).T  # the state a Q + i
-    add, mul, trace = integer_tables(f)
+    add, mul, _trace = integer_tables(f)
     windows = _grid(q, w)
     g = np.zeros(len(windows), dtype=np.intp)
     for c, offsets in patterns:
@@ -354,20 +354,15 @@ def _rotation_system(
         g = add[g, term]
     image = np.arange(Q * q).reshape(Q, q) % Q
     const = g.reshape(Q, q)
-    n0, r = 3 * (w - 1), np.arange(Q)
-    # vec(T^n0) from vec(I), as counts of the p roots of unity: the entry
-    # zeta^t of the step (a, x) rolls the counts of row image[a, x] by t,
-    # about p times less work than a product in coordinates.  A count is a
-    # number of walks, at most q^n0 = Q^3
-    roll = (np.arange(p) - trace[const][:, :, None, None]) % p
-    counts = np.zeros((Q, Q, p), dtype=np.int64)
-    counts[r, r, 0] = 1
+    sparse = _scatter(f, image[a] * Q + i[:, None], const[a])
+    n0, diagonal = 3 * (w - 1), np.arange(Q) * (Q + 1)
+    v = np.zeros((Q * Q, p - 1), dtype=np.int64)
+    v[diagonal, 0] = 1  # vec(I)
+    norm = sparse.row_norm()
     for _ in range(n0):
-        counts = sum(counts[image[:, x, None, None], r[:, None], roll[:, x]] for x in range(q))
-    coords = (counts[..., :-1] - counts[..., -1:]).reshape(Q * Q, p - 1)
-    init = [CycInt._of(p, tuple(row)) for row in coords.tolist()]
-    step, kernel = (image[a] * Q + i[:, None], const[a]), _scatter(f, (image, const))
-    return _scatter_system(label, f, e, step, init, n0, budget, r * (Q + 1), kernel)
+        v = sparse.times(_exact(v, norm))
+    init = [CycInt._of(p, tuple(row)) for row in v.tolist()]
+    return _scatter_system(label, f, e, sparse, init, n0, budget, diagonal, _scatter(f, image, const))
 
 
 def build_rotation_system(
@@ -410,7 +405,7 @@ def build_symmetric_system(
     lower = [instantiate(Sigma(k - j), k, f) for j in range(1, k)]
     init = decorated_sums(instantiate(Sigma(k), k, f), lower, budget)
     label = "symmetric(%d)/F_%s" % (k, f.describe())
-    return _scatter_system(label, f, Sigma(k), (_index(image, q), const), init, k, budget)
+    return _scatter_system(label, f, Sigma(k), _scatter(f, _index(image, q), const), init, k, budget)
 
 
 def build_quadratic_matrix(p, budget=DEFAULT_POINT_BUDGET):

@@ -1,7 +1,9 @@
-"""Tests for the fraction-free integer solve, for the certified minimal
-polynomial, and for the integer annihilator against the minimal polynomial
-of its written-out matrix."""
+"""Tests for the fraction-free integer solve, for the sparse matrix's
+triples a zeta^t and its products and norms against dense references, for
+the certified minimal polynomial, and for the integer annihilator against
+the minimal polynomial of its written-out matrix."""
 
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -11,12 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfrec import linalg
-from gfrec.cyclotomic import regular_matrix
+from gfrec.cyclotomic import CycInt, regular_matrix, root_power
 from gfrec.funcalg import parse
 from gfrec.galois import make_field, prime_power
 from gfrec.limits import ResourceLimitExceeded
 from gfrec.linalg import SparseMatrix, certify, minimal_polynomial, solve_with_free_zero
-from gfrec.transfer import integer_annihilator, system_for
+from gfrec.transfer import build_quadratic_matrix, integer_annihilator, run, system_for
 
 
 def test_solve_square_system():
@@ -111,9 +113,16 @@ def test_solve_edge_cases():
     assert solve_with_free_zero([[0, 0]], [0]) == ([0, 0], 1)
 
 
+def _from_rows(p, rows):
+    """The SparseMatrix whose row i holds the (column, exponent, amplitude)
+    triples rows[i]."""
+    triples = np.array([t for row in rows for t in row], dtype=np.int64).reshape(-1, 3)
+    return SparseMatrix(p, np.cumsum([0] + [len(row) for row in rows]), *triples.T)
+
+
 def _sparse(matrix):
     """An integer matrix as a SparseMatrix over Z = Z[zeta_2]."""
-    return SparseMatrix.from_rows(2, [[(j, (a,)) for j, a in enumerate(row) if a] for row in matrix])
+    return _from_rows(2, [[(j, 0, a) for j, a in enumerate(row) if a] for row in matrix])
 
 
 def _minpoly(matrix, cap=8):
@@ -184,12 +193,12 @@ def test_minimal_polynomial_degree_cap():
 
 def test_minimal_polynomial_cyclotomic_entries():
     # multiplication by zeta_3 on Z[zeta_3] has minimal polynomial X^2 + X + 1
-    assert minimal_polynomial(SparseMatrix.from_rows(3, [[(0, (0, 1))]]), 4) == [1, 1, 1]
+    assert minimal_polynomial(_from_rows(3, [[(0, 1, 1)]]), 4) == [1, 1, 1]
     # zeta_5 + zeta_5^4 = (sqrt(5) - 1) / 2 is a root of X^2 + X - 1
-    m = SparseMatrix.from_rows(5, [[(0, (-1, 0, -1, -1))]])
+    m = _from_rows(5, [[(0, 1, 1), (0, 4, 1)]])
     assert minimal_polynomial(m, 4) == [-1, 1, 1]
     # diag(zeta_3, 1) with an off-diagonal 2: lcm(X^2 + X + 1, X - 1) = X^3 - 1
-    m = SparseMatrix.from_rows(3, [[(0, (0, 1)), (1, (2, 0))], [(1, (1, 0))]])
+    m = _from_rows(3, [[(0, 1, 1), (1, 0, 2)], [(1, 0, 1)]])
     assert minimal_polynomial(m, 4) == [-1, 0, 0, 1]
 
 
@@ -227,10 +236,172 @@ def test_apply_reduces_wide_rows_before_summing():
     # 2^14 products of (ell - 1)^2 ~ 2^50 would wrap int64 if summed unreduced
     ell = next(linalg._primes(2))
     width = 1 << 14
-    m = SparseMatrix.from_rows(2, [[(j, (-1,)) for j in range(width)]])
+    m = _from_rows(2, [[(j, 0, -1) for j in range(width)]])
     x = np.full((width, 1), ell - 1, dtype=np.int64)
     got = m.apply(m.embedded(ell), x, ell)
     assert got.tolist() == [[sum((ell - 1) * (ell - 1) for _ in range(width)) % ell]]
+
+
+# ---------------------------------------------------------------------------
+# the sparse form: each entry as triples a zeta^t
+
+@st.composite
+def sparse_matrices(draw):
+    """Matrices of at most 4 rows over p in {2, 3, 5, 7}: from root counts,
+    with entries of several roots, entries whose roots cancel to zero and
+    entries zeta^(p-1); or from rows of triples with amplitudes up to 3."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    dim = draw(st.integers(1, 4))
+    index = st.integers(0, dim - 1)
+    if draw(st.booleans()):
+        triples = draw(st.lists(st.tuples(index, index, st.integers(0, p - 1)), max_size=24))
+        for i, j in draw(st.lists(st.tuples(index, index), max_size=2)):  # all p roots: zero
+            triples += [(i, j, t) for t in range(p)]
+        triples += [(i, j, p - 1) for i, j in draw(st.lists(st.tuples(index, index), max_size=2))]
+        rows, cols, exps = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+        return SparseMatrix.from_root_counts(p, dim, rows, cols, exps)
+    triple = st.tuples(index, st.integers(0, p - 1), st.integers(-3, 3).filter(bool))
+    return _from_rows(p, [sorted(draw(st.lists(triple, max_size=5))) for _ in range(dim)])
+
+
+def _triple_rows(m):
+    return np.repeat(np.arange(m.dim), np.diff(m.starts))
+
+
+def _dense(m):
+    """The matrix as dim x dim CycInt entries, each the sum of its triples."""
+    p = m.p
+    dense = [[CycInt.zero(p)] * m.dim for _ in range(m.dim)]
+    for i, j, t, a in zip(_triple_rows(m).tolist(), m.cols.tolist(), m.exps.tolist(), m.amps.tolist()):
+        dense[i][j] = dense[i][j] + a * root_power(p, t)
+    return dense
+
+
+def _dense_times(m, v):
+    """M v by CycInt arithmetic on the dense entries."""
+    values = [CycInt(m.p, row) for row in v.tolist()]
+    zero = CycInt.zero(m.p)
+    return [list(sum((e * x for e, x in zip(row, values)), zero).coeffs) for row in _dense(m)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_times_matches_the_dense_product(m, data):
+    p, dim = m.p, m.dim
+    big = (2**63 - 1) // (2 * max(m.row_norm(), 1))  # the largest |v| that times keeps in int64
+    coord = st.one_of(st.integers(-5, 5), st.integers(big - 3, big), st.integers(-big, 3 - big))
+    rows = st.lists(st.lists(coord, min_size=p - 1, max_size=p - 1), min_size=dim, max_size=dim)
+    v = np.array(data.draw(rows), dtype=np.int64).reshape(dim, p - 1)
+    want = _dense_times(m, v)
+    got = m.times(v)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert m.times(v.astype(object)).tolist() == want
+    assert m.times(v.astype(object) * 2**70).tolist() == [[c * 2**70 for c in row] for row in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), st.data())
+def test_from_root_counts_keeps_each_entry_in_its_fewest_triples(p, data):
+    dim = 3
+    counts = data.draw(
+        st.lists(st.lists(st.integers(0, 3), min_size=p, max_size=p), min_size=dim * dim, max_size=dim * dim)
+    )
+    triples = [divmod(k, dim) + (t,) for k, row in enumerate(counts) for t, c in enumerate(row) for _ in range(c)]
+    m = SparseMatrix.from_root_counts(p, dim, *np.array(triples, dtype=np.int64).reshape(-1, 3).T)
+    rows, dense = _triple_rows(m), _dense(m)
+    for k, row in enumerate(counts):
+        i, j = divmod(k, dim)
+        assert dense[i][j] == CycInt.from_root_counts(p, row)
+        # the p roots sum to 0: the fewest triples leave the most frequent count out
+        assert ((rows == i) & (m.cols == j)).sum() == p - max(row.count(c) for c in row)
+    assert (np.diff(rows * dim + m.cols) >= 0).all()  # columns ascend, an entry's triples adjacent
+    if p == 2:
+        assert not m.exps.any()  # zeta = -1 is folded into the amplitude
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_embedded_and_apply_match_a_naive_loop(m, data):
+    p, dim = m.p, m.dim
+    ell = next(linalg._primes(p))
+    zeta = _from_rows(p, [[(0, 1, 1)]]).embedded(ell)
+    w = int(zeta[0, 0])  # zeta's image under the first embedding
+    assert w != 1 and pow(w, p, ell) == 1
+    assert zeta.tolist() == [[pow(w, j, ell) for j in range(1, p)]]
+    residues = st.lists(st.integers(0, ell - 1), min_size=p - 1, max_size=p - 1)
+    x = np.array(data.draw(st.lists(residues, min_size=dim, max_size=dim)), dtype=np.int64)
+    want = [[0] * (p - 1) for _ in range(dim)]
+    for i, col, t, a in zip(_triple_rows(m).tolist(), m.cols.tolist(), m.exps.tolist(), m.amps.tolist()):
+        for j in range(1, p):
+            want[i][j - 1] = (want[i][j - 1] + a * pow(w, t * j, ell) * int(x[col, j - 1])) % ell
+    assert m.apply(m.embedded(ell), x, ell).tolist() == want
+
+
+def _coordinate_inflated_norm(m):
+    """The inflated norm by the formula on entry coordinates that the triples
+    replaced: each entry's block rows, from its root counts rolled by j."""
+    p = m.p
+    keys, entry = np.unique(_triple_rows(m) * m.dim + m.cols, return_inverse=True)
+    roots = np.zeros((len(keys), p), dtype=np.int64)
+    np.add.at(roots, (entry, m.exps), m.amps)
+    counts = np.zeros((len(keys), p), dtype=np.int64)
+    counts[:, : p - 1] = roots[:, : p - 1] - roots[:, p - 1 :]  # the entries' coordinates
+    sums = np.zeros((len(keys), p - 1), dtype=np.int64)
+    for j in range(p - 1):
+        rolled = np.roll(counts, j, axis=1)
+        sums += np.abs(rolled[:, : p - 1] - rolled[:, p - 1 :])
+    rows = np.zeros((m.dim, p - 1), dtype=np.int64)
+    np.add.at(rows, keys // m.dim, sums)
+    return int(rows.max(initial=0))
+
+
+def _one_triple_per_entry(m):
+    return len(np.unique(_triple_rows(m) * m.dim + m.cols)) == m.nnz
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_inflated_norm_bounds_the_coordinate_formula(m):
+    want = _coordinate_inflated_norm(m)
+    if _one_triple_per_entry(m):
+        assert m.inflated_norm() == want
+    else:
+        assert m.inflated_norm() >= want
+
+
+# the systems of tests/test_transfer.py's digest grid
+DIGEST_EXPRS = (
+    "tau(2)", "tau(3)", "tau(4)", "tau(5)", "sigma(2)", "sigma(3)", "R(2)", "R(2,3)", "R(2,4)",
+    "T(2,4)", "R(2,3)+R(2)", "T(2,4)+e2*T(3)", "e2*T(2,3)", "R(2,3,4)", "e3*R(2)+R(3)",
+)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_inflated_norm_is_the_coordinate_formula_on_the_digest_grid(q):
+    # every entry there is one root times an integer, so the certificate's
+    # bound, and with it its prime count, is what it was on coordinates
+    field = make_field(*prime_power(q))
+    for text in DIGEST_EXPRS:
+        try:
+            sys = system_for(parse(text), field)
+        except (ValueError, ResourceLimitExceeded):
+            continue
+        for m in (sys.sparse, sys.kernel):
+            assert _one_triple_per_entry(m), text
+            assert m.inflated_norm() == _coordinate_inflated_norm(m), text
+
+
+def test_two_quadratic_steps_over_f61_stay_small():
+    # a step holds each slot's p rolled root counts, about p^3 integers here;
+    # a product of coordinates held p (p - 1)^2 per slot (109 MB)
+    sys = build_quadratic_matrix(61)
+    tracemalloc.start()
+    try:
+        run(sys, sys.n_min + 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 10**6
 
 
 # ---------------------------------------------------------------------------

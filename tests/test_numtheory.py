@@ -3,10 +3,11 @@
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from gfrec import numtheory
-from gfrec.cyclotomic import CycInt, root_power
+from gfrec.cyclotomic import CycInt
 from gfrec.linalg import SparseMatrix
 from gfrec.numtheory import (
     eigen_check,
@@ -107,12 +108,19 @@ def test_hadamard_check():
         assert hadamard_check(p)
 
 
-def _check_edited(monkeypatch, p, k, coords):
-    """hadamard_check(p) on the quadratic matrix with its k-th sparse entry set to coords."""
+def _check_edited(monkeypatch, p, edits):
+    """hadamard_check(p) on the quadratic matrix with each entry k of edits
+    (row k // p, column k % p) made of the (exponent, amplitude) triples
+    edits[k]."""
     m = build_quadratic_matrix(p).sparse
-    coeffs = m.coeffs.copy()
-    coeffs[k] = coords
-    edited = SimpleNamespace(sparse=SparseMatrix(p, m.starts, m.cols, coeffs))
+    assert m.cols.tolist() == list(range(p)) * p  # one triple per entry
+    entries = [[(j, t, a)] for j, t, a in zip(m.cols.tolist(), m.exps.tolist(), m.amps.tolist())]
+    for k, triples in edits.items():
+        entries[k] = [(k % p, t, a) for t, a in triples]
+    rows = [sum(entries[i * p : (i + 1) * p], []) for i in range(p)]
+    triples = np.array(sum(rows, []), dtype=np.int64).reshape(-1, 3)
+    starts = np.cumsum([0] + [len(row) for row in rows])
+    edited = SimpleNamespace(sparse=SparseMatrix(p, starts, *triples.T))
     monkeypatch.setattr(numtheory, "build_quadratic_matrix", lambda _p: edited)
     return hadamard_check(p)
 
@@ -124,14 +132,21 @@ def test_hadamard_check_refuses_a_changed_exponent(monkeypatch, p):
     for k in range(p * p):
         j, col = divmod(k, p)
         for delta in range(1, p):
-            coords = root_power(p, j * (col - j) + delta).coeffs
-            assert not _check_edited(monkeypatch, p, k, coords)
+            assert not _check_edited(monkeypatch, p, {k: [((j * (col - j) + delta) % p, 1)]})
 
 
 @pytest.mark.parametrize("coords", [(1, 1, 0, 0), (2, 0, 0, 0), (0, 0, 0, 0), (-1, -1, -1, 0), (0, -1, 0, 0)])
 def test_hadamard_check_refuses_a_non_root_entry(monkeypatch, coords):
+    # the coordinates as triples a zeta^t, one per nonzero coordinate
+    triples = [(t, a) for t, a in enumerate(coords) if a]
     for k in (0, 7, 24):
-        assert not _check_edited(monkeypatch, 5, k, coords)
+        assert not _check_edited(monkeypatch, 5, {k: triples})
+
+
+def test_hadamard_check_refuses_two_triples_in_one_entry_beside_a_zero_one(monkeypatch):
+    # row 0 keeps p triples of amplitude 1 and exponent 0, as in the matrix,
+    # but column 0 has none and column 1 holds 1 + 1
+    assert not _check_edited(monkeypatch, 5, {0: [], 1: [(0, 1), (0, 1)]})
 
 
 def test_predicted_spectrum():

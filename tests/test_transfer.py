@@ -84,16 +84,13 @@ def test_trapezoid_matrix_is_the_paper_update(q):
     f = make_field(*prime_power(q))
     p = f.p
 
-    def entry(n):
-        return (n,) + (0,) * (p - 2)
-
     for k in range(2, 8):
-        rows = [[(0, entry(1)), (j + 1, entry(q - 1))] for j in range(k - 1)]
-        rows.append([(0, entry(1)), (k - 1, entry(-1))])
-        want = SparseMatrix.from_rows(p, rows)
+        # (column, exponent, amplitude) triples, row by row
+        rows = [[(0, 0, 1), (j + 1, 0, q - 1)] for j in range(k - 1)]
+        rows.append([(0, 0, 1), (k - 1, 0, -1)])
         got = build_trapezoid_system(k, f).sparse
-        for name in ("starts", "cols", "coeffs"):
-            assert getattr(got, name).tolist() == getattr(want, name).tolist(), (k, name)
+        assert got.starts.tolist() == list(range(0, 2 * k + 1, 2)), k
+        assert list(zip(got.cols.tolist(), got.exps.tolist(), got.amps.tolist())) == sum(rows, []), k
 
 
 def test_trapezoid_system_extension_field():
@@ -272,12 +269,25 @@ DIGEST_EXPRS = (
 DIGEST_FIELDS = (2, 3, 4, 5, 7, 8, 9)
 
 
+def _entries(sp):
+    """The matrix as the digests pin it: per row the nonzero entries' columns,
+    ascending, and each entry's power-basis coordinates (an nnz x (p-1) list)."""
+    p, dim = sp.p, sp.dim
+    row = np.repeat(np.arange(dim), np.diff(sp.starts))
+    keys, entry = np.unique(row * dim + sp.cols, return_inverse=True)
+    counts = np.zeros((len(keys), p), dtype=np.int64)
+    np.add.at(counts, (entry, sp.exps), sp.amps)
+    coeffs = counts[:, :-1] - counts[:, -1:]
+    keep = coeffs.any(axis=1)
+    starts = np.searchsorted(keys[keep], np.arange(dim + 1) * dim)
+    return starts.tolist(), (keys[keep] % dim).tolist(), coeffs[keep].tolist()
+
+
 def _system_digest(sys):
-    sp = sys.sparse
     parts = (
         sys.label, sys.dim, sys.n0, 0,  # 0 where the retired shift was, so digests keep their bytes
         [c.coeffs for c in sys.init], [c.coeffs for c in sys.projection],
-        sp.starts.tolist(), sp.cols.tolist(), sp.coeffs.tolist(),
+        *_entries(sys.sparse),
     )
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
@@ -300,13 +310,13 @@ def test_systems_match_their_pinned_digests():
     "text, q", [("tau(3)", 2), ("sigma(3)", 3), ("R(2,3)", 3), ("T(2,4)", 3), ("tau(4)", 3)]
 )
 def test_oracle_gate_checks_the_matrix(monkeypatch, text, q):
-    # a matrix with every coefficient zeroed keeps the initial states and the
+    # a matrix with every amplitude zeroed keeps the initial states and the
     # projection right, so only a gate that takes a step can see it
     real = SparseMatrix.from_root_counts
 
     def zeroed(cls, *args):
         m = real(*args)
-        return cls(m.p, m.starts, m.cols, m.coeffs * 0)
+        return cls(m.p, m.starts, m.cols, m.exps, m.amps * 0)
 
     monkeypatch.setattr(SparseMatrix, "from_root_counts", classmethod(zeroed))
     with pytest.raises(AssertionError, match="disagrees with the oracle"):

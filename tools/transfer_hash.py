@@ -4,12 +4,16 @@
     PYTHONPATH=<checkout>/src python3 tools/transfer_hash.py
 
 Builds the system of every digest case of tests/test_transfer.py (its
-DIGEST_EXPRS over its DIGEST_FIELDS, copied below) and prints two lines,
+DIGEST_EXPRS over its DIGEST_FIELDS, copied below) and prints three lines,
 each the number of records and the SHA-256 of their JSON:
 - runs: per case the label, dim, n_min and the coordinates of `run` up to
   n_min + 12, or the type and text of the exception that refused the system;
 - annihilators: per case the coefficients of `integer_annihilator` at its
-  default limits, or the type and text of the refusal.
+  default limits, or the type and text of the refusal;
+- large: the LARGE cases, prime fields past the digest grid, where each
+  entry has the most coordinates: per case the label, dim, n_min and `run`
+  up to n_min + 4, and for sigma(2) over F_11 and F_13 the annihilator or
+  its refusal.
 
 The runs line pins every sum that a system gives, whatever the matrix and
 states that give it; the annihilators line pins the recurrences.  Two
@@ -33,10 +37,27 @@ DIGEST_EXPRS = (
 )
 DIGEST_FIELDS = (2, 3, 4, 5, 7, 8, 9)
 STEPS = 12  # run each system from n_min to n_min + STEPS
+LARGE = (
+    ("sigma(2)", 11, True), ("sigma(2)", 13, True), ("sigma(2)", 31, False), ("sigma(2)", 61, False),
+    ("R(2)", 11, False), ("R(2)", 13, False),
+)  # (expression, field, whether to take the annihilator)
+LARGE_STEPS = 4
 
 
 def _refusal(err):
     return ["raise", type(err).__name__, str(err)]
+
+
+def _run_record(case, sys, steps):
+    seq = run(sys, sys.n_min + steps)
+    return [case, sys.label, sys.dim, sys.n_min, [list(v.coeffs) for v in seq.values]]
+
+
+def _annihilator_record(case, sys):
+    try:
+        return [case, list(integer_annihilator(sys).coeffs)]
+    except (ValueError, ResourceLimitExceeded) as err:
+        return [case, _refusal(err)]
 
 
 def _records():
@@ -50,13 +71,20 @@ def _records():
                 runs.append([case, _refusal(err)])
                 annihilators.append([case, _refusal(err)])
                 continue
-            seq = run(sys, sys.n_min + STEPS)
-            runs.append([case, sys.label, sys.dim, sys.n_min, [list(v.coeffs) for v in seq.values]])
-            try:
-                annihilators.append([case, list(integer_annihilator(sys).coeffs)])
-            except (ValueError, ResourceLimitExceeded) as err:
-                annihilators.append([case, _refusal(err)])
+            runs.append(_run_record(case, sys, STEPS))
+            annihilators.append(_annihilator_record(case, sys))
     return runs, annihilators
+
+
+def _large_records():
+    records = []
+    for text, q, annihilate in LARGE:
+        case = "%s/F_%d" % (text, q)
+        sys = system_for(parse(text), make_field(q))
+        records.append(_run_record(case, sys, LARGE_STEPS))
+        if annihilate:
+            records.append(_annihilator_record(case, sys))
+    return records
 
 
 def _line(name, records):
@@ -68,6 +96,7 @@ def main():
     runs, annihilators = _records()
     print(_line("runs", runs))
     print(_line("annihilators", annihilators))
+    print(_line("large", _large_records()))
 
 
 if __name__ == "__main__":
