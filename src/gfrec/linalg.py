@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from itertools import count
+from math import comb
 
 import numpy as np
 
@@ -274,27 +275,43 @@ def _sequence_polynomial(m, ell, rng, degree_cap):
     return conn[length::-1]
 
 
+def _coefficient_bound(norm, degree):
+    """The largest |c_k| of a monic polynomial of the given degree whose
+    roots have absolute value at most norm: C(degree, k) norm^(degree - k)."""
+    return max(comb(degree, k) * norm ** (degree - k) for k in range(degree + 1))
+
+
 def _candidate(m, degree_cap, primes, rng):
     """Monic integer polynomial lifted by CRT from sequence polynomials mod
-    successive primes, once another prime leaves the symmetric lift unchanged.
-    A lower degree than the best seen so far marks an unlucky prime or probe
-    and is skipped; a higher one starts the lift again."""
+    successive primes.  A lower degree than the best seen so far marks an
+    unlucky prime or probe and is skipped; a higher one starts the lift
+    again.
+
+    The roots of mu are eigenvalues of the inflated matrix, so they are at
+    most N = inflated_norm() in absolute value, and a coefficient c_k of mu,
+    of degree d, is at most C(d, k) N^(d - k).  When the residues are mu's,
+    the symmetric lift is mu once the modulus exceeds twice that bound, and
+    it is returned then, after one prime for most systems.  Otherwise it is
+    returned once another prime leaves it unchanged.
+    """
+    norm = m.inflated_norm()
     lift = residues = None
     modulus = 1
     for ell in primes:
         got = _sequence_polynomial(m, ell, rng, degree_cap)
-        if residues is None or len(got) > len(residues):
-            lift, residues, modulus = None, got, ell
+        restart = residues is None or len(got) > len(residues)
+        if restart:
+            residues, modulus = got, ell
+        elif len(got) < len(residues):
             continue
-        if len(got) < len(residues):
-            continue
-        inv = pow(modulus, -1, ell)
-        residues = [r + modulus * ((g - r) * inv % ell) for r, g in zip(residues, got)]
-        modulus *= ell
+        else:
+            inv = pow(modulus, -1, ell)
+            residues = [r + modulus * ((g - r) * inv % ell) for r, g in zip(residues, got)]
+            modulus *= ell
         new = [r - modulus if 2 * r > modulus else r for r in residues]
-        if new == lift:
+        if modulus > 2 * _coefficient_bound(norm, len(new) - 1) or new == lift:
             return new
-        lift = new
+        lift = None if restart else new
 
 
 def _vanishes_mod(m, poly, ell):
@@ -348,8 +365,10 @@ def minimal_polynomial(m, degree_cap):
 
     This is the minimal polynomial mu of the inflated integer matrix, that
     is, the least monic rational polynomial with P(M) = 0; it is integral
-    by Gauss's lemma.  A candidate P comes from
-    Berlekamp-Massey mod primes and CRT (_candidate), and certify proves
+    by Gauss's lemma.  A candidate P comes from Berlekamp-Massey mod primes
+    and CRT (_candidate), which stops at the first modulus past twice the
+    bound on mu's coefficients that N = inflated_norm() gives, one prime
+    for most systems, or else once the lift is stable.  certify proves
     P(M) = 0, so mu divides P.  P's degree is a linear complexity mod a
     prime, which is at most deg mu, so P = mu.  A linear complexity above
     degree_cap raises ResourceLimitExceeded: deg mu is larger still.  A

@@ -5,7 +5,12 @@ exactly: points are enumerated in blocks, function values are
 reduced to trace residues through integer lookup tables, and the residue
 histogram is converted to a cyclotomic integer at the end.  Everything is
 integer arithmetic, so block partitioning cannot change the result.  Fields
-with q = 2 take a packed-bit fast path.  The generic kernel splits each
+with q = 2 take a packed-bit fast path, in chunks of up to 2^22 points.
+Past one chunk it counts chunks by key: a chunk's cube depends only on which
+of the terms that mix chunk and in-chunk variables are active on it, and
+terms constant on a chunk only complement it, so each distinct key's cube
+is built once and weighted by its chunks.  R(2,3) at n = 26 builds 9 cubes
+of 2^15 points where it built 16 of 2^22.  The generic kernel splits each
 function into cofactors of the low (in-block) and high (block-index) digits,
 so that what the blocks share is evaluated once.  A block's histogram then
 depends only on its high-digit coefficients, up to a constant shift that
@@ -51,7 +56,13 @@ _BLOCK_POINTS = 1 << 15  # most points per block of the generic kernel; its buff
 _LEAF_POINTS = 1 << 10  # the generic kernel folds grids of up to this many points term by term; a numpy call costs about this many points
 _TABLE_ENTRIES = 1 << 12  # the field-table cache keeps intp q x q tables while q^2 is at most this
 _TRANSFORM_ENTRIES = 1 << 20  # most entries of one gather of `decorated_sums`' transform (8 MB of int64)
-_CHUNK_BITS = 22  # log2 of the points in one chunk of the F_2 kernel; at least 6
+_CHUNK_BITS = 22  # log2 of the most points in one chunk of the F_2 kernel; at least 6
+# The F_2 kernel's work model for counting chunks by key, in nanoseconds,
+# fitted to keyed calls timed on a 2-core x86-64 host (R(2,3), tau(5),
+# R(2,5), R(2,3) + R(2) and T(2,4) at n = 23..26); only their ratio matters.
+# See `_key_bits`.
+_KEY_POINT_NS = 0.07  # one point of one key's cube: copy, XORs and popcount
+_CODE_NS = 2  # one chunk's code at one chunk bit of the zeta transform
 # The generic kernel's work model, in nanoseconds, fitted to calls timed on a
 # 2-core x86-64 host; only their ratios matter.  See `_BlockValues._choose`.
 _GATHER_NS = 2  # one point of one gather into a block's histogram
@@ -214,12 +225,16 @@ def _check_budget(field, n, budget):
 # ---------------------------------------------------------------------------
 # packed-bit kernel for F_2
 #
-# A chunk holds 2^c points, c = min(n, _CHUNK_BITS), as 2^(c-6) 64-bit words.
-# Bit v of the point index is bit v of the word for v < 6, bit v - 6 of the
-# word index for 6 <= v < c, and constant over the chunk for v >= c.  Viewed
-# as a (2, ..., 2) array of words, the points where the variables 6..c-1 of
-# a monomial are all 1 form a sub-array, so a term is one in-place XOR of its
-# word mask into that view.
+# A chunk holds 2^c points as 2^(c-6) 64-bit words, or one masked word for
+# c < 6.  Bit v of the point index is bit v of the word for v < 6, bit v - 6
+# of the word index for 6 <= v < c, and constant over the chunk for v >= c.
+# Viewed as a (2, ..., 2) array of words, the points where the variables
+# 6..c-1 of a monomial are all 1 form a sub-array, so a term is one in-place
+# XOR of its word mask into that view.  A call of n <= _CHUNK_BITS is one
+# chunk, c = n.  Past that, `_key_bits` picks c, and the chunks are counted
+# by key (`_F2Chunks.keys`), unless the function has too many terms that
+# mix chunk and in-chunk variables for keys to repeat (sigma(k) has
+# hundreds); then c = _CHUNK_BITS and each chunk is built from scratch.
 
 _WORD_PATTERNS = [
     sum(1 << i for i in range(64) if (i >> j) & 1) for j in range(6)
@@ -227,32 +242,39 @@ _WORD_PATTERNS = [
 
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 _bitwise_count = getattr(np, "bitwise_count", None)  # numpy >= 2.0
+_ALL_ONES = (1 << 64) - 1
 
 
 def _popcount(words):
+    """The set bits of each row of words, along the last axis."""
     if _bitwise_count is not None:
-        return int(_bitwise_count(words).sum())
-    return int(_POPCOUNT8[words.view(np.uint8)].sum())
+        return _bitwise_count(words).sum(axis=-1, dtype=np.int64)
+    return _POPCOUNT8[words.view(np.uint8)].sum(axis=-1)
 
 
 class _F2Chunks:
-    """Number of points where g = 1, chunk by chunk."""
+    """The points where g = 1, over chunks of 2^bits points.
 
-    def __init__(self, g):
-        self.bits = min(g.n, _CHUNK_BITS)
-        self.count = 1 << (g.n - self.bits)
-        axes = max(self.bits - 6, 0)
+    Each term is split into its word mask and cube axes (its variables below
+    bits) and its chunk bits, fixed: it is active on the chunks whose index
+    has every bit of fixed.  groups holds the terms by their cube axes.
+    """
+
+    def __init__(self, g, bits):
+        self.bits = bits
+        self.count = 1 << (g.n - bits)
+        axes = max(bits - 6, 0)
         groups = {}
         for mono in g.terms:
-            word, inside, fixed = (1 << 64) - 1, [], 0
+            word, inside, fixed = _ALL_ONES, [], 0
             for v in sorted(mono):
                 v -= 1
-                if v < 6:
+                if v >= bits:
+                    fixed |= 1 << (v - bits)
+                elif v < 6:
                     word &= _WORD_PATTERNS[v]
-                elif v < self.bits:
-                    inside.append(axes - 1 - (v - 6))
                 else:
-                    fixed |= 1 << (v - self.bits)
+                    inside.append(axes - 1 - (v - 6))
             groups.setdefault(tuple(inside), []).append((word, fixed))
         self.shape = (2,) * axes
         self.groups = []
@@ -260,11 +282,12 @@ class _F2Chunks:
             index = [slice(None)] * axes + [...]
             for a in inside:
                 index[a] = 1
-            self.groups.append((tuple(index), members))
+            self.groups.append((inside, tuple(index), members))
 
     def ones(self, chunk):
+        """The points where g = 1 in one chunk, its cube built from every term."""
         cube = np.zeros(self.shape, dtype=np.uint64)
-        for index, members in self.groups:
+        for _inside, index, members in self.groups:
             word = 0
             for mask, fixed in members:
                 if chunk & fixed == fixed:
@@ -274,12 +297,116 @@ class _F2Chunks:
                 view ^= np.uint64(word)
         if self.bits < 6:
             cube &= np.uint64((1 << (1 << self.bits)) - 1)
-        return _popcount(cube.reshape(-1))
+        return int(_popcount(cube.reshape(-1)))
+
+    def keys(self):
+        """(base, parts, keys, weights) for counting the chunks by key.
+
+        Terms without chunk bits are active on every chunk and make the base
+        cube.  Terms with chunk bits and no variable in the chunk are
+        constant on a chunk, so the parity of the active ones complements
+        its cube.  The other terms are grouped into parts by their in-chunk
+        monomial; parts maps (axes, word) to (j, view index), and a chunk's
+        key has bit j when an odd number of part j's terms are active.  A
+        chunk's code, its key times 2 plus its parity, is the XOR of the
+        codes of the terms whose chunk bits it contains: the subset-sum
+        (zeta) transform of the table that holds each term's code at its
+        chunk bits, one XOR of half the table per chunk bit.  One bincount
+        counts the chunks of each code; keys are those of some chunk, and
+        weights[i] the chunks of keys[i] of even and of odd parity.
+        """
+        base = np.zeros(self.shape, dtype=np.uint64)
+        parts, table = {}, {}
+        for inside, index, members in self.groups:
+            word = 0
+            for mask, fixed in members:
+                if not fixed:
+                    word ^= mask
+                    continue
+                if inside or mask != _ALL_ONES:
+                    code = 2 << parts.setdefault((inside, mask), (len(parts), index))[0]
+                else:
+                    code = 1
+                table[fixed] = table.get(fixed, 0) ^ code
+            if word:
+                view = base[index]
+                view ^= np.uint64(word)
+        codes = np.zeros(self.count, dtype=np.intp)
+        codes[list(table)] = list(table.values())
+        for a in range(self.count.bit_length() - 1):
+            half = codes.reshape(-1, 2, 1 << a)
+            half[:, 1] ^= half[:, 0]
+        weights = np.bincount(codes, minlength=2 << len(parts)).reshape(-1, 2)
+        keys = np.flatnonzero(weights.any(axis=1))
+        return base, parts, keys, weights[keys]
+
+    def keyed_ones(self):
+        """The points where g = 1 over all chunks, with one cube per key.
+
+        The cubes of the keys are built side by side, at most 2^_CHUNK_BITS
+        points at a time: a copy of the base, one XOR of each part's word
+        into its view, on the cubes whose key has the part, and one popcount.
+        """
+        bits = self.bits
+        base, parts, keys, weights = self.keys()
+        ones = np.empty(len(keys), dtype=np.int64)
+        step = 1 << (_CHUNK_BITS - bits)
+        for first in range(0, len(keys), step):
+            batch = keys[first : first + step]
+            cubes = np.empty((len(batch),) + self.shape, dtype=np.uint64)
+            cubes[...] = base
+            for (_axes, mask), (j, index) in parts.items():
+                words = (batch >> j & 1).astype(np.uint64) * np.uint64(mask)
+                view = cubes[(slice(None),) + index]
+                view ^= words.reshape((-1,) + (1,) * (view.ndim - 1))
+            if bits < 6:
+                cubes &= np.uint64((1 << (1 << bits)) - 1)
+            ones[first : first + len(batch)] = _popcount(cubes.reshape(len(batch), -1))
+        even, odd = weights.T
+        return int(even @ ones + odd @ ((1 << bits) - ones))
+
+
+def _key_bits(g):
+    """The chunk bits of least predicted work for `_F2Chunks.keyed_ones`, or
+    None when keys cannot repeat.
+
+    At bits, a key has one bit per distinct in-chunk monomial (the
+    variables up to bits) of the terms that also have a variable above, so
+    there are at most 2^parts keys, and at most one per chunk.  bits runs up
+    from n // 2 to _CHUNK_BITS, and stops when the predicted work rises:
+    the cubes of 2^bits points, one per key and the base, against the
+    codes of 2^(n - bits) chunks.  Keying needs fewer parts than chunk bits
+    at n // 2, which keeps the codes' bincount within 2^(n - n // 2) bins;
+    sigma(k) has hundreds, so it gives up at the first bits, before any
+    numpy work.
+    """
+    n = g.n
+    lo = min(n // 2, _CHUNK_BITS)
+    limit = n - lo
+    spans = [(min(mono), max(mono), mono) for mono in g.terms if len(mono) > 1]
+    best_work, best = float("inf"), None
+    for bits in range(lo, _CHUNK_BITS + 1):
+        low, parts = frozenset(range(1, bits + 1)), set()
+        for first, last, mono in spans:
+            if first <= bits < last:
+                parts.add(mono & low)
+                if len(parts) >= limit:
+                    return best
+        keys = 1 << min(len(parts), n - bits)
+        work = (keys + 1 << bits) * _KEY_POINT_NS + (n - bits << n - bits) * _CODE_NS
+        if work >= best_work:
+            break
+        best_work, best = work, bits
+    return best
 
 
 def _trace_counts_f2(g):
-    chunks = _F2Chunks(g)
-    ones = sum(chunks.ones(i) for i in range(chunks.count))
+    bits = _key_bits(g) if g.n > _CHUNK_BITS else None
+    if bits is None:
+        chunks = _F2Chunks(g, min(g.n, _CHUNK_BITS))
+        ones = sum(chunks.ones(i) for i in range(chunks.count))
+    else:
+        ones = _F2Chunks(g, bits).keyed_ones()
     return [(1 << g.n) - ones, ones]
 
 

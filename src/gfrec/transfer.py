@@ -432,10 +432,14 @@ def integer_annihilator(
     linalg.minimal_polynomial works on the kernel and never forms M'.  Its
     candidate P comes from Berlekamp-Massey on projected Krylov sequences
     mod primes ell = 1 (mod p) below 2^25, one per embedding zeta -> w^j,
-    lifted by CRT.  The certificate checks P(sigma_j(M)) = 0 mod ell for every
-    embedding, for primes whose product exceeds 2 sum_k |c_k| N^k, where N is
-    the largest absolute row sum of M'; every entry of P(M') is smaller than
-    half that product, so P(M') = 0 exactly.  Then mu divides P, and deg P
+    lifted by CRT.  Let N be the largest absolute row sum of M'.  The roots
+    of mu are eigenvalues of M', at most N in absolute value, so a
+    coefficient c_k of mu, of degree d, is at most C(d, k) N^(d-k); the lift
+    stops once the product of the primes exceeds twice that, which one
+    prime does for most systems, or else once another prime leaves it
+    unchanged.  The certificate checks P(sigma_j(M)) = 0 mod ell for every
+    embedding, for primes whose product exceeds 2 sum_k |c_k| N^k; every
+    entry of P(M') is smaller than half that product, so P(M') = 0 exactly.  Then mu divides P, and deg P
     is a linear complexity mod ell, at most deg mu, so P = mu.
 
     Raises ValueError for degree_cap < 1, and ResourceLimitExceeded when

@@ -460,6 +460,27 @@ def test_wrong_candidate_is_retried(monkeypatch):
     assert list(got.coeffs) == calls[1]
 
 
+@pytest.mark.parametrize("case, primes", [(("R(2,3)", 3), 1), (("T(2,4)", 3), 2), (("sigma(2)", 11), 3)])
+def test_the_lift_stops_at_the_coefficient_bound(monkeypatch, case, primes):
+    # The primes are just below 2^25.  With N = inflated_norm(), the bound
+    # max C(d, k) N^(d-k) is 4^8 for R(2,3)/F_3 (d = 8), under one prime;
+    # about 8.8e11 for T(2,4)/F_3 (d = 18), under two; and 20^12 for
+    # sigma(2)/F_11 (d = 12), past two, so that lift stops when the third
+    # prime leaves it unchanged, although its coefficients fit one prime
+    real = linalg._sequence_polynomial
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_sequence_polynomial", counted)
+    poly = _annihilator.__wrapped__(*case)
+    assert len(calls) == primes
+    assert poly == _annihilator(*case)
+    assert certify(_system(*case).sparse, poly)
+
+
 def test_certificate_alone_cannot_accept_a_proper_divisor():
     # R(2,3)/F_3's annihilator has the factor X^2; dropping one X leaves a
     # polynomial of smaller degree that must fail, as an unlucky candidate would

@@ -135,6 +135,63 @@ def test_popcount_fallback_for_numpy_before_2(monkeypatch):
     assert fast[2] == _slow_counts(cases[2])
 
 
+@st.composite
+def _chunked(draw):
+    """(g, chunk bits) over F_2 past one chunk.  g has random terms of degree
+    0-4, terms in the top variables only, which are constant on a chunk, and
+    products of a low and a top monomial, which key it; small chunks make
+    keys repeat, with either parity."""
+    f2 = make_field(2)
+    chunk_bits = draw(st.integers(6, 8))
+    n = draw(st.integers(chunk_bits + 1, 10))
+    top = draw(st.integers(n // 2 + 1, n))  # variables top..n are the high ones
+
+    def monomials(lo, hi, size):
+        return st.frozensets(st.integers(lo, hi), min_size=1, max_size=size)
+
+    terms = set(draw(st.lists(st.frozensets(st.integers(1, n), max_size=4), max_size=6)))
+    terms.update(draw(st.lists(monomials(top, n, 3), max_size=4)))
+    crossed = draw(st.lists(st.tuples(monomials(1, top - 1, 2), monomials(top, n, 2)), max_size=5))
+    terms.update(low | high for low, high in crossed)
+    return InstantiatedFunction(f2, n, dict.fromkeys(terms, f2.one())), chunk_bits
+
+
+@settings(max_examples=120, deadline=None)
+@given(_chunked())
+def test_chunk_keys_match_the_naive_loop(case):
+    g, chunk_bits = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_CHUNK_BITS", chunk_bits)
+        assert trace_counts(g) == _slow_counts(g)
+
+
+def test_too_many_mixed_terms_keep_the_chunk_loop(monkeypatch):
+    # sigma(2) at n = 8 in chunks of at most 2^6 points: each variable in a
+    # chunk of 2^b points is a part, with one above, and b parts are too many
+    # at b = n // 2, where keys have the most chunk bits to repeat in
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", 6)
+    g = instantiate(Sigma(2), 8, make_field(2))
+    assert oracle._key_bits(g) is None
+    assert trace_counts(g) == _slow_counts(g)
+
+
+def test_chunk_keys_repeat_and_flip_parity():
+    g = instantiate(parse("R(2,3)"), 26, make_field(2))
+    chunks = oracle._F2Chunks(g, oracle._key_bits(g))
+    _base, parts, keys, weights = chunks.keys()
+    assert weights.sum() == chunks.count
+    assert len(keys) <= 1 << len(parts) < chunks.count
+    assert (weights > 0).all(axis=1).any()  # a key on chunks of both parities
+
+
+@pytest.mark.parametrize("text", ["R(2,3)", "tau(5)", "R(2,3) + R(2)"])
+def test_brute_past_one_chunk_matches_the_transfer_path(text):
+    f2, e = make_field(2), parse(text)
+    assert all(oracle._key_bits(instantiate(e, n, f2)) for n in range(23, 27))
+    brute = sum_sequence(e, f2, range(23, 27))
+    assert brute.values == run_range(system_for(e, f2), e, range(23, 27)).values
+
+
 def _plus(g, decorations, c):
     """g + sum_j c_j decorations[j], for field element indices c."""
     terms = dict(g.terms)

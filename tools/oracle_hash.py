@@ -3,11 +3,11 @@
 
     PYTHONPATH=<checkout>/src python3 tools/oracle_hash.py
 
-Runs a fixed, seeded set of calls and prints the number of records and the
-SHA-256 of their JSON.  Each record is a call's result (residue counts, a
-flattened joint histogram, or the coordinates of cyclotomic sums) or the
-type and text of the exception it raised.  Two checkouts that print the same
-line give the same results on every call.  The fields are F_2, F_3, F_4,
+Runs a fixed, seeded set of calls and prints, on each of two lines, the
+number of records and the SHA-256 of their JSON.  Each record is a call's
+result (residue counts, a flattened joint histogram, or the coordinates of
+cyclotomic sums) or the type and text of the exception it raised.  Two
+checkouts that print the same lines give the same results on every call.  The fields are F_2, F_3, F_4,
 F_5, F_8, F_9, F_25 and F_257, and every field gets:
 - `sum_sequence` of tau, sigma, R and T families, and of sums of them with
   scalar multiples, from the family minimum up to about 10^6 points;
@@ -24,6 +24,10 @@ tables there.  They also get, at n = 1..2, `sum_sequence` of a few families
 and `trace_counts` of random functions, and at n = 1 `joint_counts` of one
 function, or two over F_2^10 and F_257.  `decorated_sums` is left out over
 them: its transform table has p q^2 entries.
+
+The second line covers the F_2 kernel past one chunk of 2^22 points, where
+it counts chunks by key: `sum_sequence` of every family at n = 23..26, and
+`trace_counts` of random functions with top-variable and cross terms there.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ LARGE_FIELDS = (1024, 4096, 257)
 LARGE_FAMILIES = ("sigma(1)", "sigma(2)", "tau(2)", "e{a}*sigma(1) + R(2)")
 POINTS = 10**6  # the largest q^n of any call
 RANDOM_FUNCTIONS = 12  # per field, for each of trace_counts, joint_counts and decorated_sums
+F2_PAST_ONE_CHUNK = range(23, 27)  # n past the F_2 kernel's 2^22-point chunks, within the point budget
+F2_RANDOM_FUNCTIONS = 12
 
 
 def _outcome(fn, *args, **kwargs):
@@ -134,10 +140,29 @@ def _records():
     return out
 
 
-def main():
-    records = _records()
+def _f2_records():
+    rng = random.Random(2022)
+    field = make_field(2)
+    out = []
+    lo, hi = F2_PAST_ONE_CHUNK[0], F2_PAST_ONE_CHUNK[-1]
+    for text in FAMILIES:
+        text = text.format(a=1, b=1)  # every nonzero scalar of F_2 is 1
+        out.append(["sum_sequence", 2, text, lo, hi, _outcome(sum_sequence, parse(text), field, F2_PAST_ONE_CHUNK)])
+    for _ in range(F2_RANDOM_FUNCTIONS):
+        n = rng.choice(F2_PAST_ONE_CHUNK)
+        g = _random_function(rng, field, n)
+        out.append(["trace_counts", 2, n, _describe(g), _outcome(trace_counts, g)])
+    return out
+
+
+def _line(records):
     blob = json.dumps(records, sort_keys=True).encode()
-    print("%d records sha256 %s" % (len(records), hashlib.sha256(blob).hexdigest()))
+    return "%d records sha256 %s" % (len(records), hashlib.sha256(blob).hexdigest())
+
+
+def main():
+    print(_line(_records()))
+    print("F_2 past one chunk: " + _line(_f2_records()))
 
 
 if __name__ == "__main__":
