@@ -4,22 +4,23 @@ The sum S(g) = sum over all x in F_q^n of zeta_p^(Tr(g(x))) is computed
 exactly: points are enumerated in blocks, function values are
 reduced to trace residues through integer lookup tables, and the residue
 histogram is converted to a cyclotomic integer at the end.  Everything is
-integer arithmetic, so block partitioning cannot change the result.  Fields
-with q = 2 take a packed-bit fast path, in chunks of up to 2^22 points.
-Past one chunk it counts chunks by key: a chunk's cube depends only on which
-of the terms that mix chunk and in-chunk variables are active on it, and
-terms constant on a chunk only complement it, so each distinct key's cube
-is built once and weighted by its chunks.  R(2,3) at n = 26 builds 9 cubes
-of 2^15 points where it built 16 of 2^22.  The generic kernel splits each
-function into cofactors of the low (in-block) and high (block-index) digits,
-so that what the blocks share is evaluated once.  A block's histogram then
-depends only on its high-digit coefficients, up to a constant shift that
-permutes its bins, so blocks with equal coefficients are counted once and
-weighted by their number; every point is still counted exactly once.  The
-block size is chosen per call, as a meet in the middle: smaller blocks make
-each distinct coefficient row's histogram cheaper, and make more rows to
-evaluate and sort.  A work model, fitted to timed calls, predicts both from
-the coefficient rows at each candidate size.
+integer arithmetic, so block partitioning cannot change the result.  Both
+kernels split each function into cofactors of the low (in-block) and high
+(block-index) variables or digits, `_split`, so that what the blocks share
+is evaluated once.  Fields with q = 2 take a packed-bit path: one cube of
+2^n points, or chunks of 2^b points.  On a chunk each high cofactor is a
+constant, so a chunk's cube is the base plus the low cofactors whose high
+cofactor is 1 there, and each distinct combination's cube is built once and
+weighted by its chunks.  A work model picks b per call; R(2,3) at n = 26
+builds 18 cubes of 2^14 points, and sigma(3) there 4 of 2^13.  In the
+generic kernel a block's histogram depends only on its high-digit
+coefficients, up to a constant shift that permutes its bins, so blocks with
+equal coefficients are counted once and weighted by their number; every
+point is still counted exactly once.  The block size is chosen per call, as
+a meet in the middle: smaller blocks make each distinct coefficient row's
+histogram cheaper, and make more rows to evaluate and sort.  A work model,
+fitted to timed calls, predicts both from the coefficient rows at each
+candidate size.
 
 Most calls are small: checks and short ranges enumerate a few hundred to a
 few thousand points, where each numpy call costs about a microsecond
@@ -57,12 +58,15 @@ _LEAF_POINTS = 1 << 10  # the generic kernel folds grids of up to this many poin
 _TABLE_ENTRIES = 1 << 12  # the field-table cache keeps intp q x q tables while q^2 is at most this
 _TRANSFORM_ENTRIES = 1 << 20  # most entries of one gather of `decorated_sums`' transform (8 MB of int64)
 _CHUNK_BITS = 22  # log2 of the most points in one chunk of the F_2 kernel; at least 6
-# The F_2 kernel's work model for counting chunks by key, in nanoseconds,
-# fitted to keyed calls timed on a 2-core x86-64 host (R(2,3), tau(5),
-# R(2,5), R(2,3) + R(2) and T(2,4) at n = 23..26); only their ratio matters.
-# See `_key_bits`.
-_KEY_POINT_NS = 0.07  # one point of one key's cube: copy, XORs and popcount
-_CODE_NS = 2  # one chunk's code at one chunk bit of the zeta transform
+# The F_2 kernel's work model, in nanoseconds, fitted to calls timed on a
+# 2-core x86-64 host (R(2,3), tau(3), tau(5), R(2,5), R(2,3) + R(2), T(2,4),
+# sigma(2) and sigma(3) at n = 14..26 and every candidate b); only their
+# ratios matter.  See `_chunk_bits`.
+_TERM_POINT_NS = 0.0025  # one term at one point of one cube of 2^b < 2^n points: its XOR and its share of the popcount
+_WIDE_TERM_POINT_NS = 0.006  # the same in the one cube of 2^n points, which streams through memory
+_CODE_NS = 1.1  # one chunk's code at one chunk bit of the zeta transform
+_KEYED_NS = 120_000  # one call at b < n: the split, the codes and their count
+_SEARCH_NS = 1000  # counting the groups of one term
 # The generic kernel's work model, in nanoseconds, fitted to calls timed on a
 # 2-core x86-64 host; only their ratios matter.  See `_BlockValues._choose`.
 _GATHER_NS = 2  # one point of one gather into a block's histogram
@@ -103,8 +107,8 @@ def _primitive_powers(field):
 class _FieldTables:
     """A field's lookup tables, built once and kept in `_table_cache`.
 
-    add, mul and trace are the index tables of `field_tables`, in the
-    narrowest unsigned dtype.  Addition is built up one digit at a time,
+    add, mul and trace are the field's index tables, in the narrowest
+    unsigned dtype.  Addition is built up one digit at a time,
     multiplication goes through the logarithm of a primitive element, and
     the trace is linear in the digits.  The generic kernel and the transfer
     builders compute indices in intp, and a numpy call on mixed dtypes
@@ -179,17 +183,12 @@ def _tables(field):
     return tables
 
 
-def field_tables(field):
-    """Cached (add, mul, trace) index tables of a field, in the narrowest unsigned dtype."""
-    tables = _tables(field)
-    return tables.add, tables.mul, tables.trace
-
-
 def integer_tables(field):
-    """The (add, mul, trace) tables of `field_tables` as intp arrays.
+    """The (add, mul, trace) index tables of a field as intp arrays.
 
-    They come from the same cache; add and mul are kept there only while
-    q^2 <= _TABLE_ENTRIES, and over a larger field are converted per call.
+    They come from the field-table cache; add and mul are kept there only
+    while q^2 <= _TABLE_ENTRIES, and over a larger field are converted per
+    call.
     """
     return _tables(field).integer()
 
@@ -222,27 +221,60 @@ def _check_budget(field, n, budget):
         )
 
 
+def _split(terms, m):
+    """(base, groups) with sum c x^mono = base + sum of high * low over groups.
+
+    terms are (mono, c): mono a sorted tuple of variables, c a field element
+    index.  Variables below m are low; the others are high, renumbered from
+    0.  base holds the terms without a high variable, in their order.  The
+    high monomials H of the others are grouped by their low cofactor, the
+    sum of c x^L over the terms c x^L x^H; a group is (that cofactor, the
+    sum of x^H over the group, one being index 1); each cofactor and each
+    group's list of H is sorted.  Both kernels split by it: the generic one
+    at a block's low digits, with sorted terms, and the F_2 one at a
+    chunk's variables.
+    """
+    base, cofactors = [], {}
+    for mono, c in terms:
+        cut = bisect_left(mono, m)
+        if cut < len(mono):
+            high = tuple([v - m for v in mono[cut:]])
+            cofactors.setdefault(high, []).append((mono[:cut], c))
+        else:
+            base.append((mono, c))
+    groups = {}
+    for high, low in cofactors.items():
+        groups.setdefault(tuple(sorted(low)), []).append((high, 1))
+    return base, [(low, sorted(highs)) for low, highs in groups.items()]
+
+
 # ---------------------------------------------------------------------------
 # packed-bit kernel for F_2
 #
-# A chunk holds 2^c points as 2^(c-6) 64-bit words, or one masked word for
-# c < 6.  Bit v of the point index is bit v of the word for v < 6, bit v - 6
-# of the word index for 6 <= v < c, and constant over the chunk for v >= c.
-# Viewed as a (2, ..., 2) array of words, the points where the variables
-# 6..c-1 of a monomial are all 1 form a sub-array, so a term is one in-place
-# XOR of its word mask into that view.  A call of n <= _CHUNK_BITS is one
-# chunk, c = n.  Past that, `_key_bits` picks c, and the chunks are counted
-# by key (`_F2Chunks.keys`), unless the function has too many terms that
-# mix chunk and in-chunk variables for keys to repeat (sigma(k) has
-# hundreds); then c = _CHUNK_BITS and each chunk is built from scratch.
+# A cube holds the values of a function on 2^b points as 2^(b-6) 64-bit
+# words, or one masked word for b < 6.  The kernel keeps the variables
+# 1-based, as the terms of a function have them: bit v - 1 of the point
+# index is bit v - 1 of the word for v <= 6, and bit v - 7 of the word index
+# for 6 < v <= b.  Viewed as a (2, ..., 2) array of words, the points where
+# the variables above 6 of a monomial are all 1 form a sub-array, so a term
+# is one in-place XOR of its word mask into that view.  A call is one cube
+# of 2^n points (b = n), or chunks of 2^b points counted by code, one cube
+# per distinct code; `_chunk_bits` picks b and `_trace_counts_f2` counts.
 
-_WORD_PATTERNS = [
-    sum(1 << i for i in range(64) if (i >> j) & 1) for j in range(6)
-]
 
+def _low_words():
+    """The word mask of each sorted tuple of the variables 1..6: bit i is
+    set when bit v - 1 of i is, for each variable v."""
+    words = {(): (1 << 64) - 1}
+    for v in range(1, 7):
+        pattern = sum(1 << i for i in range(64) if i >> v - 1 & 1)
+        words.update({low + (v,): word & pattern for low, word in list(words.items())})
+    return words
+
+
+_LOW_WORDS = _low_words()
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 _bitwise_count = getattr(np, "bitwise_count", None)  # numpy >= 2.0
-_ALL_ONES = (1 << 64) - 1
 
 
 def _popcount(words):
@@ -252,190 +284,148 @@ def _popcount(words):
     return _POPCOUNT8[words.view(np.uint8)].sum(axis=-1)
 
 
-class _F2Chunks:
-    """The points where g = 1, over chunks of 2^bits points.
+def _views(terms, bits):
+    """[(index, word)]: the monomials of terms, in the variables 1..bits, as
+    XORs of a word into views of a batch of cubes, whose first axis runs
+    over the cubes.  Monomials with the same variables above 6 share a
+    view, and their words are summed; for bits < 6 a word keeps only its
+    first 2^bits bits."""
+    axes = max(bits - 6, 0)
+    points = (1 << (1 << min(bits, 6))) - 1
+    words = {}
+    for mono, _c in terms:
+        cut = bisect_left(mono, 7)
+        inside = mono[cut:]
+        words[inside] = words.get(inside, 0) ^ _LOW_WORDS[mono[:cut]]
+    views = []
+    for inside, word in words.items():
+        word &= points
+        if word:
+            index = [slice(None)] * (axes + 1)
+            for v in inside:
+                index[axes + 7 - v] = 1
+            views.append((tuple(index), np.uint64(word)))
+    return views
 
-    Each term is split into its word mask and cube axes (its variables below
-    bits) and its chunk bits, fixed: it is active on the chunks whose index
-    has every bit of fixed.  groups holds the terms by their cube axes.
+
+def _cube(terms, bits):
+    """The cube of the sum of the monomials of terms, in the variables
+    1..bits, as a batch of one."""
+    cube = np.zeros((1,) + (2,) * max(bits - 6, 0), dtype=np.uint64)
+    for index, word in _views(terms, bits):
+        view = cube[index]  # cube[index] ^= word would also copy the view back
+        view ^= word
+    return cube
+
+
+def _chunk_codes(groups, chunk_bits):
+    """(on, weights): on[i, j] is 1 when C_j, the sum of the high monomials
+    of the j-th group of `_split`, is 1 on the chunks of the i-th distinct
+    code, and weights[i] counts those of the 2^chunk_bits chunks.
+
+    A chunk's code has bit j when C_j is 1 on it.  Each high monomial
+    belongs to one group, so a chunk's code is the XOR of the codes of the
+    monomials whose chunk bits it contains: the subset-sum (zeta) transform
+    of the table that holds each monomial's code at its chunk bits, one XOR
+    of half the table per chunk bit.  The table is a matrix, its rows the
+    top half of the chunk bits: their XORs run along whole rows, and so do
+    the others' after a transpose.  Codes are kept in the narrowest
+    unsigned dtype, as Python ints past 64 groups, and counted in bins
+    while there are no more bins than chunks, by sorting past that.
     """
-
-    def __init__(self, g, bits):
-        self.bits = bits
-        self.count = 1 << (g.n - bits)
-        axes = max(bits - 6, 0)
-        groups = {}
-        for mono in g.terms:
-            word, inside, fixed = _ALL_ONES, [], 0
-            for v in sorted(mono):
-                v -= 1
-                if v >= bits:
-                    fixed |= 1 << (v - bits)
-                elif v < 6:
-                    word &= _WORD_PATTERNS[v]
-                else:
-                    inside.append(axes - 1 - (v - 6))
-            groups.setdefault(tuple(inside), []).append((word, fixed))
-        self.shape = (2,) * axes
-        self.groups = []
-        for inside, members in sorted(groups.items()):
-            index = [slice(None)] * axes + [...]
-            for a in inside:
-                index[a] = 1
-            self.groups.append((inside, tuple(index), members))
-
-    def ones(self, chunk):
-        """The points where g = 1 in one chunk, its cube built from every term."""
-        cube = np.zeros(self.shape, dtype=np.uint64)
-        for _inside, index, members in self.groups:
-            word = 0
-            for mask, fixed in members:
-                if chunk & fixed == fixed:
-                    word ^= mask
-            if word:
-                view = cube[index]  # cube[index] ^= word would also copy the view back
-                view ^= np.uint64(word)
-        if self.bits < 6:
-            cube &= np.uint64((1 << (1 << self.bits)) - 1)
-        return int(_popcount(cube.reshape(-1)))
-
-    def keys(self):
-        """(base, parts, keys, weights) for counting the chunks by key.
-
-        Terms without chunk bits are active on every chunk and make the base
-        cube.  Terms with chunk bits and no variable in the chunk are
-        constant on a chunk, so the parity of the active ones complements
-        its cube.  The other terms are grouped into parts by their in-chunk
-        monomial; parts maps (axes, word) to (j, view index), and a chunk's
-        key has bit j when an odd number of part j's terms are active.  A
-        chunk's code, its key times 2 plus its parity, is the XOR of the
-        codes of the terms whose chunk bits it contains: the subset-sum
-        (zeta) transform of the table that holds each term's code at its
-        chunk bits, one XOR of half the table per chunk bit.  One bincount
-        counts the chunks of each code; keys are those of some chunk, and
-        weights[i] the chunks of keys[i] of even and of odd parity.
-        """
-        base = np.zeros(self.shape, dtype=np.uint64)
-        parts, table = {}, {}
-        for inside, index, members in self.groups:
-            word = 0
-            for mask, fixed in members:
-                if not fixed:
-                    word ^= mask
-                    continue
-                if inside or mask != _ALL_ONES:
-                    code = 2 << parts.setdefault((inside, mask), (len(parts), index))[0]
-                else:
-                    code = 1
-                table[fixed] = table.get(fixed, 0) ^ code
-            if word:
-                view = base[index]
-                view ^= np.uint64(word)
-        codes = np.zeros(self.count, dtype=np.intp)
-        codes[list(table)] = list(table.values())
-        for a in range(self.count.bit_length() - 1):
-            half = codes.reshape(-1, 2, 1 << a)
+    table = {sum(1 << v for v in high): 1 << j for j, (_low, highs) in enumerate(groups) for high, _one in highs}
+    codes = np.zeros(1 << chunk_bits, dtype=np.min_scalar_type((1 << len(groups)) - 1) if len(groups) <= 64 else object)
+    codes[list(table)] = list(table.values())
+    codes = codes.reshape(1 << chunk_bits - chunk_bits // 2, -1)
+    for _ in range(2):
+        for a in range(len(codes).bit_length() - 1):
+            half = codes.reshape(-1, 2, codes.shape[1] << a)
             half[:, 1] ^= half[:, 0]
-        weights = np.bincount(codes, minlength=2 << len(parts)).reshape(-1, 2)
-        keys = np.flatnonzero(weights.any(axis=1))
-        return base, parts, keys, weights[keys]
-
-    def keyed_ones(self):
-        """The points where g = 1 over all chunks, with one cube per key.
-
-        The cubes of the keys are built side by side, at most 2^_CHUNK_BITS
-        points at a time: a copy of the base, one XOR of each part's word
-        into its view, on the cubes whose key has the part, and one popcount.
-        """
-        bits = self.bits
-        base, parts, keys, weights = self.keys()
-        ones = np.empty(len(keys), dtype=np.int64)
-        step = 1 << (_CHUNK_BITS - bits)
-        for first in range(0, len(keys), step):
-            batch = keys[first : first + step]
-            cubes = np.empty((len(batch),) + self.shape, dtype=np.uint64)
-            cubes[...] = base
-            for (_axes, mask), (j, index) in parts.items():
-                words = (batch >> j & 1).astype(np.uint64) * np.uint64(mask)
-                view = cubes[(slice(None),) + index]
-                view ^= words.reshape((-1,) + (1,) * (view.ndim - 1))
-            if bits < 6:
-                cubes &= np.uint64((1 << (1 << bits)) - 1)
-            ones[first : first + len(batch)] = _popcount(cubes.reshape(len(batch), -1))
-        even, odd = weights.T
-        return int(even @ ones + odd @ ((1 << bits) - ones))
+        codes = codes.T.copy()
+    codes = codes.reshape(-1)
+    if len(groups) > chunk_bits:
+        codes, weights = np.unique(codes, return_counts=True)
+    else:
+        weights = np.bincount(codes)
+        codes = np.flatnonzero(weights)
+        weights = weights[codes]
+    return (codes[:, None] >> np.arange(len(groups), dtype=codes.dtype) & 1).astype(np.uint64), weights
 
 
-def _key_bits(g):
-    """The chunk bits of least predicted work for `_F2Chunks.keyed_ones`, or
-    None when keys cannot repeat.
+def _chunk_bits(terms, n):
+    """The chunk bits of least predicted work: n for one cube of 2^n
+    points, or b < n for chunks of 2^b points counted by code.
 
-    At bits, a key has one bit per distinct in-chunk monomial (the
-    variables up to bits) of the terms that also have a variable above, so
-    there are at most 2^parts keys, and at most one per chunk.  bits runs up
-    from n // 2 to _CHUNK_BITS, and stops when the predicted work rises:
-    the cubes of 2^bits points, one per key and the base, against the
-    codes of 2^(n - bits) chunks.  Keying needs fewer parts than chunk bits
-    at n // 2, which keeps the codes' bincount within 2^(n - n // 2) bins;
-    sigma(k) has hundreds, so it gives up at the first bits, before any
-    numpy work.
+    Each term costs _WIDE_TERM_POINT_NS a point of the cube of 2^n points,
+    which streams through memory, and _TERM_POINT_NS a point of each cube of
+    2^b < 2^n points.  At b < n, with g groups of `_split`, there are at
+    most min(2^g, 2^(n - b)) codes, a cube each; the codes cost
+    (n - b) 2^(n - b) XORs, and the call a fixed _KEYED_NS.  The groups are
+    counted once, at b = n // 2, and taken as the same at every b; the
+    count finds `_split`'s groups without building them, for _SEARCH_NS a
+    term, half a split.  A call whose one cube would cost less than
+    counting them and the fixed cost counts none.
     """
-    n = g.n
-    lo = min(n // 2, _CHUNK_BITS)
-    limit = n - lo
-    spans = [(min(mono), max(mono), mono) for mono in g.terms if len(mono) > 1]
-    best_work, best = float("inf"), None
-    for bits in range(lo, _CHUNK_BITS + 1):
-        low, parts = frozenset(range(1, bits + 1)), set()
-        for first, last, mono in spans:
-            if first <= bits < last:
-                parts.add(mono & low)
-                if len(parts) >= limit:
-                    return best
-        keys = 1 << min(len(parts), n - bits)
-        work = (keys + 1 << bits) * _KEY_POINT_NS + (n - bits << n - bits) * _CODE_NS
-        if work >= best_work:
-            break
-        best_work, best = work, bits
+    top = min(n - 1, _CHUNK_BITS)
+    best_work, best = len(terms) * _WIDE_TERM_POINT_NS * (1 << n), n
+    if n > _CHUNK_BITS:
+        best_work, best = float("inf"), top
+    elif top < 0 or best_work <= _KEYED_NS + len(terms) * _SEARCH_NS:
+        return n
+    lo = min(n // 2, top)
+    cofactors = {}
+    for mono, _c in terms:
+        if mono and mono[-1] > lo:
+            cut = bisect_left(mono, lo + 1)
+            cofactors.setdefault(mono[cut:], set()).add(mono[:cut])
+    groups = len(set(map(frozenset, cofactors.values())))
+    for bits in range(lo, top + 1):
+        cubes = min(1 << groups, 1 << n - bits) << bits
+        work = len(terms) * _TERM_POINT_NS * cubes + (n - bits << n - bits) * _CODE_NS + _KEYED_NS
+        if work < best_work:
+            best_work, best = work, bits
     return best
 
 
 def _trace_counts_f2(g):
-    bits = _key_bits(g) if g.n > _CHUNK_BITS else None
-    if bits is None:
-        chunks = _F2Chunks(g, min(g.n, _CHUNK_BITS))
-        ones = sum(chunks.ones(i) for i in range(chunks.count))
+    """[zeros, ones] of g over F_2^n, over chunks of 2^b points (`_chunk_bits`).
+
+    `_split` writes g as base(low) + the sum over groups of C(high) L(low),
+    with the variables up to b low.  On a chunk each C is a constant, so its
+    cube is base plus the L whose C is 1 there: chunks with equal codes
+    (`_chunk_codes`) have equal cubes, and the cube of each distinct code is
+    built once and weighted by its chunks.  The group whose L is the
+    constant 1 complements the cube.  At b = n there is one chunk, with no
+    split and no codes.  The cubes are built side by side, at most
+    2^_CHUNK_BITS points at a time: a copy of the base cube each, one XOR of
+    each term of each L into its view, with the word zeroed on the cubes
+    whose code lacks L's bit, and one popcount.
+    """
+    n = g.n
+    terms = [(tuple(sorted(mono)), 1) for mono in g.terms]
+    bits = _chunk_bits(terms, n)
+    if bits == n:
+        ones = int(_popcount(_cube(terms, n).reshape(-1)))
     else:
-        ones = _F2Chunks(g, bits).keyed_ones()
-    return [(1 << g.n) - ones, ones]
+        base, groups = _split(terms, bits + 1)
+        on, weights = _chunk_codes(groups, n - bits)
+        base = _cube(base, bits)
+        cofactors = [_views(low, bits) for low, _highs in groups]
+        step = 1 << _CHUNK_BITS - bits
+        ones = 0
+        for first in range(0, len(on), step):
+            batch = on[first : first + step]
+            cubes = np.repeat(base, len(batch), axis=0)
+            for j, views in enumerate(cofactors):
+                for index, word in views:
+                    view = cubes[index]
+                    view ^= (batch[:, j] * word).reshape((-1,) + (1,) * (view.ndim - 1))
+            ones += int(weights[first : first + step] @ _popcount(cubes.reshape(len(batch), -1)))
+    return [(1 << n) - ones, ones]
 
 
 # ---------------------------------------------------------------------------
 # generic kernel
-
-
-def _split(terms, m):
-    """(base, groups) with sum c x^mono = base + sum of high * low over groups.
-
-    terms are sorted (mono, c): mono a sorted tuple of variables, c a field
-    element index.  Variables below m are low; the others are high,
-    renumbered from 0.  base holds the terms without a high variable.  The
-    high monomials H of the others are grouped by their low cofactor, the
-    sum of c x^L over the terms c x^L x^H; a group is (that cofactor, the
-    sum of x^H over the group, one being index 1).  All lists are sorted.
-    """
-    base, cofactors = [], {}
-    for mono, c in terms:
-        cut = bisect_left(mono, m)
-        if cut < len(mono):
-            high = tuple(v - m for v in mono[cut:])
-            cofactors.setdefault(high, []).append((mono[:cut], c))
-        else:
-            base.append((mono, c))
-    groups = {}
-    for high, low in cofactors.items():
-        groups.setdefault(tuple(sorted(low)), []).append((high, 1))
-    return base, [(low, sorted(highs)) for low, highs in groups.items()]
 
 
 class _BlockValues:

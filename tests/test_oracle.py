@@ -29,7 +29,6 @@ from gfrec.limits import ResourceLimitExceeded
 from gfrec.oracle import (
     decorated_sums,
     exp_sum,
-    field_tables,
     is_balanced,
     joint_counts,
     sum_sequence,
@@ -140,7 +139,8 @@ def _chunked(draw):
     """(g, chunk bits) over F_2 past one chunk.  g has random terms of degree
     0-4, terms in the top variables only, which are constant on a chunk, and
     products of a low and a top monomial, which key it; small chunks make
-    keys repeat, with either parity."""
+    keys repeat, with either parity.  Up to 40 such products make more
+    cofactor groups than chunk bits."""
     f2 = make_field(2)
     chunk_bits = draw(st.integers(6, 8))
     n = draw(st.integers(chunk_bits + 1, 10))
@@ -151,7 +151,8 @@ def _chunked(draw):
 
     terms = set(draw(st.lists(st.frozensets(st.integers(1, n), max_size=4), max_size=6)))
     terms.update(draw(st.lists(monomials(top, n, 3), max_size=4)))
-    crossed = draw(st.lists(st.tuples(monomials(1, top - 1, 2), monomials(top, n, 2)), max_size=5))
+    crossed = st.tuples(monomials(1, top - 1, 2), monomials(top, n, 2))
+    crossed = draw(st.lists(crossed, max_size=draw(st.sampled_from([5, 40]))))
     terms.update(low | high for low, high in crossed)
     return InstantiatedFunction(f2, n, dict.fromkeys(terms, f2.one())), chunk_bits
 
@@ -165,29 +166,67 @@ def test_chunk_keys_match_the_naive_loop(case):
         assert trace_counts(g) == _slow_counts(g)
 
 
-def test_too_many_mixed_terms_keep_the_chunk_loop(monkeypatch):
-    # sigma(2) at n = 8 in chunks of at most 2^6 points: each variable in a
-    # chunk of 2^b points is a part, with one above, and b parts are too many
-    # at b = n // 2, where keys have the most chunk bits to repeat in
+def _keyed_call(g):
+    """(chunk bits, groups, on, weights) of g's call of the F_2 kernel, which
+    must count chunks by code; see `oracle._trace_counts_f2`."""
+    terms = [(tuple(sorted(mono)), 1) for mono in g.terms]
+    bits = oracle._chunk_bits(terms, g.n)
+    assert bits < g.n
+    groups = oracle._split(terms, bits + 1)[1]
+    return (bits, groups) + oracle._chunk_codes(groups, g.n - bits)
+
+
+def _keys(groups, on):
+    """The distinct rows of on without the bit of the constant-cofactor group."""
+    keyed = [j for j, (low, _highs) in enumerate(groups) if low[-1][0]]
+    return {tuple(row) for row in on[:, keyed].tolist()}
+
+
+def test_symmetric_functions_past_one_chunk_are_keyed(monkeypatch):
+    # sigma(k) in chunks of at most 2^6 points: whatever the chunk bits, its
+    # high monomials of each degree d share the low cofactor sigma(k - d),
+    # so there are at most k - 1 keyed groups and one constant group
     monkeypatch.setattr(oracle, "_CHUNK_BITS", 6)
-    g = instantiate(Sigma(2), 8, make_field(2))
-    assert oracle._key_bits(g) is None
-    assert trace_counts(g) == _slow_counts(g)
+    f2 = make_field(2)
+    for k in (2, 3):
+        for n in range(8, 11):
+            g = instantiate(Sigma(k), n, f2)
+            bits, groups, on, weights = _keyed_call(g)
+            assert len(groups) <= k
+            assert len(_keys(groups, on)) <= 1 << (k - 1)
+            assert weights.sum() == 1 << (n - bits)
+            assert trace_counts(g) == _slow_counts(g)
 
 
 def test_chunk_keys_repeat_and_flip_parity():
     g = instantiate(parse("R(2,3)"), 26, make_field(2))
-    chunks = oracle._F2Chunks(g, oracle._key_bits(g))
-    _base, parts, keys, weights = chunks.keys()
-    assert weights.sum() == chunks.count
-    assert len(keys) <= 1 << len(parts) < chunks.count
-    assert (weights > 0).all(axis=1).any()  # a key on chunks of both parities
+    bits, groups, on, weights = _keyed_call(g)
+    assert weights.sum() == 1 << (26 - bits)
+    assert len(_keys(groups, on)) < len(on) < 1 << (26 - bits)  # keys repeat, and some with both parities
 
 
-@pytest.mark.parametrize("text", ["R(2,3)", "tau(5)", "R(2,3) + R(2)"])
+@pytest.mark.parametrize("groups", [3, 9, 70])
+def test_chunk_codes_count_any_number_of_groups(groups):
+    # groups of random high monomials of 7 chunk bits: 3 fit bins, 9 are
+    # more than the chunk bits and are sorted, 70 pass 64 bits
+    rng = np.random.default_rng(groups)
+    highs = [tuple(np.flatnonzero(rng.integers(0, 2, 7)).tolist()) for _ in range(3 * groups)]
+    highs = sorted(set(h for h in highs if h))[:groups]
+    assert len(highs) == groups
+    split = [([((j + 1,), 1)], [(h, 1)]) for j, h in enumerate(highs)]
+    want = {}
+    for chunk in range(1 << 7):
+        code = tuple(int(all(chunk >> v & 1 for v in h)) for h in highs)
+        want[code] = want.get(code, 0) + 1
+    on, weights = oracle._chunk_codes(split, 7)
+    assert dict(zip(map(tuple, on.tolist()), weights.tolist())) == want
+
+
+@pytest.mark.parametrize("text", ["R(2,3)", "tau(5)", "R(2,3) + R(2)", "sigma(2)", "sigma(3)"])
 def test_brute_past_one_chunk_matches_the_transfer_path(text):
     f2, e = make_field(2), parse(text)
-    assert all(oracle._key_bits(instantiate(e, n, f2)) for n in range(23, 27))
+    for n in range(23, 27):
+        _keyed_call(instantiate(e, n, f2))
     brute = sum_sequence(e, f2, range(23, 27))
     assert brute.values == run_range(system_for(e, f2), e, range(23, 27)).values
 
@@ -531,7 +570,8 @@ TABLE_FIELDS = [
     "field", TABLE_FIELDS, ids=lambda f: "F%s-mod%s" % (f.describe(), "".join(map(str, f.modulus)))
 )
 def test_field_tables_match_field_arithmetic(field):
-    add, mul, trace = field_tables(field)
+    tables = oracle._tables(field)
+    add, mul, trace = tables.add, tables.mul, tables.trace
     assert add.dtype == mul.dtype == trace.dtype == np.uint8
     assert (add.tolist(), mul.tolist(), trace.tolist()) == _reference_tables(field)
 
@@ -548,7 +588,8 @@ def test_sums_over_fields_beyond_256_elements(q):
 
 def test_field_tables_widen_past_256_elements():
     f = make_field(257)
-    add, mul, trace = field_tables(f)
+    tables = oracle._tables(f)
+    add, mul, trace = tables.add, tables.mul, tables.trace
     assert add.dtype == mul.dtype == trace.dtype == np.uint16
     a, b = f.from_index(200), f.from_index(100)
     assert add[200, 100] == (a + b).index and mul[200, 100] == (a * b).index
@@ -560,7 +601,8 @@ def test_large_field_tables_match_field_arithmetic(monkeypatch, p, r):
     # digits; a cache of this test's own keeps its 2 x 33 MB out of the session
     monkeypatch.setattr(oracle, "_table_cache", {})
     f = make_field(p, r)
-    add, mul, trace = field_tables(f)
+    tables = oracle._tables(f)
+    add, mul, trace = tables.add, tables.mul, tables.trace
     assert sorted(oracle._primitive_powers(f).tolist()) == list(range(1, f.q))
     rng = np.random.default_rng(p * r)
     for a, b in rng.integers(0, f.q, size=(300, 2)).tolist():
@@ -576,7 +618,7 @@ def test_small_grids_over_large_fields_build_no_square_table(monkeypatch):
     monkeypatch.setattr(oracle, "_table_cache", {})
     f = make_field(2, 12)
     g = InstantiatedFunction(f, 1, {frozenset({1}): f.from_index(1234), frozenset(): f.from_index(7)})
-    field_tables(f)  # the narrow tables, built once per field
+    oracle._tables(f)  # the narrow tables, built once per field
     tracemalloc.start()
     try:
         counts = trace_counts(g)
@@ -599,7 +641,7 @@ def test_decorated_sums_bound_their_transform_over_a_large_field(m):
     f = make_field(257, 1)
     base = InstantiatedFunction(f, 1, {frozenset({1}): f.from_index(5), frozenset(): f.from_index(2)})
     decorations = [InstantiatedFunction(f, 1, {frozenset({1}): f.one(), frozenset(): f.from_index(3)})] * m
-    field_tables(f)
+    oracle._tables(f)
     tracemalloc.start()
     try:
         got = decorated_sums(base, decorations)

@@ -3,7 +3,7 @@
 
     PYTHONPATH=<checkout>/src python3 tools/oracle_hash.py
 
-Runs a fixed, seeded set of calls and prints, on each of two lines, the
+Runs a fixed, seeded set of calls and prints, on each of three lines, the
 number of records and the SHA-256 of their JSON.  Each record is a call's
 result (residue counts, a flattened joint histogram, or the coordinates of
 cyclotomic sums) or the type and text of the exception it raised.  Two
@@ -26,8 +26,12 @@ function, or two over F_2^10 and F_257.  `decorated_sums` is left out over
 them: its transform table has p q^2 entries.
 
 The second line covers the F_2 kernel past one chunk of 2^22 points, where
-it counts chunks by key: `sum_sequence` of every family at n = 23..26, and
+it counts chunks by code: `sum_sequence` of every family at n = 23..26, and
 `trace_counts` of random functions with top-variable and cross terms there.
+The third line covers functions with many low cofactors there:
+`sum_sequence` of sigma(2) and sigma(3) at n = 23..24, and `trace_counts`
+of dense random functions, with up to 120 products of a low and a high
+monomial, at n = 23 and 24.
 """
 
 from __future__ import annotations
@@ -52,6 +56,8 @@ POINTS = 10**6  # the largest q^n of any call
 RANDOM_FUNCTIONS = 12  # per field, for each of trace_counts, joint_counts and decorated_sums
 F2_PAST_ONE_CHUNK = range(23, 27)  # n past the F_2 kernel's 2^22-point chunks, within the point budget
 F2_RANDOM_FUNCTIONS = 12
+F2_DENSE = range(23, 25)
+F2_DENSE_FUNCTIONS = 6
 
 
 def _outcome(fn, *args, **kwargs):
@@ -90,6 +96,19 @@ def _random_function(rng, field, n):
             low = rng.sample(range(1, top), rng.randint(1, min(2, top - 1)))
             high = rng.sample(range(top, n + 1), rng.randint(1, min(2, n - top + 1)))
             terms[frozenset(low + high)] = field.from_index(rng.randrange(1, q))
+    return InstantiatedFunction(field, n, terms)
+
+
+def _dense_function(rng, field, n):
+    """Random terms of degree 1-4, and 40-120 products of a low and a high monomial."""
+    terms = {}
+    for _ in range(rng.randint(20, 60)):
+        terms[frozenset(rng.sample(range(1, n + 1), rng.randint(1, 4)))] = field.one()
+    top = n // 2 + 1  # variables top..n are the high ones
+    for _ in range(rng.randint(40, 120)):
+        low = rng.sample(range(1, top), rng.randint(1, 2))
+        high = rng.sample(range(top, n + 1), rng.randint(1, 2))
+        terms[frozenset(low + high)] = field.one()
     return InstantiatedFunction(field, n, terms)
 
 
@@ -155,6 +174,19 @@ def _f2_records():
     return out
 
 
+def _f2_dense_records():
+    rng = random.Random(2023)
+    field = make_field(2)
+    out = []
+    for text in ("sigma(2)", "sigma(3)"):
+        out.append(["sum_sequence", 2, text, F2_DENSE[0], F2_DENSE[-1], _outcome(sum_sequence, parse(text), field, F2_DENSE)])
+    for i in range(F2_DENSE_FUNCTIONS):
+        n = F2_DENSE[i % len(F2_DENSE)]
+        g = _dense_function(rng, field, n)
+        out.append(["trace_counts", 2, n, _describe(g), _outcome(trace_counts, g)])
+    return out
+
+
 def _line(records):
     blob = json.dumps(records, sort_keys=True).encode()
     return "%d records sha256 %s" % (len(records), hashlib.sha256(blob).hexdigest())
@@ -163,6 +195,7 @@ def _line(records):
 def main():
     print(_line(_records()))
     print("F_2 past one chunk: " + _line(_f2_records()))
+    print("F_2 many cofactors past one chunk: " + _line(_f2_dense_records()))
 
 
 if __name__ == "__main__":
