@@ -16,14 +16,14 @@ a level deeper.  Chain systems decorate a non-wrapping translate sum with
 monomials pinned to its trailing window.  Symmetric systems decorate the
 top elementary symmetric polynomial with the lower ones; for sigma(2) over
 a prime field this is the quadratic matrix with (j, k) entry zeta^(j(k-j)).
-Their initial states are the character sums of a base function plus each
-state's decorations: one enumeration transformed by oracle.decorated_sums,
-or for the k-state trapezoid one sum per state.  A rotation combination's
-cyclic sum is Tr(T^n) for the de Bruijn matrix T[(a_1..a_(w-1)),
-(a_2..a_w)] = zeta^Tr(g(a_1..a_w)) of its window polynomial g, since the
-closed walks of length n are the cyclic words.  Its system is T (x) I from
-vec(T^n0), which vec(I) reaches in n0 steps of that same matrix, onto
-vec(I), and its kernel T gives the annihilator.
+A rotation combination's cyclic sum is Tr(T^n) for the de Bruijn matrix
+T[(a_1..a_(w-1)), (a_2..a_w)] = zeta^Tr(g(a_1..a_w)) of its window
+polynomial g, since the closed walks of length n are the cyclic words.  Its
+system is T (x) I onto vec(I), and its kernel T gives the annihilator.
+Every system starts at n = 0, the empty word: its states there are all 1,
+or vec(I) for T (x) I, and the matrix steps them to the first index n0
+(_scatter_system says why that is exact), so a build enumerates only in
+its oracle gate.
 
 The matrix is a linalg.SparseMatrix, whose entries a zeta^t are triples
 (column, t, a).  run steps it exactly in numpy on a dim x (p-1) array of
@@ -40,7 +40,6 @@ import numpy as np
 
 from .cyclotomic import CycInt, root_power
 from .funcalg import (
-    InstantiatedFunction,
     MonomialPattern,
     Rotation,
     ScalarMul,
@@ -59,7 +58,7 @@ from .limits import (
     ResourceLimitExceeded,
 )
 from .linalg import SparseMatrix, minimal_polynomial
-from .oracle import decorated_sums, exp_sum, integer_tables
+from .oracle import exp_sum, integer_tables
 from .recurrence import IntPolynomial, Sequence
 
 
@@ -160,10 +159,6 @@ def run_range(sys, e, n_range):
 # ---------------------------------------------------------------------------
 # small helpers shared by the builders
 
-def _monomial(f, n, variables):
-    return InstantiatedFunction(f, n, {frozenset(variables): f.one()})
-
-
 def _grid(q, m):
     """The q^m coefficient vectors in product(range(q), repeat=m) order, as rows."""
     return np.indices((q,) * m).reshape(m, -1).T
@@ -177,10 +172,14 @@ def _index(digits, q):
     return out
 
 
+def _limit(dim, state_limit):
+    if dim > state_limit:
+        raise ResourceLimitExceeded("%d states exceed the limit of %d" % (dim, state_limit))
+
+
 def _states(q, m, state_limit):
     """The q^m decoration coefficient vectors (_grid), refused above state_limit."""
-    if q**m > state_limit:
-        raise ResourceLimitExceeded("%d states exceed the limit of %d" % (q**m, state_limit))
+    _limit(q**m, state_limit)
     return _grid(q, m)
 
 
@@ -194,23 +193,42 @@ def _scatter(f, image, const):
     return SparseMatrix.from_root_counts(f.p, dim, rows, image.ravel(), trace[const].ravel())
 
 
-def _scatter_system(label, f, e, sparse, init, n0, budget, projection=(0,), kernel=None):
-    """The system of the matrix sparse with the state vector init at n0,
-    whose target is the sum of the states in projection.  The system is
-    checked against the enumeration oracle on e one index past the smallest
-    that both cover, or at that smallest index when the next has over
-    min(budget, 2^20) points.
+def _scatter_system(label, f, e, sparse, n0, budget, projection=(0,), kernel=None, ones=slice(None)):
+    """The system of the matrix sparse from index n0, whose target is the sum
+    of the states in projection, checked against the enumeration oracle on e
+    one index past the smallest that both cover (or at that index when the
+    next has over min(budget, 2^20) points).  The oracle's sum comes first,
+    so a system over the point budget is refused before any step.
+
+    The states at n0 are sparse^n0 applied to those at n = 0: 1 on the states
+    in ones (all by default), else 0.  Read every X_i with i <= 0 as 0.  Each
+    scatter recipe substitutes the newest variable, so v(n) = M v(n-1) for
+    every n >= 1, and at n = 0 a state sums the zero function over the one
+    point of F_q^0, which gives 1.  For chains, a translate or decoration
+    with some X_i, i <= 0, is 0.  For symmetric states, sigma_(n,j) =
+    sigma_(n-1,j) + x sigma_(n-1,j-1) from n = 1, with sigma_(0,0) = 1 and
+    sigma_(0,j) = 0 for j >= 1.  In the k-state trapezoid a nonzero x sends a
+    state one level deeper with its boundary products scaled by x: for
+    n-1 >= k the sums do not change (C5), and for n-1 < k no translate fits,
+    every product contains X_(n-1), and scaling X_(n-1) by 1/x removes x.  A
+    rotation's states hold vec(T^n), which is vec(I) at n = 0.
     """
     p = f.p
+    n = max(n0, e.min_n())
+    if f.q ** (n + 1) <= min(budget, 1 << 20):  # take a step, so M is checked too
+        n += 1
+    want = exp_sum(instantiate(e, n, f), budget=budget)
+    v = np.zeros((sparse.dim, p - 1), dtype=np.int64)
+    v[ones, 0] = 1
+    norm = sparse.row_norm()
+    for _ in range(n0):
+        v = sparse.times(_exact(v, norm))
+    init = tuple(CycInt._of(p, tuple(row)) for row in v.tolist())
     target = [CycInt.zero(p)] * sparse.dim
     for j in projection:
         target[j] = CycInt.one(p)
-    sys = TransferSystem(label, f, sparse, tuple(init), tuple(target), n0, kernel or sparse)
-    n = max(sys.n_min, e.min_n())
-    if f.q ** (n + 1) <= min(budget, 1 << 20):  # take a step, so M is checked too
-        n += 1
+    sys = TransferSystem(label, f, sparse, init, tuple(target), n0, kernel or sparse)
     got = run(sys, n).values[-1]
-    want = exp_sum(instantiate(e, n, f), budget=budget)
     if got != want:
         raise AssertionError(
             "transfer system %r disagrees with the oracle at n=%d: %r vs %r"
@@ -223,7 +241,7 @@ def _scatter_system(label, f, e, sparse, init, n0, budget, projection=(0,), kern
 # consecutive trapezoid: the k-state system of boundary-decorated sums
 
 def build_trapezoid_system(k, f, budget=DEFAULT_POINT_BUDGET):
-    """States b_j(n) = S(T(2..k)(n) + X_n + X_n X_{n-1} + ... (j products)).
+    """States b_j(n) = S(T(2..k)(n) + the j products X_(n-k+1+s) ... X_n, s = 1..j).
 
     All boundary products carry coefficient one; scaling invariance of the
     decorated sums folds the unit choices together, which is what makes a
@@ -240,16 +258,8 @@ def build_trapezoid_system(k, f, budget=DEFAULT_POINT_BUDGET):
     image[:, 1:] = np.minimum(np.arange(1, k + 1), k - 1)[:, None]
     const = np.zeros((k, q), dtype=np.intp)
     const[k - 1] = np.arange(q)
-    # state j carries the products X_(s+1) ... X_k for s = 1 .. j; each is
-    # one sum, so F_2 takes the packed kernel
-    terms = dict(instantiate(tau(k), k, f).terms)
-    init = []
-    for j in range(k):
-        if j:
-            terms[frozenset(range(j + 1, k + 1))] = f.one()
-        init.append(exp_sum(InstantiatedFunction(f, k, terms), budget=budget))
     label = "trapezoid(2..%d)/F_%s" % (k, f.describe())
-    return _scatter_system(label, f, tau(k), _scatter(f, image, const), init, k, budget)
+    return _scatter_system(label, f, tau(k), _scatter(f, image, const), k, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +330,7 @@ def _chain_system(
     for c, offsets in patterns:
         slot = tail_index[_sh1(offsets)]
         new[slot] = add[new[slot], mul[c.index, x]]
-
-    chain = Sum(tuple(ScalarMul(c.index, Trapezoid(MonomialPattern(o))) for c, o in patterns))
-    decorations = [_monomial(f, w, (w - d for d in shape)) for shape in tail_shapes]
-    init = decorated_sums(instantiate(chain, w, f), decorations, budget)
-    return _scatter_system(label, f, e, _scatter(f, _index(new[:nt], q), new[nt]), init, w, budget)
+    return _scatter_system(label, f, e, _scatter(f, _index(new[:nt], q), new[nt]), w, budget)
 
 
 def _rotation_system(
@@ -339,7 +345,7 @@ def _rotation_system(
     the states hold the columns of T^n: vec(I) stepped n0 = 3(w-1) times is
     vec(T^n0), and the target Tr(T^n) sums the diagonal states a Q + a.
     """
-    q, p = f.q, f.p
+    q = f.q
     patterns = _normalize_patterns(terms, f)
     w = max(max(offsets) for _c, offsets in patterns)
     Q = q ** (w - 1)
@@ -355,14 +361,8 @@ def _rotation_system(
     image = np.arange(Q * q).reshape(Q, q) % Q
     const = g.reshape(Q, q)
     sparse = _scatter(f, image[a] * Q + i[:, None], const[a])
-    n0, diagonal = 3 * (w - 1), np.arange(Q) * (Q + 1)
-    v = np.zeros((Q * Q, p - 1), dtype=np.int64)
-    v[diagonal, 0] = 1  # vec(I)
-    norm = sparse.row_norm()
-    for _ in range(n0):
-        v = sparse.times(_exact(v, norm))
-    init = [CycInt._of(p, tuple(row)) for row in v.tolist()]
-    return _scatter_system(label, f, e, sparse, init, n0, budget, diagonal, _scatter(f, image, const))
+    diagonal, kernel = np.arange(Q) * (Q + 1), _scatter(f, image, const)
+    return _scatter_system(label, f, e, sparse, 3 * (w - 1), budget, diagonal, kernel, diagonal)
 
 
 def build_rotation_system(
@@ -402,10 +402,8 @@ def build_symmetric_system(
     for j in range(1, k - 1):
         image.append(add[mul[beta[:, j - 1, None], x], beta[:, j, None]])
     const = mul[beta[:, k - 2, None], x]
-    lower = [instantiate(Sigma(k - j), k, f) for j in range(1, k)]
-    init = decorated_sums(instantiate(Sigma(k), k, f), lower, budget)
     label = "symmetric(%d)/F_%s" % (k, f.describe())
-    return _scatter_system(label, f, Sigma(k), _scatter(f, _index(image, q), const), init, k, budget)
+    return _scatter_system(label, f, Sigma(k), _scatter(f, _index(image, q), const), k, budget)
 
 
 def build_quadratic_matrix(p, budget=DEFAULT_POINT_BUDGET):
@@ -496,6 +494,7 @@ def system_for(e, f, state_limit=DEFAULT_STATE_LIMIT, budget=DEFAULT_POINT_BUDGE
             offsets = terms[0][1]
             k = len(offsets)
             if offsets == tuple(range(1, k + 1)):
+                _limit(k, state_limit)
                 return build_trapezoid_system(k, f, budget)
         label = "%s[%s]/F_%s" % (
             "rotation" if rotation else "chain",

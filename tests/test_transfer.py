@@ -15,7 +15,6 @@ from gfrec.cyclotomic import CycInt, combination, root_power
 from gfrec.funcalg import (
     InstantiatedFunction,
     MonomialPattern,
-    Rotation,
     ScalarMul,
     Sigma,
     Sum,
@@ -26,8 +25,8 @@ from gfrec.funcalg import (
 )
 from gfrec.galois import make_field, prime_power
 from gfrec.linalg import SparseMatrix, certify
-from gfrec.limits import DEFAULT_STATE_LIMIT, ResourceLimitExceeded
-from gfrec.oracle import exp_sum, integer_tables, sum_sequence
+from gfrec.limits import DEFAULT_POINT_BUDGET, DEFAULT_STATE_LIMIT, ResourceLimitExceeded
+from gfrec.oracle import decorated_sums, exp_sum, integer_tables, sum_sequence
 from gfrec.recurrence import Sequence, divides, extend, family_poly, satisfies
 from gfrec.transfer import (
     _normalize_patterns,
@@ -441,7 +440,7 @@ def test_quadratic_run_on_both_sides_of_the_int64_bound():
 
 
 # ---------------------------------------------------------------------------
-# batched initial states against one character sum per state
+# initial states, stepped from n = 0, against enumerated ones
 
 def _decorated(g, decorations):
     terms = dict(g.terms)
@@ -494,6 +493,62 @@ def _walk_init(e_terms, f):
     return tuple(CycInt.from_root_counts(p, row) for row in counts.tolist())
 
 
+def _translate_terms(e, f):
+    """The (coefficient, offsets) terms of a translate combination."""
+    terms = []
+    for part in e.parts if isinstance(e, Sum) else (e,):
+        scaled = isinstance(part, ScalarMul)
+        node = part.expr if scaled else part
+        terms.append((f.from_index(part.scalar_index) if scaled else f.one(), node.pattern.offsets))
+    return terms
+
+
+def _trapezoid_init(k, f):
+    """The k-state trapezoid's states at n0 = k, one sum each: state j is tau(k)
+    with the boundary products X_(s+1) ... X_k for s = 1 .. j."""
+    base = instantiate(tau(k), k, f)
+    return tuple(
+        exp_sum(_decorated(base, [(frozenset(range(s + 1, k + 1)), f.one()) for s in range(1, j + 1)]))
+        for j in range(k)
+    )
+
+
+def _enumerated_init(sys, e, f):
+    """A system's states at n0 by enumeration, as the builders once took
+    them: the k-state trapezoid's one sum per state, and for chain and
+    symmetric systems one decorated_sums call on the base and its
+    decorations (the chain's tail monomials, or the lower sigma_j)."""
+    n0 = sys.n0
+    if sys.label.startswith("trapezoid"):
+        return _trapezoid_init(n0, f)
+    if sys.label.startswith("symmetric"):
+        lower = [instantiate(Sigma(n0 - j), n0, f) for j in range(1, n0)]
+        return tuple(decorated_sums(instantiate(Sigma(n0), n0, f), lower))
+    patterns = _normalize_patterns(_translate_terms(e, f), f)
+    chain = Sum(tuple(ScalarMul(c.index, Trapezoid(MonomialPattern(o))) for c, o in patterns))
+    decorations = [
+        InstantiatedFunction(f, n0, {frozenset(n0 - d for d in shape): f.one()})
+        for shape in _tail_shapes(patterns)
+    ]
+    return tuple(decorated_sums(instantiate(chain, n0, f), decorations))
+
+
+def test_stepped_initial_states_are_the_enumerated_ones():
+    # every trapezoid, chain and symmetric system of the digest grid, and two
+    # past it, whose states at n0 come from n = 0 by n0 steps of the matrix
+    cases = [(t, q) for t in DIGEST_EXPRS if "R(" not in t for q in DIGEST_FIELDS]
+    checked = 0
+    for text, q in cases + [("sigma(4)", 5), ("T(2,3,5)+T(3)", 3)]:
+        e, f = parse(text), make_field(*prime_power(q))
+        try:
+            sys = system_for(e, f)
+        except (ValueError, ResourceLimitExceeded):
+            continue  # refused; the pinned digests hold the refusal
+        assert sys.init == _enumerated_init(sys, e, f), (text, q)
+        checked += 1
+    assert checked == 62
+
+
 @pytest.mark.parametrize(
     "text,q", [("T(2,4) + e2*T(3)", 3), ("e2*T(2,3)", 4), ("R(2,3) + R(2)", 2), ("R(2)", 5),
                ("e3*R(2) + R(3)", 4), ("R(2)", 9)],
@@ -503,13 +558,9 @@ def test_window_initial_states_are_the_per_state_sums(text, q):
     # rotations: the de Bruijn walk sums that vec(T^n0) holds
     f = FIELDS[q]
     e = parse(text)
-    terms = []
-    for part in e.parts if isinstance(e, Sum) else (e,):
-        scaled = isinstance(part, ScalarMul)
-        node = part.expr if scaled else part
-        terms.append((f.from_index(part.scalar_index) if scaled else f.one(), node.pattern.offsets))
-    per_state = _walk_init if isinstance(node, Rotation) else _window_init
-    assert system_for(e, f).init == per_state(terms, f)
+    sys = system_for(e, f)
+    per_state = _walk_init if sys.label.startswith("rotation") else _window_init
+    assert sys.init == per_state(_translate_terms(e, f), f)
 
 
 @pytest.mark.parametrize("k,q", [(2, 2), (3, 3), (2, 8), (3, 4), (4, 2)])
@@ -525,17 +576,12 @@ def test_symmetric_initial_states_are_the_per_state_sums(k, q):
 @pytest.mark.parametrize("k,q", [(2, 3), (3, 4), (4, 5), (5, 2), (3, 9)])
 def test_trapezoid_initial_states_are_the_per_state_sums(k, q):
     f = FIELDS[q]
-    base = instantiate(tau(k), k, f)
-    want = tuple(
-        exp_sum(_decorated(base, [(frozenset(range(s + 1, k + 1)), f.one()) for s in range(1, j + 1)]))
-        for j in range(k)
-    )
-    assert build_trapezoid_system(k, f).init == want
+    assert build_trapezoid_system(k, f).init == _trapezoid_init(k, f)
 
 
 def test_initial_states_take_the_point_budget_once():
-    # 2^4 points at n0 = 4 against 2^4 states: the 2^5 bins of a joint
-    # histogram over all decorations are never counted against the budget
+    # 2^4 points at n0 = 4 against 2^4 states: only the oracle gate's sum at
+    # n0 counts against the budget, not the states
     e = parse("T(2,4) + T(3)")
     sys = system_for(e, F2, budget=16)
     assert (sys.dim, sys.n0) == (16, 4)
@@ -543,6 +589,24 @@ def test_initial_states_take_the_point_budget_once():
     with pytest.raises(ResourceLimitExceeded) as info:
         system_for(e, F2, budget=15)
     assert str(info.value) == "enumeration of 2^4 points exceeds the budget of 15"
+
+
+@pytest.mark.parametrize("k,q", [(3000, 3), (1500, 2)])
+def test_over_budget_systems_are_refused_before_any_step(monkeypatch, k, q):
+    steps = []
+    real = SparseMatrix.times
+
+    def counted(self, v):
+        steps.append(self.dim)
+        return real(self, v)
+
+    monkeypatch.setattr(SparseMatrix, "times", counted)
+    with pytest.raises(ResourceLimitExceeded) as info:
+        system_for(tau(k), make_field(q))
+    assert str(info.value) == "enumeration of %d^%d points exceeds the budget of %d" % (
+        q, k, DEFAULT_POINT_BUDGET
+    )
+    assert steps == []
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +637,15 @@ def test_system_for_scaled_consecutive_trapezoid_uses_chain():
     sys = system_for(e, F3)
     assert sys.label.startswith("chain[")
     _assert_matches_brute(sys, e, F3, 8)
+
+
+def test_system_for_holds_consecutive_trapezoids_to_the_state_limit():
+    with pytest.raises(ResourceLimitExceeded) as info:
+        system_for(tau(10), F2, state_limit=8)
+    assert str(info.value) == "10 states exceed the limit of 8"
+    assert system_for(tau(8), F2, state_limit=8).dim == 8
+    with pytest.raises(ResourceLimitExceeded, match="^27 states exceed the limit of 8$"):
+        system_for(parse("T(2,4)"), F3, state_limit=8)  # as chains are
 
 
 def test_system_for_rejections():

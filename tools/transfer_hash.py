@@ -4,7 +4,7 @@
     PYTHONPATH=<checkout>/src python3 tools/transfer_hash.py
 
 Builds the system of every digest case of tests/test_transfer.py (its
-DIGEST_EXPRS over its DIGEST_FIELDS, copied below) and prints three lines,
+DIGEST_EXPRS over its DIGEST_FIELDS, copied below) and prints four lines,
 each the number of records and the SHA-256 of their JSON:
 - runs: per case the label, dim, n_min and the coordinates of `run` up to
   n_min + 12, or the type and text of the exception that refused the system;
@@ -13,7 +13,10 @@ each the number of records and the SHA-256 of their JSON:
 - large: the LARGE cases, prime fields past the digest grid, where each
   entry has the most coordinates: per case the label, dim, n_min and `run`
   up to n_min + 4, and for sigma(2) over F_11 and F_13 the annihilator or
-  its refusal.
+  its refusal;
+- outside: the OUTSIDE cases, trapezoid, chain and symmetric systems past
+  the digest grid (up to 4096 states, and F_256): per case the label, dim,
+  n_min and `run` up to n_min + 4.
 
 The runs line pins every sum that a system gives, whatever the matrix and
 states that give it; the annihilators line pins the recurrences.  Two
@@ -42,6 +45,10 @@ LARGE = (
     ("R(2)", 11, False), ("R(2)", 13, False),
 )  # (expression, field, whether to take the annihilator)
 LARGE_STEPS = 4
+OUTSIDE = (
+    ("sigma(13)", 2), ("sigma(7)", 4), ("sigma(4)", 5), ("tau(13)", 3), ("tau(10)", 4),
+    ("sigma(2)", 256), ("T(2,3,5)+T(3)", 3), ("e2*T(2,4)+T(2)", 8),
+)  # (expression, field), run to n_min + LARGE_STEPS
 
 
 def _refusal(err):
@@ -87,6 +94,14 @@ def _large_records():
     return records
 
 
+def _outside_records():
+    records = []
+    for text, q in OUTSIDE:
+        sys = system_for(parse(text), make_field(*prime_power(q)))
+        records.append(_run_record("%s/F_%d" % (text, q), sys, LARGE_STEPS))
+    return records
+
+
 def _line(name, records):
     blob = json.dumps(records, sort_keys=True).encode()
     return "%s: %d records sha256 %s" % (name, len(records), hashlib.sha256(blob).hexdigest())
@@ -97,6 +112,7 @@ def main():
     print(_line("runs", runs))
     print(_line("annihilators", annihilators))
     print(_line("large", _large_records()))
+    print(_line("outside", _outside_records()))
 
 
 if __name__ == "__main__":
