@@ -16,11 +16,17 @@ builds 18 cubes of 2^14 points, and sigma(3) there 4 of 2^13.  In the
 generic kernel a block's histogram depends only on its high-digit
 coefficients, up to a constant shift that permutes its bins, so blocks with
 equal coefficients are counted once and weighted by their number; every
-point is still counted exactly once.  The block size is chosen per call, as
-a meet in the middle: smaller blocks make each distinct coefficient row's
-histogram cheaper, and make more rows to evaluate and sort.  A work model,
-fitted to timed calls, predicts both from the coefficient rows at each
-candidate size.
+point is still counted exactly once.  Each distinct row's histogram is a
+linear image of one joint histogram of the low cofactors, so the low points
+are counted once by their tuple of cofactor values (their key) where that
+is cheaper, and the histograms of all distinct rows are formed in one
+contraction of the keys through the field's tables; a function with no
+low-digit part takes one value on a block and has no axis there (see
+`_BlockValues`).  The block size is chosen per call, as a meet in the
+middle: smaller blocks make each distinct coefficient row's histogram
+cheaper, and make more rows to evaluate and sort.  A work model, fitted to
+timed calls, predicts both from the coefficient rows at each candidate
+size, and whether counting by key pays.
 
 Most calls are small: checks and short ranges enumerate a few hundred to a
 few thousand points, where each numpy call costs about a microsecond
@@ -44,6 +50,7 @@ callers such as the command line pick one themselves.
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import prod
 
 import numpy as np
 
@@ -56,6 +63,7 @@ from .recurrence import Sequence
 _BLOCK_POINTS = 1 << 15  # most points per block of the generic kernel; its buffers stay in cache
 _LEAF_POINTS = 1 << 10  # the generic kernel folds grids of up to this many points term by term; a numpy call costs about this many points
 _TABLE_ENTRIES = 1 << 12  # the field-table cache keeps intp q x q tables while q^2 is at most this
+_COUNT_ENTRIES = 1 << 16  # most entries (rows x keys, or rows x bins) of one step of `_BlockValues.counts`
 _TRANSFORM_ENTRIES = 1 << 20  # most entries of one gather of `decorated_sums`' transform (8 MB of int64)
 _CHUNK_BITS = 22  # log2 of the most points in one chunk of the F_2 kernel; at least 6
 # The F_2 kernel's work model, in nanoseconds, fitted to calls timed on a
@@ -69,13 +77,16 @@ _KEYED_NS = 120_000  # one call at b < n: the split, the codes and their count
 _SEARCH_NS = 1000  # counting the groups of one term
 # The generic kernel's work model, in nanoseconds, fitted to calls timed on a
 # 2-core x86-64 host; only their ratios matter.  See `_BlockValues._choose`.
-_GATHER_NS = 2  # one point of one gather into a block's histogram
+_GATHER_NS = 2  # one entry (row x key) of one gather of the contraction, a row at a time; a batch takes twice that
+_ROW_NS = 5_000  # one distinct C row taken alone, beyond its entries
+_KEY_NS = 8  # one point of one column, counting the keys
+_KEYS_NS = 10_000  # counting the keys, beyond its points
+_BIN_NS = 15  # one bin of one shifted row
 _FOLD_NS = 4  # one point of one term of a low-digit grid, counting at most _FOLD_TERMS a grid
 _FOLD_TERMS = 8  # `_grid` splits large grids of many terms, so a grid's fold counts at most this many
-_ROW_NS = 10_000  # one distinct C row's histogram, beyond its points
-_BIN_NS = 100  # one bin of one shifted row
 _HIGH_NS = 60  # one block's entry in the C and shift rows, evaluated and sorted
-_GRID_NS = 160_000  # one C or shift grid at one more m, with a margin for the model's error
+_GRID_NS = 20_000  # one C or shift grid at one more m
+_TRY_NS = 150_000  # trying one more m, beyond its grids and terms, with a margin for the model's error
 _TERM_NS = 3_000  # splitting one term at one more m
 
 _table_cache = {}
@@ -428,6 +439,15 @@ def _trace_counts_f2(g):
 # generic kernel
 
 
+def _contract_ns(keys, runs, gathers):
+    """The predicted nanoseconds of `_BlockValues._contract` on keys keys for
+    runs distinct C rows: a row at a time past _LEAF_POINTS keys, else in
+    batches of rows at twice the gathers' cost per entry."""
+    if keys > _LEAF_POINTS:
+        return (_GATHER_NS * keys * gathers + _ROW_NS) * runs
+    return 2 * _GATHER_NS * keys * gathers * runs
+
+
 class _BlockValues:
     """The joint histogram of the values of one or more functions over F_q^n,
     or with traced, of the trace of the first one and the values of the others.
@@ -442,13 +462,25 @@ class _BlockValues:
     on its row of C values, and its shift adds one element to all of them,
     which moves the bins by a permutation of the add table (a roll by
     Tr(shift) on a trace axis, as Tr is additive).  The blocks are grouped
-    by their rows of C and shift values; the histogram of each distinct C
-    row is built once and added under each of its shifts, times the number
-    of blocks with that row.  L is kept as q L, so the values for a C row
-    are base plus, for each group whose c is not 0, one add and one gather
-    from the field's flat table add o mul[c] (`_FieldTables.plus_times`).
-    A call that fits in one block (m = n) has no high digits, and skips
-    building and sorting the rows.
+    by their rows of C and shift values, and counted in three steps:
+
+    - `_keys`: the low points are counted by their key, the tuple of base
+      and L values, when `_plan` predicts that cheaper than keeping the q^m
+      points themselves.  A block's values on a point depend only on its
+      key.
+    - `_contract`: the histogram of every distinct C row is formed at once,
+      over rows x keys in chunks of at most _COUNT_ENTRIES entries: base
+      plus, for each group, c L through the intp mul and add tables (the
+      narrow ones past q^2 > _TABLE_ENTRIES), and one bincount, or one
+      integer add.at weighted by the key counts.
+    - `_place`: the histogram of each (C row, shift) row is added under its
+      shift, times the number of blocks with that row, by one add.at.
+
+    A function with no low part takes one value on a block, const + shift,
+    so it has no axis in the contraction; `_place` puts the row in that
+    value's bin.  A call that fits in one block (m = n) has no high digits,
+    and skips building and sorting the rows.  Every count is an integer, so
+    the result does not depend on the chunks or on the choice of keys.
     """
 
     def __init__(self, funcs, grids, traced):
@@ -456,25 +488,49 @@ class _BlockValues:
         self.q = q = field.q
         self.tables = _tables(field)
         self.traced = traced and field.r > 1  # on a prime field Tr is the identity
-        self.bins = q ** (len(funcs) - 1) * (field.p if self.traced else q)
+        self.sizes = [field.p if self.traced else q] + [q] * (len(funcs) - 1)
         n = funcs[0].n
         terms = [sorted([(tuple(sorted([v - 1 for v in mono])), c.index) for mono, c in g.terms.items()]) for g in funcs]
-        m, splits, self.rows, self.weights, self.starts = self._choose(terms, n, grids)
-        self.index = np.empty(q**m, dtype=np.intp)
-        scaled = {}
-        self.funcs = []
-        for base, groups in splits:
-            for low, _high in groups:
-                if low not in scaled:
-                    scaled[low] = np.multiply(self._grid(low, m, grids), q, dtype=np.intp)
-            self.funcs.append((
-                self._grid(base, m, grids),
-                [scaled[low] for low, _high in groups],
-                np.empty(q**m, dtype=np.intp),
-            ))
+        m, plan, self.rows, self.weights, self.starts = self._choose(terms, n, grids)
+        self.axes, self.consts, columns, self.bins, _gathers, _folds, self.keys = plan
+        self.points = q**m
+        self.columns = [self._grid(low, m, grids) for low in columns]
+
+    def _plan(self, splits, m, runs):
+        """(axes, consts, columns, bins, gathers, folds, keys) of the
+        functions' splits at m low digits, for runs distinct C rows.
+
+        A function with a low part, a base term in a low variable or a group,
+        has a histogram axis: (its number, the column of its base or None, and
+        for each group (its C column, the column of its L)).  columns lists
+        the distinct base and L terms, so functions and groups that share one
+        share its column.  A function without a low part is const + shift on
+        every block, and consts maps its number to const.  bins is the number
+        of bins of the axes, gathers counts the bases and groups of the axes,
+        and folds the terms of the columns, at most _FOLD_TERMS a column.
+        keys is what `counts` contracts: q^columns, the most keys there can
+        be, when counting the low points by key is predicted to pay, else the
+        q^m points themselves.
+        """
+        index, axes, consts, width, bins, gathers = {}, [], {}, 0, 1, 0
+        for i, (base, groups) in enumerate(splits):
+            if groups or base and base[-1][0]:  # base is sorted, so a nonconstant term is last
+                b = index.setdefault(tuple(base), len(index)) if base else None
+                pairs = [(width + j, index.setdefault(tuple(low), len(index))) for j, (low, _high) in enumerate(groups)] if groups else []
+                axes.append((i, b, pairs))
+                bins *= self.sizes[i]
+                gathers += 1 + len(pairs)
+            else:
+                consts[i] = base[0][1] if base else 0
+            width += len(groups)
+        folds = sum([min(len(low), _FOLD_TERMS) for low in index])
+        points, keys = self.q**m, self.q ** len(index)
+        if not index or keys >= points or _contract_ns(keys, runs, gathers) + points * len(index) * _KEY_NS + _KEYS_NS >= _contract_ns(points, runs, gathers):
+            keys = points
+        return axes, consts, list(index), bins, gathers, folds, keys
 
     def _choose(self, terms, n, grids):
-        """(m, splits, rows, weights, starts) at the m of least predicted work.
+        """(m, plan, rows, weights, starts) at the m of least predicted work.
 
         m runs down from the largest with q^m <= _BLOCK_POINTS, which bounds
         the buffers, to n // 2 (only that m, if it is smaller).  At each m
@@ -482,15 +538,13 @@ class _BlockValues:
         built; from its counts `_work` predicts the rest.  A smaller m makes
         the low-digit side cheaper and the high-digit side dearer: building
         and sorting the rows costs about q^(n - m) times their width, plus a
-        fixed cost per grid and term, and is paid at every m tried.  So the
-        search stops when the predicted work rises, or when trying the next
-        m would cost more than it could save; it would still cost at least
-        a histogram of q^m points for each distinct C row, assuming that
-        rows do not merge as m falls.  Below n // 2 there would be more
-        blocks than points in a block, so the rows alone would outweigh a
-        histogram of each.
+        fixed cost per try, grid and term, and is paid at every m tried.  So
+        the search stops when the predicted work rises, or when trying the
+        next m would cost more than all the work it could save.  Below n // 2
+        there would be more blocks than points in a block, so the rows alone
+        would outweigh the blocks.
         """
-        q, k = self.q, len(terms)
+        q = self.q
         term_count = sum(map(len, terms))
         top = n
         while q**top > _BLOCK_POINTS:
@@ -498,10 +552,8 @@ class _BlockValues:
         best = None
         for m in range(top, min(top, n // 2) - 1, -1):
             if best is not None:
-                work, _m, _splits, rows, _weights, starts = best
-                width = rows.shape[1]
-                floor = (_GATHER_NS * k * q**m + _ROW_NS) * len(starts)
-                if work - floor <= (_HIGH_NS * q ** (n - m) + _GRID_NS) * width + _TERM_NS * term_count:
+                work, _m, _plan, rows, _weights, _starts = best
+                if work <= _TRY_NS + (_HIGH_NS * q ** (n - m) + _GRID_NS) * rows.shape[1] + _TERM_NS * term_count:
                     break
             layout = self._layout(terms, n, m, grids)
             work = self._work(m, *layout)
@@ -510,32 +562,29 @@ class _BlockValues:
             best = (work, m) + layout
         return best[1:]
 
-    def _work(self, m, splits, rows, _weights, starts):
+    def _work(self, m, plan, rows, _weights, starts):
         """The predicted nanoseconds to build the low-digit grids and count the blocks."""
-        gathers = folds = 0
-        for base, groups in splits:
-            gathers += 1 + len(groups)
-            folds += min(len(base), _FOLD_TERMS)
-            for low, _high in groups:
-                folds += min(len(low), _FOLD_TERMS)
-        shifted = len(rows) if len(rows) > 1 and rows[:, -len(splits):].any() else 0  # see `counts`
+        _axes, consts, columns, bins, gathers, folds, keys = plan
+        points = self.q**m
+        shifted = len(rows) if consts or len(rows) > 1 and rows[:, -len(self.sizes):].any() else 0  # see `_place`
         return (
-            self.q**m * (_GATHER_NS * gathers * len(starts) + _FOLD_NS * folds)
-            + _ROW_NS * len(starts)
-            + _BIN_NS * shifted * self.bins
+            _FOLD_NS * points * folds
+            + (_KEY_NS * points * len(columns) + _KEYS_NS if keys < points else 0)
+            + _contract_ns(keys, len(starts), gathers)
+            + _BIN_NS * shifted * bins
         )
 
     def _layout(self, terms, n, m, grids):
-        """(splits, rows, weights, starts) of the functions' terms at m low digits.
+        """(plan, rows, weights, starts) of the functions' terms at m low digits.
 
-        splits holds each function's (base, groups) from `_split`, without the
-        groups whose cofactor is a constant: they make up its shift.  rows
-        are the distinct rows of C and shift values over the blocks, sorted,
-        weights the number of blocks with each, and starts the first row of
-        each run of rows with equal C values.
+        plan is `_plan` of each function's (base, groups) from `_split`,
+        without the groups whose cofactor is a constant: they make up its
+        shift.  rows are the distinct rows of C and shift values over the
+        blocks, sorted, weights the number of blocks with each, and starts
+        the first row of each run of rows with equal C values.
         """
         if m == n:  # one block: no high digits, so no C or shift rows to build or sort
-            return [(t, []) for t in terms], np.zeros((1, len(terms)), dtype=np.intp), np.ones(1, dtype=np.intp), [0]
+            return self._plan([(t, []) for t in terms], m, 1), np.zeros((1, len(terms)), dtype=np.intp), np.ones(1, dtype=np.intp), [0]
         splits, coeffs, shifts = [], [], []
         for t in terms:
             base, groups = _split(t, m)
@@ -555,7 +604,7 @@ class _BlockValues:
             rows = rows[np.concatenate(([0], cuts))]
             width = len(coeffs)
             starts += (np.flatnonzero((rows[1:, :width] != rows[:-1, :width]).any(axis=1)) + 1).tolist()
-        return splits, rows, weights, starts
+        return self._plan(splits, m, len(starts)), rows, weights, starts
 
     def _grid(self, terms, k, grids):
         """The values of sorted terms in the variables 0..k-1 at the q^k points.
@@ -631,53 +680,143 @@ class _BlockValues:
             plus_times(c, levels[len(mono) - 1], val, index)
             prev = mono
 
-    def _histogram(self, coeffs):
-        """The flat joint histogram of one block of the given row of C values, unshifted."""
-        q, tables, index = self.q, self.tables, self.index
-        combined = None
-        for base, scaled, val in self.funcs:
-            np.copyto(val, base)
-            for q_low, c in zip(scaled, coeffs):
-                if c:
-                    tables.plus_times(c, q_low, val, index)
-            coeffs = coeffs[len(scaled):]
-            if combined is None:
-                combined = tables.trace_index[val] if self.traced else val
+    def _keys(self):
+        """(values, counts): the value of each column at each key, and the
+        number of low points with each key, or None when the keys are the
+        points themselves (`_plan`).  A key's code holds its column values
+        as base-q digits, the first column most significant."""
+        columns = self.columns
+        if self.keys == self.points:
+            return columns, None
+        digits = (self.q,) * len(columns)
+        counts = np.bincount(np.ravel_multi_index(columns, digits))
+        code = np.flatnonzero(counts)
+        return np.unravel_index(code, digits), counts[code]
+
+    def _contract(self, coeffs, values, scaled, counts, bins):
+        """The (rows, bins) histograms of the axes' values over the keys, one
+        row for each row of C values in coeffs; see the class docstring.
+
+        Past _LEAF_POINTS keys a numpy call costs about its entries, so the
+        rows are taken one at a time, through the flat table add o mul[c]
+        (`_FieldTables.plus_times`): 2 gathers' worth a group and entry,
+        where a batch of rows takes 4."""
+        rows = len(coeffs)
+        if not self.axes:  # no function has a low part: one bin, every point
+            return np.full((rows, 1), self.points, dtype=np.int64)
+        keys = len(values[0])
+        each = 1 if keys > _LEAF_POINTS else max(1, _COUNT_ENTRIES // keys)  # rows at a time
+        step = max(1, _COUNT_ENTRIES // min(each, rows))  # keys at a time
+        if rows <= each and keys <= step and counts is None:  # one chunk
+            return np.bincount(self._combined(coeffs, values, scaled, 0, keys, bins).ravel(), minlength=rows * bins).reshape(rows, bins)
+        hist = np.zeros((rows, bins), dtype=np.int64)
+        for lo in range(0, keys, step):
+            hi = min(lo + step, keys)
+            for r in range(0, rows, each):
+                c_rows = coeffs[r : r + each]
+                n = len(c_rows)
+                combined = self._combined(c_rows, values, scaled, lo, hi, bins).ravel()
+                flat = hist[r : r + n].reshape(-1)
+                if counts is None:
+                    flat += np.bincount(combined, minlength=n * bins)
+                else:
+                    weights = counts[lo:hi]
+                    if n > 1:
+                        weights = np.empty((n, hi - lo), dtype=np.intp)
+                        weights[...] = counts[lo:hi]
+                    np.add.at(flat, combined, weights.ravel())
+        return hist
+
+    def _combined(self, c_rows, values, scaled, lo, hi, bins):
+        """The flat bin, row r times bins plus the joint bin of the axes, at
+        the keys lo..hi-1 for each row r of C values in c_rows."""
+        tables, integer = self.tables, self.tables._integer
+        n, size = len(c_rows), hi - lo
+        shape = (size,) if n == 1 else (n, size)
+        combined = index = product = listed = None
+        for i, b, pairs in self.axes:
+            if not pairs:  # base alone: the same on every row
+                val = values[b][lo:hi]
             else:
-                combined *= q
-                combined += val
-        return np.bincount(combined, minlength=self.bins)
+                val = np.empty(shape, dtype=np.intp)
+                if b is None:
+                    val.fill(0)
+                else:
+                    val[...] = values[b][lo:hi]
+                if index is None:
+                    index = np.empty(shape, dtype=np.intp)
+                    if n == 1:
+                        listed = c_rows[0].tolist()
+                    else:
+                        product = np.empty(shape, dtype=np.intp)
+            for g, col in pairs:
+                q_low = scaled[col][lo:hi]
+                if n == 1:
+                    if listed[g]:
+                        tables.plus_times(listed[g], q_low, val, index)
+                    continue
+                c = c_rows[:, g, None]
+                if integer is None:  # from the narrow tables, with 2-d indices
+                    val[...] = tables.add[tables.mul.ravel()[q_low + c], val]
+                else:  # q (c L) at q L + c, as mul is symmetric, then c L + val
+                    np.add(q_low, c, out=index)
+                    tables.times(index, product)
+                    product += val
+                    integer[0].ravel().take(product, out=val, mode="clip")
+            if self.traced and i == 0:
+                val = tables.trace_index[val]
+            combined = val if combined is None else np.multiply(combined, self.sizes[i], dtype=np.intp) + val
+        if n > 1:
+            combined = combined + np.arange(0, n * bins, bins)[:, None]
+        return combined
+
+    def _place(self, total, hist, rows, weights, run):
+        """Add weights[r] hist[run[r]], moved by the shifts in rows[r], to the
+        flat total, for each r; see the class docstring."""
+        width = rows.shape[1] - len(self.sizes)
+        if not self.consts and not np.count_nonzero(rows[:, width:]):
+            total += weights @ hist[run]
+            return
+        add, trace = self.tables.add, self.tables.trace
+        dest = np.zeros((len(rows), 1), dtype=np.intp)
+        for i, size in enumerate(self.sizes):
+            s = rows[:, width + i]
+            if i in self.consts:  # the row's one bin on this axis
+                v = add[self.consts[i], s]
+                dest = dest * size + (trace[v] if self.traced and i == 0 else v)[:, None]
+                continue
+            if self.traced and i == 0:  # a roll by Tr(s)
+                moved = (np.arange(size) + trace[s][:, None]) % size
+            else:  # bin v moves to v + s
+                moved = add.T[s]
+            dest = (dest[:, :, None] * size + moved[:, None, :]).reshape(len(rows), -1)
+        np.add.at(total, dest.ravel(), (hist[run] * weights[:, None]).ravel())
 
     def counts(self):
         """The flat joint histogram, the bin of the first axis most significant."""
-        k, rows, weights, starts = len(self.funcs), self.rows, self.weights, self.starts
-        width = rows.shape[1] - k
-        if len(rows) == 1:
+        q, rows, weights, starts = self.q, self.rows, self.weights, self.starts
+        values, counts = self._keys()
+        scaled = {}
+        for _i, _b, pairs in self.axes:
+            for _g, col in pairs:
+                scaled[col] = np.multiply(values[col], q, dtype=np.intp)
+        coeffs = (rows.take(starts, axis=0) if len(starts) > 1 else rows)[:, : rows.shape[1] - len(self.sizes)]
+        bins = self.bins
+        if len(rows) == 1 and not self.consts:
             # all blocks share one shift, and a shift is a sum of high
             # monomials, so it takes more than one value unless it is 0
-            hist = self._histogram(rows[0, :width].tolist())
+            hist = self._contract(coeffs, values, scaled, counts, bins)[0]
             return hist if weights[0] == 1 else weights[0] * hist
-        total = np.zeros(self.bins, dtype=np.int64)
-        listed = rows.tolist()
-        # each axis: its bins, and the bin [b, s] that a shift by s moves bin b to
-        axes = [(self.q, self.tables.add)] * k
-        if self.traced:  # a roll by Tr(s)
-            p = self.field.p
-            axes[0] = (p, (np.arange(p)[:, None] + self.tables.trace) % p)
-        for a, b in zip(starts, starts[1:] + [len(rows)]):
-            hist = self._histogram(listed[a][:width])
-            if b - a == 1 and not any(listed[a][width:]):
-                total += weights[a] * hist
-                continue
-            step = max(1, _BLOCK_POINTS // hist.size)  # rows of shifted histograms at a time
-            for lo in range(a, b, step):
-                shift = rows[lo : min(lo + step, b), width:]
-                moved = np.zeros((1, 1), dtype=np.intp)  # where each bin moves, one row per shift
-                for s, (size, table) in zip(shift.T, axes):
-                    moved = (moved[:, :, None] * size + table.T[s][:, None, :]).reshape(len(shift), -1)
-                shifted = np.empty(moved.shape, dtype=np.int64)
-                shifted[np.arange(len(shift))[:, None], moved] = hist
-                total += weights[lo : lo + len(shift)] @ shifted
+        total = np.zeros(prod(self.sizes), dtype=np.int64)
+        ends = starts[1:] + [len(rows)]
+        run = np.repeat(np.arange(len(starts)), np.subtract(ends, starts))
+        per = max(1, _COUNT_ENTRIES // bins)  # distinct C rows at a time, and rows placed at a time
+        for a in range(0, len(starts), per):
+            b = min(a + per, len(starts))
+            hist = self._contract(coeffs[a:b], values, scaled, counts, bins)
+            for lo in range(starts[a], ends[b - 1], per):
+                hi = min(lo + per, ends[b - 1])
+                self._place(total, hist, rows[lo:hi], weights[lo:hi], run[lo:hi] - a)
         return total
 
 

@@ -4,12 +4,12 @@ Every builder here produces a TransferSystem: a finite family of decorated
 sums a_i(n) that is closed under instantiating the newest variable, so that
 the vector of states satisfies v(n) = M v(n-1) with entries in Z[zeta_p],
 and the target sum is the sum of some of the states.  All builders share
-one scatter recipe (_scatter, then _scatter_system): on each value x of
-the newest variable, state i becomes state image[i, x] and leaves the
-constant const[i, x], so M[i, j] sums zeta^Tr(const) over the x with
-image j.  Every system is checked against the enumeration oracle one step
-past the smallest index that it and the target expression cover, so the
-check steps the matrix.
+one scatter recipe, an (image, const) pair that _scatter_system turns into
+the matrix with _scatter: on each value x of the newest variable, state i
+becomes state image[i, x] and leaves the constant const[i, x], so M[i, j]
+sums zeta^Tr(const) over the x with image j.  Every system is checked
+against the enumeration oracle one step past the smallest index that it and
+the target expression cover, so the check steps the matrix.
 
 The k-state trapezoid sends a zero newest variable to b_0 and a nonzero one
 a level deeper.  Chain systems decorate a non-wrapping translate sum with
@@ -55,6 +55,7 @@ from .limits import (
     DEFAULT_DEGREE_CAP,
     DEFAULT_POINT_BUDGET,
     DEFAULT_STATE_LIMIT,
+    SCATTER_ROOT_COUNTS,
     ResourceLimitExceeded,
 )
 from .linalg import SparseMatrix, minimal_polynomial
@@ -186,21 +187,33 @@ def _states(q, m, state_limit):
 def _scatter(f, image, const):
     """The matrix in which, on each value x of the newest variable, state i
     goes to state image[i, x] with the factor zeta^Tr(const[i, x]), for
-    dim x q arrays image and const of state and field indices."""
+    dim x q arrays image and const of state and field indices.
+
+    `SparseMatrix.from_root_counts` counts the roots of each of up to dim q
+    entries in a (keys x p) table, so a recipe whose dim q p exceeds
+    SCATTER_ROOT_COUNTS is refused before that table is built."""
     dim, q = image.shape
+    if dim * q * f.p > SCATTER_ROOT_COUNTS:
+        raise ResourceLimitExceeded(
+            "a transfer matrix of %d states over F_%s needs %d root counts (states x q x p), "
+            "over the limit of %d" % (dim, f.describe(), dim * q * f.p, SCATTER_ROOT_COUNTS)
+        )
     trace = integer_tables(f)[2]
     rows = np.repeat(np.arange(dim), q)
     return SparseMatrix.from_root_counts(f.p, dim, rows, image.ravel(), trace[const].ravel())
 
 
-def _scatter_system(label, f, e, sparse, n0, budget, projection=(0,), kernel=None, ones=slice(None)):
-    """The system of the matrix sparse from index n0, whose target is the sum
-    of the states in projection, checked against the enumeration oracle on e
-    one index past the smallest that both cover (or at that index when the
-    next has over min(budget, 2^20) points).  The oracle's sum comes first,
-    so a system over the point budget is refused before any step.
+def _scatter_system(label, f, e, recipe, n0, budget, projection=(0,), kernel=None, ones=slice(None)):
+    """The system of the matrix `_scatter` builds from recipe, an (image,
+    const) pair, from index n0, whose target is the sum of the states in
+    projection, checked against the enumeration oracle on e one index past
+    the smallest that both cover (or at that index when the next has over
+    min(budget, 2^20) points).  kernel is the recipe of the matrix that
+    `integer_annihilator` runs on, by default the same.  The oracle's sum
+    comes first, so a system over the point budget is refused before any
+    matrix is built or stepped.
 
-    The states at n0 are sparse^n0 applied to those at n = 0: 1 on the states
+    The states at n0 are M^n0 applied to those at n = 0: 1 on the states
     in ones (all by default), else 0.  Read every X_i with i <= 0 as 0.  Each
     scatter recipe substitutes the newest variable, so v(n) = M v(n-1) for
     every n >= 1, and at n = 0 a state sums the zero function over the one
@@ -218,6 +231,7 @@ def _scatter_system(label, f, e, sparse, n0, budget, projection=(0,), kernel=Non
     if f.q ** (n + 1) <= min(budget, 1 << 20):  # take a step, so M is checked too
         n += 1
     want = exp_sum(instantiate(e, n, f), budget=budget)
+    sparse = _scatter(f, *recipe)
     v = np.zeros((sparse.dim, p - 1), dtype=np.int64)
     v[ones, 0] = 1
     norm = sparse.row_norm()
@@ -227,7 +241,8 @@ def _scatter_system(label, f, e, sparse, n0, budget, projection=(0,), kernel=Non
     target = [CycInt.zero(p)] * sparse.dim
     for j in projection:
         target[j] = CycInt.one(p)
-    sys = TransferSystem(label, f, sparse, init, tuple(target), n0, kernel or sparse)
+    kernel = sparse if kernel is None else _scatter(f, *kernel)
+    sys = TransferSystem(label, f, sparse, init, tuple(target), n0, kernel)
     got = run(sys, n).values[-1]
     if got != want:
         raise AssertionError(
@@ -259,7 +274,7 @@ def build_trapezoid_system(k, f, budget=DEFAULT_POINT_BUDGET):
     const = np.zeros((k, q), dtype=np.intp)
     const[k - 1] = np.arange(q)
     label = "trapezoid(2..%d)/F_%s" % (k, f.describe())
-    return _scatter_system(label, f, tau(k), _scatter(f, image, const), k, budget)
+    return _scatter_system(label, f, tau(k), (image, const), k, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +345,7 @@ def _chain_system(
     for c, offsets in patterns:
         slot = tail_index[_sh1(offsets)]
         new[slot] = add[new[slot], mul[c.index, x]]
-    return _scatter_system(label, f, e, _scatter(f, _index(new[:nt], q), new[nt]), w, budget)
+    return _scatter_system(label, f, e, (_index(new[:nt], q), new[nt]), w, budget)
 
 
 def _rotation_system(
@@ -360,9 +375,9 @@ def _rotation_system(
         g = add[g, term]
     image = np.arange(Q * q).reshape(Q, q) % Q
     const = g.reshape(Q, q)
-    sparse = _scatter(f, image[a] * Q + i[:, None], const[a])
-    diagonal, kernel = np.arange(Q) * (Q + 1), _scatter(f, image, const)
-    return _scatter_system(label, f, e, sparse, 3 * (w - 1), budget, diagonal, kernel, diagonal)
+    diagonal = np.arange(Q) * (Q + 1)
+    recipe = (image[a] * Q + i[:, None], const[a])
+    return _scatter_system(label, f, e, recipe, 3 * (w - 1), budget, diagonal, (image, const), diagonal)
 
 
 def build_rotation_system(
@@ -403,7 +418,7 @@ def build_symmetric_system(
         image.append(add[mul[beta[:, j - 1, None], x], beta[:, j, None]])
     const = mul[beta[:, k - 2, None], x]
     label = "symmetric(%d)/F_%s" % (k, f.describe())
-    return _scatter_system(label, f, Sigma(k), _scatter(f, _index(image, q), const), k, budget)
+    return _scatter_system(label, f, Sigma(k), (_index(image, q), const), k, budget)
 
 
 def build_quadratic_matrix(p, budget=DEFAULT_POINT_BUDGET):

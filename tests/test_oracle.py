@@ -382,7 +382,8 @@ def _shared_block_cases(draw):
     """1..3 functions on one F_q^n, and the block size q^(n - h) that makes the
     top h variables high.  Each adds to random terms some pure-high terms,
     which shift a block's values, and some products of a low and a high
-    monomial, so that many blocks share their coefficients."""
+    monomial, so that many blocks share their coefficients.  Some have no
+    low part: pure-high terms and maybe a constant, one value a block."""
     field = draw(st.sampled_from(FIELDS))
     top = {2: 8, 3: 5, 4: 4, 5: 3, 8: 3, 9: 3}[field.q]
     n = draw(st.integers(2, top))
@@ -391,44 +392,79 @@ def _shared_block_cases(draw):
     scalars = st.integers(1, field.q - 1).map(field.from_index)
     funcs = []
     for _ in range(draw(st.integers(1, 3))):
-        terms = dict(draw(_function(field, n)).terms)
+        low_part = draw(st.booleans())
+        terms = dict(draw(_function(field, n)).terms) if low_part else {}
+        if not low_part and draw(st.booleans()):
+            terms[frozenset()] = draw(scalars)
         for _ in range(draw(st.integers(1, 3))):
             terms[draw(st.frozensets(high, min_size=1, max_size=3))] = draw(scalars)
-        for _ in range(draw(st.integers(0, 3))):
+        for _ in range(draw(st.integers(0, 3)) if low_part else 0):
             mono = draw(st.frozensets(low, min_size=1, max_size=2)) | draw(st.frozensets(high, min_size=1, max_size=2))
             terms[mono] = draw(scalars)
         funcs.append(InstantiatedFunction(field, n, terms))
     return funcs, field.q ** (n - h)
 
 
+def _force_keys(mp, keyed):
+    """Make `_BlockValues` count the low points by key wherever there are
+    fewer possible keys than points (keyed), or never."""
+    plan = oracle._BlockValues._plan
+
+    def forced(self, splits, m, runs):
+        got = plan(self, splits, m, runs)  # its last entry is the keys
+        columns, points = got[2], self.q**m
+        keys = self.q ** len(columns)
+        return got[:-1] + (keys if keyed and columns and keys < points else points,)
+
+    mp.setattr(oracle._BlockValues, "_plan", forced)
+
+
+def _both_regimes(funcs, **patches):
+    """(trace_counts of funcs[0], joint_counts, decorated_sums of funcs[0]
+    with the others) with the module constants patched, in both key regimes;
+    the two must agree."""
+    got = []
+    for keyed in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in patches.items():
+                mp.setattr(oracle, name, value)
+            _force_keys(mp, keyed)
+            got.append((trace_counts(funcs[0]), joint_counts(funcs).tolist(), decorated_sums(funcs[0], funcs[1:])))
+    assert got[0] == got[1]
+    return got[0]
+
+
 @settings(max_examples=60, deadline=None)
-@given(case=_shared_block_cases(), leaf_points=st.sampled_from([1, 30, 1 << 10]))
-def test_blocks_that_share_coefficients_match_the_naive_loop(case, leaf_points):
+@given(
+    case=_shared_block_cases(),
+    leaf_points=st.sampled_from([1, 30, 1 << 10]),
+    entries=st.sampled_from([1, 3, 40, 1 << 16]),
+)
+def test_blocks_that_share_coefficients_match_the_naive_loop(case, leaf_points, entries):
+    # a small entry cap makes the counting chunks cut the rows and the keys
     funcs, block_points = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_BLOCK_POINTS", block_points)
-        mp.setattr(oracle, "_LEAF_POINTS", leaf_points)
-        counts = trace_counts(funcs[0])
-        joint = joint_counts(funcs)
-        sums = decorated_sums(funcs[0], funcs[1:])
+    counts, joint, sums = _both_regimes(
+        funcs, _BLOCK_POINTS=block_points, _LEAF_POINTS=leaf_points, _COUNT_ENTRIES=entries
+    )
     field = funcs[0].field
     want = _slow_joint(funcs)
-    assert joint.tolist() == want.tolist()
+    assert joint == want.tolist()
     assert counts == _slow_counts(funcs[0])
     assert sums == _slow_decorated(field, want)
 
 
 def _record_histograms(monkeypatch):
-    """The list to which every histogram `_BlockValues` builds adds (C row, bins, points)."""
+    """The list to which `_BlockValues` adds (C row, bins, points) for every
+    histogram of a C row that its contraction forms."""
     built = []
-    histogram = oracle._BlockValues._histogram
+    contract = oracle._BlockValues._contract
 
-    def spy(self, coeffs):
-        counts = histogram(self, coeffs)
-        built.append((tuple(coeffs), counts.size, self.index.size))
-        return counts
+    def spy(self, coeffs, values, scaled, counts, bins):
+        hist = contract(self, coeffs, values, scaled, counts, bins)
+        built.extend((tuple(row), hist.shape[1], self.points) for row in coeffs.tolist())
+        return hist
 
-    monkeypatch.setattr(oracle._BlockValues, "_histogram", spy)
+    monkeypatch.setattr(oracle._BlockValues, "_contract", spy)
     return built
 
 
@@ -446,15 +482,24 @@ def test_each_distinct_coefficient_row_is_counted_once(monkeypatch):
 
 @st.composite
 def _forced_splits(draw):
-    """Functions from `_shared_block_cases` or `_functions`, and a split m in 0..n."""
+    """Functions from `_shared_block_cases` or `_functions`, and a split m in
+    0..n; maybe one more function with no low part at m, its terms in the
+    variables past m, maybe with a constant."""
     funcs = draw(_shared_block_cases().map(lambda case: case[0]) | st.integers(1, 3).flatmap(_functions))
-    return funcs, draw(st.integers(0, funcs[0].n))
+    field, n = funcs[0].field, funcs[0].n
+    m = draw(st.integers(0, n))
+    if len(funcs) < 3 and draw(st.booleans()):
+        high = st.frozensets(st.integers(m + 1, n), min_size=1, max_size=3) if m < n else st.just(frozenset())
+        scalars = st.integers(0, field.q - 1).map(field.from_index)
+        funcs.append(InstantiatedFunction(field, n, draw(st.dictionaries(high | st.just(frozenset()), scalars, max_size=3))))
+    return funcs, m
 
 
 @settings(max_examples=80, deadline=None)
-@given(case=_forced_splits(), leaf_points=st.sampled_from([1, 30, 1 << 10]))
-def test_every_split_matches_the_naive_loop(case, leaf_points):
-    # whatever m the chooser could pick, the counts are the same
+@given(case=_forced_splits(), leaf_points=st.sampled_from([1, 30, 1 << 10]), entries=st.sampled_from([1, 3, 40, 1 << 16]))
+def test_every_split_matches_the_naive_loop(case, leaf_points, entries):
+    # whatever m the chooser could pick, the counts are the same; a small
+    # entry cap makes the counting chunks cut the rows and the keys
     funcs, m = case
 
     def forced(self, terms, n, grids):
@@ -462,13 +507,10 @@ def test_every_split_matches_the_naive_loop(case, leaf_points):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle._BlockValues, "_choose", forced)
-        mp.setattr(oracle, "_LEAF_POINTS", leaf_points)
-        counts = trace_counts(funcs[0])
-        joint = joint_counts(funcs)
-        sums = decorated_sums(funcs[0], funcs[1:])
+        counts, joint, sums = _both_regimes(funcs, _LEAF_POINTS=leaf_points, _COUNT_ENTRIES=entries)
     field = funcs[0].field
     want = _slow_joint(funcs)
-    assert joint.tolist() == want.tolist()
+    assert joint == want.tolist()
     assert counts == _slow_counts(funcs[0])
     assert sums == _slow_decorated(field, want)
 
@@ -493,7 +535,7 @@ def test_the_chooser_keeps_blocks_under_the_cap(monkeypatch, block_points, greed
     # every smaller m looks cheaper and the search runs to its floor
     monkeypatch.setattr(oracle, "_BLOCK_POINTS", block_points)
     if greedy:
-        for name in ("_GATHER_NS", "_ROW_NS", "_BIN_NS", "_HIGH_NS", "_GRID_NS", "_TERM_NS"):
+        for name in ("_GATHER_NS", "_ROW_NS", "_KEY_NS", "_KEYS_NS", "_BIN_NS", "_HIGH_NS", "_GRID_NS", "_TRY_NS", "_TERM_NS"):
             monkeypatch.setattr(oracle, name, 0)
     tried = _record_splits(monkeypatch)
     cases = [("tau(4)", 3, 13), ("sigma(3)", 3, 11), ("tau(3)", 8, 7), ("R(2,3) + R(2)", 5, 7), ("tau(3)", 9, 3), ("sigma(2)", 257, 2)]

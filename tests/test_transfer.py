@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import time
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -25,7 +27,7 @@ from gfrec.funcalg import (
 )
 from gfrec.galois import make_field, prime_power
 from gfrec.linalg import SparseMatrix, certify
-from gfrec.limits import DEFAULT_POINT_BUDGET, DEFAULT_STATE_LIMIT, ResourceLimitExceeded
+from gfrec.limits import DEFAULT_POINT_BUDGET, DEFAULT_STATE_LIMIT, SCATTER_ROOT_COUNTS, ResourceLimitExceeded
 from gfrec.oracle import decorated_sums, exp_sum, integer_tables, sum_sequence
 from gfrec.recurrence import Sequence, divides, extend, family_poly, satisfies
 from gfrec.transfer import (
@@ -591,22 +593,60 @@ def test_initial_states_take_the_point_budget_once():
     assert str(info.value) == "enumeration of 2^4 points exceeds the budget of 15"
 
 
+def _count_matrix_work(monkeypatch):
+    """The lists to which every `SparseMatrix.times` call and every matrix
+    that `SparseMatrix.from_root_counts` builds add their dim."""
+    steps, built = [], []
+    times, from_root_counts = SparseMatrix.times, SparseMatrix.from_root_counts
+
+    def counted_times(self, v):
+        steps.append(self.dim)
+        return times(self, v)
+
+    def counted_build(cls, p, dim, *args):
+        built.append(dim)
+        return from_root_counts(p, dim, *args)
+
+    monkeypatch.setattr(SparseMatrix, "times", counted_times)
+    monkeypatch.setattr(SparseMatrix, "from_root_counts", classmethod(counted_build))
+    return steps, built
+
+
 @pytest.mark.parametrize("k,q", [(3000, 3), (1500, 2)])
 def test_over_budget_systems_are_refused_before_any_step(monkeypatch, k, q):
-    steps = []
-    real = SparseMatrix.times
-
-    def counted(self, v):
-        steps.append(self.dim)
-        return real(self, v)
-
-    monkeypatch.setattr(SparseMatrix, "times", counted)
+    steps, built = _count_matrix_work(monkeypatch)
     with pytest.raises(ResourceLimitExceeded) as info:
         system_for(tau(k), make_field(q))
     assert str(info.value) == "enumeration of %d^%d points exceeds the budget of %d" % (
         q, k, DEFAULT_POINT_BUDGET
     )
-    assert steps == []
+    assert steps == [] and built == []
+
+
+def test_scatter_recipes_past_the_root_count_limit_are_refused(monkeypatch):
+    # sigma(2) over F_1021 has 1021 states within the state limit, but its
+    # recipe would count 1021^3 roots, an 8 GB (keys x p) table
+    f = make_field(1021)
+    exp_sum(instantiate(Sigma(2), 2, f))  # the field tables, outside the measurement
+    steps, built = _count_matrix_work(monkeypatch)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ResourceLimitExceeded) as info:
+            system_for(Sigma(2), f)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == (
+        "a transfer matrix of 1021 states over F_1021 needs 1064332261 root counts "
+        "(states x q x p), over the limit of %d" % SCATTER_ROOT_COUNTS
+    )
+    assert steps == [] and built == []
+    assert elapsed < 0.5 and peak < 64 << 20
+    # sigma(2) over F_61 (61^3 root counts) is the largest recipe that the
+    # tests, the goldens and the benchmark build; it stays admitted
+    assert system_for(Sigma(2), make_field(61)).dim == 61
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,13 @@ The third line covers functions with many low cofactors there:
 `sum_sequence` of sigma(2) and sigma(3) at n = 23..24, and `trace_counts`
 of dense random functions, with up to 120 products of a low and a high
 monomial, at n = 23 and 24.
+The fourth line covers generic calls whose blocks take many distinct rows
+of high-digit coefficients, so that they are counted by key and shifted:
+`sum_sequence` of tau(3) over F_9 at n = 6..7 and over F_8 at n = 7, tau(4)
+over F_3 at n = 12..13, R(2,3) over F_3 at n = 11..12 and sigma(3) over F_3
+at n = 10..11; `joint_counts` of tau(2), tau(3) and tau(4) over F_3 at
+n = 12; and `decorated_sums` of tau(3) and tau(4) with their boundary
+products X_(n-k+1+s)...X_n, s = 1..k-1, over F_5 and F_9 at n = k..k+3.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ import hashlib
 import json
 import random
 
-from gfrec.funcalg import InstantiatedFunction, instantiate, parse
+from gfrec.funcalg import InstantiatedFunction, instantiate, parse, tau
 from gfrec.galois import make_field, prime_power
 from gfrec.oracle import decorated_sums, joint_counts, sum_sequence, trace_counts
 
@@ -58,6 +65,10 @@ F2_PAST_ONE_CHUNK = range(23, 27)  # n past the F_2 kernel's 2^22-point chunks, 
 F2_RANDOM_FUNCTIONS = 12
 F2_DENSE = range(23, 25)
 F2_DENSE_FUNCTIONS = 6
+MULTI_ROW_SEQUENCES = (
+    ("tau(3)", 9, range(6, 8)), ("tau(3)", 8, range(7, 8)), ("tau(4)", 3, range(12, 14)),
+    ("R(2,3)", 3, range(11, 13)), ("sigma(3)", 3, range(10, 12)),
+)
 
 
 def _outcome(fn, *args, **kwargs):
@@ -187,6 +198,28 @@ def _f2_dense_records():
     return out
 
 
+def _boundary_products(field, n, k):
+    """X_(n-k+1+s) ... X_n for s = 1..k-1, with coefficient one."""
+    return [InstantiatedFunction(field, n, {frozenset(range(n - k + 1 + s, n + 1)): field.one()}) for s in range(1, k)]
+
+
+def _multi_row_records():
+    out = []
+    for text, q, ns in MULTI_ROW_SEQUENCES:
+        field = make_field(*prime_power(q))
+        out.append(["sum_sequence", q, text, ns[0], ns[-1], _outcome(sum_sequence, parse(text), field, ns)])
+    field = make_field(3)
+    funcs = [instantiate(tau(k), 12, field) for k in (2, 3, 4)]
+    out.append(["joint_counts", 3, 12, ["tau(2)", "tau(3)", "tau(4)"], _outcome(joint_counts, funcs)])
+    for q in (5, 9):
+        field = make_field(*prime_power(q))
+        for k in (3, 4):
+            for n in range(k, k + 4):
+                base, decorations = instantiate(tau(k), n, field), _boundary_products(field, n, k)
+                out.append(["decorated_sums", q, n, "tau(%d)" % k, _outcome(decorated_sums, base, decorations)])
+    return out
+
+
 def _line(records):
     blob = json.dumps(records, sort_keys=True).encode()
     return "%d records sha256 %s" % (len(records), hashlib.sha256(blob).hexdigest())
@@ -196,6 +229,7 @@ def main():
     print(_line(_records()))
     print("F_2 past one chunk: " + _line(_f2_records()))
     print("F_2 many cofactors past one chunk: " + _line(_f2_dense_records()))
+    print("generic multi-row: " + _line(_multi_row_records()))
 
 
 if __name__ == "__main__":
