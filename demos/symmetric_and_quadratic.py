@@ -9,7 +9,6 @@ spectrum is a Gauss sum times roots of unity, and its integer annihilator
 divides X^(2p) -+ p^p.
 """
 
-from gfrec.cyclotomic import root_power
 from gfrec.funcalg import Sigma
 from gfrec.galois import make_field
 from gfrec.numtheory import (
@@ -31,8 +30,10 @@ def main():
     print("== quadratic symmetric sums over F_%d ==" % p)
     # the quadratic matrix is the sigma(2) system
     sys = build_symmetric_system(2, f)
-    assert all(sys.matrix[j][k] == root_power(p, j * (k - j))
-               for j in range(p) for k in range(p))
+    # a root zeta^e is the one sparse triple (column, e, 1)
+    m = sys.sparse
+    triples = list(zip(m.cols.tolist(), m.exps.tolist(), m.amps.tolist()))
+    assert triples == [(k, j * (k - j) % p, 1) for j in range(p) for k in range(p)]
     print("  sigma(2) system: %d states, (j, k) entry zeta^(j(k-j))" % sys.dim)
     seq = run(sys, 10)
     brute = sum_sequence(Sigma(2), f, range(2, 9))
@@ -50,7 +51,9 @@ def main():
     report = eigen_check(p)
     print("  predicted spectrum ((-2|p) g zeta^(-s a^2), %d distinct values):"
           % len(predicted_spectrum(p)))
-    print("    numerically confirmed, max error %.2e" % report.max_error)
+    for value, mult in report.predicted:
+        print("    %s with multiplicity %d" % (list(value.coeffs), mult))
+    print("    confirmed exactly on the built matrix: %s" % report.ok)
 
     print()
     print("== integer annihilators ==")

@@ -323,15 +323,13 @@ def _cmd_numtheory(args):
     if args.op == "eigen-check":
         if args.p is None:
             raise UsageError("eigen-check needs --p")
-        rep = eigen_check(args.p, tol=args.tol)
+        rep = eigen_check(args.p)
         payload = {
             "op": "eigen-check",
             "p": rep.p,
-            "tolerance": repr(args.tol),
-            "max_error": repr(rep.max_error),
             "ok": rep.ok,
             "predicted": [
-                {"re": repr(v.real), "im": repr(v.imag), "multiplicity": m}
+                {"coeffs": [to_decimal(c) for c in v.coeffs], "multiplicity": m}
                 for v, m in rep.predicted
             ],
         }
@@ -453,11 +451,10 @@ def build_parser():
     _add_common(sp)
     sp.set_defaults(func=_cmd_conjecture)
 
-    sp = sub.add_parser("numtheory", help="Gauss sums, spectra, irreducibility")
+    sp = sub.add_parser("numtheory", help="Gauss sums, the exact quadratic-matrix spectrum, irreducibility")
     sp.add_argument("op", choices=("gauss-sum", "eigen-check", "eisenstein"))
     sp.add_argument("--p", type=int)
     sp.add_argument("--a", type=int, default=1)
-    sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--poly")
     _add_common(sp, field=False, budget=False)
     sp.set_defaults(func=_cmd_numtheory)

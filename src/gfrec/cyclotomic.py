@@ -17,8 +17,6 @@ Callers therefore convert numpy rows with tuple(row.tolist()).
 
 from __future__ import annotations
 
-import cmath
-
 from .galois import is_prime
 
 _PRIME_ORDERS = set()  # root orders already validated by is_prime
@@ -173,15 +171,6 @@ class CycInt:
         if any(a != 0 for a in self.coeffs[1:]):
             return None
         return self.coeffs[0]
-
-    def to_complex(self):
-        z = cmath.exp(2j * cmath.pi / self.p)
-        acc = complex(0)
-        power = complex(1)
-        for a in self.coeffs:
-            acc += a * power
-            power *= z
-        return acc
 
     def __eq__(self, other):
         return (

@@ -1,20 +1,22 @@
 """Number-theoretic support: quadratic characters, p-adic valuations,
-quadratic Gauss sums, a Newton-polygon irreducibility test, an exact
-Hadamard check on the quadratic matrix as the transfer module builds it
-(the sigma(2) system over F_p), and a floating-point spectrum check."""
+quadratic Gauss sums, a Newton-polygon irreducibility test, and two exact
+checks on the quadratic matrix as the transfer module builds it (the
+sigma(2) system over F_p), both read off its sparse triples: that it is a
+complex Hadamard matrix, and that its spectrum is the predicted one of
+Gauss sums times roots of unity, in Z[zeta_p] arithmetic."""
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import CycInt
+from .cyclotomic import CycInt, combination, root_power
 from .galois import is_prime
+from .linalg import SparseMatrix
 from .recurrence import IntPolynomial
-from .transfer import build_quadratic_matrix
+from .transfer import _exact, build_quadratic_matrix
 
 
 def legendre(a, p):
@@ -107,13 +109,12 @@ def hadamard_check(p):
 @dataclass(frozen=True)
 class EigenReport:
     p: int
-    predicted: tuple  # (complex value, multiplicity) pairs
-    max_error: float
+    predicted: tuple  # (CycInt value, multiplicity) pairs
     ok: bool
 
 
 def predicted_spectrum(p):
-    """Predicted eigenvalues of the quadratic matrix with multiplicities.
+    """Predicted eigenvalues of the quadratic matrix, exactly in Z[zeta_p], with multiplicities.
 
     Writing g for the standard quadratic Gauss sum and s = (p-1)/2, the
     spectrum is (-2|p) g zeta^(-s a^2) for a = 0..s, simple at a = 0 and
@@ -121,35 +122,53 @@ def predicted_spectrum(p):
     """
     if not is_prime(p) or p == 2:
         raise ValueError("need an odd prime, got %r" % (p,))
-    g = gauss_sum(1, p).to_complex()
-    sign = legendre(-2, p)
+    g = legendre(-2, p) * gauss_sum(1, p)
     s = (p - 1) // 2
-    out = []
-    for a in range(s + 1):
-        value = sign * g * cmath.exp(2j * cmath.pi * ((-s * a * a) % p) / p)
-        out.append((value, 1 if a == 0 else 2))
-    return out
+    return [(g * root_power(p, -s * a * a), 1 if a == 0 else 2) for a in range(s + 1)]
 
 
-def eigen_check(p, tol=1e-9):
-    """Compare the numerical spectrum of the quadratic matrix with the
-    predicted one, matching each predicted value to its nearest unclaimed
-    eigenvalues."""
+def _copies(m, k):
+    """I_k (x) m: k copies of the SparseMatrix m down the diagonal."""
+    shift = np.arange(k)[:, None]
+    starts = np.append((m.starts[:-1] + shift * m.nnz).ravel(), k * m.nnz)
+    cols = (m.cols + shift * m.dim).ravel()
+    return SparseMatrix(m.p, starts, cols, np.tile(m.exps, k), np.tile(m.amps, k))
+
+
+def _scalar(value, dim):
+    """value I_dim: the triples of value's nonzero coordinates in every row."""
+    t = np.flatnonzero(value.coeffs)
+    starts, cols = np.arange(dim + 1) * len(t), np.repeat(np.arange(dim), len(t))
+    return SparseMatrix(value.p, starts, cols, np.tile(t, dim), np.tile(np.take(value.coeffs, t), dim))
+
+
+def eigen_check(p):
+    """Check exactly that the sigma(2) system over F_p, the quadratic matrix
+    M, has the predicted values lambda_a with multiplicities m_a:
+    1. prod_a (M - lambda_a I) = 0, so M is diagonalizable and each of its
+       eigenvalues is some lambda_a;
+    2. Tr(M^j) = sum_a m_a lambda_a^j for j = 1 .. s+1, s = (p-1)/2.
+    The true multiplicities solve the equations of 2 too.  The lambda_a are
+    nonzero (|g|^2 = p) and distinct (a^2 for a = 0..s are distinct mod p),
+    so (lambda_a^j) is invertible, a Vandermonde matrix times diag(lambda_a),
+    and the multiplicities are the m_a.  Both checks step the p columns of M
+    at once: vec(I), the p^2 coordinates of the identity, under I (x) M.
+    """
     predicted = predicted_spectrum(p)
-    j = np.arange(p)
-    m = np.exp(2j * np.pi * ((j[:, None] * (j[None, :] - j[:, None])) % p) / p)
-    eig = list(np.linalg.eigvals(m))
-    max_error = 0.0
-    for value, mult in predicted:
-        for _ in range(mult):
-            dist = [abs(e - value) for e in eig]
-            best = dist.index(min(dist))
-            max_error = max(max_error, float(dist[best]))
-            eig.pop(best)
-    assert not eig
-    return EigenReport(
-        p=p,
-        predicted=tuple(predicted),
-        max_error=max_error,
-        ok=max_error <= tol,
-    )
+    blocks = _copies(build_quadratic_matrix(p).sparse, p)
+    diagonal = np.arange(p) * (p + 1)  # the states of vec(I) on the diagonal
+    identity = np.zeros((p * p, p - 1), dtype=np.int64)
+    identity[diagonal, 0] = 1
+    v = identity
+    for value, _mult in predicted:
+        scale = _scalar(value, p * p)
+        v = _exact(v, blocks.row_norm() + scale.row_norm())
+        v = blocks.times(v) - scale.times(v)
+    ok = not v.any()
+    v, powers = identity, [value for value, _mult in predicted]
+    for _ in predicted:
+        v = blocks.times(_exact(v, blocks.row_norm()))
+        trace = CycInt._of(p, tuple(map(sum, zip(*v[diagonal].tolist()))))
+        ok = ok and trace == combination(p, [(mult, x) for (_v, mult), x in zip(predicted, powers)])
+        powers = [x * value for x, (value, _mult) in zip(powers, predicted)]
+    return EigenReport(p=p, predicted=tuple(predicted), ok=bool(ok))

@@ -26,8 +26,9 @@ or vec(I) for T (x) I, and the matrix steps them to the first index n0
 its oracle gate.
 
 The matrix is a linalg.SparseMatrix, whose entries a zeta^t are triples
-(column, t, a).  run steps it exactly in numpy on a dim x (p-1) array of
-power-basis coordinates, by a roll of root counts and a scale per triple:
+(column, t, a), and its states init a dim x (p-1) array of power-basis
+coordinates; a root zeta^e is the one triple (column, e, 1).  run steps the
+states exactly in numpy, by a roll of root counts and a scale per triple:
 in int64 while that is provably exact, on Python ints after.
 """
 
@@ -63,13 +64,13 @@ from .oracle import exp_sum, integer_tables
 from .recurrence import IntPolynomial, Sequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity, as its arrays are
 class TransferSystem:
     label: str
     field: object
     sparse: SparseMatrix  # the nonzero entries of the matrix
-    init: tuple  # state vector at index n0
-    projection: tuple  # target(n) = projection . v(n)
+    init: np.ndarray  # read-only dim x (p-1) coordinates of the states at n0: int64, or object past it
+    projection: tuple  # target(n) sums the states v(n)[j] for j in projection
     n0: int
     kernel: SparseMatrix  # a matrix with sparse's minimal polynomial: T for T (x) I, else sparse
 
@@ -83,7 +84,8 @@ class TransferSystem:
 
     @cached_property
     def matrix(self):
-        """The dense matrix, rows of CycInt entries, summed from the sparse triples."""
+        """The dense matrix, rows of CycInt entries, summed from the sparse triples:
+        read only by perfbench/tracing.py's nonzero count, until that reads nnz."""
         sp = self.sparse
         p = self.field.p
         roots = [root_power(p, t) for t in range(p)]
@@ -94,25 +96,8 @@ class TransferSystem:
                 rows[i][j] = rows[i][j] + a * roots[t]
         return tuple(tuple(row) for row in rows)
 
-    @cached_property
-    def projector(self):
-        """The projection as a one-row SparseMatrix."""
-        coords = _coords(self.projection)
-        j, t = np.nonzero(coords)
-        return SparseMatrix(self.field.p, [0, len(j)], j, t, coords[j, t])
-
     def __repr__(self):
         return "TransferSystem(%s, dim=%d, n_min=%d)" % (self.label, self.dim, self.n_min)
-
-
-def _coords(values):
-    """The power-basis coordinates of CycInt values, one row each: int64 when
-    every coordinate fits, else Python ints (dtype=object)."""
-    rows = [c.coeffs for c in values]
-    try:
-        return np.array(rows, dtype=np.int64)
-    except OverflowError:
-        return np.array(rows, dtype=object)
 
 
 def _exact(v, norm):
@@ -128,14 +113,14 @@ def run(sys, n_target):
     """Projected target values for n = n_min .. n_target, exactly."""
     if n_target < sys.n_min:
         raise ValueError("n_target below the system's first index %d" % sys.n_min)
-    m, proj = sys.sparse, sys.projector
-    norm = max(m.row_norm(), proj.row_norm())
+    m, proj = sys.sparse, list(sys.projection)
+    norm = max(m.row_norm(), len(proj))  # a target sums len(proj) states
     p = sys.field.p
-    v = _coords(sys.init)
+    v = sys.init
     out = []
     while True:
         v = _exact(v, norm)
-        out.append(CycInt._of(p, tuple(proj.times(v)[0].tolist())))
+        out.append(CycInt._of(p, tuple(v[proj].sum(axis=0).tolist())))
         if len(out) > n_target - sys.n_min:
             return Sequence(sys.n_min, tuple(out), "transfer")
         v = m.times(v)
@@ -237,12 +222,9 @@ def _scatter_system(label, f, e, recipe, n0, budget, projection=(0,), kernel=Non
     norm = sparse.row_norm()
     for _ in range(n0):
         v = sparse.times(_exact(v, norm))
-    init = tuple(CycInt._of(p, tuple(row)) for row in v.tolist())
-    target = [CycInt.zero(p)] * sparse.dim
-    for j in projection:
-        target[j] = CycInt.one(p)
+    v.flags.writeable = False
     kernel = sparse if kernel is None else _scatter(f, *kernel)
-    sys = TransferSystem(label, f, sparse, init, tuple(target), n0, kernel)
+    sys = TransferSystem(label, f, sparse, v, tuple(map(int, projection)), n0, kernel)
     got = run(sys, n).values[-1]
     if got != want:
         raise AssertionError(

@@ -15,6 +15,7 @@ from gfrec.cli import main
 from gfrec.cyclotomic import to_decimal
 from gfrec.funcalg import tau
 from gfrec.galois import make_field
+from gfrec.numtheory import predicted_spectrum
 from gfrec.oracle import sum_sequence
 from gfrec.recurrence import Sequence, extend, family_poly
 
@@ -425,6 +426,17 @@ def test_numtheory_eigen_check(capsys):
     assert code == 0
     assert rec["payload"]["ok"] is True
     assert len(rec["payload"]["predicted"]) == 4
+    # exact coordinates, as gauss-sum prints them, and no float fields
+    assert sorted(rec["payload"]) == ["ok", "op", "p", "predicted"]
+    assert rec["payload"]["predicted"] == [
+        {"coeffs": [to_decimal(c) for c in v.coeffs], "multiplicity": m} for v, m in predicted_spectrum(7)
+    ]
+
+
+def test_numtheory_eigen_check_takes_no_tolerance(capsys):
+    code, _out, err = run_cli(capsys, "numtheory", "eigen-check", "--p", "7", "--tol", "1e-9")
+    assert code == 2
+    assert "--tol" in err
 
 
 def test_numtheory_eisenstein(capsys):

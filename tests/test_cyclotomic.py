@@ -310,12 +310,6 @@ def test_long_decimals_that_are_not_integers_are_refused(text):
         from_decimal(text)
 
 
-def test_to_complex():
-    z = root_power(5, 1)
-    assert abs(abs(z.to_complex()) - 1.0) < 1e-12
-    assert abs(CycInt.from_int(5, 42).to_complex() - 42.0) < 1e-9
-
-
 def test_hashable():
     seen = {root_power(5, e) for e in range(10)}
     assert len(seen) == 5

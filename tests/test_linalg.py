@@ -225,10 +225,13 @@ def test_integer_annihilator_is_the_inflated_minimal_polynomial(text, q):
     sys = system_for(parse(text), field)
     e = field.p - 1
     inflated = [[0] * (sys.dim * e) for _ in range(sys.dim * e)]
-    for i, row in enumerate(sys.matrix):
-        for j, entry in enumerate(row):
-            for a, block_row in enumerate(regular_matrix(entry)):
-                inflated[i * e + a][j * e : (j + 1) * e] = block_row
+    sp = sys.sparse
+    rows = np.repeat(np.arange(sys.dim), np.diff(sp.starts)).tolist()
+    for i, j, t, a in zip(rows, sp.cols.tolist(), sp.exps.tolist(), sp.amps.tolist()):
+        # the triple a zeta^t adds a times the multiplication matrix of zeta^t
+        for r, block_row in enumerate(regular_matrix(root_power(field.p, t))):
+            for c, x in enumerate(block_row):
+                inflated[i * e + r][j * e + c] += a * x
     assert list(integer_annihilator(sys).coeffs) == _reference_minimal_polynomial(inflated)
 
 

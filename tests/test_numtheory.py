@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gfrec import numtheory
-from gfrec.cyclotomic import CycInt
+from gfrec.cyclotomic import CycInt, root_power
 from gfrec.linalg import SparseMatrix
 from gfrec.numtheory import (
     eigen_check,
@@ -108,10 +108,10 @@ def test_hadamard_check():
         assert hadamard_check(p)
 
 
-def _check_edited(monkeypatch, p, edits):
-    """hadamard_check(p) on the quadratic matrix with each entry k of edits
-    (row k // p, column k % p) made of the (exponent, amplitude) triples
-    edits[k]."""
+def _check_edited(monkeypatch, check, p, edits):
+    """check(p), hadamard_check or eigen_check, on the quadratic matrix with
+    each entry k of edits (row k // p, column k % p) made of the (exponent,
+    amplitude) triples edits[k]."""
     m = build_quadratic_matrix(p).sparse
     assert m.cols.tolist() == list(range(p)) * p  # one triple per entry
     entries = [[(j, t, a)] for j, t, a in zip(m.cols.tolist(), m.exps.tolist(), m.amps.tolist())]
@@ -122,7 +122,7 @@ def _check_edited(monkeypatch, p, edits):
     starts = np.cumsum([0] + [len(row) for row in rows])
     edited = SimpleNamespace(sparse=SparseMatrix(p, starts, *triples.T))
     monkeypatch.setattr(numtheory, "build_quadratic_matrix", lambda _p: edited)
-    return hadamard_check(p)
+    return check(p)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -132,7 +132,7 @@ def test_hadamard_check_refuses_a_changed_exponent(monkeypatch, p):
     for k in range(p * p):
         j, col = divmod(k, p)
         for delta in range(1, p):
-            assert not _check_edited(monkeypatch, p, {k: [((j * (col - j) + delta) % p, 1)]})
+            assert not _check_edited(monkeypatch, hadamard_check, p, {k: [((j * (col - j) + delta) % p, 1)]})
 
 
 @pytest.mark.parametrize("coords", [(1, 1, 0, 0), (2, 0, 0, 0), (0, 0, 0, 0), (-1, -1, -1, 0), (0, -1, 0, 0)])
@@ -140,37 +140,69 @@ def test_hadamard_check_refuses_a_non_root_entry(monkeypatch, coords):
     # the coordinates as triples a zeta^t, one per nonzero coordinate
     triples = [(t, a) for t, a in enumerate(coords) if a]
     for k in (0, 7, 24):
-        assert not _check_edited(monkeypatch, 5, {k: triples})
+        assert not _check_edited(monkeypatch, hadamard_check, 5, {k: triples})
 
 
 def test_hadamard_check_refuses_two_triples_in_one_entry_beside_a_zero_one(monkeypatch):
     # row 0 keeps p triples of amplitude 1 and exponent 0, as in the matrix,
     # but column 0 has none and column 1 holds 1 + 1
-    assert not _check_edited(monkeypatch, 5, {0: [], 1: [(0, 1), (0, 1)]})
+    assert not _check_edited(monkeypatch, hadamard_check, 5, {0: [], 1: [(0, 1), (0, 1)]})
 
 
 def test_predicted_spectrum():
     spec = predicted_spectrum(5)
     assert len(spec) == 3
     assert [mult for _v, mult in spec] == [1, 2, 2]
-    assert sum(mult for _v, mult in spec) == 5
+    g = gauss_sum(1, 5)  # (-2|5) = -1, s = 2: -g zeta^(-2 a^2) for a = 0, 1, 2
+    assert [v for v, _mult in spec] == [-1 * g * root_power(5, -2 * a * a) for a in range(3)]
     for value, _mult in spec:
-        assert abs(abs(value) - math.sqrt(5)) < 1e-9
+        assert value * value.conjugate() == CycInt.from_int(5, 5)
     with pytest.raises(ValueError):
         predicted_spectrum(2)
 
 
 def test_eigen_check():
-    for p in (3, 5, 7, 11):
+    for p in (3, 5, 7, 11, 13, 17):
         report = eigen_check(p)
-        assert report.ok
-        assert report.max_error < 1e-9
+        assert report.ok is True
         assert report.p == p
-        # plain Python scalars, so reports serialize cleanly
-        assert isinstance(report.ok, bool)
-        assert isinstance(report.max_error, float)
+        assert report.predicted == tuple(predicted_spectrum(p))
 
 
-def test_eigen_check_tolerance():
-    report = eigen_check(5, tol=0.0)
-    assert not report.ok or report.max_error == 0.0
+def _spectrum_edited(monkeypatch, p, edit):
+    """eigen_check(p) against the predicted spectrum as edit returns it."""
+    real = predicted_spectrum(p)
+    monkeypatch.setattr(numtheory, "predicted_spectrum", lambda _p: edit(list(real)))
+    return eigen_check(p).ok
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_eigen_check_refuses_a_value_one_exponent_off(monkeypatch, p):
+    zeta = root_power(p, 1)
+    for a in range((p + 1) // 2):
+        def edit(spec):
+            value, mult = spec[a]
+            spec[a] = (value * zeta, mult)
+            return spec
+
+        assert not _spectrum_edited(monkeypatch, p, edit), a
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_eigen_check_refuses_swapped_multiplicities(monkeypatch, p):
+    # the values stay, so prod (M - lambda_a I) still vanishes; the traces see it
+    def edit(spec):
+        (v0, m0), (v1, m1) = spec[:2]
+        return [(v0, m1), (v1, m0)] + spec[2:]
+
+    assert not _spectrum_edited(monkeypatch, p, edit)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_eigen_check_refuses_a_tampered_entry(monkeypatch, p):
+    for k in range(p * p):
+        j, col = divmod(k, p)
+        for delta in range(1, p):
+            assert not _check_edited(monkeypatch, eigen_check, p, {k: [((j * (col - j) + delta) % p, 1)]}).ok
+    assert not _check_edited(monkeypatch, eigen_check, p, {p + 1: []}).ok  # a zero entry
+    assert not _check_edited(monkeypatch, eigen_check, p, {1: [(0, 2)]}).ok  # 2, not a root

@@ -55,6 +55,27 @@ def _assert_matches_brute(sys, e, field, n_hi):
     assert got.n_min == sys.n_min
 
 
+def _dense(sys):
+    """The matrix as rows of CycInt entries, each the sum of its sparse triples."""
+    sp, p = sys.sparse, sys.field.p
+    rows = [[CycInt.zero(p)] * sys.dim for _ in range(sys.dim)]
+    bounds = sp.starts.tolist()
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        for j, t, a in zip(sp.cols[lo:hi].tolist(), sp.exps[lo:hi].tolist(), sp.amps[lo:hi].tolist()):
+            rows[i][j] = rows[i][j] + a * root_power(p, t)
+    return rows
+
+
+def _states(sys):
+    """The states at n0 as CycInt values, read off the coordinate array init."""
+    return tuple(CycInt(sys.field.p, row) for row in sys.init.tolist())
+
+
+def _target(sys, v):
+    """The target value of the CycInt states v: the sum of the projected ones."""
+    return combination(sys.field.p, [(1, v[j]) for j in sys.projection])
+
+
 # ---------------------------------------------------------------------------
 # consecutive trapezoid systems
 
@@ -69,13 +90,12 @@ def test_trapezoid_system_small():
 def test_trapezoid_system_matrix_shape():
     sys = build_trapezoid_system(2, F3)
     one = root_power(3, 0)
-    z = one - one
     two = one + one
-    assert sys.matrix == (
-        (one, two),
-        (one, -one),
-    )
-    assert sys.projection == (one, z)
+    assert _dense(sys) == [
+        [one, two],
+        [one, -one],
+    ]
+    assert sys.projection == (0,)
     _assert_matches_brute(sys, tau(2), F3, 8)
 
 
@@ -162,8 +182,8 @@ def test_symmetric_matches_quadratic_matrix():
     for p in (3, 5):
         sym = build_symmetric_system(2, make_field(p))
         quad = build_quadratic_matrix(p)
-        assert sym.matrix == quad.matrix
-        assert sym.init == quad.init
+        assert _dense(sym) == _dense(quad)
+        assert np.array_equal(sym.init, quad.init)
         assert sym.projection == quad.projection
         assert sym.n0 == quad.n0
 
@@ -189,9 +209,10 @@ def test_symmetric_validation():
 
 def test_quadratic_matrix_structure():
     sys = build_quadratic_matrix(5)
+    dense = _dense(sys)
     for j in range(5):
         for k in range(5):
-            assert sys.matrix[j][k] == root_power(5, j * (k - j))
+            assert dense[j][k] == root_power(5, j * (k - j))
     _assert_matches_brute(sys, Sigma(2), F5, 5)
     with pytest.raises(ValueError):
         build_quadratic_matrix(4)
@@ -285,9 +306,13 @@ def _entries(sp):
 
 
 def _system_digest(sys):
+    # the states and the projection as the CycInt coordinates they once were,
+    # and 0 where the retired shift was, so the digests keep their bytes
+    one, zero = CycInt.one(sys.field.p).coeffs, CycInt.zero(sys.field.p).coeffs
     parts = (
-        sys.label, sys.dim, sys.n0, 0,  # 0 where the retired shift was, so digests keep their bytes
-        [c.coeffs for c in sys.init], [c.coeffs for c in sys.projection],
+        sys.label, sys.dim, sys.n0, 0,
+        [tuple(row) for row in sys.init.tolist()],
+        [one if j in sys.projection else zero for j in range(sys.dim)],
         *_entries(sys.sparse),
     )
     return hashlib.sha256(repr(parts).encode()).hexdigest()
@@ -333,11 +358,26 @@ def test_run_below_n_min():
         run(sys, 2)
 
 
-def _dense_step(sys, v):
-    """M v over every entry of the dense matrix, by coordinate convolution."""
-    p = sys.field.p
+@pytest.mark.parametrize("text, q, steps", [("tau(3)", 3, 20), ("sigma(2)", 5, 60), ("R(2)", 3, 30)])
+def test_init_is_a_read_only_coordinate_array(text, q, steps):
+    # sigma(2) over F_5 runs past int64 within 60 steps, onto Python ints
+    sys = system_for(parse(text), FIELDS[q])
+    assert sys.init.shape == (sys.dim, sys.field.p - 1)
+    assert sys.init.dtype == np.int64
+    assert not sys.init.flags.writeable
+    with pytest.raises(ValueError):
+        sys.init[0, 0] = 7
+    before = sys.init.copy()
+    first = run(sys, sys.n_min + steps)
+    assert run(sys, sys.n_min + steps) == first
+    assert np.array_equal(sys.init, before)
+
+
+def _dense_step(dense, v):
+    """M v over every entry of the dense matrix (_dense), by coordinate convolution."""
+    p = v[0].p
     out = []
-    for row in sys.matrix:
+    for row in dense:
         counts = [0] * p
         for entry, value in zip(row, v):
             for i, a in enumerate(entry.coeffs):
@@ -350,14 +390,11 @@ def _dense_step(sys, v):
 
 def test_run_replays_step():
     sys = build_trapezoid_system(3, F3)
-    v = list(sys.init)
+    v, dense = _states(sys), _dense(sys)
     seq = run(sys, 7)
     for i in range(4):
-        v = _dense_step(sys, v)
-    assert seq.values[-1] == sum(
-        (c * x for c, x in zip(sys.projection, v)),
-        start=root_power(3, 0) - root_power(3, 0),
-    )
+        v = _dense_step(dense, v)
+    assert seq.values[-1] == _target(sys, v)
 
 
 @pytest.mark.parametrize(
@@ -368,15 +405,15 @@ def test_run_replays_step():
 def test_run_equals_dense_product(make):
     sys = make()
     assert sys.sparse.nnz < sys.dim**2
-    p = sys.field.p
-    # a projection that weighs every state, so each one is compared
-    sys = replace(sys, projection=tuple(root_power(p, i) for i in range(sys.dim)))
-    v = list(sys.init)
-    want = [combination(p, zip(sys.projection, v))]
+    v, dense = _states(sys), _dense(sys)
+    want = [v]
     for _ in range(2):
-        v = _dense_step(sys, v)
-        want.append(combination(p, zip(sys.projection, v)))
-    assert run(sys, sys.n_min + 2).values == tuple(want)
+        v = _dense_step(dense, v)
+        want.append(v)
+    # each state projected on its own, so every one is compared
+    for j in range(sys.dim):
+        got = run(replace(sys, projection=(j,)), sys.n_min + 2).values
+        assert got == tuple(states[j] for states in want), j
 
 
 FIELDS = {q: make_field(*prime_power(q)) for q in (2, 3, 4, 5, 8, 9)}
@@ -409,13 +446,12 @@ def small_systems(draw):
 @settings(max_examples=25, deadline=None)
 @given(small_systems())
 def test_run_equals_the_dense_product_across_the_int64_bound(sys):
-    p = sys.field.p
-    v = list(sys.init)
-    want = [combination(p, zip(sys.projection, v))]
+    v, dense = _states(sys), _dense(sys)
+    want = [_target(sys, v)]
     crossed = None
     while crossed is None or len(want) < crossed + 3:
-        v = _dense_step(sys, v)
-        want.append(combination(p, zip(sys.projection, v)))
+        v = _dense_step(dense, v)
+        want.append(_target(sys, v))
         if crossed is None and _past_int64(sys, v):
             crossed = len(want)
         assert len(want) < 400, "states never left the int64 range"
@@ -432,10 +468,10 @@ def test_quadratic_run_on_both_sides_of_the_int64_bound():
     poly = family_poly("QUADSYM", field=F5)
     assert poly.degree == 10
     assert extend(Sequence(2, seq.values[:10], "transfer"), poly, 60).values == seq.values
-    v = list(sys.init)
+    v, dense = _states(sys), _dense(sys)
     states = [v]
     for _ in range(58):
-        v = _dense_step(sys, v)
+        v = _dense_step(dense, v)
         states.append(v)
     assert not _past_int64(sys, states[0])
     assert _past_int64(sys, states[-1])
@@ -546,7 +582,7 @@ def test_stepped_initial_states_are_the_enumerated_ones():
             sys = system_for(e, f)
         except (ValueError, ResourceLimitExceeded):
             continue  # refused; the pinned digests hold the refusal
-        assert sys.init == _enumerated_init(sys, e, f), (text, q)
+        assert _states(sys) == _enumerated_init(sys, e, f), (text, q)
         checked += 1
     assert checked == 62
 
@@ -562,7 +598,7 @@ def test_window_initial_states_are_the_per_state_sums(text, q):
     e = parse(text)
     sys = system_for(e, f)
     per_state = _walk_init if sys.label.startswith("rotation") else _window_init
-    assert sys.init == per_state(_translate_terms(e, f), f)
+    assert _states(sys) == per_state(_translate_terms(e, f), f)
 
 
 @pytest.mark.parametrize("k,q", [(2, 2), (3, 3), (2, 8), (3, 4), (4, 2)])
@@ -572,13 +608,13 @@ def test_symmetric_initial_states_are_the_per_state_sums(k, q):
     for beta in product(range(q), repeat=k - 1):
         lower = tuple(ScalarMul(b, Sigma(k - j)) for j, b in enumerate(beta, 1) if b)
         want.append(exp_sum(instantiate(Sum((Sigma(k),) + lower), k, f)))
-    assert build_symmetric_system(k, f).init == tuple(want)
+    assert _states(build_symmetric_system(k, f)) == tuple(want)
 
 
 @pytest.mark.parametrize("k,q", [(2, 3), (3, 4), (4, 5), (5, 2), (3, 9)])
 def test_trapezoid_initial_states_are_the_per_state_sums(k, q):
     f = FIELDS[q]
-    assert build_trapezoid_system(k, f).init == _trapezoid_init(k, f)
+    assert _states(build_trapezoid_system(k, f)) == _trapezoid_init(k, f)
 
 
 def test_initial_states_take_the_point_budget_once():
