@@ -95,6 +95,21 @@ class Sum:
         return max(part.min_n() for part in self.parts)
 
 
+def prefix_stable(e):
+    """Whether every instance f_n of e is f_N at x_(n+1) = ... = x_N = 0, N > n.
+
+    A monomial of f_N in a variable past n vanishes there, and the others
+    are those of f_n: the translates of a trapezoid that fit in 1..n and the
+    k-subsets of 1..n of sigma(k).  A rotation's wrapped translates are not,
+    so e is prefix-stable when no Rotation occurs in it.
+    """
+    if isinstance(e, ScalarMul):
+        return prefix_stable(e.expr)
+    if isinstance(e, Sum):
+        return all(map(prefix_stable, e.parts))
+    return not isinstance(e, Rotation)
+
+
 def tau(k):
     """The consecutive trapezoid family T(2,...,k)."""
     return Trapezoid(MonomialPattern(tuple(range(1, k + 1))))

@@ -100,6 +100,10 @@ class SparseMatrix:
         row = np.repeat(np.arange(len(lengths)), lengths)
         self._slots = (np.arange(len(self.cols)) - self.starts[row]) * len(lengths) + row
         self._gather = self._padded(self.cols)
+        self._roll = None
+        if p == 2:  # zeta = -1, so a zeta^t is the integer a (-1)^t
+            self._amps = self._padded(self.amps * (1 - 2 * self.exps))[:, None]
+            return
         self._amps = self._padded(self.amps)[:, None]
         # root r of a slot reads root (r - t) mod p of its column's root counts
         shift = (np.arange(p) - np.arange(p)[:, None]) % p
@@ -160,8 +164,15 @@ class SparseMatrix:
         amplitude, summed over the padded row, and mapped back to coordinates
         by zeta^(p-1) = -(1 + ... + zeta^(p-2)).  Row sums are at most
         row_norm() max|v| in absolute value and coordinates twice that, so
-        int64 is exact while 2 row_norm() max|v| < 2^63.
+        int64 is exact while 2 row_norm() max|v| < 2^63.  Over p = 2 the
+        entries are integers and v has one coordinate, the count of zeta^0,
+        so its rows are gathered by column, scaled and summed, with no
+        appended root to roll.
         """
+        if self._roll is None:
+            prod = v.take(self._gather, axis=0)
+            prod *= self._amps
+            return self._row_sums(prod)
         counts = np.zeros((len(v), self.p), dtype=v.dtype)
         counts[:, :-1] = v
         rolled = counts.take(self._roll)

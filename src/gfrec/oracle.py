@@ -41,21 +41,32 @@ process on a 2-core x86-64 host.  Over fields with q^2 > _TABLE_ENTRIES no
 q^2 table is built for a call, so a small grid over F_2^12 costs its
 points, not 16.7 M table entries.
 
-This module is the enumeration path only: `sum_sequence` enumerates every
-n of a range.  The other two paths, `transfer.run_range` on a built system
-and `recurrence.extend` of initial terms, live in their own modules, and
-callers such as the command line pick one themselves.
+Both kernels also count by level, a point's level being the index of its
+highest nonzero variable (0 at the origin).  With variable i at digit
+i - 1 of the point index, the points of level at most n are the first q^n,
+so a whole chunk or block has one level, fixed by its index, and only the
+first one's points spread over the levels below.  A trapezoid or sigma(k)
+at n is its own instance at N > n restricted to x_(n+1) = ... = x_N = 0,
+so `sum_sequence` reads a whole range of them from one enumeration at its
+top n, as sums over the levels; a rotation is enumerated at every n.  A
+plain call is the one-level case of the same code.
+
+This module is the enumeration path only.  The other two paths,
+`transfer.run_range` on a built system and `recurrence.extend` of initial
+terms, live in their own modules, and callers such as the command line
+pick one themselves.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import accumulate
 from math import prod
 
 import numpy as np
 
 from .cyclotomic import CycInt
-from .funcalg import instantiate
+from .funcalg import instantiate, prefix_stable
 from .galois import is_prime
 from .limits import DEFAULT_POINT_BUDGET, ResourceLimitExceeded
 from .recurrence import Sequence
@@ -284,15 +295,32 @@ def _low_words():
 
 
 _LOW_WORDS = _low_words()
+_PREFIX_WORDS = np.array([(1 << (1 << k)) - 1 for k in range(6)], dtype=np.uint64)  # the first 2^k bits of a word
+_LEVEL_WORDS = [1 << max(k - 7, 0) for k in range(64)]  # for k >= 7, the first word of the points of level k
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 _bitwise_count = getattr(np, "bitwise_count", None)  # numpy >= 2.0
 
 
-def _popcount(words):
-    """The set bits of each row of words, along the last axis."""
+def _popcount(words, starts=(0,)):
+    """The set bits of each row of words, along the last axis, summed over
+    each run of words from one of starts to the next."""
     if _bitwise_count is not None:
-        return _bitwise_count(words).sum(axis=-1, dtype=np.int64)
-    return _POPCOUNT8[words.view(np.uint8)].sum(axis=-1)
+        return np.add.reduceat(_bitwise_count(words), starts, axis=-1, dtype=np.int64)
+    return np.add.reduceat(_POPCOUNT8[words.view(np.uint8)], np.multiply(starts, 8), axis=-1)
+
+
+def _level_ones(cube, bits, lo):
+    """The ones of a cube of 2^bits points by level: entry k - lo counts the
+    points of level k for k = lo..bits, those below lo counted at lo (one
+    entry when lo >= bits).  The points of level at most k are the first
+    2^k, whole words from k = 6 and the low bits of word 0 below it."""
+    words = cube.reshape(-1)
+    first = min(lo, bits)
+    ones = _popcount(words, [0] + _LEVEL_WORDS[max(first, 6) + 1 : bits + 1])
+    if first < min(bits, 6):  # word 0 holds the levels first..min(bits, 6)
+        prefix = _popcount(words[:1] & _PREFIX_WORDS[first : min(bits, 6), None])[:, 0]
+        ones = np.concatenate((np.diff(prefix, prepend=0), ones[:1] - prefix[-1], ones[1:]))
+    return ones
 
 
 def _views(terms, bits):
@@ -329,10 +357,14 @@ def _cube(terms, bits):
     return cube
 
 
-def _chunk_codes(groups, chunk_bits):
+def _chunk_codes(groups, chunk_bits, skip):
     """(on, weights): on[i, j] is 1 when C_j, the sum of the high monomials
     of the j-th group of `_split`, is 1 on the chunks of the i-th distinct
-    code, and weights[i] counts those of the 2^chunk_bits chunks.
+    code, and weights[i, r] counts those of the 2^chunk_bits chunks whose
+    index c has bit length skip + r, or at most skip for r = 0.  With b
+    chunk bits, chunk c > 0 holds the points of level b + bitlen(c), so
+    r is a row of levels from lo = b + skip, the one row of a call at
+    skip = chunk_bits.
 
     A chunk's code has bit j when C_j is 1 on it.  Each high monomial
     belongs to one group, so a chunk's code is the XOR of the codes of the
@@ -355,10 +387,17 @@ def _chunk_codes(groups, chunk_bits):
         codes = codes.T.copy()
     codes = codes.reshape(-1)
     if len(groups) > chunk_bits:
-        codes, weights = np.unique(codes, return_counts=True)
+        codes, key = np.unique(codes, return_inverse=True)
+        size = len(codes)
     else:
-        weights = np.bincount(codes)
-        codes = np.flatnonzero(weights)
+        key, size = codes, 1 << len(groups)
+    levels = chunk_bits - skip + 1
+    if levels > 1:  # the rows of the chunks, from the bit lengths of their indices
+        lengths = np.repeat(np.arange(-skip, levels), [1] + [1 << k for k in range(chunk_bits)])
+        key = key.astype(np.intp) * levels + np.maximum(lengths, 0)
+    weights = np.bincount(key, minlength=size * levels).reshape(size, levels)
+    if len(groups) <= chunk_bits:  # the codes that occur
+        codes = np.flatnonzero(weights.any(axis=1) if levels > 1 else weights)
         weights = weights[codes]
     return (codes[:, None] >> np.arange(len(groups), dtype=codes.dtype) & 1).astype(np.uint64), weights
 
@@ -398,28 +437,32 @@ def _chunk_bits(terms, n):
     return best
 
 
-def _trace_counts_f2(g):
-    """[zeros, ones] of g over F_2^n, over chunks of 2^b points (`_chunk_bits`).
+def _trace_counts_f2(g, lo):
+    """[zeros, ones] of g over F_2^n for each level lo..n (`_trace_levels`),
+    over chunks of 2^b points (`_chunk_bits`).
 
     `_split` writes g as base(low) + the sum over groups of C(high) L(low),
     with the variables up to b low.  On a chunk each C is a constant, so its
     cube is base plus the L whose C is 1 there: chunks with equal codes
     (`_chunk_codes`) have equal cubes, and the cube of each distinct code is
-    built once and weighted by its chunks.  The group whose L is the
-    constant 1 complements the cube.  At b = n there is one chunk, with no
-    split and no codes.  The cubes are built side by side, at most
+    built once and weighted by its chunks of each level.  The group whose L
+    is the constant 1 complements the cube.  At b = n there is one chunk,
+    with no split and no codes.  The cubes are built side by side, at most
     2^_CHUNK_BITS points at a time: a copy of the base cube each, one XOR of
     each term of each L into its view, with the word zeroed on the cubes
-    whose code lacks L's bit, and one popcount.
+    whose code lacks L's bit, and one popcount.  Chunk 0 has code 0, as
+    every C is 0 there, so its cube is the base cube; its points have the
+    levels 0..b, and below lo < b the base cube's prefixes (`_level_ones`)
+    move them from level b, where its code counts them, to their own.
     """
     n = g.n
     terms = [(tuple(sorted(mono)), 1) for mono in g.terms]
     bits = _chunk_bits(terms, n)
     if bits == n:
-        ones = int(_popcount(_cube(terms, n).reshape(-1)))
+        ones = _level_ones(_cube(terms, n), n, lo)
     else:
         base, groups = _split(terms, bits + 1)
-        on, weights = _chunk_codes(groups, n - bits)
+        on, weights = _chunk_codes(groups, n - bits, lo - bits)
         base = _cube(base, bits)
         cofactors = [_views(low, bits) for low, _highs in groups]
         step = 1 << _CHUNK_BITS - bits
@@ -431,8 +474,16 @@ def _trace_counts_f2(g):
                 for index, word in views:
                     view = cubes[index]
                     view ^= (batch[:, j] * word).reshape((-1,) + (1,) * (view.ndim - 1))
-            ones += int(weights[first : first + step] @ _popcount(cubes.reshape(len(batch), -1)))
-    return [(1 << n) - ones, ones]
+            ones += weights[first : first + step].T @ _popcount(cubes.reshape(len(batch), -1))[:, 0]
+        if lo < bits:
+            inner = _level_ones(base, bits, lo)
+            inner[-1] -= inner.sum()
+            ones[: len(inner)] += inner
+    ones = ones.tolist()
+    counts = [[(1 << lo) - ones[0], ones[0]]]
+    for k, one in enumerate(ones[1:], lo):  # level k + 1 has 2^k points
+        counts.append([(1 << k) - one, one])
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -481,20 +532,30 @@ class _BlockValues:
     value's bin.  A call that fits in one block (m = n) has no high digits,
     and skips building and sorting the rows.  Every count is an integer, so
     the result does not depend on the chunks or on the choice of keys.
+
+    The histogram has a row for each level lo..n, a point's level being the
+    index of its highest nonzero variable, those below lo counted at lo; a
+    call at lo = n has one row.  Block b > 0 holds the points of level m
+    plus the number of base-q digits of b, so each distinct row of C and
+    shift values is weighted by its blocks of each level.  Block 0's points
+    have the levels 0..m.  Its C and shift values are 0, so its values are
+    the base columns, and below lo < m it is counted apart, by its points'
+    levels (`_first_block`).
     """
 
-    def __init__(self, funcs, grids, traced):
+    def __init__(self, funcs, grids, traced, lo):
         self.field = field = funcs[0].field
         self.q = q = field.q
         self.tables = _tables(field)
         self.traced = traced and field.r > 1  # on a prime field Tr is the identity
         self.sizes = [field.p if self.traced else q] + [q] * (len(funcs) - 1)
         n = funcs[0].n
+        self.lo, self.levels = lo, n - lo + 1
         terms = [sorted([(tuple(sorted([v - 1 for v in mono])), c.index) for mono, c in g.terms.items()]) for g in funcs]
-        m, plan, self.rows, self.weights, self.starts = self._choose(terms, n, grids)
+        self.m, plan, self.rows, self.weights, self.starts = self._choose(terms, n, grids)
         self.axes, self.consts, columns, self.bins, _gathers, _folds, self.keys = plan
-        self.points = q**m
-        self.columns = [self._grid(low, m, grids) for low in columns]
+        self.points = q**self.m
+        self.columns = [self._grid(low, self.m, grids) for low in columns]
 
     def _plan(self, splits, m, runs):
         """(axes, consts, columns, bins, gathers, folds, keys) of the
@@ -570,6 +631,7 @@ class _BlockValues:
         return (
             _FOLD_NS * points * folds
             + (_KEY_NS * points * len(columns) + _KEYS_NS if keys < points else 0)
+            + (_KEY_NS * points if self.lo < m else 0)  # block 0 by level
             + _contract_ns(keys, len(starts), gathers)
             + _BIN_NS * shifted * bins
         )
@@ -580,11 +642,13 @@ class _BlockValues:
         plan is `_plan` of each function's (base, groups) from `_split`,
         without the groups whose cofactor is a constant: they make up its
         shift.  rows are the distinct rows of C and shift values over the
-        blocks, sorted, weights the number of blocks with each, and starts
-        the first row of each run of rows with equal C values.
+        blocks, sorted, weights[r, l] the number of blocks with row r and
+        level lo + l, and starts the first row of each run of rows with equal
+        C values.  Below lo < m block 0 is left out (`_first_block`).
         """
         if m == n:  # one block: no high digits, so no C or shift rows to build or sort
-            return self._plan([(t, []) for t in terms], m, 1), np.zeros((1, len(terms)), dtype=np.intp), np.ones(1, dtype=np.intp), [0]
+            rows = np.zeros((int(self.lo >= m), len(terms)), dtype=np.intp)
+            return self._plan([(t, []) for t in terms], m, len(rows)), rows, np.ones((len(rows), 1), dtype=np.intp), [0][: len(rows)]
         splits, coeffs, shifts = [], [], []
         for t in terms:
             base, groups = _split(t, m)
@@ -595,15 +659,21 @@ class _BlockValues:
             shifts.append(self._grid(shift, n - m, grids))
             splits.append((base, groups))
         rows = np.array(coeffs + shifts, dtype=self.tables.add.dtype).T  # one row per block; narrow, so it sorts by radix
-        weights = np.ones(1, dtype=np.intp)
-        starts = [0]
-        if len(rows) > 1:  # the distinct rows, sorted, and how many blocks have each
-            rows = rows[np.lexsort(rows.T[::-1])]
-            cuts = np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1)) + 1
-            weights = np.diff(cuts, prepend=0, append=len(rows))
-            rows = rows[np.concatenate(([0], cuts))]
-            width = len(coeffs)
-            starts += (np.flatnonzero((rows[1:, :width] != rows[:-1, :width]).any(axis=1)) + 1).tolist()
+        # the distinct rows, sorted, and how many blocks of each level have each
+        order, levels, level = np.lexsort(rows.T[::-1]), self.levels, 0
+        if levels > 1:  # block b's level less lo, from the number of its digits
+            digits = np.repeat(np.arange(m - self.lo, n - self.lo + 1), [1] + [(self.q - 1) * self.q**k for k in range(n - m)])
+            if self.lo < m:
+                order = order[order > 0]
+            level = np.maximum(digits[order], 0)
+        rows = rows[order]
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        group = np.cumsum(new) - 1
+        weights = np.bincount(group * levels + level, minlength=(group[-1] + 1) * levels).reshape(-1, levels)
+        rows = rows[new]
+        width = len(coeffs)
+        starts = [0] + (np.flatnonzero((rows[1:, :width] != rows[:-1, :width]).any(axis=1)) + 1).tolist()
         return self._plan(splits, m, len(starts)), rows, weights, starts
 
     def _grid(self, terms, k, grids):
@@ -771,11 +841,11 @@ class _BlockValues:
         return combined
 
     def _place(self, total, hist, rows, weights, run):
-        """Add weights[r] hist[run[r]], moved by the shifts in rows[r], to the
-        flat total, for each r; see the class docstring."""
+        """Add weights[r, l] hist[run[r]], moved by the shifts in rows[r], to
+        row l of total, for each r and l; see the class docstring."""
         width = rows.shape[1] - len(self.sizes)
         if not self.consts and not np.count_nonzero(rows[:, width:]):
-            total += weights @ hist[run]
+            total += weights.T @ hist[run]
             return
         add, trace = self.tables.add, self.tables.trace
         dest = np.zeros((len(rows), 1), dtype=np.intp)
@@ -790,11 +860,32 @@ class _BlockValues:
             else:  # bin v moves to v + s
                 moved = add.T[s]
             dest = (dest[:, :, None] * size + moved[:, None, :]).reshape(len(rows), -1)
-        np.add.at(total, dest.ravel(), (hist[run] * weights[:, None]).ravel())
+        r, level = np.nonzero(weights)
+        np.add.at(total, (level[:, None], dest[r]), hist[run[r]] * weights[r, level, None])
+
+    def _first_block(self):
+        """Block 0's joint histogram by level, rows lo..n, of which its levels
+        fill lo..m: its values are the base columns, and consts on the
+        functions without a low part."""
+        q, m, tables = self.q, self.m, self.tables
+        bases = {i: b for i, b, _pairs in self.axes}
+        joint = np.zeros(self.points, dtype=np.intp)
+        for i, size in enumerate(self.sizes):
+            v = self.consts[i] if i in self.consts else 0 if bases[i] is None else self.columns[bases[i]]
+            joint *= size
+            joint += tables.trace[v] if self.traced and i == 0 else v
+        digits = np.repeat(np.arange(-self.lo, m - self.lo + 1), [1] + [(q - 1) * q**k for k in range(m)])
+        bins = prod(self.sizes)
+        joint += np.maximum(digits, 0) * bins  # a point's level less lo is its number of digits less lo
+        return np.bincount(joint, minlength=self.levels * bins).reshape(self.levels, bins)
 
     def counts(self):
-        """The flat joint histogram, the bin of the first axis most significant."""
+        """The flat joint histogram of each level, the bin of the first axis
+        most significant."""
         q, rows, weights, starts = self.q, self.rows, self.weights, self.starts
+        total = self._first_block() if self.lo < self.m else None
+        if not len(rows):
+            return total
         values, counts = self._keys()
         scaled = {}
         for _i, _b, pairs in self.axes:
@@ -805,41 +896,56 @@ class _BlockValues:
         if len(rows) == 1 and not self.consts:
             # all blocks share one shift, and a shift is a sum of high
             # monomials, so it takes more than one value unless it is 0
-            hist = self._contract(coeffs, values, scaled, counts, bins)[0]
-            return hist if weights[0] == 1 else weights[0] * hist
-        total = np.zeros(prod(self.sizes), dtype=np.int64)
+            hist = self._contract(coeffs, values, scaled, counts, bins)
+            if self.levels > 1 or weights[0, 0] != 1:
+                hist = weights.T * hist
+            return hist if total is None else total + hist
+        if total is None:
+            total = np.zeros((self.levels, prod(self.sizes)), dtype=np.int64)
         ends = starts[1:] + [len(rows)]
         run = np.repeat(np.arange(len(starts)), np.subtract(ends, starts))
         per = max(1, _COUNT_ENTRIES // bins)  # distinct C rows at a time, and rows placed at a time
         for a in range(0, len(starts), per):
             b = min(a + per, len(starts))
             hist = self._contract(coeffs[a:b], values, scaled, counts, bins)
-            for lo in range(starts[a], ends[b - 1], per):
-                hi = min(lo + per, ends[b - 1])
-                self._place(total, hist, rows[lo:hi], weights[lo:hi], run[lo:hi] - a)
+            for first in range(starts[a], ends[b - 1], per):
+                last = min(first + per, ends[b - 1])
+                self._place(total, hist, rows[first:last], weights[first:last], run[first:last] - a)
         return total
 
 
-def _value_counts(funcs, grids=None, traced=False):
-    """The flat joint histogram of the value indices of funcs, or with
-    traced, of Tr(funcs[0]) and the values of the others.
+def _value_counts(funcs, grids=None, traced=False, lo=None):
+    """The joint histogram of the value indices of funcs, or with traced, of
+    Tr(funcs[0]) and the values of the others, flat, one row for each level
+    lo..n (by default one row, lo = n; see `_BlockValues`).
 
     grids memoizes `_grid` for calls over one field; by default, one call.
     """
-    return _BlockValues(funcs, {} if grids is None else grids, traced).counts()
+    return _BlockValues(funcs, {} if grids is None else grids, traced, funcs[0].n if lo is None else lo).counts()
+
+
+def _trace_levels(g, lo, grids=None):
+    """The histograms of Tr(g(x)) residues by level, a list for each level lo..n.
+
+    A point's level is the index of its highest nonzero variable, 0 at the
+    origin, and the points of level below lo count at lo: row 0 counts the
+    q^lo points of level at most lo, and row r > 0 those of level lo + r.
+    At lo = n there is one row, over all of F_q^n.
+    """
+    if g.field.q == 2:
+        return _trace_counts_f2(g, lo)
+    counts = _value_counts([g], grids, lo=lo)
+    if g.field.r > 1:  # on a prime field Tr is the identity
+        residues = np.zeros((len(counts), g.field.p), dtype=np.int64)
+        np.add.at(residues.T, _tables(g.field).trace_index, counts.T)
+        counts = residues
+    return counts.tolist()
 
 
 def trace_counts(g, budget=DEFAULT_POINT_BUDGET, *, _grids=None):
     """Histogram of Tr(g(x)) residues over all points of F_q^n."""
     _check_budget(g.field, g.n, budget)
-    if g.field.q == 2:
-        return _trace_counts_f2(g)
-    counts = _value_counts([g], _grids)
-    if g.field.r > 1:  # on a prime field Tr is the identity
-        residues = np.zeros(g.field.p, dtype=np.int64)
-        np.add.at(residues, _tables(g.field).trace_index, counts)
-        counts = residues
-    return counts.tolist()
+    return _trace_levels(g, g.n, _grids)[0]
 
 
 def exp_sum(g, budget=DEFAULT_POINT_BUDGET, *, _grids=None):
@@ -916,9 +1022,29 @@ def joint_counts(funcs, budget=DEFAULT_POINT_BUDGET):
 
 
 def sum_sequence(e, field, n_range, budget=DEFAULT_POINT_BUDGET):
-    """Character sums of family e for every n in n_range (step 1), by enumeration."""
+    """Character sums of family e for every n in n_range (step 1), by enumeration.
+
+    A prefix-stable family (`funcalg.prefix_stable`) has f_n = f_N on the
+    points of level at most n, so its range is instantiated and enumerated
+    once, at its top N, and S_n is read as the sum of the levels up to n
+    (`_trace_levels`).  A rotation is enumerated at every n.  Errors are
+    those of that loop, in its order: a start below the family minimum or a
+    scalar out of range, then the first n over the budget, before any
+    point is counted.
+    """
     if n_range.step != 1:
         raise ValueError("n_range must have step 1")
     grids = {}  # `_grid` memo of this call, whose functions share one field
-    values = tuple(exp_sum(instantiate(e, n, field), budget=budget, _grids=grids) for n in n_range)
-    return Sequence(n_range.start, values, "brute")
+    if not n_range or not prefix_stable(e):
+        values = tuple(exp_sum(instantiate(e, n, field), budget=budget, _grids=grids) for n in n_range)
+        return Sequence(n_range.start, values, "brute")
+    lo = n_range.start
+    if lo < e.min_n():
+        instantiate(e, lo, field)  # raises, as the loop does at its first n
+    top = n_range[-1]
+    if field.q**top > budget:  # the loop would stop at the first n over the budget
+        top = next(n for n in n_range if field.q**n > budget)
+    g = instantiate(e, top, field)
+    _check_budget(field, top, budget)
+    sums = accumulate(_trace_levels(g, lo, grids), lambda a, b: [x + y for x, y in zip(a, b)])
+    return Sequence(lo, tuple(CycInt.from_root_counts(field.p, row) for row in sums), "brute")

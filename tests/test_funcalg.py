@@ -1,6 +1,8 @@
 """Tests for the polynomial family expression layer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfrec.funcalg import (
     ExprSyntaxError,
@@ -14,11 +16,12 @@ from gfrec.funcalg import (
     evaluate,
     instantiate,
     parse,
+    prefix_stable,
     shift,
     tau,
     unparse,
 )
-from gfrec.galois import make_field
+from gfrec.galois import make_field, prime_power
 
 
 def test_pattern_validation():
@@ -187,3 +190,48 @@ def test_instantiated_equality():
     b = instantiate(parse("T(2)"), 4, f2)
     assert a == b
     assert a != instantiate(tau(2), 5, f2)
+
+
+def _restricted(g, n):
+    """The terms of g in the variables 1..n."""
+    return {mono: c for mono, c in g.terms.items() if max(mono) <= n}
+
+
+_STABLE_ATOMS = st.one_of(
+    st.integers(1, 4).map(lambda k: "sigma(%d)" % k),
+    st.integers(2, 5).map(lambda k: "tau(%d)" % k),
+    st.lists(st.integers(2, 5), min_size=1, max_size=3, unique=True).map(lambda o: "T(%s)" % ",".join(map(str, sorted(o)))),
+)
+
+
+@st.composite
+def _stable_exprs(draw):
+    """A sum of one to three trapezoid and sigma(k) atoms, some scaled, and
+    a field whose elements every scalar names."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    parts = draw(st.lists(st.tuples(st.integers(0, q - 1) | st.none(), _STABLE_ATOMS), min_size=1, max_size=3))
+    text = " + ".join(atom if c is None else "e%d*%s" % (c, atom) for c, atom in parts)
+    return parse(text), make_field(*prime_power(q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stable_exprs(), st.integers(0, 4))
+def test_trapezoids_and_sigma_are_prefix_stable(case, extra):
+    # f_n is f_N with x_(n+1) = ... = x_N = 0: its terms are those of f_N in
+    # the variables 1..n, whatever collides or cancels
+    e, field = case
+    assert prefix_stable(e)
+    top = e.min_n() + extra
+    g = instantiate(e, top, field)
+    for n in range(e.min_n(), top):
+        assert _restricted(g, n) == instantiate(e, n, field).terms
+
+
+@pytest.mark.parametrize("text", ["R(2,3)", "R(2) + T(2,3)", "e1*R(2) + sigma(2)"])
+def test_rotations_are_not_prefix_stable(text):
+    # a rotation's wrapped translates at n, such as x_4 x_1 of R(2) at
+    # n = 4, are not terms of f_N
+    e, f3 = parse(text), make_field(3)
+    assert not prefix_stable(e)
+    g = instantiate(e, 8, f3)
+    assert _restricted(g, 4) != instantiate(e, 4, f3).terms

@@ -25,7 +25,7 @@ from gfrec.funcalg import (
     tau,
 )
 from gfrec.galois import is_prime, make_field, prime_power
-from gfrec.limits import ResourceLimitExceeded
+from gfrec.limits import DEFAULT_POINT_BUDGET, ResourceLimitExceeded
 from gfrec.oracle import (
     decorated_sums,
     exp_sum,
@@ -35,6 +35,7 @@ from gfrec.oracle import (
     trace_counts,
     weight,
 )
+from gfrec.recurrence import Sequence
 from gfrec.transfer import run_range, system_for
 
 
@@ -173,7 +174,7 @@ def _keyed_call(g):
     bits = oracle._chunk_bits(terms, g.n)
     assert bits < g.n
     groups = oracle._split(terms, bits + 1)[1]
-    return (bits, groups) + oracle._chunk_codes(groups, g.n - bits)
+    return (bits, groups) + oracle._chunk_codes(groups, g.n - bits, g.n - bits)
 
 
 def _keys(groups, on):
@@ -208,18 +209,21 @@ def test_chunk_keys_repeat_and_flip_parity():
 @pytest.mark.parametrize("groups", [3, 9, 70])
 def test_chunk_codes_count_any_number_of_groups(groups):
     # groups of random high monomials of 7 chunk bits: 3 fit bins, 9 are
-    # more than the chunk bits and are sorted, 70 pass 64 bits
+    # more than the chunk bits and are sorted, 70 pass 64 bits; each chunk
+    # counts in the row of its bit length less skip, at least 0, and at
+    # skip = 7 every chunk is in row 0
     rng = np.random.default_rng(groups)
     highs = [tuple(np.flatnonzero(rng.integers(0, 2, 7)).tolist()) for _ in range(3 * groups)]
     highs = sorted(set(h for h in highs if h))[:groups]
     assert len(highs) == groups
     split = [([((j + 1,), 1)], [(h, 1)]) for j, h in enumerate(highs)]
-    want = {}
-    for chunk in range(1 << 7):
-        code = tuple(int(all(chunk >> v & 1 for v in h)) for h in highs)
-        want[code] = want.get(code, 0) + 1
-    on, weights = oracle._chunk_codes(split, 7)
-    assert dict(zip(map(tuple, on.tolist()), weights.tolist())) == want
+    for skip in (7, 3, 0, -2):
+        want = {}
+        for chunk in range(1 << 7):
+            code = tuple(int(all(chunk >> v & 1 for v in h)) for h in highs)
+            want.setdefault(code, [0] * (8 - skip))[max(chunk.bit_length() - skip, 0)] += 1
+        on, weights = oracle._chunk_codes(split, 7, skip)
+        assert dict(zip(map(tuple, on.tolist()), weights.tolist())) == want
 
 
 @pytest.mark.parametrize("text", ["R(2,3)", "tau(5)", "R(2,3) + R(2)", "sigma(2)", "sigma(3)"])
@@ -515,6 +519,43 @@ def test_every_split_matches_the_naive_loop(case, leaf_points, entries):
     assert sums == _slow_decorated(field, want)
 
 
+def _slow_levels(funcs, lo, traced):
+    """The joint histogram of the values of funcs, or with traced of the
+    trace of the first, by level: row r counts the points whose highest
+    nonzero variable is lo + r, or at most lo for row 0."""
+    field, n = funcs[0].field, funcs[0].n
+    sizes = [field.p if traced else field.q] + [field.q] * (len(funcs) - 1)
+    counts = np.zeros((n - lo + 1, int(np.prod(sizes))), dtype=np.int64)
+    for pt in product(field.elements(), repeat=n):
+        level = max([i + 1 for i, x in enumerate(pt) if not x.is_zero()], default=0)
+        values = [evaluate(g, list(pt)) for g in funcs]
+        joint = values[0].trace() if traced else values[0].index
+        for size, v in zip(sizes[1:], values[1:]):
+            joint = joint * size + v.index
+        counts[max(level - lo, 0), joint] += 1
+    return counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_forced_splits(), traced=st.booleans(), data=st.data())
+def test_levelled_counts_match_the_naive_loop(case, traced, data):
+    # every split m against every range start lo: below lo < m block 0 is
+    # counted by its points' levels, with functions that have no low part
+    # and a traced first axis
+    funcs, m = case
+    lo = data.draw(st.integers(0, funcs[0].n))
+
+    def forced(self, terms, n, grids):
+        return (m,) + self._layout(terms, n, m, grids)
+
+    want = _slow_levels(funcs, lo, traced and funcs[0].field.r > 1).tolist()
+    for keyed in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle._BlockValues, "_choose", forced)
+            _force_keys(mp, keyed)
+            assert oracle._value_counts(funcs, traced=traced, lo=lo).tolist() == want
+
+
 def _record_splits(monkeypatch):
     """The list to which `_BlockValues` adds (q, n, m) for every split it tries."""
     tried = []
@@ -575,25 +616,114 @@ def test_decorated_sums_count_the_trace_of_the_base(monkeypatch):
     assert got == [exp_sum(_plus(base, decorations, (c,))) for c in range(64)]
 
 
-SEQUENCE_EXPRS = ["tau(3)", "R(2,3)", "sigma(2)", "e1*T(2) + sigma(1)", "R(2,3) + R(2)"]
+SEQUENCE_EXPRS = [
+    "tau(3)",
+    "R(2,3)",
+    "sigma(2)",
+    "e1*T(2) + sigma(1)",
+    "R(2,3) + R(2)",
+    "sigma(3)",
+    "T(2,4) + e2*T(3)",
+    "tau(2) + tau(4)",
+    "e1*sigma(2) + T(2,3,5)",
+]
+SEQUENCE_TOPS = {2: 10, 3: 6, 4: 5, 5: 4, 8: 3, 9: 3}
 
 
-@settings(max_examples=25, deadline=None)
+def _outcome(sums):
+    """sums() as (n_min, values), or its exception's type and message."""
+    try:
+        seq = sums()
+    except (ValueError, ResourceLimitExceeded) as exc:
+        return type(exc), str(exc)
+    return seq.n_min, seq.values
+
+
+def _loop(e, field, n_range, budget=DEFAULT_POINT_BUDGET):
+    """The reference: one instantiation and one `exp_sum` for each n."""
+    if n_range.step != 1:
+        raise ValueError("n_range must have step 1")
+    return Sequence(n_range.start, [exp_sum(instantiate(e, n, field), budget=budget) for n in n_range], "brute")
+
+
+@settings(max_examples=40, deadline=None)
 @given(
-    cases=st.lists(st.tuples(st.sampled_from(SEQUENCE_EXPRS), st.sampled_from(FIELDS)), min_size=2, max_size=4),
+    cases=st.lists(st.tuples(st.sampled_from(SEQUENCE_EXPRS), st.sampled_from(FIELDS), st.integers(0, 3)), min_size=2, max_size=4),
     block_points=st.sampled_from([1, 9, 30, 1 << 15]),
+    chunk_bits=st.sampled_from([6, 8]),
 )
-def test_sum_sequence_is_exp_sum_at_every_n(cases, block_points):
-    # the grids one call shares across its n must not reach another n, nor
-    # a later call over another field with the same terms
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_BLOCK_POINTS", block_points)
-        for text, field in cases:
-            e = parse(text)
-            ns = range(e.min_n(), {2: 10, 3: 6, 4: 5, 5: 4, 8: 3, 9: 3}[field.q] + 1)
-            seq = sum_sequence(e, field, ns)
-            assert seq.values == tuple(exp_sum(instantiate(e, n, field)) for n in ns)
-            assert seq.values[0] == _slow_sum(e, ns[0], field)
+def test_sum_sequence_is_exp_sum_at_every_n(cases, block_points, chunk_bits):
+    # a prefix-stable range is read from one levelled enumeration at its top
+    # n, from any start; small chunks make F_2 ranges keyed from n = 7 or 9,
+    # and small blocks split the other fields' ranges at every level, in
+    # both key regimes.  The grids one call shares must not reach another
+    # call over another field with the same terms.
+    for keyed in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_BLOCK_POINTS", block_points)
+            mp.setattr(oracle, "_CHUNK_BITS", chunk_bits)
+            _force_keys(mp, keyed)
+            for text, field, skip in cases:
+                e = parse(text)
+                top = max(SEQUENCE_TOPS[field.q], e.min_n())
+                ns = range(min(e.min_n() + skip, top), top + 1)
+                got = _outcome(lambda: sum_sequence(e, field, ns))
+                assert got == _outcome(lambda: _loop(e, field, ns))
+                if got[0] == ns.start and not keyed and field.q ** ns.start <= 729:
+                    assert got[1][0] == _slow_sum(e, ns.start, field)
+
+
+def _record_kernel_calls(monkeypatch):
+    """The list to which every `instantiate` and kernel call of `oracle` adds its name."""
+    calls = []
+    for name in ("instantiate", "_trace_counts_f2", "_value_counts"):
+        def spy(*args, _name=name, _fn=getattr(oracle, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("text,q,lo,hi", [("tau(3)", 2, 3, 12), ("sigma(3)", 3, 4, 9), ("T(2,4) + e2*T(3)", 9, 4, 6), ("R(2,3)", 2, 3, 12), ("R(2,3)", 3, 3, 7)])
+def test_a_prefix_stable_range_is_enumerated_once(monkeypatch, text, q, lo, hi):
+    e, field = parse(text), make_field(*prime_power(q))
+    want = _loop(e, field, range(lo, hi + 1)).values
+    calls = _record_kernel_calls(monkeypatch)
+    assert sum_sequence(e, field, range(lo, hi + 1)).values == want
+    kernel = "_trace_counts_f2" if q == 2 else "_value_counts"
+    per_range = 1 if text[0] != "R" else hi - lo + 1
+    assert calls == ["instantiate", kernel] * per_range
+
+
+@pytest.mark.parametrize(
+    "text,q,n_range,budget",
+    [
+        ("T(3) + T(2,4) + T(2,4)", 2, range(3, 11), 10**8),  # below the minimum; the T(2,4) terms cancel
+        ("tau(3)", 3, range(3, 10), 3**7),  # over the budget from n = 8
+        ("sigma(2)", 2, range(5, 30), 2**20),  # from n = 21, and past any range enumerated here
+        ("e5*tau(3)", 3, range(3, 8), 10**8),  # a scalar out of range
+        ("e5*tau(3)", 3, range(3, 10), 3**5),  # the scalar first
+        ("T(2,4) + e9*T(2)", 2, range(3, 8), 10**8),  # the minimum first, in the order of the sum
+        ("e9*T(2) + T(2,4)", 2, range(3, 8), 10**8),  # the scalar first
+        ("T(2,4)", 2, range(2, 2), 10**8),  # empty, though below the minimum
+        ("R(2,3)", 3, range(3, 10), 3**7),  # a rotation keeps the loop
+        ("tau(3)", 2, range(3, 9, 2), 10**8),  # a step
+    ],
+)
+def test_sum_sequence_validates_as_the_loop_does(text, q, n_range, budget):
+    e, field = parse(text), make_field(*prime_power(q))
+    got = _outcome(lambda: sum_sequence(e, field, n_range, budget=budget))
+    assert got == _outcome(lambda: _loop(e, field, n_range, budget=budget))
+    assert got[0] in (ValueError, ResourceLimitExceeded) or got == (n_range.start, ())
+
+
+def test_an_over_budget_range_is_refused_before_any_enumeration(monkeypatch):
+    calls = _record_kernel_calls(monkeypatch)
+    for text, q in (("tau(3)", 3), ("sigma(2)", 2)):
+        with pytest.raises(ResourceLimitExceeded, match="^enumeration of %d\\^9 points exceeds the budget of %d$" % (q, q**8)):
+            sum_sequence(parse(text), make_field(q), range(3, 12), budget=q**8)
+    assert "_trace_counts_f2" not in calls and "_value_counts" not in calls
 
 
 def _reference_tables(field):

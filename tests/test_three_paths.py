@@ -8,16 +8,19 @@ sigma(k) stay at 81.  For every drawn family the transfer run equals
 brute force wherever enumeration is cheap, the integer annihilator (whose
 certificate runs on every drawn system) annihilates the run, extending its
 first terms by the annihilator reproduces the run, and `discover` finds a
-divisor of the annihilator.
+divisor of the annihilator.  The brute side instantiates and enumerates
+every n on its own, not by `sum_sequence`'s one levelled enumeration at
+the top n, so that an instantiation fault at one n cannot hide behind
+f_N.
 """
 
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from gfrec.funcalg import parse
+from gfrec.funcalg import instantiate, parse
 from gfrec.galois import make_field, prime_power
 from gfrec.limits import ResourceLimitExceeded
-from gfrec.oracle import sum_sequence
+from gfrec.oracle import exp_sum
 from gfrec.recurrence import Sequence, discover, divides, extend, satisfies
 from gfrec.transfer import integer_annihilator, run, system_for
 
@@ -60,7 +63,7 @@ def test_brute_transfer_and_recurrence_agree(family):
     hi = max(sys.n_min, e.min_n())
     while f.q ** (hi + 1) <= BRUTE_POINTS:
         hi += 1
-    brute = sum_sequence(e, f, range(sys.n_min, hi + 1))
+    brute = Sequence(sys.n_min, [exp_sum(instantiate(e, n, f)) for n in range(sys.n_min, hi + 1)], "brute")
     seq = run(sys, max(hi, sys.n_min + 3 * d + 2))
     assert seq.values[: len(brute)] == brute.values
     if len(brute) > d:
