@@ -1,7 +1,13 @@
-"""Shared resource limits and the exception used when one is exceeded."""
+"""Resource limits, one check for each, and the exception they raise.
 
-DEFAULT_POINT_BUDGET = 10**8
-DEFAULT_STATE_LIMIT = 4096
+Every entry point checks a request once, from its shape, before it builds
+a table or a recipe or counts a point; a minimal polynomial's degree is
+checked as it is found.  A transfer build checks states, root counts, then
+its oracle gate's points, so a request past several limits reports the first.
+"""
+
+DEFAULT_POINT_BUDGET = 10**8  # points of an enumeration, and bins of a joint histogram
+DEFAULT_STATE_LIMIT = 4096  # states of a transfer system
 # inflated dimension dim * (p-1) of the kernel that an integer annihilator
 # runs on (the transfer matrix, or a rotation's q^(w-1)-state de Bruijn
 # matrix), whose certificate costs about deg * nnz * dim * (p-1)
@@ -23,3 +29,37 @@ SCATTER_ROOT_COUNTS = 1 << 22
 
 class ResourceLimitExceeded(RuntimeError):
     """An operation would exceed its configured budget (points, states, degree)."""
+
+
+def check_points(q, n, budget):
+    if q**n > budget:
+        raise ResourceLimitExceeded("enumeration of %d^%d points exceeds the budget of %d" % (q, n, budget))
+
+
+def check_bins(q, k, budget):
+    if q**k > budget:
+        raise ResourceLimitExceeded("%d^%d joint bins exceed the budget of %d" % (q, k, budget))
+
+
+def check_states(dim, state_limit):
+    if dim > state_limit:
+        raise ResourceLimitExceeded("%d states exceed the limit of %d" % (dim, state_limit))
+
+
+def check_root_counts(dim, field):
+    counts = dim * field.q * field.p
+    if counts > SCATTER_ROOT_COUNTS:
+        raise ResourceLimitExceeded(
+            "a transfer matrix of %d states over F_%s needs %d root counts (states x q x p), "
+            "over the limit of %d" % (dim, field.describe(), counts, SCATTER_ROOT_COUNTS)
+        )
+
+
+def check_inflated(dim, blowup_limit):
+    if dim > blowup_limit:
+        raise ResourceLimitExceeded("inflated dimension %d exceeds the limit of %d" % (dim, blowup_limit))
+
+
+def check_degree(degree, degree_cap):
+    if degree > degree_cap:
+        raise ResourceLimitExceeded("minimal polynomial degree exceeds the cap of %d" % degree_cap)

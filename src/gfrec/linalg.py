@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 
 from .galois import is_prime
-from .limits import ResourceLimitExceeded
+from .limits import check_degree
 
 
 def solve_with_free_zero(rows, rhs):
@@ -60,19 +60,6 @@ def solve_with_free_zero(rows, rhs):
 
 # ---------------------------------------------------------------------------
 # sparse matrices over Z[zeta_p]
-
-def group(keys):
-    """(distinct, inverse) for an int64 array: the distinct keys ascending,
-    and for every key the position of its value among them.  One stable
-    argsort; np.unique does the same but pages in more of numpy."""
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    inverse = np.empty(len(keys), dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse
-
 
 class SparseMatrix:
     """A matrix over Z[zeta_p] as triples a zeta^t, row by row.
@@ -118,7 +105,7 @@ class SparseMatrix:
         the most frequent one (among equals, that of zeta^(p-1)).  That leaves
         the entry in its fewest triples: one for a zeta^t, none for 0, and
         exponent 0 over p = 2."""
-        key, inverse = group(np.asarray(rows, dtype=np.int64) * dim + cols)
+        key, inverse = np.unique(np.asarray(rows, dtype=np.int64) * dim + cols, return_inverse=True)
         n = len(key)
         counts = np.bincount(inverse * p + exponents, minlength=n * p).reshape(n, p)
         entry, size = np.arange(n), counts.max(initial=0) + 1
@@ -271,10 +258,7 @@ def _sequence_polynomial(m, ell, rng, degree_cap):
                 conn[i] = (conn[i] - scale * c) % ell
             if 2 * length <= n:
                 length, prev, last, gap = n + 1 - length, old, d, 1
-                if length > degree_cap:
-                    raise ResourceLimitExceeded(
-                        "minimal polynomial degree exceeds the cap of %d" % degree_cap
-                    )
+                check_degree(length, degree_cap)
             else:
                 gap += 1
             quiet = 0

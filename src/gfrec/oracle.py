@@ -68,7 +68,7 @@ import numpy as np
 from .cyclotomic import CycInt
 from .funcalg import instantiate, prefix_stable
 from .galois import is_prime
-from .limits import DEFAULT_POINT_BUDGET, ResourceLimitExceeded
+from .limits import DEFAULT_POINT_BUDGET, check_bins, check_points
 from .recurrence import Sequence
 
 _BLOCK_POINTS = 1 << 15  # most points per block of the generic kernel; its buffers stay in cache
@@ -236,11 +236,9 @@ def _digit_rows(q, k):
     return rows[:k, : q**k]
 
 
-def _check_budget(field, n, budget):
-    if field.q**n > budget:
-        raise ResourceLimitExceeded(
-            "enumeration of %d^%d points exceeds the budget of %d" % (field.q, n, budget)
-        )
+def _digit_counts(q, k):
+    """The number of base-q digits of each index 0..q^k - 1 (0 for index 0)."""
+    return np.repeat(np.arange(k + 1), [1] + [(q - 1) * q**j for j in range(k)])
 
 
 def _split(terms, m):
@@ -393,8 +391,7 @@ def _chunk_codes(groups, chunk_bits, skip):
         key, size = codes, 1 << len(groups)
     levels = chunk_bits - skip + 1
     if levels > 1:  # the rows of the chunks, from the bit lengths of their indices
-        lengths = np.repeat(np.arange(-skip, levels), [1] + [1 << k for k in range(chunk_bits)])
-        key = key.astype(np.intp) * levels + np.maximum(lengths, 0)
+        key = key.astype(np.intp) * levels + np.maximum(_digit_counts(2, chunk_bits) - skip, 0)
     weights = np.bincount(key, minlength=size * levels).reshape(size, levels)
     if len(groups) <= chunk_bits:  # the codes that occur
         codes = np.flatnonzero(weights.any(axis=1) if levels > 1 else weights)
@@ -662,10 +659,9 @@ class _BlockValues:
         # the distinct rows, sorted, and how many blocks of each level have each
         order, levels, level = np.lexsort(rows.T[::-1]), self.levels, 0
         if levels > 1:  # block b's level less lo, from the number of its digits
-            digits = np.repeat(np.arange(m - self.lo, n - self.lo + 1), [1] + [(self.q - 1) * self.q**k for k in range(n - m)])
             if self.lo < m:
                 order = order[order > 0]
-            level = np.maximum(digits[order], 0)
+            level = np.maximum(_digit_counts(self.q, n - m)[order] + (m - self.lo), 0)
         rows = rows[order]
         new = np.ones(len(rows), dtype=bool)
         new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
@@ -874,9 +870,8 @@ class _BlockValues:
             v = self.consts[i] if i in self.consts else 0 if bases[i] is None else self.columns[bases[i]]
             joint *= size
             joint += tables.trace[v] if self.traced and i == 0 else v
-        digits = np.repeat(np.arange(-self.lo, m - self.lo + 1), [1] + [(q - 1) * q**k for k in range(m)])
         bins = prod(self.sizes)
-        joint += np.maximum(digits, 0) * bins  # a point's level less lo is its number of digits less lo
+        joint += np.maximum(_digit_counts(q, m) - self.lo, 0) * bins  # a point's level less lo is its number of digits less lo
         return np.bincount(joint, minlength=self.levels * bins).reshape(self.levels, bins)
 
     def counts(self):
@@ -944,7 +939,7 @@ def _trace_levels(g, lo, grids=None):
 
 def trace_counts(g, budget=DEFAULT_POINT_BUDGET, *, _grids=None):
     """Histogram of Tr(g(x)) residues over all points of F_q^n."""
-    _check_budget(g.field, g.n, budget)
+    check_points(g.field.q, g.n, budget)
     return _trace_levels(g, g.n, _grids)[0]
 
 
@@ -958,21 +953,20 @@ def decorated_sums(base, decorations, budget=DEFAULT_POINT_BUDGET):
     """The character sums S(base + sum_j c_j decorations[j]) for every c in
     F_q^m, in product(range(q), repeat=m) order, as cyclotomic integers.
 
-    All functions share base's field and variable count n, and the q^n
-    points count against the budget once.  They are enumerated once, into
+    The functions are admitted as `joint_counts([base] + decorations)`
+    admits them, before any point is counted, and enumerated once, into
     the dense joint histogram h[t, v] of t = Tr(base) and the decoration
     values v.  Tr is additive, so the sums are the additive-character
     transform of h, taken one decoration axis at a time:
     out[t, c] = sum_v h[(t - Tr(c v)) mod p, v], one gather through the
     Tr(c v) table and one sum.  Every column of the result sums to
-    q^n <= budget, so int64 stays exact; callers bound q^m by their state
-    limit, and the table holds p q^m bins.  The gather takes the
-    coefficients c in chunks of at most _TRANSFORM_ENTRIES entries.
+    q^n <= budget, so int64 stays exact, and the table holds p q^m bins,
+    q^(m+1) <= budget.  Each gather takes at most _TRANSFORM_ENTRIES entries.
     """
-    field, m = base.field, len(decorations)
-    _check_budget(field, base.n, budget)
+    funcs, m = [base] + list(decorations), len(decorations)
+    field = _joint_field(funcs, budget)
     p, q = field.p, field.q
-    h = _value_counts([base] + list(decorations), traced=True).reshape(p, -1)
+    h = _value_counts(funcs, traced=True).reshape(p, -1)
     tables, t = _tables(field), np.arange(p)[:, None, None]
     per = max(1, _TRANSFORM_ENTRIES // (p * h.shape[1]))  # coefficients in a chunk of p * per * q^m
     for _ in range(m):
@@ -1004,21 +998,20 @@ def joint_counts(funcs, budget=DEFAULT_POINT_BUDGET):
     order.  All functions must share a field and variable count, and the
     q^len(funcs) bins count against the point budget like the points do.
     """
+    q = _joint_field(funcs, budget).q
+    return _value_counts(funcs).reshape((q,) * len(funcs))
+
+
+def _joint_field(funcs, budget):
+    """The field of funcs, once they share it and n, and their points and bins fit the budget."""
     if not funcs:
         raise ValueError("need at least one function")
-    field = funcs[0].field
-    n = funcs[0].n
-    for g in funcs:
-        if g.field != field or g.n != n:
-            raise ValueError("functions must share a field and variable count")
-    _check_budget(field, n, budget)
-    q = field.q
-    bins = q ** len(funcs)
-    if bins > budget:
-        raise ResourceLimitExceeded(
-            "%d^%d joint bins exceed the budget of %d" % (q, len(funcs), budget)
-        )
-    return _value_counts(funcs).reshape((q,) * len(funcs))
+    field, n = funcs[0].field, funcs[0].n
+    if any(g.field != field or g.n != n for g in funcs):
+        raise ValueError("functions must share a field and variable count")
+    check_points(field.q, n, budget)
+    check_bins(field.q, len(funcs), budget)
+    return field
 
 
 def sum_sequence(e, field, n_range, budget=DEFAULT_POINT_BUDGET):
@@ -1027,24 +1020,24 @@ def sum_sequence(e, field, n_range, budget=DEFAULT_POINT_BUDGET):
     A prefix-stable family (`funcalg.prefix_stable`) has f_n = f_N on the
     points of level at most n, so its range is instantiated and enumerated
     once, at its top N, and S_n is read as the sum of the levels up to n
-    (`_trace_levels`).  A rotation is enumerated at every n.  Errors are
-    those of that loop, in its order: a start below the family minimum or a
-    scalar out of range, then the first n over the budget, before any
-    point is counted.
+    (`_trace_levels`).  A rotation is enumerated at every n.  Any range is
+    refused before a point is counted, with the error of a per-n loop of
+    `exp_sum`: a start below the family minimum or a scalar out of range
+    first, then the first n over the budget.
     """
     if n_range.step != 1:
         raise ValueError("n_range must have step 1")
-    grids = {}  # `_grid` memo of this call, whose functions share one field
-    if not n_range or not prefix_stable(e):
-        values = tuple(exp_sum(instantiate(e, n, field), budget=budget, _grids=grids) for n in n_range)
-        return Sequence(n_range.start, values, "brute")
     lo = n_range.start
-    if lo < e.min_n():
-        instantiate(e, lo, field)  # raises, as the loop does at its first n
-    top = n_range[-1]
-    if field.q**top > budget:  # the loop would stop at the first n over the budget
+    if not n_range:
+        return Sequence(lo, (), "brute")
+    top, stable = n_range[-1], prefix_stable(e)
+    if field.q**top > budget:  # the loop stops at the first n over the budget
         top = next(n for n in n_range if field.q**n > budget)
-    g = instantiate(e, top, field)
-    _check_budget(field, top, budget)
+    g = instantiate(e, top if stable and lo >= e.min_n() else lo, field)  # raises as the loop does at its first n
+    check_points(field.q, top, budget)
+    grids = {}  # `_grid` memo of this call, whose functions share one field
+    if not stable:
+        values = (exp_sum(g if n == lo else instantiate(e, n, field), budget=budget, _grids=grids) for n in n_range)
+        return Sequence(lo, tuple(values), "brute")
     sums = accumulate(_trace_levels(g, lo, grids), lambda a, b: [x + y for x, y in zip(a, b)])
     return Sequence(lo, tuple(CycInt.from_root_counts(field.p, row) for row in sums), "brute")

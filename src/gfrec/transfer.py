@@ -56,8 +56,9 @@ from .limits import (
     DEFAULT_DEGREE_CAP,
     DEFAULT_POINT_BUDGET,
     DEFAULT_STATE_LIMIT,
-    SCATTER_ROOT_COUNTS,
-    ResourceLimitExceeded,
+    check_inflated,
+    check_root_counts,
+    check_states,
 )
 from .linalg import SparseMatrix, minimal_polynomial
 from .oracle import exp_sum, integer_tables
@@ -158,31 +159,19 @@ def _index(digits, q):
     return out
 
 
-def _limit(dim, state_limit):
-    if dim > state_limit:
-        raise ResourceLimitExceeded("%d states exceed the limit of %d" % (dim, state_limit))
-
-
-def _states(q, m, state_limit):
-    """The q^m decoration coefficient vectors (_grid), refused above state_limit."""
-    _limit(q**m, state_limit)
+def _states(q, m, f, state_limit):
+    """The q^m states (_grid) of a system over f, within the state and root-count limits."""
+    check_states(q**m, state_limit)
+    check_root_counts(q**m, f)
     return _grid(q, m)
 
 
 def _scatter(f, image, const):
     """The matrix in which, on each value x of the newest variable, state i
     goes to state image[i, x] with the factor zeta^Tr(const[i, x]), for
-    dim x q arrays image and const of state and field indices.
-
-    `SparseMatrix.from_root_counts` counts the roots of each of up to dim q
-    entries in a (keys x p) table, so a recipe whose dim q p exceeds
-    SCATTER_ROOT_COUNTS is refused before that table is built."""
+    dim x q arrays image and const of state and field indices, whose root
+    counts (dim q p) the builder has checked before it made them."""
     dim, q = image.shape
-    if dim * q * f.p > SCATTER_ROOT_COUNTS:
-        raise ResourceLimitExceeded(
-            "a transfer matrix of %d states over F_%s needs %d root counts (states x q x p), "
-            "over the limit of %d" % (dim, f.describe(), dim * q * f.p, SCATTER_ROOT_COUNTS)
-        )
     trace = integer_tables(f)[2]
     rows = np.repeat(np.arange(dim), q)
     return SparseMatrix.from_root_counts(f.p, dim, rows, image.ravel(), trace[const].ravel())
@@ -194,9 +183,9 @@ def _scatter_system(label, f, e, recipe, n0, budget, projection=(0,), kernel=Non
     projection, checked against the enumeration oracle on e one index past
     the smallest that both cover (or at that index when the next has over
     min(budget, 2^20) points).  kernel is the recipe of the matrix that
-    `integer_annihilator` runs on, by default the same.  The oracle's sum
-    comes first, so a system over the point budget is refused before any
-    matrix is built or stepped.
+    `integer_annihilator` runs on, by default the same.  After the builder's
+    checks of states and root counts, the oracle's sum comes first, so a
+    system over the point budget is refused before any matrix is built.
 
     The states at n0 are M^n0 applied to those at n = 0: 1 on the states
     in ones (all by default), else 0.  Read every X_i with i <= 0 as 0.  Each
@@ -250,6 +239,7 @@ def build_trapezoid_system(k, f, budget=DEFAULT_POINT_BUDGET):
     """
     if k < 2:
         raise ValueError("need k >= 2")
+    check_root_counts(k, f)
     q = f.q
     image = np.zeros((k, q), dtype=np.intp)
     image[:, 1:] = np.minimum(np.arange(1, k + 1), k - 1)[:, None]
@@ -301,9 +291,7 @@ def _normalize_patterns(terms, f):
     return out
 
 
-def _chain_system(
-    e, terms, f, label, state_limit=DEFAULT_STATE_LIMIT, budget=DEFAULT_POINT_BUDGET
-):
+def _chain_system(e, terms, f, label, state_limit, budget):
     """Decorated chain states for the non-wrapping sum of the
     (coefficient, offsets) translates terms of e, which gates the result."""
     q = f.q
@@ -312,7 +300,7 @@ def _chain_system(
     tail_shapes = _tail_shapes(patterns)
     tail_index = {shape: i for i, shape in enumerate(tail_shapes)}
     nt = len(tail_shapes)
-    grid = _states(q, nt, state_limit)
+    grid = _states(q, nt, f, state_limit)
     dim = len(grid)
     add, mul, _trace = integer_tables(f)
 
@@ -330,9 +318,7 @@ def _chain_system(
     return _scatter_system(label, f, e, (_index(new[:nt], q), new[nt]), w, budget)
 
 
-def _rotation_system(
-    e, terms, f, label, state_limit=DEFAULT_STATE_LIMIT, budget=DEFAULT_POINT_BUDGET
-):
+def _rotation_system(e, terms, f, label, state_limit, budget):
     """T (x) I for the de Bruijn matrix T (the kernel) of the cyclic sum of
     the (coefficient, offsets) translates terms of e, which gates the result.
 
@@ -346,7 +332,7 @@ def _rotation_system(
     patterns = _normalize_patterns(terms, f)
     w = max(max(offsets) for _c, offsets in patterns)
     Q = q ** (w - 1)
-    a, i = _states(Q, 2, state_limit).T  # the state a Q + i
+    a, i = _states(Q, 2, f, state_limit).T  # the state a Q + i
     add, mul, _trace = integer_tables(f)
     windows = _grid(q, w)
     g = np.zeros(len(windows), dtype=np.intp)
@@ -389,7 +375,7 @@ def build_symmetric_system(
     if k < 2:
         raise ValueError("need k >= 2")
     q = f.q
-    beta = _states(q, k - 1, state_limit)
+    beta = _states(q, k - 1, f, state_limit)
     add, mul, _trace = integer_tables(f)
     x = np.arange(q)
     # on the value x of the newest variable (arrays are dim x q), the new top
@@ -444,11 +430,7 @@ def integer_annihilator(
     """
     if degree_cap < 1:
         raise ValueError("degree_cap must be >= 1")
-    dim = sys.kernel.dim * (sys.field.p - 1)
-    if dim > blowup_limit:
-        raise ResourceLimitExceeded(
-            "inflated dimension %d exceeds the limit of %d" % (dim, blowup_limit)
-        )
+    check_inflated(sys.kernel.dim * (sys.field.p - 1), blowup_limit)
     return IntPolynomial(minimal_polynomial(sys.kernel, degree_cap))
 
 
@@ -491,7 +473,7 @@ def system_for(e, f, state_limit=DEFAULT_STATE_LIMIT, budget=DEFAULT_POINT_BUDGE
             offsets = terms[0][1]
             k = len(offsets)
             if offsets == tuple(range(1, k + 1)):
-                _limit(k, state_limit)
+                check_states(k, state_limit)
                 return build_trapezoid_system(k, f, budget)
         label = "%s[%s]/F_%s" % (
             "rotation" if rotation else "chain",

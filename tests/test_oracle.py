@@ -128,11 +128,15 @@ def test_popcount_fallback_for_numpy_before_2(monkeypatch):
         instantiate(parse(text), n, f2)
         for text, n in (("R(2,3)", 10), ("tau(5)", 24), ("e1*T(2) + sigma(1)", 3))
     ]
+    ranges = [(parse(text), range(lo, hi + 1)) for text, lo, hi in (("tau(5)", 5, 24), ("sigma(3)", 3, 14), ("T(2,4) + T(3)", 4, 23))]
     fast = [trace_counts(g) for g in cases]
+    fast_ranges = [sum_sequence(e, f2, ns) for e, ns in ranges]
     monkeypatch.setattr(oracle, "_bitwise_count", None)
     assert [trace_counts(g) for g in cases] == fast
     assert fast[0] == _slow_counts(cases[0])
     assert fast[2] == _slow_counts(cases[2])
+    # levelled ranges sum the popcounts over several runs of words (reduceat)
+    assert [sum_sequence(e, f2, ns) for e, ns in ranges] == fast_ranges
 
 
 @st.composite
@@ -720,9 +724,10 @@ def test_sum_sequence_validates_as_the_loop_does(text, q, n_range, budget):
 
 def test_an_over_budget_range_is_refused_before_any_enumeration(monkeypatch):
     calls = _record_kernel_calls(monkeypatch)
-    for text, q in (("tau(3)", 3), ("sigma(2)", 2)):
-        with pytest.raises(ResourceLimitExceeded, match="^enumeration of %d\\^9 points exceeds the budget of %d$" % (q, q**8)):
-            sum_sequence(parse(text), make_field(q), range(3, 12), budget=q**8)
+    # a rotation is refused up front too, not after the 3^16-point sums below n = 17
+    for text, q, hi, budget, over in (("tau(3)", 3, 11, 3**8, 9), ("sigma(2)", 2, 11, 2**8, 9), ("R(2,3)", 3, 17, DEFAULT_POINT_BUDGET, 17)):
+        with pytest.raises(ResourceLimitExceeded, match="^enumeration of %d\\^%d points exceeds the budget of %d$" % (q, over, budget)):
+            sum_sequence(parse(text), make_field(q), range(3, hi + 1), budget=budget)
     assert "_trace_counts_f2" not in calls and "_value_counts" not in calls
 
 
@@ -943,6 +948,19 @@ def test_joint_counts_validation():
     b = instantiate(tau(2), 5, f3)
     with pytest.raises(ValueError):
         joint_counts([a, b])
+
+
+@pytest.mark.parametrize("q,n", [(5, 4), (3, 5)], ids=["another-field", "another-n"])
+def test_decorated_sums_are_admitted_as_joint_counts(q, n):
+    base = instantiate(tau(2), 4, make_field(3))
+    decoration = instantiate(Sigma(1), n, make_field(q))
+    for call in (joint_counts, lambda funcs: decorated_sums(funcs[0], funcs[1:])):
+        with pytest.raises(ValueError, match="^functions must share a field and variable count$"):
+            call([base, decoration])
+    # the decorations' bins count against the budget as joint_counts' do
+    assert len(decorated_sums(base, [base] * 3, budget=3**4)) == 27
+    with pytest.raises(ResourceLimitExceeded, match="^3\\^5 joint bins exceed the budget of 81$"):
+        decorated_sums(base, [base] * 4, budget=3**4)
 
 
 def test_joint_counts_bins_count_against_the_budget():

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from gfrec import transfer
 from gfrec.cyclotomic import CycInt, combination, root_power
 from gfrec.funcalg import (
     InstantiatedFunction,
@@ -661,25 +662,46 @@ def test_over_budget_systems_are_refused_before_any_step(monkeypatch, k, q):
 
 def test_scatter_recipes_past_the_root_count_limit_are_refused(monkeypatch):
     # sigma(2) over F_1021 has 1021 states within the state limit, but its
-    # recipe would count 1021^3 roots, an 8 GB (keys x p) table
-    f = make_field(1021)
-    exp_sum(instantiate(Sigma(2), 2, f))  # the field tables, outside the measurement
+    # recipe would count 1021^3 roots, an 8 GB (keys x p) table.  sigma(2)
+    # over F_2^12 has 4096 states, and its field tables, recipe and oracle
+    # gate (4096^2 points) would take seconds and 700 MB before its table.
+    # The 2-state trapezoid over F_2053 counts 2 * 2053^2 roots.  All are
+    # refused from their shape, before any of that work.
+    cases = [
+        (Sigma(2), make_field(1021), 1021, 1064332261),
+        (Sigma(2), make_field(2, 12), 4096, 33554432),
+        (tau(2), make_field(2053), 2, 8429618),
+    ]
     steps, built = _count_matrix_work(monkeypatch)
-    tracemalloc.start()
-    start = time.perf_counter()
-    try:
-        with pytest.raises(ResourceLimitExceeded) as info:
-            system_for(Sigma(2), f)
-        elapsed = time.perf_counter() - start
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert str(info.value) == (
-        "a transfer matrix of 1021 states over F_1021 needs 1064332261 root counts "
-        "(states x q x p), over the limit of %d" % SCATTER_ROOT_COUNTS
-    )
-    assert steps == [] and built == []
-    assert elapsed < 0.5 and peak < 64 << 20
+    calls = []
+    for name in ("exp_sum", "integer_tables"):
+        def spy(*args, _name=name, _fn=getattr(transfer, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(transfer, name, spy)
+    for e, f, dim, counts in cases:
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ResourceLimitExceeded) as info:
+                system_for(e, f)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (
+            "a transfer matrix of %d states over F_%s needs %d root counts "
+            "(states x q x p), over the limit of %d" % (dim, f.describe(), counts, SCATTER_ROOT_COUNTS)
+        )
+        assert elapsed < 0.1 and peak < 16 << 20
+    assert steps == [] and built == [] and calls == []
+    # a build checks states, then root counts, then its gate's points
+    with pytest.raises(ResourceLimitExceeded, match="^1021 states exceed the limit of 1000$"):
+        system_for(Sigma(2), cases[0][1], state_limit=1000, budget=100)
+    with pytest.raises(ResourceLimitExceeded, match="^a transfer matrix of 257 states over F_257 needs 16974593 root counts"):
+        system_for(Sigma(2), make_field(257), budget=100)
+    monkeypatch.undo()
     # sigma(2) over F_61 (61^3 root counts) is the largest recipe that the
     # tests, the goldens and the benchmark build; it stays admitted
     assert system_for(Sigma(2), make_field(61)).dim == 61

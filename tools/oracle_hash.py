@@ -3,8 +3,9 @@
 
     PYTHONPATH=<checkout>/src python3 tools/oracle_hash.py
 
-Runs a fixed, seeded set of calls and prints, on each of three lines, the
-number of records and the SHA-256 of their JSON.  Each record is a call's
+Runs a fixed, seeded set of calls and prints, on each of four lines, the
+number of records and the SHA-256 of their JSON, and exits 1 when a line
+differs from the one recorded in RECORDED (see recorded.py).  Each record is a call's
 result (residue counts, a flattened joint histogram, or the coordinates of
 cyclotomic sums) or the type and text of the exception it raised.  Two
 checkouts that print the same lines give the same results on every call.  The fields are F_2, F_3, F_4,
@@ -50,6 +51,14 @@ import random
 from gfrec.funcalg import InstantiatedFunction, instantiate, parse, tau
 from gfrec.galois import make_field, prime_power
 from gfrec.oracle import decorated_sums, joint_counts, sum_sequence, trace_counts
+from recorded import check
+
+RECORDED = (
+    "428 records sha256 ad6393eb8cc3b344245f073a89f9bc16af016e8d5f83cc45dd7b4e9291ff15e5",
+    "F_2 past one chunk: 26 records sha256 162cb4c85e2000a2ef6741ae57e201eb18eca650d42ff321ce033a6885d73cae",
+    "F_2 many cofactors past one chunk: 8 records sha256 9488d416c631b41d2ba7921bc34e8f7895e6bb722d50ceba66ee6a0c684a6d12",
+    "generic multi-row: 22 records sha256 3f483d26b1d2309650f946ed77e9ceb534aacd61f6ce343ba11c974f3908ca5b",
+)
 
 FIELDS = (2, 3, 4, 5, 8, 9, 25, 257)
 FAMILIES = (
@@ -225,12 +234,12 @@ def _line(records):
     return "%d records sha256 %s" % (len(records), hashlib.sha256(blob).hexdigest())
 
 
-def main():
-    print(_line(_records()))
-    print("F_2 past one chunk: " + _line(_f2_records()))
-    print("F_2 many cofactors past one chunk: " + _line(_f2_dense_records()))
-    print("generic multi-row: " + _line(_multi_row_records()))
+def _lines():
+    yield _line(_records())
+    yield "F_2 past one chunk: " + _line(_f2_records())
+    yield "F_2 many cofactors past one chunk: " + _line(_f2_dense_records())
+    yield "generic multi-row: " + _line(_multi_row_records())
 
 
 if __name__ == "__main__":
-    main()
+    check(_lines(), RECORDED)

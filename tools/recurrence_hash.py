@@ -4,7 +4,8 @@
     PYTHONPATH=<checkout>/src python3 tools/recurrence_hash.py
 
 Runs a fixed, seeded set of calls and prints the number of records and the
-SHA-256 of their JSON.  Each record is a call's result (polynomial
+SHA-256 of their JSON, and exits 1 when that line differs from the one
+recorded in RECORDED (see recorded.py).  Each record is a call's result (polynomial
 coefficients, a bool, or the digest of a sequence's n_min, length and
 coordinates) or the type and text of the exception it raised.  Two
 checkouts that print the same line give the same results on every call:
@@ -40,6 +41,9 @@ from gfrec.funcalg import parse
 from gfrec.galois import make_field, prime_power
 from gfrec.recurrence import IntPolynomial, Sequence, discover, divides, extend, satisfies
 from gfrec.transfer import integer_annihilator, run, system_for
+from recorded import check
+
+RECORDED = ("6922 records sha256 60ce9b381dd181fee0f5f42d216345db4388c5682653f6c17cad3b5b7f89d267",)
 
 FAMILIES = [
     ("tau(3)", 2), ("T(2,4)", 2), ("R(2,3)", 2), ("R(2)", 3), ("sigma(3)", 3),
@@ -209,11 +213,11 @@ def _refusals():
             for seq, poly, n in cases]
 
 
-def main():
+def _lines():
     records = _records()
     blob = json.dumps(records, sort_keys=True).encode()
-    print("%d records sha256 %s" % (len(records), hashlib.sha256(blob).hexdigest()))
+    yield "%d records sha256 %s" % (len(records), hashlib.sha256(blob).hexdigest())
 
 
 if __name__ == "__main__":
-    main()
+    check(_lines(), RECORDED)

@@ -5,7 +5,8 @@
 
 Builds the system of every digest case of tests/test_transfer.py (its
 DIGEST_EXPRS over its DIGEST_FIELDS, copied below) and prints four lines,
-each the number of records and the SHA-256 of their JSON:
+each the number of records and the SHA-256 of their JSON, and exits 1 when
+a line differs from the one recorded in RECORDED (see recorded.py):
 - runs: per case the label, dim, n_min and the coordinates of `run` up to
   n_min + 12, or the type and text of the exception that refused the system;
 - annihilators: per case the coefficients of `integer_annihilator` at its
@@ -33,6 +34,14 @@ from gfrec.funcalg import parse
 from gfrec.galois import make_field, prime_power
 from gfrec.limits import ResourceLimitExceeded
 from gfrec.transfer import integer_annihilator, run, system_for
+from recorded import check
+
+RECORDED = (
+    "runs: 105 records sha256 23f37805bdb5cd83803ec944e80f2b3284f56bfc2acaf76722f4a5dc769eb693",
+    "annihilators: 105 records sha256 5bea87524e72575a32c7dab6c31d9af629278de5b71d567be99cf63e51053707",
+    "large: 8 records sha256 f8d7fe97e0fda784230311da8d67f40e754dda7f0b588a7479caba09d6ab4c94",
+    "outside: 8 records sha256 a6d72f6b289b777f8de8121bce7d1338786e6244a563f7556373e0cacc0c66e7",
+)
 
 DIGEST_EXPRS = (
     "tau(2)", "tau(3)", "tau(4)", "tau(5)", "sigma(2)", "sigma(3)", "R(2)", "R(2,3)", "R(2,4)",
@@ -107,13 +116,13 @@ def _line(name, records):
     return "%s: %d records sha256 %s" % (name, len(records), hashlib.sha256(blob).hexdigest())
 
 
-def main():
+def _lines():
     runs, annihilators = _records()
-    print(_line("runs", runs))
-    print(_line("annihilators", annihilators))
-    print(_line("large", _large_records()))
-    print(_line("outside", _outside_records()))
+    yield _line("runs", runs)
+    yield _line("annihilators", annihilators)
+    yield _line("large", _large_records())
+    yield _line("outside", _outside_records())
 
 
 if __name__ == "__main__":
-    main()
+    check(_lines(), RECORDED)
