@@ -5,6 +5,11 @@ Rotation families sum all n cyclic shifts of the pattern monomial (indices
 live in the residues 1..n), trapezoid families sum only the translates
 that fit without wrapping, and sigma(k) is the k-th elementary symmetric
 polynomial.  Expressions combine these with scalar multiples and sums.
+
+So a rotation at n is its trapezoid plus its wrapped translates, the seam,
+which for n >= 2w - 2 (w the pattern width) is one fixed polynomial in the
+first and the last w - 1 variables (`seam`).  The trapezoids and sigma(k)
+at n are those at any larger n with the variables past n set to 0.
 """
 
 from __future__ import annotations
@@ -95,19 +100,42 @@ class Sum:
         return max(part.min_n() for part in self.parts)
 
 
-def prefix_stable(e):
-    """Whether every instance f_n of e is f_N at x_(n+1) = ... = x_N = 0, N > n.
+def seam(e, field=None):
+    """(e', w, W): e with every rotation replaced by its trapezoid, the
+    largest rotation width w (0 when no rotation occurs), and the seam W
+    over field (None without a field; e' and w need none).
 
-    A monomial of f_N in a variable past n vanishes there, and the others
-    are those of f_n: the translates of a trapezoid that fit in 1..n and the
-    k-subsets of 1..n of sigma(k).  A rotation's wrapped translates are not,
-    so e is prefix-stable when no Rotation occurs in it.
+    A rotation of width w_i at n is its trapezoid at n, the translates that
+    fit without wrapping, plus its w_i - 1 wrapped translates.  For
+    n >= 2w - 2 each wrapped translate is a product of variables of
+    u = (x_(n-w+2), ..., x_n) and of a = (x_1, ..., x_(w-1)), which do not
+    overlap, so f_n = f'_n + W(u, a) for every n >= max(min_n, 2w - 2) with
+    the same polynomial W.  W is returned as a function on F_q^(2w-2),
+    a in its variables 1..w-1 and u in w..2w-2: the wrapped translates at
+    n = 2w - 2.  Every wrapped translate has a variable of u, so W(0, a) = 0.
+    Without a rotation e' = e and W is 0 on F_q^0: a trapezoid's translates
+    and sigma(k)'s monomials at n are those at N > n in the variables
+    1..n, so f_n is f_N at x_(n+1) = ... = x_N = 0.
     """
+    trapezoids, w = _unwrapped(e)
+    if field is None:
+        return trapezoids, w, None
+    n, acc = max(2 * w - 2, 0), {}
+    _expand(e, n, field, field.one(), acc, wrapped=True)
+    return trapezoids, w, InstantiatedFunction(field, n, acc)
+
+
+def _unwrapped(e):
+    """(e', w) of `seam`."""
     if isinstance(e, ScalarMul):
-        return prefix_stable(e.expr)
+        inner, w = _unwrapped(e.expr)
+        return ScalarMul(e.scalar_index, inner), w
     if isinstance(e, Sum):
-        return all(map(prefix_stable, e.parts))
-    return not isinstance(e, Rotation)
+        parts = [_unwrapped(part) for part in e.parts]
+        return Sum(tuple(part for part, _w in parts)), max(w for _part, w in parts)
+    if isinstance(e, Rotation):
+        return Trapezoid(e.pattern), e.pattern.width
+    return e, 0
 
 
 def tau(k):
@@ -272,13 +300,21 @@ def _accumulate(acc, mono, coeff):
     acc[mono] = coeff if cur is None else cur + coeff
 
 
-def _expand(e, n, field, coeff, acc):
+def _expand(e, n, field, coeff, acc, wrapped=False):
+    """Add coeff times e's instance at n to acc, or with wrapped only its
+    rotations' wrapped translates (see `seam`)."""
     if isinstance(e, ScalarMul):
-        _expand(e.expr, n, field, coeff * e.scalar(field), acc)
+        _expand(e.expr, n, field, coeff * e.scalar(field), acc, wrapped)
         return
     if isinstance(e, Sum):
         for part in e.parts:
-            _expand(part, n, field, coeff, acc)
+            _expand(part, n, field, coeff, acc, wrapped)
+        return
+    if wrapped:
+        if isinstance(e, Rotation):
+            base = frozenset(e.pattern.offsets)
+            for k in range(n - e.pattern.width + 1, n):
+                _accumulate(acc, shift(base, k, n), coeff)
         return
     if n < e.min_n():
         raise ValueError("n=%d below the family minimum %d" % (n, e.min_n()))

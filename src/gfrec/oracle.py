@@ -41,15 +41,20 @@ process on a 2-core x86-64 host.  Over fields with q^2 > _TABLE_ENTRIES no
 q^2 table is built for a call, so a small grid over F_2^12 costs its
 points, not 16.7 M table entries.
 
-Both kernels also count by level, a point's level being the index of its
-highest nonzero variable (0 at the origin).  With variable i at digit
-i - 1 of the point index, the points of level at most n are the first q^n,
-so a whole chunk or block has one level, fixed by its index, and only the
-first one's points spread over the levels below.  A trapezoid or sigma(k)
-at n is its own instance at N > n restricted to x_(n+1) = ... = x_N = 0,
-so `sum_sequence` reads a whole range of them from one enumeration at its
-top n, as sums over the levels; a rotation is enumerated at every n.  A
-plain call is the one-level case of the same code.
+Both kernels also count by label: a point's level, the index of its
+highest nonzero variable (0 at the origin), with its s leading digits,
+and the values of x_1, ..., x_s beside its function value.  With variable
+i at digit i - 1 of the point index, the points of level at most n are the
+first q^n, so a whole chunk or block whose index has at least s digits has
+one label, fixed by its index, and only the few first ones' points spread
+over several.  A trapezoid or sigma(k) at n is its own instance at N > n
+restricted to x_(n+1) = ... = x_N = 0, and a rotation of width w is its
+trapezoid plus a seam W in the first and the last w - 1 variables that is
+the same polynomial at every n >= 2w - 2 (`funcalg.seam`).  So
+`sum_sequence` reads a whole range from one enumeration at its top n, with
+s = w - 1 leading digits (0 without a rotation): the last s variables at n
+are the leading digits of a point of level n - s < L <= n, moved down.  A
+plain call is the one-label case of the same code.
 
 This module is the enumeration path only.  The other two paths,
 `transfer.run_range` on a built system and `recurrence.extend` of initial
@@ -60,13 +65,12 @@ pick one themselves.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate
 from math import prod
 
 import numpy as np
 
 from .cyclotomic import CycInt
-from .funcalg import instantiate, prefix_stable
+from .funcalg import InstantiatedFunction, instantiate, seam
 from .galois import is_prime
 from .limits import DEFAULT_POINT_BUDGET, check_bins, check_points
 from .recurrence import Sequence
@@ -83,6 +87,7 @@ _CHUNK_BITS = 22  # log2 of the most points in one chunk of the F_2 kernel; at l
 # ratios matter.  See `_chunk_bits`.
 _TERM_POINT_NS = 0.0025  # one term at one point of one cube of 2^b < 2^n points: its XOR and its share of the popcount
 _WIDE_TERM_POINT_NS = 0.006  # the same in the one cube of 2^n points, which streams through memory
+_MASK_WORD_NS = 1.5  # one word of a cube at one value of a seam's a (`_SEAM_WORDS`): its AND and popcount
 _CODE_NS = 1.1  # one chunk's code at one chunk bit of the zeta transform
 _KEYED_NS = 120_000  # one call at b < n: the split, the codes and their count
 _SEARCH_NS = 1000  # counting the groups of one term
@@ -99,6 +104,13 @@ _HIGH_NS = 60  # one block's entry in the C and shift rows, evaluated and sorted
 _GRID_NS = 20_000  # one C or shift grid at one more m
 _TRY_NS = 150_000  # trying one more m, beyond its grids and terms, with a margin for the model's error
 _TERM_NS = 3_000  # splitting one term at one more m
+# A levelled rotation range pays for its seam table in the labels and the
+# bins of its top call: p q^(2s) entries for each labelled level, each of
+# which costs about as much as enumerating this many points of the lower n
+# that the one call saves, in ranges timed on a 2-core x86-64 host
+# (R(2), R(2,3), R(2,4), R(2,5), R(2,3,4) and R(2,3) + R(2) over F_2 to
+# F_9).  See `sum_sequence`.
+_SEAM_POINTS = 8
 
 _table_cache = {}
 _digit_cache = {}
@@ -241,6 +253,44 @@ def _digit_counts(q, k):
     return np.repeat(np.arange(k + 1), [1] + [(q - 1) * q**j for j in range(k)])
 
 
+def _labels(q, k, lo, s):
+    """The label of each index 0..q^k - 1: 0 when it has at most lo digits,
+    else 1 + (d - lo - 1) q^s + v, d its number of digits and v the index
+    of its s leading digits (see `_trace_levels`); lo may be negative.  An
+    index with more than lo but fewer than s digits has no such v, and its
+    entry means nothing: callers count those apart (the head)."""
+    digits = _digit_counts(q, k)
+    label = np.maximum(digits - lo, 0)
+    if s:
+        lead = np.arange(q**k) // q ** np.maximum(digits - s, 0)
+        label = np.where(label > 0, (label - 1) * q**s + lead + 1, 0)
+    return label
+
+
+def _label_points(q, n, lo, s):
+    """The number of points of F_q^n with each label (`_trace_levels`) and
+    each value a of (x_1, ..., x_s), a row a label, lo >= s.  Label (L, v)
+    holds the q^(L-s) indices from v q^(L-s); from L = 2s on they run over
+    every a alike, below it over q^(L-s) consecutive values of a, one each.
+    A v whose leading digit is 0 labels no point."""
+    size = q**s
+    if lo == n:
+        return np.full((1, size), q ** (n - s), dtype=np.int64)
+    points = np.zeros((1 + (n - lo) * size, size), dtype=np.int64)
+    points[0] = q ** (lo - s)
+    if not s:
+        points[1:, 0] = (q - 1) * q ** np.arange(lo, n, dtype=np.int64)
+        return points
+    levels = points[1:].reshape(n - lo, size, size)
+    lead = np.arange(size // q, size)
+    for level in range(lo + 1, min(2 * s, n + 1)):
+        run = q ** (level - s)
+        levels[level - lo - 1].reshape(size, -1, run)[lead, lead % (size // run)] = 1
+    wide = max(2 * s - lo - 1, 0)
+    levels[wide:, size // q :] = (q ** np.arange(lo + 1 + wide - 2 * s, n + 1 - 2 * s, dtype=np.int64))[:, None, None]
+    return points
+
+
 def _split(terms, m):
     """(base, groups) with sum c x^mono = base + sum of high * low over groups.
 
@@ -293,31 +343,66 @@ def _low_words():
 
 
 _LOW_WORDS = _low_words()
-_PREFIX_WORDS = np.array([(1 << (1 << k)) - 1 for k in range(6)], dtype=np.uint64)  # the first 2^k bits of a word
-_LEVEL_WORDS = [1 << max(k - 7, 0) for k in range(64)]  # for k >= 7, the first word of the points of level k
+_LOW_BITS = np.array([(1 << r) - 1 for r in range(64)], dtype=np.uint64)  # the bits below r of a word
+# for each s <= 6 and each a < 2^s, the bits j of a word with j = a mod 2^s: the points where
+# (x_1, ..., x_s) is a, as bit v - 1 of the index is x_v; (2^64 - 1) / (2^(2^s) - 1) sets every 2^s-th bit
+_SEAM_WORDS = [np.array([((1 << 64) - 1) // ((1 << (1 << s)) - 1) << a for a in range(1 << s)], dtype=np.uint64) for s in range(7)]
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 _bitwise_count = getattr(np, "bitwise_count", None)  # numpy >= 2.0
 
 
+def _bitcount(words):
+    """The set bits of each word."""
+    if _bitwise_count is not None:
+        return _bitwise_count(words)
+    return _POPCOUNT8[np.ascontiguousarray(words).view(np.uint8)].reshape(words.shape + (8,)).sum(axis=-1)
+
+
 def _popcount(words, starts=(0,)):
     """The set bits of each row of words, along the last axis, summed over
-    each run of words from one of starts to the next."""
-    if _bitwise_count is not None:
-        return np.add.reduceat(_bitwise_count(words), starts, axis=-1, dtype=np.int64)
-    return np.add.reduceat(_POPCOUNT8[words.view(np.uint8)], np.multiply(starts, 8), axis=-1)
+    each run of words from one of starts to the next (a start equal to the
+    next takes its one word, as reduceat does)."""
+    return np.add.reduceat(_bitcount(words), starts, axis=-1, dtype=np.int64)
 
 
-def _level_ones(cube, bits, lo):
-    """The ones of a cube of 2^bits points by level: entry k - lo counts the
-    points of level k for k = lo..bits, those below lo counted at lo (one
-    entry when lo >= bits).  The points of level at most k are the first
-    2^k, whole words from k = 6 and the low bits of word 0 below it."""
+def _range_ones(words, bounds):
+    """The set bits of each row of words, along the last axis, in each run of
+    bits from one of the ascending bit positions bounds to the next, the
+    last of which is the end of the words.  The whole words from each
+    bound's word are summed by one reduceat, less that word alone where the
+    next bound is in it too, and each bound's word is split by the mask of
+    its lower bits."""
+    word = bounds >> 6
+    at = np.minimum(word, words.shape[-1] - 1)
+    first = words[..., at]
+    low = _bitcount(first & _LOW_BITS[bounds & 63])
+    ones = _popcount(words, at[:-1]) - low[..., :-1] + low[..., 1:]
+    same = np.flatnonzero(word[1:] == word[:-1])
+    ones[..., same] -= _bitcount(first[..., same])
+    return ones
+
+
+def _label_ones(cube, k, lo, s):
+    """The ones of a cube of the first 2^k points by label (`_trace_levels`)
+    and by the index a of (x_1, ..., x_s): a row for each label of level at
+    most k, and a column for each a.  Each label is a run of indices: label
+    0 those below 2^lo, label (L, v) the 2^(L-s) from v 2^(L-s), or for
+    s = 0 level L those from 2^(L-1) to 2^L.  A value of a is one bit of
+    every 2^s of a word (`_SEAM_WORDS`)."""
     words = cube.reshape(-1)
-    first = min(lo, bits)
-    ones = _popcount(words, [0] + _LEVEL_WORDS[max(first, 6) + 1 : bits + 1])
-    if first < min(bits, 6):  # word 0 holds the levels first..min(bits, 6)
-        prefix = _popcount(words[:1] & _PREFIX_WORDS[first : min(bits, 6), None])[:, 0]
-        ones = np.concatenate((np.diff(prefix, prepend=0), ones[:1] - prefix[-1], ones[1:]))
+    if s:
+        words = words & _SEAM_WORDS[s][:, None]
+    if lo >= k:
+        return _popcount(words).reshape(1, -1)
+    end = [words.shape[-1] << 6]  # the last run ends with the words: past 2^k they are 0
+    if not s:
+        return _range_ones(words, np.array([0] + [1 << level for level in range(lo, k)] + end))[:, None]
+    size, levels = 1 << s, np.arange(lo + 1, k + 1)
+    lead = np.arange(size // 2, size)  # v with a leading 1
+    ends = ((lead + 1) << levels[:, None] - s).ravel()
+    rows = np.concatenate(([0], ((levels[:, None] - lo - 1) * size + lead + 1).ravel()))
+    ones = np.zeros((1 + (k - lo) * size, size), dtype=np.int64)
+    ones[rows] = _range_ones(words, np.concatenate(([0, 1 << lo], ends[:-1], end))).T
     return ones
 
 
@@ -355,14 +440,16 @@ def _cube(terms, bits):
     return cube
 
 
-def _chunk_codes(groups, chunk_bits, skip):
+def _chunk_codes(groups, chunk_bits, skip, s=0, head=0):
     """(on, weights): on[i, j] is 1 when C_j, the sum of the high monomials
     of the j-th group of `_split`, is 1 on the chunks of the i-th distinct
-    code, and weights[i, r] counts those of the 2^chunk_bits chunks whose
-    index c has bit length skip + r, or at most skip for r = 0.  With b
-    chunk bits, chunk c > 0 holds the points of level b + bitlen(c), so
-    r is a row of levels from lo = b + skip, the one row of a call at
-    skip = chunk_bits.
+    code, and weights[i, l] counts those of the chunks c >= head of the
+    2^chunk_bits whose label is l, as `_labels(2, chunk_bits, skip, s)`
+    gives it.  With b chunk bits, chunk c > 0 holds the points of level
+    b + bitlen(c), and when bitlen(c) >= s their s leading bits are those
+    of c, so labels from lo = b + skip are those of `_trace_levels`; the
+    one label of a call is at skip = chunk_bits, s = 0.  The head chunks,
+    whose points have more than one label, are counted apart.
 
     A chunk's code has bit j when C_j is 1 on it.  Each high monomial
     belongs to one group, so a chunk's code is the XOR of the codes of the
@@ -389,98 +476,116 @@ def _chunk_codes(groups, chunk_bits, skip):
         size = len(codes)
     else:
         key, size = codes, 1 << len(groups)
-    levels = chunk_bits - skip + 1
-    if levels > 1:  # the rows of the chunks, from the bit lengths of their indices
-        key = key.astype(np.intp) * levels + np.maximum(_digit_counts(2, chunk_bits) - skip, 0)
-    weights = np.bincount(key, minlength=size * levels).reshape(size, levels)
-    if len(groups) <= chunk_bits:  # the codes that occur
-        codes = np.flatnonzero(weights.any(axis=1) if levels > 1 else weights)
-        weights = weights[codes]
+    labels = 1 + (chunk_bits - skip << s)
+    if labels > 1:
+        key = key.astype(np.intp) * labels + _labels(2, chunk_bits, skip, s)
+    weights = np.bincount(key[head:], minlength=size * labels).reshape(size, labels)
+    if len(groups) <= chunk_bits or head:  # the codes that occur
+        occur = np.flatnonzero(weights.any(axis=1) if labels > 1 else weights)
+        codes, weights = (codes[occur] if len(groups) > chunk_bits else occur), weights[occur]
     return (codes[:, None] >> np.arange(len(groups), dtype=codes.dtype) & 1).astype(np.uint64), weights
 
 
-def _chunk_bits(terms, n):
-    """The chunk bits of least predicted work: n for one cube of 2^n
-    points, or b < n for chunks of 2^b points counted by code.
+def _chunk_bits(terms, n, lo, s):
+    """The chunk bits of least predicted work for `_trace_counts_f2`: n for
+    one cube of 2^n points, or b < n for chunks of 2^b points counted by
+    code.
 
     Each term costs _WIDE_TERM_POINT_NS a point of the cube of 2^n points,
     which streams through memory, and _TERM_POINT_NS a point of each cube of
     2^b < 2^n points.  At b < n, with g groups of `_split`, there are at
     most min(2^g, 2^(n - b)) codes, a cube each; the codes cost
-    (n - b) 2^(n - b) XORs, and the call a fixed _KEYED_NS.  The groups are
-    counted once, at b = n // 2, and taken as the same at every b; the
-    count finds `_split`'s groups without building them, for _SEARCH_NS a
-    term, half a split.  A call whose one cube would cost less than
-    counting them and the fixed cost counts none.
+    (n - b) 2^(n - b) XORs, and the call a fixed _KEYED_NS.  With s > 0
+    every word of a cube is counted 2^s times, once for each a
+    (`_SEAM_WORDS`), at _MASK_WORD_NS, and at b < n the head chunks of
+    s > 1, when lo is below them, are one more cube, of 2^(b+s-1) points.
+    The groups are counted once, at b = n // 2, and taken as the same at
+    every b; the count finds `_split`'s groups without building them, for
+    _SEARCH_NS a term, half a split.  A call whose one cube would cost less
+    than counting them and the fixed cost counts none.
     """
+
+    def cube_ns(k):  # one cube of 2^k points
+        return len(terms) * _WIDE_TERM_POINT_NS * (1 << k) + (_MASK_WORD_NS * ((1 << max(k - 6, 0)) << s) if s else 0)
+
     top = min(n - 1, _CHUNK_BITS)
-    best_work, best = len(terms) * _WIDE_TERM_POINT_NS * (1 << n), n
+    best_work, best = cube_ns(n), n
     if n > _CHUNK_BITS:
         best_work, best = float("inf"), top
     elif top < 0 or best_work <= _KEYED_NS + len(terms) * _SEARCH_NS:
         return n
-    lo = min(n // 2, top)
+    least = min(n // 2, top)
     cofactors = {}
     for mono, _c in terms:
-        if mono and mono[-1] > lo:
-            cut = bisect_left(mono, lo + 1)
+        if mono and mono[-1] > least:
+            cut = bisect_left(mono, least + 1)
             cofactors.setdefault(mono[cut:], set()).add(mono[:cut])
     groups = len(set(map(frozenset, cofactors.values())))
-    for bits in range(lo, top + 1):
+    for bits in range(least, top + 1):
         cubes = min(1 << groups, 1 << n - bits) << bits
         work = len(terms) * _TERM_POINT_NS * cubes + (n - bits << n - bits) * _CODE_NS + _KEYED_NS
+        if s:
+            work += _MASK_WORD_NS * (cubes >> 6 << s)
+        if s > 1 and lo < bits + s - 1:
+            work += cube_ns(min(bits + s - 1, n))
         if work < best_work:
             best_work, best = work, bits
     return best
 
 
-def _trace_counts_f2(g, lo):
-    """[zeros, ones] of g over F_2^n for each level lo..n (`_trace_levels`),
-    over chunks of 2^b points (`_chunk_bits`).
+def _trace_counts_f2(g, lo, s=0):
+    """The ones of g over F_2^n by label and by the index a of
+    (x_1, ..., x_s), a row a label (`_trace_levels`, with lo >= s and
+    s <= 6), over chunks of 2^b points (`_chunk_bits`; b >= n // 2 >= s
+    in a seam call, so a chunk holds a).
 
     `_split` writes g as base(low) + the sum over groups of C(high) L(low),
     with the variables up to b low.  On a chunk each C is a constant, so its
     cube is base plus the L whose C is 1 there: chunks with equal codes
     (`_chunk_codes`) have equal cubes, and the cube of each distinct code is
-    built once and weighted by its chunks of each level.  The group whose L
+    built once and weighted by its chunks of each label, as a chunk c whose
+    index has at least s bits has one label, fixed by c.  The group whose L
     is the constant 1 complements the cube.  At b = n there is one chunk,
     with no split and no codes.  The cubes are built side by side, at most
     2^_CHUNK_BITS points at a time: a copy of the base cube each, one XOR of
     each term of each L into its view, with the word zeroed on the cubes
-    whose code lacks L's bit, and one popcount.  Chunk 0 has code 0, as
-    every C is 0 there, so its cube is the base cube; its points have the
-    levels 0..b, and below lo < b the base cube's prefixes (`_level_ones`)
-    move them from level b, where its code counts them, to their own.
+    whose code lacks L's bit, and one popcount for each a, through the
+    words of `_SEAM_WORDS`.  The head chunks c < 2^(s-1), or chunk 0 for
+    s <= 1, hold points of more than one label when lo is below their
+    levels; they are the first 2^k points, on which g is its terms in the
+    variables 1..k (the base cube, for s <= 1), and are counted by the runs
+    of their labels (`_label_ones`).
     """
     n = g.n
     terms = [(tuple(sorted(mono)), 1) for mono in g.terms]
-    bits = _chunk_bits(terms, n)
+    bits = _chunk_bits(terms, n, lo, s)
     if bits == n:
-        ones = _level_ones(_cube(terms, n), n, lo)
-    else:
-        base, groups = _split(terms, bits + 1)
-        on, weights = _chunk_codes(groups, n - bits, lo - bits)
-        base = _cube(base, bits)
-        cofactors = [_views(low, bits) for low, _highs in groups]
-        step = 1 << _CHUNK_BITS - bits
-        ones = 0
-        for first in range(0, len(on), step):
-            batch = on[first : first + step]
-            cubes = np.repeat(base, len(batch), axis=0)
-            for j, views in enumerate(cofactors):
-                for index, word in views:
-                    view = cubes[index]
-                    view ^= (batch[:, j] * word).reshape((-1,) + (1,) * (view.ndim - 1))
-            ones += weights[first : first + step].T @ _popcount(cubes.reshape(len(batch), -1))[:, 0]
-        if lo < bits:
-            inner = _level_ones(base, bits, lo)
-            inner[-1] -= inner.sum()
-            ones[: len(inner)] += inner
-    ones = ones.tolist()
-    counts = [[(1 << lo) - ones[0], ones[0]]]
-    for k, one in enumerate(ones[1:], lo):  # level k + 1 has 2^k points
-        counts.append([(1 << k) - one, one])
-    return counts
+        return _label_ones(_cube(terms, n), n, lo, s)
+    extra = min(max(s - 1, 0), n - bits)  # the head chunks' index bits
+    head = 1 << extra if lo < bits + extra else 0
+    base, groups = _split(terms, bits + 1)
+    on, weights = _chunk_codes(groups, n - bits, lo - bits, s, head)
+    base = _cube(base, bits)
+    cofactors = [_views(low, bits) for low, _highs in groups]
+    step = 1 << _CHUNK_BITS - bits
+    ones = np.zeros((1 + (n - lo << s), 1 << s), dtype=np.int64)
+    for first in range(0, len(on), step):
+        batch = on[first : first + step]
+        cubes = np.repeat(base, len(batch), axis=0)
+        for j, views in enumerate(cofactors):
+            for index, word in views:
+                view = cubes[index]
+                view ^= (batch[:, j] * word).reshape((-1,) + (1,) * (view.ndim - 1))
+        words = cubes.reshape(len(batch), -1)
+        if s:
+            words = words[:, None] & _SEAM_WORDS[s][:, None]
+        ones += weights[first : first + step].T @ _popcount(words).reshape(len(batch), -1)
+    if head:
+        k = bits + extra
+        cube = _cube([t for t in terms if not t[0] or t[0][-1] <= k], k) if extra else base
+        inner = _label_ones(cube, k, lo, s)
+        ones[: len(inner)] += inner
+    return ones
 
 
 # ---------------------------------------------------------------------------
@@ -530,28 +635,31 @@ class _BlockValues:
     and skips building and sorting the rows.  Every count is an integer, so
     the result does not depend on the chunks or on the choice of keys.
 
-    The histogram has a row for each level lo..n, a point's level being the
-    index of its highest nonzero variable, those below lo counted at lo; a
-    call at lo = n has one row.  Block b > 0 holds the points of level m
-    plus the number of base-q digits of b, so each distinct row of C and
-    shift values is weighted by its blocks of each level.  Block 0's points
-    have the levels 0..m.  Its C and shift values are 0, so its values are
-    the base columns, and below lo < m it is counted apart, by its points'
-    levels (`_first_block`).
+    The histogram has a row for each label of `_trace_levels` from lo: the
+    points of level at most lo, then each level past lo with each value of
+    its s leading digits; a call at lo = n, s = 0 has one row.  Block b > 0
+    holds the points of level m plus the number of base-q digits of b, and
+    when b has at least s digits their s leading digits are b's, so it has
+    one label and each distinct row of C and shift values is weighted by
+    its blocks of each label.  The head, the blocks whose index has fewer
+    than s digits (block 0 for s <= 1, whose points have the levels 0..m),
+    is counted apart, point by point, when lo is below its levels
+    (`_first_blocks`).
     """
 
-    def __init__(self, funcs, grids, traced, lo):
+    def __init__(self, funcs, grids, traced, lo, s):
         self.field = field = funcs[0].field
         self.q = q = field.q
         self.tables = _tables(field)
         self.traced = traced and field.r > 1  # on a prime field Tr is the identity
         self.sizes = [field.p if self.traced else q] + [q] * (len(funcs) - 1)
-        n = funcs[0].n
-        self.lo, self.levels = lo, n - lo + 1
-        terms = [sorted([(tuple(sorted([v - 1 for v in mono])), c.index) for mono, c in g.terms.items()]) for g in funcs]
-        self.m, plan, self.rows, self.weights, self.starts = self._choose(terms, n, grids)
+        self.n = n = funcs[0].n
+        self.lo, self.s, self.labels = lo, s, 1 + (n - lo) * q**s
+        self.terms, self.grids = [sorted([(tuple(sorted([v - 1 for v in mono])), c.index) for mono, c in g.terms.items()]) for g in funcs], grids
+        self.m, plan, self.rows, self.weights, self.starts = self._choose(self.terms, n, grids)
         self.axes, self.consts, columns, self.bins, _gathers, _folds, self.keys = plan
         self.points = q**self.m
+        self.head = self._head(self.m)
         self.columns = [self._grid(low, self.m, grids) for low in columns]
 
     def _plan(self, splits, m, runs):
@@ -620,15 +728,24 @@ class _BlockValues:
             best = (work, m) + layout
         return best[1:]
 
-    def _work(self, m, plan, rows, _weights, starts):
+    def _head(self, m):
+        """The digits k of the head, the first q^k points, counted point by
+        point, or 0 when every block has one label: the blocks whose index
+        has fewer than s digits, or block 0 for s <= 1, while lo is below
+        their levels."""
+        k = min(m + max(self.s - 1, 0), self.n)
+        return k if self.lo < k else 0
+
+    def _work(self, m, plan, rows, weights, starts):
         """The predicted nanoseconds to build the low-digit grids and count the blocks."""
         _axes, consts, columns, bins, gathers, folds, keys = plan
-        points = self.q**m
-        shifted = len(rows) if consts or len(rows) > 1 and rows[:, -len(self.sizes):].any() else 0  # see `_place`
+        points, head = self.q**m, self._head(m)
+        shifted = np.count_nonzero(weights) if consts or (len(rows) > 1 or head) and rows[:, -len(self.sizes) :].any() else 0  # see `_place`
         return (
             _FOLD_NS * points * folds
             + (_KEY_NS * points * len(columns) + _KEYS_NS if keys < points else 0)
-            + (_KEY_NS * points if self.lo < m else 0)  # block 0 by level
+            + (_KEY_NS * self.q**head if head else 0)  # the head by label
+            + (_FOLD_NS * self.q**head * sum(min(len(t), _FOLD_TERMS) for t in self.terms) if head > m else 0)
             + _contract_ns(keys, len(starts), gathers)
             + _BIN_NS * shifted * bins
         )
@@ -640,11 +757,12 @@ class _BlockValues:
         without the groups whose cofactor is a constant: they make up its
         shift.  rows are the distinct rows of C and shift values over the
         blocks, sorted, weights[r, l] the number of blocks with row r and
-        level lo + l, and starts the first row of each run of rows with equal
-        C values.  Below lo < m block 0 is left out (`_first_block`).
+        label l, and starts the first row of each run of rows with equal
+        C values.  The head is left out when it is counted apart
+        (`_first_blocks`).
         """
         if m == n:  # one block: no high digits, so no C or shift rows to build or sort
-            rows = np.zeros((int(self.lo >= m), len(terms)), dtype=np.intp)
+            rows = np.zeros((int(not self._head(m)), len(terms)), dtype=np.intp)
             return self._plan([(t, []) for t in terms], m, len(rows)), rows, np.ones((len(rows), 1), dtype=np.intp), [0][: len(rows)]
         splits, coeffs, shifts = [], [], []
         for t in terms:
@@ -656,17 +774,18 @@ class _BlockValues:
             shifts.append(self._grid(shift, n - m, grids))
             splits.append((base, groups))
         rows = np.array(coeffs + shifts, dtype=self.tables.add.dtype).T  # one row per block; narrow, so it sorts by radix
-        # the distinct rows, sorted, and how many blocks of each level have each
-        order, levels, level = np.lexsort(rows.T[::-1]), self.levels, 0
-        if levels > 1:  # block b's level less lo, from the number of its digits
-            if self.lo < m:
-                order = order[order > 0]
-            level = np.maximum(_digit_counts(self.q, n - m)[order] + (m - self.lo), 0)
+        # the distinct rows, sorted, and how many blocks of each label have each
+        order, labels, label = np.lexsort(rows.T[::-1]), self.labels, 0
+        if labels > 1:  # block b's label, from its digits
+            head = self._head(m)
+            if head:
+                order = order[order >= self.q ** (head - m)]
+            label = _labels(self.q, n - m, self.lo - m, self.s)[order]
         rows = rows[order]
         new = np.ones(len(rows), dtype=bool)
         new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
         group = np.cumsum(new) - 1
-        weights = np.bincount(group * levels + level, minlength=(group[-1] + 1) * levels).reshape(-1, levels)
+        weights = np.bincount(group * labels + label, minlength=np.count_nonzero(new) * labels).reshape(-1, labels)
         rows = rows[new]
         width = len(coeffs)
         starts = [0] + (np.flatnonzero((rows[1:, :width] != rows[:-1, :width]).any(axis=1)) + 1).tolist()
@@ -838,7 +957,8 @@ class _BlockValues:
 
     def _place(self, total, hist, rows, weights, run):
         """Add weights[r, l] hist[run[r]], moved by the shifts in rows[r], to
-        row l of total, for each r and l; see the class docstring."""
+        row l of total, the histogram of label l, for each r and l; see the
+        class docstring."""
         width = rows.shape[1] - len(self.sizes)
         if not self.consts and not np.count_nonzero(rows[:, width:]):
             total += weights.T @ hist[run]
@@ -856,29 +976,30 @@ class _BlockValues:
             else:  # bin v moves to v + s
                 moved = add.T[s]
             dest = (dest[:, :, None] * size + moved[:, None, :]).reshape(len(rows), -1)
-        r, level = np.nonzero(weights)
-        np.add.at(total, (level[:, None], dest[r]), hist[run[r]] * weights[r, level, None])
+        r, label = np.nonzero(weights)
+        flat = label[:, None] * total.shape[1] + dest[r]  # one index, where add.at is fastest
+        np.add.at(total.reshape(-1), flat.ravel(), (hist[run[r]] * weights[r, label, None]).ravel())
 
-    def _first_block(self):
-        """Block 0's joint histogram by level, rows lo..n, of which its levels
-        fill lo..m: its values are the base columns, and consts on the
-        functions without a low part."""
-        q, m, tables = self.q, self.m, self.tables
-        bases = {i: b for i, b, _pairs in self.axes}
-        joint = np.zeros(self.points, dtype=np.intp)
-        for i, size in enumerate(self.sizes):
-            v = self.consts[i] if i in self.consts else 0 if bases[i] is None else self.columns[bases[i]]
+    def _first_blocks(self):
+        """The joint histogram by label of the head, the first q^k points
+        (`_head`).  There each function is its terms in the variables below
+        k, so its values are a grid of k digits (for k = m its base column,
+        or its const), and each point is counted under its own label."""
+        k, tables = self.head, self.tables
+        joint = np.zeros(self.q**k, dtype=np.intp)
+        for i, (terms, size) in enumerate(zip(self.terms, self.sizes)):
+            v = self._grid([t for t in terms if not t[0] or t[0][-1] < k], k, self.grids)
             joint *= size
             joint += tables.trace[v] if self.traced and i == 0 else v
         bins = prod(self.sizes)
-        joint += np.maximum(_digit_counts(q, m) - self.lo, 0) * bins  # a point's level less lo is its number of digits less lo
-        return np.bincount(joint, minlength=self.levels * bins).reshape(self.levels, bins)
+        joint += _labels(self.q, k, self.lo, self.s) * bins
+        return np.bincount(joint, minlength=self.labels * bins).reshape(self.labels, bins)
 
     def counts(self):
-        """The flat joint histogram of each level, the bin of the first axis
+        """The flat joint histogram of each label, the bin of the first axis
         most significant."""
         q, rows, weights, starts = self.q, self.rows, self.weights, self.starts
-        total = self._first_block() if self.lo < self.m else None
+        total = self._first_blocks() if self.head else None
         if not len(rows):
             return total
         values, counts = self._keys()
@@ -888,15 +1009,14 @@ class _BlockValues:
                 scaled[col] = np.multiply(values[col], q, dtype=np.intp)
         coeffs = (rows.take(starts, axis=0) if len(starts) > 1 else rows)[:, : rows.shape[1] - len(self.sizes)]
         bins = self.bins
-        if len(rows) == 1 and not self.consts:
-            # all blocks share one shift, and a shift is a sum of high
-            # monomials, so it takes more than one value unless it is 0
+        if len(rows) == 1 and not self.consts and not self.head:
+            # all blocks share one shift, block 0's among them, so it is 0
             hist = self._contract(coeffs, values, scaled, counts, bins)
-            if self.levels > 1 or weights[0, 0] != 1:
+            if self.labels > 1 or weights[0, 0] != 1:
                 hist = weights.T * hist
             return hist if total is None else total + hist
         if total is None:
-            total = np.zeros((self.levels, prod(self.sizes)), dtype=np.int64)
+            total = np.zeros((self.labels, prod(self.sizes)), dtype=np.int64)
         ends = starts[1:] + [len(rows)]
         run = np.repeat(np.arange(len(starts)), np.subtract(ends, starts))
         per = max(1, _COUNT_ENTRIES // bins)  # distinct C rows at a time, and rows placed at a time
@@ -909,38 +1029,53 @@ class _BlockValues:
         return total
 
 
-def _value_counts(funcs, grids=None, traced=False, lo=None):
+def _value_counts(funcs, grids=None, traced=False, lo=None, s=0):
     """The joint histogram of the value indices of funcs, or with traced, of
-    Tr(funcs[0]) and the values of the others, flat, one row for each level
-    lo..n (by default one row, lo = n; see `_BlockValues`).
+    Tr(funcs[0]) and the values of the others, flat, one row for each label
+    of `_trace_levels` from lo (by default one row, lo = n; see
+    `_BlockValues`).
 
     grids memoizes `_grid` for calls over one field; by default, one call.
     """
-    return _BlockValues(funcs, {} if grids is None else grids, traced, funcs[0].n if lo is None else lo).counts()
+    return _BlockValues(funcs, {} if grids is None else grids, traced, funcs[0].n if lo is None else lo, s).counts()
 
 
-def _trace_levels(g, lo, grids=None):
-    """The histograms of Tr(g(x)) residues by level, a list for each level lo..n.
+def _trace_levels(g, lo, grids=None, s=0):
+    """The histograms of Tr(g(x)) residues by label and by the index
+    a = x_1 + x_2 q + ... + x_s q^(s-1) of the first s variables, an array
+    of shape (labels, p, q^s).
 
-    A point's level is the index of its highest nonzero variable, 0 at the
-    origin, and the points of level below lo count at lo: row 0 counts the
-    q^lo points of level at most lo, and row r > 0 those of level lo + r.
-    At lo = n there is one row, over all of F_q^n.
+    A point's level L is the index of its highest nonzero variable, 0 at
+    the origin.  With variable i at digit i - 1 of the point index, its
+    label is 0 when L <= lo, else 1 + (L - lo - 1) q^s + v, where
+    v = x_(L-s+1) + ... + x_L q^(s-1) is the index of its s leading digits,
+    which `sum_sequence` needs to place a rotation's seam at each n.  For
+    s = 0 the labels are the levels lo..n, row 0 holding the q^lo points of
+    level at most lo; at lo = n there is one row, over all of F_q^n.  A
+    whole chunk or block whose index has at least s digits has one label,
+    fixed by its index.  The generic kernel counts a as s more functions,
+    x_s, ..., x_1, beside g; the F_2 kernel splits each popcount by a.
     """
-    if g.field.q == 2:
-        return _trace_counts_f2(g, lo)
-    counts = _value_counts([g], grids, lo=lo)
-    if g.field.r > 1:  # on a prime field Tr is the identity
-        residues = np.zeros((len(counts), g.field.p), dtype=np.int64)
-        np.add.at(residues.T, _tables(g.field).trace_index, counts.T)
+    field = g.field
+    if field.q == 2:
+        ones = _trace_counts_f2(g, lo, s)
+        return np.concatenate((_label_points(2, g.n, lo, s) - ones, ones), axis=1).reshape(len(ones), 2, -1)
+    coords = [InstantiatedFunction(field, g.n, {frozenset([j]): field.one()}) for j in range(s, 0, -1)]
+    counts = _value_counts([g] + coords, grids, traced=s > 0, lo=lo, s=s)
+    if not s and field.r > 1:  # the residues of the values, which cost less than tracing each point
+        residues = np.zeros((len(counts), field.p), dtype=np.int64)
+        np.add.at(residues.T, _tables(field).trace_index, counts.T)
         counts = residues
-    return counts.tolist()
+    return counts.reshape(len(counts), field.p, -1)
 
 
 def trace_counts(g, budget=DEFAULT_POINT_BUDGET, *, _grids=None):
     """Histogram of Tr(g(x)) residues over all points of F_q^n."""
     check_points(g.field.q, g.n, budget)
-    return _trace_levels(g, g.n, _grids)[0]
+    if g.field.q == 2:  # the one row of `_trace_levels`, without its array
+        one = int(_trace_counts_f2(g, g.n)[0, 0])
+        return [(1 << g.n) - one, one]
+    return _trace_levels(g, g.n, _grids)[0, :, 0].tolist()
 
 
 def exp_sum(g, budget=DEFAULT_POINT_BUDGET, *, _grids=None):
@@ -1017,27 +1152,92 @@ def _joint_field(funcs, budget):
 def sum_sequence(e, field, n_range, budget=DEFAULT_POINT_BUDGET):
     """Character sums of family e for every n in n_range (step 1), by enumeration.
 
-    A prefix-stable family (`funcalg.prefix_stable`) has f_n = f_N on the
-    points of level at most n, so its range is instantiated and enumerated
-    once, at its top N, and S_n is read as the sum of the levels up to n
-    (`_trace_levels`).  A rotation is enumerated at every n.  Any range is
-    refused before a point is counted, with the error of a per-n loop of
-    `exp_sum`: a start below the family minimum or a scalar out of range
-    first, then the first n over the budget.
+    `funcalg.seam` writes f_n = f'_n + W(u, a) for n >= 2w - 2, where f' is
+    e with every rotation replaced by its trapezoid, w the largest rotation
+    width (0 without one), s = w - 1, a = (x_1, ..., x_s) and
+    u = (x_(n-s+1), ..., x_n).  f'_n is f'_N on the points of level at most
+    n, so those n of the range are read from one levelled enumeration at
+    its top N (`_trace_levels`, labels from lo = max(start, 2s) - s): S_n
+    sums the levels up to n - s, where u = 0 and W = 0, as they are, and
+    moves the residues of each level n - d, d < s, by Tr W(u, a), with u
+    the leading digits v of the label shifted down by d (`_seam_sums`).
+    Without a rotation that is the sum of the levels up to n.
+
+    The n below 2w - 2, where u and a overlap, are enumerated one by one.
+    So is a whole rotation range whose seam table, p q^(2s) bins for each
+    of the N - lo labelled levels, would cost more than the points of the
+    lower n that one call at N saves, (q^N - q^start) / (q - 1), at
+    `_SEAM_POINTS` of them an entry: among others every range whose
+    levelled part has one value.  Over F_2 it is also kept past s = 6
+    (`_SEAM_WORDS`).  Any range is refused before a point is counted, with
+    the error of a per-n loop of `exp_sum`: a start below the family
+    minimum or a scalar out of range first, then the first n over the
+    budget.
     """
     if n_range.step != 1:
         raise ValueError("n_range must have step 1")
     lo = n_range.start
-    if not n_range:
-        return Sequence(lo, (), "brute")
-    top, stable = n_range[-1], prefix_stable(e)
+    if len(n_range) < 2:
+        return Sequence(lo, tuple(exp_sum(instantiate(e, n, field), budget=budget) for n in n_range), "brute")
+    top = n_range[-1]
     if field.q**top > budget:  # the loop stops at the first n over the budget
         top = next(n for n in n_range if field.q**n > budget)
-    g = instantiate(e, top if stable and lo >= e.min_n() else lo, field)  # raises as the loop does at its first n
-    check_points(field.q, top, budget)
+    trapezoids, w, _ = seam(e)
+    s = max(w - 1, 0)
+    start, q, p = max(lo, 2 * s), field.q, field.p
+    table, saved = (top - start + s) * p * q ** (2 * s), (q**top - q**start) // (q - 1)  # the points of start..top - 1
+    levelled = start <= top and (not s or table * _SEAM_POINTS <= saved and (q > 2 or s < len(_SEAM_WORDS)))
+    split = start if levelled else top + 1  # the first n of the levelled call
+    # at the first n, as the loop: past the minimum e' raises what e does, a scalar out of range
+    g = instantiate(e, lo, field) if lo < split or lo < e.min_n() else instantiate(trapezoids, top, field)
+    check_points(q, top, budget)
     grids = {}  # `_grid` memo of this call, whose functions share one field
-    if not stable:
-        values = (exp_sum(g if n == lo else instantiate(e, n, field), budget=budget, _grids=grids) for n in n_range)
-        return Sequence(lo, tuple(values), "brute")
-    sums = accumulate(_trace_levels(g, lo, grids), lambda a, b: [x + y for x, y in zip(a, b)])
-    return Sequence(lo, tuple(CycInt.from_root_counts(field.p, row) for row in sums), "brute")
+    values = [exp_sum(g if n == lo else instantiate(e, n, field), budget=budget, _grids=grids) for n in range(lo, split)]
+    if levelled:
+        counts = _trace_levels(g if lo == split else instantiate(trapezoids, top, field), start - s, grids, s)
+        wrapped = seam(e, field)[2] if s else None
+        values += [CycInt.from_root_counts(p, row) for row in _seam_sums(counts, wrapped, s).tolist()]
+    return Sequence(lo, tuple(values), "brute")
+
+
+def _seam_sums(counts, wrapped, s):
+    """The residue counts of f_n = f'_n + W for each n from lo + s to N, a
+    row each, from the histograms counts of f'_N by label from lo and a
+    (`_trace_levels`) and the seam W (`sum_sequence`).
+
+    Label 0 and the levels up to n - s hold the points where u is 0, so
+    W(0, a) = 0 and they add as they are.  A point of level L = n - d,
+    d < s, with leading digits v has u = v // q^d, as u is v moved up to
+    the top s variables with zeros past L, so its residue t moves to
+    t + Tr W(v // q^d, a).  For each d and residue r one gather takes, at
+    every level, the entries (v, t, a) that move to r, and one sum adds
+    them."""
+    p, size = counts.shape[1:]
+    totals = counts.sum(axis=2)
+    if not s:
+        return np.cumsum(totals, axis=0)
+    levels, q = (len(counts) - 1) // size, wrapped.field.q
+    keyed = counts[1:].reshape(levels, -1)  # [level, (v, t, a)]
+    sums = np.cumsum(np.concatenate((totals[:1], totals[1:].reshape(levels, size, p).sum(axis=1))), axis=0)[: levels - s + 1]
+    traces = _seam_traces(wrapped, s)[np.arange(size) // q ** np.arange(s)[:, None]]  # [d, v, a]
+    t = (np.arange(p)[:, None, None] - traces[:, None]) % p  # [d, r, v, a]: the t that moves to r
+    index = (np.arange(size)[:, None] * p + t) * size + np.arange(size)
+    out = keyed.take(index.reshape(s, p, -1), axis=1).sum(axis=3)  # [level, d, r]
+    at = np.arange(levels - s + 1)[:, None] + (s - 1 - np.arange(s))  # the level n - d of each n and d
+    return sums + out[at, np.arange(s)].sum(axis=1)
+
+
+def _seam_traces(wrapped, s):
+    """Tr W(u, a) at [u, a] for the seam W on F_q^(2s) of `funcalg.seam`,
+    a in its variables 1..s and u in s+1..2s, each as the index of its
+    digits, the first variable least significant."""
+    q, tables = wrapped.field.q, _tables(wrapped.field)
+    digits = _digit_rows(q, 2 * s)
+    add, mul = tables.add.ravel(), tables.mul.ravel()
+    val = np.zeros(q ** (2 * s), dtype=np.intp)
+    for mono, c in wrapped.terms.items():
+        term = np.full(len(val), c.index, dtype=np.intp)
+        for v in mono:
+            term = mul.take(term * q + digits[v - 1]).astype(np.intp)
+        val = add.take(val * q + term).astype(np.intp)
+    return tables.trace_index[val].reshape(q**s, -1)

@@ -16,7 +16,7 @@ from gfrec.funcalg import (
     evaluate,
     instantiate,
     parse,
-    prefix_stable,
+    seam,
     shift,
     tau,
     unparse,
@@ -217,10 +217,12 @@ def _stable_exprs(draw):
 @settings(max_examples=60, deadline=None)
 @given(_stable_exprs(), st.integers(0, 4))
 def test_trapezoids_and_sigma_are_prefix_stable(case, extra):
-    # f_n is f_N with x_(n+1) = ... = x_N = 0: its terms are those of f_N in
-    # the variables 1..n, whatever collides or cancels
+    # without a rotation the seam is empty, and f_n is f_N with
+    # x_(n+1) = ... = x_N = 0: its terms are those of f_N in the variables
+    # 1..n, whatever collides or cancels
     e, field = case
-    assert prefix_stable(e)
+    trapezoids, w, wrapped = seam(e, field)
+    assert (trapezoids, w, wrapped.n, wrapped.terms) == (e, 0, 0, {})
     top = e.min_n() + extra
     g = instantiate(e, top, field)
     for n in range(e.min_n(), top):
@@ -232,6 +234,45 @@ def test_rotations_are_not_prefix_stable(text):
     # a rotation's wrapped translates at n, such as x_4 x_1 of R(2) at
     # n = 4, are not terms of f_N
     e, f3 = parse(text), make_field(3)
-    assert not prefix_stable(e)
+    assert seam(e, f3)[1] >= 2
     g = instantiate(e, 8, f3)
     assert _restricted(g, 4) != instantiate(e, 4, f3).terms
+
+
+_PATTERNS = st.lists(st.integers(2, 5), min_size=1, max_size=3, unique=True).map(lambda o: "(%s)" % ",".join(map(str, sorted(o))))
+_ATOMS = st.one_of(_PATTERNS.map("R".__add__), _PATTERNS.map("T".__add__), st.integers(1, 3).map(lambda k: "sigma(%d)" % k))
+
+
+@st.composite
+def _rotation_exprs(draw):
+    """A sum of one to three atoms, at least one a rotation, some scaled,
+    and a field F_2..F_9 whose elements every scalar names."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    atoms = [draw(_PATTERNS.map("R".__add__))] + draw(st.lists(_ATOMS, max_size=2))
+    atoms = draw(st.permutations(atoms))
+    scalars = draw(st.lists(st.integers(0, q - 1) | st.none(), min_size=len(atoms), max_size=len(atoms)))
+    text = " + ".join(atom if c is None else "e%d*%s" % (c, atom) for c, atom in zip(scalars, atoms))
+    return parse(text), make_field(*prime_power(q))
+
+
+def _relabelled(wrapped, n):
+    """The seam's terms at n: a = x_1..x_s stays, u = x_(s+1)..x_2s moves to x_(n-s+1)..x_n."""
+    s = wrapped.n // 2
+    return {frozenset(v if v <= s else v + n - 2 * s for v in mono): c for mono, c in wrapped.terms.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rotation_exprs())
+def test_a_rotation_is_its_trapezoid_plus_the_seam(case):
+    # for n >= 2w - 2 the wrapped translates are one polynomial W(u, a) in
+    # the first and the last w - 1 variables, moved to each n
+    e, field = case
+    trapezoids, w, wrapped = seam(e, field)
+    assert "R" not in unparse(trapezoids) and w >= 2 and wrapped.n == 2 * w - 2
+    assert all(mono & set(range(w, 2 * w - 1)) for mono in wrapped.terms)  # W(0, a) = 0
+    start = max(e.min_n(), 2 * w - 2)
+    for n in range(start, start + 7):
+        terms = dict(instantiate(trapezoids, n, field).terms)
+        for mono, c in _relabelled(wrapped, n).items():
+            terms[mono] = terms[mono] + c if mono in terms else c
+        assert {m: c for m, c in terms.items() if not c.is_zero()} == instantiate(e, n, field).terms

@@ -6,7 +6,7 @@ bit for bit on every small case.
 """
 
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from gfrec.funcalg import (
     evaluate,
     instantiate,
     parse,
+    seam,
     tau,
 )
 from gfrec.galois import is_prime, make_field, prime_power
@@ -175,7 +176,7 @@ def _keyed_call(g):
     """(chunk bits, groups, on, weights) of g's call of the F_2 kernel, which
     must count chunks by code; see `oracle._trace_counts_f2`."""
     terms = [(tuple(sorted(mono)), 1) for mono in g.terms]
-    bits = oracle._chunk_bits(terms, g.n)
+    bits = oracle._chunk_bits(terms, g.n, g.n, 0)
     assert bits < g.n
     groups = oracle._split(terms, bits + 1)[1]
     return (bits, groups) + oracle._chunk_codes(groups, g.n - bits, g.n - bits)
@@ -214,19 +215,24 @@ def test_chunk_keys_repeat_and_flip_parity():
 def test_chunk_codes_count_any_number_of_groups(groups):
     # groups of random high monomials of 7 chunk bits: 3 fit bins, 9 are
     # more than the chunk bits and are sorted, 70 pass 64 bits; each chunk
-    # counts in the row of its bit length less skip, at least 0, and at
-    # skip = 7 every chunk is in row 0
+    # past the head counts in the row of its bit length less skip, at least
+    # 0, and at skip = 7 every chunk is in row 0
     rng = np.random.default_rng(groups)
     highs = [tuple(np.flatnonzero(rng.integers(0, 2, 7)).tolist()) for _ in range(3 * groups)]
     highs = sorted(set(h for h in highs if h))[:groups]
     assert len(highs) == groups
     split = [([((j + 1,), 1)], [(h, 1)]) for j, h in enumerate(highs)]
-    for skip in (7, 3, 0, -2):
+    for skip, s, head in ((7, 0, 0), (3, 0, 0), (0, 0, 0), (-2, 0, 0), (-2, 0, 1), (2, 2, 2), (-1, 3, 4)):
+        # with s leading bits, a chunk c past the head with bit length d
+        # has the label 1 + (d - skip - 1) 2^s + (c >> d - s), or 0 for
+        # d <= skip
         want = {}
-        for chunk in range(1 << 7):
+        for chunk in range(head, 1 << 7):
             code = tuple(int(all(chunk >> v & 1 for v in h)) for h in highs)
-            want.setdefault(code, [0] * (8 - skip))[max(chunk.bit_length() - skip, 0)] += 1
-        on, weights = oracle._chunk_codes(split, 7, skip)
+            d = chunk.bit_length()
+            label = 0 if d <= skip else 1 + (d - skip - 1 << s) + (chunk >> d - s)
+            want.setdefault(code, [0] * (1 + (7 - skip << s)))[label] += 1
+        on, weights = oracle._chunk_codes(split, 7, skip, s, head)
         assert dict(zip(map(tuple, on.tolist()), weights.tolist())) == want
 
 
@@ -523,41 +529,84 @@ def test_every_split_matches_the_naive_loop(case, leaf_points, entries):
     assert sums == _slow_decorated(field, want)
 
 
-def _slow_levels(funcs, lo, traced):
+def _slow_levels(funcs, lo, traced, s=0):
     """The joint histogram of the values of funcs, or with traced of the
-    trace of the first, by level: row r counts the points whose highest
-    nonzero variable is lo + r, or at most lo for row 0."""
+    trace of the first, by label: row 0 counts the points whose level, the
+    index L of the highest nonzero variable, is at most lo, and row
+    1 + (L - lo - 1) q^s + v those of a higher level whose s leading
+    variables x_(L-s+1), ..., x_L have the index v, the first least
+    significant.  For s = 0, row r counts level lo + r."""
     field, n = funcs[0].field, funcs[0].n
     sizes = [field.p if traced else field.q] + [field.q] * (len(funcs) - 1)
-    counts = np.zeros((n - lo + 1, int(np.prod(sizes))), dtype=np.int64)
+    counts = np.zeros((1 + (n - lo) * field.q**s, int(np.prod(sizes))), dtype=np.int64)
     for pt in product(field.elements(), repeat=n):
         level = max([i + 1 for i, x in enumerate(pt) if not x.is_zero()], default=0)
+        label = 0
+        if level > lo:
+            lead = sum(pt[level - s + j].index * field.q**j for j in range(s))
+            label = 1 + (level - lo - 1) * field.q**s + lead
         values = [evaluate(g, list(pt)) for g in funcs]
         joint = values[0].trace() if traced else values[0].index
         for size, v in zip(sizes[1:], values[1:]):
             joint = joint * size + v.index
-        counts[max(level - lo, 0), joint] += 1
+        counts[label, joint] += 1
     return counts
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=_forced_splits(), traced=st.booleans(), data=st.data())
 def test_levelled_counts_match_the_naive_loop(case, traced, data):
-    # every split m against every range start lo: below lo < m block 0 is
-    # counted by its points' levels, with functions that have no low part
-    # and a traced first axis
+    # every split m against every range start lo and s leading digits: the
+    # head, the blocks whose index has fewer than s digits (block 0 for
+    # s <= 1), is counted by its points' labels when lo is below it, with
+    # functions that have no low part and a traced first axis
     funcs, m = case
-    lo = data.draw(st.integers(0, funcs[0].n))
+    n = funcs[0].n
+    s = data.draw(st.integers(0, min(3, n // 2)))
+    lo = data.draw(st.integers(s, n))
 
     def forced(self, terms, n, grids):
         return (m,) + self._layout(terms, n, m, grids)
 
-    want = _slow_levels(funcs, lo, traced and funcs[0].field.r > 1).tolist()
+    want = _slow_levels(funcs, lo, traced and funcs[0].field.r > 1, s).tolist()
     for keyed in (False, True):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle._BlockValues, "_choose", forced)
             _force_keys(mp, keyed)
-            assert oracle._value_counts(funcs, traced=traced, lo=lo).tolist() == want
+            assert oracle._value_counts(funcs, traced=traced, lo=lo, s=s).tolist() == want
+
+
+def test_one_shifted_row_past_the_head_keeps_its_shift(monkeypatch):
+    # x_6 + x_7 + x_8 + ... + x_6 x_7 x_8 over F_2 is 1 on every block but
+    # block 0, so with block 0 counted apart every other block has one row,
+    # and its shift must still move its bins
+    f2 = make_field(2)
+    terms = {frozenset([1, 2]): f2.one()}
+    terms.update({frozenset(c): f2.one() for k in (1, 2, 3) for c in combinations((6, 7, 8), k)})
+    g = InstantiatedFunction(f2, 8, terms)
+    monkeypatch.setattr(oracle._BlockValues, "_choose", lambda self, terms, n, grids: (5,) + self._layout(terms, n, 5, grids))
+    assert oracle._value_counts([g], lo=0).tolist() == _slow_levels([g], 0, False).tolist()
+
+
+def _coordinates(field, n, s):
+    """x_s, ..., x_1 on F_q^n, whose joint values index a = x_1 + x_2 q + ... + x_s q^(s-1)."""
+    return [InstantiatedFunction(field, n, {frozenset([j]): field.one()}) for j in range(s, 0, -1)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_chunked(), data=st.data())
+def test_f2_labels_match_the_naive_loop(case, data):
+    # at every chunk size b: chunks whose index has at least s bits have one
+    # label; the head chunks, and the one cube at b = n, are split into the
+    # runs of their labels and by a through the seam words
+    g, _chunk_bits = case
+    s = data.draw(st.integers(0, 4))
+    lo = data.draw(st.integers(s, g.n))
+    bits = data.draw(st.integers(max(s, 1), g.n))  # a chunk holds a, as b >= n // 2 >= s in a seam call
+    want = _slow_levels([g] + _coordinates(g.field, g.n, s), lo, True, s).reshape(-1, 2, 1 << s)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_chunk_bits", lambda *_args: bits)
+        assert oracle._trace_levels(g, lo, s=s).tolist() == want.tolist()
 
 
 def _record_splits(monkeypatch):
@@ -630,8 +679,13 @@ SEQUENCE_EXPRS = [
     "T(2,4) + e2*T(3)",
     "tau(2) + tau(4)",
     "e1*sigma(2) + T(2,3,5)",
+    "R(2,4)",  # a seam monomial without x_n: x_(n-1) x_1 of the translate x_(n-2) x_n x_1... wraps
+    "R(3) + sigma(2)",
+    "e1*R(2,3) + T(2,4)",
+    "R(2,3,4) + R(2,4)",
 ]
 SEQUENCE_TOPS = {2: 10, 3: 6, 4: 5, 5: 4, 8: 3, 9: 3}
+SEAM_TABLE = 1 << 16  # the largest seam table of one level, p q^(2w-2) bins, the property test levels
 
 
 def _outcome(sums):
@@ -650,27 +704,42 @@ def _loop(e, field, n_range, budget=DEFAULT_POINT_BUDGET):
     return Sequence(n_range.start, [exp_sum(instantiate(e, n, field), budget=budget) for n in n_range], "brute")
 
 
+def _sequence_range(e, field, pick):
+    """The range of a `test_sum_sequence_is_exp_sum_at_every_n` case: its
+    top reaches 2w - 1 for a rotation of width w whose seam table fits
+    SEAM_TABLE, so that at least two n are levelled through the seam; pick
+    starts it at the minimum plus 0..3, at 2w - 3 or at 2w - 2."""
+    w = seam(e, make_field(3, 2))[1]  # w does not depend on the field, and F_9 names every scalar here
+    top = max(SEQUENCE_TOPS[field.q], e.min_n())
+    if w and field.p * field.q ** (2 * w - 2) <= SEAM_TABLE:
+        top = max(top, 2 * w - 1)
+    starts = [e.min_n() + skip for skip in range(4)] + ([2 * w - 3, 2 * w - 2] if w else [e.min_n()] * 2)
+    return range(min(starts[pick], top), top + 1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    cases=st.lists(st.tuples(st.sampled_from(SEQUENCE_EXPRS), st.sampled_from(FIELDS), st.integers(0, 3)), min_size=2, max_size=4),
+    cases=st.lists(st.tuples(st.sampled_from(SEQUENCE_EXPRS), st.sampled_from(FIELDS), st.integers(0, 5)), min_size=2, max_size=4),
     block_points=st.sampled_from([1, 9, 30, 1 << 15]),
     chunk_bits=st.sampled_from([6, 8]),
 )
 def test_sum_sequence_is_exp_sum_at_every_n(cases, block_points, chunk_bits):
-    # a prefix-stable range is read from one levelled enumeration at its top
-    # n, from any start; small chunks make F_2 ranges keyed from n = 7 or 9,
-    # and small blocks split the other fields' ranges at every level, in
-    # both key regimes.  The grids one call shares must not reach another
-    # call over another field with the same terms.
+    # a range is read from one levelled enumeration at its top n, from any
+    # start, through the seam for a rotation (every rotation range is
+    # levelled here, whatever its seam table costs); small chunks make F_2
+    # ranges keyed from n = 7 or 9, and small blocks split the other
+    # fields' ranges at every level, in both key regimes.  The grids one
+    # call shares must not reach another call over another field with the
+    # same terms.  Starts below the minimum raise as the loop does.
     for keyed in (False, True):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "_BLOCK_POINTS", block_points)
             mp.setattr(oracle, "_CHUNK_BITS", chunk_bits)
+            mp.setattr(oracle, "_SEAM_POINTS", 0)
             _force_keys(mp, keyed)
-            for text, field, skip in cases:
+            for text, field, pick in cases:
                 e = parse(text)
-                top = max(SEQUENCE_TOPS[field.q], e.min_n())
-                ns = range(min(e.min_n() + skip, top), top + 1)
+                ns = _sequence_range(e, field, pick)
                 got = _outcome(lambda: sum_sequence(e, field, ns))
                 assert got == _outcome(lambda: _loop(e, field, ns))
                 if got[0] == ns.start and not keyed and field.q ** ns.start <= 729:
@@ -689,15 +758,35 @@ def _record_kernel_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("text,q,lo,hi", [("tau(3)", 2, 3, 12), ("sigma(3)", 3, 4, 9), ("T(2,4) + e2*T(3)", 9, 4, 6), ("R(2,3)", 2, 3, 12), ("R(2,3)", 3, 3, 7)])
-def test_a_prefix_stable_range_is_enumerated_once(monkeypatch, text, q, lo, hi):
+def _range(text, q, lo, hi, levelled):
+    return pytest.param(text, q, lo, hi, levelled, id="%s-%d-%d-%d" % (text, q, lo, hi))
+
+
+@pytest.mark.parametrize(
+    "text,q,lo,hi,levelled",
+    [
+        _range("tau(3)", 2, 3, 12, 3),
+        _range("sigma(3)", 3, 4, 9, 4),
+        _range("T(2,4) + e2*T(3)", 9, 4, 6, 4),
+        _range("R(2,3)", 2, 3, 12, 4),  # n = 3 < 2w - 2 on its own
+        _range("R(2,3)", 3, 3, 12, 4),
+        _range("R(2,4)", 3, 4, 12, 6),
+        _range("R(2,3) + R(2)", 4, 3, 9, 4),
+        # the seam table, 5 levels of 3 * 3^4 bins, costs more than the
+        # 1053 points of n = 4..6 that one call saves: the loop stays
+        _range("R(2,3)", 3, 3, 7, None),
+    ],
+)
+def test_a_prefix_stable_range_is_enumerated_once(monkeypatch, text, q, lo, hi, levelled):
+    # n from levelled on are read from one instantiation at the top n and
+    # one kernel call; the n before it take one each
     e, field = parse(text), make_field(*prime_power(q))
     want = _loop(e, field, range(lo, hi + 1)).values
     calls = _record_kernel_calls(monkeypatch)
     assert sum_sequence(e, field, range(lo, hi + 1)).values == want
     kernel = "_trace_counts_f2" if q == 2 else "_value_counts"
-    per_range = 1 if text[0] != "R" else hi - lo + 1
-    assert calls == ["instantiate", kernel] * per_range
+    per_n = (hi + 1 if levelled is None else levelled) - lo
+    assert calls == ["instantiate", kernel] * (per_n + (levelled is not None))
 
 
 @pytest.mark.parametrize(
@@ -711,8 +800,11 @@ def test_a_prefix_stable_range_is_enumerated_once(monkeypatch, text, q, lo, hi):
         ("T(2,4) + e9*T(2)", 2, range(3, 8), 10**8),  # the minimum first, in the order of the sum
         ("e9*T(2) + T(2,4)", 2, range(3, 8), 10**8),  # the scalar first
         ("T(2,4)", 2, range(2, 2), 10**8),  # empty, though below the minimum
-        ("R(2,3)", 3, range(3, 10), 3**7),  # a rotation keeps the loop
+        ("R(2,3)", 3, range(3, 10), 3**7),  # a rotation over the budget from n = 8
         ("tau(3)", 2, range(3, 9, 2), 10**8),  # a step
+        ("e5*R(2,3)", 3, range(3, 13), 10**8),  # a scalar out of range in a levelled rotation range
+        ("R(2,4) + T(2,3)", 2, range(3, 12), 10**8),  # a rotation range below the minimum
+        ("R(2,3) + R(2)", 2, range(3, 30), 2**20),  # a levelled rotation range over the budget from n = 21
     ],
 )
 def test_sum_sequence_validates_as_the_loop_does(text, q, n_range, budget):

@@ -3,7 +3,7 @@
 
     PYTHONPATH=<checkout>/src python3 tools/oracle_hash.py
 
-Runs a fixed, seeded set of calls and prints, on each of four lines, the
+Runs a fixed, seeded set of calls and prints, on each of five lines, the
 number of records and the SHA-256 of their JSON, and exits 1 when a line
 differs from the one recorded in RECORDED (see recorded.py).  Each record is a call's
 result (residue counts, a flattened joint histogram, or the coordinates of
@@ -40,6 +40,11 @@ over F_3 at n = 12..13, R(2,3) over F_3 at n = 11..12 and sigma(3) over F_3
 at n = 10..11; `joint_counts` of tau(2), tau(3) and tau(4) over F_3 at
 n = 12; and `decorated_sums` of tau(3) and tau(4) with their boundary
 products X_(n-k+1+s)...X_n, s = 1..k-1, over F_5 and F_9 at n = k..k+3.
+The fifth line covers rotations whose wrapped translates, the seam, are
+wider than R(2,3)'s: `sum_sequence` of R(2,4), R(3), R(2,5),
+R(2,3,4) + R(2,4) and e{a}*R(2,3) + sigma(2) over F_2, F_3, F_4, F_5, F_8
+and F_9, from the family minimum up to about 10^6 points, and over F_2 of
+R(2,4) and R(2,3,4) + R(2,3) at n = 23..26.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ RECORDED = (
     "F_2 past one chunk: 26 records sha256 162cb4c85e2000a2ef6741ae57e201eb18eca650d42ff321ce033a6885d73cae",
     "F_2 many cofactors past one chunk: 8 records sha256 9488d416c631b41d2ba7921bc34e8f7895e6bb722d50ceba66ee6a0c684a6d12",
     "generic multi-row: 22 records sha256 3f483d26b1d2309650f946ed77e9ceb534aacd61f6ce343ba11c974f3908ca5b",
+    "rotation seams: 32 records sha256 699ac755583893fa99ec98286933adb05658454fe2bab52e999d7477c409106f",
 )
 
 FIELDS = (2, 3, 4, 5, 8, 9, 25, 257)
@@ -78,6 +84,9 @@ MULTI_ROW_SEQUENCES = (
     ("tau(3)", 9, range(6, 8)), ("tau(3)", 8, range(7, 8)), ("tau(4)", 3, range(12, 14)),
     ("R(2,3)", 3, range(11, 13)), ("sigma(3)", 3, range(10, 12)),
 )
+SEAM_FIELDS = (2, 3, 4, 5, 8, 9)
+SEAM_FAMILIES = ("R(2,4)", "R(3)", "R(2,5)", "R(2,3,4) + R(2,4)", "e{a}*R(2,3) + sigma(2)")
+SEAM_PAST_ONE_CHUNK = ("R(2,4)", "R(2,3,4) + R(2,3)")
 
 
 def _outcome(fn, *args, **kwargs):
@@ -229,6 +238,22 @@ def _multi_row_records():
     return out
 
 
+def _seam_records():
+    rng = random.Random(2029)
+    out = []
+    for q in SEAM_FIELDS:
+        field = make_field(*prime_power(q))
+        top = _top_n(q)
+        for text in SEAM_FAMILIES:
+            text = text.format(a=rng.randrange(1, q))
+            e = parse(text)
+            out.append(["sum_sequence", q, text, e.min_n(), top, _outcome(sum_sequence, e, field, range(e.min_n(), top + 1))])
+    for text in SEAM_PAST_ONE_CHUNK:
+        lo, hi = F2_PAST_ONE_CHUNK[0], F2_PAST_ONE_CHUNK[-1]
+        out.append(["sum_sequence", 2, text, lo, hi, _outcome(sum_sequence, parse(text), make_field(2), F2_PAST_ONE_CHUNK)])
+    return out
+
+
 def _line(records):
     blob = json.dumps(records, sort_keys=True).encode()
     return "%d records sha256 %s" % (len(records), hashlib.sha256(blob).hexdigest())
@@ -239,6 +264,7 @@ def _lines():
     yield "F_2 past one chunk: " + _line(_f2_records())
     yield "F_2 many cofactors past one chunk: " + _line(_f2_dense_records())
     yield "generic multi-row: " + _line(_multi_row_records())
+    yield "rotation seams: " + _line(_seam_records())
 
 
 if __name__ == "__main__":
