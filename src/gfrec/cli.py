@@ -33,12 +33,13 @@ from .harness import (
     rot_conjecture_seq,
     trap_conjecture_seq,
 )
-from .limits import DEFAULT_DEGREE_CAP, DEFAULT_POINT_BUDGET, ResourceLimitExceeded
+from .limits import DEFAULT_DEGREE_CAP, DEFAULT_POINT_BUDGET, ResourceLimitExceeded, check_degree_cap
 from .numtheory import eigen_check, eisenstein_dumas, gauss_sum
 from .oracle import sum_sequence
 from .recurrence import (
     IntPolynomial,
     NoRecurrenceError,
+    check_discover,
     discover,
     satisfies,
 )
@@ -232,9 +233,11 @@ def _cmd_verify(args):
 def _cmd_discover(args):
     f = _parse_field(args.field, args.modulus)
     e = parse(args.expr)
+    check_discover(args.max_order)  # before a transfer build fixes the first n
     lo, sys_ = _start(e, f, args)
     if args.n_max < lo:
         raise UsageError("empty range %d..%d" % (lo, args.n_max))
+    check_discover(args.max_order, args.n_max - lo + 1)  # before any sum
     seq = _sums(e, f, lo, args.n_max, args, sys_)
     poly = discover(seq, max_order=args.max_order)
     payload = {
@@ -252,6 +255,7 @@ def _cmd_discover(args):
 def _cmd_annihilator(args):
     f = _parse_field(args.field, args.modulus)
     e = parse(args.expr)
+    check_degree_cap(args.degree_cap)
     sys_ = transfer.system_for(e, f, budget=args.budget)
     poly = transfer.integer_annihilator(sys_, degree_cap=args.degree_cap)
     payload = {

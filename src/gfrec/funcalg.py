@@ -112,16 +112,17 @@ def seam(e, field=None):
     overlap, so f_n = f'_n + W(u, a) for every n >= max(min_n, 2w - 2) with
     the same polynomial W.  W is returned as a function on F_q^(2w-2),
     a in its variables 1..w-1 and u in w..2w-2: the wrapped translates at
-    n = 2w - 2.  Every wrapped translate has a variable of u, so W(0, a) = 0.
-    Without a rotation e' = e and W is 0 on F_q^0: a trapezoid's translates
-    and sigma(k)'s monomials at n are those at N > n in the variables
-    1..n, so f_n is f_N at x_(n+1) = ... = x_N = 0.
+    n = 2w - 2 of the rotations of `parts`.  Each has a variable of u, so
+    W(0, a) = 0.  Without a rotation e' = e and W is 0 on F_q^0 (see the
+    module docstring).
     """
     trapezoids, w = _unwrapped(e)
     if field is None:
         return trapezoids, w, None
     n, acc = max(2 * w - 2, 0), {}
-    _expand(e, n, field, field.one(), acc, wrapped=True)
+    for coeff, atom in parts(e, field):
+        for mono in _wrapped(atom, n) if isinstance(atom, Rotation) else ():
+            acc[mono] = acc[mono] + coeff if mono in acc else coeff
     return trapezoids, w, InstantiatedFunction(field, n, acc)
 
 
@@ -295,50 +296,45 @@ class InstantiatedFunction:
         return "InstantiatedFunction(n=%d, %s)" % (self.n, body or "0")
 
 
-def _accumulate(acc, mono, coeff):
-    cur = acc.get(mono)
-    acc[mono] = coeff if cur is None else cur + coeff
+def parts(e, field):
+    """Yield (coefficient, atom) for each family atom of e in expression
+    order, the coefficient the product of the scalars above it in field,
+    each scalar checked when the walk reaches it."""
+    todo = [(field.one(), e)]
+    while todo:
+        coeff, e = todo.pop()
+        if isinstance(e, ScalarMul):
+            todo.append((coeff * e.scalar(field), e.expr))
+        elif isinstance(e, Sum):
+            todo.extend((coeff, part) for part in reversed(e.parts))
+        else:
+            yield coeff, e
 
 
-def _expand(e, n, field, coeff, acc, wrapped=False):
-    """Add coeff times e's instance at n to acc, or with wrapped only its
-    rotations' wrapped translates (see `seam`)."""
-    if isinstance(e, ScalarMul):
-        _expand(e.expr, n, field, coeff * e.scalar(field), acc, wrapped)
-        return
-    if isinstance(e, Sum):
-        for part in e.parts:
-            _expand(part, n, field, coeff, acc, wrapped)
-        return
-    if wrapped:
-        if isinstance(e, Rotation):
-            base = frozenset(e.pattern.offsets)
-            for k in range(n - e.pattern.width + 1, n):
-                _accumulate(acc, shift(base, k, n), coeff)
-        return
-    if n < e.min_n():
-        raise ValueError("n=%d below the family minimum %d" % (n, e.min_n()))
-    if isinstance(e, Rotation):
-        base = frozenset(e.pattern.offsets)
-        for k in range(n):
-            _accumulate(acc, shift(base, k, n), coeff)
-        return
-    if isinstance(e, Trapezoid):
-        offs = e.pattern.offsets
-        for t in range(n - e.pattern.width + 1):
-            _accumulate(acc, frozenset(o + t for o in offs), coeff)
-        return
-    if isinstance(e, Sigma):
-        for combo in combinations(range(1, n + 1), e.k):
-            _accumulate(acc, frozenset(combo), coeff)
-        return
-    raise TypeError("not an expression: %r" % (e,))
+def _wrapped(rotation, n):
+    """The translates of a rotation at n that wrap past x_n, in shift order."""
+    base = frozenset(rotation.pattern.offsets)
+    return [shift(base, k, n) for k in range(n - rotation.pattern.width + 1, n)]
 
 
 def instantiate(e, n, field):
-    """Expand an expression into a concrete function on F_q^n."""
+    """Expand an expression into a concrete function on F_q^n.  Each atom of
+    `parts` is checked against its family minimum as it comes, so the first
+    fault in expression order, a minimum above n or a scalar, is raised."""
     acc = {}
-    _expand(e, n, field, field.one(), acc)
+    for coeff, atom in parts(e, field):
+        if n < atom.min_n():
+            raise ValueError("n=%d below the family minimum %d" % (n, atom.min_n()))
+        if isinstance(atom, Sigma):
+            monos = map(frozenset, combinations(range(1, n + 1), atom.k))
+        elif isinstance(atom, (Trapezoid, Rotation)):
+            monos = [frozenset(o + t for o in atom.pattern.offsets) for t in range(n - atom.pattern.width + 1)]
+            if isinstance(atom, Rotation):
+                monos += _wrapped(atom, n)
+        else:
+            raise TypeError("not an expression: %r" % (atom,))
+        for mono in monos:
+            acc[mono] = acc[mono] + coeff if mono in acc else coeff
     return InstantiatedFunction(field, n, acc)
 
 

@@ -25,6 +25,11 @@ DEFAULT_DEGREE_CAP = 64
 # the hash tools and the benchmark workloads build is sigma(2) over F_61
 # (226 981)
 SCATTER_ROOT_COUNTS = 1 << 22
+# the largest prime of the exact spectrum check `numtheory.eigen_check`, which
+# steps the p^2 coordinates of vec(I) p + 1 times through I (x) M, p^3 triples,
+# in int64 up to p = 41.  In process on a 2-core x86 host p = 41 took 1.0 s,
+# 43 3.2 s, 47 9.7 s and 53 26 s; p = 101 ran past 120 s
+EIGEN_CHECK_PRIME = 47
 
 
 class ResourceLimitExceeded(RuntimeError):
@@ -58,6 +63,16 @@ def check_root_counts(dim, field):
 def check_inflated(dim, blowup_limit):
     if dim > blowup_limit:
         raise ResourceLimitExceeded("inflated dimension %d exceeds the limit of %d" % (dim, blowup_limit))
+
+
+def check_eigen_prime(p):
+    if p > EIGEN_CHECK_PRIME:
+        raise ResourceLimitExceeded("an exact spectrum check over F_%d exceeds the limit of p <= %d" % (p, EIGEN_CHECK_PRIME))
+
+
+def check_degree_cap(degree_cap):
+    if degree_cap < 1:  # a usage error, not a limit reached
+        raise ValueError("degree_cap must be >= 1")
 
 
 def check_degree(degree, degree_cap):

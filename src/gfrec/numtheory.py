@@ -14,6 +14,7 @@ import numpy as np
 
 from .cyclotomic import CycInt, combination, root_power
 from .galois import is_prime
+from .limits import check_eigen_prime
 from .linalg import SparseMatrix
 from .recurrence import IntPolynomial
 from .transfer import _exact, build_quadratic_matrix
@@ -153,7 +154,10 @@ def eigen_check(p):
     so (lambda_a^j) is invertible, a Vandermonde matrix times diag(lambda_a),
     and the multiplicities are the m_a.  Both checks step the p columns of M
     at once: vec(I), the p^2 coordinates of the identity, under I (x) M.
+    A prime past `limits.EIGEN_CHECK_PRIME` is refused before any of that.
     """
+    if is_prime(p) and p > 2:  # predicted_spectrum refuses any other p
+        check_eigen_prime(p)
     predicted = predicted_spectrum(p)
     blocks = _copies(build_quadratic_matrix(p).sparse, p)
     diagonal = np.arange(p) * (p + 1)  # the states of vec(I) on the diagonal

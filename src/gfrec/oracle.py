@@ -56,10 +56,12 @@ s = w - 1 leading digits (0 without a rotation): the last s variables at n
 are the leading digits of a point of level n - s < L <= n, moved down.  A
 plain call is the one-label case of the same code.
 
-This module is the enumeration path only.  The other two paths,
-`transfer.run_range` on a built system and `recurrence.extend` of initial
-terms, live in their own modules, and callers such as the command line
-pick one themselves.
+Every polynomial is evaluated by one function, `_grid`, which `values`
+exposes: the kernels' grids, the seam's traces and the rotation builder's
+windows in `transfer`.  This module is the enumeration path only.  The
+other two paths, `transfer.run_range` on a built system and
+`recurrence.extend` of initial terms, live in their own modules, and
+callers such as the command line pick one themselves.
 """
 
 from __future__ import annotations
@@ -592,6 +594,88 @@ def _trace_counts_f2(g, lo, s=0):
 # generic kernel
 
 
+def _grid(tables, terms, k, grids):
+    """The values of sorted terms (`_terms`) in the variables 0..k-1 at the
+    q^k points, over the field of tables (`_FieldTables`).
+
+    Above _LEAF_POINTS points the terms may be split at k // 2 (`_split`):
+    base and each group's parts are evaluated on their half grids and
+    combined.  That is done when it is predicted cheaper than the fold.
+    Counted in numpy operations on the q^k points, the fold takes
+    2 d + 1 for each term of degree d, the combination 1 plus 4 for each
+    group.  Each operation costs about _LEAF_POINTS + q^k points, and
+    the half grids cost about the fold's operations plus 5 for each part
+    they have, at about _LEAF_POINTS points each, since they are small.
+    grids memoizes by (terms, k), so a part that functions, groups or
+    calls share is built once.  The values are computed in intp and
+    kept in the field's narrow dtype, an eighth of the memory.
+    """
+    q = tables.q
+    if not terms:
+        return np.zeros(q**k, dtype=tables.add.dtype)
+    key = (tuple(terms), k)
+    val = grids.get(key)
+    if val is not None:
+        return val
+    h = k // 2
+    split = q**k > _LEAF_POINTS and h
+    if split:
+        base, groups = _split(terms, h)
+        ops = sum(2 * len(mono) + 1 for mono, _c in terms if mono)
+        split = (ops - 1 - 4 * len(groups)) * (_LEAF_POINTS + q**k) > (ops + 5 + 10 * len(groups)) * _LEAF_POINTS
+    if split:
+        val, index, product = np.empty((3, q**k), dtype=np.intp)
+        val.reshape(-1, q**h)[...] = _grid(tables, base, h, grids)  # the point q^h i + j has its high digits in i
+        for low, high in groups:
+            q_high = np.multiply(_grid(tables, high, k - h, grids), q, dtype=np.intp)
+            np.add(q_high[:, None], _grid(tables, low, h, grids), out=index.reshape(-1, q**h))
+            tables.times(index, product)
+            tables.plus_times(1, product, val, index)
+    else:
+        val = np.empty(q**k, dtype=np.intp)
+        val.fill(0 if terms[0][0] else terms[0][1])
+        _fold(tables, val, terms, _digit_rows(q, k))
+    val = grids[key] = val.astype(tables.add.dtype)
+    return val
+
+
+def _fold(tables, val, terms, cols):
+    """Add c * prod(cols[v] for v in mono) to val in place for each (mono, c)
+    in terms but the constant one (the empty monomial), which val holds.
+
+    terms are sorted by mono, so neighbours share prefixes.  Level j of the
+    stack holds q times the product of the first j + 1 variables of the
+    current monomial, so the next factor is one add and one gather
+    (`_FieldTables.times`), and so is adding the term
+    (`_FieldTables.plus_times`).
+    """
+    q, times, plus_times = tables.q, tables.times, tables.plus_times
+    levels = []
+    index = np.empty(val.size, dtype=np.intp)
+    prev = ()
+    for mono, c in terms:
+        if not mono:
+            continue
+        keep = 0
+        while keep < len(prev) and prev[keep] == mono[keep]:  # mono is never a prefix of prev
+            keep += 1
+        for j in range(keep, len(mono)):
+            if j == len(levels):
+                levels.append(np.empty(val.size, dtype=np.intp))
+            if j:
+                np.add(levels[j - 1], cols[mono[j]], out=index)
+                times(index, levels[j])
+            else:
+                np.multiply(cols[mono[0]], q, out=levels[0], dtype=np.intp)
+        plus_times(c, levels[len(mono) - 1], val, index)
+        prev = mono
+
+
+def _terms(g):
+    """g's terms as sorted (mono, c): mono its variables less one, sorted, c an element index."""
+    return sorted([(tuple(sorted([v - 1 for v in mono])), c.index) for mono, c in g.terms.items()])
+
+
 def _contract_ns(keys, runs, gathers):
     """The predicted nanoseconds of `_BlockValues._contract` on keys keys for
     runs distinct C rows: a row at a time past _LEAF_POINTS keys, else in
@@ -611,11 +695,12 @@ class _BlockValues:
     each function as g = base(low) + shift(high) + sum over groups of
     C(high) L(low), where shift is the sum of the groups whose cofactor L is
     a constant.  base, each distinct L, each C and each shift over all
-    blocks are evaluated once, by `_grid`.  So a block's values depend only
-    on its row of C values, and its shift adds one element to all of them,
-    which moves the bins by a permutation of the add table (a roll by
-    Tr(shift) on a trace axis, as Tr is additive).  The blocks are grouped
-    by their rows of C and shift values, and counted in three steps:
+    blocks are evaluated once, by the module-level `_grid`.  So a block's
+    values depend only on its row of C values, and its shift adds one
+    element to all of them, which moves the bins by a permutation of the
+    add table (a roll by Tr(shift) on a trace axis, as Tr is additive).  The
+    blocks are grouped by their rows of C and shift values, and counted in
+    three steps:
 
     - `_keys`: the low points are counted by their key, the tuple of base
       and L values, when `_plan` predicts that cheaper than keeping the q^m
@@ -655,12 +740,12 @@ class _BlockValues:
         self.sizes = [field.p if self.traced else q] + [q] * (len(funcs) - 1)
         self.n = n = funcs[0].n
         self.lo, self.s, self.labels = lo, s, 1 + (n - lo) * q**s
-        self.terms, self.grids = [sorted([(tuple(sorted([v - 1 for v in mono])), c.index) for mono, c in g.terms.items()]) for g in funcs], grids
+        self.terms, self.grids = [_terms(g) for g in funcs], grids
         self.m, plan, self.rows, self.weights, self.starts = self._choose(self.terms, n, grids)
         self.axes, self.consts, columns, self.bins, _gathers, _folds, self.keys = plan
         self.points = q**self.m
         self.head = self._head(self.m)
-        self.columns = [self._grid(low, self.m, grids) for low in columns]
+        self.columns = [_grid(self.tables, low, self.m, grids) for low in columns]
 
     def _plan(self, splits, m, runs):
         """(axes, consts, columns, bins, gathers, folds, keys) of the
@@ -770,8 +855,8 @@ class _BlockValues:
             # a constant L is one term (the empty monomial, c); its group joins shift
             shift = sorted((high, low[0][1]) for low, highs in groups if not low[-1][0] for high, _one in highs)
             groups = [(low, highs) for low, highs in groups if low[-1][0]]
-            coeffs += [self._grid(high, n - m, grids) for _low, high in groups]
-            shifts.append(self._grid(shift, n - m, grids))
+            coeffs += [_grid(self.tables, high, n - m, grids) for _low, high in groups]
+            shifts.append(_grid(self.tables, shift, n - m, grids))
             splits.append((base, groups))
         rows = np.array(coeffs + shifts, dtype=self.tables.add.dtype).T  # one row per block; narrow, so it sorts by radix
         # the distinct rows, sorted, and how many blocks of each label have each
@@ -790,80 +875,6 @@ class _BlockValues:
         width = len(coeffs)
         starts = [0] + (np.flatnonzero((rows[1:, :width] != rows[:-1, :width]).any(axis=1)) + 1).tolist()
         return self._plan(splits, m, len(starts)), rows, weights, starts
-
-    def _grid(self, terms, k, grids):
-        """The values of sorted terms in the variables 0..k-1 at the q^k points.
-
-        Above _LEAF_POINTS points the terms may be split at k // 2 (`_split`):
-        base and each group's parts are evaluated on their half grids and
-        combined.  That is done when it is predicted cheaper than the fold.
-        Counted in numpy operations on the q^k points, the fold takes
-        2 d + 1 for each term of degree d, the combination 1 plus 4 for each
-        group.  Each operation costs about _LEAF_POINTS + q^k points, and
-        the half grids cost about the fold's operations plus 5 for each part
-        they have, at about _LEAF_POINTS points each, since they are small.
-        grids memoizes by (terms, k), so a part that functions, groups or
-        calls share is built once.  The values are computed in intp and
-        kept in the field's narrow dtype, an eighth of the memory.
-        """
-        if not terms:
-            return np.zeros(self.q**k, dtype=self.tables.add.dtype)
-        key = (tuple(terms), k)
-        val = grids.get(key)
-        if val is not None:
-            return val
-        q, tables = self.q, self.tables
-        h = k // 2
-        split = q**k > _LEAF_POINTS and h
-        if split:
-            base, groups = _split(terms, h)
-            ops = sum(2 * len(mono) + 1 for mono, _c in terms if mono)
-            split = (ops - 1 - 4 * len(groups)) * (_LEAF_POINTS + q**k) > (ops + 5 + 10 * len(groups)) * _LEAF_POINTS
-        if split:
-            val, index, product = np.empty((3, q**k), dtype=np.intp)
-            val.reshape(-1, q**h)[...] = self._grid(base, h, grids)  # the point q^h i + j has its high digits in i
-            for low, high in groups:
-                q_high = np.multiply(self._grid(high, k - h, grids), q, dtype=np.intp)
-                np.add(q_high[:, None], self._grid(low, h, grids), out=index.reshape(-1, q**h))
-                tables.times(index, product)
-                tables.plus_times(1, product, val, index)
-        else:
-            val = np.empty(q**k, dtype=np.intp)
-            val.fill(0 if terms[0][0] else terms[0][1])
-            self._fold(val, terms, _digit_rows(q, k))
-        val = grids[key] = val.astype(self.tables.add.dtype)
-        return val
-
-    def _fold(self, val, terms, cols):
-        """Add c * prod(cols[v] for v in mono) to val in place for each (mono, c)
-        in terms but the constant one (the empty monomial), which val holds.
-
-        terms are sorted by mono, so neighbours share prefixes.  Level j of the
-        stack holds q times the product of the first j + 1 variables of the
-        current monomial, so the next factor is one add and one gather
-        (`_FieldTables.times`), and so is adding the term
-        (`_FieldTables.plus_times`).
-        """
-        q, times, plus_times = self.q, self.tables.times, self.tables.plus_times
-        levels = []
-        index = np.empty(val.size, dtype=np.intp)
-        prev = ()
-        for mono, c in terms:
-            if not mono:
-                continue
-            keep = 0
-            while keep < len(prev) and prev[keep] == mono[keep]:  # mono is never a prefix of prev
-                keep += 1
-            for j in range(keep, len(mono)):
-                if j == len(levels):
-                    levels.append(np.empty(val.size, dtype=np.intp))
-                if j:
-                    np.add(levels[j - 1], cols[mono[j]], out=index)
-                    times(index, levels[j])
-                else:
-                    np.multiply(cols[mono[0]], q, out=levels[0], dtype=np.intp)
-            plus_times(c, levels[len(mono) - 1], val, index)
-            prev = mono
 
     def _keys(self):
         """(values, counts): the value of each column at each key, and the
@@ -988,7 +999,7 @@ class _BlockValues:
         k, tables = self.head, self.tables
         joint = np.zeros(self.q**k, dtype=np.intp)
         for i, (terms, size) in enumerate(zip(self.terms, self.sizes)):
-            v = self._grid([t for t in terms if not t[0] or t[0][-1] < k], k, self.grids)
+            v = _grid(tables, [t for t in terms if not t[0] or t[0][-1] < k], k, self.grids)
             joint *= size
             joint += tables.trace[v] if self.traced and i == 0 else v
         bins = prod(self.sizes)
@@ -1082,6 +1093,11 @@ def exp_sum(g, budget=DEFAULT_POINT_BUDGET, *, _grids=None):
     """The exact character sum of g over its field, as a cyclotomic integer."""
     counts = trace_counts(g, budget=budget, _grids=_grids)
     return CycInt.from_root_counts(g.field.p, counts)
+
+
+def values(g):
+    """g's value index at its q^n points in point-index order (variable i at digit i - 1), by `_grid`; the caller bounds q^n."""
+    return _grid(_tables(g.field), _terms(g), g.n, {})
 
 
 def decorated_sums(base, decorations, budget=DEFAULT_POINT_BUDGET):
@@ -1219,25 +1235,10 @@ def _seam_sums(counts, wrapped, s):
     levels, q = (len(counts) - 1) // size, wrapped.field.q
     keyed = counts[1:].reshape(levels, -1)  # [level, (v, t, a)]
     sums = np.cumsum(np.concatenate((totals[:1], totals[1:].reshape(levels, size, p).sum(axis=1))), axis=0)[: levels - s + 1]
-    traces = _seam_traces(wrapped, s)[np.arange(size) // q ** np.arange(s)[:, None]]  # [d, v, a]
+    traces = _tables(wrapped.field).trace_index[values(wrapped)].reshape(size, size)[np.arange(size) // q ** np.arange(s)[:, None]]  # [d, v, a]
     t = (np.arange(p)[:, None, None] - traces[:, None]) % p  # [d, r, v, a]: the t that moves to r
     index = (np.arange(size)[:, None] * p + t) * size + np.arange(size)
     out = keyed.take(index.reshape(s, p, -1), axis=1).sum(axis=3)  # [level, d, r]
     at = np.arange(levels - s + 1)[:, None] + (s - 1 - np.arange(s))  # the level n - d of each n and d
     return sums + out[at, np.arange(s)].sum(axis=1)
 
-
-def _seam_traces(wrapped, s):
-    """Tr W(u, a) at [u, a] for the seam W on F_q^(2s) of `funcalg.seam`,
-    a in its variables 1..s and u in s+1..2s, each as the index of its
-    digits, the first variable least significant."""
-    q, tables = wrapped.field.q, _tables(wrapped.field)
-    digits = _digit_rows(q, 2 * s)
-    add, mul = tables.add.ravel(), tables.mul.ravel()
-    val = np.zeros(q ** (2 * s), dtype=np.intp)
-    for mono, c in wrapped.terms.items():
-        term = np.full(len(val), c.index, dtype=np.intp)
-        for v in mono:
-            term = mul.take(term * q + digits[v - 1]).astype(np.intp)
-        val = add.take(val * q + term).astype(np.intp)
-    return tables.trace_index[val].reshape(q**s, -1)

@@ -384,6 +384,17 @@ def extend(init, poly, n_target):
     return Sequence(min(init.n_min, n_target), tuple(reversed(fresh)) + init.values, "recurrence")
 
 
+def check_discover(max_order, terms=None, holdout=None):
+    """`discover`'s checks: max_order >= 1, then, given the number of terms,
+    at least 2 max_order + holdout.  Returns holdout, max_order by default."""
+    holdout = max_order if holdout is None else holdout
+    if max_order < 1:
+        raise ValueError("max_order must be >= 1")
+    if terms is not None and terms < 2 * max_order + holdout:
+        raise InsufficientDataError("need at least %d terms (2*max_order + holdout), have %d" % (2 * max_order + holdout, terms))
+    return holdout
+
+
 def discover(seq, max_order, holdout=None):
     """Find the least-order monic recurrence fitted on a prefix and validated
     exactly on held-out terms.
@@ -401,16 +412,7 @@ def discover(seq, max_order, holdout=None):
     can fit, and starting at L skips only solves that would fail.  The
     bound stops as soon as it exceeds max_order, which no order can fit.
     """
-    if holdout is None:
-        holdout = max_order
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
-    needed = 2 * max_order + holdout
-    if len(seq) < needed:
-        raise InsufficientDataError(
-            "need at least %d terms (2*max_order + holdout), have %d"
-            % (needed, len(seq))
-        )
+    holdout = check_discover(max_order, len(seq), holdout)
     fit_len = len(seq) - holdout
     cols, _ = _distinct(_columns(seq.values))
     if not cols:

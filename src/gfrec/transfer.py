@@ -41,13 +41,13 @@ import numpy as np
 
 from .cyclotomic import CycInt, root_power
 from .funcalg import (
+    InstantiatedFunction,
     MonomialPattern,
     Rotation,
-    ScalarMul,
     Sigma,
-    Sum,
     Trapezoid,
     instantiate,
+    parts,
     tau,
 )
 from .galois import is_prime, make_field
@@ -56,12 +56,13 @@ from .limits import (
     DEFAULT_DEGREE_CAP,
     DEFAULT_POINT_BUDGET,
     DEFAULT_STATE_LIMIT,
+    check_degree_cap,
     check_inflated,
     check_root_counts,
     check_states,
 )
 from .linalg import SparseMatrix, minimal_polynomial
-from .oracle import exp_sum, integer_tables
+from .oracle import exp_sum, integer_tables, values
 from .recurrence import IntPolynomial, Sequence
 
 
@@ -146,13 +147,8 @@ def run_range(sys, e, n_range):
 # ---------------------------------------------------------------------------
 # small helpers shared by the builders
 
-def _grid(q, m):
-    """The q^m coefficient vectors in product(range(q), repeat=m) order, as rows."""
-    return np.indices((q,) * m).reshape(m, -1).T
-
-
 def _index(digits, q):
-    """Row indices in _grid order of the digit arrays (most significant first)."""
+    """Row indices in `_states` order of the digit arrays (most significant first)."""
     out = 0
     for d in digits:
         out = out * q + d
@@ -160,10 +156,10 @@ def _index(digits, q):
 
 
 def _states(q, m, f, state_limit):
-    """The q^m states (_grid) of a system over f, within the state and root-count limits."""
+    """The q^m states of a system over f as rows in product(range(q), repeat=m) order, within the state and root-count limits."""
     check_states(q**m, state_limit)
     check_root_counts(q**m, f)
-    return _grid(q, m)
+    return np.indices((q,) * m).reshape(m, -1).T
 
 
 def _scatter(f, image, const):
@@ -323,7 +319,8 @@ def _rotation_system(e, terms, f, label, state_limit, budget):
     the (coefficient, offsets) translates terms of e, which gates the result.
 
     The window a_1..a_w has index a q + x for the index a of (a_1..a_(w-1))
-    and x = a_w, and T steps a to (a_2..a_w), index (a q + x) mod Q for
+    and x = a_w, so g is read at every window by `oracle.values` with a_o
+    at digit w - o, and T steps a to (a_2..a_w), index (a q + x) mod Q for
     Q = q^(w-1).  The state a Q + i of T (x) I steps like a and keeps i, so
     the states hold the columns of T^n: vec(I) stepped n0 = 3(w-1) times is
     vec(T^n0), and the target Tr(T^n) sums the diagonal states a Q + a.
@@ -333,16 +330,8 @@ def _rotation_system(e, terms, f, label, state_limit, budget):
     w = max(max(offsets) for _c, offsets in patterns)
     Q = q ** (w - 1)
     a, i = _states(Q, 2, f, state_limit).T  # the state a Q + i
-    add, mul, _trace = integer_tables(f)
-    windows = _grid(q, w)
-    g = np.zeros(len(windows), dtype=np.intp)
-    for c, offsets in patterns:
-        term = c.index
-        for o in offsets:
-            term = mul[term, windows[:, o - 1]]
-        g = add[g, term]
     image = np.arange(Q * q).reshape(Q, q) % Q
-    const = g.reshape(Q, q)
+    const = values(InstantiatedFunction(f, w, {frozenset(w + 1 - o for o in offsets): c for c, offsets in patterns})).reshape(Q, q)
     diagonal = np.arange(Q) * (Q + 1)
     recipe = (image[a] * Q + i[:, None], const[a])
     return _scatter_system(label, f, e, recipe, 3 * (w - 1), budget, diagonal, (image, const), diagonal)
@@ -428,8 +417,7 @@ def integer_annihilator(
     degree_cap.  The work is at most about (2 degree_cap + 17) nnz (p-1) per
     candidate prime plus deg nnz dim (p-1) per certificate prime.
     """
-    if degree_cap < 1:
-        raise ValueError("degree_cap must be >= 1")
+    check_degree_cap(degree_cap)
     check_inflated(sys.kernel.dim * (sys.field.p - 1), blowup_limit)
     return IntPolynomial(minimal_polynomial(sys.kernel, degree_cap))
 
@@ -437,38 +425,26 @@ def integer_annihilator(
 # ---------------------------------------------------------------------------
 # expression dispatch
 
-def _flatten(e, f, coeff, out):
-    if isinstance(e, Sum):
-        for part in e.parts:
-            _flatten(part, f, coeff, out)
-    elif isinstance(e, ScalarMul):
-        _flatten(e.expr, f, coeff * e.scalar(f), out)
-    else:
-        out.append((coeff, e))
-
-
 def system_for(e, f, state_limit=DEFAULT_STATE_LIMIT, budget=DEFAULT_POINT_BUDGET):
     """Build the transfer system matching an expression.
 
     Single sigma(k) nodes, single trapezoid or rotation patterns, and
     linear combinations of same-kind translate families are supported.
     """
-    parts = []
-    _flatten(e, f, f.one(), parts)
-    parts = [(c, node) for c, node in parts if not c.is_zero()]
-    if not parts:
+    atoms = [(c, node) for c, node in parts(e, f) if not c.is_zero()]
+    if not atoms:
         raise ValueError("expression is zero")
-    if len(parts) == 1 and isinstance(parts[0][1], Sigma):
-        c, node = parts[0]
+    if len(atoms) == 1 and isinstance(atoms[0][1], Sigma):
+        c, node = atoms[0]
         if c != f.one():
             raise ValueError("scaled sigma is not supported by the transfer method")
         if node.k < 2:
             raise ValueError("transfer needs sigma(k) with k >= 2")
         return build_symmetric_system(node.k, f, state_limit, budget)
-    kinds = {type(node) for _c, node in parts}
+    kinds = {type(node) for _c, node in atoms}
     if kinds in ({Trapezoid}, {Rotation}):
         rotation = kinds == {Rotation}
-        terms = [(c, node.pattern.offsets) for c, node in parts]
+        terms = [(c, node.pattern.offsets) for c, node in atoms]
         if not rotation and len(terms) == 1 and terms[0][0] == f.one():
             offsets = terms[0][1]
             k = len(offsets)

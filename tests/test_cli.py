@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -291,6 +292,22 @@ def test_discover_max_order_below_one_is_usage_error(capsys):
         )
         assert code == 2
         assert err == "usage error: max_order must be >= 1\n"
+    # checked before any sum or build: 3^40 points are over the budget, and
+    # the transfer method builds its system to find the first n
+    for method in ("brute", "transfer"):
+        start = time.perf_counter()
+        code, _out, err = run_cli(
+            capsys, "discover", "--expr", "sigma(2)", "--field", "3",
+            "--n-max", "40", "--max-order", "0", "--method", method,
+        )
+        assert (code, err) == (2, "usage error: max_order must be >= 1\n")
+        assert time.perf_counter() - start < 0.5
+    # and the terms it needs, 2 max_order + holdout, before any sum
+    code, _out, err = run_cli(
+        capsys, "discover", "--expr", "sigma(2)", "--field", "3",
+        "--n-max", "40", "--max-order", "20",
+    )
+    assert (code, err) == (2, "usage error: need at least 60 terms (2*max_order + holdout), have 39\n")
 
 
 def test_transfer_range_defaults_to_the_system_start(capsys):
@@ -336,6 +353,13 @@ def test_annihilator_degree_cap_below_one_is_usage_error(capsys):
         )
         assert code == 2
         assert err == "usage error: degree_cap must be >= 1\n"
+    # checked before system_for: sigma(2) over F_257 is past the root-count limit
+    start = time.perf_counter()
+    code, _out, err = run_cli(
+        capsys, "annihilator", "--expr", "sigma(2)", "--field", "257", "--degree-cap", "0"
+    )
+    assert (code, err) == (2, "usage error: degree_cap must be >= 1\n")
+    assert time.perf_counter() - start < 0.5
 
 
 def test_annihilator_unsupported_expression(capsys):
@@ -431,6 +455,14 @@ def test_numtheory_eigen_check(capsys):
     assert rec["payload"]["predicted"] == [
         {"coeffs": [to_decimal(c) for c in v.coeffs], "multiplicity": m} for v, m in predicted_spectrum(7)
     ]
+
+
+def test_numtheory_eigen_check_past_its_prime_is_a_resource_limit(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "numtheory", "eigen-check", "--p", "101")
+    assert (code, out) == (3, "")
+    assert err == "resource limit: an exact spectrum check over F_101 exceeds the limit of p <= 47\n"
+    assert time.perf_counter() - start < 0.5
 
 
 def test_numtheory_eigen_check_takes_no_tolerance(capsys):

@@ -16,6 +16,7 @@ from gfrec.funcalg import (
     evaluate,
     instantiate,
     parse,
+    parts,
     seam,
     shift,
     tau,
@@ -164,6 +165,34 @@ def test_instantiate_below_min_n():
     f2 = make_field(2)
     with pytest.raises(ValueError):
         instantiate(tau(4), 3, f2)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("T(2,5) + e9*R(2)", "n=3 below the family minimum 5"),
+        ("e9*R(2) + T(2,5)", "scalar index 9 out of range for F_3"),
+    ],
+)
+def test_instantiate_raises_the_first_fault_in_expression_order(text, message):
+    # both expressions have an atom above n and a scalar out of range: a
+    # walk that checked every scalar before yielding would report the scalar
+    # of the first one too
+    with pytest.raises(ValueError) as err:
+        instantiate(parse(text), 3, make_field(3))
+    assert str(err.value) == message
+
+
+def test_parts_walk_in_expression_order_and_check_each_scalar_on_reaching_it():
+    f5 = make_field(5)
+    r2 = Rotation(MonomialPattern((1, 2)))
+    e = Sum((ScalarMul(2, Sum((tau(2), ScalarMul(3, r2)))), Sigma(2), ScalarMul(7, tau(3))))
+    walk = parts(e, f5)
+    assert next(walk) == (f5.from_index(2), tau(2))
+    assert next(walk) == (f5.from_index(1), r2)  # 2 * 3 = 6 = 1 in F_5
+    assert next(walk) == (f5.one(), Sigma(2))
+    with pytest.raises(ValueError, match="scalar index 7 out of range for F_5"):
+        next(walk)
 
 
 def test_evaluate():

@@ -1,13 +1,15 @@
 """Tests for characters, Gauss sums, valuations and spectral checks."""
 
 import math
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gfrec import numtheory
+from gfrec import limits, numtheory
 from gfrec.cyclotomic import CycInt, root_power
+from gfrec.limits import ResourceLimitExceeded
 from gfrec.linalg import SparseMatrix
 from gfrec.numtheory import (
     eigen_check,
@@ -167,6 +169,24 @@ def test_eigen_check():
         assert report.ok is True
         assert report.p == p
         assert report.predicted == tuple(predicted_spectrum(p))
+
+
+def test_eigen_check_past_its_prime_is_refused_before_the_system_is_built(monkeypatch):
+    def build(p):
+        raise AssertionError("built the quadratic matrix over F_%d" % p)
+
+    monkeypatch.setattr(numtheory, "build_quadratic_matrix", build)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitExceeded, match="over F_101 exceeds the limit of p <= 47"):
+        eigen_check(101)
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(ValueError, match="need an odd prime, got 100"):  # not a prime: the error it had
+        eigen_check(100)
+    monkeypatch.setattr(limits, "EIGEN_CHECK_PRIME", 7)
+    with pytest.raises(ResourceLimitExceeded):
+        eigen_check(11)
+    with pytest.raises(AssertionError, match="F_7"):  # the limit itself is admitted
+        eigen_check(7)
 
 
 def _spectrum_edited(monkeypatch, p, edit):

@@ -299,6 +299,28 @@ def _slow_decorated(field, joint):
 
 
 @st.composite
+def _valued(draw):
+    """A random function and its field, over F_2..F_9 or, on the narrow
+    tables of a field with q^2 > 4096, F_67 and F_2^12, at n <= 2 and 1."""
+    field = draw(st.sampled_from(FIELDS + [make_field(67), make_field(2, 12)]))
+    top = {2: 8, 3: 5, 4: 4, 5: 3, 8: 3, 9: 3, 67: 2, 4096: 1}[field.q]
+    return draw(_function(field, draw(st.integers(0, top))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=_valued(), leaf_points=st.sampled_from([1, 4, 1 << 10]))
+def test_values_are_the_function_at_every_point(g, leaf_points):
+    # a small leaf makes `_grid` split most grids into half grids; the
+    # point index has variable i at digit i - 1, so the first variable
+    # changes fastest, as in the reversed tuples of product
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_LEAF_POINTS", leaf_points)
+        got = oracle.values(g)
+    field = g.field
+    assert got.tolist() == [evaluate(g, list(pt[::-1])).index for pt in product(field.elements(), repeat=g.n)]
+
+
+@st.composite
 def _structured(draw, field, n):
     """Sums of nonzero multiples of sigma(k), tau(k), consecutive rotations and
     single monomials (some only in the top variables), plus maybe a constant."""
