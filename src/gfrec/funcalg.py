@@ -14,21 +14,53 @@ at n are those at any larger n with the variables past n set to 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 
-@dataclass(frozen=True)
-class MonomialPattern:
-    offsets: tuple
+class Frozen:
+    """Base of the value classes: a subclass's `__init__` checks its fields and
+    stores them, in `__slots__` order, with `_set`.  A value is immutable, equal
+    to a value of its class with equal fields, and printed as a keyword call."""
 
-    def __post_init__(self):
-        offs = tuple(int(o) for o in self.offsets)
-        object.__setattr__(self, "offsets", offs)
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
+        return "%s(%s)" % (type(self).__qualname__, fields)
+
+
+class MonomialPattern(Frozen):
+    __slots__ = ("offsets",)
+
+    def __init__(self, offsets):
+        offs = tuple(int(o) for o in offsets)
         if not offs or offs[0] != 1:
             raise ValueError("pattern must start with offset 1")
         if any(b <= a for a, b in zip(offs, offs[1:])):
             raise ValueError("offsets must be strictly increasing")
+        self._set(offs)
 
     @property
     def degree(self):
@@ -39,46 +71,47 @@ class MonomialPattern:
         return self.offsets[-1]
 
 
-@dataclass(frozen=True)
-class Rotation:
-    pattern: MonomialPattern
+class Rotation(Frozen):
+    __slots__ = ("pattern",)
 
-    def __post_init__(self):
-        if self.pattern.degree < 2:
+    def __init__(self, pattern):
+        if pattern.degree < 2:
             raise ValueError("rotation needs a pattern of degree >= 2")
+        self._set(pattern)
 
     def min_n(self):
         return self.pattern.width
 
 
-@dataclass(frozen=True)
-class Trapezoid:
-    pattern: MonomialPattern
+class Trapezoid(Frozen):
+    __slots__ = ("pattern",)
 
-    def __post_init__(self):
-        if self.pattern.degree < 2:
+    def __init__(self, pattern):
+        if pattern.degree < 2:
             raise ValueError("trapezoid needs a pattern of degree >= 2")
+        self._set(pattern)
 
     def min_n(self):
         return self.pattern.width
 
 
-@dataclass(frozen=True)
-class Sigma:
-    k: int
+class Sigma(Frozen):
+    __slots__ = ("k",)
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, k):
+        if k < 1:
             raise ValueError("sigma needs k >= 1")
+        self._set(k)
 
     def min_n(self):
         return self.k
 
 
-@dataclass(frozen=True)
-class ScalarMul:
-    scalar_index: int
-    expr: object
+class ScalarMul(Frozen):
+    __slots__ = ("scalar_index", "expr")
+
+    def __init__(self, scalar_index, expr):
+        self._set(scalar_index, expr)
 
     def min_n(self):
         return self.expr.min_n()
@@ -92,9 +125,11 @@ class ScalarMul:
         return field.from_index(self.scalar_index)
 
 
-@dataclass(frozen=True)
-class Sum:
-    parts: tuple
+class Sum(Frozen):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        self._set(parts)
 
     def min_n(self):
         return max(part.min_n() for part in self.parts)

@@ -13,13 +13,12 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
 from itertools import product as iproduct
 
 import numpy as np
 
 from .cyclotomic import CycInt, combination, root_power
-from .funcalg import InstantiatedFunction, consecutive_rotation, instantiate, parse, tau
+from .funcalg import Frozen, InstantiatedFunction, consecutive_rotation, instantiate, parse, tau
 from .galois import make_field, prime_power
 from .numtheory import eigen_check, eisenstein_dumas, gauss_sum, hadamard_check, legendre
 from .oracle import decorated_sums, sum_sequence
@@ -58,15 +57,12 @@ def rot_conjecture_seq(k, n_max):
     return Sequence(k, tuple(CycInt.from_int(2, v) for v in vals[k:]), "conjecture")
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
-    which: str
-    k: int
-    field: str
-    checked_range: tuple
-    agreements: int
-    first_disagreement: object  # None, or (n, conjectured, measured)
-    status: str  # verified-on-range | refuted | proved-case
+class ConjectureReport(Frozen):
+    # first_disagreement: None or (n, conjectured, measured); status: verified-on-range | refuted | proved-case
+    __slots__ = ("which", "k", "field", "checked_range", "agreements", "first_disagreement", "status")
+
+    def __init__(self, which, k, field, checked_range, agreements, first_disagreement, status):
+        self._set(which, k, field, checked_range, agreements, first_disagreement, status)
 
 
 def compare(conjectured, measured, which="trapezoid", k=None, field=""):

@@ -30,6 +30,10 @@ SCATTER_ROOT_COUNTS = 1 << 22
 # in int64 up to p = 41.  In process on a 2-core x86 host p = 41 took 1.0 s,
 # 43 3.2 s, 47 9.7 s and 53 26 s; p = 101 ran past 120 s
 EIGEN_CHECK_PRIME = 47
+# the largest prime of `numtheory.gauss_sum`, which counts the p residues a k^2
+# in Python into p coordinates: on a 2-core x86 host p = 100003 took 0.04 s in
+# process (the CLI 0.12 s, 0.5 MB printed), and p = 1000003 0.56 s (0.94 s, 5 MB)
+GAUSS_SUM_PRIME = 10**5
 
 
 class ResourceLimitExceeded(RuntimeError):
@@ -68,6 +72,11 @@ def check_inflated(dim, blowup_limit):
 def check_eigen_prime(p):
     if p > EIGEN_CHECK_PRIME:
         raise ResourceLimitExceeded("an exact spectrum check over F_%d exceeds the limit of p <= %d" % (p, EIGEN_CHECK_PRIME))
+
+
+def check_gauss_prime(p):
+    if p > GAUSS_SUM_PRIME:
+        raise ResourceLimitExceeded("a Gauss sum over F_%d exceeds the limit of p <= %d" % (p, GAUSS_SUM_PRIME))
 
 
 def check_degree_cap(degree_cap):

@@ -8,13 +8,13 @@ Gauss sums times roots of unity, in Z[zeta_p] arithmetic."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cyclotomic import CycInt, combination, root_power
+from .funcalg import Frozen
 from .galois import is_prime
-from .limits import check_eigen_prime
+from .limits import check_eigen_prime, check_gauss_prime
 from .linalg import SparseMatrix
 from .recurrence import IntPolynomial
 from .transfer import _exact, build_quadratic_matrix
@@ -46,7 +46,8 @@ def valuation(n, p):
 
 
 def gauss_sum(a, p):
-    """sum over k mod p of zeta^(a k^2), exactly in Z[zeta_p]."""
+    """sum over k mod p of zeta^(a k^2), exactly in Z[zeta_p], for p <= `limits.GAUSS_SUM_PRIME`."""
+    check_gauss_prime(p)
     if not is_prime(p) or p == 2:
         raise ValueError("need an odd prime, got %r" % (p,))
     counts = [0] * p
@@ -107,11 +108,11 @@ def hadamard_check(p):
     return bool((covered | np.eye(p, dtype=bool)).all())
 
 
-@dataclass(frozen=True)
-class EigenReport:
-    p: int
-    predicted: tuple  # (CycInt value, multiplicity) pairs
-    ok: bool
+class EigenReport(Frozen):
+    __slots__ = ("p", "predicted", "ok")  # predicted: (CycInt value, multiplicity) pairs
+
+    def __init__(self, p, predicted, ok):
+        self._set(p, predicted, ok)
 
 
 def predicted_spectrum(p):

@@ -18,7 +18,6 @@ order below L would have failed its solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import repeat
 from math import gcd
@@ -26,6 +25,7 @@ from operator import add, itemgetter, mul, ne
 
 from . import linalg
 from .cyclotomic import CycInt
+from .funcalg import Frozen
 
 
 class InsufficientDataError(ValueError):
@@ -103,19 +103,17 @@ def divides(a, b):
     return not any(rem)
 
 
-@dataclass(frozen=True)
-class Sequence:
+class Sequence(Frozen):
     """Values s(n_min), s(n_min + 1), ... with a provenance tag."""
 
-    n_min: int
-    values: tuple
-    provenance: str
+    __slots__ = ("n_min", "values", "provenance")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        ps = {v.p for v in self.values}
+    def __init__(self, n_min, values, provenance):
+        values = tuple(values)
+        ps = {v.p for v in values}
         if len(ps) > 1:
             raise ValueError("sequence mixes root orders %s" % sorted(ps))
+        self._set(n_min, values, provenance)
 
     def __len__(self):
         return len(self.values)

@@ -34,13 +34,13 @@ in int64 while that is provably exact, on Python ints after.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .cyclotomic import CycInt, root_power
 from .funcalg import (
+    Frozen,
     InstantiatedFunction,
     MonomialPattern,
     Rotation,
@@ -66,15 +66,16 @@ from .oracle import exp_sum, integer_tables, values
 from .recurrence import IntPolynomial, Sequence
 
 
-@dataclass(frozen=True, eq=False)  # compared and hashed by identity, as its arrays are
 class TransferSystem:
-    label: str
-    field: object
-    sparse: SparseMatrix  # the nonzero entries of the matrix
-    init: np.ndarray  # read-only dim x (p-1) coordinates of the states at n0: int64, or object past it
-    projection: tuple  # target(n) sums the states v(n)[j] for j in projection
-    n0: int
-    kernel: SparseMatrix  # a matrix with sparse's minimal polynomial: T for T (x) I, else sparse
+    """sparse holds the matrix's nonzero entries, kernel a matrix with sparse's minimal polynomial
+    (T for T (x) I, else sparse), and init the read-only dim x (p-1) coordinates of the states at
+    n0, int64 or object past it; target(n) sums the states v(n)[j] for j in projection.  Read-only
+    fields in a `__dict__` that also caches `matrix`, compared by identity as its arrays are."""
+
+    __setattr__, __delattr__ = Frozen.__setattr__, Frozen.__delattr__
+
+    def __init__(self, label, field, sparse, init, projection, n0, kernel):
+        self.__dict__.update(label=label, field=field, sparse=sparse, init=init, projection=projection, n0=n0, kernel=kernel)
 
     @property
     def dim(self):

@@ -465,6 +465,14 @@ def test_numtheory_eigen_check_past_its_prime_is_a_resource_limit(capsys):
     assert time.perf_counter() - start < 0.5
 
 
+def test_numtheory_gauss_sum_past_its_prime_is_a_resource_limit(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "numtheory", "gauss-sum", "--p", "1000003")
+    assert (code, out) == (3, "")
+    assert err == "resource limit: a Gauss sum over F_1000003 exceeds the limit of p <= 100000\n"
+    assert time.perf_counter() - start < 0.5
+
+
 def test_numtheory_eigen_check_takes_no_tolerance(capsys):
     code, _out, err = run_cli(capsys, "numtheory", "eigen-check", "--p", "7", "--tol", "1e-9")
     assert code == 2

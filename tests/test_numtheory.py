@@ -58,6 +58,26 @@ def test_gauss_sum_small_values():
         gauss_sum(1, 2)
 
 
+def test_gauss_sum_past_its_prime_is_refused_before_any_work(monkeypatch):
+    def is_prime(p):
+        raise AssertionError("tested %d for primality" % p)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(numtheory, "is_prime", is_prime)
+        start = time.perf_counter()
+        for p in (1000003, 10**9 + 7, 10**12):  # the last is not a prime: refused all the same
+            with pytest.raises(ResourceLimitExceeded, match="over F_%d exceeds the limit of p <= 100000" % p):
+                gauss_sum(1, p)
+        assert time.perf_counter() - start < 0.5
+    # every prime of C10 (p < 50) and of the benchmark workloads (p <= 31) is admitted, and the largest one
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 99991):
+        assert len(gauss_sum(1, p).coeffs) == p - 1
+    monkeypatch.setattr(limits, "GAUSS_SUM_PRIME", 7)
+    with pytest.raises(ResourceLimitExceeded):
+        gauss_sum(1, 11)
+    assert gauss_sum(1, 7) == gauss_sum(2, 7)  # the limit itself is admitted; 2 is a square mod 7
+
+
 def test_gauss_sum_magnitude():
     for p in (3, 5, 7, 11, 13):
         g = gauss_sum(1, p)

@@ -1,7 +1,7 @@
 """Run the benchmark on a parent commit and on the working tree, in pairs.
 
     python3 tools/bench_pairs.py --parent REV --workdir DIR --out BENCH.json \
-        --claim derive --pairs derive=10,enumerate=3,sequence=3,cli-session=3
+        --claim derive [--metric setup_s] --pairs derive=10,enumerate=3,sequence=3,cli-session=3
 
 DIR receives two fresh copies: `parent` (`git archive REV`) and `change`
 (the tracked and untracked, not ignored, files of the working tree).  For
@@ -10,8 +10,10 @@ it runs `python3 perfbench/run.py --workload W --seed S` once in each copy,
 one after the other; odd seeds run the parent first and even seeds the
 change first, so drift on a shared machine falls on both sides alike.
 Every run's provenance and result lines go into the output, with the median
-and quartiles of each end-to-end metric per side and, for the claimed
-workload, the number of pairs in which the change's `wall_cal_s` is lower.
+and quartiles of each end-to-end metric per side and, for each metric and
+workload, the number of pairs in which the change's value is lower (every
+metric is better lower).  The claim is that count for `--metric` (default
+`wall_cal_s`) on the `--claim` workload.
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ def main(argv=None):
     ap.add_argument("--parent", required=True, help="git revision to compare against")
     ap.add_argument("--workdir", required=True, help="empty or new directory for the two copies")
     ap.add_argument("--out", required=True, help="JSON file to write")
-    ap.add_argument("--claim", required=True, help="workload whose wall_cal_s is claimed")
+    ap.add_argument("--claim", required=True, help="workload whose --metric is claimed")
+    ap.add_argument("--metric", choices=METRICS, default="wall_cal_s", help="claimed end-to-end metric")
     ap.add_argument("--pairs", required=True, help="W=N,... pairs per workload, seeds F..F+N-1")
     ap.add_argument("--first-seed", type=int, default=1, help="F, the first seed of every workload")
     ap.add_argument("--seconds", type=float, default=None, help="passed on to run.py")
@@ -124,7 +127,7 @@ def main(argv=None):
                 print(side, workload, seed, rec["result"], file=sys.stderr, flush=True)
 
     summary = {}
-    won = {}
+    won = {metric: {} for metric in METRICS}
     for workload, _count in plan:
         mine = [r for r in runs if r["workload"] == workload]
         parsed = {
@@ -147,26 +150,24 @@ def main(argv=None):
         )
         entry["failed"] = sorted({res["failed"] for side in sides for res in parsed[side] if res})
         summary[workload] = entry
-        pairs = zip(parsed["parent"], parsed["change"])
-        won[workload] = sum(
-            1
-            for a, b in pairs
-            if a and b and b["metrics"]["wall_cal_s"]["value"] < a["metrics"]["wall_cal_s"]["value"]
-        )
+        pairs = [(a["metrics"], b["metrics"]) for a, b in zip(parsed["parent"], parsed["change"]) if a and b]
+        for metric in METRICS:
+            won[metric][workload] = sum(1 for a, b in pairs if b[metric]["value"] < a[metric]["value"])
 
     counts = dict(plan)
     doc = {
         "claim": {
             "workload": args.claim,
-            "metric": "wall_cal_s",
+            "metric": args.metric,
             "better": "lower",
-            "change_wins_pairs": "%d of %d" % (won[args.claim], counts[args.claim]),
+            "change_wins_pairs": "%d of %d" % (won[args.metric][args.claim], counts[args.claim]),
         },
-        "command": "python3 tools/bench_pairs.py --parent %s --workdir DIR --out %s --claim %s --pairs %s%s%s"
+        "command": "python3 tools/bench_pairs.py --parent %s --workdir DIR --out %s --claim %s%s --pairs %s%s%s"
         % (
             args.parent,
             Path(args.out).name,
             args.claim,
+            "" if args.metric == "wall_cal_s" else " --metric %s" % args.metric,
             args.pairs,
             "" if args.first_seed == 1 else " --first-seed %d" % args.first_seed,
             "" if args.seconds is None else " --seconds %g" % args.seconds,
@@ -176,7 +177,7 @@ def main(argv=None):
         "order": "seed S runs the parent first when S is odd and the change first when S is even",
         "machine": _machine(),
         "summary": summary,
-        "wall_cal_s_pairs_won_by_change": won,
+        "pairs_won_by_change": won,
         "runs": runs,
     }
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
