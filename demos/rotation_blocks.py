@@ -5,7 +5,7 @@ Rotation families wrap around the index circle.  Their transfer systems
 come from the de Bruijn matrix T of the window polynomial g, whose entry
 from (a_1..a_(w-1)) to (a_2..a_w) is zeta^Tr(g(a_1..a_w)): a cyclic word of
 length n is a closed walk of n steps, so the cyclic sum is Tr(T^n).  The
-system steps the columns of T^n side by side (T (x) I) and projects on the
+system steps the columns of T^n side by side and projects on the
 diagonal.  The point to see concretely is that this trace is exact: the
 system matches enumeration from its first index on, and its long runs
 satisfy the family's stated recurrence.
@@ -28,7 +28,7 @@ def quadratic_rotation():
     print("== R(2) over F_3 ==")
     sys = build_rotation_system((1, 2), f)
     print("  system: dim %d (the columns of the %d-state de Bruijn matrix), first index n=%d"
-          % (sys.dim, sys.kernel.dim, sys.n_min))
+          % (sys.dim, sys.sparse.dim, sys.n_min))
 
     horizon = 12
     a = run(sys, horizon)

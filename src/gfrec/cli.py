@@ -33,7 +33,7 @@ from .harness import (
     rot_conjecture_seq,
     trap_conjecture_seq,
 )
-from .limits import DEFAULT_DEGREE_CAP, DEFAULT_POINT_BUDGET, ResourceLimitExceeded, check_degree_cap
+from .limits import DEFAULT_DEGREE_CAP, DEFAULT_POINT_BUDGET, ResourceLimitExceeded, check_degree_cap, check_field
 from .numtheory import eigen_check, eisenstein_dumas, gauss_sum
 from .oracle import sum_sequence
 from .recurrence import (
@@ -57,20 +57,19 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_field(text, modulus_text=None):
-    text = text.strip()
+def _parse_field(args):
+    p_s, power, r_s = args.field.strip().partition("^")
     try:
-        if "^" in text:
-            p_s, r_s = text.split("^", 1)
-            p, r = int(p_s), int(r_s)
-        else:
-            p, r = prime_power(int(text))
+        p, r = int(p_s), int(r_s) if power else 1
+        check_field(p, r, args.budget)  # every field request enumerates at some n >= 1
+        if not power:
+            p, r = prime_power(p)
     except ValueError:
         raise UsageError("field must be a prime power, like 9 or 3^2") from None
     modulus = None
-    if modulus_text is not None:
+    if args.modulus is not None:
         try:
-            modulus = [int(c) for c in modulus_text.split(",")]
+            modulus = [int(c) for c in args.modulus.split(",")]
         except ValueError:
             raise UsageError("modulus must be comma-separated integers") from None
     return make_field(p, r, modulus)
@@ -191,7 +190,7 @@ def _record(name, args_dict, payload):
 
 
 def _cmd_expsum(args):
-    f = _parse_field(args.field, args.modulus)
+    f = _parse_field(args)
     e = parse(args.expr)
     lo, hi = _parse_range(args.n)
     if lo < e.min_n():
@@ -203,7 +202,7 @@ def _cmd_expsum(args):
 
 
 def _cmd_verify(args):
-    f = _parse_field(args.field, args.modulus)
+    f = _parse_field(args)
     e = parse(args.expr)
     poly = _parse_poly(args.poly)
     lo, sys_ = _start(e, f, args)
@@ -231,7 +230,7 @@ def _cmd_verify(args):
 
 
 def _cmd_discover(args):
-    f = _parse_field(args.field, args.modulus)
+    f = _parse_field(args)
     e = parse(args.expr)
     check_discover(args.max_order)  # before a transfer build fixes the first n
     lo, sys_ = _start(e, f, args)
@@ -253,7 +252,7 @@ def _cmd_discover(args):
 
 
 def _cmd_annihilator(args):
-    f = _parse_field(args.field, args.modulus)
+    f = _parse_field(args)
     e = parse(args.expr)
     check_degree_cap(args.degree_cap)
     sys_ = transfer.system_for(e, f, budget=args.budget)
@@ -274,7 +273,7 @@ def _cmd_annihilator(args):
 def _cmd_conjecture(args):
     if args.k < 2:
         raise UsageError("need k >= 2")
-    f = _parse_field(args.field, args.modulus)
+    f = _parse_field(args)
     if args.n_max < args.k:
         raise UsageError("empty range %d..%d" % (args.k, args.n_max))
     if args.which == "trapezoid":
@@ -367,7 +366,7 @@ def _cmd_accept(args):
 
 
 def _cmd_bench(args):
-    f = _parse_field(args.field, args.modulus)
+    f = _parse_field(args)
     e = parse(args.expr)
     lo, hi = _parse_range(args.n)
     if lo < e.min_n():

@@ -7,6 +7,8 @@ field (r = 1) uses the same machinery with modulus X.
 
 from __future__ import annotations
 
+from math import isqrt
+
 
 def is_prime(n):
     if n < 2:
@@ -247,7 +249,7 @@ def prime_power(q):
     """(p, r) with q = p^r and p prime; ValueError when q is not a prime power."""
     if q < 2:
         raise ValueError("%d is not a prime power" % q)
-    p = next(d for d in range(2, q + 1) if q % d == 0)
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
     r = 0
     m = q
     while m > 1:

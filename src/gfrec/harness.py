@@ -22,27 +22,25 @@ from .funcalg import Frozen, InstantiatedFunction, consecutive_rotation, instant
 from .galois import make_field, prime_power
 from .numtheory import eigen_check, eisenstein_dumas, gauss_sum, hadamard_check, legendre
 from .oracle import decorated_sums, sum_sequence
-from .recurrence import IntPolynomial, Sequence, discover, divides, family_poly, satisfies
+from .recurrence import IntPolynomial, Sequence, discover, divides, extend, family_poly, satisfies
 from . import transfer
 
 PROVED_TRAPEZOID_CASES = (2, 3, 4)
 
 
 def trap_conjecture_seq(k, f, n_max):
-    """Predicted S(T(2..k)(n)) for n = k..n_max from the q^j seeds."""
+    """Predicted S(T(2..k)(n)) for n = k..n_max: the q^j seeds, j < k, extended by Q_TRAP."""
     if k < 2:
         raise ValueError("need k >= 2")
     if n_max < k:
         raise ValueError("n_max below k")
-    q = f.q
-    vals = [q**j for j in range(k)]
-    for n in range(k, n_max + 1):
-        vals.append(q * sum((q - 1) ** l * vals[n - 2 - l] for l in range(k - 1)))
-    return Sequence(k, tuple(CycInt.from_int(f.p, v) for v in vals[k:]), "conjecture")
+    seeds = Sequence(0, tuple(CycInt.from_int(f.p, f.q**j) for j in range(k)), "conjecture")
+    return Sequence(k, extend(seeds, family_poly("Q_TRAP", k, field=f), n_max).values[k:], "conjecture")
 
 
 def rot_conjecture_seq(k, n_max):
-    """Predicted S(R(2..k)(n)) over the two-element field for n = k..n_max.
+    """Predicted S(R(2..k)(n)) over the two-element field for n = k..n_max,
+    the seeds extended by P_K.
 
     The seeds r(0) = k and r(j) = 2^j - 2 for odd j (2^j for even j) are
     formal: they prime the recurrence, they are not small-n sums.
@@ -51,10 +49,9 @@ def rot_conjecture_seq(k, n_max):
         raise ValueError("need k >= 2")
     if n_max < k:
         raise ValueError("n_max below k")
-    vals = [k] + [2**j - (2 if j % 2 else 0) for j in range(1, k)]
-    for n in range(k, n_max + 1):
-        vals.append(2 * sum(vals[n - 2 - l] for l in range(k - 1)))
-    return Sequence(k, tuple(CycInt.from_int(2, v) for v in vals[k:]), "conjecture")
+    r = [k] + [2**j - (2 if j % 2 else 0) for j in range(1, k)]
+    seeds = Sequence(0, tuple(CycInt.from_int(2, v) for v in r), "conjecture")
+    return Sequence(k, extend(seeds, family_poly("P_K", k), n_max).values[k:], "conjecture")
 
 
 class ConjectureReport(Frozen):
@@ -282,10 +279,8 @@ def _check_c6(ctx):
                     return False, "A_j(p)^4 = p^2 I", "p=%d entry (%d,%d)" % (p, i, j)
         entries = _entries(transfer.build_rotation_system((1, 2), ctx.field(p)).sparse)
         roots = [[[(b * g % p, 1)] for g in range(p)] for b in range(p)]  # block's entries
-        for h in range(p):
-            sub = [[entries.get((t * p + h, x * p + h)) for x in range(p)] for t in range(p)]
-            if sub != roots:
-                return False, "built system contains the A_j blocks", "p=%d h=%d" % (p, h)
+        if [[entries.get((t, x)) for x in range(p)] for t in range(p)] != roots:
+            return False, "built de Bruijn matrix is A_j(p)", "p=%d" % p
         got.append("A_j(%d)^4 = %d I" % (p, p * p))
     return True, "rotation degree-2 recurrence and block identities exact", "; ".join(got)
 

@@ -8,10 +8,10 @@ its oracle gate's points, so a request past several limits reports the first.
 
 DEFAULT_POINT_BUDGET = 10**8  # points of an enumeration, and bins of a joint histogram
 DEFAULT_STATE_LIMIT = 4096  # states of a transfer system
-# inflated dimension dim * (p-1) of the kernel that an integer annihilator
-# runs on (the transfer matrix, or a rotation's q^(w-1)-state de Bruijn
+# inflated dimension dim * (p-1) of the matrix that an integer annihilator
+# runs on (a system's `sparse`; a rotation's is its q^(w-1)-state de Bruijn
 # matrix), whose certificate costs about deg * nnz * dim * (p-1)
-# multiply-adds per prime.  A rotation within the state limit has a kernel
+# multiply-adds per prime.  A rotation within the state limit has a matrix
 # of at most 64 states, 294 inflated (R(2,3) over F_7).  On a 2-core x86
 # host the slowest measured call below 2500 took 23 s (sigma(4) over F_9,
 # degree 62), while at 4096 sigma(7) over F_4 took 64 s
@@ -26,14 +26,18 @@ DEFAULT_DEGREE_CAP = 64
 # (226 981)
 SCATTER_ROOT_COUNTS = 1 << 22
 # the largest prime of the exact spectrum check `numtheory.eigen_check`, which
-# steps the p^2 coordinates of vec(I) p + 1 times through I (x) M, p^3 triples,
-# in int64 up to p = 41.  In process on a 2-core x86 host p = 41 took 1.0 s,
-# 43 3.2 s, 47 9.7 s and 53 26 s; p = 101 ran past 120 s
+# steps M (p^2 triples) p + 1 times on the p columns of I side by side, in int64
+# up to p = 41.  In process on a 2-core x86 host p = 41 took 0.45 s, 43 1.9 s and
+# 47 6.9 s; p = 101 ran past 120 s
 EIGEN_CHECK_PRIME = 47
 # the largest prime of `numtheory.gauss_sum`, which counts the p residues a k^2
 # in Python into p coordinates: on a 2-core x86 host p = 100003 took 0.04 s in
 # process (the CLI 0.12 s, 0.5 MB printed), and p = 1000003 0.56 s (0.94 s, 5 MB)
 GAUSS_SUM_PRIME = 10**5
+# the largest p of `numtheory.eisenstein_dumas`, whose one primality test is
+# trial division up to sqrt(p): on a 2-core x86 host it took 0.022 s at
+# p = 10^11 + 3, 0.070 s at 10^12 + 39 and 0.24 s at 10^13 + 37
+EISENSTEIN_PRIME = 10**12
 
 
 class ResourceLimitExceeded(RuntimeError):
@@ -72,6 +76,16 @@ def check_inflated(dim, blowup_limit):
 def check_eigen_prime(p):
     if p > EIGEN_CHECK_PRIME:
         raise ResourceLimitExceeded("an exact spectrum check over F_%d exceeds the limit of p <= %d" % (p, EIGEN_CHECK_PRIME))
+
+
+def check_eisenstein_prime(p):
+    if p > EISENSTEIN_PRIME:
+        raise ResourceLimitExceeded("an Eisenstein-Dumas test at p = %d exceeds the limit of p <= %d" % (p, EISENSTEIN_PRIME))
+
+
+def check_field(p, r, budget):  # for p >= 2, p^r > budget just when p^min(r, bits of budget) does
+    if p >= 2 and r >= 1 and p ** min(r, budget.bit_length()) > budget:
+        raise ResourceLimitExceeded("a field of %s elements exceeds the budget of %d" % ("%d^%d" % (p, r) if r > 1 else p, budget))
 
 
 def check_gauss_prime(p):

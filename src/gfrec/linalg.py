@@ -143,8 +143,9 @@ class SparseMatrix:
 
     def times(self, v):
         """M v exactly.  v holds the power-basis coordinates of a vector, one
-        row per column of M, as an int64 or a dtype=object (Python int) array;
-        the result has M's rows and v's dtype.
+        row per column of M, or of (dim, p-1, columns) vectors side by side,
+        as an int64 or a dtype=object (Python int) array; the result has M's
+        rows and v's dtype.
 
         v's rows, with a 0 appended for zeta^(p-1), are root counts.  One
         gather rolls them by each slot's exponent; they are scaled by its
@@ -156,14 +157,16 @@ class SparseMatrix:
         so its rows are gathered by column, scaled and summed, with no
         appended root to roll.
         """
+        columns = v.shape[2:]
+        amps = self._amps[..., None] if columns else self._amps
         if self._roll is None:
             prod = v.take(self._gather, axis=0)
-            prod *= self._amps
+            prod *= amps
             return self._row_sums(prod)
-        counts = np.zeros((len(v), self.p), dtype=v.dtype)
+        counts = np.zeros((len(v), self.p) + columns, dtype=v.dtype)
         counts[:, :-1] = v
-        rolled = counts.take(self._roll)
-        rolled *= self._amps
+        rolled = counts.reshape(-1, *columns).take(self._roll, axis=0) if columns else counts.take(self._roll)
+        rolled *= amps
         sums = self._row_sums(rolled)
         return sums[:, :-1] - sums[:, -1:]
 

@@ -14,7 +14,7 @@ import numpy as np
 from .cyclotomic import CycInt, combination, root_power
 from .funcalg import Frozen
 from .galois import is_prime
-from .limits import check_eigen_prime, check_gauss_prime
+from .limits import check_eigen_prime, check_eisenstein_prime, check_gauss_prime
 from .linalg import SparseMatrix
 from .recurrence import IntPolynomial
 from .transfer import _exact, build_quadratic_matrix
@@ -35,6 +35,10 @@ def valuation(n, p):
     """Exponent of p in n; math.inf for n = 0."""
     if not is_prime(p):
         raise ValueError("need a prime, got %r" % (p,))
+    return _valuation(n, p)
+
+
+def _valuation(n, p):
     if n == 0:
         return math.inf
     n = abs(n)
@@ -62,7 +66,8 @@ def eisenstein_dumas(poly, p):
     Returns "irreducible" when the polygon is a single segment of slope
     v_p(constant)/degree with numerator prime to the degree (the classical
     Eisenstein criterion is the slope-1/degree case).  Otherwise returns
-    "criterion-not-applicable"; the test never claims reducibility.
+    "criterion-not-applicable"; the test never claims reducibility.  p is
+    tested for primality once, after `limits.EISENSTEIN_PRIME` bounds it.
     """
     if not isinstance(poly, IntPolynomial):
         poly = IntPolynomial(poly)
@@ -70,14 +75,17 @@ def eisenstein_dumas(poly, p):
     if n < 1:
         raise ValueError("need degree >= 1")
     coeffs = poly.coeffs
-    if valuation(coeffs[n], p) != 0:
+    check_eisenstein_prime(p)
+    if not is_prime(p):
+        raise ValueError("need a prime, got %r" % (p,))
+    if _valuation(coeffs[n], p) != 0:
         return "criterion-not-applicable"
-    v0 = valuation(coeffs[0], p)
+    v0 = _valuation(coeffs[0], p)
     if v0 == math.inf or v0 < 1 or math.gcd(v0, n) != 1:
         return "criterion-not-applicable"
     for i in range(1, n):
         # coefficient of X^(n-i) must sit strictly above the segment
-        vi = valuation(coeffs[n - i], p)
+        vi = _valuation(coeffs[n - i], p)
         if vi * n <= i * v0:
             return "criterion-not-applicable"
     return "irreducible"
@@ -122,19 +130,9 @@ def predicted_spectrum(p):
     spectrum is (-2|p) g zeta^(-s a^2) for a = 0..s, simple at a = 0 and
     double otherwise: (p+1)/2 distinct values in all.
     """
-    if not is_prime(p) or p == 2:
-        raise ValueError("need an odd prime, got %r" % (p,))
     g = legendre(-2, p) * gauss_sum(1, p)
     s = (p - 1) // 2
     return [(g * root_power(p, -s * a * a), 1 if a == 0 else 2) for a in range(s + 1)]
-
-
-def _copies(m, k):
-    """I_k (x) m: k copies of the SparseMatrix m down the diagonal."""
-    shift = np.arange(k)[:, None]
-    starts = np.append((m.starts[:-1] + shift * m.nnz).ravel(), k * m.nnz)
-    cols = (m.cols + shift * m.dim).ravel()
-    return SparseMatrix(m.p, starts, cols, np.tile(m.exps, k), np.tile(m.amps, k))
 
 
 def _scalar(value, dim):
@@ -153,26 +151,26 @@ def eigen_check(p):
     The true multiplicities solve the equations of 2 too.  The lambda_a are
     nonzero (|g|^2 = p) and distinct (a^2 for a = 0..s are distinct mod p),
     so (lambda_a^j) is invertible, a Vandermonde matrix times diag(lambda_a),
-    and the multiplicities are the m_a.  Both checks step the p columns of M
-    at once: vec(I), the p^2 coordinates of the identity, under I (x) M.
-    A prime past `limits.EIGEN_CHECK_PRIME` is refused before any of that.
+    and the multiplicities are the m_a.  Both checks step M on the p
+    columns of the identity side by side.  A prime past
+    `limits.EIGEN_CHECK_PRIME` is refused before any of that.
     """
     if is_prime(p) and p > 2:  # predicted_spectrum refuses any other p
         check_eigen_prime(p)
     predicted = predicted_spectrum(p)
-    blocks = _copies(build_quadratic_matrix(p).sparse, p)
-    diagonal = np.arange(p) * (p + 1)  # the states of vec(I) on the diagonal
-    identity = np.zeros((p * p, p - 1), dtype=np.int64)
-    identity[diagonal, 0] = 1
+    m = build_quadratic_matrix(p).sparse
+    diagonal = np.arange(p), slice(None), np.arange(p)  # entry (a, a) of each power
+    identity = np.zeros((p, p - 1, p), dtype=np.int64)
+    identity[:, 0] = np.identity(p, dtype=np.int64)
     v = identity
     for value, _mult in predicted:
-        scale = _scalar(value, p * p)
-        v = _exact(v, blocks.row_norm() + scale.row_norm())
-        v = blocks.times(v) - scale.times(v)
+        scale = _scalar(value, p)
+        v = _exact(v, m.row_norm() + scale.row_norm())
+        v = m.times(v) - scale.times(v)
     ok = not v.any()
     v, powers = identity, [value for value, _mult in predicted]
     for _ in predicted:
-        v = blocks.times(_exact(v, blocks.row_norm()))
+        v = m.times(_exact(v, m.row_norm()))
         trace = CycInt._of(p, tuple(map(sum, zip(*v[diagonal].tolist()))))
         ok = ok and trace == combination(p, [(mult, x) for (_v, mult), x in zip(predicted, powers)])
         powers = [x * value for x, (value, _mult) in zip(powers, predicted)]

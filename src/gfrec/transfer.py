@@ -19,11 +19,10 @@ a prime field this is the quadratic matrix with (j, k) entry zeta^(j(k-j)).
 A rotation combination's cyclic sum is Tr(T^n) for the de Bruijn matrix
 T[(a_1..a_(w-1)), (a_2..a_w)] = zeta^Tr(g(a_1..a_w)) of its window
 polynomial g, since the closed walks of length n are the cyclic words.  Its
-system is T (x) I onto vec(I), and its kernel T gives the annihilator.
-Every system starts at n = 0, the empty word: its states there are all 1,
-or vec(I) for T (x) I, and the matrix steps them to the first index n0
-(_scatter_system says why that is exact), so a build enumerates only in
-its oracle gate.
+system's one matrix is T, stepped on the columns of T^n side by side, from
+those of I at n = 0, the empty word; every other system's states are all 1
+there.  The matrix steps them to the first index n0 (_scatter_system says
+why that is exact), so a build enumerates only in its oracle gate.
 
 The matrix is a linalg.SparseMatrix, whose entries a zeta^t are triples
 (column, t, a), and its states init a dim x (p-1) array of power-basis
@@ -38,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cyclotomic import CycInt, root_power
+from .cyclotomic import CycInt
 from .funcalg import (
     Frozen,
     InstantiatedFunction,
@@ -67,19 +66,19 @@ from .recurrence import IntPolynomial, Sequence
 
 
 class TransferSystem:
-    """sparse holds the matrix's nonzero entries, kernel a matrix with sparse's minimal polynomial
-    (T for T (x) I, else sparse), and init the read-only dim x (p-1) coordinates of the states at
-    n0, int64 or object past it; target(n) sums the states v(n)[j] for j in projection.  Read-only
-    fields in a `__dict__` that also caches `matrix`, compared by identity as its arrays are."""
+    """sparse holds the matrix's nonzero entries, and init the read-only dim x (p-1) coordinates of
+    the states at n0 (a rotation's state a Q + i is entry (a, i) of T^n, Q = sparse.dim), int64 or
+    object past it; target(n) sums the states v(n)[j] for j in projection.  Read-only fields in a
+    `__dict__` that also caches `matrix`, compared by identity as its arrays are."""
 
     __setattr__, __delattr__ = Frozen.__setattr__, Frozen.__delattr__
 
-    def __init__(self, label, field, sparse, init, projection, n0, kernel):
-        self.__dict__.update(label=label, field=field, sparse=sparse, init=init, projection=projection, n0=n0, kernel=kernel)
+    def __init__(self, label, field, sparse, init, projection, n0):
+        self.__dict__.update(label=label, field=field, sparse=sparse, init=init, projection=projection, n0=n0)
 
     @property
     def dim(self):
-        return self.sparse.dim
+        return len(self.init)
 
     @property
     def n_min(self):
@@ -87,17 +86,12 @@ class TransferSystem:
 
     @cached_property
     def matrix(self):
-        """The dense matrix, rows of CycInt entries, summed from the sparse triples:
+        """The dense matrix, rows of CycInt entries, from the root counts of the sparse triples:
         read only by perfbench/tracing.py's nonzero count, until that reads nnz."""
-        sp = self.sparse
-        p = self.field.p
-        roots = [root_power(p, t) for t in range(p)]
-        rows = [[CycInt.zero(p)] * self.dim for _ in range(self.dim)]
-        bounds = sp.starts.tolist()
-        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            for j, t, a in zip(sp.cols[lo:hi].tolist(), sp.exps[lo:hi].tolist(), sp.amps[lo:hi].tolist()):
-                rows[i][j] = rows[i][j] + a * roots[t]
-        return tuple(tuple(row) for row in rows)
+        sp, p = self.sparse, self.field.p
+        counts = np.zeros((sp.dim, sp.dim, p), dtype=np.int64)
+        np.add.at(counts, (np.repeat(np.arange(sp.dim), np.diff(sp.starts)), sp.cols, sp.exps), sp.amps)
+        return tuple(tuple(CycInt.from_root_counts(p, c) for c in row) for row in counts.tolist())
 
     def __repr__(self):
         return "TransferSystem(%s, dim=%d, n_min=%d)" % (self.label, self.dim, self.n_min)
@@ -116,14 +110,17 @@ def run(sys, n_target):
     """Projected target values for n = n_min .. n_target, exactly."""
     if n_target < sys.n_min:
         raise ValueError("n_target below the system's first index %d" % sys.n_min)
-    m, proj = sys.sparse, list(sys.projection)
-    norm = max(m.row_norm(), len(proj))  # a target sums len(proj) states
-    p = sys.field.p
-    v = sys.init
+    m, p = sys.sparse, sys.field.p
+    columns = sys.dim // m.dim  # a rotation's, those of T^n, step side by side
+    rows, cols = np.divmod(sys.projection, columns)
+    norm = max(m.row_norm(), len(rows))  # a target sums len(rows) states
+    v, pick = sys.init, rows
+    if columns > 1:
+        v, pick = v.reshape(m.dim, columns, p - 1).transpose(0, 2, 1), (rows, slice(None), cols)
     out = []
     while True:
         v = _exact(v, norm)
-        out.append(CycInt._of(p, tuple(v[proj].sum(axis=0).tolist())))
+        out.append(CycInt._of(p, tuple(v[pick].sum(axis=0).tolist())))
         if len(out) > n_target - sys.n_min:
             return Sequence(sys.n_min, tuple(out), "transfer")
         v = m.times(v)
@@ -148,14 +145,6 @@ def run_range(sys, e, n_range):
 # ---------------------------------------------------------------------------
 # small helpers shared by the builders
 
-def _index(digits, q):
-    """Row indices in `_states` order of the digit arrays (most significant first)."""
-    out = 0
-    for d in digits:
-        out = out * q + d
-    return out
-
-
 def _states(q, m, f, state_limit):
     """The q^m states of a system over f as rows in product(range(q), repeat=m) order, within the state and root-count limits."""
     check_states(q**m, state_limit)
@@ -174,28 +163,27 @@ def _scatter(f, image, const):
     return SparseMatrix.from_root_counts(f.p, dim, rows, image.ravel(), trace[const].ravel())
 
 
-def _scatter_system(label, f, e, recipe, n0, budget, projection=(0,), kernel=None, ones=slice(None)):
+def _scatter_system(label, f, e, recipe, n0, budget, projection=(0,), identity=False):
     """The system of the matrix `_scatter` builds from recipe, an (image,
     const) pair, from index n0, whose target is the sum of the states in
     projection, checked against the enumeration oracle on e one index past
     the smallest that both cover (or at that index when the next has over
-    min(budget, 2^20) points).  kernel is the recipe of the matrix that
-    `integer_annihilator` runs on, by default the same.  After the builder's
-    checks of states and root counts, the oracle's sum comes first, so a
-    system over the point budget is refused before any matrix is built.
+    min(budget, 2^20) points).  After the builder's checks of states and
+    root counts, the oracle's sum comes first, so a system over the point
+    budget is refused before any matrix is built.
 
-    The states at n0 are M^n0 applied to those at n = 0: 1 on the states
-    in ones (all by default), else 0.  Read every X_i with i <= 0 as 0.  Each
-    scatter recipe substitutes the newest variable, so v(n) = M v(n-1) for
-    every n >= 1, and at n = 0 a state sums the zero function over the one
-    point of F_q^0, which gives 1.  For chains, a translate or decoration
+    The states at n0 are M^n0 applied to those at n = 0: all 1, or with
+    identity the columns of I, stepped side by side.  Read every X_i with
+    i <= 0 as 0.  Each scatter recipe substitutes the newest variable, so
+    v(n) = M v(n-1) for every n >= 1, and at n = 0 a state sums the zero
+    function over the one point of F_q^0, which gives 1.  For chains, a translate or decoration
     with some X_i, i <= 0, is 0.  For symmetric states, sigma_(n,j) =
     sigma_(n-1,j) + x sigma_(n-1,j-1) from n = 1, with sigma_(0,0) = 1 and
     sigma_(0,j) = 0 for j >= 1.  In the k-state trapezoid a nonzero x sends a
     state one level deeper with its boundary products scaled by x: for
     n-1 >= k the sums do not change (C5), and for n-1 < k no translate fits,
     every product contains X_(n-1), and scaling X_(n-1) by 1/x removes x.  A
-    rotation's states hold vec(T^n), which is vec(I) at n = 0.
+    rotation's states hold the columns of T^n, those of I at n = 0.
     """
     p = f.p
     n = max(n0, e.min_n())
@@ -203,14 +191,14 @@ def _scatter_system(label, f, e, recipe, n0, budget, projection=(0,), kernel=Non
         n += 1
     want = exp_sum(instantiate(e, n, f), budget=budget)
     sparse = _scatter(f, *recipe)
-    v = np.zeros((sparse.dim, p - 1), dtype=np.int64)
-    v[ones, 0] = 1
+    v = np.zeros((sparse.dim, p - 1) + (sparse.dim,) * identity, dtype=np.int64)
+    v[:, 0] = np.identity(sparse.dim, dtype=np.int64) if identity else 1
     norm = sparse.row_norm()
     for _ in range(n0):
         v = sparse.times(_exact(v, norm))
+    v = np.moveaxis(v, 1, -1).reshape(-1, p - 1)  # state a dim + i: entry a of column i
     v.flags.writeable = False
-    kernel = sparse if kernel is None else _scatter(f, *kernel)
-    sys = TransferSystem(label, f, sparse, v, tuple(map(int, projection)), n0, kernel)
+    sys = TransferSystem(label, f, sparse, v, tuple(map(int, projection)), n0)
     got = run(sys, n).values[-1]
     if got != want:
         raise AssertionError(
@@ -312,30 +300,30 @@ def _chain_system(e, terms, f, label, state_limit, budget):
     for c, offsets in patterns:
         slot = tail_index[_sh1(offsets)]
         new[slot] = add[new[slot], mul[c.index, x]]
-    return _scatter_system(label, f, e, (_index(new[:nt], q), new[nt]), w, budget)
+    return _scatter_system(label, f, e, (np.ravel_multi_index(new[:nt], (q,) * nt), new[nt]), w, budget)
 
 
 def _rotation_system(e, terms, f, label, state_limit, budget):
-    """T (x) I for the de Bruijn matrix T (the kernel) of the cyclic sum of
-    the (coefficient, offsets) translates terms of e, which gates the result.
+    """The de Bruijn matrix T of the cyclic sum of the (coefficient, offsets)
+    translates terms of e, which gates the result, on the columns of T^n.
 
     The window a_1..a_w has index a q + x for the index a of (a_1..a_(w-1))
     and x = a_w, so g is read at every window by `oracle.values` with a_o
     at digit w - o, and T steps a to (a_2..a_w), index (a q + x) mod Q for
-    Q = q^(w-1).  The state a Q + i of T (x) I steps like a and keeps i, so
-    the states hold the columns of T^n: vec(I) stepped n0 = 3(w-1) times is
-    vec(T^n0), and the target Tr(T^n) sums the diagonal states a Q + a.
+    Q = q^(w-1).  The Q columns of I stepped n0 = 3(w-1) times are those of
+    T^n0, the Q^2 states a Q + i, which the state and root-count limits
+    count, and the target Tr(T^n) sums the diagonal states a Q + a.
     """
     q = f.q
     patterns = _normalize_patterns(terms, f)
     w = max(max(offsets) for _c, offsets in patterns)
     Q = q ** (w - 1)
-    a, i = _states(Q, 2, f, state_limit).T  # the state a Q + i
+    check_states(Q * Q, state_limit)
+    check_root_counts(Q * Q, f)
     image = np.arange(Q * q).reshape(Q, q) % Q
     const = values(InstantiatedFunction(f, w, {frozenset(w + 1 - o for o in offsets): c for c, offsets in patterns})).reshape(Q, q)
     diagonal = np.arange(Q) * (Q + 1)
-    recipe = (image[a] * Q + i[:, None], const[a])
-    return _scatter_system(label, f, e, recipe, 3 * (w - 1), budget, diagonal, (image, const), diagonal)
+    return _scatter_system(label, f, e, (image, const), 3 * (w - 1), budget, diagonal, identity=True)
 
 
 def build_rotation_system(
@@ -376,7 +364,7 @@ def build_symmetric_system(
         image.append(add[mul[beta[:, j - 1, None], x], beta[:, j, None]])
     const = mul[beta[:, k - 2, None], x]
     label = "symmetric(%d)/F_%s" % (k, f.describe())
-    return _scatter_system(label, f, Sigma(k), (_index(image, q), const), k, budget)
+    return _scatter_system(label, f, Sigma(k), (np.ravel_multi_index(image, (q,) * (k - 1)), const), k, budget)
 
 
 def build_quadratic_matrix(p, budget=DEFAULT_POINT_BUDGET):
@@ -394,13 +382,13 @@ def integer_annihilator(
     sys, degree_cap=DEFAULT_DEGREE_CAP, blowup_limit=DEFAULT_BLOWUP_LIMIT
 ):
     """Monic integer polynomial annihilating the transfer matrix: the
-    minimal polynomial mu of M = sys.kernel inflated to an integer matrix M'
-    on the dim * (p-1) power-basis coordinates of a vector.  The kernel is
-    the transfer matrix itself, or T for a rotation's T (x) I, which has the
-    same minimal polynomial.  Inflation is a ring homomorphism, so mu
-    annihilates the transfer matrix and every projected sequence.
+    minimal polynomial mu of M = sys.sparse inflated to an integer matrix M'
+    on the dim * (p-1) power-basis coordinates of a vector.  A rotation's
+    M is T, and its states, the columns of T^n, satisfy every polynomial
+    that T does.  Inflation is a ring homomorphism, so mu annihilates the
+    transfer matrix and every projected sequence.
 
-    linalg.minimal_polynomial works on the kernel and never forms M'.  Its
+    linalg.minimal_polynomial works on M and never forms M'.  Its
     candidate P comes from Berlekamp-Massey on projected Krylov sequences
     mod primes ell = 1 (mod p) below 2^25, one per embedding zeta -> w^j,
     lifted by CRT.  Let N be the largest absolute row sum of M'.  The roots
@@ -414,13 +402,13 @@ def integer_annihilator(
     is a linear complexity mod ell, at most deg mu, so P = mu.
 
     Raises ValueError for degree_cap < 1, and ResourceLimitExceeded when
-    the kernel's dim * (p-1) exceeds blowup_limit or deg mu exceeds
+    M's dim * (p-1) exceeds blowup_limit or deg mu exceeds
     degree_cap.  The work is at most about (2 degree_cap + 17) nnz (p-1) per
     candidate prime plus deg nnz dim (p-1) per certificate prime.
     """
     check_degree_cap(degree_cap)
-    check_inflated(sys.kernel.dim * (sys.field.p - 1), blowup_limit)
-    return IntPolynomial(minimal_polynomial(sys.kernel, degree_cap))
+    check_inflated(sys.sparse.dim * (sys.field.p - 1), blowup_limit)
+    return IntPolynomial(minimal_polynomial(sys.sparse, degree_cap))
 
 
 # ---------------------------------------------------------------------------

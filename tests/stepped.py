@@ -1,0 +1,22 @@
+"""The matrix on a transfer system's states, shared by the tests that pin or
+check it entry by entry."""
+
+import numpy as np
+
+from gfrec.linalg import SparseMatrix
+
+
+def state_matrix(sys):
+    """The sys.dim-state matrix that steps sys's states: sys.sparse, or for a
+    rotation T (x) I, whose state a Q + i steps like a and keeps i (Q =
+    T.dim).  Row a Q + i holds row a of T with each column b moved to
+    b Q + i, so it keeps T's triples in their order."""
+    m = sys.sparse
+    columns = sys.dim // m.dim
+    if columns == 1:
+        return m
+    lengths = np.repeat(np.diff(m.starts), columns)  # of the rows a Q + i
+    starts = np.append(0, np.cumsum(lengths))
+    row = np.repeat(np.arange(sys.dim), lengths)
+    k = m.starts[row // columns] + np.arange(starts[-1]) - starts[row]  # T's triple
+    return SparseMatrix(m.p, starts, m.cols[k] * columns + row % columns, m.exps[k], m.amps[k])

@@ -203,6 +203,45 @@ def test_expsum_explicit_modulus(capsys):
     assert code == 2
 
 
+def test_fields_past_the_budget_are_refused_before_they_are_built(capsys, monkeypatch):
+    # every field request enumerates at some n >= 1, so a field with more
+    # elements than the budget is refused before q is factored or the field
+    # (an irreducible search for 2^40) is built
+    def refuse(*args):
+        raise AssertionError("built or factored a field: %r" % (args,))
+
+    monkeypatch.setattr(cli, "prime_power", refuse)
+    monkeypatch.setattr(cli, "make_field", refuse)
+    cases = [
+        ("1000000007", [], "1000000007", 10**8),
+        ("2^40", [], "2^40", 10**8),
+        ("2^99999999999", [], "2^99999999999", 10**8),  # without forming the power
+        ("1000000007", ["--budget", "1000000006"], "1000000007", 1000000006),
+        ("3^2", ["--budget", "8"], "3^2", 8),
+    ]
+    for field, budget, size, limit in cases:
+        for argv in (
+            ["expsum", "--expr", "tau(3)", "--n", "3"],
+            ["annihilator", "--expr", "R(2)"],
+            ["conjecture", "--which", "trapezoid", "--k", "3", "--n-max", "5"],
+        ):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, *argv, "--field", field, *budget)
+            assert (code, out) == (3, ""), (field, argv)
+            assert err == "resource limit: a field of %s elements exceeds the budget of %d\n" % (size, limit)
+            assert time.perf_counter() - start < 0.5
+    monkeypatch.undo()
+    # a field of exactly the budget is admitted, and refused later at n = 3
+    code, _out, err = run_cli(capsys, "expsum", "--expr", "tau(3)", "--field", "3^2", "--n", "3", "--budget", "9")
+    assert (code, err) == (3, "resource limit: enumeration of 9^3 points exceeds the budget of 9\n")
+    code, _out, _err = run_cli(capsys, "expsum", "--expr", "tau(2)", "--field", "9", "--n", "2", "--budget", "81")
+    assert code == 0
+    # what is not a prime power stays a usage error within the budget
+    for field in ("6", "1^5", "0", "2^0"):
+        code, _out, _err = run_cli(capsys, "expsum", "--expr", "tau(3)", "--field", field, "--n", "3")
+        assert code == 2, field
+
+
 # ---------------------------------------------------------------------------
 # verify / discover / annihilator
 

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from gfrec.galois import FieldSpec, is_prime, make_field, prime_power, trace
@@ -27,6 +29,25 @@ def test_prime_power():
     for q in (-4, 0, 1, 6, 12, 100):
         with pytest.raises(ValueError):
             prime_power(q)
+
+
+def test_prime_power_divides_only_up_to_the_square_root():
+    # a prime q has no divisor up to sqrt(q), so it is q^1; a scan of every
+    # d up to q would take hours at 10^12
+    start = time.perf_counter()
+    assert prime_power(10**12 + 39) == (10**12 + 39, 1)
+    assert prime_power(999983**2) == (999983, 2)
+    with pytest.raises(ValueError):
+        prime_power(999983 * 1000003)
+    assert time.perf_counter() - start < 0.5
+    powers = {p**r for p in range(2, 400) if is_prime(p) for r in range(1, 9)}
+    for q in range(2, 400):
+        if q in powers:
+            p, r = prime_power(q)
+            assert is_prime(p) and p**r == q
+        else:
+            with pytest.raises(ValueError):
+                prime_power(q)
 
 
 def test_prime_field_arithmetic():

@@ -9,7 +9,7 @@ import pytest
 from gfrec import harness
 from gfrec.cyclotomic import CycInt
 from gfrec.funcalg import parse, tau
-from gfrec.galois import make_field
+from gfrec.galois import make_field, prime_power
 from gfrec.harness import (
     PROVED_TRAPEZOID_CASES,
     _Ctx,
@@ -74,6 +74,32 @@ def test_rot_conjecture_satisfies_family_recurrence():
     for k in (3, 4, 5, 6):
         seq = rot_conjecture_seq(k, k + 14)
         assert satisfies(seq, family_poly("P_K", k=k))
+
+
+def _seeded_loop(seeds, q, n_max):
+    """s(n) = q sum_(l < k-1) (q-1)^l s(n-2-l) from the k seeds at n = 0..k-1,
+    as a plain loop: Q_TRAP's recurrence, and P_K's at q = 2."""
+    vals = list(seeds)
+    k = len(seeds)
+    for n in range(k, n_max + 1):
+        vals.append(q * sum((q - 1) ** l * vals[n - 2 - l] for l in range(k - 1)))
+    return vals[k:]
+
+
+def test_conjectures_are_their_seeds_run_through_the_recurrence():
+    for q in (2, 3, 4, 5, 9):
+        f = make_field(*prime_power(q))
+        for k in range(2, 7):
+            seq = trap_conjecture_seq(k, f, k + 25)
+            assert (seq.n_min, seq.provenance) == (k, "conjecture")
+            assert seq.values == tuple(CycInt.from_int(f.p, v) for v in _seeded_loop([q**j for j in range(k)], q, k + 25))
+            assert trap_conjecture_seq(k, f, k).values == seq.values[:1]
+    for k in range(2, 16):
+        seeds = [k] + [2**j - (2 if j % 2 else 0) for j in range(1, k)]
+        seq = rot_conjecture_seq(k, k + 25)
+        assert (seq.n_min, seq.provenance) == (k, "conjecture")
+        assert seq.as_integers() == _seeded_loop(seeds, 2, k + 25)
+        assert rot_conjecture_seq(k, k).values == seq.values[:1]
 
 
 def test_conjecture_builder_validation():

@@ -19,6 +19,7 @@ from gfrec.galois import make_field, prime_power
 from gfrec.limits import ResourceLimitExceeded
 from gfrec.linalg import SparseMatrix, certify, minimal_polynomial, solve_with_free_zero
 from gfrec.transfer import build_quadratic_matrix, integer_annihilator, run, system_for
+from stepped import state_matrix
 
 
 def test_solve_square_system():
@@ -225,7 +226,7 @@ def test_integer_annihilator_is_the_inflated_minimal_polynomial(text, q):
     sys = system_for(parse(text), field)
     e = field.p - 1
     inflated = [[0] * (sys.dim * e) for _ in range(sys.dim * e)]
-    sp = sys.sparse
+    sp = state_matrix(sys)
     rows = np.repeat(np.arange(sys.dim), np.diff(sp.starts)).tolist()
     for i, j, t, a in zip(rows, sp.cols.tolist(), sp.exps.tolist(), sp.amps.tolist()):
         # the triple a zeta^t adds a times the multiplication matrix of zeta^t
@@ -300,6 +301,26 @@ def test_times_matches_the_dense_product(m, data):
     assert got.dtype == np.int64 and got.tolist() == want
     assert m.times(v.astype(object)).tolist() == want
     assert m.times(v.astype(object) * 2**70).tolist() == [[c * 2**70 for c in row] for row in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(), st.integers(1, 4), st.booleans(), st.data())
+def test_times_on_a_column_axis_is_times_on_each_column(m, columns, python_ints, data):
+    # v is (dim, p-1, columns), the layout apply takes; over p = 2 there is no
+    # root to roll, so both paths of times are drawn
+    p, dim = m.p, m.dim
+    big = (2**63 - 1) // (2 * max(m.row_norm(), 1))
+    coord = st.one_of(st.integers(-5, 5), st.integers(big - 3, big), st.integers(-big, 3 - big))
+    flat = data.draw(st.lists(coord, min_size=dim * (p - 1) * columns, max_size=dim * (p - 1) * columns))
+    v = np.array(flat, dtype=np.int64).reshape(dim, p - 1, columns)
+    if python_ints:
+        v = v.astype(object) * 2**70
+    got = m.times(v)
+    assert got.shape == v.shape and got.dtype == v.dtype
+    for c in range(columns):
+        want = m.times(np.ascontiguousarray(v[:, :, c]))
+        assert want.dtype == v.dtype
+        assert got[:, :, c].tolist() == want.tolist(), c
 
 
 @settings(max_examples=100, deadline=None)
@@ -389,7 +410,7 @@ def test_inflated_norm_is_the_coordinate_formula_on_the_digest_grid(q):
             sys = system_for(parse(text), field)
         except (ValueError, ResourceLimitExceeded):
             continue
-        for m in (sys.sparse, sys.kernel):
+        for m in (state_matrix(sys), sys.sparse):
             assert _one_triple_per_entry(m), text
             assert m.inflated_norm() == _coordinate_inflated_norm(m), text
 
@@ -433,7 +454,7 @@ def _annihilator(text, q):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(SMALL_SYSTEMS), st.data())
 def test_certificate_rejects_a_perturbed_coefficient(case, data):
-    m = _system(*case).sparse
+    m = state_matrix(_system(*case))
     poly = _annihilator(*case)
     assert certify(m, poly)
     k = data.draw(st.integers(0, len(poly) - 1), label="coefficient")
@@ -481,7 +502,7 @@ def test_the_lift_stops_at_the_coefficient_bound(monkeypatch, case, primes):
     poly = _annihilator.__wrapped__(*case)
     assert len(calls) == primes
     assert poly == _annihilator(*case)
-    assert certify(_system(*case).sparse, poly)
+    assert certify(state_matrix(_system(*case)), poly)
 
 
 def test_certificate_alone_cannot_accept_a_proper_divisor():
@@ -489,8 +510,8 @@ def test_certificate_alone_cannot_accept_a_proper_divisor():
     # polynomial of smaller degree that must fail, as an unlucky candidate would
     poly = _annihilator("R(2,3)", 3)
     assert poly[:2] == [0, 0]
-    assert certify(_system("R(2,3)", 3).sparse, poly)
-    assert not certify(_system("R(2,3)", 3).sparse, poly[1:])
+    assert certify(state_matrix(_system("R(2,3)", 3)), poly)
+    assert not certify(state_matrix(_system("R(2,3)", 3)), poly[1:])
 
 
 @pytest.mark.parametrize("case", [("T(2,4)", 3), ("sigma(3)", 3), ("R(2,4)", 2), ("sigma(2)", 5)])

@@ -125,6 +125,48 @@ def test_criterion_not_applicable():
         eisenstein_dumas(IntPolynomial([5]), 3)
 
 
+def test_eisenstein_past_its_prime_is_refused_before_any_work(monkeypatch):
+    def is_prime(p):
+        raise AssertionError("tested %d for primality" % p)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(numtheory, "is_prime", is_prime)
+        start = time.perf_counter()
+        for p in (10**12 + 39, 99999999999973, 10**18):  # the last is not a prime: refused all the same
+            with pytest.raises(ResourceLimitExceeded, match="at p = %d exceeds the limit of p <= 1000000000000$" % p):
+                eisenstein_dumas([-2, -2, 0, 1], p)
+        assert time.perf_counter() - start < 0.5
+    with pytest.raises(ValueError, match="need degree >= 1"):  # checked first, as it was
+        eisenstein_dumas([5], 10**18)
+    monkeypatch.setattr(limits, "EISENSTEIN_PRIME", 7)
+    with pytest.raises(ResourceLimitExceeded):
+        eisenstein_dumas([-2, -2, 0, 1], 11)
+    assert eisenstein_dumas([-14, 0, 1], 7) == "irreducible"  # the limit itself is admitted
+
+
+def test_eisenstein_tests_its_prime_once(monkeypatch):
+    calls = []
+    real = numtheory.is_prime
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(numtheory, "is_prime", counted)
+    # every p of the acceptance check C11 and of the benchmark workloads (2, 3, 5)
+    for p in (2, 3, 5):
+        for k in range(2, 8):
+            calls.clear()
+            poly = IntPolynomial([-p * (p - 1) ** (k - 2 - d) for d in range(k - 1)] + [0, 1])
+            assert eisenstein_dumas(poly, p) == "irreducible"
+            assert calls == [p]
+    with pytest.raises(ValueError, match="need a prime, got 6"):
+        eisenstein_dumas([-2, -2, 0, 1], 6)
+    start = time.perf_counter()
+    assert eisenstein_dumas([-2 * 999999999989, 0, 1], 999999999989) == "irreducible"
+    assert time.perf_counter() - start < 0.5
+
+
 def test_hadamard_check():
     for p in (3, 5, 7, 11, 13):
         assert hadamard_check(p)

@@ -42,6 +42,7 @@ from gfrec.transfer import (
     run,
     system_for,
 )
+from stepped import state_matrix
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -57,8 +58,8 @@ def _assert_matches_brute(sys, e, field, n_hi):
 
 
 def _dense(sys):
-    """The matrix as rows of CycInt entries, each the sum of its sparse triples."""
-    sp, p = sys.sparse, sys.field.p
+    """The matrix on the states as rows of CycInt entries, each the sum of its sparse triples."""
+    sp, p = state_matrix(sys), sys.field.p
     rows = [[CycInt.zero(p)] * sys.dim for _ in range(sys.dim)]
     bounds = sp.starts.tolist()
     for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
@@ -176,6 +177,32 @@ def test_rotation_annihilator():
     assert satisfies(run(sys, 14), ann)
 
 
+@pytest.mark.parametrize(
+    "text, q, w", [("R(2)", 3, 2), ("R(2,3)", 2, 3), ("R(3)", 4, 3), ("R(2,3)+R(2)", 2, 3), ("e3*R(2)+R(3)", 5, 3)]
+)
+def test_rotation_steps_its_de_bruijn_matrix_on_the_columns_of_its_powers(text, q, w):
+    # the matrix is T, on the q^(w-1) windows; the states are the entries of
+    # T^n, so the state and root-count limits count their square
+    sys = system_for(parse(text), make_field(*prime_power(q)))
+    assert sys.sparse.dim == q ** (w - 1)
+    assert sys.dim == sys.sparse.dim**2 == len(sys.init)
+    assert sys.projection == tuple(range(0, sys.dim, sys.sparse.dim + 1))
+    assert len(sys.matrix) == sys.sparse.dim  # the dense view is T's
+    assert sys.sparse.nnz == state_matrix(sys).nnz // sys.sparse.dim
+
+
+@pytest.mark.parametrize("text, q", [("tau(3)", 2), ("sigma(2)", 5), ("T(2,4)+e2*T(3)", 3), ("R(2,3)", 4), ("R(2)", 7)])
+def test_matrix_is_the_dense_view_of_sparse(text, q):
+    # what the benchmark tracer counts the nonzero entries of: a rotation's T
+    sys = system_for(parse(text), make_field(*prime_power(q)))
+    sp, p = sys.sparse, sys.field.p
+    want = [[CycInt.zero(p)] * sp.dim for _ in range(sp.dim)]
+    rows = np.repeat(np.arange(sp.dim), np.diff(sp.starts)).tolist()
+    for i, j, t, a in zip(rows, sp.cols.tolist(), sp.exps.tolist(), sp.amps.tolist()):
+        want[i][j] = want[i][j] + a * root_power(p, t)
+    assert sys.matrix == tuple(map(tuple, want))
+
+
 # ---------------------------------------------------------------------------
 # symmetric systems
 
@@ -249,12 +276,13 @@ def test_annihilator_matches_the_recorded_exact_one(case):
 
 
 def test_large_rotation_annihilator_is_certified():
-    # found on the 27-state kernel T, certified below on the 729-state
-    # T (x) I (inflated dim 1458); the exact rational method took minutes here
+    # found on the 27-state de Bruijn matrix T, certified below on the
+    # 729-state T (x) I (inflated dim 1458); the exact rational method took
+    # minutes here
     sys = system_for(parse("R(2,4)"), F3)
     ann = integer_annihilator(sys)
     assert list(ann.coeffs) == [0, 0, 0, 0, 0, 0, 486, 0, 0, 81, 0, -27, 0, -18, 0, 0, -3, 0, 1]
-    assert certify(sys.sparse, ann.coeffs)
+    assert certify(state_matrix(sys), ann.coeffs)
     seq = run(sys, sys.n_min + 39)
     assert len(seq) == 40
     assert satisfies(seq, ann)
@@ -314,7 +342,7 @@ def _system_digest(sys):
         sys.label, sys.dim, sys.n0, 0,
         [tuple(row) for row in sys.init.tolist()],
         [one if j in sys.projection else zero for j in range(sys.dim)],
-        *_entries(sys.sparse),
+        *_entries(state_matrix(sys)),
     )
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
@@ -405,7 +433,7 @@ def test_run_replays_step():
 )
 def test_run_equals_dense_product(make):
     sys = make()
-    assert sys.sparse.nnz < sys.dim**2
+    assert state_matrix(sys).nnz < sys.dim**2
     v, dense = _states(sys), _dense(sys)
     want = [v]
     for _ in range(2):
@@ -413,7 +441,7 @@ def test_run_equals_dense_product(make):
         want.append(v)
     # each state projected on its own, so every one is compared
     for j in range(sys.dim):
-        projected = TransferSystem(sys.label, sys.field, sys.sparse, sys.init, (j,), sys.n0, sys.kernel)
+        projected = TransferSystem(sys.label, sys.field, sys.sparse, sys.init, (j,), sys.n0)
         got = run(projected, sys.n_min + 2).values
         assert got == tuple(states[j] for states in want), j
 
@@ -423,7 +451,7 @@ INT64_EXACT = 1 << 63  # run steps in int64 while 2 * row_norm * max|v| stays be
 
 
 def _past_int64(sys, v):
-    return 2 * sys.sparse.row_norm() * max(abs(c) for x in v for c in x.coeffs) >= INT64_EXACT
+    return 2 * state_matrix(sys).row_norm() * max(abs(c) for x in v for c in x.coeffs) >= INT64_EXACT
 
 
 @st.composite

@@ -99,7 +99,7 @@ def test_values_take_keyword_arguments():
     assert report.status == "refuted" and report.checked_range == (2, 5)
     assert EigenReport(p=5, predicted=eigen_check(5).predicted, ok=True) == eigen_check(5)
     sys_ = system_for(parse("tau(3)"), F3)
-    fields = ("label", "field", "sparse", "init", "projection", "n0", "kernel")
+    fields = ("label", "field", "sparse", "init", "projection", "n0")
     twin = TransferSystem(**{name: getattr(sys_, name) for name in fields})
     assert all(getattr(twin, name) is getattr(sys_, name) for name in fields)
 
