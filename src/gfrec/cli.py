@@ -277,17 +277,21 @@ def _cmd_conjecture(args):
     if args.n_max < args.k:
         raise UsageError("empty range %d..%d" % (args.k, args.n_max))
     if args.which == "trapezoid":
-        conjectured = trap_conjecture_seq(args.k, f, args.n_max)
         expr = parse("tau(%d)" % args.k)
     else:
         if f.q != 2:
             raise UsageError("the rotation conjecture is stated over field 2")
-        conjectured = rot_conjecture_seq(args.k, args.n_max)
         expr = parse("R(%s)" % ",".join(str(j) for j in range(2, args.k + 1)))
     lo, sys_ = _start(expr, f, args)
     if args.n_max < lo:
         raise UsageError("empty range %d..%d" % (lo, args.n_max))
+    # the measured sums first: they check the range and the point budget
+    # before the conjectured sequence is extended to n_max
     measured = _sums(expr, f, lo, args.n_max, args, sys_)
+    if args.which == "trapezoid":
+        conjectured = trap_conjecture_seq(args.k, f, args.n_max)
+    else:
+        conjectured = rot_conjecture_seq(args.k, args.n_max)
     report = compare(conjectured, measured, which=args.which, k=args.k, field=f.describe())
     first = report.first_disagreement
     payload = {

@@ -21,7 +21,6 @@ from .galois import is_prime
 
 _PRIME_ORDERS = set()  # root orders already validated by is_prime
 _STR_BITS = 2000  # str() takes ints of up to 602 digits under any digit limit Python allows
-_INT_DIGITS = 600  # and int() takes strings of that many digits
 
 
 def to_decimal(n):
@@ -38,24 +37,6 @@ def to_decimal(n):
     k = n.bit_length() * 3 // 20  # under half the digits, so high >= 1
     high, low = divmod(n, 10**k)
     return to_decimal(high) + to_decimal(low).zfill(k)
-
-
-def from_decimal(s):
-    """The int that the decimal string s writes, the inverse of `to_decimal`.
-
-    A string of up to _INT_DIGITS characters is read by int().  A longer
-    one must be an optional sign and ASCII digits; it is split near its
-    middle, and the halves are read in turn and combined with 10**k, so no
-    interpreter setting is needed.
-    """
-    if len(s) <= _INT_DIGITS:
-        return int(s)
-    digits = s[1:] if s[0] in "+-" else s
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError("invalid decimal integer of %d characters" % len(s))
-    k = len(digits) // 2
-    n = from_decimal(digits[:-k]) * 10**k + from_decimal(digits[-k:])
-    return -n if s[0] == "-" else n
 
 
 class CycInt:
@@ -189,10 +170,6 @@ class CycInt:
 
     def to_record(self):
         return {"p": self.p, "coeffs": [to_decimal(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_record(cls, rec):
-        return cls(int(rec["p"]), tuple(from_decimal(c) if isinstance(c, str) else c for c in rec["coeffs"]))
 
 
 def combination(p, pairs):

@@ -17,9 +17,10 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .cyclotomic import CycInt, combination, root_power
+from .cyclotomic import CycInt
 from .funcalg import Frozen, InstantiatedFunction, consecutive_rotation, instantiate, parse, tau
 from .galois import make_field, prime_power
+from .linalg import SparseMatrix
 from .numtheory import eigen_check, eisenstein_dumas, gauss_sum, hadamard_check, legendre
 from .oracle import decorated_sums, sum_sequence
 from .recurrence import IntPolynomial, Sequence, discover, divides, extend, family_poly, satisfies
@@ -138,18 +139,6 @@ class _Ctx:
         return self._trap[key]
 
 
-def _fmt_poly(poly):
-    return poly.pretty()
-
-
-def _seq_ints(seq):
-    out = []
-    for v in seq.values:
-        n = v.as_integer()
-        out.append(n if n is not None else repr(v))
-    return out
-
-
 def _check_c1(ctx):
     f2 = ctx.field(2)
     got = []
@@ -161,7 +150,7 @@ def _check_c1(ctx):
         got.append("k=%d n<=%d ok" % (k, hi))
     p3 = family_poly("P_K", 3)
     if p3 != IntPolynomial([-2, -2, 0, 1]):
-        return False, "p_3 = X^3 - 2X - 2", "p_3 = %s" % _fmt_poly(p3)
+        return False, "p_3 = X^3 - 2X - 2", "p_3 = %s" % p3.pretty()
     return True, "p_k annihilates brute trapezoid sums; p_3 = X^3 - 2X - 2", "; ".join(got)
 
 
@@ -268,35 +257,31 @@ def _check_c6(ctx):
             return False, "X^4 - p^2 annihilates transfer extension", "p=%d fails" % p
         got.append("p=%d n<=%d(+30)" % (p, hi))
     for p in (3, 5, 7):
-        block = [[root_power(p, b * g) for g in range(p)] for b in range(p)]
-        square = _mat_mul(block, block, p)
-        power = _mat_mul(square, square, p)
-        target = CycInt.from_int(p, p * p)
-        zero = CycInt.zero(p)
-        for i in range(p):
-            for j in range(p):
-                if power[i][j] != (target if i == j else zero):
-                    return False, "A_j(p)^4 = p^2 I", "p=%d entry (%d,%d)" % (p, i, j)
-        entries = _entries(transfer.build_rotation_system((1, 2), ctx.field(p)).sparse)
-        roots = [[[(b * g % p, 1)] for g in range(p)] for b in range(p)]  # block's entries
-        if [[entries.get((t, x)) for x in range(p)] for t in range(p)] != roots:
+        m = transfer.build_rotation_system((1, 2), ctx.field(p)).sparse
+        b = np.arange(p)
+        block = SparseMatrix.from_root_counts(p, p, np.repeat(b, p), np.tile(b, p), np.outer(b, b).ravel() % p)
+        if len(_mismatches(m, block)):
             return False, "built de Bruijn matrix is A_j(p)", "p=%d" % p
+        power = np.zeros((p, p - 1, p), dtype=np.int64)  # the columns of I, stepped four times
+        power[:, 0] = np.identity(p, dtype=np.int64)
+        target = power * (p * p)
+        for _ in range(4):
+            power = m.times(power)
+        wrong = np.argwhere((power != target).any(axis=1))
+        if len(wrong):
+            return False, "A_j(p)^4 = p^2 I", "p=%d entry (%d,%d)" % (p, *wrong[0])
         got.append("A_j(%d)^4 = %d I" % (p, p * p))
     return True, "rotation degree-2 recurrence and block identities exact", "; ".join(got)
 
 
-def _mat_mul(a, b, p):
-    return [[combination(p, zip(row, col)) for col in zip(*b)] for row in a]
-
-
-def _entries(m):
-    """A SparseMatrix as {(row, column): [(exponent, amplitude), ...]}.  A root
-    zeta^e is the one triple (e, 1), and a zero entry has no key."""
-    out = {}
-    rows = np.repeat(np.arange(m.dim), np.diff(m.starts)).tolist()
-    for i, j, t, a in zip(rows, m.cols.tolist(), m.exps.tolist(), m.amps.tolist()):
-        out.setdefault((i, j), []).append((t, a))
-    return out
+def _mismatches(m, ref):
+    """The (row, column) pairs where SparseMatrix m and ref differ.  Both
+    come from `SparseMatrix.from_root_counts`, which keeps each entry in one
+    canonical set of triples, so these are the entries of the triples that
+    only one of them holds."""
+    triples = [np.stack([np.repeat(np.arange(x.dim), np.diff(x.starts)), x.cols, x.exps, x.amps], axis=1) for x in (m, ref)]
+    unique, count = np.unique(np.concatenate(triples), axis=0, return_counts=True)
+    return unique[count == 1, :2]
 
 
 def _check_c7(ctx):
@@ -335,13 +320,13 @@ def _check_c8(ctx):
     f3 = ctx.field(3)
     sys = transfer.build_symmetric_system(3, f3)
     order = [(s, t) for t in range(3) for s in range(3)]
-    perm = [3 * s + t for (s, t) in order]
-    entries = _entries(sys.sparse)
-    for i in range(9):
-        for j in range(9):
-            e = _SYM9_LAYOUT[i][j]
-            if entries.get((perm[i], perm[j])) != (None if e is None else [(e, 1)]):
-                return False, "matrix equals the 9x9 reference", "entry (%d,%d)" % (i, j)
+    perm = np.array([3 * s + t for (s, t) in order])
+    cells = [(i, j, e) for i, row in enumerate(_SYM9_LAYOUT) for j, e in enumerate(row) if e is not None]
+    rows, cols, exps = np.array(cells).T
+    wrong = _mismatches(sys.sparse, SparseMatrix.from_root_counts(3, 9, perm[rows], perm[cols], exps))
+    if len(wrong):
+        i, j = min(zip(*np.argsort(perm)[wrong.T].tolist()))
+        return False, "matrix equals the 9x9 reference", "entry (%d,%d)" % (i, j)
     mu = IntPolynomial([27, -81, 81, 0, -81, 108, -81, 36, -9, 1])
     hi = ctx.clamp(3, 13)
     seq = sum_sequence(parse("sigma(3)"), f3, range(3, hi + 1))
@@ -349,7 +334,7 @@ def _check_c8(ctx):
         return False, "degree-9 minimal polynomial annihilates brute sums", "fails"
     ann = transfer.integer_annihilator(sys)
     if not divides(ann, mu):
-        return False, "integer annihilator divides mu", _fmt_poly(ann)
+        return False, "integer annihilator divides mu", ann.pretty()
     return (
         True,
         "9x9 matrix matches reference (permuted); mu annihilates; annihilator | mu",
@@ -440,10 +425,10 @@ def _check_c12(ctx):
                 )
             hard.append("k=%d q=%d n<=%d" % (k, q, hi))
     f9 = ctx.field(9)
-    if _seq_ints(trap_conjecture_seq(3, f9, 6)) != [153, 1377, 7209, 23409]:
+    if trap_conjecture_seq(3, f9, 6).as_integers() != [153, 1377, 7209, 23409]:
         return False, "reference values for k=3 over F_9", "mismatch"
     f5 = ctx.field(5)
-    if _seq_ints(trap_conjecture_seq(5, f5, 6)) != [1845, 9225]:
+    if trap_conjecture_seq(5, f5, 6).as_integers() != [1845, 9225]:
         return False, "reference values for k=5 over F_5", "mismatch"
     hi5 = _max_n(5, ctx.conj_cap)
     soft = compare(
@@ -476,7 +461,7 @@ def _check_c13(ctx):
                 "k=%d n=%d: %r vs %r" % (k, n, want, got),
             )
         notes.append("k=%d n<=%d" % (k, hi))
-    ints = _seq_ints(rot_conjecture_seq(15, 22))
+    ints = rot_conjecture_seq(15, 22).as_integers()
     if ints[0] != 32766:
         return False, "r_15(15) = 32766", "got %r" % (ints[0],)
     notes.append("r_15(15..22) = %s" % (ints,))
@@ -488,17 +473,17 @@ def _check_c14(ctx):
     seq = ctx.trap_sums(f2, 3, 18)
     found = discover(seq, max_order=5)
     if found != family_poly("P_K", 3):
-        return False, "discover returns X^3 - 2X - 2", _fmt_poly(found)
+        return False, "discover returns X^3 - 2X - 2", found.pretty()
     sys = transfer.build_quadratic_matrix(3)
     run20 = transfer.run(sys, 21)
     found2 = discover(run20, max_order=6)
     target = family_poly("QUADSYM", field=ctx.field(3))
     if not divides(found2, target):
-        return False, "discovered polynomial divides X^6 + 27", _fmt_poly(found2)
+        return False, "discovered polynomial divides X^6 + 27", found2.pretty()
     return (
         True,
         "round-trips: brute trapezoid -> p_3; transfer quadratic -> divisor of X^6 + 27",
-        "found %s and %s" % (_fmt_poly(found), _fmt_poly(found2)),
+        "found %s and %s" % (found.pretty(), found2.pretty()),
     )
 
 

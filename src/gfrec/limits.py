@@ -26,9 +26,10 @@ DEFAULT_DEGREE_CAP = 64
 # (226 981)
 SCATTER_ROOT_COUNTS = 1 << 22
 # the largest prime of the exact spectrum check `numtheory.eigen_check`, which
-# steps M (p^2 triples) p + 1 times on the p columns of I side by side, in int64
-# up to p = 41.  In process on a 2-core x86 host p = 41 took 0.45 s, 43 1.9 s and
-# 47 6.9 s; p = 101 ran past 120 s
+# steps M - lambda I (about 1.5 p^2 triples) (p + 1)/2 times and M (p^2 triples)
+# (p + 1)/2 times on the p columns of I side by side, in int64 up to p = 41.  In
+# process on a 2-core x86 host p = 41 took 0.5-0.9 s, 43 2.0-2.1 s and 47
+# 6.6-7.2 s; p = 101 ran past 120 s
 EIGEN_CHECK_PRIME = 47
 # the largest prime of `numtheory.gauss_sum`, which counts the p residues a k^2
 # in Python into p coordinates: on a 2-core x86 host p = 100003 took 0.04 s in

@@ -74,7 +74,7 @@ class SparseMatrix:
     slot w * dim + i holds row i's w-th triple, or padding of amplitude 0.
     """
 
-    __slots__ = ("p", "starts", "cols", "exps", "amps", "_width", "_slots", "_gather", "_amps", "_roll")
+    __slots__ = ("p", "starts", "cols", "exps", "amps", "_width", "_slots", "_gather", "_amps", "_roll", "_norm")
 
     def __init__(self, p, starts, cols, exps, amps):
         self.p = p
@@ -88,6 +88,7 @@ class SparseMatrix:
         self._slots = (np.arange(len(self.cols)) - self.starts[row]) * len(lengths) + row
         self._gather = self._padded(self.cols)
         self._roll = None
+        self._norm = int(self._row_sums(self._padded(np.abs(self.amps))).max(initial=0))
         if p == 2:  # zeta = -1, so a zeta^t is the integer a (-1)^t
             self._amps = self._padded(self.amps * (1 - 2 * self.exps))[:, None]
             return
@@ -139,24 +140,28 @@ class SparseMatrix:
 
     def row_norm(self):
         """Largest row sum of the absolute amplitudes."""
-        return int(self._row_sums(np.abs(self._amps)).max(initial=0))
+        return self._norm
 
     def times(self, v):
         """M v exactly.  v holds the power-basis coordinates of a vector, one
         row per column of M, or of (dim, p-1, columns) vectors side by side,
-        as an int64 or a dtype=object (Python int) array; the result has M's
-        rows and v's dtype.
+        as an int64 or a dtype=object (Python int) array.  The result has M's
+        rows; it is int64 when v is int64 and 2 row_norm() max|v| < 2^63, and
+        dtype=object (Python ints) otherwise, so every product is exact
+        whatever the caller passes.
 
         v's rows, with a 0 appended for zeta^(p-1), are root counts.  One
         gather rolls them by each slot's exponent; they are scaled by its
         amplitude, summed over the padded row, and mapped back to coordinates
         by zeta^(p-1) = -(1 + ... + zeta^(p-2)).  Row sums are at most
         row_norm() max|v| in absolute value and coordinates twice that, so
-        int64 is exact while 2 row_norm() max|v| < 2^63.  Over p = 2 the
-        entries are integers and v has one coordinate, the count of zeta^0,
-        so its rows are gathered by column, scaled and summed, with no
-        appended root to roll.
+        int64 is exact below the bound, and v moves to Python ints at it.
+        Over p = 2 the entries are integers and v has one coordinate, the
+        count of zeta^0, so its rows are gathered by column, scaled and
+        summed, with no appended root to roll.
         """
+        if v.dtype != object and 2 * self._norm * max(int(v.max(initial=0)), -int(v.min(initial=0))) >= 1 << 63:
+            v = v.astype(object)
         columns = v.shape[2:]
         amps = self._amps[..., None] if columns else self._amps
         if self._roll is None:

@@ -17,7 +17,7 @@ from .galois import is_prime
 from .limits import check_eigen_prime, check_eisenstein_prime, check_gauss_prime
 from .linalg import SparseMatrix
 from .recurrence import IntPolynomial
-from .transfer import _exact, build_quadratic_matrix
+from .transfer import build_quadratic_matrix
 
 
 def legendre(a, p):
@@ -135,11 +135,18 @@ def predicted_spectrum(p):
     return [(g * root_power(p, -s * a * a), 1 if a == 0 else 2) for a in range(s + 1)]
 
 
-def _scalar(value, dim):
-    """value I_dim: the triples of value's nonzero coordinates in every row."""
+def _minus_scalar(m, value):
+    """M - value I as one SparseMatrix: m's triples, and on each diagonal
+    entry the triples -c zeta^t of value's nonzero coordinates c, with
+    columns ascending in each row."""
     t = np.flatnonzero(value.coeffs)
-    starts, cols = np.arange(dim + 1) * len(t), np.repeat(np.arange(dim), len(t))
-    return SparseMatrix(value.p, starts, cols, np.tile(t, dim), np.tile(np.take(value.coeffs, t), dim))
+    diagonal = np.repeat(np.arange(m.dim), len(t))
+    rows = np.concatenate([np.repeat(np.arange(m.dim), np.diff(m.starts)), diagonal])
+    cols = np.concatenate([m.cols, diagonal])
+    order = np.lexsort((cols, rows))
+    exps = np.concatenate([m.exps, np.tile(t, m.dim)])[order]
+    amps = np.concatenate([m.amps, -np.tile(np.take(value.coeffs, t), m.dim)])[order]
+    return SparseMatrix(m.p, np.searchsorted(rows[order], np.arange(m.dim + 1)), cols[order], exps, amps)
 
 
 def eigen_check(p):
@@ -151,8 +158,10 @@ def eigen_check(p):
     The true multiplicities solve the equations of 2 too.  The lambda_a are
     nonzero (|g|^2 = p) and distinct (a^2 for a = 0..s are distinct mod p),
     so (lambda_a^j) is invertible, a Vandermonde matrix times diag(lambda_a),
-    and the multiplicities are the m_a.  Both checks step M on the p
-    columns of the identity side by side.  A prime past
+    and the multiplicities are the m_a.  Both checks step exactly
+    (SparseMatrix.times) on the p columns of the identity side by side, 1.
+    one SparseMatrix for M - lambda_a I per factor, since a difference of
+    two exact int64 products can still overflow, and 2. M.  A prime past
     `limits.EIGEN_CHECK_PRIME` is refused before any of that.
     """
     if is_prime(p) and p > 2:  # predicted_spectrum refuses any other p
@@ -164,13 +173,11 @@ def eigen_check(p):
     identity[:, 0] = np.identity(p, dtype=np.int64)
     v = identity
     for value, _mult in predicted:
-        scale = _scalar(value, p)
-        v = _exact(v, m.row_norm() + scale.row_norm())
-        v = m.times(v) - scale.times(v)
+        v = _minus_scalar(m, value).times(v)
     ok = not v.any()
     v, powers = identity, [value for value, _mult in predicted]
     for _ in predicted:
-        v = m.times(_exact(v, m.row_norm()))
+        v = m.times(v)
         trace = CycInt._of(p, tuple(map(sum, zip(*v[diagonal].tolist()))))
         ok = ok and trace == combination(p, [(mult, x) for (_v, mult), x in zip(predicted, powers)])
         powers = [x * value for x, (value, _mult) in zip(powers, predicted)]

@@ -27,8 +27,9 @@ why that is exact), so a build enumerates only in its oracle gate.
 The matrix is a linalg.SparseMatrix, whose entries a zeta^t are triples
 (column, t, a), and its states init a dim x (p-1) array of power-basis
 coordinates; a root zeta^e is the one triple (column, e, 1).  run steps the
-states exactly in numpy, by a roll of root counts and a scale per triple:
-in int64 while that is provably exact, on Python ints after.
+states exactly in numpy with SparseMatrix.times, by a roll of root counts
+and a scale per triple: in int64 while times can prove that exact, on
+Python ints after.
 """
 
 from __future__ import annotations
@@ -97,30 +98,22 @@ class TransferSystem:
         return "TransferSystem(%s, dim=%d, n_min=%d)" % (self.label, self.dim, self.n_min)
 
 
-def _exact(v, norm):
-    """v, moved to Python ints unless every product with a matrix of row norm
-    norm stays exact in int64 (SparseMatrix.times: 2 norm max|v| < 2^63)."""
-    if v.dtype == object:
-        return v
-    big = max(int(v.max(initial=0)), -int(v.min(initial=0)))
-    return v.astype(object) if 2 * norm * big >= 1 << 63 else v
-
-
 def run(sys, n_target):
-    """Projected target values for n = n_min .. n_target, exactly."""
+    """Projected target values for n = n_min .. n_target, exactly: the
+    states are stepped by SparseMatrix.times, which moves them to Python
+    ints when int64 would no longer be exact, and each target sums its
+    projected states in Python ints."""
     if n_target < sys.n_min:
         raise ValueError("n_target below the system's first index %d" % sys.n_min)
     m, p = sys.sparse, sys.field.p
     columns = sys.dim // m.dim  # a rotation's, those of T^n, step side by side
     rows, cols = np.divmod(sys.projection, columns)
-    norm = max(m.row_norm(), len(rows))  # a target sums len(rows) states
     v, pick = sys.init, rows
     if columns > 1:
         v, pick = v.reshape(m.dim, columns, p - 1).transpose(0, 2, 1), (rows, slice(None), cols)
     out = []
     while True:
-        v = _exact(v, norm)
-        out.append(CycInt._of(p, tuple(v[pick].sum(axis=0).tolist())))
+        out.append(CycInt._of(p, tuple(v[pick].sum(axis=0, dtype=object).tolist())))
         if len(out) > n_target - sys.n_min:
             return Sequence(sys.n_min, tuple(out), "transfer")
         v = m.times(v)
@@ -193,9 +186,8 @@ def _scatter_system(label, f, e, recipe, n0, budget, projection=(0,), identity=F
     sparse = _scatter(f, *recipe)
     v = np.zeros((sparse.dim, p - 1) + (sparse.dim,) * identity, dtype=np.int64)
     v[:, 0] = np.identity(sparse.dim, dtype=np.int64) if identity else 1
-    norm = sparse.row_norm()
     for _ in range(n0):
-        v = sparse.times(_exact(v, norm))
+        v = sparse.times(v)
     v = np.moveaxis(v, 1, -1).reshape(-1, p - 1)  # state a dim + i: entry a of column i
     v.flags.writeable = False
     sys = TransferSystem(label, f, sparse, v, tuple(map(int, projection)), n0)

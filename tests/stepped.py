@@ -1,9 +1,16 @@
 """The matrix on a transfer system's states, shared by the tests that pin or
-check it entry by entry."""
+check it entry by entry, and the grid of systems whose digests they pin
+(tools/transfer_hash.py holds a copy, which tests/test_transfer.py checks)."""
 
 import numpy as np
 
 from gfrec.linalg import SparseMatrix
+
+DIGEST_EXPRS = (
+    "tau(2)", "tau(3)", "tau(4)", "tau(5)", "sigma(2)", "sigma(3)", "R(2)", "R(2,3)", "R(2,4)",
+    "T(2,4)", "R(2,3)+R(2)", "T(2,4)+e2*T(3)", "e2*T(2,3)", "R(2,3,4)", "e3*R(2)+R(3)",
+)
+DIGEST_FIELDS = (2, 3, 4, 5, 7, 8, 9)
 
 
 def state_matrix(sys):

@@ -450,6 +450,18 @@ def test_conjecture_rotation_by_transfer_starts_at_the_system_start(capsys):
     assert err == "usage error: empty range 6..5\n"
 
 
+@pytest.mark.parametrize("which", ["trapezoid", "rotation"])
+def test_conjecture_past_the_point_budget_is_refused_before_the_extension(capsys, which):
+    # extending the conjecture to n = 10^6 first took seconds and memory
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "conjecture", "--which", which, "--k", "3", "--field", "2", "--n-max", "1000000"
+    )
+    assert (code, out) == (3, "")
+    assert err == "resource limit: enumeration of 2^27 points exceeds the budget of 100000000\n"
+    assert time.perf_counter() - start < 0.5
+
+
 def test_conjecture_rotation_needs_field_two(capsys):
     code, _out, _err = run_cli(
         capsys, "conjecture", "--which", "rotation", "--k", "3",

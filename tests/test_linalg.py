@@ -19,7 +19,7 @@ from gfrec.galois import make_field, prime_power
 from gfrec.limits import ResourceLimitExceeded
 from gfrec.linalg import SparseMatrix, certify, minimal_polynomial, solve_with_free_zero
 from gfrec.transfer import build_quadratic_matrix, integer_annihilator, run, system_for
-from stepped import state_matrix
+from stepped import DIGEST_EXPRS, DIGEST_FIELDS, state_matrix
 
 
 def test_solve_square_system():
@@ -250,11 +250,11 @@ def test_apply_reduces_wide_rows_before_summing():
 # the sparse form: each entry as triples a zeta^t
 
 @st.composite
-def sparse_matrices(draw):
-    """Matrices of at most 4 rows over p in {2, 3, 5, 7}: from root counts,
-    with entries of several roots, entries whose roots cancel to zero and
-    entries zeta^(p-1); or from rows of triples with amplitudes up to 3."""
-    p = draw(st.sampled_from((2, 3, 5, 7)))
+def sparse_matrices(draw, primes=(2, 3, 5, 7)):
+    """Matrices of at most 4 rows over p in primes: from root counts, with
+    entries of several roots, entries whose roots cancel to zero and entries
+    zeta^(p-1); or from rows of triples with amplitudes up to 3."""
+    p = draw(st.sampled_from(primes))
     dim = draw(st.integers(1, 4))
     index = st.integers(0, dim - 1)
     if draw(st.booleans()):
@@ -321,6 +321,30 @@ def test_times_on_a_column_axis_is_times_on_each_column(m, columns, python_ints,
         want = m.times(np.ascontiguousarray(v[:, :, c]))
         assert want.dtype == v.dtype
         assert got[:, :, c].tolist() == want.tolist(), c
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_times_moves_to_python_ints_past_the_int64_bound(p, data):
+    # one int64 coordinate past (2^63 - 1) // (2 row_norm) makes the result
+    # dtype=object, on one vector and on a column axis alike
+    m = data.draw(sparse_matrices(primes=(p,)).filter(lambda m: m.row_norm() > 0))
+    big = (2**63 - 1) // (2 * m.row_norm())
+    columns = data.draw(st.sampled_from([(), (1,), (3,)]))
+    shape = (m.dim, p - 1) + columns
+    coord = st.one_of(st.integers(-5, 5), st.integers(-2**63 + 1, 2**63 - 1))
+    size = m.dim * (p - 1) * (columns[0] if columns else 1)
+    flat = data.draw(st.lists(coord, min_size=size, max_size=size))
+    v = np.array(flat, dtype=np.int64).reshape(shape)
+    past = (data.draw(st.integers(0, m.dim - 1)), data.draw(st.integers(0, p - 2))) + (0,) * len(columns)
+    v[past] = data.draw(st.sampled_from([1, -1])) * data.draw(st.integers(big + 1, 2**63 - 1))
+    got = m.times(v)
+    assert got.dtype == object and got.shape == shape
+    assert all(type(c) is int for c in got.ravel().tolist())
+    for c in range(columns[0] if columns else 1):
+        column = v[..., c] if columns else v
+        assert (got[..., c] if columns else got).tolist() == _dense_times(m, column), c
 
 
 @settings(max_examples=100, deadline=None)
@@ -393,14 +417,7 @@ def test_inflated_norm_bounds_the_coordinate_formula(m):
         assert m.inflated_norm() >= want
 
 
-# the systems of tests/test_transfer.py's digest grid
-DIGEST_EXPRS = (
-    "tau(2)", "tau(3)", "tau(4)", "tau(5)", "sigma(2)", "sigma(3)", "R(2)", "R(2,3)", "R(2,4)",
-    "T(2,4)", "R(2,3)+R(2)", "T(2,4)+e2*T(3)", "e2*T(2,3)", "R(2,3,4)", "e3*R(2)+R(3)",
-)
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", DIGEST_FIELDS)
 def test_inflated_norm_is_the_coordinate_formula_on_the_digest_grid(q):
     # every entry there is one root times an integer, so the certificate's
     # bound, and with it its prime count, is what it was on coordinates

@@ -1,6 +1,7 @@
 """Tests for characters, Gauss sums, valuations and spectral checks."""
 
 import math
+import random
 import time
 from types import SimpleNamespace
 
@@ -231,6 +232,25 @@ def test_eigen_check():
         assert report.ok is True
         assert report.p == p
         assert report.predicted == tuple(predicted_spectrum(p))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_each_factor_steps_m_v_minus_lambda_v_on_python_ints(p):
+    # v at the largest |v| that keeps M v in int64, and past any int64: the
+    # difference of M v and lambda v, each exact, may still not fit int64
+    m = build_quadratic_matrix(p).sparse
+    rng = random.Random(p)
+    big = (2**63 - 1) // (2 * m.row_norm())
+    signs = [[rng.choice((-1, 1)) for _ in range(p - 1)] for _ in range(p)]
+    at_bound = np.array(signs, dtype=np.int64) * big
+    huge = np.array([[rng.randrange(-2**80, 2**80) for _ in range(p - 1)] for _ in range(p)], dtype=object)
+    for v in (at_bound, huge):
+        mv = m.times(v.astype(object)).tolist()
+        for value, _mult in predicted_spectrum(p):
+            got = numtheory._minus_scalar(m, value).times(v)
+            lv = [(value * CycInt(p, x)).coeffs for x in v.tolist()]
+            assert got.dtype == object
+            assert got.tolist() == [[a - b for a, b in zip(r, s)] for r, s in zip(mv, lv)]
 
 
 def test_eigen_check_past_its_prime_is_refused_before_the_system_is_built(monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for transfer state systems and their integer annihilators."""
 
+import ast
 import hashlib
 import json
 import time
@@ -42,7 +43,7 @@ from gfrec.transfer import (
     run,
     system_for,
 )
-from stepped import state_matrix
+from stepped import DIGEST_EXPRS, DIGEST_FIELDS, state_matrix
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -312,13 +313,7 @@ def test_trapezoid_and_rotation_sums_share_a_recurrence(pattern):
 
 # ---------------------------------------------------------------------------
 # pinned systems: a digest of everything system_for returns, per case
-
-DIGEST_EXPRS = (
-    "tau(2)", "tau(3)", "tau(4)", "tau(5)", "sigma(2)", "sigma(3)", "R(2)", "R(2,3)", "R(2,4)",
-    "T(2,4)", "R(2,3)+R(2)", "T(2,4)+e2*T(3)", "e2*T(2,3)", "R(2,3,4)", "e3*R(2)+R(3)",
-)
-DIGEST_FIELDS = (2, 3, 4, 5, 7, 8, 9)
-
+# (the grid, DIGEST_EXPRS over DIGEST_FIELDS, is tests/stepped.py's)
 
 def _entries(sp):
     """The matrix as the digests pin it: per row the nonzero entries' columns,
@@ -359,6 +354,18 @@ def test_systems_match_their_pinned_digests():
     pinned = json.loads((Path(__file__).parent / "system_digests.json").read_text())["digests"]
     got = {"%s/F_%d" % (t, q): _case_digest(t, q) for t in DIGEST_EXPRS for q in DIGEST_FIELDS}
     assert got == pinned
+
+
+def test_the_transfer_hash_tool_hashes_the_digest_grid():
+    # read, not imported: the tool imports its sibling recorded.py
+    tree = ast.parse((Path(__file__).parents[1] / "tools" / "transfer_hash.py").read_text())
+    grid = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("DIGEST_EXPRS", "DIGEST_FIELDS")
+    }
+    assert grid == {"DIGEST_EXPRS": DIGEST_EXPRS, "DIGEST_FIELDS": DIGEST_FIELDS}
 
 
 @pytest.mark.parametrize(
@@ -487,6 +494,17 @@ def test_run_equals_the_dense_product_across_the_int64_bound(sys):
         assert len(want) < 400, "states never left the int64 range"
     got = run(sys, sys.n_min + len(want) - 1)
     assert got.values == tuple(want)
+
+
+def test_run_sums_its_projection_in_python_ints():
+    # the identity keeps its states in int64 (2 row_norm max|v| < 2^63), but
+    # the three projected states sum past int64
+    big = (2**63 - 1) // 2
+    identity = SparseMatrix(3, [0, 1, 2, 3], [0, 1, 2], [0, 0, 0], [1, 1, 1])
+    init = np.array([[big, -big], [big, -big], [big, 1]], dtype=np.int64)
+    assert identity.times(init).dtype == np.int64
+    sys = TransferSystem("identity", F3, identity, init, (0, 1, 2), 0)
+    assert run(sys, 2).values == (CycInt(3, (3 * big, 1 - 2 * big)),) * 3
 
 
 def test_quadratic_run_on_both_sides_of_the_int64_bound():

@@ -3,8 +3,9 @@
 
     PYTHONPATH=<checkout>/src python3 tools/transfer_hash.py
 
-Builds the system of every digest case of tests/test_transfer.py (its
-DIGEST_EXPRS over its DIGEST_FIELDS, copied below) and prints four lines,
+Builds the system of every digest case of tests/test_transfer.py (the
+DIGEST_EXPRS over the DIGEST_FIELDS of tests/stepped.py, copied below, and
+tests/test_transfer.py checks that the copy is equal) and prints four lines,
 each the number of records and the SHA-256 of their JSON, and exits 1 when
 a line differs from the one recorded in RECORDED (see recorded.py):
 - runs: per case the label, dim, n_min and the coordinates of `run` up to
