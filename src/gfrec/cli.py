@@ -19,6 +19,7 @@ refuses) is a usage error, and ResourceLimitExceeded is a resource limit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -359,10 +360,14 @@ def _cmd_numtheory(args):
 
 
 def _cmd_accept(args):
-    report = acceptance_run(profile=args.profile)
-    record = _record("accept", {"profile": args.profile}, report["items"])
-    if args.out:
-        with open(args.out, "w") as fh:
+    try:  # before the battery, so that an unwritable path costs no run
+        out = open(args.out, "w") if args.out else contextlib.nullcontext()
+    except OSError as exc:
+        raise UsageError("cannot write --out %s: %s" % (args.out, exc.strerror)) from None
+    with out as fh:
+        report = acceptance_run(profile=args.profile)
+        record = _record("accept", {"profile": args.profile}, report["items"])
+        if fh:
             json.dump(record, fh, sort_keys=True, indent=2)
             fh.write("\n")
     code = EXIT_OK if report["all_pass"] else EXIT_CHECK_FAILED

@@ -9,8 +9,8 @@ its oracle gate's points, so a request past several limits reports the first.
 DEFAULT_POINT_BUDGET = 10**8  # points of an enumeration, and bins of a joint histogram
 DEFAULT_STATE_LIMIT = 4096  # states of a transfer system
 # inflated dimension dim * (p-1) of the matrix that an integer annihilator
-# runs on (a system's `sparse`; a rotation's is its q^(w-1)-state de Bruijn
-# matrix), whose certificate costs about deg * nnz * dim * (p-1)
+# runs on (a system's `sparse`; a chain's or rotation's is its q^(w-1)-state
+# de Bruijn matrix), whose certificate costs about deg * nnz * dim * (p-1)
 # multiply-adds per prime.  A rotation within the state limit has a matrix
 # of at most 64 states, 294 inflated (R(2,3) over F_7).  On a 2-core x86
 # host the slowest measured call below 2500 took 23 s (sigma(4) over F_9,
@@ -55,9 +55,10 @@ def check_bins(q, k, budget):
         raise ResourceLimitExceeded("%d^%d joint bins exceed the budget of %d" % (q, k, budget))
 
 
-def check_states(dim, state_limit):
-    if dim > state_limit:
-        raise ResourceLimitExceeded("%d states exceed the limit of %d" % (dim, state_limit))
+def check_states(q, m, state_limit):  # q^m states; for q >= 2, q^m > limit just when q^min(m, bits of limit) is
+    if q ** min(m, state_limit.bit_length()) > state_limit:
+        count = "%d" % q**m if m <= 64 else "%d^%d" % (q, m)
+        raise ResourceLimitExceeded("%s states exceed the limit of %d" % (count, state_limit))
 
 
 def check_root_counts(dim, field):

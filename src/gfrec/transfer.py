@@ -12,17 +12,20 @@ against the enumeration oracle one step past the smallest index that it and
 the target expression cover, so the check steps the matrix.
 
 The k-state trapezoid sends a zero newest variable to b_0 and a nonzero one
-a level deeper.  Chain systems decorate a non-wrapping translate sum with
-monomials pinned to its trailing window.  Symmetric systems decorate the
-top elementary symmetric polynomial with the lower ones; for sigma(2) over
-a prime field this is the quadratic matrix with (j, k) entry zeta^(j(k-j)).
-A rotation combination's cyclic sum is Tr(T^n) for the de Bruijn matrix
+a level deeper.  Symmetric systems decorate the top elementary symmetric
+polynomial with the lower ones; for sigma(2) over a prime field this is the
+quadratic matrix with (j, k) entry zeta^(j(k-j)).  A translate combination
+of width w, a chain T(...) or a rotation R(...), walks the de Bruijn matrix
 T[(a_1..a_(w-1)), (a_2..a_w)] = zeta^Tr(g(a_1..a_w)) of its window
-polynomial g, since the closed walks of length n are the cyclic words.  Its
-system's one matrix is T, stepped on the columns of T^n side by side, from
-those of I at n = 0, the empty word; every other system's states are all 1
-there.  The matrix steps them to the first index n0 (_scatter_system says
-why that is exact), so a build enumerates only in its oracle gate.
+polynomial g (the transfer-matrix method, Stanley, EC1 4.7).  A rotation's
+cyclic sum is Tr(T^n), since the closed walks of length n are the cyclic
+words; a chain's sum is (T^(n+w-1))[0, 0], the walk on its word padded by
+w - 1 zeros on both sides.  Both systems' one matrix is T, and their states
+are columns of its powers: a rotation's the columns of T^n side by side,
+those of I at n = 0, the empty word, and a chain's column 0 of T^(n+w-1),
+that of I at n = 1 - w.  Every other system's states are all 1 at n = 0.
+The matrix steps them to the first index n0 (_scatter_system says why that
+is exact), so a build enumerates only in its oracle gate.
 
 The matrix is a linalg.SparseMatrix, whose entries a zeta^t are triples
 (column, t, a), and its states init a dim x (p-1) array of power-basis
@@ -138,13 +141,6 @@ def run_range(sys, e, n_range):
 # ---------------------------------------------------------------------------
 # small helpers shared by the builders
 
-def _states(q, m, f, state_limit):
-    """The q^m states of a system over f as rows in product(range(q), repeat=m) order, within the state and root-count limits."""
-    check_states(q**m, state_limit)
-    check_root_counts(q**m, f)
-    return np.indices((q,) * m).reshape(m, -1).T
-
-
 def _scatter(f, image, const):
     """The matrix in which, on each value x of the newest variable, state i
     goes to state image[i, x] with the factor zeta^Tr(const[i, x]), for
@@ -156,7 +152,7 @@ def _scatter(f, image, const):
     return SparseMatrix.from_root_counts(f.p, dim, rows, image.ravel(), trace[const].ravel())
 
 
-def _scatter_system(label, f, e, recipe, n0, budget, projection=(0,), identity=False):
+def _scatter_system(label, f, e, recipe, n0, budget, projection=(0,), start=None):
     """The system of the matrix `_scatter` builds from recipe, an (image,
     const) pair, from index n0, whose target is the sum of the states in
     projection, checked against the enumeration oracle on e one index past
@@ -165,18 +161,19 @@ def _scatter_system(label, f, e, recipe, n0, budget, projection=(0,), identity=F
     root counts, the oracle's sum comes first, so a system over the point
     budget is refused before any matrix is built.
 
-    The states at n0 are M^n0 applied to those at n = 0: all 1, or with
-    identity the columns of I, stepped side by side.  Read every X_i with
-    i <= 0 as 0.  Each scatter recipe substitutes the newest variable, so
-    v(n) = M v(n-1) for every n >= 1, and at n = 0 a state sums the zero
-    function over the one point of F_q^0, which gives 1.  For chains, a translate or decoration
-    with some X_i, i <= 0, is 0.  For symmetric states, sigma_(n,j) =
+    The states at n0 are M^n0 applied to those at n = 0, all 1; or with
+    start = (n, columns), M^(n0 - n) applied to those columns of I at index
+    n, stepped side by side.  Read every X_i with i <= 0 as 0.  Each scatter
+    recipe substitutes the newest variable, so v(n) = M v(n-1) for every
+    n >= 1, and at n = 0 a state sums the zero function over the one point
+    of F_q^0, which gives 1.  For symmetric states, sigma_(n,j) =
     sigma_(n-1,j) + x sigma_(n-1,j-1) from n = 1, with sigma_(0,0) = 1 and
     sigma_(0,j) = 0 for j >= 1.  In the k-state trapezoid a nonzero x sends a
     state one level deeper with its boundary products scaled by x: for
     n-1 >= k the sums do not change (C5), and for n-1 < k no translate fits,
     every product contains X_(n-1), and scaling X_(n-1) by 1/x removes x.  A
-    rotation's states hold the columns of T^n, those of I at n = 0.
+    rotation's states hold the columns of T^n, those of I at n = 0, and a
+    chain's column 0 of T^(n+w-1), that of I at n = 1 - w.
     """
     p = f.p
     n = max(n0, e.min_n())
@@ -184,9 +181,10 @@ def _scatter_system(label, f, e, recipe, n0, budget, projection=(0,), identity=F
         n += 1
     want = exp_sum(instantiate(e, n, f), budget=budget)
     sparse = _scatter(f, *recipe)
-    v = np.zeros((sparse.dim, p - 1) + (sparse.dim,) * identity, dtype=np.int64)
-    v[:, 0] = np.identity(sparse.dim, dtype=np.int64) if identity else 1
-    for _ in range(n0):
+    n_start, columns = start or (0, None)
+    v = np.zeros((sparse.dim, p - 1) + (() if columns is None else (len(columns),)), dtype=np.int64)
+    v[:, 0] = 1 if columns is None else np.identity(sparse.dim, dtype=np.int64)[:, columns]
+    for _ in range(n0 - n_start):
         v = sparse.times(v)
     v = np.moveaxis(v, 1, -1).reshape(-1, p - 1)  # state a dim + i: entry a of column i
     v.flags.writeable = False
@@ -227,29 +225,7 @@ def build_trapezoid_system(k, f, budget=DEFAULT_POINT_BUDGET):
 
 
 # ---------------------------------------------------------------------------
-# window families: decorated chains, and rotations by the de Bruijn matrix
-
-def _sh1(offsets):
-    w = max(offsets)
-    return frozenset(w - 1 - o for o in offsets if o != w)
-
-
-def _age(shape):
-    return frozenset(d - 1 for d in shape if d >= 1)
-
-
-def _tail_shapes(patterns):
-    shapes = []
-    seen = set()
-    for _c, offsets in patterns:
-        shape = _sh1(offsets)
-        while shape:
-            if shape not in seen:
-                seen.add(shape)
-                shapes.append(shape)
-            shape = _age(shape)
-    return shapes
-
+# window families: chains and rotations by the de Bruijn matrix
 
 def _normalize_patterns(terms, f):
     """Merge (coefficient, offsets) terms, dropping cancelled patterns."""
@@ -268,54 +244,34 @@ def _normalize_patterns(terms, f):
     return out
 
 
-def _chain_system(e, terms, f, label, state_limit, budget):
-    """Decorated chain states for the non-wrapping sum of the
-    (coefficient, offsets) translates terms of e, which gates the result."""
-    q = f.q
-    patterns = _normalize_patterns(terms, f)
-    w = max(max(offsets) for _c, offsets in patterns)
-    tail_shapes = _tail_shapes(patterns)
-    tail_index = {shape: i for i, shape in enumerate(tail_shapes)}
-    nt = len(tail_shapes)
-    grid = _states(q, nt, f, state_limit)
-    dim = len(grid)
-    add, mul, _trace = integer_tables(f)
-
-    # every state alpha scatters to q states, one per value x of the newest
-    # variable: arrays below are dim x q, the new alpha then the constant
-    x = np.arange(q)
-    new = [np.zeros((dim, q), dtype=np.intp) for _ in range(nt + 1)]
-    for j, shape in enumerate(tail_shapes):
-        a = grid[:, j, None]
-        slot = tail_index.get(_age(shape), nt)  # an aged-out decoration is constant
-        new[slot] = add[new[slot], mul[a, x] if 0 in shape else a]
-    for c, offsets in patterns:
-        slot = tail_index[_sh1(offsets)]
-        new[slot] = add[new[slot], mul[c.index, x]]
-    return _scatter_system(label, f, e, (np.ravel_multi_index(new[:nt], (q,) * nt), new[nt]), w, budget)
-
-
-def _rotation_system(e, terms, f, label, state_limit, budget):
-    """The de Bruijn matrix T of the cyclic sum of the (coefficient, offsets)
-    translates terms of e, which gates the result, on the columns of T^n.
+def _window_system(e, terms, f, label, state_limit, budget, rotation):
+    """The de Bruijn matrix T of the (coefficient, offsets) translates terms
+    of e, which gates the result: for a rotation the cyclic sum Tr(T^n) on
+    the columns of T^n, and for a chain the sum (T^(n+w-1))[0, 0] on column 0.
 
     The window a_1..a_w has index a q + x for the index a of (a_1..a_(w-1))
     and x = a_w, so g is read at every window by `oracle.values` with a_o
     at digit w - o, and T steps a to (a_2..a_w), index (a q + x) mod Q for
-    Q = q^(w-1).  The Q columns of I stepped n0 = 3(w-1) times are those of
-    T^n0, the Q^2 states a Q + i, which the state and root-count limits
-    count, and the target Tr(T^n) sums the diagonal states a Q + a.
+    Q = q^(w-1).  A rotation's Q columns of I stepped n0 = 3(w-1) times are
+    those of T^n0, the Q^2 states a Q + i, which the state and root-count
+    limits count, and the target Tr(T^n) sums the diagonal states a Q + a.
+    A chain's word has w - 1 zeros on each side, so its walk starts and ends
+    at state 0: column 0 of I at n = 1 - w, stepped to n0 = w, is Q states,
+    and the target is state 0.  Every monomial of g holds a_1, so a window
+    that starts in the padding adds 0, and one that reaches into it adds
+    the translates that end within x_1..x_n, as the chain sum does.
     """
     q = f.q
     patterns = _normalize_patterns(terms, f)
     w = max(max(offsets) for _c, offsets in patterns)
+    check_states(q, 2 * (w - 1) if rotation else w - 1, state_limit)
     Q = q ** (w - 1)
-    check_states(Q * Q, state_limit)
-    check_root_counts(Q * Q, f)
+    check_root_counts(Q * Q if rotation else Q, f)
     image = np.arange(Q * q).reshape(Q, q) % Q
     const = values(InstantiatedFunction(f, w, {frozenset(w + 1 - o for o in offsets): c for c, offsets in patterns})).reshape(Q, q)
-    diagonal = np.arange(Q) * (Q + 1)
-    return _scatter_system(label, f, e, (image, const), 3 * (w - 1), budget, diagonal, identity=True)
+    if rotation:
+        return _scatter_system(label, f, e, (image, const), 3 * (w - 1), budget, np.arange(Q) * (Q + 1), (0, np.arange(Q)))
+    return _scatter_system(label, f, e, (image, const), w, budget, (0,), (1 - w, [0]))
 
 
 def build_rotation_system(
@@ -326,7 +282,7 @@ def build_rotation_system(
         pattern = MonomialPattern(tuple(pattern))
     offsets = pattern.offsets
     label = "rotation(%s)/F_%s" % (",".join(map(str, offsets[1:])), f.describe())
-    return _rotation_system(Rotation(pattern), [(f.one(), offsets)], f, label, state_limit, budget)
+    return _window_system(Rotation(pattern), [(f.one(), offsets)], f, label, state_limit, budget, True)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +301,9 @@ def build_symmetric_system(
     if k < 2:
         raise ValueError("need k >= 2")
     q = f.q
-    beta = _states(q, k - 1, f, state_limit)
+    check_states(q, k - 1, state_limit)
+    check_root_counts(q ** (k - 1), f)
+    beta = np.indices((q,) * (k - 1)).reshape(k - 1, -1).T
     add, mul, _trace = integer_tables(f)
     x = np.arange(q)
     # on the value x of the newest variable (arrays are dim x q), the new top
@@ -430,7 +388,7 @@ def system_for(e, f, state_limit=DEFAULT_STATE_LIMIT, budget=DEFAULT_POINT_BUDGE
             offsets = terms[0][1]
             k = len(offsets)
             if offsets == tuple(range(1, k + 1)):
-                check_states(k, state_limit)
+                check_states(k, 1, state_limit)
                 return build_trapezoid_system(k, f, budget)
         label = "%s[%s]/F_%s" % (
             "rotation" if rotation else "chain",
@@ -439,8 +397,7 @@ def system_for(e, f, state_limit=DEFAULT_STATE_LIMIT, budget=DEFAULT_POINT_BUDGE
             ),
             f.describe(),
         )
-        build = _rotation_system if rotation else _chain_system
-        return build(e, terms, f, label, state_limit, budget)
+        return _window_system(e, terms, f, label, state_limit, budget, rotation)
     raise ValueError(
         "transfer supports sigma(k), trapezoid combinations or rotation "
         "combinations, not %r" % (sorted(t.__name__ for t in kinds),)

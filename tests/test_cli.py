@@ -524,6 +524,20 @@ def test_numtheory_gauss_sum_past_its_prime_is_a_resource_limit(capsys):
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize(
+    "expr, states",
+    [("T(2,1000000)", "3^999999"), ("R(2,10000)", "3^19998"), ("sigma(10000)", "3^9999")],
+)
+def test_annihilator_of_a_wide_family_is_a_resource_limit(capsys, expr, states):
+    # a count past Python's int-to-str digit limit is written as a power,
+    # and it is checked from q and the exponent before q^m is formed
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "annihilator", "--expr", expr, "--field", "3")
+    assert (code, out) == (3, "")
+    assert err == "resource limit: %s states exceed the limit of 4096\n" % states
+    assert time.perf_counter() - start < 0.5
+
+
 def test_numtheory_eigen_check_takes_no_tolerance(capsys):
     code, _out, err = run_cli(capsys, "numtheory", "eigen-check", "--p", "7", "--tol", "1e-9")
     assert code == 2
@@ -578,6 +592,19 @@ def test_accept_quick(capsys, tmp_path):
     assert all(i["status"] == "pass" for i in items)
     on_disk = json.loads(out_file.read_text())
     assert on_disk["payload"] == items
+
+
+@pytest.mark.parametrize("where", ["missing/report.json", "."])
+def test_accept_out_to_an_unwritable_path_is_refused_before_the_battery_runs(capsys, monkeypatch, tmp_path, where):
+    def battery(**_kwargs):
+        raise AssertionError("the battery ran")
+
+    monkeypatch.setattr(cli, "acceptance_run", battery)
+    path = tmp_path / where
+    code, out, err = run_cli(capsys, "accept", "--out", str(path))
+    assert (code, out) == (2, "")
+    reason = "No such file or directory" if where != "." else "Is a directory"
+    assert err == "usage error: cannot write --out %s: %s\n" % (path, reason)
 
 
 # ---------------------------------------------------------------------------

@@ -2,22 +2,24 @@
 
 One hypothesis property over random trapezoid and rotation combinations
 (patterns of width at most 4, unit scalars) and sigma(k), over F_2, F_3,
-F_4, F_5, F_8 and F_9.  Rotations draw systems of up to 729 states, since
-their annihilator runs on the q^(w-1)-state de Bruijn matrix; chains and
-sigma(k) stay at 81.  For every drawn family the transfer run equals
-brute force wherever enumeration is cheap, the integer annihilator (whose
-certificate runs on every drawn system) annihilates the run, extending its
-first terms by the annihilator reproduces the run, and `discover` finds a
-divisor of the annihilator.  The brute side instantiates and enumerates
-every n on its own, not by `sum_sequence`'s one levelled enumeration at
-the top n, so that an instantiation fault at one n cannot hide behind
-f_N.
+F_4, F_5, F_8 and F_9.  Chains and rotations of width w both step the
+q^(w-1)-state de Bruijn matrix: a chain on one column of its powers, so it
+is q^(w-1) states, and a rotation on all of them, q^(2(w-1)) states.
+Rotations draw systems of up to 729 states, since their annihilator runs on
+the de Bruijn matrix; chains and sigma(k) stay at 81.  For every drawn
+family the transfer run equals brute force wherever enumeration is cheap,
+the integer annihilator (whose certificate runs on every drawn system)
+annihilates the run, extending its first terms by the annihilator
+reproduces the run, and `discover` finds a divisor of the annihilator.  The
+brute side instantiates and enumerates every n on its own, not by
+`sum_sequence`'s one levelled enumeration at the top n, so that an
+instantiation fault at one n cannot hide behind f_N.
 """
 
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from gfrec.funcalg import instantiate, parse
+from gfrec.funcalg import instantiate, parse, parts
 from gfrec.galois import make_field, prime_power
 from gfrec.limits import ResourceLimitExceeded
 from gfrec.oracle import exp_sum
@@ -59,6 +61,8 @@ def test_brute_transfer_and_recurrence_agree(family):
         ann = integer_annihilator(sys, degree_cap=DEGREE_CAP)
     except (ResourceLimitExceeded, ValueError):  # too many states or too high a degree, or the terms cancel
         reject()
+    if sys.label.startswith("chain"):
+        assert sys.dim == f.q ** (max(node.pattern.width for _c, node in parts(e, f)) - 1)
     d = ann.degree
     hi = max(sys.n_min, e.min_n())
     while f.q ** (hi + 1) <= BRUTE_POINTS:

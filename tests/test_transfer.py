@@ -17,11 +17,10 @@ from gfrec import transfer
 from gfrec.cyclotomic import CycInt, combination, root_power
 from gfrec.funcalg import (
     InstantiatedFunction,
-    MonomialPattern,
     ScalarMul,
     Sigma,
     Sum,
-    Trapezoid,
+    evaluate,
     instantiate,
     parse,
     tau,
@@ -29,12 +28,11 @@ from gfrec.funcalg import (
 from gfrec.galois import make_field, prime_power
 from gfrec.linalg import SparseMatrix, certify
 from gfrec.limits import DEFAULT_POINT_BUDGET, DEFAULT_STATE_LIMIT, SCATTER_ROOT_COUNTS, ResourceLimitExceeded
-from gfrec.oracle import decorated_sums, exp_sum, integer_tables, sum_sequence
+from gfrec.oracle import decorated_sums, exp_sum, integer_tables, joint_counts, sum_sequence
 from gfrec.recurrence import Sequence, divides, extend, family_poly, satisfies
 from gfrec.transfer import (
     TransferSystem,
     _normalize_patterns,
-    _tail_shapes,
     build_quadratic_matrix,
     build_rotation_system,
     build_symmetric_system,
@@ -307,8 +305,37 @@ def test_trapezoid_and_rotation_sums_share_a_recurrence(pattern):
             continue
         rotation = integer_annihilator(system_for(parse("R(%s)" % offsets), f))
         chain = integer_annihilator(system_for(parse("T(%s)" % offsets), f))
-        assert divides(chain, rotation), q
-        assert consecutive or chain == rotation, q
+        assert divides(chain, rotation) if consecutive else chain == rotation, q
+
+
+def _annihilator_or_refusal(sys):
+    try:
+        return integer_annihilator(sys).coeffs
+    except ResourceLimitExceeded as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("chain, rotation", [("T(2,4)", "R(2,4)"), ("e2*T(2,3)", "e2*R(2,3)"),
+                                             ("T(2,4)+e2*T(3)", "R(2,4)+e2*R(3)")])
+def test_chains_and_rotations_walk_one_de_bruijn_matrix(chain, rotation):
+    # the paper's claim as a fact about the systems: a chain and the rotation
+    # of its translates step the same matrix T, so they share its minimal
+    # polynomial, on every field of the digest grid where the rotation builds
+    built = 0
+    for q in DIGEST_FIELDS:
+        if q == 2 and "e2" in chain:
+            continue  # no scalar e2 in F_2
+        f = make_field(*prime_power(q))
+        c = system_for(parse(chain), f)
+        try:
+            r = system_for(parse(rotation), f)
+        except ResourceLimitExceeded:
+            continue  # the rotation's q^(2(w-1)) states pass the limit
+        for name in ("starts", "cols", "exps", "amps"):
+            assert np.array_equal(getattr(c.sparse, name), getattr(r.sparse, name)), (q, name)
+        assert _annihilator_or_refusal(c) == _annihilator_or_refusal(r), q
+        built += 1
+    assert built >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -535,18 +562,18 @@ def _decorated(g, decorations):
     return InstantiatedFunction(g.field, g.n, terms)
 
 
-def _window_init(e_terms, f):
-    patterns = _normalize_patterns(e_terms, f)
-    w = max(max(o) for _c, o in patterns)
-    tails = _tail_shapes(patterns)
-    chain = instantiate(
-        Sum(tuple(ScalarMul(c.index, Trapezoid(MonomialPattern(o))) for c, o in patterns)), w, f
-    )
-    elems = f.elements()
+def _window_init(e, f):
+    """A chain system's states at n0 = w, from the definition, one evaluated
+    point at a time: state a is the chain sum at n0 + w - 1 with x_1 .. x_(w-1)
+    the digits of a, a_1 the most significant."""
+    w = max(o[-1] for _c, o in _translate_terms(e, f))
+    g, elems, p = instantiate(e, 2 * w - 1, f), f.elements(), f.p
     out = []
-    for alpha in product(range(f.q), repeat=len(tails)):
-        tail = [(frozenset(w - d for d in s), elems[a]) for s, a in zip(tails, alpha) if a]
-        out.append(exp_sum(_decorated(chain, tail)))
+    for a in product(elems, repeat=w - 1):
+        counts = [0] * p
+        for x in product(elems, repeat=w):
+            counts[evaluate(g, a + x).trace()] += 1
+        out.append(CycInt.from_root_counts(p, counts))
     return tuple(out)
 
 
@@ -600,23 +627,22 @@ def _trapezoid_init(k, f):
 
 
 def _enumerated_init(sys, e, f):
-    """A system's states at n0 by enumeration, as the builders once took
-    them: the k-state trapezoid's one sum per state, and for chain and
-    symmetric systems one decorated_sums call on the base and its
-    decorations (the chain's tail monomials, or the lower sigma_j)."""
+    """A system's states at n0 by enumeration: the k-state trapezoid's one
+    sum per state, a symmetric system's one decorated_sums call on sigma_k
+    and the lower sigma_j, and a chain's one joint_counts call on its sum at
+    n0 + w - 1 (w = n0) and x_1 .. x_(w-1), whose values pin state a."""
     n0 = sys.n0
     if sys.label.startswith("trapezoid"):
         return _trapezoid_init(n0, f)
     if sys.label.startswith("symmetric"):
         lower = [instantiate(Sigma(n0 - j), n0, f) for j in range(1, n0)]
         return tuple(decorated_sums(instantiate(Sigma(n0), n0, f), lower))
-    patterns = _normalize_patterns(_translate_terms(e, f), f)
-    chain = Sum(tuple(ScalarMul(c.index, Trapezoid(MonomialPattern(o))) for c, o in patterns))
-    decorations = [
-        InstantiatedFunction(f, n0, {frozenset(n0 - d for d in shape): f.one()})
-        for shape in _tail_shapes(patterns)
-    ]
-    return tuple(decorated_sums(instantiate(chain, n0, f), decorations))
+    n = 2 * n0 - 1
+    pins = [InstantiatedFunction(f, n, {frozenset({i}): f.one()}) for i in range(1, n0)]
+    h = joint_counts([instantiate(e, n, f)] + pins).reshape(f.q, -1)
+    counts = np.zeros((f.p, h.shape[1]), dtype=np.int64)
+    np.add.at(counts, integer_tables(f)[2], h)  # by the trace of the chain's value
+    return tuple(CycInt.from_root_counts(f.p, c) for c in counts.T.tolist())
 
 
 def test_stepped_initial_states_are_the_enumerated_ones():
@@ -632,7 +658,7 @@ def test_stepped_initial_states_are_the_enumerated_ones():
             continue  # refused; the pinned digests hold the refusal
         assert _states(sys) == _enumerated_init(sys, e, f), (text, q)
         checked += 1
-    assert checked == 62
+    assert checked == 63  # with T(2,4)+e2*T(3) over F_9, 729 states
 
 
 @pytest.mark.parametrize(
@@ -640,13 +666,15 @@ def test_stepped_initial_states_are_the_enumerated_ones():
                ("e3*R(2) + R(3)", 4), ("R(2)", 9)],
 )
 def test_window_initial_states_are_the_per_state_sums(text, q):
-    # chains: the chain sum decorated by each state's tail monomials;
-    # rotations: the de Bruijn walk sums that vec(T^n0) holds
+    # chains: the chain sums with their first w - 1 variables pinned, column
+    # 0 of T^(2w-1); rotations: the de Bruijn walk sums that vec(T^n0) holds
     f = FIELDS[q]
     e = parse(text)
     sys = system_for(e, f)
-    per_state = _walk_init if sys.label.startswith("rotation") else _window_init
-    assert _states(sys) == per_state(_translate_terms(e, f), f)
+    if sys.label.startswith("rotation"):
+        assert _states(sys) == _walk_init(_translate_terms(e, f), f)
+    else:
+        assert _states(sys) == _window_init(e, f)
 
 
 @pytest.mark.parametrize("k,q", [(2, 2), (3, 3), (2, 8), (3, 4), (4, 2)])
@@ -666,11 +694,11 @@ def test_trapezoid_initial_states_are_the_per_state_sums(k, q):
 
 
 def test_initial_states_take_the_point_budget_once():
-    # 2^4 points at n0 = 4 against 2^4 states: only the oracle gate's sum at
+    # 2^4 points at n0 = 4 against 2^3 states: only the oracle gate's sum at
     # n0 counts against the budget, not the states
     e = parse("T(2,4) + T(3)")
     sys = system_for(e, F2, budget=16)
-    assert (sys.dim, sys.n0) == (16, 4)
+    assert (sys.dim, sys.n0) == (8, 4)
     _assert_matches_brute(sys, e, F2, 10)
     with pytest.raises(ResourceLimitExceeded) as info:
         system_for(e, F2, budget=15)

@@ -5,7 +5,7 @@
 
 Builds the system of every digest case of tests/test_transfer.py (the
 DIGEST_EXPRS over the DIGEST_FIELDS of tests/stepped.py, copied below, and
-tests/test_transfer.py checks that the copy is equal) and prints four lines,
+tests/test_transfer.py checks that the copy is equal) and prints five lines,
 each the number of records and the SHA-256 of their JSON, and exits 1 when
 a line differs from the one recorded in RECORDED (see recorded.py):
 - runs: per case the label, dim, n_min and the coordinates of `run` up to
@@ -18,12 +18,16 @@ a line differs from the one recorded in RECORDED (see recorded.py):
   its refusal;
 - outside: the OUTSIDE cases, trapezoid, chain and symmetric systems past
   the digest grid (up to 4096 states, and F_256): per case the label, dim,
-  n_min and `run` up to n_min + 4.
+  n_min and `run` up to n_min + 4;
+- sums: the digest cases and the OUTSIDE cases as runs and outside record
+  them, but with no dim, each built at a state limit of SUMS_STATE_LIMIT.
 
 The runs line pins every sum that a system gives, whatever the matrix and
 states that give it; the annihilators line pins the recurrences.  Two
 checkouts that print the same runs line build systems with the same labels,
-dims and first indices, giving the same sums.
+dims and first indices, giving the same sums.  Two that print the same sums
+line give the same sums from the same first indices, however many states
+their systems take within SUMS_STATE_LIMIT.
 """
 
 from __future__ import annotations
@@ -33,15 +37,16 @@ import json
 
 from gfrec.funcalg import parse
 from gfrec.galois import make_field, prime_power
-from gfrec.limits import ResourceLimitExceeded
+from gfrec.limits import DEFAULT_STATE_LIMIT, ResourceLimitExceeded
 from gfrec.transfer import integer_annihilator, run, system_for
 from recorded import check
 
 RECORDED = (
-    "runs: 105 records sha256 23f37805bdb5cd83803ec944e80f2b3284f56bfc2acaf76722f4a5dc769eb693",
-    "annihilators: 105 records sha256 5bea87524e72575a32c7dab6c31d9af629278de5b71d567be99cf63e51053707",
+    "runs: 105 records sha256 f4cfffc0166a2db9dee008ac484cedfd8f5277df9386c3689ea12789f324d4c6",
+    "annihilators: 105 records sha256 2d0d965026e1d39d66f4e5e8bf5312a9375faf6a5ae0e3f88f0cdebd6eb76c1f",
     "large: 8 records sha256 f8d7fe97e0fda784230311da8d67f40e754dda7f0b588a7479caba09d6ab4c94",
-    "outside: 8 records sha256 a6d72f6b289b777f8de8121bce7d1338786e6244a563f7556373e0cacc0c66e7",
+    "outside: 8 records sha256 caa6a719793f3a2d07b75f954fa835baae97a7988f285056d6e9a91b40b1b3d7",
+    "sums: 113 records sha256 93998d6a67c2026e94086b7ba4a99159c1977a72d89618c0739ec5450831c61b",
 )
 
 DIGEST_EXPRS = (
@@ -59,6 +64,7 @@ OUTSIDE = (
     ("sigma(13)", 2), ("sigma(7)", 4), ("sigma(4)", 5), ("tau(13)", 3), ("tau(10)", 4),
     ("sigma(2)", 256), ("T(2,3,5)+T(3)", 3), ("e2*T(2,4)+T(2)", 8),
 )  # (expression, field), run to n_min + LARGE_STEPS
+SUMS_STATE_LIMIT = 2 * DEFAULT_STATE_LIMIT  # so a case whose states change within it keeps its sums record
 
 
 def _refusal(err):
@@ -68,6 +74,16 @@ def _refusal(err):
 def _run_record(case, sys, steps):
     seq = run(sys, sys.n_min + steps)
     return [case, sys.label, sys.dim, sys.n_min, [list(v.coeffs) for v in seq.values]]
+
+
+def _sums_record(text, q, steps):
+    case = "%s/F_%d" % (text, q)
+    try:
+        sys = system_for(parse(text), make_field(*prime_power(q)), state_limit=SUMS_STATE_LIMIT)
+    except (ValueError, ResourceLimitExceeded) as err:
+        return [case, _refusal(err)]
+    seq = run(sys, sys.n_min + steps)
+    return [case, sys.label, sys.n_min, [list(v.coeffs) for v in seq.values]]
 
 
 def _annihilator_record(case, sys):
@@ -123,6 +139,8 @@ def _lines():
     yield _line("annihilators", annihilators)
     yield _line("large", _large_records())
     yield _line("outside", _outside_records())
+    grid = [(text, q, STEPS) for text in DIGEST_EXPRS for q in DIGEST_FIELDS]
+    yield _line("sums", [_sums_record(*case) for case in grid + [(t, q, LARGE_STEPS) for t, q in OUTSIDE]])
 
 
 if __name__ == "__main__":
