@@ -76,6 +76,15 @@ def _parse_field(args):
     return make_field(p, r, modulus)
 
 
+def _field_echo(f, args):
+    """The echo of a resolved field: its size, and its modulus when
+    --modulus chose it, since values depend on the modulus."""
+    echo = {"field": f.describe()}
+    if args.modulus is not None:
+        echo["modulus"] = list(f.modulus)
+    return echo
+
+
 def _parse_range(text):
     text = text.strip()
     if ".." in text:
@@ -198,7 +207,7 @@ def _cmd_expsum(args):
         raise UsageError("family needs n >= %d" % e.min_n())
     seq = _sums(e, f, lo, hi, args)
     payload = _sequence_payload(seq, f, unparse(e), args.method)
-    echo = {"expr": args.expr, "field": f.describe(), "n": "%d..%d" % (lo, hi), "method": args.method}
+    echo = {"expr": args.expr, **_field_echo(f, args), "n": "%d..%d" % (lo, hi), "method": args.method}
     return _record("expsum", echo, payload), EXIT_OK
 
 
@@ -226,7 +235,7 @@ def _cmd_verify(args):
         "windows": len(seq) - poly.degree,
         "holds": holds,
     }
-    echo = {"expr": args.expr, "field": f.describe(), "poly": args.poly, "n_max": args.n_max}
+    echo = {"expr": args.expr, **_field_echo(f, args), "poly": args.poly, "n_max": args.n_max}
     return _record("verify", echo, payload), EXIT_OK if holds else EXIT_CHECK_FAILED
 
 
@@ -248,7 +257,7 @@ def _cmd_discover(args):
         "degree": poly.degree,
         "pretty": poly.pretty(),
     }
-    echo = {"expr": args.expr, "field": f.describe(), "n_max": args.n_max, "max_order": args.max_order}
+    echo = {"expr": args.expr, **_field_echo(f, args), "n_max": args.n_max, "max_order": args.max_order}
     return _record("discover", echo, payload), EXIT_OK
 
 
@@ -267,7 +276,7 @@ def _cmd_annihilator(args):
         "degree": poly.degree,
         "pretty": poly.pretty(),
     }
-    echo = {"expr": args.expr, "field": f.describe()}
+    echo = {"expr": args.expr, **_field_echo(f, args)}
     return _record("annihilator", echo, payload), EXIT_OK
 
 
@@ -310,7 +319,7 @@ def _cmd_conjecture(args):
         },
         "status": report.status,
     }
-    echo = {"which": args.which, "k": args.k, "field": f.describe(), "n_max": args.n_max}
+    echo = {"which": args.which, "k": args.k, **_field_echo(f, args), "n_max": args.n_max}
     code = EXIT_CHECK_FAILED if report.status == "refuted" else EXIT_OK
     return _record("conjecture", echo, payload), code
 
@@ -393,7 +402,7 @@ def _cmd_bench(args):
         "terms": len(brute),
         "agree": agree,
     }
-    record = _record("bench", {"expr": args.expr, "field": f.describe(), "n": args.n}, payload)
+    record = _record("bench", {"expr": args.expr, **_field_echo(f, args), "n": args.n}, payload)
     record["timings"] = {
         "brute_millis": int((t1 - t0) * 1000),
         "transfer_millis": int((t2 - t1) * 1000),

@@ -336,20 +336,9 @@ def integer_annihilator(
     on the dim * (p-1) power-basis coordinates of a vector.  A rotation's
     M is T, and its states, the columns of T^n, satisfy every polynomial
     that T does.  Inflation is a ring homomorphism, so mu annihilates the
-    transfer matrix and every projected sequence.
-
-    linalg.minimal_polynomial works on M and never forms M'.  Its
-    candidate P comes from Berlekamp-Massey on projected Krylov sequences
-    mod primes ell = 1 (mod p) below 2^25, one per embedding zeta -> w^j,
-    lifted by CRT.  Let N be the largest absolute row sum of M'.  The roots
-    of mu are eigenvalues of M', at most N in absolute value, so a
-    coefficient c_k of mu, of degree d, is at most C(d, k) N^(d-k); the lift
-    stops once the product of the primes exceeds twice that, which one
-    prime does for most systems, or else once another prime leaves it
-    unchanged.  The certificate checks P(sigma_j(M)) = 0 mod ell for every
-    embedding, for primes whose product exceeds 2 sum_k |c_k| N^k; every
-    entry of P(M') is smaller than half that product, so P(M') = 0 exactly.  Then mu divides P, and deg P
-    is a linear complexity mod ell, at most deg mu, so P = mu.
+    transfer matrix and every projected sequence.  mu is
+    linalg.minimal_polynomial of M, which never forms M'; its docstring
+    gives the candidate, the coefficient bound and the certificate.
 
     Raises ValueError for degree_cap < 1, and ResourceLimitExceeded when
     M's dim * (p-1) exceeds blowup_limit or deg mu exceeds

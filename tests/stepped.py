@@ -1,6 +1,6 @@
 """The matrix on a transfer system's states, shared by the tests that pin or
 check it entry by entry, and the grid of systems whose digests they pin
-(tools/transfer_hash.py holds a copy, which tests/test_transfer.py checks)."""
+(tools/transfer_hash.py imports the grid and hashes it)."""
 
 import numpy as np
 

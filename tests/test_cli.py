@@ -203,6 +203,27 @@ def test_expsum_explicit_modulus(capsys):
     assert code == 2
 
 
+def test_a_record_names_the_modulus_it_was_computed_over(capsys):
+    # over F_9, e3*sigma(2)+sigma(3) takes other values with the modulus
+    # X^2 + 2X + 2 than with the default X^2 + 1, so every subcommand that
+    # takes --field echoes a modulus that --modulus chose, and only then
+    argv = ("expsum", "--expr", "e3*sigma(2)+sigma(3)", "--field", "9", "--n", "3..4")
+    _code, plain = run_json(capsys, *argv)
+    _code, chosen = run_json(capsys, *argv, "--modulus", "2,2,1")
+    assert plain["payload"]["values"] != chosen["payload"]["values"]
+    assert "modulus" not in plain["command"]["args"]
+    assert chosen["command"]["args"] == dict(plain["command"]["args"], modulus=[2, 2, 1])
+    for argv in (
+        ("verify", "--expr", "tau(2)", "--poly=-9,0,1", "--n-max", "4"),
+        ("discover", "--expr", "tau(2)", "--max-order", "2", "--n-max", "12", "--method", "transfer"),
+        ("annihilator", "--expr", "tau(2)"),
+        ("conjecture", "--which", "trapezoid", "--k", "2", "--n-max", "4"),
+        ("bench", "--expr", "tau(2)", "--n", "2..3"),
+    ):
+        _code, rec = run_json(capsys, *argv, "--field", "9", "--modulus", "2,2,1")
+        assert rec["command"]["args"]["modulus"] == [2, 2, 1], argv
+
+
 def test_fields_past_the_budget_are_refused_before_they_are_built(capsys, monkeypatch):
     # every field request enumerates at some n >= 1, so a field with more
     # elements than the budget is refused before q is factored or the field

@@ -1,6 +1,5 @@
 """Tests for transfer state systems and their integer annihilators."""
 
-import ast
 import hashlib
 import json
 import time
@@ -13,6 +12,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import reference
 from gfrec import transfer
 from gfrec.cyclotomic import CycInt, combination, root_power
 from gfrec.funcalg import (
@@ -20,7 +20,6 @@ from gfrec.funcalg import (
     ScalarMul,
     Sigma,
     Sum,
-    evaluate,
     instantiate,
     parse,
     tau,
@@ -383,18 +382,6 @@ def test_systems_match_their_pinned_digests():
     assert got == pinned
 
 
-def test_the_transfer_hash_tool_hashes_the_digest_grid():
-    # read, not imported: the tool imports its sibling recorded.py
-    tree = ast.parse((Path(__file__).parents[1] / "tools" / "transfer_hash.py").read_text())
-    grid = {
-        node.targets[0].id: ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
-        and node.targets[0].id in ("DIGEST_EXPRS", "DIGEST_FIELDS")
-    }
-    assert grid == {"DIGEST_EXPRS": DIGEST_EXPRS, "DIGEST_FIELDS": DIGEST_FIELDS}
-
-
 @pytest.mark.parametrize(
     "text, q", [("tau(3)", 2), ("sigma(3)", 3), ("R(2,3)", 3), ("T(2,4)", 3), ("tau(4)", 3)]
 )
@@ -562,19 +549,20 @@ def _decorated(g, decorations):
     return InstantiatedFunction(g.field, g.n, terms)
 
 
+def _pins(f, n, w):
+    """x_1 .. x_(w-1) on F_q^n, whose joint values, x_1 the most significant,
+    pin a chain's state."""
+    return [InstantiatedFunction(f, n, {frozenset({i}): f.one()}) for i in range(1, w)]
+
+
 def _window_init(e, f):
-    """A chain system's states at n0 = w, from the definition, one evaluated
-    point at a time: state a is the chain sum at n0 + w - 1 with x_1 .. x_(w-1)
+    """A chain system's states at n0 = w, from the definition, by the test
+    reference: state a is the chain sum at n0 + w - 1 with x_1 .. x_(w-1)
     the digits of a, a_1 the most significant."""
     w = max(o[-1] for _c, o in _translate_terms(e, f))
-    g, elems, p = instantiate(e, 2 * w - 1, f), f.elements(), f.p
-    out = []
-    for a in product(elems, repeat=w - 1):
-        counts = [0] * p
-        for x in product(elems, repeat=w):
-            counts[evaluate(g, a + x).trace()] += 1
-        out.append(CycInt.from_root_counts(p, counts))
-    return tuple(out)
+    n = 2 * w - 1
+    counts = reference.histogram([instantiate(e, n, f)] + _pins(f, n, w), traced=True).reshape(f.p, -1)
+    return tuple(CycInt.from_root_counts(f.p, c) for c in counts.T.tolist())
 
 
 def _walk_init(e_terms, f):
@@ -638,8 +626,7 @@ def _enumerated_init(sys, e, f):
         lower = [instantiate(Sigma(n0 - j), n0, f) for j in range(1, n0)]
         return tuple(decorated_sums(instantiate(Sigma(n0), n0, f), lower))
     n = 2 * n0 - 1
-    pins = [InstantiatedFunction(f, n, {frozenset({i}): f.one()}) for i in range(1, n0)]
-    h = joint_counts([instantiate(e, n, f)] + pins).reshape(f.q, -1)
+    h = joint_counts([instantiate(e, n, f)] + _pins(f, n, n0)).reshape(f.q, -1)
     counts = np.zeros((f.p, h.shape[1]), dtype=np.int64)
     np.add.at(counts, integer_tables(f)[2], h)  # by the trace of the chain's value
     return tuple(CycInt.from_root_counts(f.p, c) for c in counts.T.tolist())

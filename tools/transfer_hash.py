@@ -4,10 +4,10 @@
     PYTHONPATH=<checkout>/src python3 tools/transfer_hash.py
 
 Builds the system of every digest case of tests/test_transfer.py (the
-DIGEST_EXPRS over the DIGEST_FIELDS of tests/stepped.py, copied below, and
-tests/test_transfer.py checks that the copy is equal) and prints five lines,
-each the number of records and the SHA-256 of their JSON, and exits 1 when
-a line differs from the one recorded in RECORDED (see recorded.py):
+DIGEST_EXPRS over the DIGEST_FIELDS, imported from tests/stepped.py) and
+prints five lines, each the number of records and the SHA-256 of their
+JSON, and exits 1 when a line differs from the one recorded in RECORDED
+(see recorded.py):
 - runs: per case the label, dim, n_min and the coordinates of `run` up to
   n_min + 12, or the type and text of the exception that refused the system;
 - annihilators: per case the coefficients of `integer_annihilator` at its
@@ -34,12 +34,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
+from pathlib import Path
 
 from gfrec.funcalg import parse
 from gfrec.galois import make_field, prime_power
 from gfrec.limits import DEFAULT_STATE_LIMIT, ResourceLimitExceeded
 from gfrec.transfer import integer_annihilator, run, system_for
 from recorded import check
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # the digest grid is defined there
+from stepped import DIGEST_EXPRS, DIGEST_FIELDS  # noqa: E402
 
 RECORDED = (
     "runs: 105 records sha256 f4cfffc0166a2db9dee008ac484cedfd8f5277df9386c3689ea12789f324d4c6",
@@ -49,11 +54,6 @@ RECORDED = (
     "sums: 113 records sha256 93998d6a67c2026e94086b7ba4a99159c1977a72d89618c0739ec5450831c61b",
 )
 
-DIGEST_EXPRS = (
-    "tau(2)", "tau(3)", "tau(4)", "tau(5)", "sigma(2)", "sigma(3)", "R(2)", "R(2,3)", "R(2,4)",
-    "T(2,4)", "R(2,3)+R(2)", "T(2,4)+e2*T(3)", "e2*T(2,3)", "R(2,3,4)", "e3*R(2)+R(3)",
-)
-DIGEST_FIELDS = (2, 3, 4, 5, 7, 8, 9)
 STEPS = 12  # run each system from n_min to n_min + STEPS
 LARGE = (
     ("sigma(2)", 11, True), ("sigma(2)", 13, True), ("sigma(2)", 31, False), ("sigma(2)", 61, False),
