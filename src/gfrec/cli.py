@@ -85,6 +85,12 @@ def _field_echo(f, args):
     return echo
 
 
+def _start_echo(args):
+    """The echo of what chooses the first n: --method, and --n-min when given."""
+    n_min = getattr(args, "n_min", None)  # conjecture has no --n-min
+    return {"method": args.method} if n_min is None else {"method": args.method, "n_min": n_min}
+
+
 def _parse_range(text):
     text = text.strip()
     if ".." in text:
@@ -235,7 +241,7 @@ def _cmd_verify(args):
         "windows": len(seq) - poly.degree,
         "holds": holds,
     }
-    echo = {"expr": args.expr, **_field_echo(f, args), "poly": args.poly, "n_max": args.n_max}
+    echo = {"expr": args.expr, **_field_echo(f, args), "poly": args.poly, "n_max": args.n_max, **_start_echo(args)}
     return _record("verify", echo, payload), EXIT_OK if holds else EXIT_CHECK_FAILED
 
 
@@ -257,7 +263,7 @@ def _cmd_discover(args):
         "degree": poly.degree,
         "pretty": poly.pretty(),
     }
-    echo = {"expr": args.expr, **_field_echo(f, args), "n_max": args.n_max, "max_order": args.max_order}
+    echo = {"expr": args.expr, **_field_echo(f, args), "n_max": args.n_max, "max_order": args.max_order, **_start_echo(args)}
     return _record("discover", echo, payload), EXIT_OK
 
 
@@ -319,7 +325,7 @@ def _cmd_conjecture(args):
         },
         "status": report.status,
     }
-    echo = {"which": args.which, "k": args.k, **_field_echo(f, args), "n_max": args.n_max}
+    echo = {"which": args.which, "k": args.k, **_field_echo(f, args), "n_max": args.n_max, **_start_echo(args)}
     code = EXIT_CHECK_FAILED if report.status == "refuted" else EXIT_OK
     return _record("conjecture", echo, payload), code
 

@@ -40,7 +40,10 @@ def to_decimal(n):
 
 
 class CycInt:
-    """An element of Z[zeta_p] with exact integer coordinates."""
+    """An element of Z[zeta_p] with exact integer coordinates.  Not a
+    `funcalg.Frozen`: `transfer.run` and `recurrence.extend` build a value a
+    term with `_of`, which `_set` makes about four times as slow (208 -> 819 ns
+    on a 2-core x86 host), and equality three times (108 -> 330 ns)."""
 
     __slots__ = ("p", "coeffs")
 

@@ -15,21 +15,27 @@ at n are those at any larger n with the variables past n set to 0.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import attrgetter
 
 
 class Frozen:
     """Base of the value classes: a subclass's `__init__` checks its fields and
     stores them, in `__slots__` order, with `_set`.  A value is immutable, equal
-    to a value of its class with equal fields, and printed as a keyword call."""
+    to a value of its class with equal fields, and printed as a keyword call
+    unless its class keeps its own `__repr__`.  On it: the expressions and
+    `InstantiatedFunction`, `galois.FieldSpec` and `FieldElement`, `recurrence.IntPolynomial`
+    and `Sequence`, `harness.ConjectureReport`, `numtheory.EigenReport`.  Off it: `CycInt`
+    (see its docstring) and `transfer.TransferSystem`, whose arrays leave it identity equality."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):  # one getter a class: FieldElement ops compare their fields
+        get = attrgetter(*cls.__slots__)
+        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda value: (get(value),))
 
     def _set(self, *values):
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
-
-    def _fields(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % name)
@@ -38,13 +44,15 @@ class Frozen:
         raise AttributeError("cannot delete field %r" % name)
 
     def __eq__(self, other):
-        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+        if self is other:
+            return True
+        return self._fields(self) == self._fields(other) if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._fields(self))
 
     def __reduce__(self):
-        return type(self), self._fields()
+        return type(self), self._fields(self)
 
     def __repr__(self):
         fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
@@ -294,7 +302,7 @@ def shift(monomial, k, n):
     return frozenset(out)
 
 
-class InstantiatedFunction:
+class InstantiatedFunction(Frozen):
     """A concrete polynomial function on F_q^n, stored as monomial terms.
 
     Terms map index sets to nonzero field coefficients.  Coefficients of
@@ -305,24 +313,14 @@ class InstantiatedFunction:
     __slots__ = ("field", "n", "terms")
 
     def __init__(self, field, n, terms):
-        self.field = field
-        self.n = int(n)
         cleaned = {}
         for mono, coeff in terms.items():
             if not coeff.is_zero():
                 cleaned[frozenset(mono)] = coeff
-        self.terms = cleaned
+        self._set(field, int(n), cleaned)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: tuple(sorted(kv[0])))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, InstantiatedFunction)
-            and self.field == other.field
-            and self.n == other.n
-            and self.terms == other.terms
-        )
 
     def __repr__(self):
         body = " + ".join(

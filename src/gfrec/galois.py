@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from math import isqrt
 
+from .funcalg import Frozen
+
 
 def is_prime(n):
     if n < 2:
@@ -81,7 +83,7 @@ def _digits(v, p, r):
     return out
 
 
-class FieldSpec:
+class FieldSpec(Frozen):
     """A concrete finite field: characteristic p, degree r, fixed modulus.
 
     Two specs compare equal only when the modulus matches as well, since the
@@ -100,22 +102,11 @@ class FieldSpec:
             raise ValueError("modulus must be monic of degree r")
         if not _is_irreducible(list(modulus), p):
             raise ValueError("modulus is reducible over Z_%d" % p)
-        self.p = p
-        self.r = r
-        self.modulus = modulus
+        self._set(p, r, modulus)
 
     @property
     def q(self):
         return self.p**self.r
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldSpec)
-            and (self.p, self.r, self.modulus) == (other.p, other.r, other.modulus)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.r, self.modulus))
 
     def __repr__(self):
         return "FieldSpec(p=%d, r=%d, modulus=%s)" % (self.p, self.r, list(self.modulus))
@@ -150,12 +141,11 @@ class FieldSpec:
         return [self.from_index(i) for i in range(self.q)]
 
 
-class FieldElement:
+class FieldElement(Frozen):
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = coeffs
+        self._set(field, coeffs)
 
     @property
     def index(self):
@@ -230,16 +220,6 @@ class FieldElement:
         if any(c != 0 for c in acc.coeffs[1:]):
             raise ArithmeticError("trace left the prime subfield")
         return acc.coeffs[0]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
 
     def __repr__(self):
         return "FieldElement(%s, %s)" % (self.field.describe(), list(self.coeffs))

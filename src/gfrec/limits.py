@@ -70,9 +70,9 @@ def check_root_counts(dim, field):
         )
 
 
-def check_inflated(dim, blowup_limit):
-    if dim > blowup_limit:
-        raise ResourceLimitExceeded("inflated dimension %d exceeds the limit of %d" % (dim, blowup_limit))
+def check_inflated(dim):
+    if dim > DEFAULT_BLOWUP_LIMIT:
+        raise ResourceLimitExceeded("inflated dimension %d exceeds the limit of %d" % (dim, DEFAULT_BLOWUP_LIMIT))
 
 
 def check_eigen_prime(p):

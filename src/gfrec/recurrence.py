@@ -36,7 +36,7 @@ class NoRecurrenceError(ValueError):
     """No recurrence up to the requested order validated on held-out terms."""
 
 
-class IntPolynomial:
+class IntPolynomial(Frozen):
     """Integer polynomial, ascending coefficients, nonzero leading term."""
 
     __slots__ = ("coeffs",)
@@ -47,7 +47,7 @@ class IntPolynomial:
             cs.pop()
         if not cs:
             raise ValueError("the zero polynomial has no degree")
-        self.coeffs = tuple(cs)
+        self._set(tuple(cs))
 
     @property
     def degree(self):
@@ -56,12 +56,6 @@ class IntPolynomial:
     @property
     def monic(self):
         return self.coeffs[-1] == 1
-
-    def __eq__(self, other):
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __mul__(self, other):
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)

@@ -24,7 +24,7 @@ w - 1 zeros on both sides.  Both systems' one matrix is T, and their states
 are columns of its powers: a rotation's the columns of T^n side by side,
 those of I at n = 0, the empty word, and a chain's column 0 of T^(n+w-1),
 that of I at n = 1 - w.  Every other system's states are all 1 at n = 0.
-The matrix steps them to the first index n0 (_scatter_system says why that
+The matrix steps them to the first index n_min (_scatter_system says why that
 is exact), so a build enumerates only in its oracle gate.
 
 The matrix is a linalg.SparseMatrix, whose entries a zeta^t are triples
@@ -55,7 +55,6 @@ from .funcalg import (
 )
 from .galois import is_prime, make_field
 from .limits import (
-    DEFAULT_BLOWUP_LIMIT,
     DEFAULT_DEGREE_CAP,
     DEFAULT_POINT_BUDGET,
     DEFAULT_STATE_LIMIT,
@@ -71,22 +70,18 @@ from .recurrence import IntPolynomial, Sequence
 
 class TransferSystem:
     """sparse holds the matrix's nonzero entries, and init the read-only dim x (p-1) coordinates of
-    the states at n0 (a rotation's state a Q + i is entry (a, i) of T^n, Q = sparse.dim), int64 or
+    the states at n_min (a rotation's state a Q + i is entry (a, i) of T^n, Q = sparse.dim), int64 or
     object past it; target(n) sums the states v(n)[j] for j in projection.  Read-only fields in a
     `__dict__` that also caches `matrix`, compared by identity as its arrays are."""
 
     __setattr__, __delattr__ = Frozen.__setattr__, Frozen.__delattr__
 
-    def __init__(self, label, field, sparse, init, projection, n0):
-        self.__dict__.update(label=label, field=field, sparse=sparse, init=init, projection=projection, n0=n0)
+    def __init__(self, label, field, sparse, init, projection, n_min):
+        self.__dict__.update(label=label, field=field, sparse=sparse, init=init, projection=projection, n_min=n_min)
 
     @property
     def dim(self):
         return len(self.init)
-
-    @property
-    def n_min(self):
-        return self.n0
 
     @cached_property
     def matrix(self):
@@ -152,17 +147,17 @@ def _scatter(f, image, const):
     return SparseMatrix.from_root_counts(f.p, dim, rows, image.ravel(), trace[const].ravel())
 
 
-def _scatter_system(label, f, e, recipe, n0, budget, projection=(0,), start=None):
+def _scatter_system(label, f, e, recipe, n_min, budget, projection=(0,), start=None):
     """The system of the matrix `_scatter` builds from recipe, an (image,
-    const) pair, from index n0, whose target is the sum of the states in
+    const) pair, from index n_min, whose target is the sum of the states in
     projection, checked against the enumeration oracle on e one index past
     the smallest that both cover (or at that index when the next has over
     min(budget, 2^20) points).  After the builder's checks of states and
     root counts, the oracle's sum comes first, so a system over the point
     budget is refused before any matrix is built.
 
-    The states at n0 are M^n0 applied to those at n = 0, all 1; or with
-    start = (n, columns), M^(n0 - n) applied to those columns of I at index
+    The states at n_min are M^n_min applied to those at n = 0, all 1; or with
+    start = (n, columns), M^(n_min - n) applied to those columns of I at index
     n, stepped side by side.  Read every X_i with i <= 0 as 0.  Each scatter
     recipe substitutes the newest variable, so v(n) = M v(n-1) for every
     n >= 1, and at n = 0 a state sums the zero function over the one point
@@ -176,7 +171,7 @@ def _scatter_system(label, f, e, recipe, n0, budget, projection=(0,), start=None
     chain's column 0 of T^(n+w-1), that of I at n = 1 - w.
     """
     p = f.p
-    n = max(n0, e.min_n())
+    n = max(n_min, e.min_n())
     if f.q ** (n + 1) <= min(budget, 1 << 20):  # take a step, so M is checked too
         n += 1
     want = exp_sum(instantiate(e, n, f), budget=budget)
@@ -184,11 +179,11 @@ def _scatter_system(label, f, e, recipe, n0, budget, projection=(0,), start=None
     n_start, columns = start or (0, None)
     v = np.zeros((sparse.dim, p - 1) + (() if columns is None else (len(columns),)), dtype=np.int64)
     v[:, 0] = 1 if columns is None else np.identity(sparse.dim, dtype=np.int64)[:, columns]
-    for _ in range(n0 - n_start):
+    for _ in range(n_min - n_start):
         v = sparse.times(v)
     v = np.moveaxis(v, 1, -1).reshape(-1, p - 1)  # state a dim + i: entry a of column i
     v.flags.writeable = False
-    sys = TransferSystem(label, f, sparse, v, tuple(map(int, projection)), n0)
+    sys = TransferSystem(label, f, sparse, v, tuple(map(int, projection)), n_min)
     got = run(sys, n).values[-1]
     if got != want:
         raise AssertionError(
@@ -252,11 +247,11 @@ def _window_system(e, terms, f, label, state_limit, budget, rotation):
     The window a_1..a_w has index a q + x for the index a of (a_1..a_(w-1))
     and x = a_w, so g is read at every window by `oracle.values` with a_o
     at digit w - o, and T steps a to (a_2..a_w), index (a q + x) mod Q for
-    Q = q^(w-1).  A rotation's Q columns of I stepped n0 = 3(w-1) times are
-    those of T^n0, the Q^2 states a Q + i, which the state and root-count
+    Q = q^(w-1).  A rotation's Q columns of I stepped n_min = 3(w-1) times are
+    those of T^n_min, the Q^2 states a Q + i, which the state and root-count
     limits count, and the target Tr(T^n) sums the diagonal states a Q + a.
     A chain's word has w - 1 zeros on each side, so its walk starts and ends
-    at state 0: column 0 of I at n = 1 - w, stepped to n0 = w, is Q states,
+    at state 0: column 0 of I at n = 1 - w, stepped to n_min = w, is Q states,
     and the target is state 0.  Every monomial of g holds a_1, so a window
     that starts in the padding adds 0, and one that reaches into it adds
     the translates that end within x_1..x_n, as the chain sum does.
@@ -328,9 +323,7 @@ def build_quadratic_matrix(p, budget=DEFAULT_POINT_BUDGET):
 # ---------------------------------------------------------------------------
 # integer annihilators
 
-def integer_annihilator(
-    sys, degree_cap=DEFAULT_DEGREE_CAP, blowup_limit=DEFAULT_BLOWUP_LIMIT
-):
+def integer_annihilator(sys, degree_cap=DEFAULT_DEGREE_CAP):
     """Monic integer polynomial annihilating the transfer matrix: the
     minimal polynomial mu of M = sys.sparse inflated to an integer matrix M'
     on the dim * (p-1) power-basis coordinates of a vector.  A rotation's
@@ -341,12 +334,12 @@ def integer_annihilator(
     gives the candidate, the coefficient bound and the certificate.
 
     Raises ValueError for degree_cap < 1, and ResourceLimitExceeded when
-    M's dim * (p-1) exceeds blowup_limit or deg mu exceeds
+    M's dim * (p-1) exceeds limits.DEFAULT_BLOWUP_LIMIT or deg mu exceeds
     degree_cap.  The work is at most about (2 degree_cap + 17) nnz (p-1) per
     candidate prime plus deg nnz dim (p-1) per certificate prime.
     """
     check_degree_cap(degree_cap)
-    check_inflated(sys.sparse.dim * (sys.field.p - 1), blowup_limit)
+    check_inflated(sys.sparse.dim * (sys.field.p - 1))
     return IntPolynomial(minimal_polynomial(sys.sparse, degree_cap))
 
 

@@ -224,6 +224,26 @@ def test_a_record_names_the_modulus_it_was_computed_over(capsys):
         assert rec["command"]["args"]["modulus"] == [2, 2, 1], argv
 
 
+def test_a_record_names_the_flags_that_chose_its_first_n(capsys):
+    # R(2,3) over F_2 starts at its family minimum 3 by brute and at its
+    # transfer system's first index 6 by transfer, so verify, discover and
+    # conjecture echo --method, and --n-min when it is given
+    argv = ("discover", "--expr", "R(2,3)", "--field", "2", "--n-max", "23")
+    _code, brute = run_json(capsys, *argv, "--method", "brute")
+    _code, fast = run_json(capsys, *argv, "--method", "transfer")
+    assert (brute["payload"]["n_range"], fast["payload"]["n_range"]) == ([3, 23], [6, 23])
+    assert brute["command"]["args"] == dict(fast["command"]["args"], method="brute")
+    argv = ("verify", "--expr", "tau(3)", "--field", "2", "--poly=-2,-2,0,1", "--n-max", "12")
+    _code, plain = run_json(capsys, *argv)
+    _code, later = run_json(capsys, *argv, "--n-min", "4")
+    assert (plain["payload"]["n_range"], later["payload"]["n_range"]) == ([3, 12], [4, 12])
+    assert plain["command"]["args"]["method"] == "brute" and "n_min" not in plain["command"]["args"]
+    assert later["command"]["args"] == dict(plain["command"]["args"], n_min=4)
+    argv = ("conjecture", "--which", "rotation", "--k", "3", "--field", "2", "--n-max", "9", "--method", "transfer")
+    _code, rec = run_json(capsys, *argv)
+    assert rec["command"]["args"]["method"] == "transfer" and "n_min" not in rec["command"]["args"]
+
+
 def test_fields_past_the_budget_are_refused_before_they_are_built(capsys, monkeypatch):
     # every field request enumerates at some n >= 1, so a field with more
     # elements than the budget is refused before q is factored or the field

@@ -211,7 +211,7 @@ def test_symmetric_matches_quadratic_matrix():
         assert _dense(sym) == _dense(quad)
         assert np.array_equal(sym.init, quad.init)
         assert sym.projection == quad.projection
-        assert sym.n0 == quad.n0
+        assert sym.n_min == quad.n_min
 
 
 def test_symmetric_cubic():
@@ -256,9 +256,10 @@ def test_quadratic_annihilator_divides_even_power_polynomial():
 
 
 def test_annihilator_blowup_limit():
-    sys = build_symmetric_system(3, F3)
-    with pytest.raises(ResourceLimitExceeded):
-        integer_annihilator(sys, blowup_limit=4)
+    # sigma(2) over F_61: 61 states of 60 power-basis coordinates each
+    sys = build_symmetric_system(2, make_field(61))
+    with pytest.raises(ResourceLimitExceeded, match="^inflated dimension 3660 exceeds the limit of 2500$"):
+        integer_annihilator(sys)
 
 
 RECORDED = json.loads((Path(__file__).parent / "annihilators.json").read_text())["annihilators"]
@@ -360,7 +361,7 @@ def _system_digest(sys):
     # and 0 where the retired shift was, so the digests keep their bytes
     one, zero = CycInt.one(sys.field.p).coeffs, CycInt.zero(sys.field.p).coeffs
     parts = (
-        sys.label, sys.dim, sys.n0, 0,
+        sys.label, sys.dim, sys.n_min, 0,
         [tuple(row) for row in sys.init.tolist()],
         [one if j in sys.projection else zero for j in range(sys.dim)],
         *_entries(state_matrix(sys)),
@@ -462,7 +463,7 @@ def test_run_equals_dense_product(make):
         want.append(v)
     # each state projected on its own, so every one is compared
     for j in range(sys.dim):
-        projected = TransferSystem(sys.label, sys.field, sys.sparse, sys.init, (j,), sys.n0)
+        projected = TransferSystem(sys.label, sys.field, sys.sparse, sys.init, (j,), sys.n_min)
         got = run(projected, sys.n_min + 2).values
         assert got == tuple(states[j] for states in want), j
 
@@ -619,7 +620,7 @@ def _enumerated_init(sys, e, f):
     sum per state, a symmetric system's one decorated_sums call on sigma_k
     and the lower sigma_j, and a chain's one joint_counts call on its sum at
     n0 + w - 1 (w = n0) and x_1 .. x_(w-1), whose values pin state a."""
-    n0 = sys.n0
+    n0 = sys.n_min
     if sys.label.startswith("trapezoid"):
         return _trapezoid_init(n0, f)
     if sys.label.startswith("symmetric"):
@@ -685,7 +686,7 @@ def test_initial_states_take_the_point_budget_once():
     # n0 counts against the budget, not the states
     e = parse("T(2,4) + T(3)")
     sys = system_for(e, F2, budget=16)
-    assert (sys.dim, sys.n0) == (8, 4)
+    assert (sys.dim, sys.n_min) == (8, 4)
     _assert_matches_brute(sys, e, F2, 10)
     with pytest.raises(ResourceLimitExceeded) as info:
         system_for(e, F2, budget=15)

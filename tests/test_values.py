@@ -12,11 +12,21 @@ import pytest
 
 import gfrec
 from gfrec.cyclotomic import CycInt
-from gfrec.funcalg import MonomialPattern, Rotation, ScalarMul, Sigma, Sum, Trapezoid, parse
-from gfrec.galois import make_field
+from gfrec.funcalg import (
+    InstantiatedFunction,
+    MonomialPattern,
+    Rotation,
+    ScalarMul,
+    Sigma,
+    Sum,
+    Trapezoid,
+    instantiate,
+    parse,
+)
+from gfrec.galois import FieldElement, FieldSpec, make_field
 from gfrec.harness import ConjectureReport
 from gfrec.numtheory import EigenReport, eigen_check
-from gfrec.recurrence import Sequence
+from gfrec.recurrence import IntPolynomial, Sequence
 from gfrec.transfer import TransferSystem, system_for
 
 F3 = make_field(3)
@@ -43,6 +53,10 @@ VALUES = [
     (ConjectureReport("trapezoid", 2, "3", (2, 5), 4, None, "proved-case"), "status"),
     (eigen_check(5), "ok"),
     (system_for(parse("tau(3)"), F3), "projection"),
+    (make_field(3, 2), "modulus"),
+    (F3.from_index(2), "coeffs"),
+    (IntPolynomial([-2, -2, 0, 1]), "coeffs"),
+    (instantiate(parse("tau(2)"), 3, F3), "terms"),
 ]
 IDS = [type(value).__name__ for value, _field in VALUES]
 
@@ -58,6 +72,16 @@ def test_values_are_equal_by_class_and_fields():
     assert _seq() == _seq() and hash(_seq()) == hash(_seq())
     assert _seq() != Sequence(4, _seq().values, "oracle")
     assert eigen_check(5) == eigen_check(5)
+    assert make_field(3) == F3 and hash(make_field(3)) == hash(F3)
+    assert make_field(3, 2) != make_field(3, 2, (2, 2, 1))  # the same size, another modulus
+    assert F3.from_index(2) == -F3.one() and hash(F3.from_index(2)) == hash(-F3.one())
+    assert F3.from_index(2) != make_field(5).from_index(2)
+    assert len({F3.zero(), F3.one(), F3.from_index(1)}) == 2
+    assert IntPolynomial([1, 2, 0]) == IntPolynomial((1, 2)) and hash(IntPolynomial([1, 2, 0])) == hash(IntPolynomial((1, 2)))
+    assert IntPolynomial([1, 2]) != IntPolynomial([2, 1])
+    assert instantiate(parse("tau(2)"), 3, F3) == instantiate(parse("T(2)"), 3, F3)
+    assert instantiate(parse("tau(2)"), 3, F3) != instantiate(parse("tau(2)"), 3, make_field(5))
+    assert instantiate(parse("e2*tau(2)+tau(2)"), 3, F3) == InstantiatedFunction(F3, 3, {})  # 2 + 1 = 0 in F_3
 
 
 def test_a_transfer_system_is_compared_by_identity():
@@ -98,8 +122,12 @@ def test_values_take_keyword_arguments():
     )
     assert report.status == "refuted" and report.checked_range == (2, 5)
     assert EigenReport(p=5, predicted=eigen_check(5).predicted, ok=True) == eigen_check(5)
+    assert FieldSpec(p=3, r=1, modulus=(0, 1)) == F3
+    assert FieldElement(field=F3, coeffs=(2,)) == F3.from_index(2)
+    assert IntPolynomial(coeffs=[-2, 0, 1]) == IntPolynomial([-2, 0, 1])
+    assert InstantiatedFunction(field=F3, n=2, terms={(1, 2): F3.one()}) == instantiate(parse("tau(2)"), 2, F3)
     sys_ = system_for(parse("tau(3)"), F3)
-    fields = ("label", "field", "sparse", "init", "projection", "n0")
+    fields = ("label", "field", "sparse", "init", "projection", "n_min")
     twin = TransferSystem(**{name: getattr(sys_, name) for name in fields})
     assert all(getattr(twin, name) is getattr(sys_, name) for name in fields)
 
@@ -129,6 +157,12 @@ def test_reprs_are_the_keyword_calls():
         "first_disagreement=None, status='verified-on-range')"
     )
     assert repr(EigenReport(3, (), False)) == "EigenReport(p=3, predicted=(), ok=False)"
+    assert repr(F3) == "FieldSpec(p=3, r=1, modulus=[0, 1])"
+    assert repr(make_field(3, 2)) == "FieldSpec(p=3, r=2, modulus=[1, 0, 1])"
+    assert repr(make_field(3, 2).from_index(5)) == "FieldElement(3^2, [2, 1])"
+    assert repr(IntPolynomial([-2, -2, 0, 1])) == "IntPolynomial([-2, -2, 0, 1])"
+    assert repr(instantiate(parse("e2*tau(2)"), 3, F3)) == "InstantiatedFunction(n=3, [2]*X[1, 2] + [2]*X[2, 3])"
+    assert repr(InstantiatedFunction(F3, 2, {})) == "InstantiatedFunction(n=2, 0)"
     assert repr(system_for(parse("tau(3)"), F3)) == "TransferSystem(trapezoid(2..3)/F_3, dim=3, n_min=3)"
 
 
