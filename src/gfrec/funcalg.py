@@ -32,10 +32,11 @@ class Frozen:
     def __init_subclass__(cls):  # one getter a class: FieldElement ops compare their fields
         get = attrgetter(*cls.__slots__)
         cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda value: (get(value),))
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)  # each slot's own store
 
     def _set(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for put, value in zip(self._setters, values):
+            put(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % name)

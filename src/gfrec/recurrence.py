@@ -8,20 +8,22 @@ An integer recurrence acts on each coordinate column separately, so zero
 and repeated columns are checked and fitted once, and extension computes
 each distinct column once and shares it among its copies.
 
-`discover` fits orders upwards from an exact lower bound: the linear
-complexity L over Q of one integer combination of the columns on the fit
-prefix, by fraction-free Berlekamp-Massey (Massey, IEEE Trans. IT 1969).
-A rational recurrence of order d that fits every column on the prefix
-fits every rational combination of them there too, so L <= d, and every
-order below L would have failed its solve.
+`discover` takes its fit from fraction-free Berlekamp-Massey over Q
+(Massey, IEEE Trans. IT 1969) on one integer combination of the columns
+on the fit prefix: the register it builds, whose length L is the linear
+complexity, is the least-order fit whenever it holds on every column.  A
+rational recurrence of order d that fits every column on the prefix fits
+every rational combination of them there too, so L <= d, and when the
+combination cancels, the integer systems of the orders above L are
+solved one by one.
 """
 
 from __future__ import annotations
 
 from functools import partial, reduce
-from itertools import repeat
+from itertools import islice, repeat
 from math import gcd
-from operator import add, itemgetter, mul, ne
+from operator import add, mul, ne
 
 from . import linalg
 from .cyclotomic import CycInt
@@ -245,27 +247,32 @@ def _distinct(cols):
     return kept, where
 
 
-# discover bounds its order by the linear complexity of sum_k _WEIGHT^k col_k.
-# Any weights give a valid bound, and a bound below the columns' joint order
-# only costs solves that fail.  Powers of one large prime keep a simple
+# discover fits the columns by the Berlekamp-Massey register of
+# sum_k _WEIGHT^k col_k.  Any weights give a valid lower bound, and a
+# combination that cancels below the columns' joint order only costs the
+# solves of the orders above it.  Powers of one large prime keep a simple
 # relation between the columns, such as one the negative of another, from
 # cancelling in the combination.
 _WEIGHT = 65537
 
 
 def _linear_complexity(s, cap=None):
-    """The linear complexity of the integer sequence s over Q: the least L
-    such that some c_1, ..., c_L in Q give s(n) + sum_i c_i s(n - i) = 0
-    for L <= n < len(s).  0 for an empty or all-zero s.
+    """(L, c): the linear complexity L of the integer sequence s over Q, the
+    least L such that some c_1, ..., c_L in Q give s(n) + sum_i c_i s(n - i)
+    = 0 for L <= n < len(s), and a connection polynomial of that register:
+    integers c_0, ..., c_L with c_0 != 0 and sum_i c_i s(n - i) = 0 there.
+    (0, [1]) for an empty or all-zero s.
 
     With cap, it returns as soon as the complexity of a prefix exceeds cap,
-    with that complexity: it never falls as terms are added, so L > cap
-    too, and the work stays about len(s) * cap operations.
+    with that complexity and the prefix's polynomial: the complexity never
+    falls as terms are added, so L > cap too, and the work stays about
+    len(s) * cap operations.
 
     Berlekamp-Massey, fraction-free: the connection polynomials c and b are
     kept as integer multiples, with bd the discrepancy b had when it was
-    set aside.  bd c - d x^gap b cancels the discrepancy d at n; the
-    result's content is divided out, so its coefficients stay small.
+    set aside.  bd c - d x^gap b cancels the discrepancy d at n and keeps
+    c_0 a nonzero multiple of the last; the result's content is divided
+    out, so its coefficients stay small.
     """
     c, b, bd = [1], [1], 1
     length, gap = 0, 1
@@ -281,12 +288,12 @@ def _linear_complexity(s, cap=None):
         new = [x // g for x in new]
         if 2 * length <= n:
             b, bd, length, gap = c, d, n + 1 - length, 1
-            if cap is not None and length > cap:
-                return length
         else:
             gap += 1
         c = new
-    return length
+        if cap is not None and length > cap:
+            break
+    return length, c + [0] * (length + 1 - len(c))
 
 
 def _holds(cols, coeffs):
@@ -308,8 +315,13 @@ def _forward(col, coeffs, count):
     """Append count terms to col by the monic recurrence, on its nonzero taps,
     and return them.
 
-    The sum of products starts from the first product rather than from 0:
-    0 + x copies a big integer at about the cost of a full addition.
+    One or two taps step in a Python loop.  Three or more extend col from
+    one C-level stream of products per tap, each reading col as it grows,
+    summed by nested `map(add, ...)`: every term a stream reads lies
+    before the one being appended, and `list.extend` appends each term
+    before it asks for the next.  The sum of products starts from the first
+    product rather than from 0: 0 + x copies a big integer at about the cost
+    of a full addition.
     """
     d = len(coeffs) - 1
     taps = [(j - d, -c) for j, c in enumerate(coeffs[:d]) if c] or [(-1, 0)]  # X^d: all zero
@@ -322,10 +334,9 @@ def _forward(col, coeffs, count):
         for _ in range(count):
             col.append(c1 * col[o1] + c2 * col[o2])
     else:
-        window = itemgetter(*(off for off, _ in rest))
-        cs = [c for _, c in rest]
-        for _ in range(count):
-            col.append(sum(map(mul, cs, window(col)), c1 * col[o1]))
+        end = len(col)
+        streams = [map(c.__mul__, islice(col, end + off, end + off + count)) for off, c in taps]
+        col.extend(reduce(partial(map, add), streams))
     return col[len(col) - count :]
 
 
@@ -391,18 +402,25 @@ def discover(seq, max_order, holdout=None):
     """Find the least-order monic recurrence fitted on a prefix and validated
     exactly on held-out terms.
 
-    Every order's fit is one integer system: each distinct nonzero
-    coordinate column gives one row per prefix window.  Its solution x / d
-    is cleared to integer coefficients by g = gcd(d, x_1, ..., x_k): the
-    candidate is x / g with leading coefficient d / g, monic exactly when
-    the fit is integral.
+    The first candidate comes from Berlekamp-Massey over Q on one integer
+    combination of the distinct nonzero coordinate columns on the prefix:
+    its linear complexity L and connection polynomial c_0, ..., c_L, read
+    as c_L + c_(L-1) X + ... + c_0 X^L, divided by its content and signed so
+    that its leading coefficient is positive.  A consistent fit of order d
+    is a length-d shift register for every column on the prefix, so for
+    every rational combination of them, and L <= d: no order below L can
+    fit.  The prefix holds at least 2 max_order terms, so the combination
+    has only one register of length L, and a fit of order L can only be
+    that one.  The candidate is returned when it holds on every column,
+    prefix and held-out terms alike.
 
-    Orders start at the linear complexity L of one integer combination of
-    the columns on the prefix (Berlekamp-Massey over Q).  A consistent fit
-    of order d is a length-d shift register for every column on the prefix,
-    so for every rational combination of them, and L <= d: no order below L
-    can fit, and starting at L skips only solves that would fail.  The
-    bound stops as soon as it exceeds max_order, which no order can fit.
+    When it does not (the combination cancelled, or the held-out terms
+    reject it), the orders above L are fitted one by one.  Each order's fit
+    is one integer system, one row per prefix window of each column.  Its
+    solution x / d is cleared to integer coefficients by
+    g = gcd(d, x_1, ..., x_k): the candidate is x / g with leading
+    coefficient d / g, monic exactly when the fit is integral.  The bound
+    stops as soon as it exceeds max_order, which no order can fit.
     """
     holdout = check_discover(max_order, len(seq), holdout)
     fit_len = len(seq) - holdout
@@ -411,8 +429,13 @@ def discover(seq, max_order, holdout=None):
         return IntPolynomial([0, 1])  # the order-1 fit of an all-zero sequence
     weights = [_WEIGHT**k for k in range(len(cols))]
     combined = [sum(map(mul, weights, terms)) for terms in zip(*(col[:fit_len] for col in cols))]
-    low = _linear_complexity(combined, max_order)
-    for order in range(max(1, low), max_order + 1):
+    low, register = _linear_complexity(combined, max_order)
+    if 1 <= low <= max_order:
+        g = gcd(*register) if register[0] > 0 else -gcd(*register)
+        candidate = IntPolynomial([c // g for c in reversed(register)])
+        if _holds(cols, candidate.coeffs):
+            return candidate
+    for order in range(low + 1, max_order + 1):
         starts = range(fit_len - order)
         rows = [col[s : s + order] for col in cols for s in starts]
         rhs = [-col[s + order] for col in cols for s in starts]

@@ -521,8 +521,9 @@ def test_discover_matches_the_order_by_order_loop(case):
     assert got == _outcome(_reference_discover, seq, max_order, holdout)
 
 
-def test_discover_solves_once_on_sigma3_over_f9(monkeypatch):
-    # degree 36: the loop from order 1 solves 36 systems, 35 of them inconsistent
+def test_discover_solves_no_system_on_sigma3_over_f9(monkeypatch):
+    # degree 36: the loop from order 1 solves 36 systems, 35 of them inconsistent;
+    # the Berlekamp-Massey register is the fit, so no system is solved at all
     f = make_field(*prime_power(9))
     sys = system_for(parse("sigma(3)"), f)
     ann = integer_annihilator(sys)
@@ -531,8 +532,31 @@ def test_discover_solves_once_on_sigma3_over_f9(monkeypatch):
     solve = linalg.solve_with_free_zero
     monkeypatch.setattr(linalg, "solve_with_free_zero", lambda *args: calls.append(1) or solve(*args))
     found = discover(seq, ann.degree)
-    assert (ann.degree, len(seq), len(calls)) == (36, 111, 1)
+    assert (ann.degree, len(seq), len(calls)) == (36, 111, 0)
     assert found.degree == 36 and divides(found, ann)
+
+
+def test_discover_fits_order_by_order_when_the_combination_cancels(monkeypatch):
+    # the weights give the columns 65537 x and -x the combination 0, and
+    # 65537 x + 2^n and -x the combination 2^n: its register X - 2 fails on
+    # the columns, and the joint recurrence comes from the solves above it
+    fib = [1, 1]
+    while len(fib) < 14:
+        fib.append(fib[-1] + fib[-2])
+    cancelling = [(65537 * x, -x) for x in fib]
+    geometric = [(65537 * x + 2**n, -x) for n, x in enumerate(fib)]
+    solve = linalg.solve_with_free_zero
+    for coords, joint in (
+        (cancelling, IntPolynomial([-1, -1, 1])),
+        (geometric, IntPolynomial([-1, -1, 1]) * IntPolynomial([-2, 1])),
+    ):
+        seq = Sequence(0, tuple(CycInt(3, t) for t in coords), "test")
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "solve_with_free_zero", lambda *args: calls.append(1) or solve(*args))
+            found = discover(seq, 4)
+        assert found == joint == _reference_discover(seq, 4)
+        assert calls
 
 
 def _least_register(s):
@@ -548,14 +572,14 @@ def test_linear_complexity_cases():
     fib = [1, 1]
     while len(fib) < 12:
         fib.append(fib[-1] + fib[-2])
-    assert _linear_complexity([]) == 0
-    assert _linear_complexity([0] * 7) == 0
-    assert _linear_complexity([3 * 2**n for n in range(10)]) == 1
-    assert _linear_complexity(fib) == 2
-    assert _linear_complexity([2**300 * x for x in fib]) == 2
+    assert _linear_complexity([]) == (0, [1])
+    assert _linear_complexity([0] * 7) == (0, [1])
+    assert _linear_complexity([3 * 2**n for n in range(10)]) == (1, [1, -2])
+    assert _linear_complexity(fib) == (2, [1, -1, -1])
+    assert _linear_complexity([2**300 * x for x in fib]) == (2, [1, -1, -1])
     for n in range(1, 9):
-        assert _linear_complexity([0] * (n - 1) + [1]) == n
-    assert _linear_complexity([16, 24, 36, 54, 81]) == 1  # s(n+1) = (3/2) s(n)
+        assert _linear_complexity([0] * (n - 1) + [1])[0] == n  # no window: any register
+    assert _linear_complexity([16, 24, 36, 54, 81]) == (1, [2, -3])  # s(n+1) = (3/2) s(n)
 
 
 @settings(max_examples=200, deadline=None)
@@ -564,7 +588,11 @@ def test_linear_complexity_is_the_least_register(s, period, cap):
     if period:  # repeat the first terms, so the least register is short
         s = [s[i % period] for i in range(len(s))]
     least = _least_register(s)
-    assert _linear_complexity(s) == least
+    length, register = _linear_complexity(s)
+    assert length == least
+    # the connection polynomial has degree L, read backwards, and is the register
+    assert len(register) == length + 1 and register[0] != 0
+    assert all(sum(c * s[n - i] for i, c in enumerate(register)) == 0 for n in range(length, len(s)))
     # with a cap it may stop early, at a complexity above the cap
-    capped = _linear_complexity(s, cap)
+    capped, _ = _linear_complexity(s, cap)
     assert capped == least if least <= cap else cap < capped <= least
