@@ -8,14 +8,11 @@ An integer recurrence acts on each coordinate column separately, so zero
 and repeated columns are checked and fitted once, and extension computes
 each distinct column once and shares it among its copies.
 
-`discover` takes its fit from fraction-free Berlekamp-Massey over Q
-(Massey, IEEE Trans. IT 1969) on one integer combination of the columns
-on the fit prefix: the register it builds, whose length L is the linear
-complexity, is the least-order fit whenever it holds on every column.  A
-rational recurrence of order d that fits every column on the prefix fits
-every rational combination of them there too, so L <= d, and when the
-combination cancels, the integer systems of the orders above L are
-solved one by one.
+`discover` fits the distinct columns one at a time by fraction-free
+Berlekamp-Massey over Q (Massey, IEEE Trans. IT 1969): each column's
+residual under the recurrence so far has a least register, and the
+recurrence grows by it, so the result is the least common multiple of
+the columns' minimal polynomials.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from itertools import islice, repeat
 from math import gcd
 from operator import add, mul, ne
 
-from . import linalg
 from .cyclotomic import CycInt
 from .funcalg import Frozen
 
@@ -247,15 +243,6 @@ def _distinct(cols):
     return kept, where
 
 
-# discover fits the columns by the Berlekamp-Massey register of
-# sum_k _WEIGHT^k col_k.  Any weights give a valid lower bound, and a
-# combination that cancels below the columns' joint order only costs the
-# solves of the orders above it.  Powers of one large prime keep a simple
-# relation between the columns, such as one the negative of another, from
-# cancelling in the combination.
-_WEIGHT = 65537
-
-
 def _linear_complexity(s, cap=None):
     """(L, c): the linear complexity L of the integer sequence s over Q, the
     least L such that some c_1, ..., c_L in Q give s(n) + sum_i c_i s(n - i)
@@ -315,29 +302,19 @@ def _forward(col, coeffs, count):
     """Append count terms to col by the monic recurrence, on its nonzero taps,
     and return them.
 
-    One or two taps step in a Python loop.  Three or more extend col from
-    one C-level stream of products per tap, each reading col as it grows,
-    summed by nested `map(add, ...)`: every term a stream reads lies
-    before the one being appended, and `list.extend` appends each term
+    col grows from one C-level stream of products per tap, each reading col
+    as it grows, summed by nested `map(add, ...)`: every term a stream reads
+    lies before the one being appended, and `list.extend` appends each term
     before it asks for the next.  The sum of products starts from the first
     product rather than from 0: 0 + x copies a big integer at about the cost
     of a full addition.
     """
     d = len(coeffs) - 1
     taps = [(j - d, -c) for j, c in enumerate(coeffs[:d]) if c] or [(-1, 0)]  # X^d: all zero
-    (o1, c1), rest = taps[0], taps[1:]
-    if not rest:
-        for _ in range(count):
-            col.append(c1 * col[o1])
-    elif len(rest) == 1:
-        ((o2, c2),) = rest
-        for _ in range(count):
-            col.append(c1 * col[o1] + c2 * col[o2])
-    else:
-        end = len(col)
-        streams = [map(c.__mul__, islice(col, end + off, end + off + count)) for off, c in taps]
-        col.extend(reduce(partial(map, add), streams))
-    return col[len(col) - count :]
+    end = len(col)
+    streams = [map(mul, repeat(c, count), islice(col, end + off, end + off + count)) for off, c in taps]
+    col.extend(reduce(partial(map, add), streams))
+    return col[end:]
 
 
 def satisfies(seq, poly):
@@ -399,54 +376,52 @@ def check_discover(max_order, terms=None, holdout=None):
 
 
 def discover(seq, max_order, holdout=None):
-    """Find the least-order monic recurrence fitted on a prefix and validated
-    exactly on held-out terms.
+    """Find the least-order recurrence fitted on a prefix and validated
+    exactly on held-out terms: primitive, leading coefficient positive,
+    monic exactly when the fit is integral.
 
-    The first candidate comes from Berlekamp-Massey over Q on one integer
-    combination of the distinct nonzero coordinate columns on the prefix:
-    its linear complexity L and connection polynomial c_0, ..., c_L, read
-    as c_L + c_(L-1) X + ... + c_0 X^L, divided by its content and signed so
-    that its leading coefficient is positive.  A consistent fit of order d
-    is a length-d shift register for every column on the prefix, so for
-    every rational combination of them, and L <= d: no order below L can
-    fit.  The prefix holds at least 2 max_order terms, so the combination
-    has only one register of length L, and a fit of order L can only be
-    that one.  The candidate is returned when it holds on every column,
-    prefix and held-out terms alike.
+    The fit P starts at 1 and takes the distinct nonzero coordinate columns
+    one at a time.  For each column it forms the residual
+    r(n) = sum_j P_j col(n + j) on the prefix and multiplies P by the
+    Berlekamp-Massey register of r: the connection polynomial c_0, ..., c_L
+    read as c_L + c_(L-1) X + ... + c_0 X^L, divided by its content and
+    signed so that its leading coefficient is positive.  The register's
+    cap, max_order - deg P, stops the fit as soon as no order up to
+    max_order can fit.
 
-    When it does not (the combination cancelled, or the held-out terms
-    reject it), the orders above L are fitted one by one.  Each order's fit
-    is one integer system, one row per prefix window of each column.  Its
-    solution x / d is cleared to integer coefficients by
-    g = gcd(d, x_1, ..., x_k): the candidate is x / g with leading
-    coefficient d / g, monic exactly when the fit is integral.  The bound
-    stops as soon as it exceeds max_order, which no order can fit.
+    The result is the least fit.  Two registers of lengths a and b that
+    generate the same a + b terms generate the same infinite sequence, and
+    the prefix holds at least 2 max_order terms.  So when some Q of degree
+    at most max_order fits every column on the prefix, Q continues each
+    column to one infinite sequence v, whose least annihilator ann(v)
+    divides Q.  The shifts of one sequence form a cyclic module, so
+    ann(P(S) v) = ann(v) / gcd(ann(v), P), and r is a prefix of P(S) v long
+    enough that its register is that polynomial: P becomes
+    lcm(P, ann(v)), which still divides Q.  At the end P is the lcm of the
+    columns' annihilators, the one fit of its order.  When no such Q
+    exists, some cap is exceeded, since each product fits every column on
+    the prefix.  P is returned when it holds on every column, prefix and
+    held-out terms alike; a Q that held there would continue the prefix as
+    P does, so when P fails no order up to max_order validates.
     """
     holdout = check_discover(max_order, len(seq), holdout)
     fit_len = len(seq) - holdout
     cols, _ = _distinct(_columns(seq.values))
     if not cols:
         return IntPolynomial([0, 1])  # the order-1 fit of an all-zero sequence
-    weights = [_WEIGHT**k for k in range(len(cols))]
-    combined = [sum(map(mul, weights, terms)) for terms in zip(*(col[:fit_len] for col in cols))]
-    low, register = _linear_complexity(combined, max_order)
-    if 1 <= low <= max_order:
+    fit = IntPolynomial([1])
+    for col in cols:
+        count, cap = fit_len - fit.degree, max_order - fit.degree
+        terms = [map(mul, repeat(c, count), col[j : j + count]) for j, c in enumerate(fit.coeffs) if c]
+        residual = list(reduce(partial(map, add), terms))
+        length, register = _linear_complexity(residual, cap)
+        if length > cap:
+            break
         g = gcd(*register) if register[0] > 0 else -gcd(*register)
-        candidate = IntPolynomial([c // g for c in reversed(register)])
-        if _holds(cols, candidate.coeffs):
-            return candidate
-    for order in range(low + 1, max_order + 1):
-        starts = range(fit_len - order)
-        rows = [col[s : s + order] for col in cols for s in starts]
-        rhs = [-col[s + order] for col in cols for s in starts]
-        solved = linalg.solve_with_free_zero(rows, rhs)
-        if solved is None:
-            continue
-        x, d = solved
-        g = gcd(d, *x)
-        candidate = IntPolynomial([c // g for c in x] + [d // g])
-        if _holds(cols, candidate.coeffs):
-            return candidate
+        fit = fit * IntPolynomial([c // g for c in reversed(register)])
+    else:  # no cap exceeded
+        if _holds(cols, fit.coeffs):
+            return fit
     raise NoRecurrenceError(
         "no recurrence of order <= %d validates on the held-out terms" % max_order
     )

@@ -16,9 +16,9 @@ checkouts that print the same line give the same results on every call:
 - Z[zeta_3] and Z[zeta_5] sequences, random and recurrence-generated;
 - Z[zeta_5] and Z[zeta_7] sequences generated by a recurrence of order d,
   with one column zeroed and one copied from another (and maybe more of
-  either), and `discover` at max_order d - 1, d and d + 1: d is the
-  sequence's linear complexity unless its initial terms are degenerate, so
-  the calls fall below, at and above the order `discover` starts from;
+  either), and `discover` at max_order d - 1, d and d + 1: d is each
+  column's linear complexity unless its initial terms are degenerate, so
+  the calls cap `discover`'s column-by-column fit below, at and above it;
 - `divides` on random pairs, with non-monic and constant divisors and with
   b a multiple of a in half of them;
 - `extend` forward to n = 2000 on the ten transfer runs by their
