@@ -4,7 +4,9 @@ A monomial pattern (1, j1, ..., js) stands for X_1 X_{j1} ... X_{js}.
 Rotation families sum all n cyclic shifts of the pattern monomial (indices
 live in the residues 1..n), trapezoid families sum only the translates
 that fit without wrapping, and sigma(k) is the k-th elementary symmetric
-polynomial.  Expressions combine these with scalar multiples and sums.
+polynomial.  Expressions combine these with scalar multiples and sums;
+`parse` reads their text one ``+``-separated term at a time, each term one
+match of a single regular expression.
 
 So a rotation at n is its trapezoid plus its wrapped translates, the seam,
 which for n >= 2w - 2 (w the pattern width) is one fixed polynomial in the
@@ -14,6 +16,7 @@ at n are those at any larger n with the variables past n set to 0.
 
 from __future__ import annotations
 
+import re
 from itertools import combinations
 from operator import attrgetter
 
@@ -199,81 +202,33 @@ class ExprSyntaxError(ValueError):
     pass
 
 
-def _parse_int_list(text, start, source):
-    if start >= len(text) or text[start] != "(":
-        raise ExprSyntaxError("expected '(' at position %d in %r" % (start, source))
-    i = start + 1
-    out = []
-    num = ""
-    while i < len(text):
-        ch = text[i]
-        if ch.isdigit():
-            num += ch
-        elif ch == ",":
-            if not num:
-                raise ExprSyntaxError("empty number at position %d in %r" % (i, source))
-            out.append(int(num))
-            num = ""
-        elif ch == ")":
-            if not num:
-                raise ExprSyntaxError("empty number at position %d in %r" % (i, source))
-            out.append(int(num))
-            return out, i + 1
-        else:
-            raise ExprSyntaxError("unexpected %r at position %d in %r" % (ch, i, source))
-        i += 1
-    raise ExprSyntaxError("unbalanced '(' in %r" % source)
+_TERM = r"(?:e(\d+)\*)?(tau|sigma|R|T)\((\d+(?:,\d+)*)\)"
 
 
 def parse(source):
     """Parse an expression like ``R(2,3) + e2*T(2,4) + sigma(3) + tau(4)``.
 
-    Scalar literals are written ``e<index>`` and name field elements by
-    their enumeration index; they bind to the atom that follows ``*``.
+    Spaces and tabs are dropped, and each term between ``+`` signs must match
+    `_TERM`: an optional scalar literal ``e<index>*``, which names a field
+    element by its enumeration index and binds to the atom after it, then a
+    family name and its arguments.  `re` compiles the pattern on first use.
     """
     text = source.replace(" ", "").replace("\t", "")
-    if not text:
-        raise ExprSyntaxError("empty expression")
-    parts = []
-    i = 0
-    while True:
-        scalar = None
-        if text.startswith("e", i) and i + 1 < len(text) and text[i + 1].isdigit():
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j < len(text) and text[j] == "*":
-                scalar = int(text[i + 1 : j])
-                i = j + 1
-        atom, i = _parse_atom(text, i, source)
-        if scalar is not None:
-            atom = ScalarMul(scalar, atom)
-        parts.append(atom)
-        if i == len(text):
-            break
-        if text[i] != "+":
-            raise ExprSyntaxError(
-                "unexpected %r at position %d in %r" % (text[i], i, source)
-            )
-        i += 1
-    if len(parts) == 1:
-        return parts[0]
-    return Sum(tuple(parts))
-
-
-def _parse_atom(text, i, source):
-    for name in ("tau", "sigma"):
-        if text.startswith(name, i):
-            args, j = _parse_int_list(text, i + len(name), source)
+    terms = []
+    for term in text.split("+"):
+        match = re.fullmatch(_TERM, term)
+        if match is None:
+            raise ExprSyntaxError("expected a term, not %r, in %r" % (term, source))
+        scalar, name, args = match.groups()
+        args = tuple(map(int, args.split(",")))
+        if name in ("tau", "sigma"):
             if len(args) != 1:
                 raise ExprSyntaxError("%s takes a single argument in %r" % (name, source))
-            return (tau(args[0]) if name == "tau" else Sigma(args[0])), j
-    if text.startswith("R", i) or text.startswith("T", i):
-        kind = text[i]
-        args, j = _parse_int_list(text, i + 1, source)
-        pattern = MonomialPattern((1,) + tuple(args))
-        return (Rotation(pattern) if kind == "R" else Trapezoid(pattern)), j
-    raise ExprSyntaxError("expected a family atom at position %d in %r" % (i, source))
+            atom = tau(args[0]) if name == "tau" else Sigma(args[0])
+        else:
+            atom = (Rotation if name == "R" else Trapezoid)(MonomialPattern((1,) + args))
+        terms.append(atom if scalar is None else ScalarMul(int(scalar), atom))
+    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 
 def unparse(e):

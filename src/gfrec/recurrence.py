@@ -6,7 +6,9 @@ cyclotomic integer values together with the first index they cover.
 Checking, extension and discovery work on their power-basis coordinates.
 An integer recurrence acts on each coordinate column separately, so zero
 and repeated columns are checked and fitted once, and extension computes
-each distinct column once and shares it among its copies.
+each distinct column once and shares it among its copies.  The paper's
+explicit recurrences are one table, `_FAMILY_TABLE`, from a family's name
+to its least k, the field it needs and its coefficients.
 
 `discover` fits the distinct columns one at a time by fraction-free
 Berlekamp-Massey over Q (Massey, IEEE Trans. IT 1969): each column's
@@ -128,85 +130,36 @@ class Sequence(Frozen):
 # ---------------------------------------------------------------------------
 # named polynomial families
 
-P_K = "P_K"
-Q_TRAP = "Q_TRAP"
-Q_K = "Q_K"
-ROT2 = "ROT2"
-QUADSYM = "QUADSYM"
-MIX1 = "MIX1"
-MIX2 = "MIX2"
-MIX3 = "MIX3"
+# name: (least k or None, the field it needs or None, the ascending
+# coefficients of k and the field); (-1|p) = (-1)^((p-1)/2) in QUADSYM
+_FAMILY_TABLE = {
+    "P_K": (2, None, lambda k, f: [-2] * (k - 1) + [0, 1]),
+    "Q_TRAP": (2, "a field", lambda k, f: [-f.q * (f.q - 1) ** (k - 2 - d) for d in range(k - 1)] + [0, 1]),
+    "Q_K": (4, None, lambda k, f: [-4, 0, 0] + [-2] * (k - 3) + [0, 1]),
+    "ROT2": (None, "an odd prime field", lambda k, f: [-f.p**2, 0, 0, 0, 1]),
+    "QUADSYM": (None, "an odd prime field", lambda k, f: [-((-1) ** (f.p // 2)) * f.p**f.p] + [0] * (2 * f.p - 1) + [1]),
+    "MIX1": (2, None, lambda k, f: [2] + [0] * (k - 2) + [-2, 1]),
+    "MIX2": (3, None, lambda k, f: [-2, 2] + [0] * (k - 3) + [-2, 1]),
+    "MIX3": (4, None, lambda k, f: [-2, 0] + [-2] * (k - 3) + [0, 1]),
+}
 
-FAMILIES = (P_K, Q_TRAP, Q_K, ROT2, QUADSYM, MIX1, MIX2, MIX3)
+FAMILIES = tuple(_FAMILY_TABLE)
 
 
 def family_poly(family, k=None, field=None):
-    """The characteristic polynomial of a named family.
+    """The characteristic polynomial of a named family of `_FAMILY_TABLE`.
 
     P_K, Q_K and the MIX families live over F_2 and need only k.  Q_TRAP
     needs k and the field.  ROT2 and QUADSYM need a prime field (p odd).
     """
-    if family == P_K:
-        if k is None or k < 2:
-            raise ValueError("P_K needs k >= 2")
-        return IntPolynomial([-2] * (k - 1) + [0, 1])
-    if family == Q_TRAP:
-        if k is None or k < 2:
-            raise ValueError("Q_TRAP needs k >= 2")
-        if field is None:
-            raise ValueError("Q_TRAP needs a field")
-        q = field.q
-        coeffs = [-q * (q - 1) ** (k - 2 - d) for d in range(k - 1)]
-        return IntPolynomial(coeffs + [0, 1])
-    if family == Q_K:
-        if k is None or k < 4:
-            raise ValueError("Q_K needs k >= 4")
-        coeffs = [0] * (k + 2)
-        coeffs[k + 1] = 1
-        for d in range(3, k):
-            coeffs[d] = -2
-        coeffs[0] = -4
-        return IntPolynomial(coeffs)
-    if family == ROT2:
-        if field is None or field.r != 1 or field.p == 2:
-            raise ValueError("ROT2 needs an odd prime field")
-        return IntPolynomial([-field.p**2, 0, 0, 0, 1])
-    if family == QUADSYM:
-        if field is None or field.r != 1 or field.p == 2:
-            raise ValueError("QUADSYM needs an odd prime field")
-        p = field.p
-        sign = 1 if p % 4 == 1 else -1  # (-1|p), by the first supplement law
-        coeffs = [0] * (2 * p + 1)
-        coeffs[0] = -sign * p**p
-        coeffs[2 * p] = 1
-        return IntPolynomial(coeffs)
-    if family == MIX1:
-        if k is None or k < 2:
-            raise ValueError("MIX1 needs k >= 2")
-        coeffs = [0] * (k + 1)
-        coeffs[0] = 2
-        coeffs[k - 1] = -2
-        coeffs[k] = 1
-        return IntPolynomial(coeffs)
-    if family == MIX2:
-        if k is None or k < 3:
-            raise ValueError("MIX2 needs k >= 3")
-        coeffs = [0] * (k + 1)
-        coeffs[0] = -2
-        coeffs[1] = 2
-        coeffs[k - 1] = -2
-        coeffs[k] = 1
-        return IntPolynomial(coeffs)
-    if family == MIX3:
-        if k is None or k < 4:
-            raise ValueError("MIX3 needs k >= 4")
-        coeffs = [0] * (k + 1)
-        coeffs[0] = -2
-        for d in range(2, k - 1):
-            coeffs[d] = -2
-        coeffs[k] = 1
-        return IntPolynomial(coeffs)
-    raise ValueError("unknown family %r" % (family,))
+    if family not in FAMILIES:
+        raise ValueError("unknown family %r" % (family,))
+    least, needs, coeffs = _FAMILY_TABLE[family]
+    if least is not None and (k is None or k < least):
+        raise ValueError("%s needs k >= %d" % (family, least))
+    if needs is not None and (field is None or needs == "an odd prime field" and (field.r != 1 or field.p == 2)):
+        raise ValueError("%s needs %s" % (family, needs))
+    return IntPolynomial(coeffs(k, field))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ one scatter recipe, an (image, const) pair that _scatter_system turns into
 the matrix with _scatter: on each value x of the newest variable, state i
 becomes state image[i, x] and leaves the constant const[i, x], so M[i, j]
 sums zeta^Tr(const) over the x with image j.  Every system is checked
-against the enumeration oracle one step past the smallest index that it and
-the target expression cover, so the check steps the matrix.
+against the enumeration oracle at each index from the smallest that it and
+the target expression cover to a few steps past it, so the check steps the
+matrix.
 
 The k-state trapezoid sends a zero newest variable to b_0 and a nonzero one
 a level deeper.  Symmetric systems decorate the top elementary symmetric
@@ -49,7 +50,6 @@ from .funcalg import (
     Rotation,
     Sigma,
     Trapezoid,
-    instantiate,
     parts,
     tau,
 )
@@ -64,7 +64,7 @@ from .limits import (
     check_states,
 )
 from .linalg import SparseMatrix, minimal_polynomial
-from .oracle import exp_sum, integer_tables, values
+from .oracle import integer_tables, sum_sequence, values
 from .recurrence import IntPolynomial, Sequence
 
 
@@ -150,11 +150,14 @@ def _scatter(f, image, const):
 def _scatter_system(label, f, e, recipe, n_min, budget, projection=(0,), start=None):
     """The system of the matrix `_scatter` builds from recipe, an (image,
     const) pair, from index n_min, whose target is the sum of the states in
-    projection, checked against the enumeration oracle on e one index past
-    the smallest that both cover (or at that index when the next has over
-    min(budget, 2^20) points).  After the builder's checks of states and
-    root counts, the oracle's sum comes first, so a system over the point
-    budget is refused before any matrix is built.
+    projection, checked against the enumeration oracle on e at every n from
+    lo, the smallest index that both cover, to hi: lo + 1 unless
+    q^(lo+1) > min(budget, 2^20), and on to lo + 3 while
+    q^n <= min(budget, 2^10).  One or two indices let wrong systems through:
+    a chain that sums Tr(T^n) can match its own sums at lo and lo + 1.  After
+    the builder's checks of states and root counts, the oracle's sums come
+    first, from one `sum_sequence` call, so a system over the point budget
+    is refused before any matrix is built.
 
     The states at n_min are M^n_min applied to those at n = 0, all 1; or with
     start = (n, columns), M^(n_min - n) applied to those columns of I at index
@@ -170,11 +173,12 @@ def _scatter_system(label, f, e, recipe, n_min, budget, projection=(0,), start=N
     rotation's states hold the columns of T^n, those of I at n = 0, and a
     chain's column 0 of T^(n+w-1), that of I at n = 1 - w.
     """
-    p = f.p
-    n = max(n_min, e.min_n())
-    if f.q ** (n + 1) <= min(budget, 1 << 20):  # take a step, so M is checked too
-        n += 1
-    want = exp_sum(instantiate(e, n, f), budget=budget)
+    p, q = f.p, f.q
+    lo = max(n_min, e.min_n())
+    hi = lo + 1 if q ** (lo + 1) <= min(budget, 1 << 20) else lo  # a step, so M is checked too
+    while hi < lo + 3 and q ** (hi + 1) <= min(budget, 1 << 10):
+        hi += 1
+    want = sum_sequence(e, f, range(lo, hi + 1), budget=budget).values
     sparse = _scatter(f, *recipe)
     n_start, columns = start or (0, None)
     v = np.zeros((sparse.dim, p - 1) + (() if columns is None else (len(columns),)), dtype=np.int64)
@@ -184,12 +188,12 @@ def _scatter_system(label, f, e, recipe, n_min, budget, projection=(0,), start=N
     v = np.moveaxis(v, 1, -1).reshape(-1, p - 1)  # state a dim + i: entry a of column i
     v.flags.writeable = False
     sys = TransferSystem(label, f, sparse, v, tuple(map(int, projection)), n_min)
-    got = run(sys, n).values[-1]
-    if got != want:
-        raise AssertionError(
-            "transfer system %r disagrees with the oracle at n=%d: %r vs %r"
-            % (label, n, got, want)
-        )
+    got = run(sys, hi).values[lo - n_min :]
+    for n, a, b in zip(range(lo, hi + 1), got, want):
+        if a != b:
+            raise AssertionError(
+                "transfer system %r disagrees with the oracle at n=%d: %r vs %r" % (label, n, a, b)
+            )
     return sys
 
 

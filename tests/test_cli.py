@@ -756,8 +756,14 @@ def test_cli_import_leaves_out_the_thread_pool_modules():
     )
     result = subprocess.run(
         [sys.executable, "-c",
-         "import sys, gfrec.cli; print('concurrent.futures' in sys.modules)"],
+         "import sys, numpy; before = set(sys.modules); import gfrec, gfrec.cli; "
+         "print(*sorted(set(sys.modules) - before))"],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    # the set-up cost: past numpy, the package adds only itself, json and the
+    # CLI's argparse, so no thread pool and no other standard-library module
+    added = result.stdout.split()
+    assert "gfrec.cli" in added and "concurrent.futures" not in added
+    stdlib = {"__future__", "_json", "argparse", "gettext"}
+    assert [m for m in added if m.split(".")[0] not in {"gfrec", "json"} and m not in stdlib] == []

@@ -88,9 +88,31 @@ def test_unparse_round_trip():
 
 
 def test_parse_errors():
-    for bad in ("", "R(2", "R()", "Q(2)", "R(2,)", "R(2,3)++T(2)", "sigma(2,3)", "e2*"):
+    for bad in (
+        "", "R(2", "R()", "Q(2)", "R(2,)", "R(2,3)++T(2)", "sigma(2,3)", "e2*",
+        "e2*e3*tau(3)", "e2tau(3)", "tau(3)sigma(2)", "tau(3)+", "R(2,3))", "tau()",
+    ):
         with pytest.raises(ExprSyntaxError):
             parse(bad)
+
+
+_ATOMS = st.one_of(
+    st.integers(2, 12).map(tau),
+    st.integers(1, 12).map(Sigma),
+    st.builds(
+        lambda kind, offsets: kind(MonomialPattern((1,) + tuple(sorted(offsets)))),
+        st.sampled_from([Rotation, Trapezoid]),
+        st.sets(st.integers(2, 30), min_size=1, max_size=4),
+    ),
+)
+_TERMS = st.builds(lambda atom, scalar: atom if scalar is None else ScalarMul(scalar, atom), _ATOMS, st.none() | st.integers(0, 300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_TERMS, min_size=1, max_size=5))
+def test_parse_inverts_unparse(terms):
+    e = terms[0] if len(terms) == 1 else Sum(tuple(terms))
+    assert parse(unparse(e)) == e
 
 
 def test_min_n_of_compounds():

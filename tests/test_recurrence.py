@@ -195,6 +195,51 @@ def test_family_registry():
         family_poly("NOPE", k=3)
 
 
+def _paper_formula(name, k, f):
+    """The paper's recurrence of a named family, degree -> coefficient."""
+    if name == "P_K":  # X^k - 2 (X^(k-2) + ... + 1)
+        return {k: 1, **{d: -2 for d in range(k - 1)}}
+    if name == "Q_TRAP":  # X^k - q sum_d (q-1)^(k-2-d) X^d
+        return {k: 1, **{d: -f.q * (f.q - 1) ** (k - 2 - d) for d in range(k - 1)}}
+    if name == "Q_K":  # X^(k+1) - 2 (X^(k-1) + ... + X^3) - 4
+        return {k + 1: 1, 0: -4, **{d: -2 for d in range(3, k)}}
+    if name == "ROT2":
+        return {4: 1, 0: -f.p**2}
+    if name == "QUADSYM":
+        return {2 * f.p: 1, 0: -legendre(-1, f.p) * f.p**f.p}
+    if name == "MIX1":
+        return {k: 1, k - 1: -2, 0: 2}
+    if name == "MIX2":
+        return {k: 1, k - 1: -2, 1: 2, 0: -2}
+    assert name == "MIX3"  # X^k - 2 (X^(k-2) + ... + X^2) - 2
+    return {k: 1, 0: -2, **{d: -2 for d in range(2, k - 1)}}
+
+
+def test_every_family_is_the_papers_formula():
+    least = {"P_K": 2, "Q_TRAP": 2, "Q_K": 4, "ROT2": None, "QUADSYM": None, "MIX1": 2, "MIX2": 3, "MIX3": 4}
+    assert FAMILIES == tuple(least)
+    fields = [make_field(*prime_power(q)) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
+    odd_prime = [f for f in fields if f.r == 1 and f.p > 2]
+    for name, k_min in least.items():
+        over = {"Q_TRAP": fields, "ROT2": odd_prime, "QUADSYM": odd_prime}.get(name, [None])
+        for k in [None] if k_min is None else range(k_min, 13):
+            for f in over:
+                terms = _paper_formula(name, k, f)
+                want = tuple(terms.get(d, 0) for d in range(max(terms) + 1))
+                assert family_poly(name, k, f).coeffs == want, (name, k, f)
+        for k in [] if k_min is None else [None, k_min - 1]:
+            with pytest.raises(ValueError, match=r"^%s needs k >= %d$" % (name, k_min)):
+                family_poly(name, k)
+    with pytest.raises(ValueError, match="^Q_TRAP needs a field$"):
+        family_poly("Q_TRAP", 3)
+    for name in ("ROT2", "QUADSYM"):
+        for f in [None] + [f for f in fields if f not in odd_prime]:
+            with pytest.raises(ValueError, match="^%s needs an odd prime field$" % name):
+                family_poly(name, 3, f)
+    with pytest.raises(ValueError, match="^unknown family 'NOPE'$"):
+        family_poly("NOPE", k=3)
+
+
 # ---------------------------------------------------------------------------
 # satisfies / extend / discover
 

@@ -400,6 +400,24 @@ def test_oracle_gate_checks_the_matrix(monkeypatch, text, q):
         system_for(parse(text), make_field(*prime_power(q)))
 
 
+@pytest.mark.parametrize("text, q", [("T(2,4)", 2), ("T(3)", 3), ("T(2,3)+T(2)", 2)])
+def test_oracle_gate_checks_several_indices(monkeypatch, text, q):
+    # a chain given the rotation's start and diagonal projection sums Tr(T^n),
+    # the cyclic sum, which matches the chain's sum one index past the first
+    # on these three, and differs from it within four steps
+    real = transfer._scatter_system
+
+    def cyclic(label, f, e, recipe, n_min, budget, projection=(0,), start=None):
+        if label.startswith("chain"):
+            Q = len(recipe[0])
+            projection, start = np.arange(Q) * (Q + 1), (0, np.arange(Q))
+        return real(label, f, e, recipe, n_min, budget, projection, start)
+
+    monkeypatch.setattr(transfer, "_scatter_system", cyclic)
+    with pytest.raises(AssertionError, match="disagrees with the oracle"):
+        system_for(parse(text), make_field(q))
+
+
 # ---------------------------------------------------------------------------
 # stepping and running
 
@@ -737,7 +755,7 @@ def test_scatter_recipes_past_the_root_count_limit_are_refused(monkeypatch):
     ]
     steps, built = _count_matrix_work(monkeypatch)
     calls = []
-    for name in ("exp_sum", "integer_tables"):
+    for name in ("sum_sequence", "integer_tables"):
         def spy(*args, _name=name, _fn=getattr(transfer, name), **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
