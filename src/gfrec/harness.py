@@ -112,7 +112,8 @@ def _max_n(q, cap):
 
 
 class _Ctx:
-    """Per-run scratch: profile caps, field cache, shared brute sequences."""
+    """Per-run scratch: profile caps, and the fields, brute sequences and
+    systems that several checks share, each built once per run."""
 
     def __init__(self, profile):
         if profile not in ("quick", "full"):
@@ -120,23 +121,34 @@ class _Ctx:
         self.profile = profile
         self.cap = QUICK_CAP if profile == "quick" else FULL_CAP
         self.conj_cap = min(self.cap, CONJECTURE_CAP)
-        self._fields = {}
-        self._trap = {}
+        self._shared = {}
+
+    def _once(self, key, make):
+        if key not in self._shared:
+            self._shared[key] = make()
+        return self._shared[key]
 
     def field(self, q):
-        if q not in self._fields:
-            self._fields[q] = make_field(*prime_power(q))
-        return self._fields[q]
+        return self._once(("field", q), lambda: make_field(*prime_power(q)))
 
     def clamp(self, q, n):
         return min(n, _max_n(q, self.cap))
 
     def trap_sums(self, f, k, n_hi):
-        """Brute S(T(2..k)(n)) for n = k..n_hi, computed once per run."""
-        key = (f.describe(), k, n_hi)
-        if key not in self._trap:
-            self._trap[key] = sum_sequence(tau(k), f, range(k, n_hi + 1))
-        return self._trap[key]
+        """Brute S(T(2..k)(n)) for n = k..n_hi."""
+        return self._once(("trap", f.describe(), k, n_hi), lambda: sum_sequence(tau(k), f, range(k, n_hi + 1)))
+
+    def rotation_sums(self, f, k, n_hi):
+        """Brute S(R(2..k)(n)) for n = k..n_hi."""
+        return self._once(("rot", f.describe(), k, n_hi), lambda: sum_sequence(consecutive_rotation(k), f, range(k, n_hi + 1)))
+
+    def rotation2_system(self, f):
+        """The transfer system of R(2) over f."""
+        return self._once(("rot2", f.describe()), lambda: transfer.build_rotation_system((1, 2), f))
+
+    def quadratic_system(self, p):
+        """The quadratic (sigma(2)) matrix system over F_p."""
+        return self._once(("quad", p), lambda: transfer.build_quadratic_matrix(p))
 
 
 def _check_c1(ctx):
@@ -159,7 +171,7 @@ def _check_c2(ctx):
     got = []
     for k in (3, 4):
         hi = ctx.clamp(2, 20)
-        seq = sum_sequence(consecutive_rotation(k), f2, range(k, hi + 1))
+        seq = ctx.rotation_sums(f2, k, hi)
         if not satisfies(seq, family_poly("P_K", k)):
             return False, "p_k annihilates rotation sums", "k=%d fails" % k
         got.append("k=%d n<=%d ok" % (k, hi))
@@ -249,15 +261,14 @@ def _check_c6(ctx):
         seq = sum_sequence(consecutive_rotation(2), f, range(3, hi + 1))
         if not satisfies(seq, poly):
             return False, "X^4 - p^2 annihilates brute R(2) sums", "p=%d fails" % p
-        sys = transfer.build_rotation_system((1, 2), f)
-        long_run = transfer.run(sys, hi + 30)
+        long_run = transfer.run(ctx.rotation2_system(f), hi + 30)
         if long_run.values[: len(seq.values)] != seq.values:
             return False, "transfer matches brute", "p=%d transfer mismatch" % p
         if not satisfies(long_run, poly):
             return False, "X^4 - p^2 annihilates transfer extension", "p=%d fails" % p
         got.append("p=%d n<=%d(+30)" % (p, hi))
     for p in (3, 5, 7):
-        m = transfer.build_rotation_system((1, 2), ctx.field(p)).sparse
+        m = ctx.rotation2_system(ctx.field(p)).sparse
         b = np.arange(p)
         block = SparseMatrix.from_root_counts(p, p, np.repeat(b, p), np.tile(b, p), np.outer(b, b).ravel() % p)
         if len(_mismatches(m, block)):
@@ -351,8 +362,7 @@ def _check_c9(ctx):
         f = ctx.field(p)
         hi = ctx.clamp(p, hi)
         brute = sum_sequence(parse("sigma(2)"), f, range(2, hi + 1))
-        sys = transfer.build_quadratic_matrix(p)
-        long_run = transfer.run(sys, 41)
+        long_run = transfer.run(ctx.quadratic_system(p), 41)
         if long_run.values[: len(brute.values)] != brute.values:
             return False, "transfer matches brute for sigma(2)", "p=%d" % p
         if not satisfies(long_run, family_poly("QUADSYM", field=f)):
@@ -451,7 +461,7 @@ def _check_c13(ctx):
     for k in (3, 4, 5):
         hi = ctx.clamp(2, 20)
         conj = rot_conjecture_seq(k, hi)
-        brute = sum_sequence(consecutive_rotation(k), f2, range(k, hi + 1))
+        brute = ctx.rotation_sums(f2, k, hi)
         rep = compare(conj, brute, which="rotation", k=k, field="2")
         if rep.status == "refuted":
             n, want, got = rep.first_disagreement
@@ -474,8 +484,7 @@ def _check_c14(ctx):
     found = discover(seq, max_order=5)
     if found != family_poly("P_K", 3):
         return False, "discover returns X^3 - 2X - 2", found.pretty()
-    sys = transfer.build_quadratic_matrix(3)
-    run20 = transfer.run(sys, 21)
+    run20 = transfer.run(ctx.quadratic_system(3), 21)
     found2 = discover(run20, max_order=6)
     target = family_poly("QUADSYM", field=ctx.field(3))
     if not divides(found2, target):

@@ -25,8 +25,8 @@ low-digit part takes one value on a block and has no axis there (see
 `_BlockValues`).  The block size is chosen per call, as a meet in the
 middle: smaller blocks make each distinct coefficient row's histogram
 cheaper, and make more rows to evaluate and sort.  A work model, fitted to
-timed calls, predicts both from the coefficient rows at each candidate
-size, and whether counting by key pays.
+timed calls, predicts both from the coefficient rows of the one or two
+sizes that a call tries, and whether counting by key pays.
 
 Most calls are small: checks and short ranges enumerate a few hundred to a
 few thousand points, where each numpy call costs about a microsecond
@@ -95,17 +95,23 @@ _KEYED_NS = 120_000  # one call at b < n: the split, the codes and their count
 _SEARCH_NS = 1000  # counting the groups of one term
 # The generic kernel's work model, in nanoseconds, fitted to calls timed on a
 # 2-core x86-64 host; only their ratios matter.  See `_BlockValues._choose`.
-_GATHER_NS = 2  # one entry (row x key) of one gather of the contraction, a row at a time; a batch takes twice that
+_GATHER_NS = 1.4  # one entry (row x key) of one gather of the contraction, a row at a time; a batch takes 2.5 times that
 _ROW_NS = 5_000  # one distinct C row taken alone, beyond its entries
-_KEY_NS = 8  # one point of one column, counting the keys
-_KEYS_NS = 10_000  # counting the keys, beyond its points
-_BIN_NS = 15  # one bin of one shifted row
-_FOLD_NS = 4  # one point of one term of a low-digit grid, counting at most _FOLD_TERMS a grid
-_FOLD_TERMS = 8  # `_grid` splits large grids of many terms, so a grid's fold counts at most this many
-_HIGH_NS = 60  # one block's entry in the C and shift rows, evaluated and sorted
-_GRID_NS = 20_000  # one C or shift grid at one more m
-_TRY_NS = 150_000  # trying one more m, beyond its grids and terms, with a margin for the model's error
-_TERM_NS = 3_000  # splitting one term at one more m
+_KEY_NS = 2.6  # one point of one column, counting the keys; one point of the head, counted by label
+_KEYS_NS = 5_400  # counting the keys, beyond its points
+_BIN_NS = 14  # one bin of one shifted row
+_PAIR_NS = 140  # one (row, label) pair of a call of many blocks, placed
+_FOLD_NS = 0.7  # one point of one numpy operation of a grid (`_grid_ns`)
+_FOLD_OPS = 24  # most terms, and most operations, that a grid counts
+_TERM_NS = 5_500  # one term of a grid, beyond its points
+_GRID_NS = 8_500  # one grid, beyond its terms
+_BLOCKS_NS = 65_000  # a call of many blocks, beyond its grids and counts: its layout and the steps that one block skips
+_BLOCK_NS = 34  # one block, laid out
+_DOUBT = 0.1  # the share of the predicted work by which the model may be wrong: a try must save more than this beyond its cost
+_TRY_NS = 43_500  # one try of an m (`_BlockValues._try`), beyond its terms and columns, with 30 us of margin for the model's error
+_SPLIT_NS = 400  # one term of the functions, split at one try
+_HIGH_TERM_NS = 8_800  # one term of a C or shift grid at one try
+_HIGH_NS = 9  # one block's entry of one C or shift column, coded and counted at one try
 # A levelled rotation range pays for its seam table in the labels and the
 # bins of its top call: p q^(2s) entries for each labelled level, each of
 # which costs about as much as enumerating this many points of the lower n
@@ -676,13 +682,61 @@ def _terms(g):
     return sorted([(tuple(sorted([v - 1 for v in mono])), c.index) for mono, c in g.terms.items()])
 
 
+def _grid_ns(columns):
+    """(fixed, ops): the predicted nanoseconds of `_grid` on each of
+    columns, sorted terms, summed, are fixed plus ops times _FOLD_NS a
+    point.  A column's fold takes 2 d + 1 numpy operations on the points
+    for a term of degree d; its terms and its operations each count at
+    most _FOLD_OPS, as `_grid` splits large grids of many terms."""
+    fixed = ops = 0
+    for terms in columns:
+        fixed += _GRID_NS + _TERM_NS * min(len(terms), _FOLD_OPS)
+        ops += min(sum([2 * len(mono) + 1 for mono, _c in terms if mono]), _FOLD_OPS)
+    return fixed, ops
+
+
+def _codes(columns, base, first, code, span):
+    """(code, span): each entry of code, all below span, followed by the
+    digits < base of columns from index first on, one column after another,
+    so that the codes keep the order of the rows of digits and every code is
+    below the new span.  Where span would pass 2^62, the codes are first
+    replaced by their rank among the distinct ones, which keeps that order."""
+    for column in columns:
+        if span * base > 1 << 62:
+            values, code = np.unique(code, return_inverse=True)
+            span = len(values)
+        code = code * base + column[first:]
+        span *= base
+    return code, span
+
+
+def _distinct(code, span):
+    """The number of distinct entries of code, all below span: by one
+    bincount while span is within a few times the entries, else by a sort."""
+    if span <= 4 * len(code) + _LEAF_POINTS:
+        return int(np.count_nonzero(np.bincount(code)))
+    code = np.sort(code)
+    return int(len(code) > 0) + int(np.count_nonzero(code[1:] != code[:-1]))
+
+
+def _key_count(q, m, columns, runs, gathers):
+    """What `_BlockValues.counts` contracts at m low digits, for columns
+    distinct base and L columns, runs distinct C rows and gathers bases and
+    groups: q^columns, the most keys there can be, when counting the low
+    points by key is predicted to pay, else the q^m points themselves."""
+    points, keys = q**m, q**columns
+    if not columns or keys >= points or _contract_ns(keys, runs, gathers) + points * columns * _KEY_NS + _KEYS_NS >= _contract_ns(points, runs, gathers):
+        return points
+    return keys
+
+
 def _contract_ns(keys, runs, gathers):
     """The predicted nanoseconds of `_BlockValues._contract` on keys keys for
     runs distinct C rows: a row at a time past _LEAF_POINTS keys, else in
-    batches of rows at twice the gathers' cost per entry."""
+    batches of rows."""
     if keys > _LEAF_POINTS:
         return (_GATHER_NS * keys * gathers + _ROW_NS) * runs
-    return 2 * _GATHER_NS * keys * gathers * runs
+    return 2.5 * _GATHER_NS * keys * gathers * runs
 
 
 class _BlockValues:
@@ -691,7 +745,10 @@ class _BlockValues:
 
     A block fixes the top n - m digits of the point index and runs over the
     q^m settings of the low digits; `_choose` picks m for each call, with
-    q^m <= _BLOCK_POINTS and, where that allows, m >= n // 2.  `_split` writes
+    q^m <= _BLOCK_POINTS and, where that allows, m >= n // 2.  It prices
+    each m it tries, most often one or two, by the counts of that m's rows
+    alone (`_try`), and lays out the rows of the m it picks once
+    (`_layout`).  `_split` writes
     each function as g = base(low) + shift(high) + sum over groups of
     C(high) L(low), where shift is the sum of the groups whose cofactor L is
     a constant.  base, each distinct L, each C and each shift over all
@@ -741,14 +798,15 @@ class _BlockValues:
         self.n = n = funcs[0].n
         self.lo, self.s, self.labels = lo, s, 1 + (n - lo) * q**s
         self.terms, self.grids = [_terms(g) for g in funcs], grids
+        self.term_count, self.halves = sum(map(len, self.terms)), {}
         self.m, plan, self.rows, self.weights, self.starts = self._choose(self.terms, n, grids)
-        self.axes, self.consts, columns, self.bins, _gathers, _folds, self.keys = plan
+        self.axes, self.consts, columns, self.bins, _gathers, _cost, self.keys = plan
         self.points = q**self.m
         self.head = self._head(self.m)
         self.columns = [_grid(self.tables, low, self.m, grids) for low in columns]
 
     def _plan(self, splits, m, runs):
-        """(axes, consts, columns, bins, gathers, folds, keys) of the
+        """(axes, consts, columns, bins, gathers, grid, keys) of the
         functions' splits at m low digits, for runs distinct C rows.
 
         A function with a low part, a base term in a low variable or a group,
@@ -758,10 +816,9 @@ class _BlockValues:
         share its column.  A function without a low part is const + shift on
         every block, and consts maps its number to const.  bins is the number
         of bins of the axes, gathers counts the bases and groups of the axes,
-        and folds the terms of the columns, at most _FOLD_TERMS a column.
-        keys is what `counts` contracts: q^columns, the most keys there can
-        be, when counting the low points by key is predicted to pay, else the
-        q^m points themselves.
+        grid is the fixed nanoseconds and the operations a point of the
+        columns' grids (`_grid_ns`), and keys is what `counts` contracts
+        (`_key_count`).
         """
         index, axes, consts, width, bins, gathers = {}, [], {}, 0, 1, 0
         for i, (base, groups) in enumerate(splits):
@@ -774,44 +831,81 @@ class _BlockValues:
             else:
                 consts[i] = base[0][1] if base else 0
             width += len(groups)
-        folds = sum([min(len(low), _FOLD_TERMS) for low in index])
-        points, keys = self.q**m, self.q ** len(index)
-        if not index or keys >= points or _contract_ns(keys, runs, gathers) + points * len(index) * _KEY_NS + _KEYS_NS >= _contract_ns(points, runs, gathers):
-            keys = points
-        return axes, consts, list(index), bins, gathers, folds, keys
+        return axes, consts, list(index), bins, gathers, _grid_ns(index), _key_count(self.q, m, len(index), runs, gathers)
 
     def _choose(self, terms, n, grids):
         """(m, plan, rows, weights, starts) at the m of least predicted work.
 
-        m runs down from the largest with q^m <= _BLOCK_POINTS, which bounds
-        the buffers, to n // 2 (only that m, if it is smaller).  At each m
-        only the high-digit side, the C and shift rows of `_layout`, is
-        built; from its counts `_work` predicts the rest.  A smaller m makes
-        the low-digit side cheaper and the high-digit side dearer: building
-        and sorting the rows costs about q^(n - m) times their width, plus a
-        fixed cost per try, grid and term, and is paid at every m tried.  So
-        the search stops when the predicted work rises, or when trying the
-        next m would cost more than all the work it could save.  Below n // 2
-        there would be more blocks than points in a block, so the rows alone
-        would outweigh the blocks.
+        m lies between n // 2 and the largest m with q^m <= _BLOCK_POINTS,
+        which bounds the buffers (only that m, if it is smaller than
+        n // 2): below n // 2 there would be more blocks than points in a
+        block, so the rows alone would outweigh the blocks.  A smaller m
+        makes the low-digit side cheaper and the high-digit side dearer.
+        Trying an m (`_try`) builds only what its price reads: the splits,
+        the C and shift grids over the blocks, the plan, and the number of
+        distinct C rows and of distinct (row, label) pairs; from these
+        `_work` predicts the rest.  The search starts at the first m with
+        no more blocks than points in a block, (n + 1) // 2, or at the
+        largest m where a term spans more than half the variables (a
+        rotation's wrapped translates) and the C could give most blocks
+        their own row (`_start`).  A call that fits in one block first tries
+        m = n, which builds nothing, and goes on to the start (to n - 1 from
+        a start at n) only where the one block costs more than twice a try
+        and the cost of many blocks, the model's error at that size, and the
+        start is predicted to pay.  From the best try so far `_guess`
+        predicts the work at the m not yet tried.  The m predicted to save
+        the most is tried next, and the search stops when no m is predicted
+        to save more than the cost of its try (`_try_ns`, with a margin for
+        the model's error) and _DOUBT of the best work.  Most calls try one
+        or two m.  The full layout, the sorted distinct rows with their
+        weights and runs, is then built once, at the m chosen, from its try
+        (`_layout`).
         """
         q = self.q
-        term_count = sum(map(len, terms))
         top = n
         while q**top > _BLOCK_POINTS:
             top -= 1
-        best = None
-        for m in range(top, min(top, n // 2) - 1, -1):
-            if best is not None:
-                work, _m, _plan, rows, _weights, _starts = best
-                if work <= _TRY_NS + (_HIGH_NS * q ** (n - m) + _GRID_NS) * rows.shape[1] + _TERM_NS * term_count:
-                    break
-            layout = self._layout(terms, n, m, grids)
-            work = self._work(m, *layout)
-            if best is not None and work >= best[0]:
+        tries, works, at, ref = {}, {}, None, None
+        m = top if top == n else self._start(terms, n, top)
+        while m is not None:
+            tried = tries[m] = self._try(terms, n, m, grids)
+            works[m] = self._work(m, *tried[:4])
+            if at is None or works[m] < works[at]:
+                at = m
+            if m < n and (ref is None or works[m] < works[ref]):
+                ref = m  # the best try with rows
+            m, most = None, _DOUBT * works[at]
+            least = self._try_ns(n, min(top, n - 1), tried) + _BLOCKS_NS  # a try, and the cost of many blocks
+            if works[at] - least <= most or ref is None and works[n] <= 2 * least:  # no try can pay
                 break
-            best = (work, m) + layout
-        return best[1:]
+            if ref is None:  # only the one block tried
+                base, others = n, [min(self._start(terms, n, top), n - 1)]
+            else:
+                base, others = ref, range(min(top, n // 2), min(top, n - 1) + 1)
+            for other in others:
+                bound = works[at] - self._try_ns(n, other, tries[base]) - _BLOCKS_NS
+                guess = other not in tries and bound > most and self._guess(base, tries[base], other)
+                saving = guess and bound + _BLOCKS_NS - self._work(other, *guess)
+                if guess and saving > most:
+                    m, most = other, saving
+        return (at,) + self._layout(terms, n, at, grids, tries[at])
+
+    def _start(self, terms, n, top):
+        """The m at which the search starts (`_choose`): (n + 1) // 2, or top
+        where a term spans more than half the variables and the C at that m
+        could give most blocks their own row (`_limit`)."""
+        start = min(top, (n + 1) // 2)
+        if any(mono and 2 * (mono[-1] - mono[0]) > n for t in terms for mono, _c in t):
+            if 2 * self._limit(start) > self.q ** (n - start):
+                return top
+        return start
+
+    def _limit(self, m):
+        """The most distinct rows that the C at m low digits (`_halves`) can
+        take: q^(their number), and q^(their high variables)."""
+        groups = [highs for _base, groups, _shift in self._halves(self.terms, m) for _low, highs in groups]
+        high = {v for highs in groups for mono, _one in highs for v in mono}
+        return self.q ** min(len(groups), len(high))
 
     def _head(self, m):
         """The digits k of the head, the first q^k points, counted point by
@@ -821,60 +915,144 @@ class _BlockValues:
         k = min(m + max(self.s - 1, 0), self.n)
         return k if self.lo < k else 0
 
-    def _work(self, m, plan, rows, weights, starts):
-        """The predicted nanoseconds to build the low-digit grids and count the blocks."""
-        _axes, consts, columns, bins, gathers, folds, keys = plan
-        points, head = self.q**m, self._head(m)
-        shifted = np.count_nonzero(weights) if consts or (len(rows) > 1 or head) and rows[:, -len(self.sizes) :].any() else 0  # see `_place`
+    def _try_ns(self, n, m, tried):
+        """The predicted nanoseconds of `_try` at m, from the width of the
+        rows and the terms of the C and shift grids of a try at another m;
+        a try at m = n, which has no rows, stands for a column a function
+        and no terms."""
+        width = len(tried[4] or self.terms)
+        return _TRY_NS + _SPLIT_NS * self.term_count + _HIGH_TERM_NS * tried[7] + _HIGH_NS * self.q ** (n - m) * width
+
+    def _guess(self, m, tried, other):
+        """(plan, runs, pairs, shifting) at other < n low digits, predicted
+        from the try at m (`_choose`), with whether counting by key pays
+        there (`_key_count`), or None where the try cannot tell.
+
+        The distinct C rows are predicted to stay as many, up to one a
+        block: a trapezoid's or sigma(k)'s C take the same few rows at every
+        m.  Where most blocks at m have their own row (a rotation's, or any
+        call's at an m of very few blocks), the try tells only of its
+        neighbours m - 1 and m + 1, at which the rows keep their share of
+        the blocks, up to q^(the high variables of the terms that cross
+        other), of which the C are functions.  The pairs grow with the
+        square root of the blocks.  A try at m = n has no rows to go by:
+        `_choose` asks it only of the start, at which it predicts as many
+        rows as the C there can take (`_limit`), up to one a block."""
+        plan, runs, pairs, shifting, _columns, code = tried[:6]
+        blocks = self.q ** (self.n - other)
+        if m == self.n:
+            runs = pairs = min(blocks, self._limit(other))
+        else:
+            now = max(len(code), 1)
+            if 2 * runs > now:
+                if abs(other - m) > 1:
+                    return None
+                crossing = {v for t in self.terms for mono, _c in t if mono and mono[0] < other <= mono[-1] for v in mono if v >= other}
+                runs = min(runs * blocks / now, self.q ** len(crossing))
+            runs = min(runs, blocks)
+            pairs = max(runs, min(blocks, pairs * (blocks / now) ** 0.5))
+        return plan[:-1] + (_key_count(self.q, other, len(plan[2]), runs, plan[4]),), runs, pairs, shifting
+
+    def _work(self, m, plan, runs, pairs, shifting):
+        """The predicted nanoseconds to build the low-digit grids, lay out
+        the rows and count the blocks at m low digits, for the plan (`_plan`)
+        and the counts of a try (`_try`)."""
+        _axes, consts, lows, bins, gathers, (fixed, ops), keys = plan
+        q, head = self.q, self._head(m)
+        points = q**m
+        shifted = pairs if consts or shifting and (pairs > 1 or head) else 0  # see `_place`
+        if head > m:  # the head's grids
+            more, more_ops = _grid_ns(self.terms)
+            fixed, ops = fixed + more, ops + more_ops * q ** (head - m)
         return (
-            _FOLD_NS * points * folds
-            + (_KEY_NS * points * len(columns) + _KEYS_NS if keys < points else 0)
-            + (_KEY_NS * self.q**head if head else 0)  # the head by label
-            + (_FOLD_NS * self.q**head * sum(min(len(t), _FOLD_TERMS) for t in self.terms) if head > m else 0)
-            + _contract_ns(keys, len(starts), gathers)
+            fixed
+            + _FOLD_NS * points * ops
+            + (_KEY_NS * points * len(lows) + _KEYS_NS if keys < points else 0)
+            + (_KEY_NS * q**head if head else 0)  # the head by label
+            + _contract_ns(keys, runs, gathers)
             + _BIN_NS * shifted * bins
+            + (_BLOCKS_NS + _BLOCK_NS * q ** (self.n - m) + _PAIR_NS * pairs if m < self.n else 0)
         )
 
-    def _layout(self, terms, n, m, grids):
-        """(plan, rows, weights, starts) of the functions' terms at m low digits.
+    def _try(self, terms, n, m, grids):
+        """(plan, runs, pairs, shifting, columns, code, key, high) of the
+        functions' terms at m low digits: what `_work` and `_guess` read,
+        and what `_layout` builds on.
 
-        plan is `_plan` of each function's (base, groups) from `_split`,
-        without the groups whose cofactor is a constant: they make up its
-        shift.  rows are the distinct rows of C and shift values over the
-        blocks, sorted, weights[r, l] the number of blocks with row r and
-        label l, and starts the first row of each run of rows with equal
-        C values.  The head is left out when it is counted apart
-        (`_first_blocks`).
+        Each function is split at m (`_halves`), and shifting is whether any
+        function has a shift.  columns are the C grids, then the shift
+        grids, over the blocks.  code holds each block's row of C values,
+        and key its row of C and shift values and its label, as one integer
+        each (`_codes`), for the blocks past the head, which is counted
+        apart (`_first_blocks`).  runs is the number of distinct C rows,
+        pairs the number of distinct (row, label) pairs, plan is `_plan` of
+        the splits for those runs, and high counts the terms of the C and
+        shift grids.  At m = n there is one block and no high digit: no
+        grids or codes (columns is None), and one row, or none when the
+        head holds the block.
         """
-        if m == n:  # one block: no high digits, so no C or shift rows to build or sort
-            rows = np.zeros((int(not self._head(m)), len(terms)), dtype=np.intp)
-            return self._plan([(t, []) for t in terms], m, len(rows)), rows, np.ones((len(rows), 1), dtype=np.intp), [0][: len(rows)]
-        splits, coeffs, shifts = [], [], []
-        for t in terms:
-            base, groups = _split(t, m)
-            # a constant L is one term (the empty monomial, c); its group joins shift
-            shift = sorted((high, low[0][1]) for low, highs in groups if not low[-1][0] for high, _one in highs)
-            groups = [(low, highs) for low, highs in groups if low[-1][0]]
+        if m == n:
+            runs = int(not self._head(m))
+            return self._plan([(t, []) for t in terms], m, runs), runs, runs, False, None, None, None, 0
+        q = self.q
+        splits, coeffs, shifts, shifting, high_terms = [], [], [], False, 0
+        for base, groups, shift in self._halves(terms, m):
             coeffs += [_grid(self.tables, high, n - m, grids) for _low, high in groups]
             shifts.append(_grid(self.tables, shift, n - m, grids))
             splits.append((base, groups))
-        rows = np.array(coeffs + shifts, dtype=self.tables.add.dtype).T  # one row per block; narrow, so it sorts by radix
-        # the distinct rows, sorted, and how many blocks of each label have each
-        order, labels, label = np.lexsort(rows.T[::-1]), self.labels, 0
-        if labels > 1:  # block b's label, from its digits
-            head = self._head(m)
-            if head:
-                order = order[order >= self.q ** (head - m)]
-            label = _labels(self.q, n - m, self.lo - m, self.s)[order]
-        rows = rows[order]
-        new = np.ones(len(rows), dtype=bool)
-        new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+            shifting = shifting or bool(shift)
+            high_terms += len(shift) + sum([len(highs) for _low, highs in groups])
+        head = self._head(m)
+        first = q ** (head - m) if head else 0
+        code, span = _codes(coeffs, q, first, np.zeros(q ** (n - m) - first, dtype=np.int64), 1)
+        key, key_span = _codes(shifts, q, first, code, span)
+        if self.labels > 1:
+            key, key_span = _codes([_labels(q, n - m, self.lo - m, self.s)], self.labels, first, key, key_span)
+        runs = _distinct(code, span)
+        return self._plan(splits, m, runs), runs, _distinct(key, key_span), shifting, coeffs + shifts, code, key, high_terms
+
+    def _halves(self, terms, m):
+        """[(base, groups, shift)]: each function's split at m low digits
+        (`_split`), less the groups whose cofactor is a constant, whose high
+        terms make up its shift; kept for the call, as `_choose` may read a
+        split before it tries it."""
+        got = self.halves.get(m)
+        if got is None:
+            got = self.halves[m] = []
+            for t in terms:
+                base, groups = _split(t, m)
+                # a constant L is one term (the empty monomial, c); its group joins shift
+                shift = sorted((high, low[0][1]) for low, highs in groups if not low[-1][0] for high, _one in highs)
+                got.append((base, [(low, highs) for low, highs in groups if low[-1][0]], shift))
+        return got
+
+    def _layout(self, terms, n, m, grids, tried=None):
+        """(plan, rows, weights, starts) of the functions' terms at m low
+        digits, from their try at m (`_try`; made here when not given).
+
+        rows are the distinct rows of C and shift values over the blocks
+        past the head, in the order of their codes, so rows with equal C
+        values are adjacent; weights[r, l] is the number of blocks with row
+        r and label l, and starts the first row of each run of rows with
+        equal C values.
+        """
+        plan, runs, _pairs, _shifting, columns, code, key, _high = tried or self._try(terms, n, m, grids)
+        if columns is None:  # one block: no high digits, so no C or shift rows to build or sort
+            rows = np.zeros((runs, len(terms)), dtype=np.intp)
+            return plan, rows, np.ones((runs, 1), dtype=np.intp), [0][:runs]
+        labels = self.labels
+        order = np.argsort(key)
+        key = key[order]
+        row = key // labels if labels > 1 else key
+        new = np.ones(len(key), dtype=bool)
+        np.not_equal(row[1:], row[:-1], out=new[1:])
         group = np.cumsum(new) - 1
-        weights = np.bincount(group * labels + label, minlength=np.count_nonzero(new) * labels).reshape(-1, labels)
-        rows = rows[new]
-        width = len(coeffs)
-        starts = [0] + (np.flatnonzero((rows[1:, :width] != rows[:-1, :width]).any(axis=1)) + 1).tolist()
-        return self._plan(splits, m, len(starts)), rows, weights, starts
+        weights = np.bincount(group * labels + key % labels if labels > 1 else group, minlength=np.count_nonzero(new) * labels)
+        first = order[new]  # the first block of each distinct row, past the head
+        code = code[first]
+        starts = [0] + (np.flatnonzero(code[1:] != code[:-1]) + 1).tolist()
+        rows = np.array(columns)[:, first + (len(columns[0]) - len(order))].T
+        return plan, rows, weights.reshape(-1, labels), starts
 
     def _keys(self):
         """(values, counts): the value of each column at each key, and the

@@ -636,39 +636,103 @@ def test_f2_labels_match_the_naive_loop(case, data):
 
 
 def _record_splits(monkeypatch):
-    """The list to which `_BlockValues` adds (q, n, m) for every split it tries."""
-    tried = []
-    layout = oracle._BlockValues._layout
+    """(tried, laid): the lists to which `_BlockValues` adds (q, n, m) for
+    every split it tries and for every full layout it builds."""
+    tried, laid = [], []
+    try_, layout = oracle._BlockValues._try, oracle._BlockValues._layout
 
-    def spy(self, terms, n, m, grids):
+    def spy_try(self, terms, n, m, grids):
         tried.append((self.q, n, m))
-        return layout(self, terms, n, m, grids)
+        return try_(self, terms, n, m, grids)
 
-    monkeypatch.setattr(oracle._BlockValues, "_layout", spy)
-    return tried
+    def spy_layout(self, terms, n, m, grids, tried=None):
+        laid.append((self.q, n, m))
+        return layout(self, terms, n, m, grids, tried)
+
+    monkeypatch.setattr(oracle._BlockValues, "_try", spy_try)
+    monkeypatch.setattr(oracle._BlockValues, "_layout", spy_layout)
+    return tried, laid
+
+
+def _top(q, n, block_points):
+    """The largest m <= n with q^m <= block_points (0 at least)."""
+    return max(k for k in range(n + 1) if q**k <= block_points or k == 0)
 
 
 @pytest.mark.parametrize("block_points", [30, 1 << 15])
 @pytest.mark.parametrize("greedy", [False, True])
 def test_the_chooser_keeps_blocks_under_the_cap(monkeypatch, block_points, greedy):
-    # greedy: a model in which only the low-digit grids cost anything, so
-    # every smaller m looks cheaper and the search runs to its floor
+    # every try and the one layout lie between min(top, n // 2) and top, the
+    # first try at n for a call that fits in one block, else at
+    # min(top, (n + 1) // 2), or at top for a call with a term spanning more
+    # than half its variables; greedy: a model in which only the points of
+    # the low-digit grids cost anything, so every smaller m looks cheaper and
+    # the search runs to its floor
     monkeypatch.setattr(oracle, "_BLOCK_POINTS", block_points)
     if greedy:
-        for name in ("_GATHER_NS", "_ROW_NS", "_KEY_NS", "_KEYS_NS", "_BIN_NS", "_HIGH_NS", "_GRID_NS", "_TRY_NS", "_TERM_NS"):
+        for name in ("_GATHER_NS", "_ROW_NS", "_KEY_NS", "_KEYS_NS", "_BIN_NS", "_PAIR_NS", "_TERM_NS", "_GRID_NS",
+                     "_BLOCKS_NS", "_BLOCK_NS", "_DOUBT", "_TRY_NS", "_SPLIT_NS", "_HIGH_TERM_NS", "_HIGH_NS"):
             monkeypatch.setattr(oracle, name, 0)
-    tried = _record_splits(monkeypatch)
+    tried, laid = _record_splits(monkeypatch)
     cases = [("tau(4)", 3, 13), ("sigma(3)", 3, 11), ("tau(3)", 8, 7), ("R(2,3) + R(2)", 5, 7), ("tau(3)", 9, 3), ("sigma(2)", 257, 2)]
     for text, q, n in cases:
         field = make_field(*prime_power(q))
         g = instantiate(parse(text), n, field)
         assert joint_counts([g]).sum() == q**n
-    for _text, q, n in cases:
-        top = max(k for k in range(n + 1) if q**k <= block_points or k == 0)
+        top = _top(q, n, block_points)
+        wide = any(len(mono) > 1 and 2 * (max(mono) - min(mono)) > n for mono in g.terms)
         ms = [m for q_, n_, m in tried if (q_, n_) == (q, n)]
-        assert ms and min(top, n // 2) <= min(ms) and max(ms) == top
+        chosen = [m for q_, n_, m in laid if (q_, n_) == (q, n)]
+        assert ms and ms[0] in ({n} if top == n else {min(top, (n + 1) // 2), top} if wide else {min(top, (n + 1) // 2)})
+        assert len(set(ms)) == len(ms) and min(top, n // 2) <= min(ms) and max(ms) <= top
+        assert len(chosen) == 1 and chosen[0] in ms
         if greedy:
-            assert min(ms) == min(top, n // 2)
+            assert chosen[0] == min(top, n // 2)
+
+
+def test_each_generic_call_lays_out_its_blocks_once(monkeypatch):
+    # the nine generic calls of the benchmark's enumerate pass, and two calls
+    # whose rows need the search's counts (a rotation gives most blocks
+    # their own row): each builds its full layout once, at an m with blocks
+    # of at most _BLOCK_POINTS points and m >= min(top, n // 2)
+    tried, laid = _record_splits(monkeypatch)
+    calls = []
+    init = oracle._BlockValues.__init__
+
+    def spy(self, funcs, grids, traced, lo, s):
+        laid_before = len(laid)
+        init(self, funcs, grids, traced, lo, s)
+        calls.append((self.q, self.n, self.m, len(laid) - laid_before))
+
+    monkeypatch.setattr(oracle._BlockValues, "__init__", spy)
+    ranges = [("tau(4)", 3, 4, 13), ("sigma(3)", 3, 3, 11), ("R(2,3)", 3, 3, 12), ("tau(3)", 5, 3, 9),
+              ("tau(3)", 4, 3, 10), ("tau(3)", 8, 3, 7), ("tau(3)", 9, 3, 7)]
+    for text, q, lo, hi in ranges:
+        sum_sequence(parse(text), make_field(*prime_power(q)), range(lo, hi + 1))
+    f3 = make_field(3)
+    joint_counts([instantiate(tau(k), 12, f3) for k in (2, 3, 4)])
+    assert len(calls) == 9
+    exp_sum(instantiate(parse("R(2,4)"), 9, make_field(2, 2)))
+    exp_sum(instantiate(parse("R(2,3)"), 6, make_field(3, 2)))
+    assert len(calls) == 11
+    for q, n, m, layouts in calls:
+        top = _top(q, n, oracle._BLOCK_POINTS)
+        assert layouts == 1 and q**m <= oracle._BLOCK_POINTS and min(top, n // 2) <= m <= top
+    assert len(laid) == 11 and len(tried) <= 2 * len(calls)
+
+
+def test_block_codes_order_the_rows_past_int64():
+    # five columns of digits below 2^20 would need codes past 2^62: they are
+    # ranked on the way, so equal codes are still equal rows and the codes
+    # still sort the rows as lexsort does; `_distinct` counts them by its sort
+    rng = np.random.default_rng(7)
+    base, first = 1 << 20, 7
+    columns = [rng.integers(0, 3, 500) * (base // 3) for _ in range(5)]
+    code, span = oracle._codes(columns, base, first, np.zeros(500 - first, dtype=np.int64), 1)
+    rows = np.stack(columns, axis=1)[first:]
+    assert span < 1 << 62 and code.max() < span
+    assert (np.diff(code[np.lexsort(rows.T[::-1])]) >= 0).all()
+    assert oracle._distinct(code, span) == len(set(code.tolist())) == len({tuple(r) for r in rows.tolist()})
 
 
 def test_the_chooser_balances_tau4_over_f3(monkeypatch):
