@@ -95,7 +95,8 @@ _KEYED_NS = 120_000  # one call at b < n: the split, the codes and their count
 _SEARCH_NS = 1000  # counting the groups of one term
 # The generic kernel's work model, in nanoseconds, fitted to calls timed on a
 # 2-core x86-64 host; only their ratios matter.  See `_BlockValues._choose`.
-_GATHER_NS = 1.4  # one entry (row x key) of one gather of the contraction, a row at a time; a batch takes 2.5 times that
+_GATHER_NS = 1.4  # one entry (row x key) of one gather of the contraction, a row at a time
+_BATCH_NS = 3.5  # the same in a batch of rows
 _ROW_NS = 5_000  # one distinct C row taken alone, beyond its entries
 _KEY_NS = 2.6  # one point of one column, counting the keys; one point of the head, counted by label
 _KEYS_NS = 5_400  # counting the keys, beyond its points
@@ -736,7 +737,7 @@ def _contract_ns(keys, runs, gathers):
     batches of rows."""
     if keys > _LEAF_POINTS:
         return (_GATHER_NS * keys * gathers + _ROW_NS) * runs
-    return 2.5 * _GATHER_NS * keys * gathers * runs
+    return _BATCH_NS * keys * gathers * runs
 
 
 class _BlockValues:
@@ -851,13 +852,12 @@ class _BlockValues:
         their own row (`_start`).  A call that fits in one block first tries
         m = n, which builds nothing, and goes on to the start (to n - 1 from
         a start at n) only where the one block costs more than twice a try
-        and the cost of many blocks, the model's error at that size, and the
-        start is predicted to pay.  From the best try so far `_guess`
-        predicts the work at the m not yet tried.  The m predicted to save
-        the most is tried next, and the search stops when no m is predicted
-        to save more than the cost of its try (`_try_ns`, with a margin for
-        the model's error) and _DOUBT of the best work.  Most calls try one
-        or two m.  The full layout, the sorted distinct rows with their
+        and the cost of many blocks, the model's error at that size.  From
+        the best try below n so far `_guess` predicts the work at the m not
+        yet tried.  The m predicted to save the most is tried next, and the
+        search stops when no m is predicted to save more than the cost of
+        its try (`_try_ns`, with a margin for the model's error) and _DOUBT
+        of the best work.  Most calls try one or two m.  The full layout, the sorted distinct rows with their
         weights and runs, is then built once, at the m chosen, from its try
         (`_layout`).
         """
@@ -879,12 +879,11 @@ class _BlockValues:
             if works[at] - least <= most or ref is None and works[n] <= 2 * least:  # no try can pay
                 break
             if ref is None:  # only the one block tried
-                base, others = n, [min(self._start(terms, n, top), n - 1)]
-            else:
-                base, others = ref, range(min(top, n // 2), min(top, n - 1) + 1)
-            for other in others:
-                bound = works[at] - self._try_ns(n, other, tries[base]) - _BLOCKS_NS
-                guess = other not in tries and bound > most and self._guess(base, tries[base], other)
+                m = min(self._start(terms, n, top), n - 1)
+                continue
+            for other in range(min(top, n // 2), min(top, n - 1) + 1):
+                bound = works[at] - self._try_ns(n, other, tries[ref]) - _BLOCKS_NS
+                guess = other not in tries and bound > most and self._guess(ref, tries[ref], other)
                 saving = guess and bound + _BLOCKS_NS - self._work(other, *guess)
                 if guess and saving > most:
                     m, most = other, saving
@@ -925,8 +924,11 @@ class _BlockValues:
 
     def _guess(self, m, tried, other):
         """(plan, runs, pairs, shifting) at other < n low digits, predicted
-        from the try at m (`_choose`), with whether counting by key pays
-        there (`_key_count`), or None where the try cannot tell.
+        from the try at m < n (`_choose`), or None where the try cannot tell.
+        The plan is the try's, with whether counting by key pays at other
+        (`_key_count`).  It splits no function again, which would cost a
+        small call more than the guess saves, but it overprices an m above
+        the try, where terms that cross m are low and make fewer groups.
 
         The distinct C rows are predicted to stay as many, up to one a
         block: a trapezoid's or sigma(k)'s C take the same few rows at every
@@ -935,22 +937,16 @@ class _BlockValues:
         neighbours m - 1 and m + 1, at which the rows keep their share of
         the blocks, up to q^(the high variables of the terms that cross
         other), of which the C are functions.  The pairs grow with the
-        square root of the blocks.  A try at m = n has no rows to go by:
-        `_choose` asks it only of the start, at which it predicts as many
-        rows as the C there can take (`_limit`), up to one a block."""
+        square root of the blocks."""
         plan, runs, pairs, shifting, _columns, code = tried[:6]
-        blocks = self.q ** (self.n - other)
-        if m == self.n:
-            runs = pairs = min(blocks, self._limit(other))
-        else:
-            now = max(len(code), 1)
-            if 2 * runs > now:
-                if abs(other - m) > 1:
-                    return None
-                crossing = {v for t in self.terms for mono, _c in t if mono and mono[0] < other <= mono[-1] for v in mono if v >= other}
-                runs = min(runs * blocks / now, self.q ** len(crossing))
-            runs = min(runs, blocks)
-            pairs = max(runs, min(blocks, pairs * (blocks / now) ** 0.5))
+        blocks, now = self.q ** (self.n - other), max(len(code), 1)
+        if 2 * runs > now:
+            if abs(other - m) > 1:
+                return None
+            crossing = {v for t in self.terms for mono, _c in t if mono and mono[0] < other <= mono[-1] for v in mono if v >= other}
+            runs = min(runs * blocks / now, self.q ** len(crossing))
+        runs = min(runs, blocks)
+        pairs = max(runs, min(blocks, pairs * (blocks / now) ** 0.5))
         return plan[:-1] + (_key_count(self.q, other, len(plan[2]), runs, plan[4]),), runs, pairs, shifting
 
     def _work(self, m, plan, runs, pairs, shifting):

@@ -670,7 +670,7 @@ def test_the_chooser_keeps_blocks_under_the_cap(monkeypatch, block_points, greed
     # the search runs to its floor
     monkeypatch.setattr(oracle, "_BLOCK_POINTS", block_points)
     if greedy:
-        for name in ("_GATHER_NS", "_ROW_NS", "_KEY_NS", "_KEYS_NS", "_BIN_NS", "_PAIR_NS", "_TERM_NS", "_GRID_NS",
+        for name in ("_GATHER_NS", "_BATCH_NS", "_ROW_NS", "_KEY_NS", "_KEYS_NS", "_BIN_NS", "_PAIR_NS", "_TERM_NS", "_GRID_NS",
                      "_BLOCKS_NS", "_BLOCK_NS", "_DOUBT", "_TRY_NS", "_SPLIT_NS", "_HIGH_TERM_NS", "_HIGH_NS"):
             monkeypatch.setattr(oracle, name, 0)
     tried, laid = _record_splits(monkeypatch)
