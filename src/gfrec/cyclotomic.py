@@ -6,16 +6,18 @@ For p = 2 the basis is just {1} and the ring degenerates to the ordinary
 integers, which keeps character sums over F_2 on the same code path.
 
 `CycInt(p, coeffs)` checks that p is prime, converts every coordinate with
-int() and checks that there are p - 1 of them.  The private constructor
-`CycInt._of(p, coords)` skips all three: it is for values the package has
-just computed from validated ones, and its caller guarantees that p is a
-prime already seen and that coords is a tuple of exactly p - 1 Python ints.
-A list would make the value unhashable and unequal to the same value built
-by CycInt(); a numpy integer would wrap on overflow in later arithmetic.
-Callers therefore convert numpy rows with tuple(row.tolist()).
+int() and checks that there are p - 1 of them.  `build_unchecked(coords)`
+skips all three: it is for values the package has just computed from
+validated ones, and its caller guarantees that coords holds exactly p - 1
+Python ints for a prime p already seen.  A numpy integer would wrap on
+overflow in later arithmetic, so callers convert numpy rows with tolist().
 """
 
 from __future__ import annotations
+
+from functools import partial
+from itertools import repeat
+from operator import add, mul, neg, sub
 
 from .galois import is_prime
 
@@ -39,35 +41,41 @@ def to_decimal(n):
     return to_decimal(high) + to_decimal(low).zfill(k)
 
 
-class CycInt:
-    """An element of Z[zeta_p] with exact integer coordinates.  Not a
-    `funcalg.Frozen`: `transfer.run` and `recurrence.extend` build a value a
-    term with `_of`, which `_set` makes about four times as slow (208 -> 819 ns
-    on a 2-core x86 host), and equality three times (108 -> 330 ns)."""
+class CycInt(tuple):
+    """An element of Z[zeta_p] with exact integer coordinates: the tuple of
+    its p - 1 coordinates, so a value is one object, and p = len + 1.
 
-    __slots__ = ("p", "coeffs")
+    `coeffs` is those items as a plain tuple.  Being a tuple, a value also
+    has `len`, iteration and indexing, over its coordinates, and `np.array`
+    of values gives an int64 array, which can wrap (no package path builds
+    one).  Equality is strict: a value equals only a CycInt with the same
+    coordinates, never a plain tuple.  Values are not ordered, and `+` and
+    `*` with a plain tuple refuse it rather than concatenate or repeat.
 
-    def __init__(self, p, coeffs):
-        if p not in _PRIME_ORDERS:
-            if not is_prime(p):
-                raise ValueError("root order must be prime, got %r" % (p,))
-            _PRIME_ORDERS.add(p)
+    Not a `funcalg.Frozen`, whose value is a slots instance that holds its
+    fields, two objects where this is one: `transfer.run` and
+    `recurrence.extend` build tens of thousands of values a pass, mapping
+    `build_unchecked` over their coordinate rows."""
+
+    __slots__ = ()
+
+    def __new__(cls, p, coeffs):
+        _check_order(p)
         coeffs = tuple(map(int, coeffs))
         if len(coeffs) != p - 1:
             raise ValueError("expected %d coordinates, got %d" % (p - 1, len(coeffs)))
-        self.p = p
-        self.coeffs = coeffs
+        return tuple.__new__(cls, coeffs)
+
+    @property
+    def p(self):
+        return len(self) + 1
+
+    coeffs = property(tuple, doc="The coordinates as a plain tuple.")
+
+    def __reduce__(self):
+        return CycInt, (len(self) + 1, tuple(self))
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def _of(cls, p, coords):
-        """The value with these coordinates, unchecked: coords is a tuple of
-        p - 1 Python ints computed from validated values of root order p."""
-        self = object.__new__(cls)
-        self.p = p
-        self.coeffs = coords
-        return self
 
     @classmethod
     def from_int(cls, p, n):
@@ -95,25 +103,28 @@ class CycInt:
     def _check(self, other):
         if not isinstance(other, CycInt):
             raise TypeError("expected a CycInt")
-        if self.p != other.p:
+        if len(self) != len(other):
             raise ValueError("mixed root orders %d and %d" % (self.p, other.p))
 
     def __add__(self, other):
         self._check(other)
-        return CycInt(self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return build_unchecked(map(add, self, other))
+
+    def __radd__(self, other):  # else a plain tuple + a value would concatenate
+        raise TypeError("expected a CycInt")
 
     def __sub__(self, other):
         self._check(other)
-        return CycInt(self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return build_unchecked(map(sub, self, other))
 
     def __neg__(self):
-        return CycInt(self.p, tuple(-a for a in self.coeffs))
+        return build_unchecked(map(neg, self))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return CycInt(self.p, tuple(a * other for a in self.coeffs))
+            return build_unchecked(map(mul, self, repeat(other)))
         self._check(other)
-        return combination(self.p, ((self, other),))
+        return combination(len(self) + 1, ((self, other),))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -126,53 +137,70 @@ class CycInt:
 
     def galois_map(self, s):
         """The automorphism zeta -> zeta^s for s not divisible by p."""
-        if s % self.p == 0:
+        p = len(self) + 1
+        if s % p == 0:
             raise ValueError("exponent must be prime to p")
-        counts = [0] * self.p
-        for i, a in enumerate(self.coeffs):
-            counts[(i * s) % self.p] += a
-        return CycInt.from_root_counts(self.p, counts)
+        counts = [0] * p
+        for i, a in enumerate(self):
+            counts[(i * s) % p] += a
+        return CycInt.from_root_counts(p, counts)
 
     def divide_exact(self, n):
         """Divide by a nonzero integer, failing unless every coordinate divides."""
         if n == 0:
             raise ZeroDivisionError("division by zero")
         out = []
-        for a in self.coeffs:
+        for a in self:
             qt, rm = divmod(a, n)
             if rm:
                 raise ValueError("non-integral division of %r by %d" % (self, n))
             out.append(qt)
-        return CycInt(self.p, tuple(out))
+        return build_unchecked(out)
 
     # -- queries ------------------------------------------------------------
 
     def is_zero(self):
-        return all(a == 0 for a in self.coeffs)
+        return not any(self)
 
     def as_integer(self):
         """The value as a plain integer, or None when it is not rational."""
-        if any(a != 0 for a in self.coeffs[1:]):
+        if any(self[1:]):
             return None
-        return self.coeffs[0]
+        return self[0]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, CycInt)
-            and self.p == other.p
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, CycInt) and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+
+    def _unordered(self, other):
+        raise TypeError("CycInt values are not ordered")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def __repr__(self):
-        return "CycInt(p=%d, [%s])" % (self.p, ", ".join(map(to_decimal, self.coeffs)))
+        return "CycInt(p=%d, [%s])" % (len(self) + 1, ", ".join(map(to_decimal, self)))
 
     # -- serialization ------------------------------------------------------
 
     def to_record(self):
-        return {"p": self.p, "coeffs": [to_decimal(c) for c in self.coeffs]}
+        return {"p": len(self) + 1, "coeffs": [to_decimal(c) for c in self]}
+
+
+# The CycInt with the coordinates of one iterable, unchecked (see the module
+# docstring).  It builds at C level, so bulk builders map it over coordinate
+# rows with no Python frame a value.
+build_unchecked = partial(tuple.__new__, CycInt)
+
+
+def _check_order(p):
+    if p not in _PRIME_ORDERS:
+        if not is_prime(p):
+            raise ValueError("root order must be prime, got %r" % (p,))
+        _PRIME_ORDERS.add(p)
 
 
 def combination(p, pairs):
@@ -182,22 +210,24 @@ def combination(p, pairs):
     Products land in one list of root-exponent counts, which is folded mod p
     and canonicalized once, so no intermediate sums are built.
     """
+    _check_order(p)
     counts = [0] * (2 * p)
     for a, b in pairs:
-        if b.p != p:
+        if len(b) != p - 1:
             raise ValueError("mixed root orders %d and %d" % (p, b.p))
         if isinstance(a, int):
             if a:
-                for j, y in enumerate(b.coeffs):
+                for j, y in enumerate(b):
                     counts[j] += a * y
             continue
-        if a.p != p:
+        if len(a) != p - 1:
             raise ValueError("mixed root orders %d and %d" % (p, a.p))
-        for i, x in enumerate(a.coeffs):
+        for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b.coeffs, i):
+                for j, y in enumerate(b, i):
                     counts[j] += x * y
-    return CycInt.from_root_counts(p, [counts[t] + counts[t + p] for t in range(p)])
+    top = counts[p - 1] + counts[2 * p - 1]
+    return build_unchecked([counts[t] + counts[t + p] - top for t in range(p - 1)])
 
 
 def root_power(p, e):

@@ -27,8 +27,8 @@ class Frozen:
     to a value of its class with equal fields, and printed as a keyword call
     unless its class keeps its own `__repr__`.  On it: the expressions and
     `InstantiatedFunction`, `galois.FieldSpec` and `FieldElement`, `recurrence.IntPolynomial`
-    and `Sequence`, `harness.ConjectureReport`, `numtheory.EigenReport`.  Off it: `CycInt`
-    (see its docstring) and `transfer.TransferSystem`, whose arrays leave it identity equality."""
+    and `Sequence`, `harness.ConjectureReport`, `numtheory.EigenReport`.  Off it: `CycInt`,
+    the tuple of its coordinates (see its docstring), and `transfer.TransferSystem`, whose arrays leave it identity equality."""
 
     __slots__ = ()
 

@@ -71,7 +71,7 @@ from math import prod
 
 import numpy as np
 
-from .cyclotomic import CycInt
+from .cyclotomic import CycInt, build_unchecked
 from .funcalg import InstantiatedFunction, instantiate, seam
 from .galois import is_prime
 from .limits import DEFAULT_POINT_BUDGET, check_bins, check_points
@@ -1301,7 +1301,7 @@ def decorated_sums(base, decorations, budget=DEFAULT_POINT_BUDGET):
         chunks = ((t - tables.trace_index[tables.mul[c : c + per]]) % p for c in range(0, q, per))
         h = np.concatenate([h[chunk, np.arange(q)].sum(axis=2) for chunk in chunks], axis=1)
         h = h.transpose(0, 2, 1).reshape(p, -1)
-    return [CycInt._of(p, tuple(row)) for row in (h[: p - 1] - h[p - 1]).T.tolist()]
+    return list(map(build_unchecked, (h[: p - 1] - h[p - 1]).T.tolist()))
 
 
 def weight(g, budget=DEFAULT_POINT_BUDGET):

@@ -24,7 +24,7 @@ from itertools import islice, repeat
 from math import gcd
 from operator import add, mul, ne
 
-from .cyclotomic import CycInt
+from .cyclotomic import build_unchecked
 from .funcalg import Frozen
 
 
@@ -104,9 +104,9 @@ class Sequence(Frozen):
 
     def __init__(self, n_min, values, provenance):
         values = tuple(values)
-        ps = {v.p for v in values}
-        if len(ps) > 1:
-            raise ValueError("sequence mixes root orders %s" % sorted(ps))
+        lengths = set(map(len, values))  # a value of root order p has p - 1 coordinates
+        if len(lengths) > 1:
+            raise ValueError("sequence mixes root orders %s" % sorted(n + 1 for n in lengths))
         self._set(n_min, values, provenance)
 
     def __len__(self):
@@ -171,7 +171,7 @@ def family_poly(family, k=None, field=None):
 
 def _columns(values):
     """The power-basis coordinates of the values, one list per coordinate."""
-    return [list(col) for col in zip(*(v.coeffs for v in values))]
+    return [list(col) for col in zip(*values)]
 
 
 def _distinct(cols):
@@ -285,7 +285,9 @@ def extend(init, poly, n_target):
     """Continue a sequence with a monic recurrence, exactly.
 
     Extends forward past the last known term, or backward before the first
-    one when the constant-coefficient division stays integral.
+    one when the constant-coefficient division stays integral.  The new
+    values are built unchecked, by `cyclotomic.build_unchecked`, from the
+    coordinates computed here; forward, it is mapped over the zipped columns.
     """
     if not poly.monic:
         raise ValueError("extension needs a monic polynomial")
@@ -294,12 +296,11 @@ def extend(init, poly, n_target):
         raise InsufficientDataError(
             "need at least %d initial terms, have %d" % (max(d, 1), len(init))
         )
-    p = init.values[0].p
     if n_target >= init.n_end:
         count = n_target - init.n_end + 1
         kept, where = _distinct(_columns(init.values))
         tails = [_forward(col, poly.coeffs, count) for col in kept] + [[0] * count]  # zeros stay zero
-        fresh = tuple(map(CycInt._of, repeat(p), zip(*(tails[-1 if i is None else i] for i in where))))
+        fresh = tuple(map(build_unchecked, zip(*(tails[-1 if i is None else i] for i in where))))
         return Sequence(init.n_min, init.values + fresh, "recurrence")
     cols = _columns(init.values)
     c0 = poly.coeffs[0]
@@ -310,9 +311,9 @@ def extend(init, poly, n_target):
     taps = [(-j, c) for j, c in enumerate(poly.coeffs) if j and c]
     fresh = []
     for _ in range(init.n_min - n_target):
-        num = tuple(-sum(c * r[off] for off, c in taps) for r in rev)
-        fresh.append(CycInt._of(p, num).divide_exact(c0))
-        for r, x in zip(rev, fresh[-1].coeffs):
+        num = [-sum(c * r[off] for off, c in taps) for r in rev]
+        fresh.append(build_unchecked(num).divide_exact(c0))
+        for r, x in zip(rev, fresh[-1]):
             r.append(x)
     return Sequence(min(init.n_min, n_target), tuple(reversed(fresh)) + init.values, "recurrence")
 

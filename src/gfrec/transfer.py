@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cyclotomic import CycInt
+from .cyclotomic import CycInt, build_unchecked
 from .funcalg import (
     Frozen,
     InstantiatedFunction,
@@ -100,7 +100,8 @@ def run(sys, n_target):
     """Projected target values for n = n_min .. n_target, exactly: the
     states are stepped by SparseMatrix.times, which moves them to Python
     ints when int64 would no longer be exact, and each target sums its
-    projected states in Python ints."""
+    projected states in Python ints.  The coordinate rows are collected and
+    every value is built once, at the end, by `build_unchecked`."""
     if n_target < sys.n_min:
         raise ValueError("n_target below the system's first index %d" % sys.n_min)
     m, p = sys.sparse, sys.field.p
@@ -109,11 +110,11 @@ def run(sys, n_target):
     v, pick = sys.init, rows
     if columns > 1:
         v, pick = v.reshape(m.dim, columns, p - 1).transpose(0, 2, 1), (rows, slice(None), cols)
-    out = []
+    rows = []
     while True:
-        out.append(CycInt._of(p, tuple(v[pick].sum(axis=0, dtype=object).tolist())))
-        if len(out) > n_target - sys.n_min:
-            return Sequence(sys.n_min, tuple(out), "transfer")
+        rows.append(v[pick].sum(axis=0, dtype=object).tolist())
+        if len(rows) > n_target - sys.n_min:
+            return Sequence(sys.n_min, map(build_unchecked, rows), "transfer")
         v = m.times(v)
 
 

@@ -2,6 +2,7 @@
 validation, equality, hashing, read-only fields and repr."""
 
 import copy
+import operator
 import os
 import pickle
 import subprocess
@@ -9,9 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gfrec
-from gfrec.cyclotomic import CycInt
+from gfrec.cyclotomic import CycInt, build_unchecked
 from gfrec.funcalg import (
     InstantiatedFunction,
     MonomialPattern,
@@ -57,6 +60,7 @@ VALUES = [
     (F3.from_index(2), "coeffs"),
     (IntPolynomial([-2, -2, 0, 1]), "coeffs"),
     (instantiate(parse("tau(2)"), 3, F3), "terms"),
+    (CycInt(5, (1, -2, 0, 2**80)), "coeffs"),
 ]
 IDS = [type(value).__name__ for value, _field in VALUES]
 
@@ -84,6 +88,48 @@ def test_values_are_equal_by_class_and_fields():
     assert instantiate(parse("e2*tau(2)+tau(2)"), 3, F3) == InstantiatedFunction(F3, 3, {})  # 2 + 1 = 0 in F_3
 
 
+def test_a_cycint_equals_only_a_cycint_of_the_same_coordinates():
+    c = CycInt(5, (1, -2, 0, 3))
+    assert c == build_unchecked((1, -2, 0, 3)) and hash(c) == hash(build_unchecked([1, -2, 0, 3]))
+    assert type(c.coeffs) is tuple and c.coeffs == (1, -2, 0, 3) and c.p == 5
+    assert len(c) == 4 and list(c) == [1, -2, 0, 3] and c[1] == -2
+    for plain in ((1, -2, 0, 3), [1, -2, 0, 3]):
+        assert c != plain and plain != c
+        assert not c == plain and not plain == c
+    assert (1, -2, 0, 3) not in {c} and {c: 1}.get((1, -2, 0, 3)) is None
+    # another root order: the same leading coordinates, or the same integer
+    assert CycInt(3, (1, -2)) != CycInt(5, (1, -2, 0, 0))
+    assert CycInt.from_int(2, 5) != CycInt.from_int(3, 5) and CycInt.zero(2) != CycInt.zero(3)
+    assert len({CycInt.zero(2), CycInt.zero(3), CycInt.zero(5), build_unchecked((0,))}) == 3
+
+
+@pytest.mark.parametrize("compare", [operator.lt, operator.le, operator.gt, operator.ge])
+def test_cycint_values_are_not_ordered(compare):
+    c, d = CycInt(3, (1, 2)), CycInt(3, (1, 3))
+    for left, right in ((c, d), (c, (1, 3)), ((1, 3), c), (c, c)):
+        with pytest.raises(TypeError):
+            compare(left, right)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.iadd, operator.mul, operator.imul, operator.sub])
+def test_tuple_operands_are_refused_not_concatenated_or_repeated(op):
+    c = CycInt(3, (1, 2))
+    for left, right in ((c, (9,)), ((9,), c), (c, [9]), ([9], c), (c, ()), ((), c)):
+        with pytest.raises(TypeError):
+            op(left, right)
+    assert c * 2 == 2 * c == CycInt(3, (2, 4))  # an int scales, it does not repeat
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 13]), data=st.data())
+def test_the_unchecked_builder_builds_the_checked_value(p, data):
+    coords = data.draw(st.lists(st.integers(-2**70, 2**70), min_size=p - 1, max_size=p - 1))
+    built, checked = build_unchecked(coords), CycInt(p, coords)
+    assert type(built) is CycInt and built == checked and hash(built) == hash(checked)
+    assert built.p == p and built.coeffs == tuple(coords) and repr(built) == repr(checked)
+    assert build_unchecked(iter(coords)) == checked
+
+
 def test_a_transfer_system_is_compared_by_identity():
     a, b = system_for(parse("tau(3)"), F3), system_for(parse("tau(3)"), F3)
     assert a == a and a != b
@@ -98,7 +144,9 @@ def test_fields_are_read_only(value, field):
         setattr(value, field, None)
     with pytest.raises(AttributeError):
         delattr(value, field)
-    assert getattr(value, field) is before
+    after = getattr(value, field)
+    # a CycInt's coeffs is a fresh plain tuple of its own items at every read
+    assert after == before if isinstance(value, CycInt) else after is before
 
 
 @pytest.mark.parametrize("value", [value for value, _field in VALUES], ids=IDS)
