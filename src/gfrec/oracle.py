@@ -26,7 +26,8 @@ low-digit part takes one value on a block and has no axis there (see
 middle: smaller blocks make each distinct coefficient row's histogram
 cheaper, and make more rows to evaluate and sort.  A work model, fitted to
 timed calls, predicts both from the coefficient rows of the one or two
-sizes that a call tries, and whether counting by key pays.
+sizes that a call tries, and whether counting by key pays.  Both kernels'
+models keep only prices that change the size chosen for some timed call.
 
 Most calls are small: checks and short ranges enumerate a few hundred to a
 few thousand points, where each numpy call costs about a microsecond
@@ -92,7 +93,6 @@ _WIDE_TERM_POINT_NS = 0.006  # the same in the one cube of 2^n points, which str
 _MASK_WORD_NS = 1.5  # one word of a cube at one value of a seam's a (`_SEAM_WORDS`): its AND and popcount
 _CODE_NS = 1.1  # one chunk's code at one chunk bit of the zeta transform
 _KEYED_NS = 120_000  # one call at b < n: the split, the codes and their count
-_SEARCH_NS = 1000  # counting the groups of one term
 # The generic kernel's work model, in nanoseconds, fitted to calls timed on a
 # 2-core x86-64 host; only their ratios matter.  See `_BlockValues._choose`.
 _GATHER_NS = 1.4  # one entry (row x key) of one gather of the contraction, a row at a time
@@ -102,17 +102,12 @@ _KEY_NS = 2.6  # one point of one column, counting the keys; one point of the he
 _KEYS_NS = 5_400  # counting the keys, beyond its points
 _BIN_NS = 14  # one bin of one shifted row
 _PAIR_NS = 140  # one (row, label) pair of a call of many blocks, placed
-_FOLD_NS = 0.7  # one point of one numpy operation of a grid (`_grid_ns`)
-_FOLD_OPS = 24  # most terms, and most operations, that a grid counts
-_TERM_NS = 5_500  # one term of a grid, beyond its points
-_GRID_NS = 8_500  # one grid, beyond its terms
+_FOLD_NS = 0.7  # one point of one numpy operation of a grid (`_grid_ops`)
+_FOLD_OPS = 24  # most operations that a grid counts
 _BLOCKS_NS = 65_000  # a call of many blocks, beyond its grids and counts: its layout and the steps that one block skips
 _BLOCK_NS = 34  # one block, laid out
-_DOUBT = 0.1  # the share of the predicted work by which the model may be wrong: a try must save more than this beyond its cost
-_TRY_NS = 43_500  # one try of an m (`_BlockValues._try`), beyond its terms and columns, with 30 us of margin for the model's error
-_SPLIT_NS = 400  # one term of the functions, split at one try
+_TRY_NS = 43_500  # one try of an m (`_BlockValues._try`), beyond its C and shift terms, with 30 us of margin for the model's error
 _HIGH_TERM_NS = 8_800  # one term of a C or shift grid at one try
-_HIGH_NS = 9  # one block's entry of one C or shift column, coded and counted at one try
 # A levelled rotation range pays for its seam table in the labels and the
 # bins of its top call: p q^(2s) entries for each labelled level, each of
 # which costs about as much as enumerating this many points of the lower n
@@ -234,6 +229,12 @@ def integer_tables(field):
     call.
     """
     return _tables(field).integer()
+
+
+def trace_table(field):
+    """The trace of each element index of a field, as an intp table from the
+    field-table cache; unlike `integer_tables`, it converts no q^2 table."""
+    return _tables(field).trace_index
 
 
 def _digit_rows(q, k):
@@ -509,9 +510,8 @@ def _chunk_bits(terms, n, lo, s):
     (`_SEAM_WORDS`), at _MASK_WORD_NS, and at b < n the head chunks of
     s > 1, when lo is below them, are one more cube, of 2^(b+s-1) points.
     The groups are counted once, at b = n // 2, and taken as the same at
-    every b; the count finds `_split`'s groups without building them, for
-    _SEARCH_NS a term, half a split.  A call whose one cube would cost less
-    than counting them and the fixed cost counts none.
+    every b; the count finds `_split`'s groups without building them.  A
+    call whose one cube costs no more than the fixed cost counts none.
     """
 
     def cube_ns(k):  # one cube of 2^k points
@@ -521,7 +521,7 @@ def _chunk_bits(terms, n, lo, s):
     best_work, best = cube_ns(n), n
     if n > _CHUNK_BITS:
         best_work, best = float("inf"), top
-    elif top < 0 or best_work <= _KEYED_NS + len(terms) * _SEARCH_NS:
+    elif top < 0 or best_work <= _KEYED_NS:
         return n
     least = min(n // 2, top)
     cofactors = {}
@@ -683,17 +683,12 @@ def _terms(g):
     return sorted([(tuple(sorted([v - 1 for v in mono])), c.index) for mono, c in g.terms.items()])
 
 
-def _grid_ns(columns):
-    """(fixed, ops): the predicted nanoseconds of `_grid` on each of
-    columns, sorted terms, summed, are fixed plus ops times _FOLD_NS a
-    point.  A column's fold takes 2 d + 1 numpy operations on the points
-    for a term of degree d; its terms and its operations each count at
-    most _FOLD_OPS, as `_grid` splits large grids of many terms."""
-    fixed = ops = 0
-    for terms in columns:
-        fixed += _GRID_NS + _TERM_NS * min(len(terms), _FOLD_OPS)
-        ops += min(sum([2 * len(mono) + 1 for mono, _c in terms if mono]), _FOLD_OPS)
-    return fixed, ops
+def _grid_ops(columns):
+    """The numpy operations a point of `_grid` on each of columns, sorted
+    terms, summed; `_work` prices each at _FOLD_NS.  A column's fold takes
+    2 d + 1 of them for a term of degree d, and counts at most _FOLD_OPS,
+    as `_grid` splits large grids of many terms."""
+    return sum([min(sum([2 * len(mono) + 1 for mono, _c in terms if mono]), _FOLD_OPS) for terms in columns])
 
 
 def _codes(columns, base, first, code, span):
@@ -798,8 +793,7 @@ class _BlockValues:
         self.sizes = [field.p if self.traced else q] + [q] * (len(funcs) - 1)
         self.n = n = funcs[0].n
         self.lo, self.s, self.labels = lo, s, 1 + (n - lo) * q**s
-        self.terms, self.grids = [_terms(g) for g in funcs], grids
-        self.term_count, self.halves = sum(map(len, self.terms)), {}
+        self.terms, self.grids, self.halves = [_terms(g) for g in funcs], grids, {}
         self.m, plan, self.rows, self.weights, self.starts = self._choose(self.terms, n, grids)
         self.axes, self.consts, columns, self.bins, _gathers, _cost, self.keys = plan
         self.points = q**self.m
@@ -807,7 +801,7 @@ class _BlockValues:
         self.columns = [_grid(self.tables, low, self.m, grids) for low in columns]
 
     def _plan(self, splits, m, runs):
-        """(axes, consts, columns, bins, gathers, grid, keys) of the
+        """(axes, consts, columns, bins, gathers, ops, keys) of the
         functions' splits at m low digits, for runs distinct C rows.
 
         A function with a low part, a base term in a low variable or a group,
@@ -817,9 +811,8 @@ class _BlockValues:
         share its column.  A function without a low part is const + shift on
         every block, and consts maps its number to const.  bins is the number
         of bins of the axes, gathers counts the bases and groups of the axes,
-        grid is the fixed nanoseconds and the operations a point of the
-        columns' grids (`_grid_ns`), and keys is what `counts` contracts
-        (`_key_count`).
+        ops is the operations a point of the columns' grids (`_grid_ops`),
+        and keys is what `counts` contracts (`_key_count`).
         """
         index, axes, consts, width, bins, gathers = {}, [], {}, 0, 1, 0
         for i, (base, groups) in enumerate(splits):
@@ -832,7 +825,7 @@ class _BlockValues:
             else:
                 consts[i] = base[0][1] if base else 0
             width += len(groups)
-        return axes, consts, list(index), bins, gathers, _grid_ns(index), _key_count(self.q, m, len(index), runs, gathers)
+        return axes, consts, list(index), bins, gathers, _grid_ops(index), _key_count(self.q, m, len(index), runs, gathers)
 
     def _choose(self, terms, n, grids):
         """(m, plan, rows, weights, starts) at the m of least predicted work.
@@ -856,8 +849,10 @@ class _BlockValues:
         the best try below n so far `_guess` predicts the work at the m not
         yet tried.  The m predicted to save the most is tried next, and the
         search stops when no m is predicted to save more than the cost of
-        its try (`_try_ns`, with a margin for the model's error) and _DOUBT
-        of the best work.  Most calls try one or two m.  The full layout, the sorted distinct rows with their
+        its try: _TRY_NS, which holds a margin for the model's error, and
+        _HIGH_TERM_NS for each term of a try's C and shift grids, counted on
+        a try already made, as a try's price does not depend on its m.
+        Most calls try one or two m.  The full layout, the sorted distinct rows with their
         weights and runs, is then built once, at the m chosen, from its try
         (`_layout`).
         """
@@ -874,15 +869,15 @@ class _BlockValues:
                 at = m
             if m < n and (ref is None or works[m] < works[ref]):
                 ref = m  # the best try with rows
-            m, most = None, _DOUBT * works[at]
-            least = self._try_ns(n, min(top, n - 1), tried) + _BLOCKS_NS  # a try, and the cost of many blocks
-            if works[at] - least <= most or ref is None and works[n] <= 2 * least:  # no try can pay
+            m, most = None, 0
+            least = _TRY_NS + _HIGH_TERM_NS * tried[7] + _BLOCKS_NS  # a try, and the cost of many blocks
+            if works[at] <= least or ref is None and works[n] <= 2 * least:  # no try can pay
                 break
             if ref is None:  # only the one block tried
                 m = min(self._start(terms, n, top), n - 1)
                 continue
+            bound = works[at] - _TRY_NS - _HIGH_TERM_NS * tries[ref][7] - _BLOCKS_NS  # less a try, priced by the best one's terms, and many blocks
             for other in range(min(top, n // 2), min(top, n - 1) + 1):
-                bound = works[at] - self._try_ns(n, other, tries[ref]) - _BLOCKS_NS
                 guess = other not in tries and bound > most and self._guess(ref, tries[ref], other)
                 saving = guess and bound + _BLOCKS_NS - self._work(other, *guess)
                 if guess and saving > most:
@@ -913,14 +908,6 @@ class _BlockValues:
         their levels."""
         k = min(m + max(self.s - 1, 0), self.n)
         return k if self.lo < k else 0
-
-    def _try_ns(self, n, m, tried):
-        """The predicted nanoseconds of `_try` at m, from the width of the
-        rows and the terms of the C and shift grids of a try at another m;
-        a try at m = n, which has no rows, stands for a column a function
-        and no terms."""
-        width = len(tried[4] or self.terms)
-        return _TRY_NS + _SPLIT_NS * self.term_count + _HIGH_TERM_NS * tried[7] + _HIGH_NS * self.q ** (n - m) * width
 
     def _guess(self, m, tried, other):
         """(plan, runs, pairs, shifting) at other < n low digits, predicted
@@ -953,16 +940,14 @@ class _BlockValues:
         """The predicted nanoseconds to build the low-digit grids, lay out
         the rows and count the blocks at m low digits, for the plan (`_plan`)
         and the counts of a try (`_try`)."""
-        _axes, consts, lows, bins, gathers, (fixed, ops), keys = plan
+        _axes, consts, lows, bins, gathers, ops, keys = plan
         q, head = self.q, self._head(m)
         points = q**m
         shifted = pairs if consts or shifting and (pairs > 1 or head) else 0  # see `_place`
         if head > m:  # the head's grids
-            more, more_ops = _grid_ns(self.terms)
-            fixed, ops = fixed + more, ops + more_ops * q ** (head - m)
+            ops += _grid_ops(self.terms) * q ** (head - m)
         return (
-            fixed
-            + _FOLD_NS * points * ops
+            _FOLD_NS * points * ops
             + (_KEY_NS * points * len(lows) + _KEYS_NS if keys < points else 0)
             + (_KEY_NS * q**head if head else 0)  # the head by label
             + _contract_ns(keys, runs, gathers)

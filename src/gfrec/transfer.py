@@ -64,7 +64,7 @@ from .limits import (
     check_states,
 )
 from .linalg import SparseMatrix, minimal_polynomial
-from .oracle import integer_tables, sum_sequence, values
+from .oracle import integer_tables, sum_sequence, trace_table, values
 from .recurrence import IntPolynomial, Sequence
 
 
@@ -143,7 +143,7 @@ def _scatter(f, image, const):
     dim x q arrays image and const of state and field indices, whose root
     counts (dim q p) the builder has checked before it made them."""
     dim, q = image.shape
-    trace = integer_tables(f)[2]
+    trace = trace_table(f)
     rows = np.repeat(np.arange(dim), q)
     return SparseMatrix.from_root_counts(f.p, dim, rows, image.ravel(), trace[const].ravel())
 

@@ -648,6 +648,30 @@ def test_accept_out_to_an_unwritable_path_is_refused_before_the_battery_runs(cap
     assert err == "usage error: cannot write --out %s: %s\n" % (path, reason)
 
 
+_REPORT = {"all_pass": True, "items": [{"id": "C1", "status": "pass", "expected": "e", "got": "k=3 ok", "millis": 7}]}
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["expsum", "--expr", "tau(3)", "--field", "4", "--modulus", "1,x,1", "--n", "3..4"], 2, "",
+     "usage error: modulus must be comma-separated integers\n"),
+    (["expsum", "--expr", "tau(3)", "--field", "2", "--n", "3..x"], 2, "", "usage error: range must look like 3..6\n"),
+    (["verify", "--expr", "tau(3)", "--field", "2", "--poly", "1,a", "--n-max", "9"], 2, "",
+     "usage error: polynomial must be ascending comma-separated integers\n"),
+    (["verify", "--expr", "tau(3)", "--field", "2", "--poly", "0,0", "--n-max", "9"], 2, "", "usage error: polynomial must be nonzero\n"),
+    (["verify", "--expr", "tau(3)", "--field", "2", "--poly=-2,-2,0,1", "--n-max", "9", "--n-min", "2"], 2, "",
+     "usage error: family needs n >= 3\n"),
+    (["verify", "--expr", "tau(3)", "--field", "2", "--poly=-2,-2,0,1", "--n-max", "2"], 2, "", "usage error: empty range 3..2\n"),
+    (["discover", "--expr", "tau(3)", "--field", "2", "--n-max", "2"], 2, "", "usage error: empty range 3..2\n"),
+    (["numtheory", "eigen-check"], 2, "", "usage error: eigen-check needs --p\n"),
+    (["bench", "--expr", "tau(3)", "--field", "2", "--n", "2..4"], 2, "", "usage error: family needs n >= 3\n"),
+    (["accept", "--format", "pretty"], 0, "accept\n  C1   pass     7ms  k=3 ok\n", ""),
+])
+def test_each_refusal_and_the_pretty_report_print_their_own_line(capsys, monkeypatch, argv, code, out, err):
+    # the battery is replaced, so the pretty case prints a known report
+    monkeypatch.setattr(cli, "acceptance_run", lambda profile: _REPORT)
+    assert run_cli(capsys, *argv) == (code, out, err)
+
+
 # ---------------------------------------------------------------------------
 # top-level parsing
 

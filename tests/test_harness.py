@@ -4,6 +4,9 @@ The battery items themselves are exercised one by one in test_acceptance.py;
 this file covers the pieces they are made of.
 """
 
+import itertools
+
+import numpy as np
 import pytest
 
 from gfrec import harness
@@ -19,8 +22,9 @@ from gfrec.harness import (
     run_criterion,
     trap_conjecture_seq,
 )
+from gfrec.numtheory import EigenReport, eigen_check, legendre
 from gfrec.oracle import sum_sequence
-from gfrec.recurrence import Sequence, family_poly, satisfies
+from gfrec.recurrence import IntPolynomial, Sequence, family_poly, satisfies
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -231,3 +235,87 @@ def test_a_crashing_criterion_is_a_failing_entry(monkeypatch):
     assert entry["id"] == "C1" and entry["status"] == "fail"
     assert entry["expected"] == "criterion executes"
     assert entry["got"] == "ZeroDivisionError: no field of order 6"
+
+
+def _x_k_plus_one(names):
+    """family_poly, but X^k + 1 for the families in names."""
+
+    def poly(family, k=None, field=None):
+        return IntPolynomial([1] + [0] * (k - 1) + [1]) if family in names else family_poly(family, k, field)
+
+    return poly
+
+
+_CALLS = itertools.count(1)
+
+
+def _drifting(e, f, n_range):
+    """A sum_sequence whose value differs from one call to the next."""
+    return Sequence(n_range.start, (CycInt.from_int(f.p, next(_CALLS)),), "brute")
+
+_FAILURES = [
+    # (the names replaced in gfrec.harness, {criterion: (expected, got)}):
+    # each criterion meets a wrong input and reports it as its own failing entry
+    ({"satisfies": lambda seq, poly: False}, {
+        "C1": ("p_k annihilates brute trapezoid sums", "k=3 fails"),
+        "C2": ("p_k annihilates rotation sums", "k=3 fails"),
+        "C3": ("stated mixed combinations annihilated", "R(2,4) fails"),
+        "C4": ("Q_TRAP annihilates trapezoid sums", "(k=2,q=3) fails"),
+        "C6": ("X^4 - p^2 annihilates brute R(2) sums", "p=3 fails"),
+        "C7": ("degree-6 polynomial annihilates R(2,3) over F_3", "fails"),
+        "C8": ("degree-9 minimal polynomial annihilates brute sums", "fails"),
+        "C9": ("X^(2p) - (-1|p) p^p annihilates", "p=3"),
+    }),
+    ({"satisfies": lambda seq, poly: True, "family_poly": _x_k_plus_one({"P_K"})}, {
+        "C1": ("p_3 = X^3 - 2X - 2", "p_3 = X^3 + 1"),
+        "C4": ("Q_TRAP over F_2 equals p_k", "k=2 differs"),
+        "C13": ("rotation conjecture holds at tested sizes", "k=3 n=3: CycInt(p=2, [-3]) vs CycInt(p=2, [6])"),
+        "C14": ("discover returns X^3 - 2X - 2", "X^3 - 2*X - 2"),
+    }),
+    ({"family_poly": _x_k_plus_one({"Q_TRAP"})}, {
+        "C12": ("proved cases match brute force everywhere feasible", "k=2 q=2 n=2: CycInt(p=2, [-1]) vs CycInt(p=2, [2])"),
+    }),
+    ({"divides": lambda a, b: False}, {
+        "C7": ("X^3 - 3X - 6 divides the degree-6 polynomial", "does not divide"),
+        "C8": ("integer annihilator divides mu", "X^9 - 9*X^8 + 36*X^7 - 81*X^6 + 108*X^5 - 81*X^4 + 81*X^2 - 81*X + 27"),
+        "C14": ("discovered polynomial divides X^6 + 27", "X^4 - 3*X^3 + 6*X^2 - 9*X + 9"),
+    }),
+    ({"transfer.run": lambda system, n_end: Sequence(0, (), "transfer")}, {
+        "C6": ("transfer matches brute", "p=3 transfer mismatch"),
+        "C9": ("transfer matches brute for sigma(2)", "p=3"),
+    }),
+    ({"_mismatches": lambda m, ref: np.array([[0, 1]])}, {
+        "C6": ("built de Bruijn matrix is A_j(p)", "p=3"),
+        "C8": ("matrix equals the 9x9 reference", "entry (0,3)"),
+    }),
+    ({"hadamard_check": lambda p: False}, {"C9": ("M(p) is a complex Hadamard matrix", "p=3 fails")}),
+    ({"eigen_check": lambda p: EigenReport(p=p, predicted=(), ok=False)}, {"C10": ("(p+1)/2 predicted eigenvalues", "p=3")}),
+    ({"eigen_check": lambda p: EigenReport(p=p, predicted=eigen_check(p).predicted[:1] * ((p + 1) // 2), ok=True)}, {
+        "C10": ("multiplicity pattern 1 + 2 + ... + 2", "p=3"),
+    }),
+    ({"eigen_check": lambda p: EigenReport(p=p, predicted=eigen_check(p).predicted, ok=False)}, {
+        "C10": ("prod (M - lambda_a I) = 0, Tr(M^j) = sum m_a lambda_a^j", "p=3 fails"),
+    }),
+    ({"gauss_sum": lambda a, p: CycInt.from_int(p, a)}, {"C10": ("g(a;p) = (a|p) g(1;p)", "p=3 a=2")}),
+    ({"gauss_sum": lambda a, p: CycInt.from_int(p, legendre(a, p))}, {"C10": ("g(1;p)^2 = (-1|p) p", "p=3")}),
+    ({"rot_conjecture_seq": lambda k, n_max: rot_conjecture_seq(k, n_max) if k < 15 else Sequence(k, (CycInt.from_int(2, 0),), "conjecture")}, {
+        "C13": ("r_15(15) = 32766", "got 0"),
+    }),
+    ({"decorated_sums": lambda base, decorations: list(range(base.field.q ** len(decorations)))}, {
+        "C5": ("decorated sums equal for all unit choices", "q=3 k=3 n=3 j=1 differs"),
+    }),
+    ({"eisenstein_dumas": lambda poly, p: "reducible"}, {
+        "C11": ("Q_TRAP(k, p^r) irreducible when gcd(k,r)=1", "p=2 r=1 k=2: reducible"),
+    }),
+    ({"sum_sequence": _drifting}, {"C15": ("byte-identical payloads across repeats", "diverged")}),
+]
+
+
+@pytest.mark.parametrize("replaced, failures", _FAILURES, ids=["+".join(replaced) for replaced, _failures in _FAILURES])
+def test_a_criterion_that_meets_a_wrong_input_reports_its_own_failure(monkeypatch, replaced, failures):
+    for name, fake in replaced.items():
+        monkeypatch.setattr("gfrec.harness." + name, fake)
+    ctx = _Ctx("quick")
+    for cid, (expected, got) in failures.items():
+        entry = run_criterion(cid, ctx=ctx)
+        assert (entry["id"], entry["status"], entry["expected"], entry["got"]) == (cid, "fail", expected, got)

@@ -614,6 +614,25 @@ def test_one_shifted_row_past_the_head_keeps_its_shift(monkeypatch):
     assert oracle._value_counts([g], lo=0).tolist() == reference.histogram([g], lo=0).tolist()
 
 
+@pytest.mark.parametrize("n", [10, 11])
+@pytest.mark.parametrize("linear", [False, True])
+@pytest.mark.parametrize("below", [0, 3])
+def test_one_row_of_many_blocks_is_weighted_by_its_blocks(n, linear, below):
+    # x1 x2 (+ 2 x3) over F_3 has no high variable, so its 243 blocks share
+    # one row with no shift and no head: `counts` contracts that row once and
+    # weights it by its blocks of each label, plain and from lo = n - 3
+    f3 = make_field(3)
+    terms = {frozenset([1, 2]): f3.one()}
+    if linear:
+        terms[frozenset([3])] = f3.from_index(2)
+    g = InstantiatedFunction(f3, n, terms)
+    lo = n - below
+    block = oracle._BlockValues([g], {}, False, lo, 0)
+    assert block.m < n and len(block.rows) == 1 and not block.head and not block.consts
+    assert block.weights.sum() == 243
+    assert block.counts().tolist() == reference.histogram([g], lo=lo).tolist()
+
+
 def _coordinates(field, n, s):
     """x_s, ..., x_1 on F_q^n, whose joint values index a = x_1 + x_2 q + ... + x_s q^(s-1)."""
     return [InstantiatedFunction(field, n, {frozenset([j]): field.one()}) for j in range(s, 0, -1)]
@@ -670,8 +689,8 @@ def test_the_chooser_keeps_blocks_under_the_cap(monkeypatch, block_points, greed
     # the search runs to its floor
     monkeypatch.setattr(oracle, "_BLOCK_POINTS", block_points)
     if greedy:
-        for name in ("_GATHER_NS", "_BATCH_NS", "_ROW_NS", "_KEY_NS", "_KEYS_NS", "_BIN_NS", "_PAIR_NS", "_TERM_NS", "_GRID_NS",
-                     "_BLOCKS_NS", "_BLOCK_NS", "_DOUBT", "_TRY_NS", "_SPLIT_NS", "_HIGH_TERM_NS", "_HIGH_NS"):
+        for name in ("_GATHER_NS", "_BATCH_NS", "_ROW_NS", "_KEY_NS", "_KEYS_NS", "_BIN_NS", "_PAIR_NS", "_BLOCKS_NS", "_BLOCK_NS",
+                     "_TRY_NS", "_HIGH_TERM_NS"):
             monkeypatch.setattr(oracle, name, 0)
     tried, laid = _record_splits(monkeypatch)
     cases = [("tau(4)", 3, 13), ("sigma(3)", 3, 11), ("tau(3)", 8, 7), ("R(2,3) + R(2)", 5, 7), ("tau(3)", 9, 3), ("sigma(2)", 257, 2)]

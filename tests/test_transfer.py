@@ -741,6 +741,23 @@ def test_over_budget_systems_are_refused_before_any_step(monkeypatch, k, q):
     assert steps == [] and built == []
 
 
+def test_the_scatter_reads_the_cached_trace_table_alone():
+    # over F_2^10 the add and mul tables have 2^20 entries each, and the
+    # field-table cache keeps them narrow; the scatter reads only the cached
+    # intp trace table, so it converts neither (16 MB of intp)
+    f = make_field(2, 10)
+    image = np.zeros((4, f.q), dtype=np.intp)
+    const = np.tile(np.arange(f.q), (4, 1))
+    transfer._scatter(f, image, const)  # builds the field's tables
+    tracemalloc.start()
+    try:
+        transfer._scatter(f, image, const)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_scatter_recipes_past_the_root_count_limit_are_refused(monkeypatch):
     # sigma(2) over F_1021 has 1021 states within the state limit, but its
     # recipe would count 1021^3 roots, an 8 GB (keys x p) table.  sigma(2)

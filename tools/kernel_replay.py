@@ -1,7 +1,9 @@
-"""Replay the generic enumeration kernel's calls and time each one.
+"""Replay the enumeration kernels' calls: time each one, or diff their sizes.
 
     python3 tools/kernel_replay.py run --out replay.json [--best-of 7]
     python3 tools/kernel_replay.py compare PARENT.json CHANGE.json
+    python3 tools/kernel_replay.py decisions --out decisions.json
+    python3 tools/kernel_replay.py diff PARENT.json CHANGE.json
 
 `run` imports gfrec from src/ of the checkout the script lives in.  It
 records the inputs (functions, traced, lo, s) of every
@@ -21,6 +23,16 @@ with the k-th of the other.  It prints, for each matched call, its two
 times and their ratio (second over first), the calls that only one run
 made, then each group's total over the matched calls and the worst call
 of each group and overall.
+
+`decisions` records the same calls without timing them, and writes what
+each kernel chose: for each generic call the block digits m it ran with,
+whether it counted the low points by key and the m it tried, in order, and
+for each call of the F_2 kernel, `oracle._trace_counts_f2`, the chunk bits
+that `oracle._chunk_bits` picked.  `diff` reads two such files, made in two
+checkouts, matches their calls as `compare` does, and prints each call
+whose decisions differ, the calls that only one run made, and for each
+group its number of calls, those that chose differently and those that
+only tried differently.
 """
 
 from __future__ import annotations
@@ -55,29 +67,48 @@ def _import():
     return gfrec, oracle
 
 
+def _digest(terms):
+    return hashlib.sha256(json.dumps(terms).encode()).hexdigest()[:12]
+
+
 def _describe(funcs, traced, lo, s):
     g = funcs[0]
     terms = [sorted([sorted(mono), c.index] for mono, c in f.terms.items()) for f in funcs]
-    digest = hashlib.sha256(json.dumps(terms).encode()).hexdigest()[:12]
     text = "q=%d n=%d funcs=%d terms=%d traced=%d lo=%d s=%d" % (
         g.field.q, g.n, len(funcs), sum(len(f.terms) for f in funcs), traced, lo, s)
-    return text, digest
+    return text, _digest(terms)
 
 
 def _record(gfrec, oracle):
-    """[(group, funcs, traced, lo, s)] of every generic kernel call, in order."""
+    """([(group, funcs, traced, lo, s)] of every generic kernel call, in
+    order, and [record] of the decisions of every generic and F_2 kernel
+    call, in order (see `decisions`)."""
     import oracle_hash
     import workloads
     from gfrec.galois import prime_power
 
-    calls, group = [], [None]
-    init = oracle._BlockValues.__init__
+    calls, decisions, group, tried = [], [], [None], []
+    init, try_, chunk_bits = oracle._BlockValues.__init__, oracle._BlockValues._try, oracle._chunk_bits
 
     def spy(self, funcs, grids, traced, lo, s):
         calls.append((group[0], list(funcs), traced, lo, s))
+        tried.clear()
         init(self, funcs, grids, traced, lo, s)
+        text, digest = _describe(funcs, traced, lo, s)
+        decisions.append({"group": group[0], "kernel": "generic", "call": text, "digest": digest,
+                          "m": self.m, "keys": bool(self.keys < self.points), "tried": list(tried)})
 
-    oracle._BlockValues.__init__ = spy
+    def spy_try(self, terms, n, m, grids):
+        tried.append(m)
+        return try_(self, terms, n, m, grids)
+
+    def spy_bits(terms, n, lo, s):
+        bits = chunk_bits(terms, n, lo, s)
+        text = "q=2 n=%d terms=%d lo=%d s=%d" % (n, len(terms), lo, s)
+        decisions.append({"group": group[0], "kernel": "f2", "call": text, "digest": _digest(sorted(terms)), "bits": bits})
+        return bits
+
+    oracle._BlockValues.__init__, oracle._BlockValues._try, oracle._chunk_bits = spy, spy_try, spy_bits
     try:
         for name in workloads.WORKLOADS:
             group[0] = name
@@ -90,8 +121,8 @@ def _record(gfrec, oracle):
         group[0] = "multi-row"
         oracle_hash._multi_row_records()
     finally:
-        oracle._BlockValues.__init__ = init
-    return calls
+        oracle._BlockValues.__init__, oracle._BlockValues._try, oracle._chunk_bits = init, try_, chunk_bits
+    return calls, decisions
 
 
 def _time(oracle, funcs, traced, lo, s, best_of):
@@ -108,7 +139,7 @@ def _time(oracle, funcs, traced, lo, s, best_of):
 def run(out, best_of):
     gfrec, oracle = _import()
     records = []
-    for group, funcs, traced, lo, s in _record(gfrec, oracle):
+    for group, funcs, traced, lo, s in _record(gfrec, oracle)[0]:
         text, digest = _describe(funcs, traced, lo, s)
         seconds, m = _time(oracle, funcs, traced, lo, s, best_of)
         records.append({"group": group, "call": text, "digest": digest, "m": m, "s": seconds})
@@ -121,11 +152,13 @@ def run(out, best_of):
 
 
 def _keyed(calls):
-    """{(group, digest, k): record} for the k-th call of each group with each digest."""
+    """{(group, kernel, digest, k): record} for the k-th call of each group
+    and kernel with each digest."""
     seen, out = {}, {}
     for r in calls:
-        k = seen[r["group"], r["digest"]] = seen.get((r["group"], r["digest"]), -1) + 1
-        out[r["group"], r["digest"], k] = r
+        name = r["group"], r.get("kernel", "generic"), r["digest"]
+        k = seen[name] = seen.get(name, -1) + 1
+        out[name + (k,)] = r
     return out
 
 
@@ -155,6 +188,41 @@ def compare(first, second):
     print("worst call: %s #%d %s  %.2fx" % (x["group"], i, x["call"], ratio))
 
 
+def decisions(out):
+    gfrec, oracle = _import()
+    records = _record(gfrec, oracle)[1]
+    Path(out).write_text(json.dumps({"calls": records}, indent=1) + "\n")
+    counts = {}
+    for r in records:
+        counts[r["group"], r["kernel"]] = counts.get((r["group"], r["kernel"]), 0) + 1
+    for (group, kernel), count in counts.items():
+        print("%-12s %-8s %4d calls" % (group, kernel, count))
+
+
+_CHOICES = ("m", "keys", "bits")
+
+
+def diff(first, second):
+    a = _keyed(json.loads(Path(first).read_text())["calls"])
+    b = _keyed(json.loads(Path(second).read_text())["calls"])
+    groups = {}
+    for i, key in enumerate(k for k in a if k in b):
+        x, y = a[key], b[key]
+        tally = groups.setdefault(key[:2], [0, 0, 0])
+        tally[0] += 1
+        chose = any(x.get(f) != y.get(f) for f in _CHOICES)
+        if chose or x.get("tried") != y.get("tried"):
+            tally[1 if chose else 2] += 1
+            changes = ["%s %s -> %s" % (f, x[f], y[f]) for f in _CHOICES + ("tried",) if f in x and x[f] != y[f]]
+            print("%-12s %-8s #%-4d %-58s %s" % (key[0], key[1], i, x["call"], ", ".join(changes)))
+    print()
+    for name, only in (("first", [a[k] for k in a if k not in b]), ("second", [b[k] for k in b if k not in a])):
+        for r in only:
+            print("only in the %s run: %-12s %s" % (name, r["group"], r["call"]))
+    for (group, kernel), (calls, chose, tried) in groups.items():
+        print("%-12s %-8s %4d calls  %3d chose differently  %3d only tried differently" % (group, kernel, calls, chose, tried))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -164,9 +232,18 @@ def main(argv=None):
     p_cmp = sub.add_parser("compare", help="compare two runs, call by call")
     p_cmp.add_argument("first")
     p_cmp.add_argument("second")
+    p_dec = sub.add_parser("decisions", help="record the sizes each kernel call chose in this checkout")
+    p_dec.add_argument("--out", required=True)
+    p_diff = sub.add_parser("diff", help="print the calls whose decisions differ between two records")
+    p_diff.add_argument("first")
+    p_diff.add_argument("second")
     args = parser.parse_args(argv)
     if args.cmd == "run":
         run(args.out, args.best_of)
+    elif args.cmd == "decisions":
+        decisions(args.out)
+    elif args.cmd == "diff":
+        diff(args.first, args.second)
     else:
         compare(args.first, args.second)
 
