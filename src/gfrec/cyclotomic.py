@@ -6,11 +6,13 @@ For p = 2 the basis is just {1} and the ring degenerates to the ordinary
 integers, which keeps character sums over F_2 on the same code path.
 
 `CycInt(p, coeffs)` checks that p is prime, converts every coordinate with
-int() and checks that there are p - 1 of them.  `build_unchecked(coords)`
-skips all three: it is for values the package has just computed from
-validated ones, and its caller guarantees that coords holds exactly p - 1
-Python ints for a prime p already seen.  A numpy integer would wrap on
-overflow in later arithmetic, so callers convert numpy rows with tolist().
+int() and checks that there are p - 1 of them, and so does
+`CycInt.from_root_counts(p, counts)` for the p root counts of a value.
+`build_unchecked(coords)` and `build_root_counts(counts)` skip all three:
+they are for values the package has just computed from validated ones, and
+their caller guarantees that coords holds exactly p - 1 Python ints, or
+counts exactly p, for a prime p.  A numpy integer would wrap on overflow in
+later arithmetic, so callers convert numpy rows with tolist().
 """
 
 from __future__ import annotations
@@ -194,6 +196,13 @@ class CycInt(tuple):
 # docstring).  It builds at C level, so bulk builders map it over coordinate
 # rows with no Python frame a value.
 build_unchecked = partial(tuple.__new__, CycInt)
+
+
+def build_root_counts(counts):
+    """The CycInt sum_t counts[t] zeta^t of a list of p root counts,
+    unchecked (see the module docstring): the coordinates are the counts of
+    1 .. zeta^(p-2) less that of zeta^(p-1)."""
+    return build_unchecked(map(sub, counts[:-1], repeat(counts[-1])))
 
 
 def _check_order(p):

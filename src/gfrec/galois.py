@@ -12,18 +12,34 @@ from math import isqrt
 from .funcalg import Frozen
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_WITNESSED = 318665857834031151167461  # the least strong pseudoprime to all of them
+
+
 def is_prime(n):
+    """Whether the integer n is prime.  Below _WITNESSED, the strong
+    probable-prime test to the first 12 prime bases decides it (Sorenson and
+    Webster, Math. Comp. 2017); above it, trial division does."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for w in _WITNESSES:
+        if n % w == 0:
+            return n == w
+    if n >= _WITNESSED:
+        return all(n % d for d in range(41, isqrt(n) + 1, 2))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for w in _WITNESSES:
+        x = pow(w, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

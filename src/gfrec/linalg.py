@@ -1,10 +1,13 @@
 """Exact linear algebra (internal helpers).
 
-Integer linear solving, the sparse matrix type over Z[zeta_p] (each entry
-stored as triples a zeta^t, so a product rolls root counts), and the
-certified minimal polynomial of such a matrix.  Every result is exact:
-elimination runs on Python ints (Bareiss), and the minimal polynomial is
-computed modulo word-sized primes and then proved over Z[zeta_p].
+Integer linear solving, the sparse matrix type over Z[zeta_p], and the
+certified minimal polynomial of such a matrix.  Each entry is stored as
+triples a zeta^t, so a product rolls root counts: one gather, one scale and
+one row sum, by tables built with the matrix.  Every result is exact:
+elimination runs on Python ints (Bareiss), products on int64 while a bound
+proves that exact, and the minimal polynomial is computed modulo word-sized
+primes, by Krylov terms that are one int64 dot each, and then proved over
+Z[zeta_p].
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import random
 from itertools import count
 from math import comb
+from operator import mul
 
 import numpy as np
 
@@ -61,6 +65,13 @@ def solve_with_free_zero(rows, rhs):
 # ---------------------------------------------------------------------------
 # sparse matrices over Z[zeta_p]
 
+def _magnitude(v):
+    """max|v| of an int64 array, None for a dtype=object one."""
+    if v.dtype == object:
+        return None
+    return max(int(v.max(initial=0)), -int(v.min(initial=0)))
+
+
 class SparseMatrix:
     """A matrix over Z[zeta_p] as triples a zeta^t, row by row.
 
@@ -71,10 +82,12 @@ class SparseMatrix:
     Introduction to Cyclotomic Fields, ch. 1), so a zeta^t acts on a value's
     root counts as a roll by t and a scale by a.  Transfer matrices are
     square; a projection is a single row.  Products run on a padded layout:
-    slot w * dim + i holds row i's w-th triple, or padding of amplitude 0.
+    slot (w, i) holds row i's w-th triple, or padding of amplitude 0.
+    The gather and scale tables of `_product` are built with the matrix, and
+    inflated_norm() once, when first asked for.
     """
 
-    __slots__ = ("p", "starts", "cols", "exps", "amps", "_width", "_slots", "_gather", "_amps", "_roll", "_norm")
+    __slots__ = ("p", "dim", "starts", "cols", "exps", "amps", "_width", "_slots", "_gather", "_take", "_scale", "_norm", "_inflated")
 
     def __init__(self, p, starts, cols, exps, amps):
         self.p = p
@@ -83,20 +96,25 @@ class SparseMatrix:
         self.exps = np.asarray(exps, dtype=np.int64)
         self.amps = np.asarray(amps, dtype=np.int64)
         lengths = np.diff(self.starts)
+        self.dim = len(lengths)
         self._width = int(lengths.max()) if len(lengths) else 0
-        row = np.repeat(np.arange(len(lengths)), lengths)
-        self._slots = (np.arange(len(self.cols)) - self.starts[row]) * len(lengths) + row
+        row = np.repeat(np.arange(self.dim), lengths)
+        self._slots = (np.arange(len(self.cols)) - self.starts[row]) * self.dim + row
         self._gather = self._padded(self.cols)
-        self._roll = None
-        self._norm = int(self._row_sums(self._padded(np.abs(self.amps))).max(initial=0))
+        self._norm = int(self._padded(np.abs(self.amps)).sum(axis=0).max(initial=0))
+        self._inflated = None
         if p == 2:  # zeta = -1, so a zeta^t is the integer a (-1)^t
-            self._amps = self._padded(self.amps * (1 - 2 * self.exps))[:, None]
+            self._take = self._gather[..., None]
+            self._scale = self._padded(self.amps * (1 - 2 * self.exps))[..., None]
             return
-        self._amps = self._padded(self.amps)[:, None]
-        # root r of a slot reads root (r - t) mod p of its column's root counts
-        shift = (np.arange(p) - np.arange(p)[:, None]) % p
-        self._roll = shift.take(self._padded(self.exps), axis=0)
-        self._roll += self._gather[:, None] * p
+        # root r of a slot reads root (r - t) mod p of its column's root counts:
+        # coordinate (r - t) mod p, or at r = t - 1 the zero count of
+        # zeta^(p-1), which the slot's coordinate p - 2 stands in for at scale 0
+        exps = self._padded(self.exps)
+        self._scale = self._padded(self.amps).repeat(p).reshape(exps.shape + (p,))
+        self._scale.reshape(-1, p)[np.arange(exps.size), (exps.ravel() - 1) % p] = 0
+        self._take = np.minimum((np.arange(p) - np.arange(p)[:, None]) % p, p - 2).take(exps, axis=0)
+        self._take += self._gather[..., None] * (p - 1)
 
     @classmethod
     def from_root_counts(cls, p, dim, rows, cols, exponents):
@@ -121,22 +139,16 @@ class SparseMatrix:
         return cls(p, starts, key % dim, exps, counts[entry, exps])
 
     @property
-    def dim(self):
-        return len(self.starts) - 1
-
-    @property
     def nnz(self):
         """The number of stored triples."""
         return len(self.cols)
 
     def _padded(self, a):
-        """Per-triple values a (first axis nnz) spread over the padded slots."""
-        out = np.zeros((self.dim * self._width,) + a.shape[1:], dtype=np.int64)
-        out[self._slots] = a
+        """Per-triple values a (first axis nnz) spread over the padded slots,
+        an array of shape (width, dim) + a.shape[1:]."""
+        out = np.zeros((self._width, self.dim) + a.shape[1:], dtype=np.int64)
+        out.reshape((-1,) + a.shape[1:])[self._slots] = a
         return out
-
-    def _row_sums(self, slots):
-        return np.add.reduce(slots.reshape((self._width, self.dim) + slots.shape[1:]), axis=0)
 
     def row_norm(self):
         """Largest row sum of the absolute amplitudes."""
@@ -148,32 +160,57 @@ class SparseMatrix:
         as an int64 or a dtype=object (Python int) array.  The result has M's
         rows; it is int64 when v is int64 and 2 row_norm() max|v| < 2^63, and
         dtype=object (Python ints) otherwise, so every product is exact
-        whatever the caller passes.
+        whatever the caller passes.  `powers` steps with the same product,
+        carrying a bound on max|v| in place of measuring it."""
+        return self._product(self._exact(v, _magnitude(v))[0])
 
-        v's rows, with a 0 appended for zeta^(p-1), are root counts.  One
-        gather rolls them by each slot's exponent; they are scaled by its
-        amplitude, summed over the padded row, and mapped back to coordinates
-        by zeta^(p-1) = -(1 + ... + zeta^(p-2)).  Row sums are at most
-        row_norm() max|v| in absolute value and coordinates twice that, so
-        int64 is exact below the bound, and v moves to Python ints at it.
-        Over p = 2 the entries are integers and v has one coordinate, the
-        count of zeta^0, so its rows are gathered by column, scaled and
-        summed, with no appended root to roll.
-        """
-        if v.dtype != object and 2 * self._norm * max(int(v.max(initial=0)), -int(v.min(initial=0))) >= 1 << 63:
-            v = v.astype(object)
-        columns = v.shape[2:]
-        amps = self._amps[..., None] if columns else self._amps
-        if self._roll is None:
-            prod = v.take(self._gather, axis=0)
-            prod *= amps
-            return self._row_sums(prod)
-        counts = np.zeros((len(v), self.p) + columns, dtype=v.dtype)
-        counts[:, :-1] = v
-        rolled = counts.reshape(-1, *columns).take(self._roll, axis=0) if columns else counts.take(self._roll)
-        rolled *= amps
-        sums = self._row_sums(rolled)
-        return sums[:, :-1] - sums[:, -1:]
+    def powers(self, v):
+        """v, M v, M^2 v, ... exactly, each with a bound on its max|coordinate|,
+        or None once it holds Python ints: v and every step as `times` takes
+        and returns them.  A step's coordinates are at most inflated_norm()
+        times the last step's, so the bound is carried by that product, and
+        max|v| is measured only when the bound reaches times' int64 limit:
+        then v moves to Python ints at the step at which times would move it.
+        The next power is computed only when it is asked for."""
+        bound, norm = _magnitude(v), self.inflated_norm()
+        while True:
+            yield v, bound
+            v, bound = self._exact(v, bound)
+            v = self._product(v)
+            if bound is not None:
+                bound *= norm
+
+    def _exact(self, v, bound):
+        """(v, bound) for a product that int64 holds exactly, with bound >= max|v|
+        (None for Python ints): v itself, or v in Python ints and None when
+        2 row_norm() max|v| reaches 2^63, max|v| measured only when the bound does."""
+        if bound is not None and 2 * self._norm * bound >= 1 << 63:
+            bound = _magnitude(v)
+            if 2 * self._norm * bound >= 1 << 63:
+                return v.astype(object), None
+        return v, bound
+
+    def _product(self, v):
+        """M v in v's dtype, by one gather, one scale and one row sum.
+
+        v's rows are root counts with the count of zeta^(p-1) left out, as
+        0.  `_take` gathers, for each padded slot and root r, coordinate
+        (r - t) mod p of the slot's column, which is that count rolled by
+        the slot's exponent t, and `_scale` multiplies it by the amplitude,
+        or by 0 where it reads the count left out.  Row sums are at most
+        row_norm() max|v| in absolute value, and they are mapped back to
+        coordinates by zeta^(p-1) = -(1 + ... + zeta^(p-2)), so coordinates
+        are at most twice that.  Over p = 2 the entries are integers and v
+        has one coordinate, the count of zeta^0, so its rows are gathered by
+        column, scaled and summed, with no root to map back."""
+        if v.ndim == 2:
+            prod = v.take(self._take)
+            prod *= self._scale
+        else:
+            prod = v.reshape(-1, v.shape[2]).take(self._take, axis=0)
+            prod *= self._scale[..., None]
+        sums = np.add.reduce(prod, 0)
+        return sums if self.p == 2 else sums[:, :-1] - sums[:, -1:]
 
     def inflated_norm(self):
         """Largest row sum of absolute values of the integer matrix that
@@ -181,12 +218,17 @@ class SparseMatrix:
         or an upper bound of it where an entry has several triples.  The block
         of a zeta^t has the columns a zeta^(t+j): a unit vector times a, or
         all -a at t + j = p - 1.  So its row r sums to |a| (1 + [t != 0]),
-        less |a| at r = t - 1."""
-        mag = np.abs(self.amps)
-        total = self._row_sums(self._padded(mag * (1 + (self.exps != 0))))
-        missing = np.zeros((self.dim, self.p), dtype=np.int64)
-        np.add.at(missing, (np.repeat(np.arange(self.dim), np.diff(self.starts)), self.exps), mag)
-        return int((total - missing[:, 1:].min(axis=1)).max(initial=0))
+        less |a| at r = t - 1.  Over p = 2 the entries are integers, and the
+        norm is row_norm()."""
+        if self._inflated is None and self.p == 2:
+            self._inflated = self._norm
+        elif self._inflated is None:
+            p, mag = self.p, np.abs(self.amps)
+            total = self._padded(mag * (1 + (self.exps != 0))).sum(axis=0)
+            missing = np.zeros(self.dim * p, dtype=np.int64)
+            np.add.at(missing, np.repeat(np.arange(self.dim) * p, np.diff(self.starts)) + self.exps, mag)
+            self._inflated = int((total - missing.reshape(-1, p)[:, 1:].min(axis=1)).max(initial=0))
+        return self._inflated
 
     def embedded(self, ell):
         """The entries under the p-1 embeddings zeta -> w^j (j = 1 .. p-1) into
@@ -196,16 +238,16 @@ class SparseMatrix:
         w = next(r for r in (pow(g, (ell - 1) // p, ell) for g in count(2)) if r != 1)
         wpow = np.array([pow(w, t, ell) for t in range(p)], dtype=np.int64)
         out = (self.amps % ell)[:, None] * wpow[np.outer(self.exps, np.arange(1, p)) % p] % ell
-        return self._padded(out)
+        return self._padded(out).reshape(-1, p - 1)
 
     def apply(self, vals, x, ell):
         """M x mod ell on every embedding at once: vals is embedded(ell), x has
         shape (dim, p-1) or (dim, p-1, columns) with entries in [0, ell)."""
-        prod = x[self._gather]
-        prod *= vals.reshape(vals.shape + (1,) * (x.ndim - 2))
+        prod = x.take(self._gather, axis=0)
+        prod *= vals.reshape(prod.shape[:3] + (1,) * (x.ndim - 2))
         if self._width >= 1 << 13:  # row sums of products below 2^50 fit int64
             prod %= ell
-        out = self._row_sums(prod)
+        out = np.add.reduce(prod, 0)
         out %= ell
         return out
 
@@ -239,22 +281,26 @@ def _sequence_polynomial(m, ell, rng, degree_cap):
     """Berlekamp-Massey on a_k = sum_j u_j . sigma_j(M)^k v_j mod ell, with
     random probes u, v: the monic minimal polynomial of that sequence,
     ascending residues.  Its degree, the linear complexity, is at most the
-    degree of the minimal polynomial of M."""
+    degree of the minimal polynomial of M.
+
+    Each x = sigma(M)^k v is one `apply`, and each term one int64 dot u . x
+    of residues, exact while D (ell - 1)^2 < 2^63 for the D = dim (p-1)
+    coordinates (D < 2^13 for every ell below 2^25); past that the products
+    are reduced before their sum, as `apply` reduces its wide rows."""
     vals = m.embedded(ell)
     size = m.dim * (m.p - 1)
-    u, x = (
-        np.array([rng.randrange(ell) for _ in range(size)], dtype=np.int64).reshape(m.dim, -1)
-        for _ in range(2)
-    )
+    u, x = (np.array([rng.randrange(ell) for _ in range(size)], dtype=np.int64) for _ in range(2))
+    x = x.reshape(m.dim, -1)
+    dot = size * (ell - 1) ** 2 < 1 << 63  # else the products are reduced before their sum
     seq = []
     conn, prev = [1], [1]  # connection polynomials, constant term first
     length, gap, last = 0, 1, 1
     quiet = 0
     while True:
-        a = int((u * x % ell).sum()) % ell
+        a = int(u.dot(x.ravel()) if dot else (u * x.ravel() % ell).sum()) % ell
         seq.append(a)
         n = len(seq) - 1
-        d = (a + sum(c * seq[n - i] for i, c in enumerate(conn[1:], 1))) % ell
+        d = sum(map(mul, conn, reversed(seq))) % ell  # conn[i] seq[n - i], conn[0] = 1
         if d == 0:
             gap += 1
             quiet += 1
@@ -271,7 +317,7 @@ def _sequence_polynomial(m, ell, rng, degree_cap):
                 gap += 1
             quiet = 0
         terms = len(seq)
-        if terms >= 2 * length and (quiet >= _QUIET_TERMS or terms >= 2 * m.dim * (m.p - 1)):
+        if terms >= 2 * length and (quiet >= _QUIET_TERMS or terms >= 2 * size):
             break
         x = m.apply(vals, x, ell)
     conn = conn + [0] * (length + 1 - len(conn))
@@ -327,12 +373,13 @@ def _vanishes_mod(m, poly, ell):
     top, rest = poly[-1] % ell, [c % ell for c in reversed(poly[:-1])]
     for first in range(0, dim, width):
         idx = np.arange(min(width, dim - first))
-        diag = (first + idx, slice(None), idx)
+        diag = ((first + idx)[:, None] * e + np.arange(e)) * len(idx) + idx[:, None]  # (first + i, :, i), flat
         y = np.zeros((dim, e, len(idx)), dtype=np.int64)
-        y[diag] = top
+        y.put(diag, top)
         for c in rest:
             y = m.apply(vals, y, ell)
-            y[diag] = (y[diag] + c) % ell
+            flat = y.reshape(-1)
+            flat[diag] = (flat[diag] + c) % ell
         if y.any():
             return False
     return True

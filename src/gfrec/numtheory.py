@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .cyclotomic import CycInt, build_unchecked, combination, root_power
+from .cyclotomic import CycInt, build_root_counts, build_unchecked, combination, root_power
 from .funcalg import Frozen
 from .galois import is_prime
 from .limits import check_eigen_prime, check_eisenstein_prime, check_gauss_prime
@@ -57,7 +57,7 @@ def gauss_sum(a, p):
     counts = [0] * p
     for k in range(p):
         counts[(a * k * k) % p] += 1
-    return CycInt.from_root_counts(p, counts)
+    return build_root_counts(counts)
 
 
 def eisenstein_dumas(poly, p):

@@ -72,7 +72,7 @@ from math import prod
 
 import numpy as np
 
-from .cyclotomic import CycInt, build_unchecked
+from .cyclotomic import build_root_counts, build_unchecked
 from .funcalg import InstantiatedFunction, instantiate, seam
 from .galois import is_prime
 from .limits import DEFAULT_POINT_BUDGET, check_bins, check_points
@@ -1251,7 +1251,7 @@ def trace_counts(g, budget=DEFAULT_POINT_BUDGET, *, _grids=None):
 def exp_sum(g, budget=DEFAULT_POINT_BUDGET, *, _grids=None):
     """The exact character sum of g over its field, as a cyclotomic integer."""
     counts = trace_counts(g, budget=budget, _grids=_grids)
-    return CycInt.from_root_counts(g.field.p, counts)
+    return build_root_counts(counts)
 
 
 def values(g):
@@ -1371,7 +1371,7 @@ def sum_sequence(e, field, n_range, budget=DEFAULT_POINT_BUDGET):
     if levelled:
         counts = _trace_levels(g if lo == split else instantiate(trapezoids, top, field), start - s, grids, s)
         wrapped = seam(e, field)[2] if s else None
-        values += [CycInt.from_root_counts(p, row) for row in _seam_sums(counts, wrapped, s).tolist()]
+        values += map(build_root_counts, _seam_sums(counts, wrapped, s).tolist())
     return Sequence(lo, tuple(values), "brute")
 
 

@@ -30,15 +30,16 @@ is exact), so a build enumerates only in its oracle gate.
 
 The matrix is a linalg.SparseMatrix, whose entries a zeta^t are triples
 (column, t, a), and its states init a dim x (p-1) array of power-basis
-coordinates; a root zeta^e is the one triple (column, e, 1).  run steps the
-states exactly in numpy with SparseMatrix.times, by a roll of root counts
-and a scale per triple: in int64 while times can prove that exact, on
-Python ints after.
+coordinates; a root zeta^e is the one triple (column, e, 1).  run and the
+build's initial states step exactly in numpy with SparseMatrix.powers, one
+gather, one scale and one row sum a step, in int64 while the bound that it
+carries on the coordinates proves that exact, on Python ints after.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -98,24 +99,26 @@ class TransferSystem:
 
 def run(sys, n_target):
     """Projected target values for n = n_min .. n_target, exactly: the
-    states are stepped by SparseMatrix.times, which moves them to Python
-    ints when int64 would no longer be exact, and each target sums its
-    projected states in Python ints.  The coordinate rows are collected and
-    every value is built once, at the end, by `build_unchecked`."""
+    states are stepped by SparseMatrix.powers, which moves them to Python
+    ints when int64 would no longer be exact and carries a bound B on their
+    coordinates.  Each target sums its projected states in int64 while
+    len(projection) B < 2^63, and in Python ints after.  The int64 rows are
+    converted once, and every value is built once, at the end, by
+    `build_unchecked`."""
     if n_target < sys.n_min:
         raise ValueError("n_target below the system's first index %d" % sys.n_min)
     m, p = sys.sparse, sys.field.p
     columns = sys.dim // m.dim  # a rotation's, those of T^n, step side by side
     rows, cols = np.divmod(sys.projection, columns)
-    v, pick = sys.init, rows
-    if columns > 1:
-        v, pick = v.reshape(m.dim, columns, p - 1).transpose(0, 2, 1), (rows, slice(None), cols)
-    rows = []
-    while True:
-        rows.append(v[pick].sum(axis=0, dtype=object).tolist())
-        if len(rows) > n_target - sys.n_min:
-            return Sequence(sys.n_min, map(build_unchecked, rows), "transfer")
-        v = m.times(v)
+    v = sys.init if columns == 1 else sys.init.reshape(m.dim, columns, p - 1).transpose(0, 2, 1)
+    pick = (rows[:, None] * (p - 1) + np.arange(p - 1)) * columns + cols[:, None]  # in v's flat order
+    small, big = [], []  # the targets summed in int64, then those in Python ints
+    for v, bound in islice(m.powers(v), n_target - sys.n_min + 1):
+        if big or bound is None or len(rows) * bound >= 1 << 63:
+            big.append(np.add.reduce(v.take(pick), 0, object).tolist())
+        else:
+            small.append(np.add.reduce(v.take(pick), 0))
+    return Sequence(sys.n_min, map(build_unchecked, np.array(small).tolist() + big), "transfer")
 
 
 def run_range(sys, e, n_range):
@@ -154,9 +157,11 @@ def _scatter_system(label, f, e, recipe, n_min, budget, projection=(0,), start=N
     projection, checked against the enumeration oracle on e at every n from
     lo, the smallest index that both cover, to hi: lo + 1 unless
     q^(lo+1) > min(budget, 2^20), and on to lo + 3 while
-    q^n <= min(budget, 2^10).  One or two indices let wrong systems through:
-    a chain that sums Tr(T^n) can match its own sums at lo and lo + 1.  After
-    the builder's checks of states and root counts, the oracle's sums come
+    q^n <= min(budget, 2^10).  Fewer indices let wrong systems through: a
+    chain that sums Tr(T^n) can match its own sums at lo and lo + 1, negated
+    amplitudes match sigma(2)'s over F_2 from lo to lo + 2, and initial
+    states one step short match tau(2)'s over F_11 at lo.  After the
+    builder's checks of states and root counts, the oracle's sums come
     first, from one `sum_sequence` call, so a system over the point budget
     is refused before any matrix is built.
 
@@ -184,8 +189,7 @@ def _scatter_system(label, f, e, recipe, n_min, budget, projection=(0,), start=N
     n_start, columns = start or (0, None)
     v = np.zeros((sparse.dim, p - 1) + (() if columns is None else (len(columns),)), dtype=np.int64)
     v[:, 0] = 1 if columns is None else np.identity(sparse.dim, dtype=np.int64)[:, columns]
-    for _ in range(n_min - n_start):
-        v = sparse.times(v)
+    v = next(islice(sparse.powers(v), n_min - n_start, None))[0]
     v = np.moveaxis(v, 1, -1).reshape(-1, p - 1)  # state a dim + i: entry a of column i
     v.flags.writeable = False
     sys = TransferSystem(label, f, sparse, v, tuple(map(int, projection)), n_min)

@@ -1,4 +1,5 @@
 import time
+from math import isqrt
 
 import pytest
 
@@ -12,6 +13,24 @@ def test_is_prime_small():
     assert not is_prime(1)
     assert not is_prime(0)
     assert not is_prime(-7)
+
+
+def test_is_prime_matches_trial_division():
+    # every n below 3 * 10^4, and the neighbourhoods of 2^25 that the
+    # Krylov primes ell = 1 (mod p) are drawn from
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+    for n in list(range(30000)) + list(range((1 << 25) - 3000, 1 << 25)):
+        assert is_prime(n) == trial(n), n
+
+
+def test_is_prime_refuses_strong_pseudoprimes():
+    # the least strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5, 7; and
+    # 2 .. 23, each a product of primes above the bases it fools
+    for n in (2047, 1373653, 3215031751, 3825123056546413051):
+        assert not is_prime(n), n
+    assert is_prime(2**61 - 1) and is_prime(10**12 + 39)
 
 
 def test_make_field_rejects_bad_parameters():

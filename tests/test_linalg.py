@@ -6,6 +6,7 @@ the minimal polynomial of its written-out matrix."""
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -246,6 +247,22 @@ def test_apply_reduces_wide_rows_before_summing():
     assert got.tolist() == [[sum((ell - 1) * (ell - 1) for _ in range(width)) % ell]]
 
 
+def test_the_krylov_dot_reduces_wide_probes_before_summing():
+    # 2^14 coordinates of (ell - 1)^2 ~ 2^50 would wrap an int64 dot: probes
+    # u = x = ell - 1 on 2 I give the terms 2^k 2^14 mod ell, whose minimal
+    # polynomial is X - 2, where wrapped terms would not follow it
+    ell = next(linalg._primes(2))
+    size = 1 << 14
+    assert size * (ell - 1) ** 2 >= 1 << 63
+    m = SparseMatrix(2, np.arange(size + 1), np.arange(size), np.zeros(size), np.full(size, 2))
+
+    class Top:  # every probe coordinate at ell - 1
+        def randrange(self, n):
+            return n - 1
+
+    assert linalg._sequence_polynomial(m, ell, Top(), 4) == [ell - 2, 1]
+
+
 # ---------------------------------------------------------------------------
 # the sparse form: each entry as triples a zeta^t
 
@@ -345,6 +362,42 @@ def test_times_moves_to_python_ints_past_the_int64_bound(p, data):
     for c in range(columns[0] if columns else 1):
         column = v[..., c] if columns else v
         assert (got[..., c] if columns else got).tolist() == _dense_times(m, column), c
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices().filter(lambda m: m.row_norm() > 0), st.sampled_from([(), (2,)]), st.data())
+def test_powers_step_as_times_does(m, columns, data):
+    # from near times' int64 limit: each power and its dtype
+    # are those of repeated times, and each bound holds max|v| while int64
+    p, dim = m.p, m.dim
+    big = (2**63 - 1) // (2 * m.row_norm())
+    coord = st.one_of(st.integers(-5, 5), st.integers(big // 64, big))
+    size = dim * (p - 1) * (columns[0] if columns else 1)
+    v = np.array(data.draw(st.lists(coord, min_size=size, max_size=size)), dtype=np.int64)
+    want = v.reshape((dim, p - 1) + columns)
+    for got, bound in islice(m.powers(want), 4):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        if got.dtype == object:
+            assert bound is None
+        else:
+            assert bound >= max(abs(c) for c in got.ravel().tolist())
+        want = m.times(want)
+
+
+def test_powers_carry_a_bound_on_a_rotation_past_int64():
+    # R(2)/F_5 steps the 5 columns of T^n side by side, a (dim, p-1, 5)
+    # array: its states leave int64 at the step at which times leaves it
+    sys = system_for(parse("R(2)"), make_field(5))
+    m = sys.sparse
+    want = sys.init.reshape(m.dim, -1, 4).transpose(0, 2, 1)
+    steps = []
+    for got, bound in islice(m.powers(want), 60):
+        assert got.shape == (5, 4, 5) and got.dtype == want.dtype and got.tolist() == want.tolist()
+        steps.append(got.dtype)
+        if bound is not None:
+            assert bound >= max(abs(c) for c in got.ravel().tolist())
+        want = m.times(want)
+    assert steps[0] == np.int64 and steps[-3:] == [object] * 3
 
 
 @settings(max_examples=100, deadline=None)
@@ -520,6 +573,35 @@ def test_the_lift_stops_at_the_coefficient_bound(monkeypatch, case, primes):
     assert len(calls) == primes
     assert poly == _annihilator(*case)
     assert certify(state_matrix(_system(*case)), poly)
+
+
+@pytest.mark.parametrize(
+    "p, diagonal, poly",
+    [(2, [(0, 2), (0, 3)], [-3, 1]), (3, [(1, 1), (2, -1)], [1, 0, 0, 1])],
+    ids=["diag(2,3), X - 3", "diag(zeta,-zeta^2), X^3 + 1"],
+)
+def test_certificate_checks_column_0(p, diagonal, poly):
+    # poly annihilates the diagonal's entries but the first, so every column
+    # of the matrix but column 0
+    m = _from_rows(p, [[(i, t, a)] for i, (t, a) in enumerate(diagonal)])
+    rest = _from_rows(p, [[(i, t, a)] for i, (t, a) in enumerate(diagonal[1:])])
+    assert certify(rest, poly)
+    assert not certify(m, poly)
+
+
+def test_the_lift_goes_on_past_the_coefficient_bound_to_twice_it():
+    # [10] has mu = X - 10, N = 10 and coefficient bound 10.  Mod 11 its
+    # residues lift symmetrically to X + 1, so a modulus between the bound
+    # and twice it must not end the lift: 13 follows, and 143 gives mu
+    m = _sparse([[10]])
+
+    class One:  # every probe coordinate 1
+        def randrange(self, n):
+            return 1
+
+    primes = iter([11, 13, 17])
+    assert linalg._candidate(m, 4, primes, One()) == [-10, 1]
+    assert next(primes) == 17
 
 
 def test_certificate_alone_cannot_accept_a_proper_divisor():

@@ -418,6 +418,35 @@ def test_oracle_gate_checks_several_indices(monkeypatch, text, q):
         system_for(parse(text), make_field(q))
 
 
+def test_oracle_gate_checks_its_fourth_index(monkeypatch):
+    # negated amplitudes turn sigma(2)'s sums over F_2, 2, 0, -4, -8 at
+    # n = 2..5, into (-1)^n times them: equal at lo = 2 .. lo + 2, and
+    # caught only at lo + 3 (2^5 points, within the gate's 2^10)
+    real = SparseMatrix.from_root_counts
+
+    def negated(cls, *args):
+        m = real(*args)
+        return cls(m.p, m.starts, m.cols, m.exps, -m.amps)
+
+    monkeypatch.setattr(SparseMatrix, "from_root_counts", classmethod(negated))
+    with pytest.raises(AssertionError, match="disagrees with the oracle at n=5:"):
+        system_for(Sigma(2), F2)
+
+
+def test_oracle_gate_takes_a_step_on_mid_sized_fields(monkeypatch):
+    # initial states one step short give tau(2)'s sum at n - 1: q at lo = 2,
+    # as at n = 2, and q, not q^2, at lo + 1.  Over F_11, q^(lo+1) = 1331
+    # lies between 2^10 and 2^20, where the gate checks lo and lo + 1 only
+    real = transfer._scatter_system
+
+    def short(label, f, e, recipe, n_min, budget, projection=(0,), start=None):
+        return real(label, f, e, recipe, n_min, budget, projection, start or (1, None))
+
+    monkeypatch.setattr(transfer, "_scatter_system", short)
+    with pytest.raises(AssertionError, match="disagrees with the oracle at n=3:"):
+        system_for(tau(2), make_field(11))
+
+
 # ---------------------------------------------------------------------------
 # stepping and running
 
@@ -712,20 +741,21 @@ def test_initial_states_take_the_point_budget_once():
 
 
 def _count_matrix_work(monkeypatch):
-    """The lists to which every `SparseMatrix.times` call and every matrix
-    that `SparseMatrix.from_root_counts` builds add their dim."""
+    """The lists to which every matrix product, of `SparseMatrix.times` or
+    of `SparseMatrix.powers`, and every matrix that
+    `SparseMatrix.from_root_counts` builds add their dim."""
     steps, built = [], []
-    times, from_root_counts = SparseMatrix.times, SparseMatrix.from_root_counts
+    product, from_root_counts = SparseMatrix._product, SparseMatrix.from_root_counts
 
-    def counted_times(self, v):
+    def counted_product(self, v):
         steps.append(self.dim)
-        return times(self, v)
+        return product(self, v)
 
     def counted_build(cls, p, dim, *args):
         built.append(dim)
         return from_root_counts(p, dim, *args)
 
-    monkeypatch.setattr(SparseMatrix, "times", counted_times)
+    monkeypatch.setattr(SparseMatrix, "_product", counted_product)
     monkeypatch.setattr(SparseMatrix, "from_root_counts", classmethod(counted_build))
     return steps, built
 

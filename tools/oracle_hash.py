@@ -1,15 +1,17 @@
 """A differential hash of the enumeration oracle: `trace_counts`,
 `joint_counts`, `decorated_sums` and `sum_sequence`.
 
-    PYTHONPATH=<checkout>/src python3 tools/oracle_hash.py
+    python3 tools/oracle_hash.py
 
-Runs a fixed, seeded set of calls and prints, on each of five lines, the
-number of records and the SHA-256 of their JSON, and exits 1 when a line
-differs from the one recorded in RECORDED (see recorded.py).  Each record is a call's
-result (residue counts, a flattened joint histogram, or the coordinates of
-cyclotomic sums) or the type and text of the exception it raised.  Two
-checkouts that print the same lines give the same results on every call.  The fields are F_2, F_3, F_4,
-F_5, F_8, F_9, F_25 and F_257, and every field gets:
+Imports gfrec from the src/ of the checkout it lives in, whatever
+PYTHONPATH says.  Runs a fixed, seeded set of calls and prints, on each
+of five lines, the number of records and the SHA-256 of their JSON, and
+exits 1 when a line differs from the one recorded in RECORDED (see
+recorded.py).  Each record is a call's result (residue counts, a
+flattened joint histogram, or the coordinates of cyclotomic sums) or the
+type and text of the exception it raised.  Two checkouts that print the
+same lines give the same results on every call.  The fields are F_2,
+F_3, F_4, F_5, F_8, F_9, F_25 and F_257, and every field gets:
 - `sum_sequence` of tau, sigma, R and T families, and of sums of them with
   scalar multiples, from the family minimum up to about 10^6 points;
 - `trace_counts` of random functions: random terms of degree 0-4, plus
@@ -52,11 +54,14 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
+from pathlib import Path
 
-from gfrec.funcalg import InstantiatedFunction, instantiate, parse, tau
-from gfrec.galois import make_field, prime_power
-from gfrec.oracle import decorated_sums, joint_counts, sum_sequence, trace_counts
-from recorded import check
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # this checkout's package
+from gfrec.funcalg import InstantiatedFunction, instantiate, parse, tau  # noqa: E402
+from gfrec.galois import make_field, prime_power  # noqa: E402
+from gfrec.oracle import decorated_sums, joint_counts, sum_sequence, trace_counts  # noqa: E402
+from recorded import check  # noqa: E402
 
 RECORDED = (
     "428 records sha256 ad6393eb8cc3b344245f073a89f9bc16af016e8d5f83cc45dd7b4e9291ff15e5",

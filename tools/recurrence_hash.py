@@ -1,14 +1,16 @@
 """A differential hash of `recurrence.discover`, `divides`, `extend` and
 `satisfies`.
 
-    PYTHONPATH=<checkout>/src python3 tools/recurrence_hash.py
+    python3 tools/recurrence_hash.py
 
-Runs a fixed, seeded set of calls and prints the number of records and the
-SHA-256 of their JSON, and exits 1 when that line differs from the one
-recorded in RECORDED (see recorded.py).  Each record is a call's result (polynomial
-coefficients, a bool, or the digest of a sequence's n_min, length and
-coordinates) or the type and text of the exception it raised.  Two
-checkouts that print the same line give the same results on every call:
+Imports gfrec from the src/ of the checkout it lives in, whatever
+PYTHONPATH says.  Runs a fixed, seeded set of calls and prints the
+number of records and the SHA-256 of their JSON, and exits 1 when that
+line differs from the one recorded in RECORDED (see recorded.py).  Each
+record is a call's result (polynomial coefficients, a bool, or the
+digest of a sequence's n_min, length and coordinates) or the type and
+text of the exception it raised.  Two checkouts that print the same line
+give the same results on every call:
 - `discover` at every max_order from 1 to deg + 1 on the transfer runs of
   ten families over F_2 .. F_9, deg being the certified annihilator's degree;
 - random, zero, periodic and recurrence-generated integer sequences, some of
@@ -34,14 +36,17 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 from itertools import chain
+from pathlib import Path
 
-from gfrec.cyclotomic import CycInt
-from gfrec.funcalg import parse
-from gfrec.galois import make_field, prime_power
-from gfrec.recurrence import IntPolynomial, Sequence, discover, divides, extend, satisfies
-from gfrec.transfer import integer_annihilator, run, system_for
-from recorded import check
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # this checkout's package
+from gfrec.cyclotomic import CycInt  # noqa: E402
+from gfrec.funcalg import parse  # noqa: E402
+from gfrec.galois import make_field, prime_power  # noqa: E402
+from gfrec.recurrence import IntPolynomial, Sequence, discover, divides, extend, satisfies  # noqa: E402
+from gfrec.transfer import integer_annihilator, run, system_for  # noqa: E402
+from recorded import check  # noqa: E402
 
 RECORDED = ("6922 records sha256 60ce9b381dd181fee0f5f42d216345db4388c5682653f6c17cad3b5b7f89d267",)
 

@@ -1,13 +1,14 @@
 """A differential hash of `transfer.system_for`, `run` and
 `integer_annihilator`.
 
-    PYTHONPATH=<checkout>/src python3 tools/transfer_hash.py
+    python3 tools/transfer_hash.py
 
-Builds the system of every digest case of tests/test_transfer.py (the
-DIGEST_EXPRS over the DIGEST_FIELDS, imported from tests/stepped.py) and
-prints five lines, each the number of records and the SHA-256 of their
-JSON, and exits 1 when a line differs from the one recorded in RECORDED
-(see recorded.py):
+Imports gfrec from the src/ of the checkout it lives in, whatever
+PYTHONPATH says.  Builds the system of every digest case of
+tests/test_transfer.py (the DIGEST_EXPRS over the DIGEST_FIELDS,
+imported from tests/stepped.py) and prints five lines, each the number
+of records and the SHA-256 of their JSON, and exits 1 when a line
+differs from the one recorded in RECORDED (see recorded.py):
 - runs: per case the label, dim, n_min and the coordinates of `run` up to
   n_min + 12, or the type and text of the exception that refused the system;
 - annihilators: per case the coefficients of `integer_annihilator` at its
@@ -37,13 +38,13 @@ import json
 import sys
 from pathlib import Path
 
-from gfrec.funcalg import parse
-from gfrec.galois import make_field, prime_power
-from gfrec.limits import DEFAULT_STATE_LIMIT, ResourceLimitExceeded
-from gfrec.transfer import integer_annihilator, run, system_for
-from recorded import check
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # the digest grid is defined there
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]  # this checkout's package, and the digest grid in its tests
+from gfrec.funcalg import parse  # noqa: E402
+from gfrec.galois import make_field, prime_power  # noqa: E402
+from gfrec.limits import DEFAULT_STATE_LIMIT, ResourceLimitExceeded  # noqa: E402
+from gfrec.transfer import integer_annihilator, run, system_for  # noqa: E402
+from recorded import check  # noqa: E402
 from stepped import DIGEST_EXPRS, DIGEST_FIELDS  # noqa: E402
 
 RECORDED = (
