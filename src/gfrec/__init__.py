@@ -4,10 +4,21 @@ the integer recurrences they satisfy.
 The pieces fit together like this: `galois` supplies field arithmetic,
 `cyclotomic` the exact ring the sums live in, `funcalg` the family
 expressions, `oracle` brute-force enumeration, `transfer` the state
-systems that step one variable at a time, `recurrence` the polynomial
-bookkeeping, `numtheory` Gauss sums and irreducibility, and `harness`
-the conjecture comparisons plus the acceptance battery.
+systems that step one variable at a time, `linalg` their exact matrix
+algebra, `recurrence` the polynomial bookkeeping, `numtheory` Gauss sums
+and irreducibility, and `harness` the conjecture comparisons plus the
+acceptance battery.
+
+`import gfrec` loads the computing layers alone: `cyclotomic`, `funcalg`,
+`galois`, `limits`, `linalg`, `oracle`, `recurrence` and `transfer`.  The
+names re-exported from `harness` and `numtheory` (and those two modules)
+are loaded on first access, by the module `__getattr__` below (PEP 562),
+and then stored here, so a later read is a plain attribute read; no
+computing call needs either module, and `harness` brings in `json`.
+`gfrec.cli` imports both directly.
 """
+
+from importlib import import_module
 
 from .cyclotomic import CycInt, regular_matrix, root_power
 from .funcalg import (
@@ -26,28 +37,11 @@ from .funcalg import (
     unparse,
 )
 from .galois import FieldElement, FieldSpec, is_prime, make_field, trace
-from .harness import (
-    ConjectureReport,
-    acceptance_run,
-    compare,
-    rot_conjecture_seq,
-    trap_conjecture_seq,
-)
 from .limits import (
     DEFAULT_DEGREE_CAP,
     DEFAULT_POINT_BUDGET,
     DEFAULT_STATE_LIMIT,
     ResourceLimitExceeded,
-)
-from .numtheory import (
-    EigenReport,
-    eigen_check,
-    eisenstein_dumas,
-    gauss_sum,
-    hadamard_check,
-    legendre,
-    predicted_spectrum,
-    valuation,
 )
 from .oracle import exp_sum, is_balanced, joint_counts, sum_sequence, trace_counts, weight
 from .recurrence import (
@@ -75,6 +69,17 @@ from .transfer import (
 )
 
 __version__ = "0.1.0"
+
+# name -> the submodule it is read from on first access; a submodule maps to itself
+_LAZY = {
+    name: module
+    for module, names in (
+        ("harness", ("ConjectureReport", "acceptance_run", "compare", "rot_conjecture_seq", "trap_conjecture_seq")),
+        ("numtheory", ("EigenReport", "eigen_check", "eisenstein_dumas", "gauss_sum", "hadamard_check",
+                       "legendre", "predicted_spectrum", "valuation")),
+    )
+    for name in names + (module,)
+}
 
 __all__ = [
     "CycInt",
@@ -142,3 +147,18 @@ __all__ = [
     "system_for",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    """Import a lazy name's submodule, store the name here and return it.
+    Called only for a name not yet in the module's namespace."""
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    module = import_module("." + _LAZY[name], __name__)
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

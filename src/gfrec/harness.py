@@ -355,7 +355,7 @@ def _check_c8(ctx):
 
 def _check_c9(ctx):
     for p in (3, 5, 7, 11, 13):
-        if not hadamard_check(p):
+        if not hadamard_check(p, ctx.quadratic_system(p)):
             return False, "M(p) is a complex Hadamard matrix", "p=%d fails" % p
     got = ["hadamard p<=13"]
     for p, hi in ((3, 10), (5, 9)):
@@ -373,7 +373,7 @@ def _check_c9(ctx):
 
 def _check_c10(ctx):
     for p in (3, 5, 7, 11, 13):
-        rep = eigen_check(p)
+        rep = eigen_check(p, ctx.quadratic_system(p))
         mults = sorted(m for _v, m in rep.predicted)
         if len(rep.predicted) != (p + 1) // 2:
             return False, "(p+1)/2 predicted eigenvalues", "p=%d" % p

@@ -83,11 +83,15 @@ class SparseMatrix:
     root counts as a roll by t and a scale by a.  Transfer matrices are
     square; a projection is a single row.  Products run on a padded layout:
     slot (w, i) holds row i's w-th triple, or padding of amplitude 0.
-    The gather and scale tables of `_product` are built with the matrix, and
-    inflated_norm() once, when first asked for.
+    The gather and scale tables of `_product` are built with the matrix,
+    inflated_norm() once, when first asked for, and embedded(ell) once per
+    prime, when first asked for, then kept read only.
     """
 
-    __slots__ = ("p", "dim", "starts", "cols", "exps", "amps", "_width", "_slots", "_gather", "_take", "_scale", "_norm", "_inflated")
+    __slots__ = (
+        "p", "dim", "starts", "cols", "exps", "amps", "_width", "_slots", "_gather", "_take", "_scale", "_norm",
+        "_inflated", "_embeddings",
+    )
 
     def __init__(self, p, starts, cols, exps, amps):
         self.p = p
@@ -103,6 +107,7 @@ class SparseMatrix:
         self._gather = self._padded(self.cols)
         self._norm = int(self._padded(np.abs(self.amps)).sum(axis=0).max(initial=0))
         self._inflated = None
+        self._embeddings = {}
         if p == 2:  # zeta = -1, so a zeta^t is the integer a (-1)^t
             self._take = self._gather[..., None]
             self._scale = self._padded(self.amps * (1 - 2 * self.exps))[..., None]
@@ -233,7 +238,16 @@ class SparseMatrix:
     def embedded(self, ell):
         """The entries under the p-1 embeddings zeta -> w^j (j = 1 .. p-1) into
         F_ell, for ell = 1 (mod p) and w of order p: one row of p-1 residues
-        a w^(t j) per padded slot, the input apply expects."""
+        a w^(t j) per padded slot, the input apply expects.  Computed once per
+        prime and kept, read only: the candidate's Krylov sequences and the
+        certificate walk the same primes."""
+        vals = self._embeddings.get(ell)
+        if vals is None:
+            vals = self._embeddings[ell] = self._embedding(ell)
+            vals.flags.writeable = False
+        return vals
+
+    def _embedding(self, ell):
         p = self.p
         w = next(r for r in (pow(g, (ell - 1) // p, ell) for g in count(2)) if r != 1)
         wpow = np.array([pow(w, t, ell) for t in range(p)], dtype=np.int64)

@@ -91,10 +91,11 @@ def eisenstein_dumas(poly, p):
     return "irreducible"
 
 
-def hadamard_check(p):
+def hadamard_check(p, system=None):
     """True when the sigma(2) system over F_p, the quadratic matrix M, has
     root-of-unity entries and satisfies M conj(M)^T = p I, both verified
-    exactly on the exponents of its sparse entries.
+    exactly on the exponents of its sparse entries.  system is that system
+    as `build_quadratic_matrix(p)` returns it, built here when None.
 
     SparseMatrix.from_root_counts stores each entry in its fewest triples
     a zeta^t, so an entry is a root exactly when it is one triple of
@@ -106,7 +107,7 @@ def hadamard_check(p):
     exactly when each power occurs once: the differences e_ik - e_jk cover
     every residue mod p once.
     """
-    m = build_quadratic_matrix(p).sparse
+    m = (build_quadratic_matrix(p) if system is None else system).sparse
     roots = (np.diff(m.starts) == p).all() and (m.amps == 1).all()
     if not (roots and (m.cols.reshape(p, p) == np.arange(p)).all()):
         return False
@@ -149,7 +150,7 @@ def _minus_scalar(m, value):
     return SparseMatrix(m.p, np.searchsorted(rows[order], np.arange(m.dim + 1)), cols[order], exps, amps)
 
 
-def eigen_check(p):
+def eigen_check(p, system=None):
     """Check exactly that the sigma(2) system over F_p, the quadratic matrix
     M, has the predicted values lambda_a with multiplicities m_a:
     1. prod_a (M - lambda_a I) = 0, so M is diagonalizable and each of its
@@ -162,12 +163,14 @@ def eigen_check(p):
     (SparseMatrix.times) on the p columns of the identity side by side, 1.
     one SparseMatrix for M - lambda_a I per factor, since a difference of
     two exact int64 products can still overflow, and 2. M.  A prime past
-    `limits.EIGEN_CHECK_PRIME` is refused before any of that.
+    `limits.EIGEN_CHECK_PRIME` is refused before any of that.  system is
+    M's system as `build_quadratic_matrix(p)` returns it, built here when
+    None.
     """
     if is_prime(p) and p > 2:  # predicted_spectrum refuses any other p
         check_eigen_prime(p)
     predicted = predicted_spectrum(p)
-    m = build_quadratic_matrix(p).sparse
+    m = (build_quadratic_matrix(p) if system is None else system).sparse
     diagonal = np.arange(p), slice(None), np.arange(p)  # entry (a, a) of each power
     identity = np.zeros((p, p - 1, p), dtype=np.int64)
     identity[:, 0] = np.identity(p, dtype=np.int64)

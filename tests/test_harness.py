@@ -288,12 +288,12 @@ _FAILURES = [
         "C6": ("built de Bruijn matrix is A_j(p)", "p=3"),
         "C8": ("matrix equals the 9x9 reference", "entry (0,3)"),
     }),
-    ({"hadamard_check": lambda p: False}, {"C9": ("M(p) is a complex Hadamard matrix", "p=3 fails")}),
-    ({"eigen_check": lambda p: EigenReport(p=p, predicted=(), ok=False)}, {"C10": ("(p+1)/2 predicted eigenvalues", "p=3")}),
-    ({"eigen_check": lambda p: EigenReport(p=p, predicted=eigen_check(p).predicted[:1] * ((p + 1) // 2), ok=True)}, {
+    ({"hadamard_check": lambda p, system: False}, {"C9": ("M(p) is a complex Hadamard matrix", "p=3 fails")}),
+    ({"eigen_check": lambda p, system: EigenReport(p=p, predicted=(), ok=False)}, {"C10": ("(p+1)/2 predicted eigenvalues", "p=3")}),
+    ({"eigen_check": lambda p, system: EigenReport(p=p, predicted=eigen_check(p).predicted[:1] * ((p + 1) // 2), ok=True)}, {
         "C10": ("multiplicity pattern 1 + 2 + ... + 2", "p=3"),
     }),
-    ({"eigen_check": lambda p: EigenReport(p=p, predicted=eigen_check(p).predicted, ok=False)}, {
+    ({"eigen_check": lambda p, system: EigenReport(p=p, predicted=eigen_check(p).predicted, ok=False)}, {
         "C10": ("prod (M - lambda_a I) = 0, Tr(M^j) = sum m_a lambda_a^j", "p=3 fails"),
     }),
     ({"gauss_sum": lambda a, p: CycInt.from_int(p, a)}, {"C10": ("g(a;p) = (a|p) g(1;p)", "p=3 a=2")}),
@@ -319,3 +319,20 @@ def test_a_criterion_that_meets_a_wrong_input_reports_its_own_failure(monkeypatc
     for cid, (expected, got) in failures.items():
         entry = run_criterion(cid, ctx=ctx)
         assert (entry["id"], entry["status"], entry["expected"], entry["got"]) == (cid, "fail", expected, got)
+
+
+def test_the_battery_builds_each_quadratic_system_once(monkeypatch):
+    # C9's Hadamard check and transfer runs, C10's spectrum check and C14's
+    # run all read the run's one sigma(2)/F_p system
+    real = harness.transfer.build_symmetric_system
+    built = []
+
+    def counted(k, f, *args, **kwargs):
+        built.append((k, f.q))
+        return real(k, f, *args, **kwargs)
+
+    monkeypatch.setattr(harness.transfer, "build_symmetric_system", counted)
+    ctx = _Ctx("quick")
+    for cid in ("C9", "C10", "C14"):
+        assert run_criterion(cid, ctx=ctx)["status"] == "pass"
+    assert sorted(built) == [(2, p) for p in (3, 5, 7, 11, 13)]

@@ -575,6 +575,26 @@ def test_the_lift_stops_at_the_coefficient_bound(monkeypatch, case, primes):
     assert certify(state_matrix(_system(*case)), poly)
 
 
+def test_each_prime_is_embedded_once_per_matrix(monkeypatch):
+    # T(2,4)/F_3 takes two candidate primes, and the certificate walks the
+    # same two: each embedding is computed once and then read
+    real = SparseMatrix._embedding
+    computed = []
+
+    def counted(self, ell):
+        computed.append((id(self), ell))
+        return real(self, ell)
+
+    monkeypatch.setattr(SparseMatrix, "_embedding", counted)
+    sys = system_for(parse("T(2,4)"), make_field(3))
+    poly = integer_annihilator(sys)
+    m = sys.sparse
+    assert computed == [(id(m), ell) for ell in islice(linalg._primes(3), 2)]
+    assert integer_annihilator(sys) == poly
+    assert len(computed) == 2
+    assert not m.embedded(computed[0][1]).flags.writeable
+
+
 @pytest.mark.parametrize(
     "p, diagonal, poly",
     [(2, [(0, 2), (0, 3)], [-3, 1]), (3, [(1, 1), (2, -1)], [1, 0, 0, 1])],

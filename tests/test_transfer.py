@@ -456,6 +456,20 @@ def test_run_below_n_min():
         run(sys, 2)
 
 
+@pytest.mark.parametrize("n_range", [range(3, 4), range(3, 12), range(7, 10)])
+def test_run_range_steps_to_the_last_index_of_its_range(monkeypatch, n_range):
+    sys, targets = system_for(tau(3), F3), []
+
+    def recorded(system, n_target):
+        targets.append(n_target)
+        return run(system, n_target)
+
+    monkeypatch.setattr(transfer, "run", recorded)
+    got = transfer.run_range(sys, tau(3), n_range)
+    assert targets == [n_range.stop - 1]
+    assert got.values == sum_sequence(tau(3), F3, n_range).values
+
+
 @pytest.mark.parametrize("text, q, steps", [("tau(3)", 3, 20), ("sigma(2)", 5, 60), ("R(2)", 3, 30)])
 def test_init_is_a_read_only_coordinate_array(text, q, steps):
     # sigma(2) over F_5 runs past int64 within 60 steps, onto Python ints

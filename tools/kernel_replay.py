@@ -1,7 +1,7 @@
 """Replay the enumeration kernels' calls: time each one, or diff their sizes.
 
     python3 tools/kernel_replay.py run --out replay.json [--best-of 7]
-    python3 tools/kernel_replay.py compare PARENT.json CHANGE.json
+    python3 tools/kernel_replay.py compare PARENT.json CHANGE.json [PARENT.json CHANGE.json ...]
     python3 tools/kernel_replay.py decisions --out decisions.json
     python3 tools/kernel_replay.py diff PARENT.json CHANGE.json
 
@@ -13,16 +13,23 @@ perfbench/workloads.py, which it reads and does not edit), then those of a
 fixed list of larger calls: the `sum_sequence` ranges of LARGER and the
 generic multi-row line of tools/oracle_hash.py.  It then times each
 recorded call, `_BlockValues(...).counts()` with an empty `_grid` memo,
-best of k in this process, and writes one record per call: its group
-(the workload, `larger` or `multi-row`), a description and digest of its
-inputs, the block digits m it ran with and its best time in seconds.
+best of k in this process, and writes the time the run started and one
+record per call: its group (the workload, `larger` or `multi-row`), a
+description and digest of its inputs, the block digits m it ran with and
+its best time in seconds.
 
-`compare` reads two such files, made in two checkouts on one host, and
-matches their calls by group and inputs, the k-th such call of one run
-with the k-th of the other.  It prints, for each matched call, its two
-times and their ratio (second over first), the calls that only one run
-made, then each group's total over the matched calls and the worst call
-of each group and overall.
+`compare` reads one or more pairs of such files, each pair a parent run
+and a change run made in two checkouts on one host, and matches their
+calls by group and inputs, the k-th such call of one run with the k-th of
+the others.  A single pair of runs is dominated by the host's noise, and
+runs that always start with the same checkout are biased by the order, so
+several pairs must alternate: by their recorded start times, the two runs
+of each pair follow each other, and the checkout that runs first changes
+from one pair to the next.  It prints, for each call that every run made,
+its median times and the median of its ratios (change over parent), the
+calls that not every run made, then for each group the median over the
+pairs of the ratio of its totals, with their min-max spread, and the
+group's worst call, and the worst call overall.
 
 `decisions` records the same calls without timing them, and writes what
 each kernel chose: for each generic call the block digits m it ran with,
@@ -40,6 +47,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -137,13 +145,14 @@ def _time(oracle, funcs, traced, lo, s, best_of):
 
 
 def run(out, best_of):
+    started = time.time()
     gfrec, oracle = _import()
     records = []
     for group, funcs, traced, lo, s in _record(gfrec, oracle)[0]:
         text, digest = _describe(funcs, traced, lo, s)
         seconds, m = _time(oracle, funcs, traced, lo, s, best_of)
         records.append({"group": group, "call": text, "digest": digest, "m": m, "s": seconds})
-    Path(out).write_text(json.dumps({"best_of": best_of, "calls": records}, indent=1) + "\n")
+    Path(out).write_text(json.dumps({"started": started, "best_of": best_of, "calls": records}, indent=1) + "\n")
     totals = {}
     for r in records:
         totals[r["group"]] = totals.get(r["group"], 0.0) + r["s"]
@@ -162,30 +171,61 @@ def _keyed(calls):
     return out
 
 
-def compare(first, second):
-    a = _keyed(json.loads(Path(first).read_text())["calls"])
-    b = _keyed(json.loads(Path(second).read_text())["calls"])
+def _alternation_fault(pairs):
+    """Why the (parent, change) runs do not alternate, or None when they do."""
+    if len(pairs) == 1:
+        return None
+    missing = [name for pair in pairs for name, run in pair if "started" not in run]
+    if missing:
+        return "%s records no start time" % missing[0]
+    order = sorted((run["started"], i, side) for i, pair in enumerate(pairs) for side, (_name, run) in enumerate(pair))
+    firsts = []
+    for (_t0, i, side), (_t1, j, _side) in zip(order[::2], order[1::2]):
+        if i != j:
+            return "the runs of pairs %d and %d are interleaved" % (i + 1, j + 1)
+        firsts.append(side)
+    for a, b in zip(firsts, firsts[1:]):
+        if a == b:
+            return "the %s ran first in two pairs in a row" % ("parent", "change")[a]
+    return None
+
+
+def compare(files):
+    """Compare (parent, change) pairs of `run` files; see the module docstring."""
+    if len(files) % 2:
+        sys.exit("compare takes pairs of files: parent, change, parent, change, ...")
+    runs = [(name, json.loads(Path(name).read_text())) for name in files]
+    pairs = list(zip(runs[::2], runs[1::2]))
+    fault = _alternation_fault(pairs)
+    if fault:
+        sys.exit("the pairs must alternate: %s" % fault)
+    keyed = [_keyed(run["calls"]) for _name, run in runs]
+    common = [k for k in keyed[0] if all(k in calls for calls in keyed)]
     groups = {}
-    for i, key in enumerate(k for k in a if k in b):
-        x, y = a[key], b[key]
-        ratio = y["s"] / x["s"]
-        groups.setdefault(x["group"], []).append((ratio, i, x, y))
+    for i, key in enumerate(common):
+        times = [[calls[key]["s"] for calls in keyed[side::2]] for side in (0, 1)]
+        ratio = statistics.median(b / a for a, b in zip(*times))
+        x, y = keyed[0][key], keyed[1][key]
+        groups.setdefault(x["group"], []).append((ratio, i, key))
         print("%-12s #%-3d %-58s m %s -> %s  %8.3f -> %8.3f ms  %.2fx" % (
-            x["group"], i, x["call"], x["m"], y["m"], x["s"] * 1e3, y["s"] * 1e3, ratio))
+            x["group"], i, x["call"], x["m"], y["m"],
+            statistics.median(times[0]) * 1e3, statistics.median(times[1]) * 1e3, ratio))
     print()
-    for name, only in (("first", [a[k] for k in a if k not in b]), ("second", [b[k] for k in b if k not in a])):
-        for r in only:
-            print("only in the %s run: %-12s %s  %.3f ms" % (name, r["group"], r["call"], r["s"] * 1e3))
+    for (name, _run), calls in zip(runs, keyed):
+        for key in calls:
+            if key not in common:
+                print("only in some runs: %s %-12s %s  %.3f ms" % (name, key[0], calls[key]["call"], calls[key]["s"] * 1e3))
     worst_all = None
     for group, rows in groups.items():
-        total_a = sum(x["s"] for _r, _i, x, _y in rows)
-        total_b = sum(y["s"] for _r, _i, _x, y in rows)
+        totals = [sum(calls[key]["s"] for _r, _i, key in rows) for calls in keyed]
+        ratios = [b / a for a, b in zip(totals[::2], totals[1::2])]
         worst = max(rows, key=lambda row: row[0])
         worst_all = max(worst_all or worst, worst, key=lambda row: row[0])
-        print("%-12s %4d calls  total %9.3f -> %9.3f ms  %.3fx  worst #%d %.2fx" % (
-            group, len(rows), total_a * 1e3, total_b * 1e3, total_b / total_a, worst[1], worst[0]))
-    ratio, i, x, _y = worst_all
-    print("worst call: %s #%d %s  %.2fx" % (x["group"], i, x["call"], ratio))
+        print("%-12s %4d calls  total %9.3f -> %9.3f ms  %.3fx (%.3f-%.3fx over %d pairs)  worst #%d %.2fx" % (
+            group, len(rows), statistics.median(totals[::2]) * 1e3, statistics.median(totals[1::2]) * 1e3,
+            statistics.median(ratios), min(ratios), max(ratios), len(ratios), worst[1], worst[0]))
+    ratio, i, key = worst_all
+    print("worst call: %s #%d %s  %.2fx" % (key[0], i, keyed[0][key]["call"], ratio))
 
 
 def decisions(out):
@@ -229,9 +269,8 @@ def main(argv=None):
     p_run = sub.add_parser("run", help="record and time the calls in this checkout")
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--best-of", type=int, default=7)
-    p_cmp = sub.add_parser("compare", help="compare two runs, call by call")
-    p_cmp.add_argument("first")
-    p_cmp.add_argument("second")
+    p_cmp = sub.add_parser("compare", help="compare alternated (parent, change) pairs of runs, call by call")
+    p_cmp.add_argument("files", nargs="+", metavar="PARENT CHANGE")
     p_dec = sub.add_parser("decisions", help="record the sizes each kernel call chose in this checkout")
     p_dec.add_argument("--out", required=True)
     p_diff = sub.add_parser("diff", help="print the calls whose decisions differ between two records")
@@ -245,7 +284,7 @@ def main(argv=None):
     elif args.cmd == "diff":
         diff(args.first, args.second)
     else:
-        compare(args.first, args.second)
+        compare(args.files)
 
 
 if __name__ == "__main__":
