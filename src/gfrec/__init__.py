@@ -9,13 +9,14 @@ algebra, `recurrence` the polynomial bookkeeping, `numtheory` Gauss sums
 and irreducibility, and `harness` the conjecture comparisons plus the
 acceptance battery.
 
-`import gfrec` loads the computing layers alone: `cyclotomic`, `funcalg`,
-`galois`, `limits`, `linalg`, `oracle`, `recurrence` and `transfer`.  The
-names re-exported from `harness` and `numtheory` (and those two modules)
-are loaded on first access, by the module `__getattr__` below (PEP 562),
-and then stored here, so a later read is a plain attribute read; no
-computing call needs either module, and `harness` brings in `json`.
-`gfrec.cli` imports both directly.
+`import gfrec` loads the enumeration core alone: `cyclotomic`, `funcalg`,
+`galois`, `limits`, `oracle` and `recurrence`.  The names re-exported
+from `transfer`, `harness` and `numtheory` (and those three modules) are
+loaded on first access, by the module `__getattr__` below (PEP 562), and
+then stored here, so a later read is a plain attribute read.  `transfer`
+brings in `linalg`, which only `transfer`, `harness` and `numtheory`
+import, and `harness` brings in `json`; enumeration needs none of them.
+`gfrec.cli` imports `transfer`, `harness` and `numtheory` directly.
 """
 
 from importlib import import_module
@@ -56,17 +57,6 @@ from .recurrence import (
     family_poly,
     satisfies,
 )
-from .transfer import (
-    TransferSystem,
-    build_quadratic_matrix,
-    build_rotation_system,
-    build_symmetric_system,
-    build_trapezoid_system,
-    integer_annihilator,
-    run,
-    run_range,
-    system_for,
-)
 
 __version__ = "0.1.0"
 
@@ -77,6 +67,8 @@ _LAZY = {
         ("harness", ("ConjectureReport", "acceptance_run", "compare", "rot_conjecture_seq", "trap_conjecture_seq")),
         ("numtheory", ("EigenReport", "eigen_check", "eisenstein_dumas", "gauss_sum", "hadamard_check",
                        "legendre", "predicted_spectrum", "valuation")),
+        ("transfer", ("TransferSystem", "build_quadratic_matrix", "build_rotation_system", "build_symmetric_system",
+                      "build_trapezoid_system", "integer_annihilator", "run", "run_range", "system_for")),
     )
     for name in names + (module,)
 }

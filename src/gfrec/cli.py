@@ -16,8 +16,6 @@ NoRecurrenceError from discover is a failed check, any other ValueError
 refuses) is a usage error, and ResourceLimitExceeded is a resource limit.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import functools
@@ -149,7 +147,7 @@ def _sequence_payload(seq, f, expr_text, method):
             {
                 "n": seq.n_min + i,
                 "coeffs": [to_decimal(c) for c in v.coeffs],
-                "integer": None if v.as_integer() is None else to_decimal(v.as_integer()),
+                "integer": None if (z := v.as_integer()) is None else to_decimal(z),
             }
             for i, v in enumerate(seq.values)
         ],

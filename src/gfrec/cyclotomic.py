@@ -15,8 +15,6 @@ counts exactly p, for a prime p.  A numpy integer would wrap on overflow in
 later arithmetic, so callers convert numpy rows with tolist().
 """
 
-from __future__ import annotations
-
 from functools import partial
 from itertools import repeat
 from operator import add, mul, neg, sub

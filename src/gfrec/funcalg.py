@@ -5,8 +5,8 @@ Rotation families sum all n cyclic shifts of the pattern monomial (indices
 live in the residues 1..n), trapezoid families sum only the translates
 that fit without wrapping, and sigma(k) is the k-th elementary symmetric
 polynomial.  Expressions combine these with scalar multiples and sums;
-`parse` reads their text one ``+``-separated term at a time, each term one
-match of a single regular expression.
+`parse` reads their text one ``+``-separated term at a time, each term an
+optional scalar, a family name and its arguments.
 
 So a rotation at n is its trapezoid plus its wrapped translates, the seam,
 which for n >= 2w - 2 (w the pattern width) is one fixed polynomial in the
@@ -14,9 +14,6 @@ first and the last w - 1 variables (`seam`).  The trapezoids and sigma(k)
 at n are those at any larger n with the variables past n set to 0.
 """
 
-from __future__ import annotations
-
-import re
 from itertools import combinations
 from operator import attrgetter
 
@@ -202,32 +199,38 @@ class ExprSyntaxError(ValueError):
     pass
 
 
-_TERM = r"(?:e(\d+)\*)?(tau|sigma|R|T)\((\d+(?:,\d+)*)\)"
-
-
 def parse(source):
     """Parse an expression like ``R(2,3) + e2*T(2,4) + sigma(3) + tau(4)``.
 
-    Spaces and tabs are dropped, and each term between ``+`` signs must match
-    `_TERM`: an optional scalar literal ``e<index>*``, which names a field
-    element by its enumeration index and binds to the atom after it, then a
-    family name and its arguments.  `re` compiles the pattern on first use.
+    Spaces and tabs are dropped.  Each term between ``+`` signs is an
+    optional scalar literal ``e<index>*``, which names a field element by its
+    enumeration index and binds to the atom after it, then a family name
+    (``tau``, ``sigma``, ``R`` or ``T``) and its arguments: numbers separated
+    by commas, in parentheses.  A number is a run of decimal digits, any that
+    `str.isdecimal` and `int` accept.
     """
     text = source.replace(" ", "").replace("\t", "")
     terms = []
     for term in text.split("+"):
-        match = re.fullmatch(_TERM, term)
-        if match is None:
+        head, bracket, inner = term.partition("(")
+        scalar, star, name = head.rpartition("*")
+        args = inner[:-1].split(",")
+        if not (
+            bracket
+            and inner.endswith(")")
+            and name in ("tau", "sigma", "R", "T")
+            and all(map(str.isdecimal, args))
+            and (not star or scalar[:1] == "e" and scalar[1:].isdecimal())
+        ):
             raise ExprSyntaxError("expected a term, not %r, in %r" % (term, source))
-        scalar, name, args = match.groups()
-        args = tuple(map(int, args.split(",")))
+        args = tuple(map(int, args))
         if name in ("tau", "sigma"):
             if len(args) != 1:
                 raise ExprSyntaxError("%s takes a single argument in %r" % (name, source))
             atom = tau(args[0]) if name == "tau" else Sigma(args[0])
         else:
             atom = (Rotation if name == "R" else Trapezoid)(MonomialPattern((1,) + args))
-        terms.append(atom if scalar is None else ScalarMul(int(scalar), atom))
+        terms.append(ScalarMul(int(scalar[1:]), atom) if star else atom)
     return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 

@@ -5,8 +5,6 @@ Z_p modulo a fixed monic irreducible polynomial of degree r.  The prime
 field (r = 1) uses the same machinery with modulus X.
 """
 
-from __future__ import annotations
-
 from math import isqrt
 
 from .funcalg import Frozen
@@ -14,17 +12,21 @@ from .funcalg import Frozen
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _WITNESSED = 318665857834031151167461  # the least strong pseudoprime to all of them
+_DIVIDED = 41 * 41  # 41 is the next prime: below its square, a number that none of them divides is prime
 
 
 def is_prime(n):
-    """Whether the integer n is prime.  Below _WITNESSED, the strong
-    probable-prime test to the first 12 prime bases decides it (Sorenson and
-    Webster, Math. Comp. 2017); above it, trial division does."""
+    """Whether the integer n is prime.  Division by the first 12 primes
+    decides it below 41^2; below _WITNESSED, the strong probable-prime test
+    to those 12 bases does (Sorenson and Webster, Math. Comp. 2017); above
+    it, trial division does."""
     if n < 2:
         return False
     for w in _WITNESSES:
         if n % w == 0:
             return n == w
+    if n < _DIVIDED:
+        return True
     if n >= _WITNESSED:
         return all(n % d for d in range(41, isqrt(n) + 1, 2))
     d, s = n - 1, 0

@@ -8,8 +8,6 @@ disagreement.  acceptance_run() executes the fixed battery of checks that
 the test suite also runs item by item.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import time
@@ -19,7 +17,7 @@ import numpy as np
 
 from .cyclotomic import CycInt
 from .funcalg import Frozen, InstantiatedFunction, consecutive_rotation, instantiate, parse, tau
-from .galois import make_field, prime_power
+from .galois import is_prime, make_field, prime_power
 from .linalg import SparseMatrix
 from .numtheory import eigen_check, eisenstein_dumas, gauss_sum, hadamard_check, legendre
 from .oracle import decorated_sums, sum_sequence
@@ -381,7 +379,7 @@ def _check_c10(ctx):
             return False, "multiplicity pattern 1 + 2 + ... + 2", "p=%d" % p
         if not rep.ok:
             return False, "prod (M - lambda_a I) = 0, Tr(M^j) = sum m_a lambda_a^j", "p=%d fails" % p
-    primes = [p for p in range(3, 51) if all(p % d for d in range(2, p))]
+    primes = [p for p in range(3, 51) if is_prime(p)]
     for p in primes:
         g1 = gauss_sum(1, p)
         for a in range(1, p):

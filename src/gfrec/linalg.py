@@ -10,8 +10,6 @@ primes, by Krylov terms that are one int64 dot each, and then proved over
 Z[zeta_p].
 """
 
-from __future__ import annotations
-
 import random
 from itertools import count
 from math import comb

@@ -5,8 +5,6 @@ sigma(2) system over F_p), both read off its sparse triples: that it is a
 complex Hadamard matrix, and that its spectrum is the predicted one of
 Gauss sums times roots of unity, in Z[zeta_p] arithmetic."""
 
-from __future__ import annotations
-
 import math
 
 import numpy as np

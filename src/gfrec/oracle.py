@@ -65,8 +65,6 @@ other two paths, `transfer.run_range` on a built system and
 callers such as the command line pick one themselves.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
 from math import prod
 
@@ -342,22 +340,28 @@ def _split(terms, m):
 # per distinct code; `_chunk_bits` picks b and `_trace_counts_f2` counts.
 
 
+# bit i of word v - 1 is bit v - 1 of i: the points of a word where x_v is 1
+_VARIABLE_WORDS = (
+    0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+    0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
+)
+
+
 def _low_words():
     """The word mask of each sorted tuple of the variables 1..6: bit i is
     set when bit v - 1 of i is, for each variable v."""
     words = {(): (1 << 64) - 1}
-    for v in range(1, 7):
-        pattern = sum(1 << i for i in range(64) if i >> v - 1 & 1)
+    for v, pattern in enumerate(_VARIABLE_WORDS, 1):
         words.update({low + (v,): word & pattern for low, word in list(words.items())})
     return words
 
 
 _LOW_WORDS = _low_words()
-_LOW_BITS = np.array([(1 << r) - 1 for r in range(64)], dtype=np.uint64)  # the bits below r of a word
+_LOW_BITS = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)  # the bits below r of a word
 # for each s <= 6 and each a < 2^s, the bits j of a word with j = a mod 2^s: the points where
 # (x_1, ..., x_s) is a, as bit v - 1 of the index is x_v; (2^64 - 1) / (2^(2^s) - 1) sets every 2^s-th bit
-_SEAM_WORDS = [np.array([((1 << 64) - 1) // ((1 << (1 << s)) - 1) << a for a in range(1 << s)], dtype=np.uint64) for s in range(7)]
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+_SEAM_WORDS = [np.uint64(((1 << 64) - 1) // ((1 << (1 << s)) - 1)) << np.arange(1 << s, dtype=np.uint64) for s in range(7)]
+_POPCOUNT8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.int64)
 _bitwise_count = getattr(np, "bitwise_count", None)  # numpy >= 2.0
 
 

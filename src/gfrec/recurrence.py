@@ -17,8 +17,6 @@ recurrence grows by it, so the result is the least common multiple of
 the columns' minimal polynomials.
 """
 
-from __future__ import annotations
-
 from functools import partial, reduce
 from itertools import islice, repeat
 from math import gcd

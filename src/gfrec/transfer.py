@@ -36,8 +36,6 @@ gather, one scale and one row sum a step, in int64 while the bound that it
 carries on the coordinates proves that exact, on Python ints after.
 """
 
-from __future__ import annotations
-
 from functools import cached_property
 from itertools import islice
 

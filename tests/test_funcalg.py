@@ -1,5 +1,7 @@
 """Tests for the polynomial family expression layer."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,6 +93,7 @@ def test_parse_errors():
     for bad in (
         "", "R(2", "R()", "Q(2)", "R(2,)", "R(2,3)++T(2)", "sigma(2,3)", "e2*",
         "e2*e3*tau(3)", "e2tau(3)", "tau(3)sigma(2)", "tau(3)+", "R(2,3))", "tau()",
+        "tau(3]", "tau[3)", "E2*tau(3)", "*tau(3)", "e*tau(3)", "tau(3)\n", "R(2,\u00b3)",
     ):
         with pytest.raises(ExprSyntaxError):
             parse(bad)
@@ -113,6 +116,70 @@ _TERMS = st.builds(lambda atom, scalar: atom if scalar is None else ScalarMul(sc
 def test_parse_inverts_unparse(terms):
     e = terms[0] if len(terms) == 1 else Sum(tuple(terms))
     assert parse(unparse(e)) == e
+
+
+# The term grammar as one regular expression: the reference `parse` is held to.
+_TERM = r"(?:e(\d+)\*)?(tau|sigma|R|T)\((\d+(?:,\d+)*)\)"
+
+
+def _parse_by_regex(source):
+    """`parse` with each term matched against `_TERM`."""
+    text = source.replace(" ", "").replace("\t", "")
+    terms = []
+    for term in text.split("+"):
+        match = re.fullmatch(_TERM, term)
+        if match is None:
+            raise ExprSyntaxError("expected a term, not %r, in %r" % (term, source))
+        scalar, name, args = match.groups()
+        args = tuple(map(int, args.split(",")))
+        if name in ("tau", "sigma"):
+            if len(args) != 1:
+                raise ExprSyntaxError("%s takes a single argument in %r" % (name, source))
+            atom = tau(args[0]) if name == "tau" else Sigma(args[0])
+        else:
+            atom = (Rotation if name == "R" else Trapezoid)(MonomialPattern((1,) + args))
+        terms.append(atom if scalar is None else ScalarMul(int(scalar), atom))
+    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+
+
+def _outcome(parser, text):
+    try:
+        return "parsed", parser(text)
+    except ValueError as exc:  # ExprSyntaxError, or a family's own check
+        return type(exc), str(exc)
+
+
+# the term alphabet: Unicode digits are decimal (Arabic-Indic three, fullwidth seven), superscripts are not
+_PIECES = ("e", "*", "+", "(", ")", "[", "]", ",", " ", "\t", "0", "2", "9", "\u0663", "\uff17", "\u00b2", "\u2083",
+           "tau", "sigma", "R", "T", "t", "x")
+
+
+@st.composite
+def _near_terms(draw):
+    """Pieces of the term alphabet, or any characters, alone, or a sum of
+    terms unparsed with pieces inserted in it or put in place of one of its
+    characters."""
+    pieces = draw(st.lists(st.sampled_from(_PIECES) | st.characters(), max_size=8))
+    if draw(st.booleans()):
+        return "".join(pieces)
+    text = " + ".join(unparse(term) for term in draw(st.lists(_TERMS, min_size=1, max_size=3)))
+    for piece in pieces[: draw(st.integers(0, 3))]:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + piece + text[at + draw(st.integers(0, 1)):]
+    return text
+
+
+@settings(max_examples=600, deadline=None)
+@given(_near_terms())
+def test_parse_accepts_the_language_of_the_term_grammar(text):
+    assert _outcome(parse, text) == _outcome(_parse_by_regex, text)
+
+
+def test_parse_reads_unicode_decimal_digits_as_the_grammar_does():
+    assert parse("e\u0662*T(\uff13,4)") == _parse_by_regex("e\u0662*T(\uff13,4)") == ScalarMul(2, parse("T(3,4)"))
+    for text in ("tau(\u00b2)", "e\u2082*tau(3)"):
+        assert _outcome(parse, text) == _outcome(_parse_by_regex, text) == (
+            ExprSyntaxError, "expected a term, not %r, in %r" % (text, text))
 
 
 def test_min_n_of_compounds():

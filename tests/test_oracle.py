@@ -155,6 +155,24 @@ def test_popcount_fallback_for_numpy_before_2(monkeypatch):
     assert [sum_sequence(e, f2, ns) for e, ns in ranges] == fast_ranges
 
 
+def test_bit_tables_are_their_bit_by_bit_definitions():
+    low_words = {(): (1 << 64) - 1}
+    for v in range(1, 7):
+        pattern = sum(1 << i for i in range(64) if i >> v - 1 & 1)
+        low_words.update({low + (v,): word & pattern for low, word in list(low_words.items())})
+    assert oracle._LOW_WORDS == low_words and list(oracle._LOW_WORDS) == list(low_words)
+    tables = [
+        (oracle._LOW_BITS, np.array([(1 << r) - 1 for r in range(64)], dtype=np.uint64)),
+        (oracle._POPCOUNT8, np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)),
+    ] + [
+        (words, np.array([((1 << 64) - 1) // ((1 << (1 << s)) - 1) << a for a in range(1 << s)], dtype=np.uint64))
+        for s, words in enumerate(oracle._SEAM_WORDS)
+    ]
+    assert len(oracle._SEAM_WORDS) == 7
+    for table, loop in tables:
+        assert table.dtype == loop.dtype and table.tolist() == loop.tolist()
+
+
 @st.composite
 def _chunked(draw):
     """(g, chunk bits) over F_2 past one chunk.  g has random terms of degree

@@ -14,14 +14,26 @@ import gfrec
 SUBMODULES = ("cyclotomic", "funcalg", "galois", "harness", "limits", "linalg", "numtheory", "oracle", "recurrence", "transfer")
 
 
-def test_importing_the_package_loads_the_computing_layers_alone():
+def _fresh(code):
+    """The stdout of code run by a fresh interpreter that imports gfrec from this checkout."""
     src = str(Path(gfrec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = "import sys, gfrec\nprint(*sorted(m for m in sys.modules if m.startswith('gfrec') or m == 'json'))\n"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["gfrec"] + ["gfrec." + m for m in (
-        "cyclotomic", "funcalg", "galois", "limits", "linalg", "oracle", "recurrence", "transfer")]
+    return proc.stdout.split()
+
+
+def test_importing_the_package_loads_the_computing_layers_alone():
+    # with numpy loaded, the package loads its enumeration core and nothing else: no json, no __future__
+    code = "import numpy, sys\nbefore = set(sys.modules)\nimport gfrec\nprint(*sorted(set(sys.modules) - before))\n"
+    assert _fresh(code) == ["gfrec"] + ["gfrec." + m for m in (
+        "cyclotomic", "funcalg", "galois", "limits", "oracle", "recurrence")]
+
+
+def test_reading_a_transfer_name_loads_transfer_and_linalg():
+    code = ("import sys, gfrec\nloaded = lambda: [m in sys.modules for m in ('gfrec.transfer', 'gfrec.linalg')]\n"
+            "print(*loaded())\ngfrec.system_for\nprint(*loaded())\n")
+    assert _fresh(code) == ["False", "False", "True", "True"]
 
 
 def test_every_exported_name_is_its_submodules_object():
@@ -55,9 +67,11 @@ def test_a_lazy_name_is_looked_up_once(monkeypatch):
 def test_the_lazy_modules_and_star_import_resolve():
     assert gfrec.harness is import_module("gfrec.harness")
     assert gfrec.numtheory is import_module("gfrec.numtheory")
+    assert gfrec.transfer is import_module("gfrec.transfer")
     namespace = {}
     exec("from gfrec import *", namespace)
     assert namespace["acceptance_run"] is gfrec.harness.acceptance_run
     assert namespace["valuation"] is gfrec.numtheory.valuation
+    assert namespace["system_for"] is gfrec.transfer.system_for
     with pytest.raises(AttributeError, match="^module 'gfrec' has no attribute 'no_such_name'$"):
         gfrec.no_such_name
