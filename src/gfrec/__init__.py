@@ -16,7 +16,7 @@ loaded on first access, by the module `__getattr__` below (PEP 562), and
 then stored here, so a later read is a plain attribute read.  `transfer`
 brings in `linalg`, which only `transfer`, `harness` and `numtheory`
 import, and `harness` brings in `json`; enumeration needs none of them.
-`gfrec.cli` imports `transfer`, `harness` and `numtheory` directly.
+`gfrec.cli` imports each of the three inside the subcommands that run it.
 """
 
 from importlib import import_module

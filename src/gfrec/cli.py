@@ -14,6 +14,17 @@ Exit codes: 0 success, 1 a check that ran and failed, 2 usage error,
 NoRecurrenceError from discover is a failed check, any other ValueError
 (a bad argument, an expression that does not parse, a range the library
 refuses) is a usage error, and ResourceLimitExceeded is a resource limit.
+
+This module imports the enumeration core that `import gfrec` loads.  Each
+subcommand imports the other layers it runs when it runs, so a fresh
+process loads:
+
+    expsum, verify, discover (brute)            nothing more
+    the same with --method transfer,
+      annihilator, bench                        transfer, linalg
+    numtheory gauss-sum, numtheory eisenstein   numtheory
+    numtheory eigen-check                       numtheory, transfer, linalg
+    conjecture, accept                          harness, which loads the other three
 """
 
 import argparse
@@ -26,14 +37,7 @@ import time
 from .cyclotomic import to_decimal
 from .funcalg import parse, unparse
 from .galois import make_field, prime_power
-from .harness import (
-    acceptance_run,
-    compare,
-    rot_conjecture_seq,
-    trap_conjecture_seq,
-)
 from .limits import DEFAULT_DEGREE_CAP, DEFAULT_POINT_BUDGET, ResourceLimitExceeded, check_degree_cap, check_field
-from .numtheory import eigen_check, eisenstein_dumas, gauss_sum
 from .oracle import sum_sequence
 from .recurrence import (
     IntPolynomial,
@@ -42,7 +46,6 @@ from .recurrence import (
     discover,
     satisfies,
 )
-from . import transfer
 
 SCHEMA_VERSION = 1
 
@@ -124,6 +127,8 @@ def _start(e, f, args):
     n_min = getattr(args, "n_min", None)  # conjecture has no --n-min
     if n_min is not None or args.method != "transfer":
         return (e.min_n() if n_min is None else n_min), None
+    from . import transfer
+
     sys_ = transfer.system_for(e, f, budget=args.budget)
     return max(e.min_n(), sys_.n_min), sys_
 
@@ -132,6 +137,8 @@ def _sums(e, f, lo, hi, args, sys_=None):
     """The sums of e for n = lo..hi by --method, from sys_ when it is built."""
     if args.method != "transfer":
         return sum_sequence(e, f, range(lo, hi + 1), budget=args.budget)
+    from . import transfer
+
     if sys_ is None:
         sys_ = transfer.system_for(e, f, budget=args.budget)
     return transfer.run_range(sys_, e, range(lo, hi + 1))
@@ -266,6 +273,8 @@ def _cmd_discover(args):
 
 
 def _cmd_annihilator(args):
+    from . import transfer
+
     f = _parse_field(args)
     e = parse(args.expr)
     check_degree_cap(args.degree_cap)
@@ -285,6 +294,8 @@ def _cmd_annihilator(args):
 
 
 def _cmd_conjecture(args):
+    from .harness import compare, rot_conjecture_seq, trap_conjecture_seq
+
     if args.k < 2:
         raise UsageError("need k >= 2")
     f = _parse_field(args)
@@ -329,6 +340,8 @@ def _cmd_conjecture(args):
 
 
 def _cmd_numtheory(args):
+    from .numtheory import eigen_check, eisenstein_dumas, gauss_sum
+
     if args.op == "gauss-sum":
         if args.p is None:
             raise UsageError("gauss-sum needs --p")
@@ -373,6 +386,8 @@ def _cmd_numtheory(args):
 
 
 def _cmd_accept(args):
+    from .harness import acceptance_run
+
     try:  # before the battery, so that an unwritable path costs no run
         out = open(args.out, "w") if args.out else contextlib.nullcontext()
     except OSError as exc:
@@ -388,6 +403,8 @@ def _cmd_accept(args):
 
 
 def _cmd_bench(args):
+    from . import transfer
+
     f = _parse_field(args)
     e = parse(args.expr)
     lo, hi = _parse_range(args.n)

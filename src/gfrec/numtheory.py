@@ -3,7 +3,9 @@ quadratic Gauss sums, a Newton-polygon irreducibility test, and two exact
 checks on the quadratic matrix as the transfer module builds it (the
 sigma(2) system over F_p), both read off its sparse triples: that it is a
 complex Hadamard matrix, and that its spectrum is the predicted one of
-Gauss sums times roots of unity, in Z[zeta_p] arithmetic."""
+Gauss sums times roots of unity, in Z[zeta_p] arithmetic.  Only those
+two checks import `transfer` and `linalg`, when they run, so the Gauss
+sums and the irreducibility test load neither."""
 
 import math
 
@@ -13,9 +15,7 @@ from .cyclotomic import CycInt, build_root_counts, build_unchecked, combination,
 from .funcalg import Frozen
 from .galois import is_prime
 from .limits import check_eigen_prime, check_eisenstein_prime, check_gauss_prime
-from .linalg import SparseMatrix
 from .recurrence import IntPolynomial
-from .transfer import build_quadratic_matrix
 
 
 def legendre(a, p):
@@ -105,6 +105,8 @@ def hadamard_check(p, system=None):
     exactly when each power occurs once: the differences e_ik - e_jk cover
     every residue mod p once.
     """
+    from .transfer import build_quadratic_matrix
+
     m = (build_quadratic_matrix(p) if system is None else system).sparse
     roots = (np.diff(m.starts) == p).all() and (m.amps == 1).all()
     if not (roots and (m.cols.reshape(p, p) == np.arange(p)).all()):
@@ -138,6 +140,8 @@ def _minus_scalar(m, value):
     """M - value I as one SparseMatrix: m's triples, and on each diagonal
     entry the triples -c zeta^t of value's nonzero coordinates c, with
     columns ascending in each row."""
+    from .linalg import SparseMatrix
+
     t = np.flatnonzero(value.coeffs)
     diagonal = np.repeat(np.arange(m.dim), len(t))
     rows = np.concatenate([np.repeat(np.arange(m.dim), np.diff(m.starts)), diagonal])
@@ -165,6 +169,8 @@ def eigen_check(p, system=None):
     M's system as `build_quadratic_matrix(p)` returns it, built here when
     None.
     """
+    from .transfer import build_quadratic_matrix
+
     if is_prime(p) and p > 2:  # predicted_spectrum refuses any other p
         check_eigen_prime(p)
     predicted = predicted_spectrum(p)

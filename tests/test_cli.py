@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from gfrec import cli, transfer
+from gfrec import cli, harness, transfer
 from gfrec.cli import main
 from gfrec.cyclotomic import to_decimal
 from gfrec.funcalg import tau
@@ -640,7 +640,7 @@ def test_accept_out_to_an_unwritable_path_is_refused_before_the_battery_runs(cap
     def battery(**_kwargs):
         raise AssertionError("the battery ran")
 
-    monkeypatch.setattr(cli, "acceptance_run", battery)
+    monkeypatch.setattr(harness, "acceptance_run", battery)
     path = tmp_path / where
     code, out, err = run_cli(capsys, "accept", "--out", str(path))
     assert (code, out) == (2, "")
@@ -668,7 +668,7 @@ _REPORT = {"all_pass": True, "items": [{"id": "C1", "status": "pass", "expected"
 ])
 def test_each_refusal_and_the_pretty_report_print_their_own_line(capsys, monkeypatch, argv, code, out, err):
     # the battery is replaced, so the pretty case prints a known report
-    monkeypatch.setattr(cli, "acceptance_run", lambda profile: _REPORT)
+    monkeypatch.setattr(harness, "acceptance_run", lambda profile: _REPORT)
     assert run_cli(capsys, *argv) == (code, out, err)
 
 
@@ -772,22 +772,88 @@ def test_transfer_system_is_built_once_per_request(capsys, monkeypatch):
         assert len(calls) == 1, argv
 
 
-def test_cli_import_leaves_out_the_thread_pool_modules():
+def _fresh(*argv, code=None):
+    """Exit code and stdout of a fresh interpreter that imports gfrec from
+    this checkout: `python -c code argv...`, or `python -m gfrec.cli argv...`
+    when code is None.  The pytest process has every layer loaded already, so
+    only a fresh one shows which modules a request loads."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
     )
-    result = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, numpy; before = set(sys.modules); import gfrec, gfrec.cli; "
-         "print(*sorted(set(sys.modules) - before))"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
+    head = ["-m", "gfrec.cli"] if code is None else ["-c", code]
+    result = subprocess.run([sys.executable, *head, *argv], capture_output=True, text=True, env=env, timeout=60)
+    assert result.stderr == "", result.stderr
+    return result.returncode, result.stdout
+
+
+def test_cli_import_leaves_out_the_thread_pool_modules():
+    code, out = _fresh(code="import sys, numpy; before = set(sys.modules); import gfrec, gfrec.cli; "
+                            "print(*sorted(set(sys.modules) - before))")
+    assert code == 0
     # the set-up cost: past numpy, the package adds only itself, json and the
     # CLI's argparse, so no thread pool and no other standard-library module
-    added = result.stdout.split()
+    added = out.split()
     assert "gfrec.cli" in added and "concurrent.futures" not in added
     stdlib = {"__future__", "_json", "argparse", "gettext"}
     assert [m for m in added if m.split(".")[0] not in {"gfrec", "json"} and m not in stdlib] == []
+
+
+_CORE = ["gfrec." + m for m in ("cyclotomic", "funcalg", "galois", "limits", "oracle", "recurrence")]
+
+
+def test_importing_the_cli_loads_the_enumeration_core_alone():
+    code, out = _fresh(code="import argparse, json, numpy, sys\nbefore = set(sys.modules)\nimport gfrec.cli\n"
+                            "print(*sorted(m for m in set(sys.modules) - before if m.startswith('gfrec')))\n")
+    assert (code, out.split()) == (0, ["gfrec", "gfrec.cli"] + _CORE)
+
+
+# the gfrec modules a request loads past `import gfrec.cli`: one request a
+# row of the table in the gfrec.cli docstring
+@pytest.mark.parametrize("argv, loaded", [
+    pytest.param(["expsum", "--expr", "tau(3)", "--field", "3", "--n", "3..5"], [], id="brute"),
+    pytest.param(["annihilator", "--expr", "tau(3)", "--field", "3"], ["linalg", "transfer"], id="transfer"),
+    pytest.param(["numtheory", "eisenstein", "--poly=2,0,1", "--p", "2"], ["numtheory"], id="numtheory"),
+    pytest.param(["numtheory", "eigen-check", "--p", "5"], ["linalg", "numtheory", "transfer"], id="eigen-check"),
+    pytest.param(["conjecture", "--which", "trapezoid", "--k", "3", "--field", "3", "--n-max", "6"],
+                 ["harness", "linalg", "numtheory", "transfer"], id="harness"),
+])
+def test_a_request_loads_only_the_layers_it_runs(argv, loaded):
+    code, out = _fresh(*argv, code=(
+        "import contextlib, io, sys\nimport gfrec.cli\nbefore = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n    code = gfrec.cli.main(sys.argv[1:])\n"
+        "print(code, *sorted(m for m in set(sys.modules) - before if m.startswith('gfrec')))\n"))
+    assert (code, out.split()) == (0, ["0"] + ["gfrec." + m for m in loaded])
+
+
+@pytest.mark.parametrize("argv", [
+    ["expsum", "--expr", "R(2)", "--field", "3", "--n", "3..6", "--method", "transfer"],
+    ["verify", "--expr", "tau(3)", "--field", "2", "--poly=-2,-2,0,1", "--n-max", "9"],
+    ["discover", "--expr", "tau(3)", "--field", "2", "--n-max", "20", "--max-order", "4"],
+    ["annihilator", "--expr", "sigma(2)", "--field", "3"],
+    ["conjecture", "--which", "rotation", "--k", "3", "--field", "2", "--n-max", "12"],
+    ["numtheory", "gauss-sum", "--p", "7", "--a", "3"],
+    ["numtheory", "eigen-check", "--p", "5"],
+    ["numtheory", "eisenstein", "--poly=2,0,1", "--p", "2"],
+    ["accept", "--profile", "quick"],
+    ["bench", "--expr", "tau(3)", "--field", "3", "--n", "3..6"],
+], ids=lambda argv: "-".join(argv[:2] if argv[0] == "numtheory" else argv[:1]))
+def test_the_command_prints_what_main_prints(capsys, argv):
+    # a fresh `python -m gfrec.cli` loads its layers as it runs; in process
+    # they are all loaded.  accept's millis and bench's timings are timings,
+    # left out as the benchmark's canonical payload leaves them out
+    def exact(out):
+        if argv[0] not in ("accept", "bench"):
+            return out
+        record = json.loads(out)
+        record.pop("timings", None)
+        if argv[0] == "accept":
+            for item in record["payload"]:
+                item.pop("millis")
+        return record
+
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    fresh_code, fresh_out = _fresh(*argv)
+    assert (fresh_code, exact(fresh_out)) == (0, exact(out))

@@ -321,6 +321,33 @@ def test_a_criterion_that_meets_a_wrong_input_reports_its_own_failure(monkeypatc
         assert (entry["id"], entry["status"], entry["expected"], entry["got"]) == (cid, "fail", expected, got)
 
 
+def _unit_prefix_sums(spoiled):
+    """A decorated_sums stand-in, in product order of the coefficient
+    vectors: j for j unit coefficients followed by zeros (j + 1 for a vector
+    (q, *coefficients) in spoiled), and a value of its own for any other."""
+
+    def sums(base, decorations):
+        q = base.field.q
+        values = []
+        for x, coeffs in enumerate(itertools.product(range(q), repeat=len(decorations))):
+            j = len(list(itertools.takewhile(bool, coeffs)))
+            values.append(j + ((q, *coeffs) in spoiled) if not any(coeffs[j:]) else -1 - x)
+        return values
+
+    return sums
+
+
+@pytest.mark.parametrize("spoiled, got", [
+    ((), "q in {3,4,5,9}, k in {3,4}, n <= k+3, exhaustive"),
+    (((4, 2, 1, 0),), "q=4 k=4 n=4 j=2 differs"),
+    (((9, 8, 0),), "q=9 k=3 n=3 j=1 differs"),
+], ids=["equal", "q4-j2-spoiled", "q9-j1-spoiled"])
+def test_c5_compares_the_sums_of_unit_prefixes_alone(monkeypatch, spoiled, got):
+    monkeypatch.setattr(harness, "decorated_sums", _unit_prefix_sums(spoiled))
+    entry = run_criterion("C5", ctx=_Ctx("quick"))
+    assert (entry["status"], entry["got"]) == ("fail" if spoiled else "pass", got)
+
+
 def test_the_battery_builds_each_quadratic_system_once(monkeypatch):
     # C9's Hadamard check and transfer runs, C10's spectrum check and C14's
     # run all read the run's one sigma(2)/F_p system

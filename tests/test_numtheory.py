@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gfrec import limits, numtheory
+from gfrec import limits, numtheory, transfer
 from gfrec.cyclotomic import CycInt, root_power
 from gfrec.limits import ResourceLimitExceeded
 from gfrec.linalg import SparseMatrix
@@ -186,7 +186,7 @@ def _check_edited(monkeypatch, check, p, edits):
     triples = np.array(sum(rows, []), dtype=np.int64).reshape(-1, 3)
     starts = np.cumsum([0] + [len(row) for row in rows])
     edited = SimpleNamespace(sparse=SparseMatrix(p, starts, *triples.T))
-    monkeypatch.setattr(numtheory, "build_quadratic_matrix", lambda _p: edited)
+    monkeypatch.setattr(transfer, "build_quadratic_matrix", lambda _p: edited)
     return check(p)
 
 
@@ -257,7 +257,7 @@ def test_eigen_check_past_its_prime_is_refused_before_the_system_is_built(monkey
     def build(p):
         raise AssertionError("built the quadratic matrix over F_%d" % p)
 
-    monkeypatch.setattr(numtheory, "build_quadratic_matrix", build)
+    monkeypatch.setattr(transfer, "build_quadratic_matrix", build)
     start = time.perf_counter()
     with pytest.raises(ResourceLimitExceeded, match="over F_101 exceeds the limit of p <= 47"):
         eigen_check(101)

@@ -44,7 +44,7 @@ def _export(rev, dest):
     with open(archive, "wb") as fh:
         subprocess.run(("git", "archive", rev), cwd=ROOT, check=True, stdout=fh)
     with tarfile.open(archive) as tar:
-        tar.extractall(dest)
+        tar.extractall(dest, filter="data")
     archive.unlink()
 
 
